@@ -41,28 +41,30 @@ install-test:
 install-lint:
 	$(PYTHON) -m pip install $(LINT_DEPS)
 
-## Regenerate BENCH_t2_ops.json + benchmarks/results/t2_ops.txt +
-## benchmarks/results/pipeline_sweep.txt (the wire-v2 depth sweep).
+## Regenerate BENCH_t2_ops.json + benchmarks/results/t2_ops.txt.
 bench:
 	$(PYTHON) tools/bench_snapshot.py --rounds 5
 
 ## Re-run the micro-benchmarks and fail if any tracked op's speedup
 ## regressed beyond the tolerance vs the committed snapshot (does not
 ## overwrite it).  Tolerance defaults to 15%; widen on noisy runners
-## with e.g. `BENCH_TOLERANCE=25 make bench-check`.  The gate includes
-## the wire-v2 ops: svc_robust_batch_shareverify holds the strict band
-## (its committed speedup is real — one cross-message multi-pairing vs
-## a per-share loop), while the svc_pipeline_* ops are overhead-bound
-## on the loopback (committed near 1.0x, below OVERHEAD_REFERENCE) and
-## get the wide OVERHEAD_TOLERANCE floor — their gate catches the
-## pipelined path collapsing, not scheduler jitter.
+## with e.g. `BENCH_TOLERANCE=25 make bench-check`.
+## svc_robust_batch_shareverify holds the strict band (its committed
+## speedup is real — one cross-message multi-pairing vs a per-share
+## loop), while the worker-tier ops (svc_mp_*, svc_tcp_*) are
+## overhead-bound on the loopback (committed near 1.0x, below
+## OVERHEAD_REFERENCE) and get the wide OVERHEAD_TOLERANCE floor —
+## their gate catches a tier collapsing, not scheduler jitter.
 bench-check:
 	$(PYTHON) tools/bench_snapshot.py --check --rounds 3
 
 ## Boot the async signing service, push 100+ requests through the load
-## generator (in-process shards, the process-parallel worker tier and
-## the loopback-TCP remote-worker tier — including a mid-window worker
-## kill) and fail on any rejected-valid request.  The durability act
+## generator in eight acts (in-process shards, the process-parallel
+## worker tier and the loopback-TCP remote-worker tier — including a
+## mid-window worker kill with two shards' jobs in flight, which must
+## fail every request id over to a second endpoint and settle each
+## exactly once) and fail on any rejected-valid request.  The
+## durability act
 ## SIGKILLs the service itself mid-window and requires a restart
 ## against the same write-ahead log to complete every admitted request
 ## exactly once.  The key-lifecycle act refreshes, reshares and grows
@@ -73,10 +75,7 @@ bench-check:
 ## (two tenants with different quotas, over-quota 429s at the edge, an
 ## admin reshare mid-load, a line-by-line Prometheus /metrics gate)
 ## and SIGKILLs the gateway's host process with admitted HTTP requests
-## durable — the restart must settle them exactly once.  The wire-v2
-## act drives depth-4 pipelined request shipping over loopback TCP,
-## kills a worker with a full pipeline in flight, and requires every
-## in-flight request id to be resubmitted and settle exactly once
+## durable — the restart must settle them exactly once
 ## (leaves `.smoke-wal/` — WALs plus `epoch/epoch.log` — behind on
 ## failure for forensics).
 serve-smoke:

@@ -70,14 +70,10 @@ async def demo(args) -> None:
     config = ServiceConfig(num_shards=args.shards, max_batch=16,
                            max_wait_ms=10.0, workers=args.workers,
                            remote_workers=remote_workers,
-                           pipeline_depth=args.pipeline_depth,
                            remote_psk=args.psk,
                            rng=random.Random(2))
     if remote_workers:
         tier = f"remote TCP workers {', '.join(remote_workers)}"
-        if args.pipeline_depth > 1:
-            tier += (f", pipelined {args.pipeline_depth} deep "
-                     f"(workers accumulate the windows)")
     elif args.workers:
         tier = f"{args.workers} worker process(es)"
     else:
@@ -178,10 +174,6 @@ async def demo(args) -> None:
                   f"over {stats.workers.workers} {what}, "
                   f"{stats.workers.crashes} crashes, "
                   f"{stats.workers.reconnects} reconnects")
-            if remote_workers and args.pipeline_depth > 1:
-                print(f"      pipelining: up to "
-                      f"{stats.workers.max_inflight} requests in flight "
-                      f"per connection (depth {args.pipeline_depth})")
         if client is not None:
             exposition = await client.metrics()
             samples = [line for line in exposition.splitlines()
@@ -229,12 +221,6 @@ def main() -> None:
                         "running remote workers (python -m "
                         "repro.service.remote_worker); combine with "
                         "--context so both ends hold the same keys")
-    parser.add_argument("--pipeline-depth", type=int, default=1,
-                        metavar="N",
-                        help="in-flight requests per remote-worker "
-                        "connection (wire v2; N > 1 ships individual "
-                        "requests and lets the workers accumulate the "
-                        "batch windows; default 1 = window shipping)")
     parser.add_argument("--psk", default=None, metavar="KEY",
                         help="pre-shared key for the remote-worker "
                         "handshake (must match the workers' --psk; "

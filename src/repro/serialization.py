@@ -143,13 +143,9 @@ def measure_shoup(scheme, public_key, partial, signature) -> SizeReport:
 KIND_SIGN_JOB = b"S"
 KIND_VERIFY_JOB = b"V"
 KIND_PARTIAL_JOB = b"P"
-KIND_SIGN_REQUEST_JOB = b"Q"
-KIND_VERIFY_REQUEST_JOB = b"R"
 KIND_SIGN_OUTCOME = b"s"
 KIND_VERIFY_OUTCOME = b"v"
 KIND_PARTIAL_OUTCOME = b"p"
-KIND_SIGN_REQUEST_OUTCOME = b"q"
-KIND_VERIFY_REQUEST_OUTCOME = b"r"
 KIND_CONTEXT = b"C"
 KIND_WAL_ADMIT = b"W"
 KIND_WAL_DONE = b"w"
@@ -196,38 +192,6 @@ class PartialSignJob:
 
 
 @dataclass(frozen=True)
-class SignRequestJob:
-    """ONE sign request, shipped individually so the *worker* — not the
-    dispatcher — accumulates the batch window.
-
-    With pre-built windows (:class:`SignWindowJob`) the parent pays the
-    batching latency: every shard must close its own window before
-    anything crosses the wire, and at high shard counts each shard's
-    share of the traffic is too thin to fill windows quickly.  Shipping
-    single requests down a pipelined connection lets the remote worker
-    re-batch across *all* connected shards (see
-    ``WorkerServer`` in :mod:`repro.service.transport`), so window
-    occupancy follows total traffic instead of per-shard traffic.
-    """
-
-    shard_id: int
-    message: bytes
-    quorum: Tuple[int, ...]
-    epoch: int = 0
-
-
-@dataclass(frozen=True)
-class VerifyRequestJob:
-    """ONE verify request (the verify-side twin of
-    :class:`SignRequestJob`)."""
-
-    shard_id: int
-    message: bytes
-    signature: Signature
-    epoch: int = 0
-
-
-@dataclass(frozen=True)
 class SignWindowOutcome:
     """Result of a :class:`SignWindowJob`.
 
@@ -259,27 +223,6 @@ class PartialSignOutcome:
     """Result of a :class:`PartialSignJob`."""
 
     partials: Tuple[PartialSignature, ...]
-
-
-@dataclass(frozen=True)
-class SignRequestOutcome:
-    """Result of a :class:`SignRequestJob`.
-
-    ``signature`` is ``None`` exactly when ``failure`` is non-empty;
-    ``flagged`` marks a request that needed the robust fallback inside
-    the window the worker accumulated it into.
-    """
-
-    signature: Optional[Signature]
-    flagged: bool = False
-    failure: str = ""
-
-
-@dataclass(frozen=True)
-class VerifyRequestOutcome:
-    """Result of a :class:`VerifyRequestJob`."""
-
-    verdict: bool
 
 
 @dataclass(frozen=True)
@@ -490,15 +433,6 @@ class WireCodec:
                 _u32(job.epoch) + \
                 _packed(job.message) + _u32(len(job.signers)) + \
                 b"".join(_u32(index) for index in job.signers)
-        if isinstance(job, SignRequestJob):
-            return KIND_SIGN_REQUEST_JOB + _u32(job.shard_id) + \
-                _u32(job.epoch) + _packed(job.message) + \
-                _u32(len(job.quorum)) + \
-                b"".join(_u32(index) for index in job.quorum)
-        if isinstance(job, VerifyRequestJob):
-            return KIND_VERIFY_REQUEST_JOB + _u32(job.shard_id) + \
-                _u32(job.epoch) + _packed(job.message) + \
-                self.encode_signature(job.signature)
         raise SerializationError(f"unknown job type {type(job).__name__}")
 
     def decode_job(self, blob: bytes):
@@ -526,16 +460,6 @@ class WireCodec:
             signers = tuple(reader.u32() for _ in range(reader.u32()))
             job = PartialSignJob(shard_id=shard_id, message=message,
                                  signers=signers, epoch=epoch)
-        elif kind == KIND_SIGN_REQUEST_JOB:
-            message = reader.packed()
-            quorum = tuple(reader.u32() for _ in range(reader.u32()))
-            job = SignRequestJob(shard_id=shard_id, message=message,
-                                 quorum=quorum, epoch=epoch)
-        elif kind == KIND_VERIFY_REQUEST_JOB:
-            message = reader.packed()
-            signature = self._read_signature(reader)
-            job = VerifyRequestJob(shard_id=shard_id, message=message,
-                                   signature=signature, epoch=epoch)
         else:
             raise SerializationError(f"unknown job kind {kind!r}")
         reader.done()
@@ -567,20 +491,6 @@ class WireCodec:
             return KIND_PARTIAL_OUTCOME + _u32(len(outcome.partials)) + \
                 b"".join(self.encode_partial(partial)
                          for partial in outcome.partials)
-        if isinstance(outcome, SignRequestOutcome):
-            flagged = b"\x01" if outcome.flagged else b"\x00"
-            if outcome.signature is None:
-                if not outcome.failure:
-                    raise SerializationError(
-                        "sign-request outcome without a signature needs "
-                        "a failure reason")
-                return KIND_SIGN_REQUEST_OUTCOME + b"\x00" + flagged + \
-                    _packed(outcome.failure.encode("utf-8"))
-            return KIND_SIGN_REQUEST_OUTCOME + b"\x01" + flagged + \
-                self.encode_signature(outcome.signature)
-        if isinstance(outcome, VerifyRequestOutcome):
-            return KIND_VERIFY_REQUEST_OUTCOME + (
-                b"\x01" if outcome.verdict else b"\x00")
         raise SerializationError(
             f"unknown outcome type {type(outcome).__name__}")
 
@@ -621,30 +531,6 @@ class WireCodec:
         elif kind == KIND_PARTIAL_OUTCOME:
             outcome = PartialSignOutcome(partials=tuple(
                 self._read_partial(reader) for _ in range(reader.u32())))
-        elif kind == KIND_SIGN_REQUEST_OUTCOME:
-            status = reader.take(1)
-            flag_byte = reader.take(1)
-            if flag_byte not in (b"\x00", b"\x01"):
-                raise SerializationError(
-                    f"invalid sign-request flagged byte {flag_byte!r}")
-            flagged = flag_byte == b"\x01"
-            if status == b"\x01":
-                outcome = SignRequestOutcome(
-                    signature=self._read_signature(reader),
-                    flagged=flagged)
-            elif status == b"\x00":
-                outcome = SignRequestOutcome(
-                    signature=None, flagged=flagged,
-                    failure=_utf8(reader.packed()))
-            else:
-                raise SerializationError(
-                    f"invalid sign-request status byte {status!r}")
-        elif kind == KIND_VERIFY_REQUEST_OUTCOME:
-            verdict_byte = reader.take(1)
-            if verdict_byte not in (b"\x00", b"\x01"):
-                raise SerializationError(
-                    f"invalid verify-request verdict byte {verdict_byte!r}")
-            outcome = VerifyRequestOutcome(verdict=verdict_byte == b"\x01")
         else:
             raise SerializationError(f"unknown outcome kind {kind!r}")
         reader.done()
@@ -722,10 +608,6 @@ class WireCodec:
             return (13 + sum(4 + len(m) + 2 * g1 for m in value.messages))
         if isinstance(value, PartialSignJob):
             return 13 + len(value.message) + 4 + 4 * len(value.signers)
-        if isinstance(value, SignRequestJob):
-            return (13 + len(value.message) + 4 + 4 * len(value.quorum))
-        if isinstance(value, VerifyRequestJob):
-            return 13 + len(value.message) + 2 * g1
         if isinstance(value, SignWindowOutcome):
             failures = dict(value.failures)
             per_slot = sum(
@@ -737,12 +619,6 @@ class WireCodec:
             return 5 + len(value.verdicts)
         if isinstance(value, PartialSignOutcome):
             return 5 + (4 + 2 * g1) * len(value.partials)
-        if isinstance(value, SignRequestOutcome):
-            if value.signature is None:
-                return 3 + 4 + len(value.failure.encode("utf-8"))
-            return 3 + 2 * g1
-        if isinstance(value, VerifyRequestOutcome):
-            return 2
         if isinstance(value, WalAdmitRecord):
             return 13 + 4 + len(value.message)
         if isinstance(value, WalDoneRecord):
@@ -862,10 +738,11 @@ def decode_service_context(blob: bytes):
 #
 # Version history: v1 had no C frame; v2 added it for live epoch
 # transitions (a dispatcher pushing refreshed key material to running
-# workers) and stamped jobs with the epoch; v3 (the "pipelined framing"
-# protocol) added the request-id field, the per-request job kinds
-# (``Q``/``R`` with their lowercase outcomes) and the optional PSK MAC
-# in HELLO.  Per the compatibility rule there is no negotiation — both
+# workers) and stamped jobs with the epoch; v3 added the request-id
+# field and the optional PSK MAC in HELLO.  (v3 also briefly carried
+# per-request job kinds ``Q``/``R``/``q``/``r``; they are retired and
+# refused as unknown kinds — the header did not change, so the version
+# did not either.)  Per the compatibility rule there is no negotiation — both
 # ends upgrade together.  The version byte sits at the same offset in
 # every version, so an old peer is always refused with a typed
 # version-mismatch error, never parsed as garbage.

@@ -31,36 +31,32 @@ from repro.service.wal import WriteAheadLog
 
 @dataclass
 class ServiceConfig:
-    """Scheduling policy knobs.
+    """Everything settable about a :class:`SigningService`; each field
+    is documented where it is defined."""
 
-    * ``num_shards`` — worker count; traffic partitions by consistent
-      hashing on the message digest.
-    * ``max_batch`` / ``max_wait_ms`` — the batch-window close triggers
-      (count or age, whichever first).
-    * ``queue_depth`` — per-shard admission bound; beyond it requests
-      are shed with :class:`ServiceOverloadedError`.
-    * ``workers`` — worker *processes* for the window crypto.  0 (the
-      default) runs every window on the event loop; N > 0 dispatches
-      windows to a shared :class:`~repro.service.workers.WorkerPool` of
-      N warm processes, so up to min(num_shards, N) windows run in
-      parallel on separate cores.
-    * ``remote_workers`` — the multi-*machine* tier: ``host:port``
-      addresses of standalone TCP workers
-      (``python -m repro.service.remote_worker``), dispatched through
-      :class:`~repro.service.transport.RemoteWorkerPool`.  Mutually
-      exclusive with ``workers`` (a window has one execution tier).
-    """
-
+    #: Shard count; traffic partitions by consistent hashing on the
+    #: message digest.
     num_shards: int = 2
+    #: The batch-window close triggers: count or age, whichever first.
     max_batch: int = 16
     max_wait_ms: float = 5.0
+    #: Per-shard admission bound; beyond it requests are shed with
+    #: :class:`~repro.service.types.ServiceOverloadedError`.
     queue_depth: int = 256
-    #: Process-parallel tier: 0 = in-process, N = pool of N processes.
+    #: Process-parallel tier.  0 (the default) runs every window on the
+    #: event loop; N > 0 dispatches windows to a shared
+    #: :class:`~repro.service.workers.WorkerPool` of N warm processes,
+    #: so up to min(num_shards, N) windows run in parallel on separate
+    #: cores.
     workers: int = 0
-    #: TCP tier: "host:port" addresses of remote workers provisioned
+    #: TCP (multi-machine) tier: "host:port" addresses of standalone
+    #: workers (``python -m repro.service.remote_worker``) provisioned
     #: with the same service context (the HELLO handshake enforces the
-    #: match).  Fault injectors are not shipped over the wire — a
-    #: remote worker configures its own (e.g. ``--crash-sentinel``).
+    #: match), dispatched through
+    #: :class:`~repro.service.transport.RemoteWorkerPool`.  Mutually
+    #: exclusive with ``workers`` (a window has one execution tier).
+    #: Fault injectors are not shipped over the wire — a remote worker
+    #: configures its own (e.g. ``--crash-sentinel``).
     remote_workers: Sequence[str] = ()
     #: Optional fault injector (see :mod:`repro.service.faults`).  With
     #: ``workers > 0`` it is applied inside the worker processes, so any
@@ -86,15 +82,12 @@ class ServiceConfig:
     #: Hung-worker bound for the TCP tier: a connected remote worker
     #: that does not answer a window job within this many seconds is
     #: treated like a dropped connection (discard, resubmit elsewhere).
+    #: The clock starts when the job is sent, and a worker executes
+    #: jobs in arrival order, so the bound also covers waiting behind
+    #: up to 2 * ``num_shards`` - 1 other window jobs (every shard's
+    #: sign and verify halves) queued on the same worker — size it for
+    #: that many windows, not one.
     remote_job_timeout_s: float = 60.0
-    #: Pipelining window for the TCP tier: how many requests each
-    #: remote-worker connection may hold in flight at once (answers are
-    #: matched by the frame header's request id, so completions may
-    #: arrive out of order).  Depth 1 (the default) reproduces the old
-    #: one-request-per-turn protocol; depth > 1 additionally ships
-    #: windows as per-message request jobs so the *worker* accumulates
-    #: batches across every connected dispatcher.
-    pipeline_depth: int = 1
     #: Pre-shared key for the TCP tier's HELLO authenticator
     #: (``HMAC-SHA256(psk, context digest)``, both directions).  Both
     #: ends must configure the same key — or neither; a mismatch is
@@ -170,7 +163,6 @@ class SigningService:
             fault_injector=config.fault_injector, rng=config.rng,
             workers=config.workers, remote_workers=config.remote_workers,
             wal=self.wal, remote_job_timeout_s=config.remote_job_timeout_s,
-            pipeline_depth=config.pipeline_depth,
             remote_psk=config.remote_psk)
         self._pool.start()
         self._transition_lock = asyncio.Lock()

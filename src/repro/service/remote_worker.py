@@ -63,14 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "authenticate their HELLO with "
                         "HMAC-SHA256(psk, context digest); both ends "
                         "must configure the same key (or neither)")
-    parser.add_argument("--max-batch", type=int, default=16,
-                        help="worker-side accumulator: flush a window "
-                        "once this many shipped requests are pending "
-                        "(default 16)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="worker-side accumulator: linger this long "
-                        "for stragglers before flushing a short window "
-                        "(default 2.0)")
     parser.add_argument("--write-context", type=pathlib.Path,
                         default=None, metavar="PATH",
                         help="provisioning mode: dealer-generate a "
@@ -117,9 +109,7 @@ async def serve(args) -> int:
                       if args.crash_sentinel is not None else None)
     psk = args.psk.encode("utf-8") if args.psk else None
     server = WorkerServer(handle, host=args.host, port=args.listen,
-                          fault_injector=fault_injector, psk=psk,
-                          max_batch=args.max_batch,
-                          max_wait_ms=args.max_wait_ms)
+                          fault_injector=fault_injector, psk=psk)
     await server.start()
     print(f"{READY_MARKER}{server.host}:{server.port}", flush=True)
     try:

@@ -307,7 +307,6 @@ class ShardPool:
                  workers: int = 0, remote_workers: Sequence[str] = (),
                  wal: Optional[WriteAheadLog] = None,
                  remote_job_timeout_s: float = 60.0,
-                 pipeline_depth: int = 1,
                  remote_psk: Optional[object] = None):
         if num_shards < 1:
             raise ValueError("need at least one shard")
@@ -327,14 +326,9 @@ class ShardPool:
         # on other machines); fault injectors are NOT shipped over the
         # wire — a remote worker configures its own at launch.
         if remote_workers:
-            # Depth > 1 also ships windows as per-message request jobs:
-            # pipelining exists to overlap many small frames, and
-            # worker-side accumulation is what turns those frames back
-            # into full-occupancy windows.
             self.worker_pool = RemoteWorkerPool(
                 handle, remote_workers, job_timeout_s=remote_job_timeout_s,
-                pipeline_depth=pipeline_depth, psk=remote_psk,
-                ship_requests=pipeline_depth > 1)
+                psk=remote_psk)
         elif workers > 0:
             self.worker_pool = WorkerPool(
                 handle, workers, fault_injector=fault_injector)

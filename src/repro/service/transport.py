@@ -15,25 +15,17 @@ bytes on real sockets:
   pipelined read loop per connection (frames matched to answers by the
   header's request id, so many jobs ride one connection), dispatching
   through the same :func:`~repro.service.workers.execute_job` the
-  process tier uses.  Single-request jobs
-  (:class:`~repro.serialization.SignRequestJob` /
-  :class:`~repro.serialization.VerifyRequestJob`) are not executed one
-  by one: a server-wide accumulator re-batches them — across *all*
-  connected dispatchers — into windows, so batch occupancy follows
-  total traffic instead of any one shard's share of it.
+  process tier uses.
 * :class:`RemoteWorkerPool` — the dispatcher side, a drop-in for
   :class:`~repro.service.workers.WorkerPool` behind the shard workers
   (``ServiceConfig(remote_workers=["host:port", ...])``): round-robin
-  over configured endpoints, lazy dialing, up to ``pipeline_depth``
-  concurrently in-flight requests per connection (a per-connection
-  reader task resolves them by request id, in whatever order the
-  worker answers), and the same crash-recovery contract as the process
-  pool — a dropped connection fails every in-flight request id at
-  once, each owning call re-dials/resubmits exactly its own job, so a
+  over configured endpoints, lazy dialing, every shard's window jobs
+  concurrently in flight on one connection (a per-connection reader
+  task resolves them by request id, in whatever order the worker
+  answers), and the same crash-recovery contract as the process pool
+  — a dropped connection fails every in-flight request id at once,
+  each owning call re-dials/resubmits exactly its own job, so a
   killed worker costs latency, never a lost or double-served request.
-  With ``ship_requests`` the pool fans a window job out into
-  per-message request jobs down the pipeline (the worker re-batches
-  them), cutting parent-side batching latency at high shard counts.
 
 **Handshake.**  A connection is useless unless both ends hold the same
 service context (scheme, curve, threshold parameters, keys), so the
@@ -90,18 +82,14 @@ from repro.errors import SerializationError
 from repro.serialization import (
     FRAME_HEADER_BYTES, FRAME_KIND_CONTEXT, FRAME_KIND_ERROR,
     FRAME_KIND_HELLO, FRAME_KIND_JOB, FRAME_KIND_OUTCOME,
-    SignRequestJob, SignWindowJob, SignWindowOutcome, VerifyRequestJob,
-    VerifyRequestOutcome, VerifyWindowJob, VerifyWindowOutcome, WireCodec,
-    decode_frame_header, decode_hello, decode_service_context,
+    WireCodec, decode_frame_header, decode_hello, decode_service_context,
     encode_frame, encode_hello, encode_service_context, hello_mac,
     service_context_digest,
 )
 from repro.service.types import (
     HandshakeError, RemoteJobError, TransportError, WorkerPoolStats,
 )
-from repro.service.workers import (
-    execute_job, sign_request_outcome, warm_handle,
-)
+from repro.service.workers import execute_job, warm_handle
 
 #: Errors that mean "this connection is gone" (``IncompleteReadError``
 #: is an ``EOFError``; ``ConnectionError`` and timeouts are ``OSError``
@@ -160,10 +148,10 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 class _ServedConnection:
     """One accepted dispatcher connection: its writer, the write lock
-    that keeps concurrently-answering tasks (the inline executor and
-    the server-wide accumulator flush) from interleaving frames, and
-    the set of request ids currently in flight on it (the duplicate-id
-    guard)."""
+    that keeps the two tasks answering on it (the executor, and the
+    reader refusing a duplicate id or acknowledging a context push)
+    from interleaving frames, and the set of request ids currently in
+    flight on it (the duplicate-id guard)."""
 
     __slots__ = ("writer", "write_lock", "pending")
 
@@ -190,20 +178,12 @@ class WorkerServer:
     connection is refused with an error frame — silently serving it
     would let one answer settle two different requests.
 
-    Window jobs execute inline, in arrival order, on the loop — a
-    worker process exists to burn its core on pairings.  Single-request
-    jobs instead land in a server-wide accumulator that re-batches them
-    into windows across *all* connections (``max_batch`` /
-    ``max_wait_ms``, the same greedy-then-linger policy as the parent's
-    :class:`~repro.service.accumulator.BatchAccumulator`), so the
-    cross-message amortization follows the worker's total traffic.
+    Jobs execute inline, in arrival order, on the loop — a worker
+    process exists to burn its core on pairings.
     """
 
     def __init__(self, handle, host: str = "127.0.0.1", port: int = 0,
-                 fault_injector=None, psk: Optional[bytes] = None,
-                 max_batch: int = 16, max_wait_ms: float = 2.0):
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
+                 fault_injector=None, psk: Optional[bytes] = None):
         # Raises TypeError for schemes without window entry points —
         # fail at construction, like WorkerPool.
         self._context = encode_service_context(handle)
@@ -215,20 +195,8 @@ class WorkerServer:
         self.host = host
         self.port = port
         self.fault_injector = fault_injector
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.jobs_served = 0
-        #: Accumulator telemetry: windows flushed and the requests they
-        #: carried (``requests_accumulated / windows_accumulated`` is
-        #: the worker-side batch occupancy the request-shipping mode
-        #: exists to raise).
-        self.windows_accumulated = 0
-        self.requests_accumulated = 0
         self._server: Optional[asyncio.base_events.Server] = None
-        #: (connection, request_id, job) triples awaiting a window.
-        self._request_queue: "asyncio.Queue[Tuple[_ServedConnection, int, object]]" = \
-            asyncio.Queue()
-        self._flush_task: Optional[asyncio.Task] = None
 
     @property
     def address(self) -> str:
@@ -243,21 +211,12 @@ class WorkerServer:
         self._server = await asyncio.start_server(
             self._serve_connection, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._flush_task = asyncio.get_running_loop().create_task(
-            self._flush_loop(), name="worker-accumulator")
         return self
 
     async def serve_forever(self) -> None:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
-            self._flush_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -357,31 +316,19 @@ class WorkerServer:
 
     async def _execute_loop(self, connection: _ServedConnection,
                             inline_jobs: "asyncio.Queue") -> None:
-        """Decode and answer this connection's jobs in arrival order;
-        single-request jobs detour through the server-wide accumulator
-        and are answered by its flush task instead."""
+        """Decode and answer this connection's jobs in arrival order."""
         while True:
             request_id, payload = await inline_jobs.get()
             try:
-                job = self._codec.decode_job(payload)
-            except Exception as exc:
-                await self._send_error(
-                    connection, request_id,
-                    f"{type(exc).__name__}: {exc}")
-                connection.pending.discard(request_id)
-                continue
-            if isinstance(job, (SignRequestJob, VerifyRequestJob)):
-                self._request_queue.put_nowait(
-                    (connection, request_id, job))
-                continue
-            try:
                 outcome_blob = self._codec.encode_outcome(execute_job(
-                    self._handle, job, fault_injector=self.fault_injector))
+                    self._handle, self._codec.decode_job(payload),
+                    fault_injector=self.fault_injector))
             except Exception as exc:
                 # The frame arrived intact, so the stream is still in
-                # sync: report the job-level failure and keep serving
-                # this connection (the dispatcher raises RemoteJobError
-                # instead of resubmitting).
+                # sync: report the failure — an undecodable payload
+                # (e.g. a retired job kind) or a job-level refusal —
+                # and keep serving this connection (the dispatcher
+                # raises RemoteJobError instead of resubmitting).
                 await self._send_error(
                     connection, request_id,
                     f"{type(exc).__name__}: {exc}")
@@ -394,98 +341,6 @@ class WorkerServer:
             # One cooperative yield per job so the reader task drains
             # newly-arrived frames between crypto calls.
             await asyncio.sleep(0)
-
-    # -- the server-wide request accumulator --------------------------------
-    async def _flush_loop(self) -> None:
-        """Gather single-request jobs — from every connection — into
-        windows: greedy drain, then linger up to ``max_wait_ms`` for
-        stragglers, flush at ``max_batch``."""
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._request_queue.get()]
-            deadline = loop.time() + self.max_wait_ms / 1000.0
-            while len(batch) < self.max_batch:
-                while len(batch) < self.max_batch:
-                    try:
-                        batch.append(self._request_queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                remaining = deadline - loop.time()
-                if len(batch) >= self.max_batch or remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(
-                        self._request_queue.get(), remaining))
-                except asyncio.TimeoutError:
-                    break
-            try:
-                await self._execute_accumulated(batch)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:   # defensive: fail the batch's
-                for connection, request_id, _ in batch:  # ids, not the
-                    await self._send_error(                # flush loop
-                        connection, request_id,
-                        f"{type(exc).__name__}: {exc}")
-                    connection.pending.discard(request_id)
-
-    async def _execute_accumulated(self, batch) -> None:
-        """Execute one accumulated window, grouped into the largest
-        batchable units: sign requests by (epoch, quorum) — different
-        quorums need different Lagrange sets — and verify requests by
-        epoch.  Answers go back per request id, to whichever connection
-        each request arrived on."""
-        self.windows_accumulated += 1
-        self.requests_accumulated += len(batch)
-        sign_groups: Dict[Tuple[int, Tuple[int, ...]], list] = {}
-        verify_groups: Dict[int, list] = {}
-        for item in batch:
-            job = item[2]
-            if isinstance(job, SignRequestJob):
-                sign_groups.setdefault(
-                    (job.epoch, tuple(job.quorum)), []).append(item)
-            else:
-                verify_groups.setdefault(job.epoch, []).append(item)
-        for (epoch, quorum), items in sign_groups.items():
-            window_job = SignWindowJob(
-                shard_id=items[0][2].shard_id, epoch=epoch,
-                messages=tuple(item[2].message for item in items),
-                quorum=quorum)
-            await self._answer_group(
-                items, window_job,
-                lambda outcome, position: self._codec.encode_outcome(
-                    sign_request_outcome(outcome, position)))
-        for epoch, items in verify_groups.items():
-            window_job = VerifyWindowJob(
-                shard_id=items[0][2].shard_id, epoch=epoch,
-                messages=tuple(item[2].message for item in items),
-                signatures=tuple(item[2].signature for item in items))
-            await self._answer_group(
-                items, window_job,
-                lambda outcome, position: self._codec.encode_outcome(
-                    VerifyRequestOutcome(
-                        verdict=outcome.verdicts[position])))
-        # Yield between accumulated windows, like the inline executor.
-        await asyncio.sleep(0)
-
-    async def _answer_group(self, items, window_job, project) -> None:
-        """Run one synthesized window job and answer each request id
-        from its own position (or fail them all with one E frame each
-        when the window itself refuses, e.g. a stale epoch)."""
-        try:
-            outcome = execute_job(self._handle, window_job,
-                                  fault_injector=self.fault_injector)
-        except Exception as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            for connection, request_id, _ in items:
-                await self._send_error(connection, request_id, reason)
-                connection.pending.discard(request_id)
-            return
-        for position, (connection, request_id, _) in enumerate(items):
-            await self._send(connection, FRAME_KIND_OUTCOME,
-                             project(outcome, position), request_id)
-            connection.pending.discard(request_id)
-            self.jobs_served += 1
 
     async def _apply_context_push(self, connection: _ServedConnection,
                                   request_id: int,
@@ -589,26 +444,22 @@ class WorkerServer:
 
 class _Endpoint:
     """One configured remote worker address plus its live connection,
-    in-flight request window and circuit-breaker state."""
+    in-flight requests and circuit-breaker state."""
 
     __slots__ = ("host", "port", "reader", "writer", "send_lock",
-                 "depth", "pending", "reader_task", "dial_lock",
-                 "dialed_once", "failures", "open_until",
-                 "misprovisioned")
+                 "pending", "reader_task", "dial_lock", "dialed_once",
+                 "failures", "open_until", "misprovisioned")
 
-    def __init__(self, host: str, port: int, pipeline_depth: int):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         #: Serializes frame *writes* only — reads are the reader task's
-        #: job, and completions are matched by request id, so up to
-        #: ``depth`` requests ride the connection concurrently.
+        #: job, and completions are matched by request id, so several
+        #: shards' jobs ride the connection concurrently (the callers
+        #: bound how many: one sign and one verify window per shard).
         self.send_lock = asyncio.Lock()
-        #: Admission window: how many requests may be in flight on this
-        #: connection at once (``pipeline_depth`` 1 reproduces the old
-        #: one-request-per-turn protocol exactly).
-        self.depth = asyncio.Semaphore(pipeline_depth)
         #: In-flight request ids -> the futures their answers resolve.
         self.pending: Dict[int, asyncio.Future] = {}
         #: Per-connection reader: drains answer frames and resolves
@@ -664,9 +515,7 @@ class RemoteWorkerPool:
                  job_timeout_s: float = 60.0,
                  breaker_threshold: int = 3,
                  breaker_cooldown_s: float = 2.0,
-                 pipeline_depth: int = 1,
-                 psk: Optional[bytes] = None,
-                 ship_requests: bool = False):
+                 psk: Optional[bytes] = None):
         if not addresses:
             raise ValueError("need at least one remote worker address")
         if max_retries < 0:
@@ -675,8 +524,6 @@ class RemoteWorkerPool:
             raise ValueError("job_timeout_s must be positive")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be at least 1")
         if isinstance(psk, str):
             psk = psk.encode("utf-8")
         # Raises TypeError for schemes without window entry points.
@@ -685,16 +532,8 @@ class RemoteWorkerPool:
         self._group_name = handle.scheme.group.name
         self._psk = psk or None
         self._codec = WireCodec(handle.scheme.group)
-        #: How many requests each connection may hold in flight.
-        self.pipeline_depth = pipeline_depth
-        #: Ship per-message request jobs down the pipeline instead of
-        #: pre-built windows, letting the worker re-batch across every
-        #: connected dispatcher (see :class:`WorkerServer`).
-        self.ship_requests = ship_requests
         self._endpoints: List[_Endpoint] = [
-            _Endpoint(*parse_address(address),
-                      pipeline_depth=pipeline_depth)
-            for address in addresses]
+            _Endpoint(*parse_address(address)) for address in addresses]
         #: Monotonic request-id source, shared by every endpoint (ids
         #: are scoped per connection by the protocol, but a pool-wide
         #: counter costs nothing and makes traces unambiguous).  Id 0
@@ -706,9 +545,11 @@ class RemoteWorkerPool:
         self.backoff_initial_s = backoff_initial_s
         self.backoff_max_s = backoff_max_s
         #: Hung-worker bound: a connected worker that has not answered
-        #: a job within this window is treated as dead (discard the
-        #: connection — a late answer would desync the stream — and
-        #: resubmit elsewhere).
+        #: a job within this window of *sending* it is treated as dead
+        #: (discard the connection — a late answer would desync the
+        #: stream — and resubmit elsewhere).  The worker runs jobs in
+        #: arrival order, so the window includes waiting behind every
+        #: job already queued there.
         self.job_timeout_s = job_timeout_s
         #: Circuit breaker: after this many consecutive failures an
         #: endpoint is quarantined for ``breaker_cooldown_s`` instead
@@ -871,7 +712,7 @@ class RemoteWorkerPool:
         When the socket dies (drop, EOF, garbage frame) *this* task
         owns the teardown: every in-flight future fails at once with
         ``ConnectionResetError`` and each owning call resubmits its own
-        job — so a killed worker fails a whole pipeline window in one
+        job — so a killed worker fails everything in flight in one
         instant instead of one ``job_timeout_s`` at a time.  Dying
         mid-job counts as one crash; a drop while idle is just churn.
         """
@@ -905,8 +746,8 @@ class RemoteWorkerPool:
     async def _roundtrip(self, endpoint: _Endpoint, kind: bytes,
                          blob: bytes) -> Tuple[bytes, bytes]:
         """Ship one frame and await its answer ``(kind, payload)``,
-        matched by request id.  Concurrent callers interleave freely up
-        to the endpoint's depth; only the write itself is serialized."""
+        matched by request id.  Concurrent callers interleave freely;
+        only the write itself is serialized."""
         self._request_counter += 1
         request_id = self._request_counter
         future = asyncio.get_running_loop().create_future()
@@ -1071,104 +912,48 @@ class RemoteWorkerPool:
         """Dispatch one window job to a remote worker and decode its
         outcome, reconnecting and resubmitting on dropped connections —
         the socket analogue of ``WorkerPool.run_job``'s
-        ``BrokenProcessPool`` recovery.
-
-        With ``ship_requests`` a window job never crosses the wire
-        whole: it fans out into per-message request jobs that ride the
-        pipeline individually and are re-batched *worker-side* (see
-        :class:`WorkerServer`), then the outcomes are reassembled into
-        the window shape the shard expects.
-        """
+        ``BrokenProcessPool`` recovery."""
         if not self._running:
             raise TransportError("remote worker pool is not running")
-        if self.ship_requests and isinstance(
-                job, (SignWindowJob, VerifyWindowJob)) and job.messages:
-            return await self._run_window_as_requests(job)
-        return await self._run_single(self._codec.encode_job(job))
-
-    async def _run_window_as_requests(self, job):
-        """Fan one window job out into per-message request jobs (each
-        with its own request id, its own retry budget and its own
-        crash recovery) and reassemble the window outcome.  Positions
-        are preserved: outcome ``i`` answers message ``i``."""
-        if isinstance(job, SignWindowJob):
-            subjobs = [SignRequestJob(
-                shard_id=job.shard_id, message=message,
-                quorum=tuple(job.quorum), epoch=job.epoch)
-                for message in job.messages]
-        else:
-            subjobs = [VerifyRequestJob(
-                shard_id=job.shard_id, message=message,
-                signature=signature, epoch=job.epoch)
-                for message, signature in zip(job.messages,
-                                              job.signatures)]
-        outcomes = await asyncio.gather(
-            *(self._run_single(self._codec.encode_job(subjob))
-              for subjob in subjobs),
-            return_exceptions=True)
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        if isinstance(job, VerifyWindowJob):
-            return VerifyWindowOutcome(verdicts=tuple(
-                outcome.verdict for outcome in outcomes))
-        signatures, flagged, failures = [], [], []
-        for position, outcome in enumerate(outcomes):
-            signatures.append(outcome.signature)
-            if outcome.flagged:
-                flagged.append(position)
-            if outcome.signature is None:
-                failures.append((position, outcome.failure))
-        # fallback_combines stays 0: the robust recombines (if any)
-        # happened inside the worker's accumulated windows, and their
-        # count belongs to whichever window each request landed in.
-        return SignWindowOutcome(
-            signatures=tuple(signatures), flagged=tuple(flagged),
-            failures=tuple(failures), fallback_combines=0)
-
-    async def _run_single(self, blob: bytes):
-        """Ship one encoded job, with the retry/teardown state machine
-        both dispatch shapes share."""
+        blob = self._codec.encode_job(job)
         loop = asyncio.get_running_loop()
         last_error = None
         for attempt in range(self.max_retries + 1):
             endpoint = await self._acquire()
-            async with endpoint.depth:
-                try:
-                    outcome_blob = await asyncio.wait_for(
-                        self._request(endpoint, blob), self.job_timeout_s)
-                except asyncio.TimeoutError:
-                    # Hung worker: connected but silent past the job
-                    # timeout.  Its event loop is stuck, so every job
-                    # on the connection is doomed — discard it and
-                    # resubmit (the breaker keeps a chronically hung
-                    # endpoint out of the rotation).
-                    last_error = TransportError(
-                        f"remote worker {endpoint.address} did not "
-                        f"answer a job within {self.job_timeout_s:.1f}s")
-                    if await self._discard(endpoint):
-                        self.stats.timeouts += 1
-                        self._record_failure(endpoint, loop)
-                    if attempt < self.max_retries:
-                        self.stats.resubmissions += 1
-                    continue
-                except _CONNECTION_ERRORS + (SerializationError,) as exc:
-                    # The worker died or the stream desynchronized.
-                    # The reader task usually observes the death first
-                    # and already tore the connection down (counting
-                    # the one crash for the whole in-flight window);
-                    # _discard is then a no-op.  Everyone resubmits
-                    # exactly their own job.
-                    last_error = exc
-                    if await self._discard(endpoint):
-                        self.stats.crashes += 1
-                        self._record_failure(endpoint, loop)
-                    if attempt < self.max_retries:
-                        self.stats.resubmissions += 1
-                    continue
-                self.stats.jobs += 1
-                self._record_success(endpoint)
-                return self._codec.decode_outcome(outcome_blob)
+            try:
+                outcome_blob = await asyncio.wait_for(
+                    self._request(endpoint, blob), self.job_timeout_s)
+            except asyncio.TimeoutError:
+                # Hung worker: connected but silent past the job
+                # timeout.  Its event loop is stuck, so every job on
+                # the connection is doomed — discard it and resubmit
+                # (the breaker keeps a chronically hung endpoint out
+                # of the rotation).
+                last_error = TransportError(
+                    f"remote worker {endpoint.address} did not "
+                    f"answer a job within {self.job_timeout_s:.1f}s")
+                if await self._discard(endpoint):
+                    self.stats.timeouts += 1
+                    self._record_failure(endpoint, loop)
+                if attempt < self.max_retries:
+                    self.stats.resubmissions += 1
+                continue
+            except _CONNECTION_ERRORS + (SerializationError,) as exc:
+                # The worker died or the stream desynchronized.  The
+                # reader task usually observes the death first and
+                # already tore the connection down (counting the one
+                # crash for every job in flight); _discard is then a
+                # no-op.  Everyone resubmits exactly their own job.
+                last_error = exc
+                if await self._discard(endpoint):
+                    self.stats.crashes += 1
+                    self._record_failure(endpoint, loop)
+                if attempt < self.max_retries:
+                    self.stats.resubmissions += 1
+                continue
+            self.stats.jobs += 1
+            self._record_success(endpoint)
+            return self._codec.decode_outcome(outcome_blob)
         raise TransportError(
             f"job failed after {self.max_retries + 1} attempts on "
             f"dropped or unresponsive remote-worker connections: "
@@ -1197,9 +982,7 @@ READY_MARKER = "remote-worker listening on "
 def start_worker_process(context_path, host: str = "127.0.0.1",
                          port: int = 0, crash_sentinel=None,
                          timeout_s: float = 120.0,
-                         psk: Optional[str] = None,
-                         max_batch: Optional[int] = None,
-                         max_wait_ms: Optional[float] = None
+                         psk: Optional[str] = None
                          ) -> "Tuple[subprocess.Popen, str]":
     """Spawn ``python -m repro.service.remote_worker`` on this machine
     and block until its ready line; returns ``(process, "host:port")``.
@@ -1209,9 +992,8 @@ def start_worker_process(context_path, host: str = "127.0.0.1",
     the ``svc_tcp_*`` benchmarks share.  ``port=0`` lets the worker
     pick an ephemeral port (parsed from the ready line);
     ``crash_sentinel`` forwards ``--crash-sentinel`` for the
-    kill-mid-window acts; ``psk`` / ``max_batch`` / ``max_wait_ms``
-    forward the v2-protocol knobs (handshake authenticator and the
-    worker-side accumulator policy).
+    kill-mid-window acts; ``psk`` forwards the handshake authenticator
+    key.
     """
     import repro
     src_dir = str(pathlib.Path(repro.__file__).resolve().parent.parent)
@@ -1225,10 +1007,6 @@ def start_worker_process(context_path, host: str = "127.0.0.1",
         command += ["--crash-sentinel", str(crash_sentinel)]
     if psk is not None:
         command += ["--psk", psk]
-    if max_batch is not None:
-        command += ["--max-batch", str(max_batch)]
-    if max_wait_ms is not None:
-        command += ["--max-wait-ms", str(max_wait_ms)]
     process = subprocess.Popen(command, stdout=subprocess.PIPE,
                                env=env, text=True)
     deadline = time.monotonic() + timeout_s

@@ -199,8 +199,8 @@ class WorkerPoolStats:
     #: frame on the TCP tier) instead of being torn down.
     rewarms: int = 0
     #: High-water mark of concurrently in-flight requests on one
-    #: connection (TCP tier only) — evidence the pipelined framing is
-    #: actually holding a window open, not serializing at depth 1.
+    #: connection (TCP tier only) — evidence that several shards'
+    #: window jobs really do share a connection instead of serializing.
     max_inflight: int = 0
 
 
@@ -269,7 +269,8 @@ class ServiceStats:
     ingress: TrafficCounter = field(default_factory=TrafficCounter)
     egress: TrafficCounter = field(default_factory=TrafficCounter)
     shards: Dict[int, ShardStats] = field(default_factory=dict)
-    #: Present only when the service runs the process-parallel tier.
+    #: Present when the service runs a worker tier — process-parallel
+    #: (``workers``) or TCP (``remote_workers``); None in-process.
     workers: Optional[WorkerPoolStats] = None
     #: Key-lifecycle accounting (epoch transitions, barrier pauses).
     epochs: EpochStats = field(default_factory=EpochStats)

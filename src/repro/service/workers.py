@@ -38,10 +38,9 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
 
 from repro.serialization import (
-    PartialSignJob, SignRequestJob, SignRequestOutcome, SignWindowJob,
-    VerifyRequestJob, VerifyRequestOutcome, VerifyWindowJob,
-    VerifyWindowOutcome, PartialSignOutcome, WireCodec,
-    decode_service_context, encode_service_context,
+    PartialSignJob, SignWindowJob, VerifyWindowJob, VerifyWindowOutcome,
+    PartialSignOutcome, WireCodec, decode_service_context,
+    encode_service_context,
 )
 from repro.service.types import (
     StaleEpochError, WorkerCrashError, WorkerPoolStats,
@@ -105,35 +104,7 @@ def execute_job(handle, job, fault_injector=None):
             handle.partials_with_faults(
                 job.message, job.signers, fault_injector=fault_injector,
                 shard_id=job.shard_id)))
-    if isinstance(job, SignRequestJob):
-        # A degenerate window of one.  The TCP worker normally batches
-        # request jobs across connections before they reach the crypto
-        # (see WorkerServer); this direct path serves stragglers and
-        # keeps the contract uniform across tiers.
-        outcome = handle.process_sign_window(
-            [job.message], quorum=list(job.quorum),
-            fault_injector=fault_injector, shard_id=job.shard_id)
-        return sign_request_outcome(outcome, 0)
-    if isinstance(job, VerifyRequestJob):
-        return VerifyRequestOutcome(verdict=handle.verify_window(
-            [job.message], [job.signature])[0])
     raise TypeError(f"unknown job type {type(job).__name__}")
-
-
-def sign_request_outcome(window_outcome,
-                         position: int) -> SignRequestOutcome:
-    """Project one position of a window-sized outcome onto the
-    single-request outcome shape (the worker-side accumulator executes
-    request jobs as windows, then answers each request id from its own
-    position)."""
-    signature = window_outcome.signatures[position]
-    flagged = position in window_outcome.flagged
-    if signature is None:
-        failures = dict(window_outcome.failures)
-        return SignRequestOutcome(
-            signature=None, flagged=flagged,
-            failure=failures.get(position, "sign request failed"))
-    return SignRequestOutcome(signature=signature, flagged=flagged)
 
 
 def _init_worker(context_blob: bytes, fault_injector) -> None:

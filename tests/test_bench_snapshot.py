@@ -50,10 +50,6 @@ MP_OPS = ["svc_mp_verify_req", "svc_mp_throughput"]
 #: TCP remote-worker ops (fast = meta.tcp_workers standalone worker
 #: processes over loopback sockets, naive = the event-loop pipeline).
 TCP_OPS = ["svc_tcp_verify_req", "svc_tcp_throughput"]
-#: Wire-v2 pipelining ops (fast = shards shipping single requests at
-#: meta.pipeline_depth with worker-side window accumulation, naive =
-#: dispatcher-built windows at depth 1 over the same TCP workers).
-PIPELINE_OPS = ["svc_pipeline_sign_req", "svc_pipeline_sign_p50"]
 #: The combiner's window-level Share-Verify micro-op (fast = one
 #: cross-message multi-pairing over a window of meta.batch_k shares,
 #: naive = a seed-equivalent Share-Verify per share).
@@ -74,18 +70,13 @@ def test_snapshot_records_all_operations(snapshot):
     for section in ("fast_ms", "naive_ms", "speedup"):
         assert set(snapshot[section]) == \
             set(SEED_OPS + NEW_OPS + SVC_OPS + MP_OPS + TCP_OPS
-                + PIPELINE_OPS + SHAREVERIFY_OPS + WAL_OPS + EPOCH_OPS
-                + HTTP_OPS)
+                + SHAREVERIFY_OPS + WAL_OPS + EPOCH_OPS + HTTP_OPS)
     assert set(snapshot["seed_reference_ms"]) == set(SEED_OPS)
     assert snapshot["meta"]["backend"] == "bn254"
     assert snapshot["meta"]["batch_k"] >= 2
     assert snapshot["meta"]["svc_total"] >= snapshot["meta"]["batch_k"]
     assert snapshot["meta"]["mp_workers"] >= 2
     assert snapshot["meta"]["tcp_workers"] >= 1
-    assert snapshot["meta"]["pipeline_depth"] >= 2
-    assert snapshot["meta"]["pipeline_depth"] in \
-        snapshot["meta"]["pipeline_sweep_depths"]
-    assert 1 in snapshot["meta"]["pipeline_sweep_depths"]
     assert snapshot["meta"]["cpu_count"] >= 1
 
 
@@ -158,21 +149,6 @@ def test_batch_shareverify_amortizes(snapshot):
     # Per-share window cost must undercut a single fast Share-Verify.
     assert snapshot["fast_ms"]["svc_robust_batch_shareverify"] <= \
         0.7 * snapshot["fast_ms"]["share_verify"]
-
-
-def test_pipeline_tier_serves_the_workload(snapshot):
-    # Overhead-bound on the loopback (same crypto, same cores on both
-    # sides); the floor guards against the request-shipping path
-    # collapsing, and the sweep must cover every advertised depth.
-    assert snapshot["fast_ms"]["svc_pipeline_sign_req"] > 0
-    assert snapshot["speedup"]["svc_pipeline_sign_req"] >= 0.4
-    assert snapshot["speedup"]["svc_pipeline_sign_p50"] >= 0.4
-    sweep = snapshot["pipeline_sweep_ms"]
-    assert set(sweep) == {
-        str(depth) for depth in
-        snapshot["meta"]["pipeline_sweep_depths"]}
-    for values in sweep.values():
-        assert values["sign_req"] > 0 and values["sign_p50"] > 0
 
 
 def test_wal_overhead_is_bounded(snapshot):

@@ -35,10 +35,9 @@ from repro.errors import SerializationError
 from repro.serialization import (
     FRAME_HEADER_BYTES, FRAME_KIND_JOB, FRAME_KINDS, FRAME_MAGIC,
     FRAME_VERSION, MAX_FRAME_BYTES, PartialSignJob, PartialSignOutcome,
-    SignRequestJob, SignRequestOutcome, SignWindowJob, SignWindowOutcome,
-    VerifyRequestJob, VerifyRequestOutcome, VerifyWindowJob,
-    VerifyWindowOutcome, WalAdmitRecord, WalDoneRecord, WireCodec,
-    decode_frame_header, encode_frame,
+    SignWindowJob, SignWindowOutcome, VerifyWindowJob, VerifyWindowOutcome,
+    WalAdmitRecord, WalDoneRecord, WireCodec, decode_frame_header,
+    encode_frame,
 )
 
 
@@ -61,10 +60,6 @@ def _corpus(handle, codec, rng):
         VerifyWindowJob(shard_id=1, messages=(message,),
                         signatures=(signature,)),
         PartialSignJob(shard_id=2, message=messages[3], signers=quorum),
-        SignRequestJob(shard_id=3, message=messages[2], quorum=quorum,
-                       epoch=1),
-        VerifyRequestJob(shard_id=4, message=messages[1],
-                         signature=signature),
     ]
     outcomes = [
         SignWindowOutcome(signatures=(signature, None, signature),
@@ -73,9 +68,6 @@ def _corpus(handle, codec, rng):
                           fallback_combines=2),
         VerifyWindowOutcome(verdicts=(True, False, True)),
         PartialSignOutcome(partials=tuple(partials)),
-        SignRequestOutcome(signature=signature, flagged=True),
-        SignRequestOutcome(signature=None, failure="shed: over quota"),
-        VerifyRequestOutcome(verdict=False),
     ]
     wal_records = [
         WalAdmitRecord(request_id=rng.randrange(1 << 48),
@@ -145,13 +137,11 @@ def _assert_truncations_rejected(corpus):
 
 
 #: A flipped bit in the one-byte kind tag can lawfully turn one kind
-#: into a *different valid kind* (``S`` and ``Q`` differ by one bit),
+#: into a *different valid kind* (``W`` and ``w`` differ by one bit),
 #: so a surviving mutant may be any type its decoder can emit.
-_JOB_TYPES = (SignWindowJob, VerifyWindowJob, PartialSignJob,
-              SignRequestJob, VerifyRequestJob)
+_JOB_TYPES = (SignWindowJob, VerifyWindowJob, PartialSignJob)
 _OUTCOME_TYPES = (SignWindowOutcome, VerifyWindowOutcome,
-                  PartialSignOutcome, SignRequestOutcome,
-                  VerifyRequestOutcome)
+                  PartialSignOutcome)
 _WAL_TYPES = (WalAdmitRecord, WalDoneRecord)
 
 
@@ -197,6 +187,31 @@ class TestWireFuzzToy:
     def test_single_bit_flips_are_typed(self, toy_wire):
         corpus, rng = toy_wire
         _assert_bit_flips_typed(corpus, rng)
+
+    def test_retired_request_kinds_are_unknown(self, toy_group):
+        """Well-formed payloads of the four retired per-request kinds
+        (``Q``/``R`` jobs, ``q``/``r`` outcomes — what a pre-removal
+        peer would send) get the unknown-kind refusal, not a decode."""
+        codec = WireCodec(toy_group)
+        handle = ServiceHandle.dealer(toy_group, 2, 5,
+                                      rng=random.Random(0xF055))
+        signature = codec.encode_signature(handle.sign(b"legacy"))
+
+        def u32(value):
+            return value.to_bytes(4, "big")
+        header = u32(3) + u32(handle.epoch) + u32(6) + b"legacy"
+        quorum = handle.quorum()
+        for blob in (
+                b"Q" + header + u32(len(quorum))
+                + b"".join(u32(index) for index in quorum),
+                b"R" + header + signature):
+            with pytest.raises(SerializationError,
+                               match="unknown job kind"):
+                codec.decode_job(blob)
+        for blob in (b"q\x01\x00" + signature, b"r\x01"):
+            with pytest.raises(SerializationError,
+                               match="unknown outcome kind"):
+                codec.decode_outcome(blob)
 
 
 @pytest.mark.bn254

@@ -2,10 +2,13 @@
 format (round-trippable codecs for partials, signatures, verification
 keys, shares, service contexts and window jobs on both backends)."""
 
+import pathlib
 import random
+import re
 
 import pytest
 
+from repro import serialization
 from repro.bench.tables import Table, format_table
 from repro.core.keys import ThresholdParams
 from repro.core.scheme import LJYThresholdScheme, ServiceHandle
@@ -201,6 +204,21 @@ class TestWireRoundTrips:
             fallback_combines=1)
         with pytest.raises(SerializationError):
             codec.encode_outcome(incomplete)
+
+
+def test_kind_tags_match_the_wire_format_doc():
+    """Every one-byte ``KIND_*`` tag the codec defines heads a grammar
+    production in docs/WIRE_FORMAT.md, every frame kind has a row in
+    its frame table, and vice versa — a half-removed or undocumented
+    kind fails here."""
+    doc = (pathlib.Path(__file__).resolve().parent.parent
+           / "docs" / "WIRE_FORMAT.md").read_text()
+    blob_kinds = {value.decode()
+                  for name, value in vars(serialization).items()
+                  if name.startswith("KIND_")}
+    assert blob_kinds == set(re.findall(r'(?::=|\|) "(\w)" \|\|', doc))
+    assert {kind.decode() for kind in serialization.FRAME_KINDS} \
+        == set(re.findall(r"^\| `(\w)` ", doc, re.MULTILINE))
 
 
 class TestTables:

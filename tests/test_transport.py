@@ -19,7 +19,7 @@ from repro.errors import SerializationError
 from repro.serialization import (
     FRAME_HEADER_BYTES, FRAME_KIND_ERROR, FRAME_KIND_HELLO, FRAME_KIND_JOB,
     FRAME_KIND_OUTCOME, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_BYTES,
-    PartialSignJob, SignRequestJob, SignWindowJob, WireCodec,
+    PartialSignJob, SignWindowJob, WireCodec,
     decode_frame_header, decode_hello, encode_frame, encode_hello,
     encode_service_context, hello_mac, service_context_digest,
 )
@@ -39,6 +39,17 @@ def handle(toy_group):
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def legacy_sign_request_blob(handle, message: bytes) -> bytes:
+    """A well-formed payload of the retired per-request sign job (kind
+    ``Q``: shard id, epoch, one packed message, the quorum), assembled
+    by hand — the codec no longer knows the shape."""
+    def u32(value):
+        return value.to_bytes(4, "big")
+    quorum = handle.quorum()
+    return (b"Q" + u32(0) + u32(handle.epoch) + u32(len(message)) + message
+            + u32(len(quorum)) + b"".join(u32(index) for index in quorum))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +172,19 @@ class TestTruncatedPayloadRejection:
             with pytest.raises(SerializationError):
                 decode(blob + b"\x00")
 
+    @pytest.mark.parametrize("bad", ["truncated", "retired-kind"])
     def test_server_reports_bad_job_payload_without_dying(self,
-                                                          codec_handle):
-        """A truncated job inside a valid frame gets an E frame back and
-        the connection keeps serving (the stream is still in sync)."""
+                                                          codec_handle,
+                                                          bad):
+        """A truncated job — or a well-formed payload of the retired
+        ``Q`` request kind, which a pre-removal dispatcher could still
+        send — inside a valid frame gets an E frame back and the
+        connection keeps serving (the stream is still in sync)."""
         codec, handle = codec_handle
         good_job = codec.encode_job(SignWindowJob(
             shard_id=0, messages=(b"doc",), quorum=tuple(handle.quorum())))
+        bad_job = (good_job[:-1] if bad == "truncated"
+                   else legacy_sign_request_blob(handle, b"doc"))
 
         async def scenario():
             server = await WorkerServer(handle).start()
@@ -181,7 +198,7 @@ class TestTruncatedPayloadRejection:
                 await writer.drain()
                 kind, _, _ = await read_frame(reader)
                 assert kind == FRAME_KIND_HELLO
-                write_frame(writer, FRAME_KIND_JOB, good_job[:-1],
+                write_frame(writer, FRAME_KIND_JOB, bad_job,
                             request_id=1)
                 await writer.drain()
                 error_kind, error_id, error_payload = \
@@ -202,6 +219,8 @@ class TestTruncatedPayloadRejection:
         assert error_kind == FRAME_KIND_ERROR
         assert error_id == 1                # answered under the job's id
         assert b"SerializationError" in error_payload
+        if bad == "retired-kind":
+            assert b"unknown job kind b'Q'" in error_payload
         assert ok_kind == FRAME_KIND_OUTCOME
         assert ok_id == 2
         outcome = codec.decode_outcome(ok_payload)
@@ -984,10 +1003,10 @@ class TestPresharedKey:
 
 
 # ---------------------------------------------------------------------------
-# Pipelined request-id framing
+# Request-id framing: several jobs in flight on one connection
 # ---------------------------------------------------------------------------
 
-class TestPipelinedFraming:
+class TestRequestIdFraming:
     def test_out_of_order_completion_resolves_by_request_id(self, handle):
         """A worker may answer the second in-flight job first; the pool
         must route each outcome to its own caller by request id, not by
@@ -1021,8 +1040,7 @@ class TestPipelinedFraming:
             server = await asyncio.start_server(
                 serve_reversed, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            pool = RemoteWorkerPool(handle, [f"127.0.0.1:{port}"],
-                                    pipeline_depth=2)
+            pool = RemoteWorkerPool(handle, [f"127.0.0.1:{port}"])
             pool.start()
             try:
                 first, second = await asyncio.gather(
@@ -1051,17 +1069,17 @@ class TestPipelinedFraming:
         futures; the server refuses the duplicate with an E frame and
         keeps both the stream and the original job alive."""
         codec = WireCodec(handle.scheme.group)
-        request = codec.encode_job(SignRequestJob(
-            shard_id=0, message=b"dup", quorum=tuple(handle.quorum())))
+        request = codec.encode_job(SignWindowJob(
+            shard_id=0, messages=(b"dup",), quorum=tuple(handle.quorum())))
         hello = encode_hello(
             handle.scheme.group.name,
             service_context_digest(encode_service_context(handle)))
 
         async def scenario():
-            # A long linger keeps the first request pending in the
-            # accumulator while the duplicate arrives.
-            server = await WorkerServer(handle, max_batch=16,
-                                        max_wait_ms=500.0).start()
+            # Both frames are on the socket before this task yields,
+            # so the server's reader sees the duplicate while the first
+            # job still waits for the executor.
+            server = await WorkerServer(handle).start()
             try:
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port)
@@ -1089,56 +1107,52 @@ class TestPipelinedFraming:
         assert kind == FRAME_KIND_OUTCOME
         assert request_id == 9
         outcome = codec.decode_outcome(payload)
-        assert outcome.failure == ""
-        assert handle.verify(b"dup", outcome.signature)
+        assert outcome.failures == ()
+        assert handle.verify(b"dup", outcome.signatures[0])
 
-    def test_pipelined_service_accumulates_windows_worker_side(
-            self, handle):
-        """With pipeline_depth > 1 the shards ship single requests and
-        the worker re-batches across all of them: requests from four
-        one-deep shards land in shared windows on the worker."""
+    def test_retired_request_kind_is_a_remote_job_error(self, handle,
+                                                        monkeypatch):
+        """A dispatcher that still ships the retired ``Q`` kind gets a
+        typed RemoteJobError — not a resubmission loop (identical bytes
+        cannot succeed elsewhere) — and the connection serves the next
+        job."""
         async def scenario():
-            server = await WorkerServer(handle, max_batch=8,
-                                        max_wait_ms=20.0).start()
-            config = ServiceConfig(
-                num_shards=4, max_batch=1, max_wait_ms=1.0,
-                remote_workers=[server.address], pipeline_depth=4)
+            server = await WorkerServer(handle).start()
+            pool = RemoteWorkerPool(handle, [server.address])
+            pool.start()
+            job = SignWindowJob(shard_id=0, messages=(b"doc",),
+                                quorum=tuple(handle.quorum()))
             try:
-                async with SigningService(handle, config) as service:
-                    results = await asyncio.gather(*(
-                        service.sign(b"pipelined %d" % i)
-                        for i in range(16)))
-                    verdicts = await asyncio.gather(*(
-                        service.verify(r.message, r.signature)
-                        for r in results))
+                with monkeypatch.context() as patched:
+                    patched.setattr(
+                        pool._codec, "encode_job",
+                        lambda _: legacy_sign_request_blob(handle, b"doc"))
+                    with pytest.raises(RemoteJobError,
+                                       match="unknown job kind b'Q'"):
+                        await pool.run_job(job)
+                outcome = await pool.run_job(job)
             finally:
+                await pool.aclose()
                 await server.aclose()
-            return service, server, results, verdicts
+            return pool, outcome
 
-        service, server, results, verdicts = run(scenario())
-        assert all(handle.verify(r.message, r.signature)
-                   for r in results)
-        assert all(v.valid for v in verdicts)
-        stats = service.snapshot_stats()
-        assert stats.failed == 0
-        assert stats.workers.max_inflight >= 2
-        # 16 sign + 16 verify requests accumulated worker-side, into
-        # fewer windows than requests (the whole point of shipping
-        # requests instead of pre-built windows).
-        assert server.requests_accumulated == 32
-        assert server.windows_accumulated < server.requests_accumulated
+        pool, outcome = run(scenario())
+        assert handle.verify(b"doc", outcome.signatures[0])
+        assert pool.stats.resubmissions == 0
+        assert pool.stats.reconnects == 0
+        assert pool.stats.jobs == 1
 
 
 # ---------------------------------------------------------------------------
-# Pipelined crash recovery: every in-flight id settles exactly once
+# Crash recovery with several ids in flight: each settles exactly once
 # ---------------------------------------------------------------------------
 
-class TestPipelinedCrashRecovery:
+class TestInflightCrashRecovery:
     def test_mid_stream_kill_resubmits_every_inflight_request(
             self, handle, tmp_path):
-        """The acceptance scenario for the v2 framing: with several
-        request ids in flight on one connection, the worker dies hard;
-        the pool fails every pending id, resubmits each to the
+        """With several shards' window jobs in flight on one connection
+        (four shards round-robin over two endpoints), the worker dies
+        hard; the pool fails every pending id, resubmits each to the
         surviving worker, and every request settles exactly once."""
         context_path = tmp_path / "ctx.bin"
         context_path.write_bytes(encode_service_context(handle))
@@ -1149,13 +1163,12 @@ class TestPipelinedCrashRecovery:
 
         async def scenario():
             config = ServiceConfig(
-                num_shards=2, max_batch=1, max_wait_ms=1.0,
-                remote_workers=[crasher_address, survivor_address],
-                pipeline_depth=4)
+                num_shards=4, max_batch=1, max_wait_ms=1.0,
+                remote_workers=[crasher_address, survivor_address])
             async with SigningService(handle, config) as service:
                 results = await asyncio.gather(*(
-                    service.sign(b"pipelined crash %d" % i)
-                    for i in range(10)))
+                    service.sign(b"inflight crash %d" % i)
+                    for i in range(12)))
             return service, results
 
         try:
@@ -1167,10 +1180,11 @@ class TestPipelinedCrashRecovery:
         assert sentinel.exists()
         # Exactly once: one result per message, every one valid.
         assert sorted(r.message for r in results) == \
-            sorted(b"pipelined crash %d" % i for i in range(10))
+            sorted(b"inflight crash %d" % i for i in range(12))
         for result in results:
             assert handle.verify(result.message, result.signature)
         stats = service.snapshot_stats()
         assert stats.failed == 0
         assert stats.workers.crashes >= 1
         assert stats.workers.resubmissions >= 1
+        assert stats.workers.max_inflight >= 2

@@ -39,15 +39,8 @@ cost of serving over the wire, also expected below 1.0x.
 ``svc_robust_batch_shareverify`` measures the combiner's window-level
 Share-Verify: one window of BATCH_K partial signatures across BATCH_K
 distinct messages checked under ONE cross-message multi-pairing versus
-one seed-equivalent naive Share-Verify per share.  The ``svc_pipeline_*``
-ops measure wire-format v2's request shipping: the identical sign-only
-workload over the same TCP workers with shards shipping single requests
-down a pipelined connection (depth = meta.pipeline_depth, the worker
-re-batches across shards) versus dispatcher-built windows (depth 1, the
-v1 behavior) — overhead-bound on the loopback, so its --check floor is
-the wide ``OVERHEAD_TOLERANCE`` band; the full depth sweep lands in
-``benchmarks/results/pipeline_sweep.txt`` for real-network
-interpretation.  See ``benchmarks/README.md`` for the methodology.
+one seed-equivalent naive Share-Verify per share.  See
+``benchmarks/README.md`` for the methodology.
 
 Writes ``BENCH_t2_ops.json`` at the repository root (the perf trajectory
 record) and regenerates ``benchmarks/results/t2_ops.txt``.
@@ -132,17 +125,6 @@ MP_TOTAL = 2 * SVC_TOTAL
 #: handshake, no real network latency).
 TCP_WORKERS = 2
 TCP_PASSES = 3
-#: Pipelining depths swept for the ``svc_pipeline_*`` ops.  Depth 1 is
-#: the wire-v1 behavior (dispatcher-built windows, one job in flight
-#: per connection) and doubles as the checked ratio's baseline; the
-#: checked fast side is PIPELINE_DEPTH.  The other depths are recorded
-#: for the committed sweep table only.
-PIPELINE_SWEEP_DEPTHS = (1, 2, 4, 8)
-PIPELINE_DEPTH = 4
-#: Passes for the two *checked* depths (1 and PIPELINE_DEPTH); the
-#: sweep-only depths run one pass each — they inform the table, not
-#: the --check gate, so they do not pay for median stability.
-PIPELINE_PASSES = 3
 
 #: Seed-commit T2 numbers (benchmarks/results/t2_ops.txt at PR 0), kept for
 #: context only — cross-machine comparisons are apples to oranges, which is
@@ -517,101 +499,6 @@ def run_tcp_service_ops(scheme: LJYThresholdScheme, pk, shares, vks,
                 process.wait(timeout=10)
 
 
-def run_pipeline_service_ops(scheme: LJYThresholdScheme, pk, shares,
-                             vks, include_naive: bool = True
-                             ) -> "tuple[dict, dict | None, dict]":
-    """The ``svc_pipeline_*`` ops and depth sweep: wire-format v2's
-    request shipping vs dispatcher-built windows.
-
-    Every side runs the identical sign-only closed-loop workload over
-    the same long-lived TCP workers; only ``pipeline_depth`` differs.
-    At depth 1 each shard closes its own batch window and ships it
-    whole (the wire-v1 behavior); at depth > 1 the shards ship single
-    requests down a pipelined connection and the *worker* re-batches
-    across all shards.  On the loopback the checked ratio
-    (depth PIPELINE_DEPTH vs depth 1) is overhead-bound — both sides
-    run the same crypto on the same cores, so it hovers near 1.0x and
-    lands in the wide ``OVERHEAD_TOLERANCE`` --check band.  The gate
-    exists to catch the pipelined path *collapsing* (head-of-line
-    blocking on the reader, per-request dials, windows degenerating to
-    size 1); the sweep table records how per-request cost moves with
-    depth for real-network interpretation, where pipelining hides the
-    round-trip latency the loopback does not have.
-
-    Returns ``(fast, naive-or-None, sweep)``; ``sweep`` maps each
-    swept depth to its ``{"sign_req", "sign_p50"}`` medians in ms.
-    """
-    from statistics import median
-
-    from repro.serialization import encode_service_context
-    from repro.service.transport import start_worker_process
-
-    handle = ServiceHandle(scheme, pk, shares, vks)
-    sign_messages = [b"svc pipe sign %d" % i for i in range(MP_TOTAL)]
-    for message in sign_messages:
-        scheme.params.hash_message(message)
-    total = len(sign_messages)
-
-    with tempfile.TemporaryDirectory() as pipe_dir:
-        context_path = pathlib.Path(pipe_dir) / "ctx.bin"
-        context_path.write_bytes(encode_service_context(handle))
-        processes, addresses = [], []
-        try:
-            for _ in range(TCP_WORKERS):
-                process, address = start_worker_process(context_path)
-                processes.append(process)
-                addresses.append(address)
-
-            def drive(depth: int) -> dict:
-                config = ServiceConfig(
-                    num_shards=MP_SHARDS, max_batch=BATCH_K,
-                    max_wait_ms=25.0, queue_depth=4 * total,
-                    remote_workers=tuple(addresses),
-                    pipeline_depth=depth, rng=random.Random(77))
-
-                async def scenario():
-                    async with SigningService(handle, config) as service:
-                        return await LoadGenerator(
-                            lambda i: service.sign(
-                                sign_messages[i])).run_closed(
-                                    total, SVC_CONCURRENCY)
-
-                report = asyncio.run(scenario())
-                assert report.completed == total and report.failed == 0
-                return {
-                    "sign_req": report.duration_s * 1000.0 / total,
-                    "sign_p50": report.p50_ms,
-                }
-
-            checked = {1, PIPELINE_DEPTH}
-            samples = {depth: [] for depth in PIPELINE_SWEEP_DEPTHS}
-            for ordinal in range(PIPELINE_PASSES):
-                for depth in PIPELINE_SWEEP_DEPTHS:
-                    if ordinal and depth not in checked:
-                        continue
-                    samples[depth].append(drive(depth))
-        finally:
-            for process in processes:
-                process.terminate()
-            for process in processes:
-                process.wait(timeout=10)
-
-    sweep = {
-        depth: {key: median(sample[key] for sample in passes)
-                for key in passes[0]}
-        for depth, passes in samples.items()
-    }
-    fast = {
-        "svc_pipeline_sign_req": sweep[PIPELINE_DEPTH]["sign_req"],
-        "svc_pipeline_sign_p50": sweep[PIPELINE_DEPTH]["sign_p50"],
-    }
-    naive = ({
-        "svc_pipeline_sign_req": sweep[1]["sign_req"],
-        "svc_pipeline_sign_p50": sweep[1]["sign_p50"],
-    } if include_naive else None)
-    return fast, naive, sweep
-
-
 def _drive_wal_service(handle: ServiceHandle, sign_messages,
                        wal_path) -> dict:
     """One sign-only closed-loop pass, with or without the WAL.
@@ -916,9 +803,6 @@ def run_snapshot(rounds: int, include_naive: bool = True) -> dict:
     tcp_fast, tcp_naive = run_tcp_service_ops(
         scheme, pk, shares, vks, master, include_naive=include_naive)
     fast_ms.update(tcp_fast)
-    pipe_fast, pipe_naive, pipe_sweep = run_pipeline_service_ops(
-        scheme, pk, shares, vks, include_naive=include_naive)
-    fast_ms.update(pipe_fast)
     wal_fast, wal_naive = run_wal_service_ops(
         scheme, pk, shares, vks, include_naive=include_naive)
     fast_ms.update(wal_fast)
@@ -941,8 +825,6 @@ def run_snapshot(rounds: int, include_naive: bool = True) -> dict:
             "mp_workers": MP_WORKERS,
             "mp_shards": MP_SHARDS,
             "tcp_workers": TCP_WORKERS,
-            "pipeline_depth": PIPELINE_DEPTH,
-            "pipeline_sweep_depths": list(PIPELINE_SWEEP_DEPTHS),
             "wal_sync": "fsync batched per closed window, not per request",
             "cpu_count": os.cpu_count(),
             "message": MESSAGE.decode(),
@@ -951,10 +833,6 @@ def run_snapshot(rounds: int, include_naive: bool = True) -> dict:
         },
         "fast_ms": fast_ms,
         "seed_reference_ms": SEED_REFERENCE_MS,
-        # The full depth sweep behind the svc_pipeline_* ops; rendered
-        # into benchmarks/results/pipeline_sweep.txt by main().
-        "pipeline_sweep_ms": {str(depth): values
-                              for depth, values in pipe_sweep.items()},
     }
 
     if include_naive:
@@ -967,9 +845,6 @@ def run_snapshot(rounds: int, include_naive: bool = True) -> dict:
         naive_ms.update(mp_naive)
         # TCP baselines: identical methodology, remote_workers=() side.
         naive_ms.update(tcp_naive)
-        # Pipeline baselines: depth 1 over the same TCP workers — the
-        # ratio is request shipping vs dispatcher-built windows.
-        naive_ms.update(pipe_naive)
         # WAL baseline: the same sign-only pipeline with the WAL off —
         # the ratio is the durability overhead (expected < 1.0x).
         naive_ms.update(wal_naive)
@@ -1009,12 +884,6 @@ def render_table(snapshot: dict) -> Table:
             f"Service verify/request ({TCP_WORKERS} TCP workers vs 1)"),
         "svc_tcp_throughput": (
             f"Service mixed load/request ({TCP_WORKERS} TCP workers vs 1)"),
-        "svc_pipeline_sign_req": (
-            f"Service sign/request (pipeline depth {PIPELINE_DEPTH} "
-            f"vs windows)"),
-        "svc_pipeline_sign_p50": (
-            f"Service sign p50 (pipeline depth {PIPELINE_DEPTH} "
-            f"vs windows)"),
         "svc_wal_throughput": "Service sign/request (WAL on vs off)",
         "svc_epoch_pause": "Service sign/request (live refresh vs none)",
         "svc_http_sign_p50": "Service sign p50 (HTTP gateway vs direct)",
@@ -1035,31 +904,6 @@ def render_table(snapshot: dict) -> Table:
             row["naive ms"] = snapshot["naive_ms"][op]
             row["speedup"] = f"{snapshot['speedup'][op]:.2f}x"
         table.add_row(**row)
-    return table
-
-
-def render_pipeline_sweep(snapshot: dict) -> Table:
-    """The committed depth-sweep table behind the svc_pipeline_* ops.
-
-    Depth 1 is dispatcher-built windows (wire v1 behavior); every other
-    row ships single requests down a pipelined connection at that
-    depth.  Loopback numbers are overhead-bound by construction — the
-    table exists so a reader can see the trend, and CI uploads it as an
-    artifact next to the check log.
-    """
-    meta = snapshot["meta"]
-    table = Table(
-        f"Pipelining-depth sweep: sign cost over {meta['tcp_workers']} "
-        f"TCP workers, {meta['mp_shards']} shards (loopback)",
-        ["depth", "mode", "ms/request", "p50 ms"])
-    for depth in meta["pipeline_sweep_depths"]:
-        values = snapshot["pipeline_sweep_ms"][str(depth)]
-        table.add_row(
-            depth=depth,
-            mode=("windows (v1)" if depth == 1
-                  else "requests, pipelined"),
-            **{"ms/request": values["sign_req"],
-               "p50 ms": values["sign_p50"]})
     return table
 
 
@@ -1138,9 +982,6 @@ def main(argv=None) -> int:
     parser.add_argument("--table", type=pathlib.Path,
                         default=REPO_ROOT / "benchmarks" / "results"
                         / "t2_ops.txt")
-    parser.add_argument("--sweep-table", type=pathlib.Path,
-                        default=REPO_ROOT / "benchmarks" / "results"
-                        / "pipeline_sweep.txt")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -1156,10 +997,7 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(snapshot, indent=2) + "\n")
     args.table.parent.mkdir(parents=True, exist_ok=True)
     args.table.write_text(table.render() + "\n")
-    sweep_table = render_pipeline_sweep(snapshot)
-    args.sweep_table.parent.mkdir(parents=True, exist_ok=True)
-    args.sweep_table.write_text(sweep_table.render() + "\n")
-    print(f"\nwrote {args.output}, {args.table} and {args.sweep_table}")
+    print(f"\nwrote {args.output} and {args.table}")
     return 0
 
 

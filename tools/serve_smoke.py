@@ -16,10 +16,13 @@ window) and asserts the service contract:
   processes verify in the parent, nothing is rejected or failed;
 * the TCP transport tier (``remote_workers=[...]``) serves the same
   contract over loopback sockets: a window routed through a standalone
-  remote worker process completes every request, and killing that
-  worker mid-window (it ``os._exit``\\ s on its first partial, then a
-  supervisor-style respawn brings a replacement up on the same port)
-  still completes every request via reconnect + resubmission;
+  remote worker process completes every request, and with two shards
+  over two workers, killing one worker mid-window (it ``os._exit``\\ s
+  on its first partial) fails over to the survivor: every request id
+  in flight on the dead connection is resubmitted, each request
+  settles **exactly once** with a verifying signature for its own
+  message, and the pool's high-water in-flight mark shows both shards'
+  window jobs sharing the surviving connection;
 * the durability layer survives a SIGKILL of the *service process
   itself*: a victim subprocess signs one batch cleanly, admits a second
   batch into a window that will not close, forces the admits durable,
@@ -50,15 +53,7 @@ window) and asserts the service contract:
   SIGKILLing the gateway's host process with admitted-but-unanswered
   HTTP requests durable in the WAL leaves a log a restart settles
   **exactly once** with verifying signatures (artifacts in
-  ``.smoke-wal/http/``);
-* the wire-v2 pipelined tier serves the same contract: with
-  ``pipeline_depth=4`` the shards ship individual requests over
-  loopback TCP (the remote workers accumulate their own windows) and a
-  worker killed with a full pipeline in flight (``os._exit`` on its
-  first partial) forces every in-flight request id to be resubmitted to
-  the surviving worker — each request settles **exactly once** with a
-  verifying signature for its own message, and the pool's high-water
-  in-flight mark proves the pipelining actually engaged.
+  ``.smoke-wal/http/``).
 
 Exit-code contract (CI depends on it): **every** failure path exits
 nonzero — contract violations return 1 with a reason per line, and any
@@ -97,9 +92,7 @@ from repro.service import (                                # noqa: E402
     ServiceConfig, ServiceError, SigningService, TenantConfig,
     TenantQuotaError,
 )
-from repro.service.transport import (                      # noqa: E402
-    parse_address, start_worker_process,
-)
+from repro.service.transport import start_worker_process  # noqa: E402
 from repro.service.wal import scan_records                 # noqa: E402
 
 #: Session seed set by ``--seed`` (same semantics as the pytest flag in
@@ -462,63 +455,83 @@ async def run_smoke(backend: str, requests: int, shards: int,
               and tcp_stats.workers.crashes == 0,
               "TCP tier dropped connections during the clean act")
 
-        # 5b: kill the worker mid-window; a supervisor-style respawn
-        # brings a replacement up on the same port, and reconnect +
-        # resubmission must complete every request.  The worker
+        # 5b: two shards over a crasher and a survivor; the crasher
         # os._exits on the first partial it signs while the sentinel
-        # file does not exist (the WorkerCrashFault pattern).
+        # file does not exist (the WorkerCrashFault pattern).  Every
+        # request id in flight on the dead connection must fail over
+        # to the survivor and settle exactly once, with a signature
+        # verifying for its own message.  Windows of one, and four
+        # times more requests than closed-loop clients, keep both
+        # shards dispatching after the failover, so their jobs share
+        # the surviving connection.
+        crash_requests = min(requests, 32)
         sentinel = pathlib.Path(tcp_dir) / "crashed.sentinel"
-        process, address = await loop.run_in_executor(
+        crasher, crasher_address = await loop.run_in_executor(
             None, lambda: start_worker_process(
                 context_path, crash_sentinel=sentinel))
-        port = parse_address(address)[1]
-        replacements = []
-
-        async def respawn_when_dead():
-            while process.poll() is None:
-                await asyncio.sleep(0.05)
-            replacement, _ = await loop.run_in_executor(
-                None, lambda: start_worker_process(
-                    context_path, port=port, crash_sentinel=sentinel))
-            replacements.append(replacement)
-
-        crash_config = ServiceConfig(num_shards=1, max_batch=8,
-                                     max_wait_ms=10.0,
+        survivor, survivor_address = await loop.run_in_executor(
+            None, lambda: start_worker_process(context_path))
+        crash_config = ServiceConfig(num_shards=2, max_batch=1,
+                                     max_wait_ms=1.0,
                                      queue_depth=4 * requests,
-                                     remote_workers=[address])
+                                     remote_workers=[crasher_address,
+                                                     survivor_address])
         try:
             async with SigningService(handle, crash_config) as service:
-                watcher = asyncio.ensure_future(respawn_when_dead())
-                crash_report = await LoadGenerator(
-                    lambda i: service.sign(b"tcp crash doc %d" % i)
-                ).run_closed(tcp_requests, tcp_requests)
-                await watcher
+                crash_signed = {}
+
+                async def crash_sign(ordinal):
+                    result = await service.sign(
+                        b"tcp crash doc %d" % ordinal)
+                    crash_signed.setdefault(ordinal, []).append(result)
+                    return result
+
+                crash_report = await LoadGenerator(crash_sign).run_closed(
+                    crash_requests, 8)
                 check(crash_report.rejected == 0
                       and crash_report.failed == 0
-                      and crash_report.completed == tcp_requests,
+                      and crash_report.completed == crash_requests,
                       f"TCP crash act dropped requests "
-                      f"({crash_report.completed}/{tcp_requests} "
-                      f"completed, {crash_report.failed} failed)")
+                      f"({crash_report.completed}/{crash_requests} "
+                      f"completed, {crash_report.rejected} rejected, "
+                      f"{crash_report.failed} failed)")
         finally:
             # terminate() is a no-op on the already-crashed worker but
             # keeps an act-5b failure *before* the crash from hanging
             # in wait() and masking the real error.
-            process.terminate()
-            process.wait(timeout=10)
-            for replacement in replacements:
-                replacement.terminate()
-                replacement.wait(timeout=10)
+            crasher.terminate()
+            crasher.wait(timeout=10)
+            survivor.terminate()
+            survivor.wait(timeout=10)
         crash_stats = service.snapshot_stats()
+        crash_workers = crash_stats.workers
         check(sentinel.exists(), "TCP crash act: worker never crashed")
-        check(crash_stats.workers is not None
-              and crash_stats.workers.crashes >= 1,
+        check(sorted(crash_signed) == list(range(crash_requests)),
+              f"TCP crash act: only {len(crash_signed)}/{crash_requests} "
+              "request ids settled")
+        for ordinal, results in crash_signed.items():
+            check(len(results) == 1,
+                  f"TCP crash act: request #{ordinal} settled "
+                  f"{len(results)} times (exactly-once violated)")
+            for result in results:
+                check(result.message == b"tcp crash doc %d" % ordinal
+                      and handle.verify(result.message,
+                                        result.signature),
+                      f"TCP crash act: request #{ordinal} settled "
+                      "without a verifying signature for its own "
+                      "message")
+        check(crash_stats.failed == 0,
+              "TCP crash act: the service counted failures")
+        check(crash_workers is not None and crash_workers.crashes >= 1,
               "TCP crash act: dropped connection not detected")
-        check(crash_stats.workers is not None
-              and crash_stats.workers.resubmissions >= 1,
-              "TCP crash act: no job was resubmitted")
-        check(crash_stats.workers is not None
-              and crash_stats.workers.reconnects >= 1,
-              "TCP crash act: the respawned worker was never reconnected")
+        check(crash_workers is not None
+              and crash_workers.resubmissions >= 1,
+              "TCP crash act: no in-flight job was resubmitted")
+        check(crash_workers is not None
+              and crash_workers.max_inflight >= 2,
+              f"TCP crash act: the shards' jobs never shared a "
+              f"connection (max in flight "
+              f"{crash_workers.max_inflight if crash_workers else 0})")
 
     # -- act 6: SIGKILL the service mid-window; recover from the WAL ---
     # Fixed repo-root location (not a tempdir) so CI can upload the log
@@ -931,86 +944,6 @@ async def run_smoke(backend: str, requests: int, shards: int,
                   f"HTTP act: request {request_id} settled without a "
                   "verifying signature")
 
-    # -- act 9: wire-v2 pipelined request shipping ---------------------
-    # Depth-4 pipelining over loopback TCP: the shards ship individual
-    # requests (request shipping engages whenever pipeline_depth > 1)
-    # and the remote workers accumulate their own windows.  One worker
-    # is killed with a full pipeline in flight (it os._exits on its
-    # first partial while the sentinel file is absent); every in-flight
-    # request id must be resubmitted to the survivor and settle exactly
-    # once with a signature verifying for its own message.
-    pipe_requests = min(requests, 12)
-    with tempfile.TemporaryDirectory() as pipe_dir:
-        pipe_context = pathlib.Path(pipe_dir) / "ctx.bin"
-        pipe_context.write_bytes(encode_service_context(handle))
-        pipe_sentinel = pathlib.Path(pipe_dir) / "crashed.sentinel"
-        crasher, crasher_address = await loop.run_in_executor(
-            None, lambda: start_worker_process(
-                pipe_context, crash_sentinel=pipe_sentinel))
-        survivor, survivor_address = await loop.run_in_executor(
-            None, lambda: start_worker_process(pipe_context))
-        pipe_config = ServiceConfig(num_shards=2, max_batch=1,
-                                    max_wait_ms=1.0,
-                                    queue_depth=4 * requests,
-                                    remote_workers=[crasher_address,
-                                                    survivor_address],
-                                    pipeline_depth=4)
-        try:
-            async with SigningService(handle, pipe_config) as service:
-                pipe_signed = {}
-
-                async def pipe_sign(ordinal):
-                    result = await service.sign(
-                        b"pipelined doc %d" % ordinal)
-                    pipe_signed.setdefault(ordinal, []).append(result)
-                    return result
-
-                pipe_report = await LoadGenerator(pipe_sign).run_closed(
-                    pipe_requests, pipe_requests)
-                check(pipe_report.rejected == 0
-                      and pipe_report.failed == 0
-                      and pipe_report.completed == pipe_requests,
-                      f"wire-v2 act dropped requests "
-                      f"({pipe_report.completed}/{pipe_requests} "
-                      f"completed, {pipe_report.rejected} rejected, "
-                      f"{pipe_report.failed} failed)")
-        finally:
-            # terminate() is a no-op on the already-crashed worker but
-            # keeps a failure *before* the crash from hanging in wait().
-            crasher.terminate()
-            crasher.wait(timeout=10)
-            survivor.terminate()
-            survivor.wait(timeout=10)
-        pipe_stats = service.snapshot_stats()
-        pipe_workers = pipe_stats.workers
-        check(pipe_sentinel.exists(),
-              "wire-v2 act: the worker never crashed mid-pipeline")
-        check(sorted(pipe_signed) == list(range(pipe_requests)),
-              f"wire-v2 act: only {len(pipe_signed)}/{pipe_requests} "
-              "request ids settled")
-        for ordinal, results in pipe_signed.items():
-            check(len(results) == 1,
-                  f"wire-v2 act: request #{ordinal} settled "
-                  f"{len(results)} times (exactly-once violated)")
-            for result in results:
-                check(result.message == b"pipelined doc %d" % ordinal
-                      and handle.verify(result.message,
-                                        result.signature),
-                      f"wire-v2 act: request #{ordinal} settled "
-                      "without a verifying signature for its own "
-                      "message")
-        check(pipe_stats.failed == 0,
-              "wire-v2 act: the service counted failures")
-        check(pipe_workers is not None and pipe_workers.crashes >= 1,
-              "wire-v2 act: the mid-pipeline kill was not detected")
-        check(pipe_workers is not None
-              and pipe_workers.resubmissions >= 1,
-              "wire-v2 act: no in-flight request was resubmitted")
-        check(pipe_workers is not None
-              and pipe_workers.max_inflight >= 2,
-              f"wire-v2 act: pipelining never engaged (max in flight "
-              f"{pipe_workers.max_inflight if pipe_workers else 0})")
-
     if not failures:
         shutil.rmtree(wal_dir)
 
@@ -1022,10 +955,13 @@ async def run_smoke(backend: str, requests: int, shards: int,
           f"{mp_stats.workers.jobs if mp_stats.workers else 0} window "
           f"jobs; TCP tier served "
           f"{tcp_stats.workers.jobs if tcp_stats.workers else 0} jobs "
-          f"clean + survived a mid-window worker kill "
-          f"({crash_stats.workers.crashes} crash, "
-          f"{crash_stats.workers.reconnects} reconnect, "
-          f"{crash_stats.workers.resubmissions} resubmissions); WAL act "
+          f"clean + failed {crash_requests} requests over to a second "
+          f"endpoint through a mid-window worker kill "
+          f"({crash_workers.crashes if crash_workers else 0} crash, "
+          f"{crash_workers.resubmissions if crash_workers else 0} "
+          f"resubmissions, "
+          f"{crash_workers.max_inflight if crash_workers else 0} max in "
+          f"flight), each settled exactly once; WAL act "
           f"replayed {wal_recovered} requests after SIGKILL "
           f"({wal_torn} torn bytes discarded); epoch act survived "
           f"{lc_stats.epochs.transitions} transitions + "
@@ -1037,12 +973,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
           f"the wire ({beta_429} over-quota 429s at the edge, "
           f"{len(metrics)} metric samples reconciled) and settled "
           f"{hv_pending} admitted HTTP requests exactly once after a "
-          f"gateway SIGKILL; wire-v2 act pipelined {pipe_requests} "
-          f"shipped requests at depth 4 through a mid-pipeline worker "
-          f"kill ({pipe_workers.crashes if pipe_workers else 0} crash, "
-          f"{pipe_workers.resubmissions if pipe_workers else 0} "
-          f"resubmissions, {pipe_workers.max_inflight if pipe_workers else 0} "
-          f"max in flight), each settled exactly once")
+          f"gateway SIGKILL")
     if failures:
         print("serve-smoke FAILED:")
         for reason in failures:
