@@ -41,7 +41,8 @@ install-test:
 install-lint:
 	$(PYTHON) -m pip install $(LINT_DEPS)
 
-## Regenerate BENCH_t2_ops.json + benchmarks/results/t2_ops.txt.
+## Regenerate BENCH_t2_ops.json (the tracked T2 record) and
+## benchmarks/results/t2_ops.txt (generated, git-ignored).
 bench:
 	$(PYTHON) tools/bench_snapshot.py --rounds 5
 

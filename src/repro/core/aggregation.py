@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from repro.core.keys import (
     PartialSignature, PrivateKeyShare, Signature, VerificationKey,
 )
-from repro.core.scheme import LJYThresholdScheme
+from repro.core.scheme import LJYThresholdScheme, partials_over
 from repro.errors import CombineError, ParameterError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.polynomial import Polynomial
@@ -145,10 +145,17 @@ class LJYAggregateScheme:
     # ------------------------------------------------------------------
     def share_sign(self, public_key: AggPublicKey, share: PrivateKeyShare,
                    message: bytes) -> PartialSignature:
-        h_1, h_2 = self.params.hash_for_key(public_key, message)
-        z = (h_1 ** (-share.a_1)) * (h_2 ** (-share.a_2))
-        r = (h_1 ** (-share.b_1)) * (h_2 ** (-share.b_2))
-        return PartialSignature(index=share.index, z=z, r=r)
+        return self.share_sign_many(public_key, [share], message)[0]
+
+    def share_sign_many(self, public_key: AggPublicKey,
+                        shares: Sequence[PrivateKeyShare],
+                        message: bytes) -> List[PartialSignature]:
+        """Share-Sign for several local shares on one message, over the
+        key-prefixed hash pair (see
+        :func:`~repro.core.scheme.partials_over`)."""
+        return partials_over(
+            self.group, self.params.hash_for_key(public_key, message),
+            shares)
 
     def share_verify(self, public_key: AggPublicKey,
                      verification_key: VerificationKey, message: bytes,

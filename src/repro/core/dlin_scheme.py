@@ -177,15 +177,12 @@ class LJYDLINScheme:
     # ------------------------------------------------------------------
     def share_sign(self, share: DLINPrivateKeyShare,
                    message: bytes) -> DLINPartialSignature:
-        hs = self.params.hash_message(message)
-        z = r = u = None
-        for h_k, (a, b, c) in zip(hs, share.triples):
-            z_term = h_k ** (-a)
-            r_term = h_k ** (-b)
-            u_term = h_k ** (-c)
-            z = z_term if z is None else z * z_term
-            r = r_term if r is None else r * r_term
-            u = u_term if u is None else u * u_term
+        """``z_i = prod_k H_k^{-A_k(i)}``, ``r_i`` and ``u_i`` likewise
+        with ``B_k``/``C_k``: three exponent rows over one hash vector."""
+        z, r, u = self.group.multi_exp_rows(
+            self.params.hash_message(message),
+            [[-scalar for scalar in column]
+             for column in zip(*share.triples)])
         return DLINPartialSignature(index=share.index, z=z, r=r, u=u)
 
     def share_verify(self, public_key: DLINPublicKey,

@@ -116,12 +116,9 @@ class ProactiveSigningService:
         self._require_ready()
         if signers is None:
             signers = sorted(self._shares)[: self.params.t + 1]
-        partials = []
-        for index in signers:
-            share = self._shares.get(index)
-            if share is None:
-                continue
-            partials.append(self.scheme.share_sign(share, message))
+        partials = self.scheme.share_sign_many(
+            [self._shares[index] for index in signers
+             if index in self._shares], message)
         for partial in partials:
             vk = self.verification_keys.get(partial.index)
             if vk is None or not self.scheme.share_verify(

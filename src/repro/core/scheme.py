@@ -34,6 +34,28 @@ from repro.math.polynomial import Polynomial
 from repro.math.rng import random_scalar
 
 
+def partials_over(group: BilinearGroup,
+                  hashed: Tuple[GroupElement, GroupElement],
+                  shares: Sequence[PrivateKeyShare]
+                  ) -> List[PartialSignature]:
+    """``(z_i, r_i) = (H_1^{-A_1(i)} H_2^{-A_2(i)}, H_1^{-B_1(i)}
+    H_2^{-B_2(i)})`` for every share, in order: 2 * len(shares) exponent
+    rows over the one hashed pair, handed to
+    :meth:`~repro.groups.api.BilinearGroup.multi_exp_rows` together so
+    they share its per-base precomputation.  Shared by the Section 3 and
+    Appendix G schemes, which differ only in how ``hashed`` is derived.
+    """
+    rows = []
+    for share in shares:
+        rows.append((-share.a_1, -share.a_2))
+        rows.append((-share.b_1, -share.b_2))
+    points = iter(group.multi_exp_rows(hashed, rows))
+    return [
+        PartialSignature(index=share.index, z=z, r=r)
+        for share, z, r in zip(shares, points, points)
+    ]
+
+
 class LJYThresholdScheme:
     """Libert-Joye-Yung non-interactive threshold signatures (Section 3)."""
 
@@ -109,13 +131,21 @@ class LJYThresholdScheme:
         """Non-interactive partial signing (Share-Sign).
 
         ``z_i = H_1^{-A_1(i)} H_2^{-A_2(i)}``,
-        ``r_i = H_1^{-B_1(i)} H_2^{-B_2(i)}``.
+        ``r_i = H_1^{-B_1(i)} H_2^{-B_2(i)}`` — two exponent rows over
+        the one hashed pair, so both share its precomputation.
         """
-        h_1, h_2 = self.params.hash_message(message)
-        bases = [h_1, h_2]
-        z = self.group.multi_exp(bases, [-share.a_1, -share.a_2])
-        r = self.group.multi_exp(bases, [-share.b_1, -share.b_2])
-        return PartialSignature(index=share.index, z=z, r=r)
+        return self.share_sign_many([share], message)[0]
+
+    def share_sign_many(self, shares: Sequence[PrivateKeyShare],
+                        message: bytes) -> List[PartialSignature]:
+        """Share-Sign for several local shares on one message, in the
+        order given (see :func:`partials_over`).
+
+        Shares are never combined with each other — each partial is
+        exactly what :meth:`share_sign` returns for that share.
+        """
+        return partials_over(
+            self.group, self.params.hash_message(message), shares)
 
     def share_verify(self, public_key: PublicKey,
                      verification_key: VerificationKey, message: bytes,
@@ -747,20 +777,20 @@ class ServiceHandle:
         return doubled[start:start + size]
 
     # -- signing ------------------------------------------------------------
-    def _share_sign(self, share, message: bytes) -> PartialSignature:
+    def _share_sign_many(self, signers: Sequence[int],
+                         message: bytes) -> List[PartialSignature]:
+        shares = [self.shares[index] for index in signers]
         if self._key_prefixed:
-            return self.scheme.share_sign(self.public_key, share, message)
-        return self.scheme.share_sign(share, message)
+            return self.scheme.share_sign_many(
+                self.public_key, shares, message)
+        return self.scheme.share_sign_many(shares, message)
 
     def partials_for(self, message: bytes,
                      signers: Optional[Sequence[int]] = None
                      ) -> List[PartialSignature]:
         """Partial signatures from ``signers`` (default: the first quorum)."""
-        indices = self.quorum() if signers is None else signers
-        return [
-            self._share_sign(self.shares[index], message)
-            for index in indices
-        ]
+        return self._share_sign_many(
+            self.quorum() if signers is None else signers, message)
 
     def partials_with_faults(self, message: bytes,
                              signers: Sequence[int],
@@ -768,18 +798,20 @@ class ServiceHandle:
                              shard_id: int = 0
                              ) -> List[PartialSignature]:
         """Like :meth:`partials_for`, with every partial run through a
-        service-layer fault injector (see :mod:`repro.service.faults`).
+        service-layer fault injector (see :mod:`repro.service.faults`)
+        once, in signer order, after signing.
         The single producer both the in-process shard workers and the
         process workers use, so injector semantics cannot diverge
         between the two execution tiers.
         """
-        produced = []
-        for index in signers:
-            partial = self._share_sign(self.shares[index], message)
-            if fault_injector is not None:
-                partial = fault_injector(shard_id, index, message, partial)
-            produced.append(partial)
-        return produced
+        signers = list(signers)
+        produced = self._share_sign_many(signers, message)
+        if fault_injector is None:
+            return produced
+        return [
+            fault_injector(shard_id, index, message, partial)
+            for index, partial in zip(signers, produced)
+        ]
 
     def process_sign_window(self, messages: Sequence[bytes],
                             quorum: Optional[Sequence[int]] = None,

@@ -31,6 +31,20 @@ G2_GENERATOR_Y = (
     4082367875863433681332203403145435568316851327593401208105741076214120093531,
 )
 
+#: GLV endomorphism of G1 (Gallant-Lambert-Vanstone): with GLV_BETA a
+#: primitive cube root of unity in F_p, ``phi(x, y) = (GLV_BETA * x, y)``
+#: acts on the order-r group as multiplication by GLV_LAMBDA, a root of
+#: ``X^2 + X + 1`` mod r.  GLV_BASIS is a reduced basis of the lattice
+#: ``{(a, b) : a + b * GLV_LAMBDA = 0 (mod r)}`` with determinant +r.
+#: All three are the BN-family polynomials in BN_X; tests/test_msm.py
+#: asserts the identities (nothing is checked at import).
+GLV_BETA = -(18 * BN_X ** 3 + 18 * BN_X ** 2 + 9 * BN_X + 2) % P
+GLV_LAMBDA = (36 * BN_X ** 4 - 1) % R
+GLV_BASIS = (
+    (6 * BN_X ** 2 + 2 * BN_X, -(2 * BN_X + 1)),
+    (2 * BN_X + 1, 6 * BN_X ** 2 + 4 * BN_X + 1),
+)
+
 #: Cofactors: G1 is the full curve (h = 1); the twist group order is h2 * r.
 G1_COFACTOR = 1
 G2_COFACTOR = 2 * P - R
@@ -39,4 +53,5 @@ __all__ = [
     "P", "R", "B", "B2", "BN_X", "ATE_LOOP_COUNT",
     "G1_GENERATOR", "G2_GENERATOR_X", "G2_GENERATOR_Y",
     "G1_COFACTOR", "G2_COFACTOR",
+    "GLV_BETA", "GLV_LAMBDA", "GLV_BASIS",
 ]

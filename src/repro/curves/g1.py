@@ -34,6 +34,10 @@ FP_OPS = FieldOps(
     modulus=_P,
 )
 
+#: The GLV endomorphism the MSM kernel splits full-size G1 scalars with.
+GLV = msm.Endomorphism(
+    beta=bn254.GLV_BETA, eigenvalue=bn254.GLV_LAMBDA, basis=bn254.GLV_BASIS)
+
 #: Flag bit marking the y-parity in the compressed encoding.
 _SIGN_BIT = 0x80
 _INFINITY_BYTE = 0x40
@@ -97,7 +101,8 @@ class G1Point:
             if self._uses >= _AUTO_PRECOMPUTE_USES:
                 self.precompute()
                 return G1Point(_jac=self._table.mul(scalar))
-        return G1Point(_jac=msm.scalar_mul(FP_OPS, self._jac, scalar, _R))
+        return G1Point(
+            _jac=msm.scalar_mul(FP_OPS, self._jac, scalar, _R, GLV))
 
     __rmul__ = __mul__
 
@@ -114,7 +119,14 @@ class G1Point:
         """``sum_i scalars[i] * points[i]`` as one multi-scalar
         multiplication (shared doubling chain)."""
         return cls(_jac=msm.multi_scalar_mul(
-            FP_OPS, [point._jac for point in points], scalars, _R))
+            FP_OPS, [point._jac for point in points], scalars, _R, GLV))
+
+    @classmethod
+    def multi_mul_rows(cls, points, scalar_rows) -> "list[G1Point]":
+        """``[sum_j row[j] * points[j] for row in scalar_rows]`` — every
+        row against one shared odd-multiples table of ``points``."""
+        return [cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
+            FP_OPS, [point._jac for point in points], scalar_rows, _R, GLV)]
 
     @classmethod
     def batch_normalize(cls, points) -> None:

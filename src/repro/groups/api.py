@@ -168,6 +168,21 @@ class BilinearGroup(ABC):
             result = term if result is None else result * term
         return result
 
+    def multi_exp_rows(self, bases: Sequence[GroupElement],
+                       scalar_rows: Sequence[Sequence[int]]
+                       ) -> List[GroupElement]:
+        """``[multi_exp(bases, row) for row in scalar_rows]`` — many
+        multi-exponentiations over the *same* bases.
+
+        Share-Sign is the shape: ``z_i`` and ``r_i``, for every signer
+        of a quorum, are all products over the hashed pair
+        ``(H_1, H_2)``.  The default loops :meth:`multi_exp`; backends
+        whose multi-exponentiation precomputes per base build that
+        table once for all rows.
+        """
+        bases = list(bases)
+        return [self.multi_exp(bases, row) for row in scalar_rows]
+
     def batch_normalize(self, elements: Sequence[GroupElement]) -> None:
         """Hint that many elements are about to enter hot arithmetic.
 

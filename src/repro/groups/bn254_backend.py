@@ -212,6 +212,21 @@ class BN254Group(BilinearGroup):
             return wrapper(result)
         return wrapper(point_cls.multi_mul(points, scalars))
 
+    def multi_exp_rows(self, bases: Sequence[GroupElement],
+                       scalar_rows: Sequence[Sequence[int]]
+                       ) -> List[GroupElement]:
+        """G bases share one odd-multiples table across all rows; the
+        other groups take the per-row default."""
+        bases = list(bases)
+        if not all(isinstance(base, BNG1) for base in bases):
+            return super().multi_exp_rows(bases, scalar_rows)
+        rows = [
+            self._checked_multi_exp_args(bases, row)[1]
+            for row in scalar_rows
+        ]
+        return [BNG1(point) for point in G1Point.multi_mul_rows(
+            [base.point for base in bases], rows)]
+
     def batch_normalize(self, elements: Sequence[GroupElement]) -> None:
         """Normalize the Jacobian representations of many source-group
         elements with one shared field inversion per group."""

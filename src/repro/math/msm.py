@@ -1,5 +1,5 @@
-"""Fast exponentiation: w-NAF scalar multiplication, multi-scalar
-multiplication and fixed-base precomputation tables.
+"""Fast exponentiation: one lane-based multi-scalar-multiplication kernel,
+the Pippenger bucket method and fixed-base precomputation tables.
 
 All routines are generic over the :class:`~repro.curves.weierstrass.FieldOps`
 bundle, so the same code serves G1 (over F_p) and G2 (over F_p2).  Points are
@@ -7,20 +7,46 @@ Jacobian ``(X, Y, Z)`` triples exactly as in :mod:`repro.curves.weierstrass`;
 the naive ``jac_scalar_mul`` there remains the correctness reference the
 property tests compare against.
 
-Why these three algorithms (T2 on this machine, seed numbers: Share-Sign
-8.9 ms, robust Combine 213 ms — both dominated by naive double-and-add):
+**The kernel.**  :func:`scalar_mul`, :func:`multi_scalar_mul` (below the
+Pippenger crossover) and :func:`multi_scalar_mul_rows` are three callers of
+one interleaved-w-NAF loop.  Every ``(base, scalar)`` term is recoded into
+one or two *lanes* — a signed sub-scalar driving a table of affine odd
+multiples — and all lanes of a product share one doubling chain, so the
+cost is ``max lane bits`` doublings plus ~``bits / (w + 1)`` mixed
+additions per lane.  Three things shorten or share the lanes:
 
-* **w-NAF single-scalar multiplication** — recoding a 254-bit scalar into
-  width-``w`` non-adjacent form leaves ~254/(w+1) nonzero digits instead of
-  ~127, so the generic multiply drops from 254 doublings + 127 additions to
-  254 doublings + ~51 additions (w = 4) after a 7-addition table setup.
-* **Straus (interleaved w-NAF) MSM** — a k-term product of exponentiations
-  shares one run of 254 doublings across all terms; Combine's "Lagrange in
-  the exponent" and every 2-base multi-exponentiation in the scheme become
-  one MSM instead of k independent exponentiations plus k - 1 products.
+* **GLV endomorphism** (Gallant-Lambert-Vanstone, CRYPTO 2001).  Where
+  the group has ``phi(x, y) = (beta * x, y) = lambda * (x, y)`` (BN254 G1;
+  see :class:`Endomorphism`), a full-size scalar splits by Babai rounding
+  into ``k = k_1 + k_2 * lambda`` with ``|k_i| < 2^128``: two lanes of
+  half the length, the second over the phi-image of the first's table.
+  That image costs one field multiplication per entry and no point
+  arithmetic, so a 2-base 254-bit product is 4 lanes over ~127 doublings
+  instead of 2 lanes over 254.  G2 runs the same kernel with no
+  endomorphism.
+* **Signed scalars.**  Negating an affine table entry is free, so a lane
+  takes whichever of ``k`` and ``k - r`` is shorter: the Lagrange
+  coefficient ``-3`` costs a 2-bit lane, not a 254-bit one.  The GLV
+  split yields signed halves by itself; groups without an endomorphism
+  get the same effect from the comparison.
+* **Shared tables.**  :func:`multi_scalar_mul_rows` evaluates many scalar
+  rows over the *same* bases — Share-Sign's ``z_i``/``r_i`` for every
+  signer of a quorum, all over ``(H_1, H_2)`` — against one table, built
+  once and batch-normalized with one inversion.  The window width is
+  chosen from the row count (w = 4, or 5 once four rows amortise the
+  larger table).  A table lives for one call; nothing is cached.
+
+**Short scalars skip the split.**  A scalar of at most 128 bits — the
+64-bit small-exponent coins of ``batch_verify`` and
+``batch_share_verify_window`` — is already as short as a GLV half, so
+decomposing it would add a lane without removing a doubling.  It stays
+one undecomposed lane.
+
+The other algorithms:
+
 * **Pippenger (bucket) MSM** — for large k (DKG transcript aggregation at
   big n) the bucket method costs ~k + 2^c additions per 254/c-bit window,
-  beating Straus once k exceeds a few dozen terms.
+  beating the lane kernel once k exceeds a couple of hundred terms.
 * **Fixed-base windows** — for generators reused across many calls
   (``g_z``/``g_r`` in key generation, DKG commitment checks) a one-off
   table of ``d * 2^{w i} * P`` turns every later multiplication into
@@ -30,14 +56,8 @@ Why these three algorithms (T2 on this machine, seed numbers: Share-Sign
   :class:`FixedBaseTable` (or ``GroupElement.precompute()`` one layer up)
   precisely because the build-up is not free.
 
-The trade-off knob everywhere is the window width: larger ``w`` means more
-precomputation and memory for fewer additions per scalar.  Defaults (w = 4
-single/fixed-base, c chosen from k for Pippenger) are tuned for 254-bit
-scalars in pure Python, where a Jacobian addition costs ~16 field
-multiplications and interpreter overhead rewards fewer, fatter operations.
-
-**Mixed coordinates** (this PR): every table entry and every Pippenger
-input is batch-normalized to affine with one shared field inversion
+**Mixed coordinates**: every table entry and every Pippenger input is
+batch-normalized to affine with one shared field inversion
 (:func:`~repro.curves.weierstrass.jac_batch_normalize`), so the inner
 loops run mixed Jacobian+affine additions (7M + 4S instead of 11M + 5S —
 ~25% off each addition) and affine negation is free (negate y).  The
@@ -47,7 +67,7 @@ pure-Jacobian formulas remain the agreement reference via the naive
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.curves.weierstrass import (
     FieldOps, jac_add, jac_add_affine, jac_add_affine_fp,
@@ -108,54 +128,185 @@ def _odd_multiples(ops: FieldOps, point, count: int) -> list:
     return multiples
 
 
-def _affine_odd_multiples(ops: FieldOps, points, count: int):
-    """Affine odd-multiple tables for every point, sharing ONE inversion.
+class Endomorphism(NamedTuple):
+    """An efficiently computable endomorphism ``phi(x, y) = (beta * x, y)``
+    acting on the group as multiplication by ``eigenvalue``.
 
-    Returns ``(tables, negatives)`` lists-of-lists of affine pairs.  Odd
-    multiples below the (prime) group order are never the identity, so
-    every normalized entry exists.
+    ``basis`` is a reduced basis ``((a_1, b_1), (a_2, b_2))`` of the
+    lattice ``{(a, b) : a + b * eigenvalue = 0 (mod order)}``, oriented so
+    that ``a_1 * b_2 - a_2 * b_1 == order``; :func:`glv_decompose` rounds
+    against it.
+    """
+
+    beta: int
+    eigenvalue: int
+    basis: Tuple[Tuple[int, int], Tuple[int, int]]
+
+
+#: A scalar this short is one lane as it stands: a GLV half is no shorter.
+_SHORT_BITS = 128
+
+
+def glv_decompose(endo: Endomorphism, scalar: int,
+                  order: int) -> Tuple[int, int]:
+    """Signed ``(k_1, k_2)`` with ``k_1 + k_2 * eigenvalue = scalar (mod
+    order)`` and both halves about half the order's length.
+
+    Babai rounding: write ``(scalar, 0)`` in the lattice basis with
+    rational coordinates, round each to the nearest integer, and keep the
+    remainder — which lies in the basis's fundamental parallelogram, so
+    ``|k_i| <= (|a_1| + |a_2|) / 2`` resp. ``(|b_1| + |b_2|) / 2``.
+    """
+    (a_1, b_1), (a_2, b_2) = endo.basis
+    scalar %= order
+    twice = 2 * order
+    c_1 = (2 * scalar * b_2 + order) // twice
+    c_2 = (order - 2 * scalar * b_1) // twice
+    return scalar - c_1 * a_1 - c_2 * a_2, -c_1 * b_1 - c_2 * b_2
+
+
+def _split(scalar: int, order: int, endo: Optional[Endomorphism]):
+    """The signed lanes ``((k, variant), ...)`` of one reduced scalar;
+    ``variant`` 1 is the phi-image table.  See the module docstring for
+    why a short scalar is left alone."""
+    if scalar.bit_length() <= _SHORT_BITS:
+        return ((scalar, 0),)
+    if endo is None:
+        return ((scalar - order if 2 * scalar > order else scalar, 0),)
+    k_1, k_2 = glv_decompose(endo, scalar, order)
+    return ((k_1, 0), (k_2, 1))
+
+
+def _lane_tables(ops: FieldOps, points, count: int):
+    """``(positive, negative)`` affine odd-multiple tables for every
+    point, all sharing ONE inversion.  Odd multiples below the (prime)
+    group order are never the identity, so every normalized entry exists.
     """
     flat = []
     for point in points:
         flat.extend(_odd_multiples(ops, point, count))
     normalized = jac_batch_normalize(ops, flat)
     tables = []
-    negatives = []
     for start in range(0, len(flat), count):
-        row = normalized[start:start + count]
-        tables.append(row)
-        negatives.append([(x, ops.neg(y)) for x, y in row])
-    return tables, negatives
+        positive = normalized[start:start + count]
+        tables.append(
+            (positive, [(x, ops.neg(y)) for x, y in positive]))
+    return tables
 
 
-def scalar_mul(ops: FieldOps, point, scalar: int, order: int,
-               width: int = 4):
-    """w-NAF scalar multiplication; drop-in for ``jac_scalar_mul``."""
-    infinity = (ops.one, ops.one, ops.zero)
-    scalar %= order
-    if scalar == 0 or ops.is_zero(point[2]):
-        return infinity
-    digits = wnaf_digits(scalar, width)
-    (table,), (negatives,) = _affine_odd_multiples(
-        ops, [point], 1 << (width - 2))
-    double, mixed_add = _fast_arith(ops)
-    result = infinity
-    for digit in reversed(digits):
-        result = double(result)
-        if digit > 0:
-            result = mixed_add(result, table[digit >> 1])
-        elif digit < 0:
-            result = mixed_add(result, negatives[(-digit) >> 1])
+def _phi_tables(ops: FieldOps, endo: Endomorphism, table):
+    """The phi-image of a ``(positive, negative)`` table pair: one field
+    multiplication per entry, shared by both signs."""
+    positive, negative = table
+    xs = [ops.mul(endo.beta, x) for x, _y in positive]
+    return ([(x, y) for x, (_, y) in zip(xs, positive)],
+            [(x, y) for x, (_, y) in zip(xs, negative)])
+
+
+def _schedule_lane(schedule: List[list], k: int, table, width: int):
+    """Recode the signed lane scalar ``k`` into width-``w`` NAF and file
+    each nonzero digit's table entry under its bit in ``schedule``
+    (``schedule[i]`` = what to add after the doubling at bit ``i``)."""
+    positive, negative = table
+    if k < 0:
+        k = -k
+        positive, negative = negative, positive
+    # A w-NAF is at most one digit longer than the scalar.
+    schedule.extend(
+        [] for _ in range(k.bit_length() + 1 - len(schedule)))
+    window = 1 << width
+    half = window >> 1
+    mask = window - 1
+    bit = 0
+    while k:
+        # Hop over the zero run; k is odd afterwards (the recoding of
+        # wnaf_digits, emitting only the nonzero digits).
+        skip = (k & -k).bit_length() - 1
+        k >>= skip
+        bit += skip
+        digit = k & mask
+        if digit >= half:
+            digit -= window
+            schedule[bit].append(negative[-digit >> 1])
+        else:
+            schedule[bit].append(positive[digit >> 1])
+        k -= digit
+
+
+def _run_lanes(ops: FieldOps, schedule: List[list]):
+    """The one inner loop: walk the schedule from the top bit with one
+    shared doubling per bit and a mixed addition per filed entry.  The
+    mixed addition handles the degenerate meetings (identity
+    accumulator, P + P, P - P)."""
+    result = (ops.one, ops.one, ops.zero)
+    modulus = ops.modulus
+    if modulus is not None:
+        for entries in reversed(schedule):
+            result = jac_double_fp(result, modulus)
+            for entry in entries:
+                result = jac_add_affine_fp(result, entry, modulus)
+    else:
+        for entries in reversed(schedule):
+            result = jac_double(ops, result)
+            for entry in entries:
+                result = jac_add_affine(ops, result, entry)
     return result
 
 
+def multi_scalar_mul_rows(ops: FieldOps, points: Sequence,
+                          scalar_rows: Sequence[Sequence[int]], order: int,
+                          endo: Optional[Endomorphism] = None) -> list:
+    """``[sum_j row[j] * points[j] for row in scalar_rows]`` — many
+    products over the *same* bases against one shared table.
+
+    The odd-multiples table of every base is built once (one batch
+    inversion); each row is recoded into lanes against it and run
+    through :func:`_run_lanes`.  The table is local to the call.
+    """
+    rows = []
+    for row in scalar_rows:
+        if len(row) != len(points):
+            raise ValueError("points and scalars must have equal length")
+        rows.append([scalar % order for scalar in row])
+    live = [
+        index for index, point in enumerate(points)
+        if not ops.is_zero(point[2]) and any(row[index] for row in rows)
+    ]
+    # Four rows repay the twice-as-large w = 5 table (one fewer addition
+    # per ~30 scalar bits and lane); fewer do not.
+    width = 5 if len(rows) >= 4 else 4
+    tables = _lane_tables(
+        ops, [points[index] for index in live], 1 << (width - 2))
+    phi_tables = [None] * len(live)
+    results = []
+    for row in rows:
+        schedule: List[list] = []
+        for slot, index in enumerate(live):
+            for k, variant in _split(row[index], order, endo):
+                if not variant:
+                    table = tables[slot]
+                else:
+                    table = phi_tables[slot]
+                    if table is None:
+                        table = phi_tables[slot] = _phi_tables(
+                            ops, endo, tables[slot])
+                _schedule_lane(schedule, k, table, width)
+        results.append(_run_lanes(ops, schedule))
+    return results
+
+
+def scalar_mul(ops: FieldOps, point, scalar: int, order: int,
+               endo: Optional[Endomorphism] = None):
+    """Single-scalar multiplication; drop-in for ``jac_scalar_mul``."""
+    return multi_scalar_mul_rows(ops, [point], [[scalar]], order, endo)[0]
+
+
 def multi_scalar_mul(ops: FieldOps, points: Sequence, scalars: Sequence[int],
-                     order: int):
+                     order: int, endo: Optional[Endomorphism] = None):
     """``sum_i scalars[i] * points[i]`` with shared doublings.
 
-    Dispatches to interleaved-w-NAF Straus for small batches and to the
-    Pippenger bucket method for large ones (the crossover in pure Python
-    sits around a few dozen terms).
+    Dispatches to the lane kernel for small batches and to the Pippenger
+    bucket method for large ones.
     """
     if len(points) != len(scalars):
         raise ValueError("points and scalars must have equal length")
@@ -164,40 +315,14 @@ def multi_scalar_mul(ops: FieldOps, points: Sequence, scalars: Sequence[int],
         for point, scalar in zip(points, scalars)
         if scalar % order != 0 and not ops.is_zero(point[2])
     ]
-    if not live:
-        return (ops.one, ops.one, ops.zero)
-    if len(live) == 1:
-        return scalar_mul(ops, live[0][0], live[0][1], order)
     # Crossover measured on this interpreter with mixed additions: the
-    # shared-inversion affine tables make Straus cheaper than bucketing
-    # until k ~ 200 (Combine and batch Share-Verify all sit below it;
-    # DKG transcript aggregation at n in the hundreds sits above).
-    if len(live) <= 192:
-        return _straus(ops, live)
-    return _pippenger(ops, live, order.bit_length())
-
-
-def _straus(ops: FieldOps, live, width: int = 4):
-    """Interleaved w-NAF: one shared doubling chain, per-point digit adds
-    against batch-normalized affine tables."""
-    count = 1 << (width - 2)
-    tables, negatives = _affine_odd_multiples(
-        ops, [point for point, _scalar in live], count)
-    digit_rows = [wnaf_digits(scalar, width) for _point, scalar in live]
-    length = max(len(row) for row in digit_rows)
-    double, mixed_add = _fast_arith(ops)
-    result = (ops.one, ops.one, ops.zero)
-    for bit in range(length - 1, -1, -1):
-        result = double(result)
-        for row, table, negs in zip(digit_rows, tables, negatives):
-            if bit >= len(row):
-                continue
-            digit = row[bit]
-            if digit > 0:
-                result = mixed_add(result, table[digit >> 1])
-            elif digit < 0:
-                result = mixed_add(result, negs[(-digit) >> 1])
-    return result
+    # shared-inversion affine tables make the lane kernel cheaper than
+    # bucketing until k ~ 200 (Combine and batch Share-Verify all sit
+    # below it; DKG transcript aggregation at n in the hundreds sits
+    # above).
+    if len(live) > 192:
+        return _pippenger(ops, live, order.bit_length())
+    return multi_scalar_mul_rows(ops, points, [scalars], order, endo)[0]
 
 
 def _pippenger_window(count: int) -> int:

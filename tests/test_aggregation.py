@@ -56,6 +56,24 @@ class TestThresholdPart:
         assert h1[0] != h2[0]
 
 
+@pytest.mark.parametrize(
+    "backend", ["toy", pytest.param("bn254", marks=pytest.mark.bn254)])
+def test_share_sign_equals_naive_fold(backend, rng):
+    """Share-Sign goes through ``multi_exp_rows``; its output must stay
+    the per-base ``**``/``*`` fold of Appendix G, element for element."""
+    from repro.groups import get_group
+    scheme = LJYAggregateScheme(
+        AggThresholdParams.generate(get_group(backend), t=1, n=3))
+    pk, shares, _vks = scheme.dealer_keygen(rng=rng)
+    message = b"fold"
+    h_1, h_2 = scheme.params.hash_for_key(pk, message)
+    for share in shares.values():
+        partial = scheme.share_sign(pk, share, message)
+        assert partial.index == share.index
+        assert partial.z == (h_1 ** (-share.a_1)) * (h_2 ** (-share.a_2))
+        assert partial.r == (h_1 ** (-share.b_1)) * (h_2 ** (-share.b_2))
+
+
 class TestAggregation:
     def test_aggregate_roundtrip(self, agg_setup):
         scheme, pk, shares, vks = agg_setup

@@ -19,6 +19,29 @@ def dlin_setup():
     return scheme, pk, shares, vks
 
 
+@pytest.mark.parametrize(
+    "backend", ["toy", pytest.param("bn254", marks=pytest.mark.bn254)])
+def test_share_sign_equals_naive_fold(backend, rng):
+    """Share-Sign goes through ``multi_exp_rows``; its output must stay
+    the per-base ``**``/``*`` fold of Appendix F, element for element."""
+    from repro.groups import get_group
+    scheme = LJYDLINScheme(
+        DLINParams.generate(get_group(backend), t=1, n=3))
+    _pk, shares, _vks = scheme.dealer_keygen(rng=rng)
+    message = b"fold"
+    hs = scheme.params.hash_message(message)
+    for share in shares.values():
+        partial = scheme.share_sign(share, message)
+        assert partial.index == share.index
+        for position, component in enumerate(
+                (partial.z, partial.r, partial.u)):
+            expected = None
+            for h_k, triple in zip(hs, share.triples):
+                term = h_k ** (-triple[position])
+                expected = term if expected is None else expected * term
+            assert component == expected
+
+
 class TestSigningFlow:
     def test_full_flow(self, dlin_setup):
         scheme, pk, shares, vks = dlin_setup

@@ -1,10 +1,15 @@
 """Property tests for the fast-exponentiation subsystem.
 
-Every fast path (w-NAF multiplication, Straus/Pippenger MSM, fixed-base
-tables, sparse line multiplication, the BN final-exponentiation chain,
-prepared pairings, backend ``multi_exp``) is compared against its naive
-reference implementation on random inputs and edge cases: identity points,
-zero scalars, and scalars at or beyond the group order.
+Every fast path (the lane MSM kernel, Pippenger, fixed-base tables,
+sparse line multiplication, the BN final-exponentiation chain, prepared
+pairings, backend ``multi_exp``) is compared against its naive reference
+implementation on random inputs and edge cases: identity points, zero
+scalars, and scalars at or beyond the group order.
+
+``TestKernelSweep`` is the seeded differential sweep for the lane kernel
+(GLV split, signed scalars, shared tables), in the style of
+``tests/test_fuzz_wire.py``: deterministic, driven by the session seed
+(rerun a failure with ``--seed N``).
 """
 
 import random
@@ -12,7 +17,10 @@ import random
 import pytest
 
 from repro.curves import bn254
-from repro.curves.g1 import FP_OPS, G1Point
+from repro.core.aggregation import AggThresholdParams, LJYAggregateScheme
+from repro.core.keys import ThresholdParams
+from repro.core.scheme import LJYThresholdScheme
+from repro.curves.g1 import FP_OPS, GLV, G1Point
 from repro.curves.g2 import FP2_OPS, G2Point
 from repro.curves.pairing import (
     GTElement, PreparedG2, final_exponentiation, final_exponentiation_naive,
@@ -39,6 +47,15 @@ EDGE_SCALARS = [0, 1, 2, R - 1, R, R + 5, 2 * R + 3]
 
 def random_scalars(rng, count):
     return [rng.randrange(3 * R) for _ in range(count)]
+
+
+def _fold(ops, point_cls, points, scalars):
+    """The reference: a ``jac_scalar_mul`` per term, folded by ``+``."""
+    total = point_cls.identity()
+    for point, scalar in zip(points, scalars):
+        total = total + point_cls(
+            _jac=jac_scalar_mul(ops, point._jac, scalar, R))
+    return total
 
 
 class TestWnafDigits:
@@ -107,11 +124,7 @@ class TestScalarMulAgreement:
 @pytest.mark.bn254
 class TestMultiScalarMul:
     def _naive(self, points, scalars):
-        total = G1Point.identity()
-        for point, scalar in zip(points, scalars):
-            total = total + G1Point(
-                _jac=jac_scalar_mul(FP_OPS, point._jac, scalar, R))
-        return total
+        return _fold(FP_OPS, G1Point, points, scalars)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5])
     def test_straus_matches_naive(self, count):
@@ -144,11 +157,8 @@ class TestMultiScalarMul:
         h = G2Point.generator()
         points = [h * rng.randrange(2, R) for _ in range(3)]
         scalars = random_scalars(rng, 3)
-        total = G2Point.identity()
-        for point, scalar in zip(points, scalars):
-            total = total + G2Point(
-                _jac=jac_scalar_mul(FP2_OPS, point._jac, scalar, R))
-        assert G2Point.multi_mul(points, scalars) == total
+        assert G2Point.multi_mul(points, scalars) == _fold(
+            FP2_OPS, G2Point, points, scalars)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -181,6 +191,228 @@ class TestMultiScalarMul:
         scalars = random_scalars(rng, 4)
         assert G1Point.multi_mul(points, scalars) == \
             self._naive(points, scalars)
+
+
+def _sweep_rng(session_seed, salt):
+    return random.Random(
+        (0x6C7 if session_seed is None else session_seed) + salt)
+
+
+def _mixed_scalar(rng, widths):
+    return rng.getrandbits(rng.choice(widths))
+
+
+class TestKernelSweep:
+    """Seeded differential sweep: the lane kernel against the naive
+    ladder.  Deliberately *not* marked ``bn254`` — the point-arithmetic
+    cases are sized to a few seconds so the fast CI matrix runs them on
+    every interpreter."""
+
+    LAMBDA = bn254.GLV_LAMBDA
+    EDGES = [0, 1, R - 1, R, R + 1, bn254.GLV_LAMBDA, R - bn254.GLV_LAMBDA,
+             (1 << 127) - 1, (1 << 127) + 1, 1 << 128, 1 << 254,
+             -1, -3, -(1 << 200), 3 * R + 7, -5 * R - 11]
+
+    # -- constants (derived from BN_X; asserted here, never at import) ------
+    def test_endomorphism_constants(self):
+        beta, lam = bn254.GLV_BETA, bn254.GLV_LAMBDA
+        assert beta != 1 and pow(beta, 3, P) == 1
+        assert (lam * lam + lam + 1) % R == 0
+        assert lam == (36 * bn254.BN_X ** 4 - 1) % R
+        (a_1, b_1), (a_2, b_2) = bn254.GLV_BASIS
+        assert (a_1 + b_1 * lam) % R == 0
+        assert (a_2 + b_2 * lam) % R == 0
+        assert a_1 * b_2 - a_2 * b_1 == R
+        assert GLV == (beta, lam, bn254.GLV_BASIS)
+
+    def test_phi_is_multiplication_by_lambda(self, session_seed):
+        rng = _sweep_rng(session_seed, 1)
+        for _ in range(3):
+            point = G1Point.generator() * rng.randrange(1, R)
+            x, y = point.affine()
+            assert G1Point(bn254.GLV_BETA * x % P, y) == G1Point(
+                _jac=jac_scalar_mul(FP_OPS, point._jac, self.LAMBDA, R))
+
+    # -- decomposition (integers only: cheap, so swept wide) ----------------
+    def test_decomposition_identity_and_bounds(self, session_seed):
+        rng = _sweep_rng(session_seed, 2)
+        scalars = self.EDGES + [rng.randrange(R) for _ in range(10_000)]
+        scalars += [rng.getrandbits(bits) for bits in range(1, 300)]
+        for scalar in scalars:
+            k_1, k_2 = msm.glv_decompose(GLV, scalar, R)
+            assert (k_1 + k_2 * self.LAMBDA - scalar) % R == 0, scalar
+            assert abs(k_1) < 1 << 128 and abs(k_2) < 1 << 128, scalar
+
+    def test_short_negatives_stay_short(self):
+        # r - 3 is the Lagrange weight -3: one 2-bit lane, not 254 bits.
+        assert msm.glv_decompose(GLV, R - 3, R) == (-3, 0)
+        assert msm.glv_decompose(GLV, -(1 << 40), R) == (-(1 << 40), 0)
+
+    # -- kernel vs naive fold ------------------------------------------------
+    @pytest.mark.parametrize("ops,point_cls", [
+        (FP_OPS, G1Point), (FP2_OPS, G2Point),
+    ], ids=["G1", "G2"])
+    def test_edge_scalars(self, ops, point_cls, session_seed):
+        rng = _sweep_rng(session_seed, 3)
+        base = point_cls.generator() * rng.randrange(2, R)
+        for scalar in self.EDGES:
+            assert base * scalar == _fold(
+                ops, point_cls, [base], [scalar]), scalar
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 16, 192, 193])
+    @pytest.mark.parametrize("ops,point_cls", [
+        (FP_OPS, G1Point), (FP2_OPS, G2Point),
+    ], ids=["G1", "G2"])
+    def test_matches_naive_fold(self, ops, point_cls, count, session_seed):
+        # 192/193 straddle the kernel/Pippenger crossover; there the
+        # scalars are mostly short so the reference ladders stay cheap,
+        # with a few full-size ones so every lane shape is present.
+        rng = _sweep_rng(session_seed, 4 + count)
+        generator = point_cls.generator()
+        points = [generator * (rng.getrandbits(24) + 1)
+                  for _ in range(count)]
+        if count <= 16:
+            scalars = [_mixed_scalar(rng, (16, 64, 128, 129, 254, 300))
+                       for _ in range(count)]
+        else:
+            # Nonzero, so all 193 terms are live and Pippenger runs.
+            scalars = [_mixed_scalar(rng, (8, 16, 24)) + 1
+                       for _ in range(count)]
+            scalars[:3] = [rng.randrange(1, R), R - 3,
+                           rng.getrandbits(64) + 1]
+        assert point_cls.multi_mul(points, scalars) == _fold(
+            ops, point_cls, points, scalars)
+
+    # -- inputs that force the mixed-add degenerate branches mid-ladder -----
+    @pytest.mark.parametrize("ops,point_cls", [
+        (FP_OPS, G1Point), (FP2_OPS, G2Point),
+    ], ids=["G1", "G2"])
+    def test_point_with_its_negative(self, ops, point_cls, session_seed):
+        rng = _sweep_rng(session_seed, 20)
+        point = point_cls.generator() * rng.randrange(2, R)
+        k = rng.randrange(R)
+        # Equal scalars: the accumulator returns to the identity after
+        # every digit (P - P), then restarts from it.
+        assert point_cls.multi_mul([point, -point], [k, k]).is_identity()
+        other = rng.randrange(R)
+        assert point_cls.multi_mul([point, -point], [k, other]) == _fold(
+            ops, point_cls, [point, -point], [k, other])
+
+    def test_point_with_its_phi_image(self, session_seed):
+        # k*P + (k/lambda)*phi(P) = 2k*P: the two terms' lanes carry the
+        # same digits against phi-related tables, so the ladder keeps
+        # meeting P + P and P - P.
+        rng = _sweep_rng(session_seed, 21)
+        point = G1Point.generator() * rng.randrange(2, R)
+        x, y = point.affine()
+        image = G1Point(bn254.GLV_BETA * x % P, y)
+        inverse = pow(self.LAMBDA, -1, R)
+        for k in [1, 3, R - 1, self.LAMBDA, rng.randrange(R),
+                  rng.getrandbits(64)]:
+            scalars = [k, k * inverse % R]
+            assert G1Point.multi_mul([point, image], scalars) == _fold(
+                FP_OPS, G1Point, [point], [2 * k])
+            # ... and the cancelling twin: k*P - (k/lambda)*phi(P) = 0.
+            assert G1Point.multi_mul(
+                [point, -image], scalars).is_identity()
+
+    @pytest.mark.parametrize("ops,point_cls", [
+        (FP_OPS, G1Point), (FP2_OPS, G2Point),
+    ], ids=["G1", "G2"])
+    def test_duplicates_identities_and_zero_rows(self, ops, point_cls,
+                                                 session_seed):
+        rng = _sweep_rng(session_seed, 22)
+        point = point_cls.generator() * rng.randrange(2, R)
+        points = [point, point, point_cls.identity(), point, -point]
+        rows = [
+            [rng.randrange(R) for _ in points],
+            [7, 7, 7, 7, 7],                    # P + P at every digit
+            [0, 0, rng.randrange(R), R, 2 * R],  # every term vanishes
+            [0] * len(points),
+        ]
+        results = [
+            point_cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
+                ops, [p._jac for p in points], rows, R,
+                GLV if point_cls is G1Point else None)]
+        for row, result in zip(rows, results):
+            assert result == _fold(ops, point_cls, points, row)
+        assert results[2].is_identity() and results[3].is_identity()
+
+    def test_short_scalars_take_the_undecomposed_lane(self, session_seed,
+                                                      monkeypatch):
+        # The 64-bit batching coins must not pay for a GLV split.
+        rng = _sweep_rng(session_seed, 23)
+        points = [G1Point.generator() * rng.getrandbits(24)
+                  for _ in range(4)]
+        coins = [rng.getrandbits(64) + 1 for _ in points]
+        expected = _fold(FP_OPS, G1Point, points, coins)
+
+        def refuse(*_args):
+            raise AssertionError("a short scalar was decomposed")
+
+        monkeypatch.setattr(msm, "glv_decompose", refuse)
+        assert G1Point.multi_mul(points, coins) == expected
+        assert G1Point.multi_mul_rows(points, [coins])[0] == expected
+        with pytest.raises(AssertionError):
+            G1Point.multi_mul(points, [1 << 129] * 4)
+
+    def test_rows_reject_ragged_input(self):
+        g = G1Point.generator()
+        with pytest.raises(ValueError):
+            G1Point.multi_mul_rows([g, g], [[1, 2], [3]])
+
+    # -- the seam: rows == per-row multi_exp; many == per-share ---------------
+    @pytest.mark.parametrize("backend", ["toy", "bn254"])
+    @pytest.mark.parametrize("row_count", [0, 1, 3, 4, 9])
+    def test_multi_exp_rows_matches_multi_exp(self, backend, row_count,
+                                              session_seed):
+        rng = _sweep_rng(session_seed, 30 + row_count)
+        group = get_group(backend)
+        bases = [group.g1_generator() ** rng.getrandbits(24)
+                 for _ in range(3)]
+        rows = [[_mixed_scalar(rng, (1, 64, 128, 254, 300))
+                 * rng.choice((1, -1)) for _ in bases]
+                for _ in range(row_count)]
+        assert group.multi_exp_rows(bases, rows) == [
+            group.multi_exp(bases, row) for row in rows]
+
+    @pytest.mark.parametrize("backend", ["toy", "bn254"])
+    def test_multi_exp_rows_other_groups(self, backend, session_seed):
+        rng = _sweep_rng(session_seed, 40)
+        group = get_group(backend)
+        bases = [group.g2_generator() ** rng.getrandbits(16)
+                 for _ in range(2)]
+        rows = [[rng.randrange(R), R - 3], [5, 0]]
+        assert group.multi_exp_rows(bases, rows) == [
+            group.multi_exp(bases, row) for row in rows]
+        with pytest.raises(ValueError):
+            group.multi_exp_rows(bases, [[1]])
+
+    @pytest.mark.parametrize("backend", ["toy", "bn254"])
+    def test_share_sign_many_is_share_sign_per_share(self, backend,
+                                                     session_seed):
+        rng = _sweep_rng(session_seed, 41)
+        group = get_group(backend)
+        message = b"sweep:" + rng.randbytes(12)
+
+        def encoded(partials):
+            return [(partial.index, partial.z.to_bytes(),
+                     partial.r.to_bytes()) for partial in partials]
+
+        scheme = LJYThresholdScheme(ThresholdParams.generate(group, 2, 5))
+        _pk, shares, _vks = scheme.dealer_keygen(rng=rng)
+        order = [4, 1, 5, 2, 3, 1]          # unsorted, one repeated
+        chosen = [shares[index] for index in order]
+        assert encoded(scheme.share_sign_many(chosen, message)) == encoded(
+            [scheme.share_sign(share, message) for share in chosen])
+        assert scheme.share_sign_many([], message) == []
+
+        agg = LJYAggregateScheme(AggThresholdParams.generate(group, 2, 5))
+        agg_pk, agg_shares, _vks = agg.dealer_keygen(rng=rng)
+        chosen = [agg_shares[index] for index in order]
+        assert encoded(
+            agg.share_sign_many(agg_pk, chosen, message)) == encoded(
+            [agg.share_sign(agg_pk, share, message) for share in chosen])
 
 
 @pytest.mark.bn254

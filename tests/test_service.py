@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.keys import PartialSignature
 from repro.core.scheme import ServiceHandle
 from repro.service import (
     BatchAccumulator, CorruptSignerFault, HashRing, LoadGenerator,
@@ -57,6 +58,41 @@ class TestServiceHandle:
         assert network.metrics.communication_rounds == 1
         signature = dkg_handle.sign(b"dkg message")
         assert dkg_handle.verify(b"dkg message", signature)
+
+    def test_injector_sees_each_partial_once_in_signer_order(self, handle):
+        """The one quorum producer signs the whole quorum together, but
+        the injector contract is per partial: exactly one call per
+        (signer, message), in signer order, on the *signed* partial —
+        ``CorruptSignerFault``'s bookkeeping and ``faults_localized``
+        depend on it."""
+        signers = [3, 1, 2]
+        honest = handle.partials_for(b"contract", signers)
+        seen = []
+
+        def injector(shard_id, signer_index, message, partial):
+            seen.append((shard_id, signer_index, message, partial))
+            if signer_index == 1:
+                return PartialSignature(
+                    index=partial.index, z=partial.z * partial.z,
+                    r=partial.r)
+            return partial
+
+        produced = handle.partials_with_faults(
+            b"contract", signers, fault_injector=injector, shard_id=7)
+        assert [entry[:3] for entry in seen] == [
+            (7, index, b"contract") for index in signers]
+        assert [entry[3] for entry in seen] == honest
+        assert [partial.index for partial in produced] == signers
+        assert produced[0] == honest[0] and produced[2] == honest[2]
+        assert produced[1] != honest[1]
+        assert handle.partials_with_faults(b"contract", signers) == honest
+
+    def test_missing_share_is_a_key_error(self, handle):
+        dropped = handle.without_signer(2)
+        with pytest.raises(KeyError):
+            dropped.partials_for(b"m", [1, 2, 3])
+        with pytest.raises(KeyError):
+            dropped.partials_with_faults(b"m", [1, 2, 3])
 
     def test_wraps_aggregate_scheme(self, toy_group):
         from repro.core.aggregation import (
