@@ -12,9 +12,12 @@ acts:
    verify traffic amortizes even harder (a window of k signatures costs
    one multi-pairing).
 3. **Fault injection** — one signer starts forging its partial
-   signatures.  The window check fails, ``locate_invalid`` bisects to
-   the poisoned requests, and they are recombined through the robust
-   per-share path — every request still completes with a valid
+   signatures.  The window check fails; its value is bisected to the
+   poisoned requests (each level evaluates one half and derives the
+   other), their partials are checked in one batch that is bisected
+   the same way to the forged ones, each request keeps its verified
+   partials and tops up with exactly the missing ones from the next
+   signer, and recombines — every request still completes with a valid
    signature.
 
 ``--refresh-every N`` exercises the live key lifecycle: a proactive
@@ -198,7 +201,8 @@ async def demo(args) -> None:
     print(f"      {report.completed}/8 requests completed despite "
           f"{len(fault.injected)} forged partials")
     print(f"      forgeries localized: {shard.faults_localized}, "
-          f"robust fallback combines: {shard.fallback_combines}")
+          f"requests topped up beyond their quorum: "
+          f"{shard.fallback_combines}")
     assert report.completed == 8 and report.failed == 0
     print("      all signatures valid: OK")
 

@@ -119,11 +119,10 @@ class ProactiveSigningService:
         partials = self.scheme.share_sign_many(
             [self._shares[index] for index in signers
              if index in self._shares], message)
-        for partial in partials:
-            vk = self.verification_keys.get(partial.index)
-            if vk is None or not self.scheme.share_verify(
-                    self.public_key, vk, message, partial):
-                self.reports[-1].flagged_servers.add(partial.index)
+        for offset in self.scheme.locate_invalid_partials(
+                self.public_key, self.verification_keys,
+                [(message, partial) for partial in partials]):
+            self.reports[-1].flagged_servers.add(partials[offset].index)
         signature = self.scheme.combine(
             self.public_key, self.verification_keys, message, partials,
             verify_shares=robust)

@@ -56,6 +56,38 @@ def partials_over(group: BilinearGroup,
     ]
 
 
+def _coins(count: int, rng) -> List[int]:
+    """Small-exponent batching coins, uniform over [1, 2^64] — 2^64
+    nonzero values, matching the stated soundness bound.  Drawn by the
+    verifier once the items they weigh are fixed, and never reused for
+    another check."""
+    return [random_scalar(1 << 64, rng) + 1 for _ in range(count)]
+
+
+def _descend(value_of, lo: int, hi: int, value: GroupElement) -> List[int]:
+    """Offending positions in ``[lo, hi)``, given that slice's coined
+    G_T ``value`` (Law & Matt's quotient bisection).
+
+    ``value_of(lo, hi)`` evaluates a slice under the coins its items
+    were given for this localization.  Only the **left** half of a
+    failing node is evaluated: the coins are fixed per item, so the
+    right half's value is exactly ``value / left`` — one pairing
+    product per level, and a root the caller already holds is never
+    recomputed.  A one-item slice is exact (its coin is nonzero in a
+    prime-order group); a wider slice hiding a forgery reads as the
+    identity with probability at most 2^-64, so localizing over k
+    items errs with probability at most (2k - 1) * 2^-64.
+    """
+    if value.is_identity():
+        return []
+    if hi - lo == 1:
+        return [lo]
+    mid = (lo + hi) // 2
+    left = value_of(lo, mid)
+    return (_descend(value_of, lo, mid, left)
+            + _descend(value_of, mid, hi, value / left))
+
+
 class LJYThresholdScheme:
     """Libert-Joye-Yung non-interactive threshold signatures (Section 3)."""
 
@@ -175,9 +207,10 @@ class LJYThresholdScheme:
         with the four aggregated arguments computed as multi-scalar
         multiplications.  A batch of forgeries passes with probability at
         most 2^-64 over the verifier's coins (the standard small-exponent
-        batching argument); robust Combine falls back to per-share checks
-        whenever the batch fails, so a failing batch costs one extra
-        multi-pairing, never a wrong outcome.
+        batching argument); robust Combine localizes the forged partials
+        (:meth:`locate_invalid_partials`) whenever the batch fails, so a
+        failing batch costs one extra multi-pairing, never a wrong
+        outcome.
         """
         partials = list(partials)
         if not partials:
@@ -193,11 +226,7 @@ class LJYThresholdScheme:
                 public_key, verification_keys[partials[0].index], message,
                 partials[0])
         h_1, h_2 = p.hash_message(message)
-        # Uniform over [1, 2^64] — 2^64 nonzero values, matching the
-        # stated soundness bound.
-        exponents = [
-            random_scalar(1 << 64, rng) + 1 for _ in partials
-        ]
+        exponents = _coins(len(partials), rng)
         z_agg = group.multi_exp([pt.z for pt in partials], exponents)
         r_agg = group.multi_exp([pt.r for pt in partials], exponents)
         v_1_agg = group.multi_exp(
@@ -211,6 +240,65 @@ class LJYThresholdScheme:
             (h_2, v_2_agg),
         ])
 
+    def _share_values(self,
+                      verification_keys: Mapping[int, VerificationKey],
+                      items: Sequence[Tuple[bytes, PartialSignature]],
+                      coins: Sequence[int]):
+        """``value_of(lo, hi)``: the G_T value of the Share-Verify
+        equations of ``items[lo:hi]``, each raised to its own coin —
+        the identity iff (up to the batching bound) every one holds.
+
+        By bilinearity the product groups by pairing argument into
+        ``2 + 2 * distinct_signers`` pairs — ``(z_agg, g_z)``,
+        ``(r_agg, g_r)`` and one ``(H_1-agg_i, V_1i)``/``(H_2-agg_i,
+        V_2i)`` pair per signer in the slice — so every G_hat argument
+        stays a *fixed, Miller-loop-prepared* point and the per-item
+        cost is a few small-exponent MSM terms.  Every item's signer
+        must have a verification key.
+        """
+        p = self.params
+        group = self.group
+        z_points = [partial.z for _, partial in items]
+        r_points = [partial.r for _, partial in items]
+        group.batch_normalize(z_points + r_points)
+        hashes: Dict[bytes, Tuple[GroupElement, GroupElement]] = {}
+        for message, _ in items:
+            if message not in hashes:
+                hashes[message] = p.hash_message(message)
+
+        def value_of(lo: int, hi: int) -> GroupElement:
+            exponents = coins[lo:hi]
+            # Group the hash terms by signer: V_1i/V_2i are the only
+            # non-shared G_hat arguments, so one MSM pair per
+            # *distinct* signer is the finest the product collapses to.
+            buckets: Dict[int, Tuple[list, list, list]] = {}
+            for exponent, (message, partial) in zip(
+                    exponents, items[lo:hi]):
+                h_1s, h_2s, exps = buckets.setdefault(
+                    partial.index, ([], [], []))
+                h_1, h_2 = hashes[message]
+                h_1s.append(h_1)
+                h_2s.append(h_2)
+                exps.append(exponent)
+            pairs = [
+                (group.multi_exp(z_points[lo:hi], exponents), p.g_z),
+                (group.multi_exp(r_points[lo:hi], exponents), p.g_r),
+            ]
+            for index in sorted(buckets):
+                h_1s, h_2s, exps = buckets[index]
+                vk = verification_keys[index]
+                pairs.append((group.multi_exp(h_1s, exps), vk.v_1))
+                pairs.append((group.multi_exp(h_2s, exps), vk.v_2))
+            return group.pairing_product(pairs)
+
+        return value_of
+
+    @staticmethod
+    def _has_key(verification_keys: Mapping[int, VerificationKey],
+                 partial: PartialSignature) -> bool:
+        vk = verification_keys.get(partial.index)
+        return vk is not None and vk.index == partial.index
+
     def batch_share_verify_window(
             self, public_key: PublicKey,
             verification_keys: Mapping[int, VerificationKey],
@@ -222,14 +310,9 @@ class LJYThresholdScheme:
         :meth:`batch_share_verify` already collapses one message's
         partials into four pairs, but a robust combiner faced with a
         poisoned *window* holds partials for many messages at once.
-        Each equation is raised to a fresh random 64-bit exponent; by
-        bilinearity the product groups by pairing argument into
-        ``2 + 2 * distinct_signers`` pairs — ``(z_agg, g_z)``,
-        ``(r_agg, g_r)`` and one ``(H_1-agg_i, V_1i)``/``(H_2-agg_i,
-        V_2i)`` pair per contributing signer — so every G_hat argument
-        stays a *fixed, Miller-loop-prepared* point and the per-item
-        cost is a few small-exponent MSM terms instead of a four-pair
-        pairing product.
+        Each equation is raised to a fresh random 64-bit exponent and
+        the product is evaluated as ``2 + 2 * distinct_signers`` pairs
+        (see :meth:`_share_values`).
 
         A batch containing any forged partial passes with probability
         at most 2^-64 over the verifier's coins (standard
@@ -239,48 +322,19 @@ class LJYThresholdScheme:
         batch fails.
         """
         items = list(items)
+        if not all(self._has_key(verification_keys, partial)
+                   for _, partial in items):
+            return False
         if not items:
             return True
-        for _, partial in items:
-            vk = verification_keys.get(partial.index)
-            if vk is None or vk.index != partial.index:
-                return False
         if len(items) == 1:
             message, partial = items[0]
             return self.share_verify(
                 public_key, verification_keys[partial.index], message,
                 partial)
-        p = self.params
-        group = self.group
-        # Uniform over [1, 2^64] — 2^64 nonzero values, matching the
-        # stated soundness bound.
-        exponents = [random_scalar(1 << 64, rng) + 1 for _ in items]
-        z_points = [partial.z for _, partial in items]
-        r_points = [partial.r for _, partial in items]
-        group.batch_normalize(z_points + r_points)
-        z_agg = group.multi_exp(z_points, exponents)
-        r_agg = group.multi_exp(r_points, exponents)
-        # Group the hash terms by signer: V_1i/V_2i are the only
-        # non-shared G_hat arguments, so one MSM pair per *distinct*
-        # signer is the finest the product collapses to.
-        hashes: Dict[bytes, Tuple[GroupElement, GroupElement]] = {}
-        buckets: Dict[int, Tuple[list, list, list]] = {}
-        for exponent, (message, partial) in zip(exponents, items):
-            pair = hashes.get(message)
-            if pair is None:
-                pair = hashes[message] = p.hash_message(message)
-            h_1s, h_2s, exps = buckets.setdefault(
-                partial.index, ([], [], []))
-            h_1s.append(pair[0])
-            h_2s.append(pair[1])
-            exps.append(exponent)
-        pairs = [(z_agg, p.g_z), (r_agg, p.g_r)]
-        for index in sorted(buckets):
-            h_1s, h_2s, exps = buckets[index]
-            vk = verification_keys[index]
-            pairs.append((group.multi_exp(h_1s, exps), vk.v_1))
-            pairs.append((group.multi_exp(h_2s, exps), vk.v_2))
-        return group.pairing_product_is_one(pairs)
+        return self._share_values(
+            verification_keys, items, _coins(len(items), rng)
+        )(0, len(items)).is_identity()
 
     def locate_invalid_partials(
             self, public_key: PublicKey,
@@ -288,27 +342,40 @@ class LJYThresholdScheme:
             items: Sequence[Tuple[bytes, PartialSignature]],
             rng=None) -> List[int]:
         """Positions (into ``items``) of invalid ``(message, partial)``
-        pairs, localized by bisection over
-        :meth:`batch_share_verify_window` — so few forgeries in a big
-        flattened window cost ~2*log2(k) sub-batch multi-pairings
-        instead of k Share-Verify calls.  An item whose signer has no
-        verification key is reported invalid.  Returns [] when the
-        whole batch verifies.
+        pairs: one coined check of the whole batch, then quotient
+        bisection (:func:`_descend`) — so few forgeries in a big
+        flattened window cost ~log2(k) sub-batch multi-pairings each
+        instead of k Share-Verify calls.  The coins are drawn once,
+        after the items are fixed, and every sub-batch reuses its
+        items' coins.  Sub-batches are taken over the items in
+        signer-major order, so each touches few verification keys.  An
+        item whose signer has no verification key is reported invalid
+        without entering the batch.  Returns [] when the whole batch
+        verifies.
         """
         items = list(items)
-
-        def bisect(lo: int, hi: int) -> List[int]:
-            if self.batch_share_verify_window(
-                    public_key, verification_keys, items[lo:hi], rng=rng):
-                return []
-            if hi - lo == 1:
-                return [lo]
-            mid = (lo + hi) // 2
-            return bisect(lo, mid) + bisect(mid, hi)
-
-        if not items:
-            return []
-        return bisect(0, len(items))
+        keyed = [self._has_key(verification_keys, partial)
+                 for _, partial in items]
+        keyless = [position for position, has_key in enumerate(keyed)
+                   if not has_key]
+        # Stable sort: signer-major, arrival order within a signer.
+        order = sorted(
+            (position for position, has_key in enumerate(keyed) if has_key),
+            key=lambda position: items[position][1].index)
+        if not order:
+            return keyless
+        if len(order) == 1:
+            message, partial = items[order[0]]
+            valid = self.share_verify(
+                public_key, verification_keys[partial.index], message,
+                partial)
+            return keyless if valid else sorted(keyless + order)
+        value_of = self._share_values(
+            verification_keys, [items[position] for position in order],
+            _coins(len(order), rng))
+        offenders = _descend(
+            value_of, 0, len(order), value_of(0, len(order)))
+        return sorted(keyless + [order[offset] for offset in offenders])
 
     # ------------------------------------------------------------------
     # Combining and verification
@@ -327,10 +394,11 @@ class LJYThresholdScheme:
         up to t malicious servers.  Raises :class:`CombineError` otherwise.
 
         The robust path first batch-verifies the leading t+1 candidates
-        (one multi-pairing via :meth:`batch_share_verify`) and only falls
-        back to per-share checks when the batch fails, so the all-honest
-        case costs one multi-pairing instead of t+1.  The final "Lagrange
-        in the exponent" is two (t+1)-term multi-scalar multiplications.
+        (one multi-pairing via :meth:`batch_share_verify`) and only when
+        that fails localizes the forged ones among all candidates
+        (:meth:`locate_invalid_partials`), so the all-honest case costs
+        one multi-pairing instead of t+1.  The final "Lagrange in the
+        exponent" is two (t+1)-term multi-scalar multiplications.
         """
         t = self.params.t
         if verify_shares:
@@ -352,15 +420,17 @@ class LJYThresholdScheme:
                     list(leading.values()), rng=rng):
                 usable = leading
             else:
-                for partial in candidates:
-                    if partial.index in usable:
+                # A window of one message, all candidates in it.
+                forged = set(self.locate_invalid_partials(
+                    public_key, verification_keys,
+                    [(message, partial) for partial in candidates],
+                    rng=rng))
+                for offset, partial in enumerate(candidates):
+                    if offset in forged or partial.index in usable:
                         continue
-                    if self.share_verify(
-                            public_key, verification_keys[partial.index],
-                            message, partial):
-                        usable[partial.index] = partial
-                        if len(usable) == t + 1:
-                            break
+                    usable[partial.index] = partial
+                    if len(usable) == t + 1:
+                        break
         else:
             usable = {}
             for partial in partials:
@@ -401,6 +471,39 @@ class LJYThresholdScheme:
             (h_2, public_key.g_2),
         ])
 
+    def _signature_values(self, public_key: PublicKey,
+                          messages: Sequence[bytes],
+                          signatures: Sequence[Signature],
+                          coins: Sequence[int]):
+        """``value_of(lo, hi)``: the G_T value of the verification
+        equations of ``messages[lo:hi]``, each raised to its own coin —
+        the identity iff (up to the batching bound) every one holds.
+
+        All four G_hat arguments (``g_z``, ``g_r``, ``g_1``, ``g_2``)
+        are shared across messages, so by bilinearity a slice collapses
+        to the same four-pair shape as a single Verify — the four
+        aggregated G arguments being MSMs over *small* exponents.
+        """
+        p = self.params
+        group = self.group
+        hashes = [p.hash_message(message) for message in messages]
+        z_points = [signature.z for signature in signatures]
+        r_points = [signature.r for signature in signatures]
+        h_1s = [pair[0] for pair in hashes]
+        h_2s = [pair[1] for pair in hashes]
+        group.batch_normalize(z_points + r_points)
+
+        def value_of(lo: int, hi: int) -> GroupElement:
+            exponents = coins[lo:hi]
+            return group.pairing_product([
+                (group.multi_exp(z_points[lo:hi], exponents), p.g_z),
+                (group.multi_exp(r_points[lo:hi], exponents), p.g_r),
+                (group.multi_exp(h_1s[lo:hi], exponents), public_key.g_1),
+                (group.multi_exp(h_2s[lo:hi], exponents), public_key.g_2),
+            ])
+
+        return value_of
+
     def batch_verify(self, public_key: PublicKey,
                      messages: Sequence[bytes],
                      signatures: Sequence[Signature],
@@ -409,12 +512,10 @@ class LJYThresholdScheme:
         multi-pairing — the server-side amortization.
 
         Each verification equation is raised to a fresh random 64-bit
-        exponent and the product collapses, by bilinearity and because
-        all four G_hat arguments (``g_z``, ``g_r``, ``g_1``, ``g_2``) are
-        shared across messages, to the same four-pair shape as a single
-        Verify — the four aggregated G arguments being k-term MSMs over
-        *small* exponents.  Amortized per-message cost is therefore a few
-        64-bit MSM terms instead of a full four-pair pairing product.
+        exponent and the product collapses to one four-pair pairing
+        product (see :meth:`_signature_values`).  Amortized per-message
+        cost is therefore a few 64-bit MSM terms instead of a full
+        four-pair pairing product.
 
         A batch containing any forgery passes with probability at most
         2^-64 over the verifier's coins (standard small-exponent
@@ -428,23 +529,9 @@ class LJYThresholdScheme:
             return True
         if len(messages) == 1:
             return self.verify(public_key, messages[0], signatures[0])
-        p = self.params
-        group = self.group
-        # Uniform over [1, 2^64] — 2^64 nonzero values, matching the
-        # stated soundness bound.
-        exponents = [random_scalar(1 << 64, rng) + 1 for _ in messages]
-        hashes = [p.hash_message(message) for message in messages]
-        z_points = [signature.z for signature in signatures]
-        r_points = [signature.r for signature in signatures]
-        h_1s = [pair[0] for pair in hashes]
-        h_2s = [pair[1] for pair in hashes]
-        group.batch_normalize(z_points + r_points)
-        return group.pairing_product_is_one([
-            (group.multi_exp(z_points, exponents), p.g_z),
-            (group.multi_exp(r_points, exponents), p.g_r),
-            (group.multi_exp(h_1s, exponents), public_key.g_1),
-            (group.multi_exp(h_2s, exponents), public_key.g_2),
-        ])
+        return self._signature_values(
+            public_key, messages, signatures, _coins(len(messages), rng)
+        )(0, len(messages)).is_identity()
 
     def locate_invalid(self, public_key: PublicKey,
                        messages: Sequence[bytes],
@@ -452,27 +539,28 @@ class LJYThresholdScheme:
                        rng=None) -> List[int]:
         """Indices of invalid signatures, localized by bisection.
 
-        Splits a failing batch in half recursively, re-running
-        :meth:`batch_verify` on each half, so a single forgery in a batch
-        of k costs ~2*log2(k) sub-batch checks instead of k individual
-        verifications.  Returns [] when the whole batch verifies.
+        ONE coined check of the whole batch — all an honest batch
+        costs — whose value is then the root of the quotient bisection
+        (:func:`_descend`): only the left half of each failing node is
+        evaluated, so a single forgery in a batch of k costs ~log2(k)
+        sub-batch products instead of k individual verifications.  The
+        coins are drawn once, after the items are fixed, and every
+        sub-batch reuses its items' coins.  A batch of one is a plain
+        uncoined :meth:`verify`.  Returns [] when the whole batch
+        verifies.
         """
-        if len(messages) != len(signatures):
+        count = len(messages)
+        if count != len(signatures):
             raise ParameterError(
                 "need exactly one signature per message")
-
-        def bisect(lo: int, hi: int) -> List[int]:
-            if self.batch_verify(public_key, messages[lo:hi],
-                                 signatures[lo:hi], rng=rng):
-                return []
-            if hi - lo == 1:
-                return [lo]
-            mid = (lo + hi) // 2
-            return bisect(lo, mid) + bisect(mid, hi)
-
-        if not messages:
+        if count == 0:
             return []
-        return bisect(0, len(messages))
+        if count == 1:
+            valid = self.verify(public_key, messages[0], signatures[0])
+            return [] if valid else [0]
+        value_of = self._signature_values(
+            public_key, messages, signatures, _coins(count, rng))
+        return _descend(value_of, 0, count, value_of(0, count))
 
     # ------------------------------------------------------------------
     # Window-sized entry points (the serving-layer amortization)
@@ -481,33 +569,44 @@ class LJYThresholdScheme:
                        verification_keys: Mapping[int, VerificationKey],
                        windows: Sequence[
                            Tuple[bytes, Sequence[PartialSignature]]],
-                       rng=None) -> Tuple[List[Optional[Signature]],
-                                          List[int]]:
+                       rng=None, top_up=None
+                       ) -> Tuple[List[Optional[Signature]], List[int]]:
         """Combine one batch window of ``(message, partials)`` requests.
 
         Optimistically combines every request without share verification,
-        then checks the whole window with **one** cross-message
-        :meth:`batch_verify` — so a window of k honest requests costs k
-        cheap Lagrange MSMs plus a single multi-pairing instead of k
-        robust Combines.  When the window check fails,
-        :meth:`locate_invalid` bisects to the poisoned requests, their
-        partial signatures are re-checked together under ONE
-        cross-message :meth:`batch_share_verify_window` (bisecting to
-        the forged shares via :meth:`locate_invalid_partials`), and
-        each flagged request recombines from its surviving shares.
+        then checks the whole window with **one** cross-message coined
+        product (:meth:`locate_invalid`) — so a window of k honest
+        requests costs k cheap Lagrange MSMs plus a single multi-pairing
+        instead of k robust Combines.  When the window check fails its
+        value is bisected down to the poisoned requests, and the robust
+        path runs over those positions only:
+
+        1. their partial signatures are checked together under ONE
+           cross-message batch (:meth:`locate_invalid_partials`), which
+           pinpoints the forged shares;
+        2. a position left with fewer than t+1 verified partials keeps
+           them and asks ``top_up(message, asked_indices, missing)`` —
+           a callable returning ``missing`` partials from signers not in
+           ``asked_indices`` (fewer when no such signer is left) — for
+           exactly the shortfall; all new partials of a round, across
+           all short positions, pass through one more batched check
+           before use.  Rounds repeat while some position is short and
+           some signer is unasked (at most n - t - 1 for a t+1 quorum);
+        3. each position recombines from partials that each passed a
+           batch, so the recombine skips share verification.
 
         Returns ``(signatures, flagged)`` where ``flagged`` lists the
-        window positions that needed the robust fallback.  A flagged
-        position whose partials do not contain t+1 valid shares gets
-        ``None`` in the signature list — the caller decides whether to
-        retry with more partial signatures (the service layer does, with
-        the full signer set).
+        window positions that needed the robust path.  A flagged
+        position that never reached t+1 valid shares gets ``None`` in
+        the signature list; without ``top_up`` (a combiner that only
+        has what arrived) that is every position whose own partials
+        fall short.
         """
+        t = self.params.t
         windows = [(message, list(partials))
                    for message, partials in windows]
         signatures: List[Optional[Signature]] = []
-        broken: List[int] = []
-        for position, (message, partials) in enumerate(windows):
+        for message, partials in windows:
             try:
                 signatures.append(self.combine(
                     public_key, verification_keys, message, partials,
@@ -517,62 +616,49 @@ class LJYThresholdScheme:
                 # verification: flag the position, don't abort the
                 # window's other requests.
                 signatures.append(None)
-                broken.append(position)
         combined = [position for position, signature
                     in enumerate(signatures) if signature is not None]
-        if self.batch_verify(
-                public_key,
-                [windows[position][0] for position in combined],
-                [signatures[position] for position in combined],
-                rng=rng):
-            invalid: List[int] = []
-        else:
-            invalid = [
-                combined[offset] for offset in self.locate_invalid(
-                    public_key,
-                    [windows[position][0] for position in combined],
-                    [signatures[position] for position in combined],
-                    rng=rng)
-            ]
-        if not invalid and not broken:
+        invalid = {combined[offset] for offset in self.locate_invalid(
+            public_key,
+            [windows[position][0] for position in combined],
+            [signatures[position] for position in combined],
+            rng=rng)}
+        flagged = [position for position, signature in enumerate(signatures)
+                   if signature is None or position in invalid]
+        if not flagged:
             return signatures, []
-        # Only `invalid` positions get the robust retry: a `broken`
-        # position lacks t+1 distinct indices outright, so per-share
-        # filtering (which only shrinks the usable set) cannot save it —
-        # it stays None for the caller's own fallback.
-        #
-        # The retry itself is batched: every flagged position's partials
-        # are flattened into ONE cross-message
-        # :meth:`batch_share_verify_window` (with
-        # :meth:`locate_invalid_partials` bisection pinpointing the
-        # forged shares), instead of each position paying its own
-        # per-share Share-Verify loop.  The surviving partials are
-        # verified — each passed inside a passing batch — so the
-        # recombine can skip share verification.
-        items: List[Tuple[bytes, PartialSignature]] = []
-        item_positions: List[int] = []
-        for position in invalid:
-            message, partials = windows[position]
-            for partial in partials:
-                if verification_keys.get(partial.index) is not None:
-                    items.append((message, partial))
-                    item_positions.append(position)
-        bad = set(self.locate_invalid_partials(
-            public_key, verification_keys, items, rng=rng))
-        good_by_position: Dict[int, List[PartialSignature]] = {
-            position: [] for position in invalid}
-        for offset, (_, partial) in enumerate(items):
-            if offset not in bad:
-                good_by_position[item_positions[offset]].append(partial)
-        for position in invalid:
-            message, _ = windows[position]
+        verified: Dict[int, Dict[int, PartialSignature]] = {
+            position: {} for position in flagged}
+        asked: Dict[int, set] = {position: set() for position in flagged}
+        pending = [(position, partial) for position in flagged
+                   for partial in windows[position][1]]
+        while True:
+            forged = set(self.locate_invalid_partials(
+                public_key, verification_keys,
+                [(windows[position][0], partial)
+                 for position, partial in pending], rng=rng))
+            for offset, (position, partial) in enumerate(pending):
+                asked[position].add(partial.index)
+                if offset not in forged:
+                    verified[position].setdefault(partial.index, partial)
+            if top_up is None:
+                break
+            pending = [
+                (position, partial) for position in flagged
+                if len(verified[position]) <= t
+                for partial in top_up(
+                    windows[position][0], asked[position],
+                    t + 1 - len(verified[position]))]
+            if not pending:
+                break
+        for position in flagged:
             try:
                 signatures[position] = self.combine(
-                    public_key, verification_keys, message,
-                    good_by_position[position], verify_shares=False)
+                    public_key, verification_keys, windows[position][0],
+                    verified[position].values(), verify_shares=False)
             except CombineError:
                 signatures[position] = None
-        return signatures, sorted(broken + invalid)
+        return signatures, flagged
 
     def verify_window(self, public_key: PublicKey,
                       messages: Sequence[bytes],
@@ -580,8 +666,8 @@ class LJYThresholdScheme:
                       rng=None) -> List[bool]:
         """Per-request verdicts for one batch window of verify requests.
 
-        One :meth:`batch_verify` multi-pairing in the all-valid case;
-        :meth:`locate_invalid` bisection otherwise, so a window with few
+        One coined multi-pairing in the all-valid case, whose value
+        :meth:`locate_invalid` bisects otherwise, so a window with few
         forgeries still amortizes.
         """
         if len(messages) != len(signatures):
@@ -813,6 +899,51 @@ class ServiceHandle:
             for index, partial in zip(signers, produced)
         ]
 
+    def _sign_window(self, messages: Sequence[bytes],
+                     signers: Optional[Sequence[int]],
+                     fault_injector, shard_id: int, rng):
+        """Window production + the one robust path: the quorum's
+        partial signatures per message, combined through
+        :meth:`LJYThresholdScheme.combine_window` with a ``top_up``
+        that draws the missing partials from the next signers after the
+        quorum in ring order — through :meth:`partials_with_faults`, so
+        the injector sees every partial once and a persistent fault
+        still applies.  Returns ``(signatures, flagged, topped_up)``,
+        the last counting the requests that needed partials from beyond
+        their quorum.
+        """
+        if not hasattr(self.scheme, "combine_window"):
+            raise TypeError(
+                f"{type(self.scheme).__name__} has no window-sized entry "
+                "points; use the one-off sign()/verify() paths")
+        indices = self.quorum() if signers is None else list(signers)
+        windows = [
+            (message, self.partials_with_faults(
+                message, indices, fault_injector=fault_injector,
+                shard_id=shard_id))
+            for message in messages
+        ]
+        ring = self._signer_ring
+        after = ring.index(indices[-1]) + 1 if indices else 0
+        reserve = [index for index in ring[after:] + ring[:after]
+                   if index not in indices]
+        topped_up = 0
+
+        def top_up(message, asked, missing):
+            nonlocal topped_up
+            if asked.isdisjoint(reserve):
+                # This request's first step beyond its quorum.
+                topped_up += 1
+            return self.partials_with_faults(
+                message,
+                [index for index in reserve if index not in asked][:missing],
+                fault_injector=fault_injector, shard_id=shard_id)
+
+        signatures, flagged = self.scheme.combine_window(
+            self.public_key, self.verification_keys, windows, rng=rng,
+            top_up=top_up)
+        return signatures, flagged, topped_up
+
     def process_sign_window(self, messages: Sequence[bytes],
                             quorum: Optional[Sequence[int]] = None,
                             fault_injector=None, shard_id: int = 0,
@@ -821,11 +952,11 @@ class ServiceHandle:
 
         Produces the quorum's partial signatures per message (running
         ``fault_injector`` over each, when given — see
-        :mod:`repro.service.faults`), combines the window through
+        :mod:`repro.service.faults`) and combines the window through
         :meth:`LJYThresholdScheme.combine_window` (one cross-message
-        batch check), and re-runs any request that still lacks a
-        signature through a robust combine over the **full** signer
-        ring, so a request completes whenever t+1 honest servers exist.
+        batch check); a request whose quorum held a forged partial
+        keeps its verified partials and tops up from the rest of the
+        signer ring, so it completes whenever t+1 honest servers exist.
 
         Returns a :class:`~repro.serialization.SignWindowOutcome` — the
         shard workers of :mod:`repro.service.shards` and the process
@@ -833,44 +964,17 @@ class ServiceHandle:
         in-process and multi-process modes serve the identical contract.
         """
         from repro.serialization import SignWindowOutcome
-        if not hasattr(self.scheme, "combine_window"):
-            raise TypeError(
-                f"{type(self.scheme).__name__} has no window-sized entry "
-                "points; use the one-off sign()/verify() paths")
-        indices = self.quorum() if quorum is None else list(quorum)
-        windows = [
-            (message, self.partials_with_faults(
-                message, indices, fault_injector=fault_injector,
-                shard_id=shard_id))
-            for message in messages
-        ]
-        signatures, flagged = self.scheme.combine_window(
-            self.public_key, self.verification_keys, windows, rng=rng)
-        failures = []
-        fallback_combines = 0
-        for position, signature in enumerate(signatures):
-            if signature is not None:
-                continue
-            # The quorum did not contain t+1 valid shares: per-share
-            # fallback over the full signer ring (injector still
-            # applied — robustness must survive a persistent fault).
-            fallback_combines += 1
-            try:
-                signatures[position] = self.scheme.combine(
-                    self.public_key, self.verification_keys,
-                    messages[position],
-                    self.partials_with_faults(
-                        messages[position], self._signer_ring,
-                        fault_injector=fault_injector,
-                        shard_id=shard_id),
-                    verify_shares=True, rng=rng)
-            except Exception as exc:
-                failures.append((
-                    position,
-                    f"sign failed even with the full signer set: {exc}"))
+        signatures, flagged, topped_up = self._sign_window(
+            messages, quorum, fault_injector, shard_id, rng)
+        failures = [
+            (position,
+             f"sign failed: fewer than {self.threshold + 1} valid partial "
+             f"signatures among all {len(self._signer_ring)} signers")
+            for position, signature in enumerate(signatures)
+            if signature is None]
         return SignWindowOutcome(
             signatures=tuple(signatures), flagged=tuple(flagged),
-            failures=tuple(failures), fallback_combines=fallback_combines)
+            failures=tuple(failures), fallback_combines=topped_up)
 
     def sign(self, message: bytes,
              signers: Optional[Sequence[int]] = None,
@@ -889,27 +993,18 @@ class ServiceHandle:
                     rng=None) -> List[Signature]:
         """Sign a whole batch window with one cross-message check.
 
-        Uses :meth:`LJYThresholdScheme.combine_window`; a request whose
-        quorum contributed a forged partial falls back to a robust
-        combine over **all** n shares, so it still completes whenever
-        t+1 honest servers exist.
+        The library-side twin of :meth:`process_sign_window` (same
+        robust path, no injector): a request whose quorum contributed a
+        forged partial tops up from the rest of the signer ring, and
+        :class:`~repro.errors.CombineError` is raised when one still
+        lacks t+1 valid partial signatures.
         """
-        if not hasattr(self.scheme, "combine_window"):
-            raise TypeError(
-                f"{type(self.scheme).__name__} has no window-sized entry "
-                "points; use the one-off sign()/verify() paths")
-        indices = self.quorum() if signers is None else list(signers)
-        windows = [
-            (message, self.partials_for(message, indices))
-            for message in messages
-        ]
-        signatures, flagged = self.scheme.combine_window(
-            self.public_key, self.verification_keys, windows, rng=rng)
-        for position in flagged:
-            if signatures[position] is None:
-                signatures[position] = self.sign(
-                    messages[position], signers=self._signer_ring,
-                    robust=True, rng=rng)
+        signatures, _, _ = self._sign_window(
+            messages, signers, None, 0, rng)
+        if None in signatures:
+            raise CombineError(
+                f"need {self.threshold + 1} valid partial signatures for "
+                f"window position {signatures.index(None)}")
         return signatures
 
     # -- verification -------------------------------------------------------

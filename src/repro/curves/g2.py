@@ -156,10 +156,17 @@ class G2Point:
         return f2_eq(f2_sqr(y), _twist_rhs(x))
 
     def in_subgroup(self) -> bool:
-        """Check membership in the order-r subgroup (cofactor is 2p - r)."""
+        """Check membership in the order-r subgroup (cofactor is 2p - r).
+
+        ``self * _R`` would not do: the group's scalar multiplication
+        reduces its scalar modulo r first, so it returns the identity
+        for every twist point.  The ladder here runs over the twist's
+        full order and reduces nothing.
+        """
         if not self.is_on_curve():
             return False
-        return (self * _R).is_identity()
+        return FP2_OPS.is_zero(jac_scalar_mul(
+            FP2_OPS, self._jac, _R, bn254.G2_COFACTOR * _R)[2])
 
     def clear_cofactor(self) -> "G2Point":
         """Map an arbitrary twist point into the order-r subgroup."""

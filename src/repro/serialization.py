@@ -196,9 +196,10 @@ class SignWindowOutcome:
     """Result of a :class:`SignWindowJob`.
 
     ``signatures[i]`` is ``None`` exactly when position ``i`` appears in
-    ``failures``; ``flagged`` lists the positions that needed a robust
-    fallback (they still completed), and ``fallback_combines`` counts
-    the full-signer-ring recombines that ran.
+    ``failures``; ``flagged`` lists the positions that needed the robust
+    path (those not in ``failures`` still completed), and
+    ``fallback_combines`` counts the requests that needed partial
+    signatures from beyond their quorum.
     """
 
     signatures: Tuple[Optional[Signature], ...]

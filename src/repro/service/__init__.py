@@ -51,9 +51,9 @@ Thetacrypt mold:
   :class:`~repro.service.types.RequestExpiredError` instead of signing
   late.
 * :mod:`~repro.service.faults` — failure injection: a shard returning
-  forged partial signatures exercises ``locate_invalid`` bisection and
-  the robust per-share fallback without poisoning neighbors in the same
-  window; a worker process dying mid-window
+  forged partial signatures exercises the robust path (quotient
+  localization of the forged partials, top-up from the next signers)
+  without poisoning neighbors in the same window; a worker process dying mid-window
   (:class:`~repro.service.faults.WorkerCrashFault`) exercises the
   pool's crash recovery; random live lifecycle churn
   (:class:`~repro.service.faults.ChurnFault`) exercises the epoch

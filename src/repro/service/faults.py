@@ -7,9 +7,12 @@ A fault injector is any callable
 applied to every partial signature a shard worker produces.  Returning a
 different :class:`~repro.core.keys.PartialSignature` models a
 compromised or buggy signer/shard; returning the input unchanged models
-honesty.  The service applies the injector on the fallback path too —
-robustness must come from ``locate_invalid`` + per-share filtering, not
-from the fault conveniently disappearing on retry.
+honesty.  The service applies the injector to the partials a request
+tops up with too — robustness must come from checking the window,
+localizing the forged partials (``locate_invalid`` for the requests,
+``locate_invalid_partials`` for the shares) and asking further signers
+for exactly the missing ones, not from the fault conveniently
+disappearing on retry.
 """
 
 from __future__ import annotations

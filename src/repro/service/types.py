@@ -119,7 +119,8 @@ class SignResult:
     shard_id: int
     batch_size: int
     #: True when the window check flagged this request and it was
-    #: re-combined through the robust per-share path.
+    #: re-combined through the robust path (forged partials localized,
+    #: missing ones topped up).
     fallback: bool
     latency_ms: float
 

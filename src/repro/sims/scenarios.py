@@ -300,8 +300,8 @@ def run_robust_scenario(seed: int, n: int = 24, t: int = 5,
     """Robust combine under heavy loss, slow signers and forged partials.
 
     Forgers return well-formed but invalid partials, so the optimistic
-    batch verify fails and ``combine_window`` falls back to per-share
-    Share-Verify; stragglers keep valid partials in flight past the
+    batch verify fails and ``combine_window`` localizes the forged
+    partials among what arrived; stragglers keep valid partials in flight past the
     window timeout; loss forces retransmits.  Every request must still
     end with a verifying signature.
     """

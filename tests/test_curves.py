@@ -148,6 +148,86 @@ class TestG2Serialization:
             G2Point.from_bytes(b"\x00" * 63)
 
 
+def _twist_point_outside_subgroup(rng):
+    """A seeded point of the twist with a component outside G2, and the
+    point of cofactor order left when its G2 component is killed."""
+    from repro.curves.g2 import FP2_OPS, _twist_rhs
+    from repro.curves.weierstrass import jac_scalar_mul
+    from repro.math.tower import f2_sqrt
+    while True:
+        x = (rng.randrange(bn254.P), rng.randrange(bn254.P))
+        y = f2_sqrt(_twist_rhs(x))
+        if y is None:
+            continue
+        point = G2Point(x, y)
+        # r * point through a ladder over the twist's full order: the
+        # group's own ``*`` would reduce r to 0.
+        small = G2Point(_jac=jac_scalar_mul(
+            FP2_OPS, point._jac, R, R * bn254.G2_COFACTOR))
+        if not small.is_identity():
+            return point, small
+
+
+class TestG2SubgroupCheck:
+    """``in_subgroup`` used to compute ``self * r`` through a scalar
+    multiplication that reduces modulo r — the identity for every twist
+    point, so small-subgroup points decoded as valid."""
+
+    @pytest.fixture
+    def outsiders(self, session_seed):
+        import random
+        return _twist_point_outside_subgroup(
+            random.Random(0x62 if session_seed is None else session_seed))
+
+    def test_twist_points_outside_g2_refused(self, outsiders):
+        for point in outsiders:
+            assert point.is_on_curve()
+            assert not point.in_subgroup()
+            with pytest.raises(NotOnCurveError):
+                G2Point.from_bytes(point.to_bytes())
+
+    def test_cofactor_order_point_has_no_g2_component(self, outsiders):
+        _, small = outsiders
+        assert small.clear_cofactor().is_identity()
+
+    def test_subgroup_points_still_pass(self, outsiders):
+        point, _ = outsiders
+        for member in (G2Point.generator(), G2Point.generator() * 31337,
+                       hash_to_g2(b"member"), point.clear_cofactor(),
+                       G2Point.identity()):
+            assert member.in_subgroup()
+            assert G2Point.from_bytes(member.to_bytes()) == member
+
+    def test_wire_decoding_refuses_outsiders(self, outsiders):
+        """Verification keys and the service context are the G_hat
+        points that arrive as bytes: both decoders refuse, typed."""
+        import random
+
+        from repro.core.scheme import ServiceHandle
+        from repro.groups import get_group
+        from repro.serialization import (
+            WireCodec, decode_service_context, encode_service_context,
+        )
+        group = get_group("bn254")
+        handle = ServiceHandle.dealer(group, 1, 2, rng=random.Random(7))
+        codec = WireCodec(group)
+        vk = handle.verification_keys[1]
+        blob = codec.encode_verification_key(vk)
+        assert codec.decode_verification_key(blob) == vk
+        context = encode_service_context(handle)
+        g_z = handle.scheme.params.g_z.to_bytes()
+        assert decode_service_context(context).public_key == \
+            handle.public_key
+        for point in outsiders:
+            hostile = point.to_bytes()
+            with pytest.raises(SerializationError):
+                codec.decode_verification_key(
+                    blob[:4] + hostile + blob[4 + len(hostile):])
+            assert context.count(g_z) == 1
+            with pytest.raises(SerializationError):
+                decode_service_context(context.replace(g_z, hostile))
+
+
 class TestHashToCurve:
     def test_g1_determinism(self):
         assert hash_to_g1(b"m") == hash_to_g1(b"m")

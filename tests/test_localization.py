@@ -1,0 +1,270 @@
+"""Seeded sweeps of the one localizer against a brute-force scan.
+
+``locate_invalid`` and ``locate_invalid_partials`` find offenders by
+quotient bisection over coined pairing-product values (each failing
+node evaluates its left half only and *derives* the right one).  The
+reference here is the slowest honest thing: one uncoined ``verify`` /
+``share_verify`` per item.  No hypothesis dependency — the sweeps are
+deterministic, driven by the session-seeded ``random.Random`` (rerun a
+failure with ``--seed N``).
+
+Swept: every window size 1-33 (both sides of every power of two, so
+every shape of uneven split) times the forgery sets that stress a
+bisection differently — none, one, an adjacent pair, one per half,
+every other item, all of them.  Then the inputs built to fool batching
+rather than bisection: two forgeries that cancel under *equal* coins,
+items without a verification key, a key filed under the wrong index,
+duplicate indices, and the same items in another order.
+"""
+
+import random
+
+import pytest
+
+from repro.core.keys import PartialSignature, Signature, VerificationKey
+from repro.core.scheme import (
+    LJYThresholdScheme, ThresholdParams, reconstruct_master_key,
+)
+
+SIZES = range(1, 34)
+SIGNERS = (1, 2, 3)
+
+
+def _forgery_sets(size, rng):
+    """Named subsets of ``range(size)`` to forge."""
+    one = rng.randrange(size)
+    sets = {
+        "none": set(),
+        "one": {one},
+        "every_other": set(range(0, size, 2)),
+        "all": set(range(size)),
+    }
+    if size >= 2:
+        first = rng.randrange(size - 1)
+        sets["adjacent_pair"] = {first, first + 1}
+        sets["one_per_half"] = {rng.randrange(size // 2),
+                                rng.randrange(size // 2, size)}
+    return sets
+
+
+class _Fixture:
+    """A keyed scheme on one backend plus item builders."""
+
+    def __init__(self, group, rng):
+        self.rng = rng
+        self.scheme = LJYThresholdScheme(
+            ThresholdParams.generate(group, t=2, n=5))
+        self.pk, self.shares, self.vks = self.scheme.dealer_keygen(rng=rng)
+        self.master = reconstruct_master_key(
+            list(self.shares.values()), group.order, 2)
+        self.g = group.g1_generator()
+
+    def signatures(self, size, forged):
+        messages = [b"sweep %d" % i for i in range(size)]
+        signatures = []
+        for position, message in enumerate(messages):
+            signature = self.scheme.sign_with_master(self.master, message)
+            if position in forged:
+                signature = Signature(
+                    z=signature.z * self.g ** self.rng.randrange(1, 1 << 32),
+                    r=signature.r)
+            signatures.append(signature)
+        return messages, signatures
+
+    def partials(self, size, forged):
+        """``size`` flattened ``(message, partial)`` items, message-major
+        (the order a combiner flattens a window in)."""
+        items = []
+        for position in range(size):
+            message = b"sweep %d" % (position // len(SIGNERS))
+            signer = SIGNERS[position % len(SIGNERS)]
+            partial = self.scheme.share_sign(self.shares[signer], message)
+            if position in forged:
+                partial = PartialSignature(
+                    index=signer, z=partial.z,
+                    r=partial.r * self.g ** self.rng.randrange(1, 1 << 32))
+            items.append((message, partial))
+        return items
+
+    def scan_signatures(self, messages, signatures):
+        return [position for position, (message, signature)
+                in enumerate(zip(messages, signatures))
+                if not self.scheme.verify(self.pk, message, signature)]
+
+    def scan_partials(self, items, vks=None):
+        vks = self.vks if vks is None else vks
+        return [
+            position for position, (message, partial) in enumerate(items)
+            if vks.get(partial.index) is None
+            or not self.scheme.share_verify(
+                self.pk, vks[partial.index], message, partial)]
+
+    def sweep(self, sizes):
+        for size in sizes:
+            for name, forged in _forgery_sets(size, self.rng).items():
+                messages, signatures = self.signatures(size, forged)
+                assert self.scan_signatures(messages, signatures) == \
+                    sorted(forged)
+                assert self.scheme.locate_invalid(
+                    self.pk, messages, signatures, rng=self.rng
+                ) == sorted(forged), (size, name)
+                assert self.scheme.verify_window(
+                    self.pk, messages, signatures, rng=self.rng
+                ) == [position not in forged for position in range(size)]
+                assert self.scheme.batch_verify(
+                    self.pk, messages, signatures, rng=self.rng
+                ) is (not forged)
+                items = self.partials(size, forged)
+                assert self.scan_partials(items) == sorted(forged)
+                assert self.scheme.locate_invalid_partials(
+                    self.pk, self.vks, items, rng=self.rng
+                ) == sorted(forged), (size, name)
+                assert self.scheme.batch_share_verify_window(
+                    self.pk, self.vks, items, rng=self.rng
+                ) is (not forged)
+
+
+@pytest.fixture
+def toy(toy_group, session_seed):
+    return _Fixture(toy_group, random.Random(
+        0x10CA7E if session_seed is None else session_seed))
+
+
+class TestLocalizerSweepToy:
+    def test_every_size_and_forgery_set_matches_the_scan(self, toy):
+        toy.sweep(SIZES)
+
+    def test_forgeries_cancelling_under_equal_coins_both_reported(
+            self, toy):
+        """``z * g^d`` on one item and ``z * g^-d`` on another, same
+        signer: the two errors cancel in every product that weighs the
+        items equally, so only per-item coins tell them apart."""
+        delta = toy.g ** toy.rng.randrange(1, 1 << 64)
+        for size in (2, 7, 16, 33):
+            first, second = sorted(toy.rng.sample(range(size), 2))
+            messages, signatures = toy.signatures(size, set())
+            for position, shift in ((first, delta),
+                                    (second, delta.inverse())):
+                good = signatures[position]
+                signatures[position] = Signature(
+                    z=good.z * shift, r=good.r)
+            assert toy.scheme.locate_invalid(
+                toy.pk, messages, signatures, rng=toy.rng
+            ) == [first, second]
+            # Partials: both forgeries by signer 1, on two messages.
+            items = toy.partials(3 * size, set())
+            by_signer_1 = [position for position, (_, partial)
+                           in enumerate(items) if partial.index == 1]
+            first, second = sorted(toy.rng.sample(by_signer_1, 2))
+            for position, shift in ((first, delta),
+                                    (second, delta.inverse())):
+                message, good = items[position]
+                items[position] = (message, PartialSignature(
+                    index=1, z=good.z * shift, r=good.r))
+            assert not toy.scheme.batch_share_verify_window(
+                toy.pk, toy.vks, items, rng=toy.rng)
+            assert toy.scheme.locate_invalid_partials(
+                toy.pk, toy.vks, items, rng=toy.rng) == [first, second]
+
+    def test_keyless_and_mismatched_items_reported_without_poisoning(
+            self, toy):
+        """A signer with no verification key, and a key filed under an
+        index that is not its own, are invalid items — reported beside
+        the real forgeries, and the honest rest still passes."""
+        items = toy.partials(12, {4})
+        message, good = items[7]
+        items[7] = (message, PartialSignature(
+            index=99, z=good.z, r=good.r))
+        assert toy.scheme.locate_invalid_partials(
+            toy.pk, toy.vks, items, rng=toy.rng) == [4, 7]
+        assert toy.scan_partials(items) == [4, 7]
+        assert not toy.scheme.batch_share_verify_window(
+            toy.pk, toy.vks, items, rng=toy.rng)
+        # Signer 2's key filed under index 3: every item of signer 3
+        # is unverifiable, whatever it carries.
+        misfiled = dict(toy.vks)
+        misfiled[3] = VerificationKey(
+            index=2, v_1=toy.vks[2].v_1, v_2=toy.vks[2].v_2)
+        items = toy.partials(9, set())
+        assert toy.scheme.locate_invalid_partials(
+            toy.pk, misfiled, items, rng=toy.rng) == [2, 5, 8]
+        # Keyless items only: nothing enters a batch.
+        rogue = [(message, PartialSignature(
+            index=50 + position, z=partial.z, r=partial.r))
+            for position, (message, partial) in enumerate(items[:3])]
+        assert toy.scheme.locate_invalid_partials(
+            toy.pk, toy.vks, rogue, rng=toy.rng) == [0, 1, 2]
+        assert toy.scheme.locate_invalid_partials(
+            toy.pk, toy.vks, rogue + items[3:4], rng=toy.rng) == [0, 1, 2]
+
+    def test_duplicate_indices_in_one_request(self, toy):
+        """Two partials under one index — an honest one and a forged
+        one, in either order: each is judged on its own, and the robust
+        combine uses the honest one."""
+        message = b"duplicated"
+        honest = [toy.scheme.share_sign(toy.shares[i], message)
+                  for i in SIGNERS]
+        forged = PartialSignature(
+            index=1, z=honest[0].z * toy.g, r=honest[0].r)
+        expected = toy.scheme.sign_with_master(toy.master, message)
+        for partials, bad in (([forged] + honest, [0]),
+                              (honest + [forged], [3]),
+                              ([forged, forged] + honest, [0, 1])):
+            items = [(message, partial) for partial in partials]
+            assert toy.scheme.locate_invalid_partials(
+                toy.pk, toy.vks, items, rng=toy.rng) == bad
+            for robust in (
+                    toy.scheme.combine(toy.pk, toy.vks, message, partials,
+                                       rng=toy.rng),
+                    toy.scheme.combine_window(
+                        toy.pk, toy.vks, [(message, partials)],
+                        rng=toy.rng)[0][0]):
+                assert robust.to_bytes() == expected.to_bytes()
+
+    def test_flagged_set_independent_of_item_order(self, toy):
+        forged = {1, 6, 7, 19}
+        items = toy.partials(23, forged)
+        messages, signatures = toy.signatures(23, forged)
+        for seed in range(5):
+            order = list(range(23))
+            random.Random(seed).shuffle(order)
+            located = toy.scheme.locate_invalid_partials(
+                toy.pk, toy.vks, [items[position] for position in order],
+                rng=random.Random(99))
+            assert {order[offset] for offset in located} == forged
+            located = toy.scheme.locate_invalid(
+                toy.pk, [messages[position] for position in order],
+                [signatures[position] for position in order],
+                rng=random.Random(99))
+            assert {order[offset] for offset in located} == forged
+
+    def test_coins_fresh_per_localization(self, toy):
+        """Coins come from the caller's rng once per call, one per
+        checked item, after the items are fixed — never a constant,
+        never carried over from the last call."""
+        class Recording(random.Random):
+            def __init__(self):
+                super().__init__(5)
+                self.draws = 0
+
+            def randrange(self, *args, **kwargs):
+                self.draws += 1
+                return super().randrange(*args, **kwargs)
+
+        items = toy.partials(12, {3, 10})
+        rng = Recording()
+        toy.scheme.locate_invalid_partials(toy.pk, toy.vks, items, rng=rng)
+        assert rng.draws == 12
+        messages, signatures = toy.signatures(9, {2})
+        rng = Recording()
+        toy.scheme.locate_invalid(toy.pk, messages, signatures, rng=rng)
+        assert rng.draws == 9
+
+
+@pytest.mark.bn254
+class TestLocalizerSweepBn254:
+    def test_matches_the_scan_on_the_real_curve(self, bn254_group,
+                                                session_seed):
+        fixture = _Fixture(bn254_group, random.Random(
+            0x10CA7E if session_seed is None else session_seed))
+        fixture.sweep((1, 2, 5, 8))

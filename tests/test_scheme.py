@@ -533,3 +533,77 @@ class TestOnRealCurve:
         honest = [scheme.share_sign(shares[i], message) for i in (2, 3)]
         signature = scheme.combine(pk, vks, message, [garbage] + honest)
         assert scheme.verify(pk, message, signature)
+
+
+@pytest.mark.bn254
+class TestRobustPathOperationCounts:
+    """What a forger costs, in Miller loops and final exponentiations —
+    ``PAIRING_COUNTERS`` deltas, deterministic and machine-independent.
+    The robust path silently falling back to per-share checks, to
+    evaluating both halves of a failing node, or to re-deriving a root
+    it already holds shows up here as a count, not as a slow test."""
+
+    @pytest.fixture(scope="class")
+    def service_handle(self, bn254_group):
+        import random
+
+        from repro.core.scheme import ServiceHandle
+        return ServiceHandle.dealer(bn254_group, 2, 5,
+                                    rng=random.Random(18))
+
+    @staticmethod
+    def _counted(call):
+        from repro.curves.pairing import PAIRING_COUNTERS
+        before = dict(PAIRING_COUNTERS)
+        result = call()
+        return result, {name: PAIRING_COUNTERS[name] - before[name]
+                        for name in before}
+
+    def test_honest_window_is_one_four_pair_product(self, service_handle,
+                                                    rng):
+        messages = [b"honest %d" % i for i in range(16)]
+        service_handle.process_sign_window(messages[:1], rng=rng)  # warm
+        outcome, spent = self._counted(
+            lambda: service_handle.process_sign_window(messages, rng=rng))
+        assert outcome.flagged == () and outcome.fallback_combines == 0
+        assert (spent["miller_loops"], spent["final_exps"]) == (4, 1)
+
+    def test_one_forged_signature_in_sixteen_is_five_products(
+            self, service_handle, rng):
+        """The root plus one left half per level (8, 4, 2, 1 items);
+        the parent's both-halves bisection paid nine."""
+        messages = [b"verify %d" % i for i in range(16)]
+        signatures = list(service_handle.process_sign_window(
+            messages, rng=rng).signatures)
+        bad = signatures[11]
+        signatures[11] = type(bad)(z=bad.z * bad.z, r=bad.r)
+        verdicts, spent = self._counted(
+            lambda: service_handle.verify_window(
+                messages, signatures, rng=rng))
+        assert verdicts == [position != 11 for position in range(16)]
+        assert (spent["miller_loops"], spent["final_exps"]) == (20, 5)
+
+    def test_one_signer_forging_two_of_sixteen(self, service_handle, rng):
+        """The benchmark's ``sign_faulty`` window (parent: 148 Miller
+        loops, 33 final exponentiations, 4 G2 preparations per window):
+        window check and signature bisection, one batched check and
+        bisection of the 6 suspect partials, one batched check of the 2
+        top-up partials."""
+        from repro.service import CorruptSignerFault
+        messages = [b"faulty %d" % i for i in range(32)]
+        fault = CorruptSignerFault(
+            signer_index=1,
+            messages={messages[3], messages[12], messages[16],
+                      messages[17]})
+        for window in (messages[:16], messages[16:]):
+            outcome, spent = self._counted(
+                lambda: service_handle.process_sign_window(
+                    window, fault_injector=fault, rng=rng))
+            assert len(outcome.flagged) == outcome.fallback_combines == 2
+            assert all(service_handle.verify(message, signature)
+                       for message, signature
+                       in zip(window, outcome.signatures))
+            assert spent["miller_loops"] <= 64
+            assert spent["final_exps"] <= 16
+        # Signer 4's key was prepared by the first window's top-up.
+        assert spent["preparations"] == 0

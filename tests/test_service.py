@@ -193,6 +193,169 @@ class TestWindowEntryPoints:
 
 
 # ---------------------------------------------------------------------------
+# The robust path: check -> localize -> top up -> recombine
+# ---------------------------------------------------------------------------
+
+class _Forgers:
+    """An injector forging every partial of the given signers (on
+    ``messages`` only, when given), logging each call it sees."""
+
+    def __init__(self, *signers, messages=None):
+        self.faults = [CorruptSignerFault(signer_index=signer,
+                                          messages=messages)
+                       for signer in signers]
+        self.calls = []
+
+    def __call__(self, shard_id, signer_index, message, partial):
+        self.calls.append((message, signer_index))
+        for fault in self.faults:
+            partial = fault(shard_id, signer_index, message, partial)
+        return partial
+
+    def asked(self, message):
+        return [signer for seen, signer in self.calls if seen == message]
+
+
+class TestTopUp:
+    def test_second_forger_in_the_reserve_costs_a_second_round(self, handle):
+        """t = 2, n = 5, quorum {1, 2, 3}, signers 1 AND 4 forging:
+        round one asks signer 4 (forged again), round two asks signer 5,
+        and the request completes from {2, 3, 5}."""
+        forgers = _Forgers(1, 4)
+        outcome = handle.process_sign_window(
+            [b"two forgers"], fault_injector=forgers,
+            rng=random.Random(31))
+        assert forgers.asked(b"two forgers") == [1, 2, 3, 4, 5]
+        assert handle.verify(b"two forgers", outcome.signatures[0])
+        assert outcome.flagged == (0,)
+        assert outcome.failures == ()
+        assert outcome.fallback_combines == 1
+
+    def test_top_up_follows_the_quorum_in_ring_order(self, handle):
+        forgers = _Forgers(5)
+        outcome = handle.process_sign_window(
+            [b"rotated"], quorum=handle.quorum(rotation=3),
+            fault_injector=forgers, rng=random.Random(32))
+        # Quorum (4, 5, 1): the next signer in ring order is 2.
+        assert forgers.asked(b"rotated") == [4, 5, 1, 2]
+        assert handle.verify(b"rotated", outcome.signatures[0])
+
+    def test_more_than_t_forgers_fail_typed_neighbours_unaffected(
+            self, handle):
+        from repro.service import RequestFailedError
+        target = b"doomed 2"
+        forgers = _Forgers(1, 4, 5, messages={target})
+
+        async def scenario():
+            config = ServiceConfig(num_shards=1, max_batch=4,
+                                   max_wait_ms=50.0,
+                                   fault_injector=forgers,
+                                   rng=random.Random(33))
+            async with SigningService(handle, config) as service:
+                return await asyncio.wait_for(asyncio.gather(*(
+                    service.sign(b"doomed %d" % i) for i in range(4)),
+                    return_exceptions=True), timeout=30.0)
+
+        results = run(scenario())
+        assert forgers.asked(target) == [1, 2, 3, 4, 5]
+        for position, result in enumerate(results):
+            if position == 2:
+                assert isinstance(result, RequestFailedError)
+                assert "fewer than 3 valid partial signatures" in \
+                    str(result)
+                assert "5 signers" in str(result)
+            else:
+                assert not result.fallback
+                assert handle.verify(result.message, result.signature)
+                assert forgers.asked(result.message) == [1, 2, 3]
+
+    def test_every_request_forged_tops_up_under_one_batched_check(
+            self, handle, monkeypatch):
+        """``CorruptSignerFault(messages=None)``: all 16 requests lose
+        signer 1, and the 16 top-up partials are verified together."""
+        messages = [b"all forged %d" % i for i in range(16)]
+        forgers = _Forgers(1)
+        batches = []
+        locate = handle.scheme.locate_invalid_partials
+
+        def spy(public_key, verification_keys, items, rng=None):
+            batches.append([partial.index for _, partial in items])
+            return locate(public_key, verification_keys, items, rng=rng)
+
+        monkeypatch.setattr(handle.scheme, "locate_invalid_partials", spy)
+        outcome = handle.process_sign_window(
+            messages, fault_injector=forgers, rng=random.Random(34))
+        assert batches == [[1, 2, 3] * 16, [4] * 16]
+        assert len(forgers.calls) == 48 + 16
+        assert outcome.flagged == tuple(range(16))
+        assert outcome.fallback_combines == 16
+        assert outcome.failures == ()
+        for message, signature in zip(messages, outcome.signatures):
+            assert handle.verify(message, signature)
+
+    def test_two_forgeries_in_sixteen_cost_two_extra_partials(self, handle):
+        """The benchmark's ``sign_faulty`` shape: 48 quorum partials and
+        one top-up partial per forged request — not a full ring each."""
+        messages = [b"shape %d" % i for i in range(16)]
+        forgers = _Forgers(1, messages={messages[0], messages[8]})
+        outcome = handle.process_sign_window(
+            messages, fault_injector=forgers, rng=random.Random(35))
+        assert len(forgers.calls) == 48 + 2
+        assert forgers.asked(messages[8]) == [1, 2, 3, 4]
+        assert outcome.flagged == (0, 8)
+        assert outcome.fallback_combines == 2
+        for message, signature in zip(messages, outcome.signatures):
+            assert handle.verify(message, signature)
+
+    def test_sign_window_takes_the_same_path(self, handle):
+        """A handle holding a wrong share for signer 2 (no injector in
+        sight): ``sign_window`` tops up like the service does, and
+        raises once more than t shares are wrong."""
+        from repro.errors import CombineError
+
+        def with_wrong_shares(*signers):
+            shares = dict(handle.shares)
+            for signer in signers:
+                shares[signer] = type(shares[signer])(
+                    index=signer, a_1=shares[signer].a_1 + 1,
+                    b_1=shares[signer].b_1, a_2=shares[signer].a_2,
+                    b_2=shares[signer].b_2)
+            return ServiceHandle(handle.scheme, handle.public_key, shares,
+                                 handle.verification_keys)
+
+        messages = [b"library %d" % i for i in range(3)]
+        signatures = with_wrong_shares(2).sign_window(
+            messages, rng=random.Random(36))
+        assert [s.to_bytes() for s in signatures] == [
+            handle.sign(message).to_bytes() for message in messages]
+        with pytest.raises(CombineError):
+            with_wrong_shares(2, 4, 5).sign_window(
+                messages, rng=random.Random(37))
+
+    def test_without_top_up_a_short_position_stays_none(self, handle):
+        """The simulator's combiner only has what arrived."""
+        message = b"what arrived"
+        partials = handle.partials_with_faults(
+            message, (1, 2, 3), fault_injector=_Forgers(2))
+        signatures, flagged = handle.scheme.combine_window(
+            handle.public_key, handle.verification_keys,
+            [(message, partials)], rng=random.Random(38))
+        assert (signatures, flagged) == ([None], [0])
+        asked = []
+
+        def top_up(message, asked_indices, missing):
+            asked.append((sorted(asked_indices), missing))
+            return handle.partials_for(message, [5][:missing])
+
+        signatures, flagged = handle.scheme.combine_window(
+            handle.public_key, handle.verification_keys,
+            [(message, partials)], rng=random.Random(38), top_up=top_up)
+        assert asked == [([1, 2, 3], 1)]
+        assert flagged == [0]
+        assert handle.verify(message, signatures[0])
+
+
+# ---------------------------------------------------------------------------
 # Batch accumulator
 # ---------------------------------------------------------------------------
 

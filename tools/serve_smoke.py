@@ -10,7 +10,9 @@ window) and asserts the service contract:
 * every signature produced is valid under the public key;
 * verify traffic returns the right verdicts (including for the one
   deliberately forged signature);
-* the forged-partial window is localized and still completes;
+* the forged-partial window is localized and still completes, at no
+  more Miller loops per window than the batched robust path costs
+  (check, quotient localization, top-up, recombine);
 * the process-parallel worker tier (``workers=N``) serves the same
   contract over the wire format: signatures produced in worker
   processes verify in the parent, nothing is rejected or failed;
@@ -83,6 +85,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import ServiceHandle, get_group                 # noqa: E402
+from repro.curves.pairing import PAIRING_COUNTERS          # noqa: E402
 from repro.serialization import (                          # noqa: E402
     WalAdmitRecord, WireCodec, decode_service_context,
     encode_service_context,
@@ -107,6 +110,12 @@ def _rng(stream: int) -> random.Random:
                          else (_SEED_BASE << 16) + stream)
 
 
+#: Act 3 bound: Miller loops one window of 8 requests, each carrying
+#: one forged partial, costs on BN254 (smaller windows cost less) —
+#: window check and signature bisection 32, the 24 suspect partials 52,
+#: the 8 top-up partials 4.  Per-share checks over the full ring cost
+#: 424.
+FORGED_WINDOW_MILLER_LOOPS = 88
 #: Act 6 batch sizes: requests settled before the kill / left durable
 #: but unprocessed when the SIGKILL lands.
 WAL_PHASE1 = 4
@@ -358,6 +367,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
     faulty = ServiceConfig(num_shards=1, max_batch=8, max_wait_ms=10.0,
                            queue_depth=64, fault_injector=fault,
                            rng=_rng(4))
+    miller_loops = PAIRING_COUNTERS["miller_loops"]
     async with SigningService(handle, faulty) as service:
         report = await LoadGenerator(
             lambda i: service.sign(b"contested doc %d" % i)
@@ -368,6 +378,15 @@ async def run_smoke(backend: str, requests: int, shards: int,
     shard = faulty_stats.shards[0]
     check(len(fault.injected) > 0, "fault injector never fired")
     check(shard.faults_localized > 0, "forged partials not localized")
+    # The act runs in this process and on this loop alone, so the
+    # counter's delta is the robust path's (0 on the toy backend).
+    forged_window_loops = (
+        PAIRING_COUNTERS["miller_loops"] - miller_loops
+    ) / max(1, shard.windows)
+    check(forged_window_loops <= FORGED_WINDOW_MILLER_LOOPS,
+          f"{forged_window_loops:.0f} Miller loops per forged window "
+          f"(bound {FORGED_WINDOW_MILLER_LOOPS}): the robust path fell "
+          "back to per-share checks or re-evaluates what it holds")
 
     # -- act 4: the process-parallel worker tier -----------------------
     mp_requests = min(requests, 16)
@@ -950,7 +969,9 @@ async def run_smoke(backend: str, requests: int, shards: int,
     print(f"serve-smoke [{backend}]: {stats.accepted} requests, "
           f"{windows} windows, 0 rejected, 0 failed; forged window "
           f"localized ({shard.faults_localized} flags, "
-          f"{shard.fallback_combines} robust fallbacks); worker tier "
+          f"{shard.fallback_combines} topped up, "
+          f"{forged_window_loops:.0f} Miller loops per forged window); "
+          f"worker tier "
           f"[{workers} procs] served "
           f"{mp_stats.workers.jobs if mp_stats.workers else 0} window "
           f"jobs; TCP tier served "
