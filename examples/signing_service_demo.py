@@ -12,10 +12,12 @@ acts:
    verify traffic amortizes even harder (a window of k signatures costs
    one multi-pairing).
 3. **Fault injection** — one signer starts forging its partial
-   signatures.  The window check fails; its value is bisected to the
-   poisoned requests (each level evaluates one half and derives the
-   other), their partials are checked in one batch that is bisected
-   the same way to the forged ones, each request keeps its verified
+   signatures.  The window check fails; one more product, the
+   window's index-weighted companion, names a lone poisoned request
+   outright, and several are split apart by bisection (each level
+   evaluates one half and derives the other) until each stands alone;
+   their partials are checked in one batch that is bisected to the
+   forged ones, each request keeps its verified
    partials and tops up with exactly the missing ones from the next
    signer, and recombines — every request still completes with a valid
    signature.

@@ -64,9 +64,12 @@ def _coins(count: int, rng) -> List[int]:
     return [random_scalar(1 << 64, rng) + 1 for _ in range(count)]
 
 
-def _descend(value_of, lo: int, hi: int, value: GroupElement) -> List[int]:
+def _descend(value_of, lo: int, hi: int, value: GroupElement,
+             companion: Optional[GroupElement] = None) -> List[int]:
     """Offending positions in ``[lo, hi)``, given that slice's coined
-    G_T ``value`` (Law & Matt's quotient bisection).
+    G_T ``value`` (Law & Matt's quotient bisection) and, when the
+    caller has one, its index-weighted ``companion`` (their exponent
+    method).
 
     ``value_of(lo, hi)`` evaluates a slice under the coins its items
     were given for this localization.  Only the **left** half of a
@@ -77,15 +80,55 @@ def _descend(value_of, lo: int, hi: int, value: GroupElement) -> List[int]:
     prime-order group); a wider slice hiding a forgery reads as the
     identity with probability at most 2^-64, so localizing over k
     items errs with probability at most (2k - 1) * 2^-64.
+
+    The companion is the same slice with item i's coin multiplied by
+    i + 1 (``value_of(lo, hi, weighted=True)``; no coin is drawn for
+    it).  With ``value = prod x_i^{c_i}`` and ``companion = prod
+    x_i^{c_i (i + 1)}``, ``companion == value^(k + 1)`` exactly when k
+    is the slice's only offender, so a node first scans its positions
+    by repeated G_T multiplication and names a lone offender with no
+    further pairing.  A miss means at least two offend: a two-item
+    node reports both, a wider one evaluates its left half as above
+    and hands each half an exact pair — the whole pair when the other
+    half is clean, else ``(left, left's companion)`` and the two
+    quotients, the left companion being ``left^(lo + 1)`` for a single
+    item and one weighted product otherwise.  A false hit at k needs
+    ``sum_{i forged} c_i e_i (i - k) = 0 (mod r)`` with some forged
+    i != k — probability at most 2^-64 over that item's coin, the
+    weights being nonzero and distinct mod r — so a scan errs with
+    probability at most (hi - lo) * 2^-64 and, the scans at one depth
+    covering disjoint slices, the companion adds at most
+    k * (ceil(log2 k) + 1) * 2^-64 to the bound above.
     """
     if value.is_identity():
         return []
     if hi - lo == 1:
         return [lo]
-    mid = (lo + hi) // 2
-    left = value_of(lo, mid)
-    return (_descend(value_of, lo, mid, left)
-            + _descend(value_of, mid, hi, value / left))
+    if companion is None:
+        mid = (lo + hi) // 2
+        left = value_of(lo, mid)
+        return (_descend(value_of, lo, mid, left)
+                + _descend(value_of, mid, hi, value / left))
+    power = value ** (lo + 1)
+    for position in range(lo, hi):
+        if power == companion:
+            return [position]
+        power = power * value
+    # Narrowing onto a half keeps the pair, so the scan's verdict too.
+    while hi - lo > 2:
+        mid = (lo + hi) // 2
+        left = value_of(lo, mid)
+        if left.is_identity():
+            lo = mid
+        elif left == value:
+            hi = mid
+        else:
+            left_companion = (left ** (lo + 1) if mid - lo == 1
+                              else value_of(lo, mid, weighted=True))
+            return (_descend(value_of, lo, mid, left, left_companion)
+                    + _descend(value_of, mid, hi, value / left,
+                               companion / left_companion))
+    return list(range(lo, hi))
 
 
 class LJYThresholdScheme:
@@ -348,7 +391,13 @@ class LJYThresholdScheme:
         instead of k Share-Verify calls.  The coins are drawn once,
         after the items are fixed, and every sub-batch reuses its
         items' coins.  Sub-batches are taken over the items in
-        signer-major order, so each touches few verification keys.  An
+        signer-major order, so each touches few verification keys.
+        No companion is handed to the descent here: a full-range
+        product is this batch's dearest (2 + 2 * signers pairs), and a
+        forging signer's items sit adjacent in signer-major order,
+        where no lone offender is there to name (measured: 2 messages
+        by 3 signers, one forging both, 22 Miller loops without it and
+        26 with).  An
         item whose signer has no verification key is reported invalid
         without entering the batch.  Returns [] when the whole batch
         verifies.
@@ -475,9 +524,13 @@ class LJYThresholdScheme:
                           messages: Sequence[bytes],
                           signatures: Sequence[Signature],
                           coins: Sequence[int]):
-        """``value_of(lo, hi)``: the G_T value of the verification
-        equations of ``messages[lo:hi]``, each raised to its own coin —
-        the identity iff (up to the batching bound) every one holds.
+        """``value_of(lo, hi, weighted=False)``: the G_T value of the
+        verification equations of ``messages[lo:hi]``, each raised to
+        its own coin — the identity iff (up to the batching bound)
+        every one holds.  ``weighted`` multiplies item i's coin by
+        i + 1: the companion :func:`_descend` names a lone offender
+        from (about 70 bits for any real window, still a small
+        exponent).
 
         All four G_hat arguments (``g_z``, ``g_r``, ``g_1``, ``g_2``)
         are shared across messages, so by bilinearity a slice collapses
@@ -493,8 +546,12 @@ class LJYThresholdScheme:
         h_2s = [pair[1] for pair in hashes]
         group.batch_normalize(z_points + r_points)
 
-        def value_of(lo: int, hi: int) -> GroupElement:
+        def value_of(lo: int, hi: int,
+                     weighted: bool = False) -> GroupElement:
             exponents = coins[lo:hi]
+            if weighted:
+                exponents = [coin * weight for weight, coin
+                             in enumerate(exponents, lo + 1)]
             return group.pairing_product([
                 (group.multi_exp(z_points[lo:hi], exponents), p.g_z),
                 (group.multi_exp(r_points[lo:hi], exponents), p.g_r),
@@ -537,17 +594,21 @@ class LJYThresholdScheme:
                        messages: Sequence[bytes],
                        signatures: Sequence[Signature],
                        rng=None) -> List[int]:
-        """Indices of invalid signatures, localized by bisection.
+        """Indices of invalid signatures, localized from coined
+        pairing-product values (:func:`_descend`).
 
-        ONE coined check of the whole batch — all an honest batch
-        costs — whose value is then the root of the quotient bisection
-        (:func:`_descend`): only the left half of each failing node is
-        evaluated, so a single forgery in a batch of k costs ~log2(k)
-        sub-batch products instead of k individual verifications.  The
-        coins are drawn once, after the items are fixed, and every
-        sub-batch reuses its items' coins.  A batch of one is a plain
-        uncoined :meth:`verify`.  Returns [] when the whole batch
-        verifies.
+        ONE coined check of the whole batch is all an honest batch
+        costs.  A failing one pays one more product, the batch's
+        index-weighted companion under the same coins, and a single
+        forgery in a batch of k is named from that pair with no
+        further pairing — two products instead of k individual
+        verifications; several forgeries are split by quotient
+        bisection (only the left half of a node that no lone offender
+        explains is evaluated) until each stands alone in its slice.
+        The coins are drawn once, after the items are fixed; the
+        companion and every sub-batch reuse their items' coins.  A
+        batch of one is a plain uncoined :meth:`verify`.  Returns []
+        when the whole batch verifies.
         """
         count = len(messages)
         if count != len(signatures):
@@ -560,7 +621,11 @@ class LJYThresholdScheme:
             return [] if valid else [0]
         value_of = self._signature_values(
             public_key, messages, signatures, _coins(count, rng))
-        return _descend(value_of, 0, count, value_of(0, count))
+        value = value_of(0, count)
+        if value.is_identity():
+            return []
+        return _descend(value_of, 0, count, value,
+                        value_of(0, count, weighted=True))
 
     # ------------------------------------------------------------------
     # Window-sized entry points (the serving-layer amortization)
@@ -578,7 +643,7 @@ class LJYThresholdScheme:
         product (:meth:`locate_invalid`) — so a window of k honest
         requests costs k cheap Lagrange MSMs plus a single multi-pairing
         instead of k robust Combines.  When the window check fails its
-        value is bisected down to the poisoned requests, and the robust
+        value is localized down to the poisoned requests, and the robust
         path runs over those positions only:
 
         1. their partial signatures are checked together under ONE
@@ -666,8 +731,9 @@ class LJYThresholdScheme:
                       rng=None) -> List[bool]:
         """Per-request verdicts for one batch window of verify requests.
 
-        One coined multi-pairing in the all-valid case, whose value
-        :meth:`locate_invalid` bisects otherwise, so a window with few
+        One coined multi-pairing in the all-valid case; otherwise
+        :meth:`locate_invalid` names the offenders from that value —
+        one more product for a lone forgery — so a window with few
         forgeries still amortizes.
         """
         if len(messages) != len(signatures):

@@ -152,10 +152,13 @@ def sqrt_mod(a: int, p: int) -> int | None:
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        # The candidate squares to a or to -a: one exponentiation both
+        # finds the root and decides residuosity.
+        y = pow(a, (p + 1) // 4, p)
+        return y if y * y % p == a else None
     if legendre_symbol(a, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks for p % 4 == 1.
     q, s = p - 1, 0
     while q % 2 == 0:

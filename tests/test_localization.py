@@ -2,28 +2,37 @@
 
 ``locate_invalid`` and ``locate_invalid_partials`` find offenders by
 quotient bisection over coined pairing-product values (each failing
-node evaluates its left half only and *derives* the right one).  The
-reference here is the slowest honest thing: one uncoined ``verify`` /
-``share_verify`` per item.  No hypothesis dependency — the sweeps are
-deterministic, driven by the session-seeded ``random.Random`` (rerun a
-failure with ``--seed N``).
+node evaluates its left half only and *derives* the right one);
+``locate_invalid`` first tries to name a lone offender from the node's
+value and its index-weighted companion.  The reference here is the
+slowest honest thing: one uncoined ``verify`` / ``share_verify`` per
+item.  No hypothesis dependency — the sweeps are deterministic, driven
+by the session-seeded ``random.Random`` (rerun a failure with
+``--seed N``).
 
 Swept: every window size 1-33 (both sides of every power of two, so
 every shape of uneven split) times the forgery sets that stress a
 bisection differently — none, one, an adjacent pair, one per half,
 every other item, all of them.  Then the inputs built to fool batching
 rather than bisection: two forgeries that cancel under *equal* coins,
+two that fake a lone offender at an honest position under equal coins,
 items without a verification key, a key filed under the wrong index,
 duplicate indices, and the same items in another order.
+
+``TestLocalizerCost`` counts pairing products (evaluations of the
+``value_of`` closure) against a plain quotient bisection kept here as
+the reference: the companion must never make a localization dearer.
 """
 
+import itertools
 import random
 
 import pytest
 
 from repro.core.keys import PartialSignature, Signature, VerificationKey
 from repro.core.scheme import (
-    LJYThresholdScheme, ThresholdParams, reconstruct_master_key,
+    LJYThresholdScheme, ThresholdParams, _coins, _descend,
+    reconstruct_master_key,
 )
 
 SIZES = range(1, 34)
@@ -166,6 +175,35 @@ class TestLocalizerSweepToy:
             assert toy.scheme.locate_invalid_partials(
                 toy.pk, toy.vks, items, rng=toy.rng) == [first, second]
 
+    def test_forgeries_faking_a_lone_offender_under_equal_coins(
+            self, toy):
+        """``z * g^d`` at i and ``z * g^(-d (i - k) / (j - k))`` at j,
+        for an honest k: under *equal* coins the window's value and its
+        index-weighted companion are exactly those of a lone forgery at
+        k — the weighted analogue of the cancelling pair — so only
+        per-item coins keep k out of the report."""
+        order = toy.scheme.group.order
+        for size in (3, 7, 16, 33):
+            i, j, k = toy.rng.sample(range(size), 3)
+            delta = toy.rng.randrange(1, 1 << 64)
+            messages, signatures = toy.signatures(size, set())
+            for position, shift in (
+                    (i, delta),
+                    (j, -delta * (i - k) * pow(j - k, -1, order))):
+                good = signatures[position]
+                signatures[position] = Signature(
+                    z=good.z * toy.g ** (shift % order), r=good.r)
+            value_of = toy.scheme._signature_values(
+                toy.pk, messages, signatures, [1] * size)
+            assert _descend(value_of, 0, size, value_of(0, size),
+                            value_of(0, size, weighted=True)) == [k]
+            assert toy.scheme.locate_invalid(
+                toy.pk, messages, signatures, rng=toy.rng
+            ) == sorted((i, j))
+            assert toy.scheme.verify_window(
+                toy.pk, messages, signatures, rng=toy.rng
+            ) == [position not in (i, j) for position in range(size)]
+
     def test_keyless_and_mismatched_items_reported_without_poisoning(
             self, toy):
         """A signer with no verification key, and a key filed under an
@@ -259,6 +297,130 @@ class TestLocalizerSweepToy:
         rng = Recording()
         toy.scheme.locate_invalid(toy.pk, messages, signatures, rng=rng)
         assert rng.draws == 9
+
+
+def _plain_bisection(value_of, lo, hi, value):
+    """The reference: quotient bisection with no companion — one
+    product per failing node wider than one item."""
+    if value.is_identity():
+        return []
+    if hi - lo == 1:
+        return [lo]
+    mid = (lo + hi) // 2
+    left = value_of(lo, mid)
+    return (_plain_bisection(value_of, lo, mid, left)
+            + _plain_bisection(value_of, mid, hi, value / left))
+
+
+@pytest.fixture
+def evaluations(toy, monkeypatch):
+    """Every ``value_of`` call made through ``toy.scheme``, as its
+    argument tuple — one entry per pairing product."""
+    calls = []
+
+    def counting(build):
+        def counted_build(*args):
+            value_of = build(*args)
+
+            def counted(*slice_args, **weighting):
+                calls.append(slice_args + tuple(weighting.items()))
+                return value_of(*slice_args, **weighting)
+            return counted
+        return counted_build
+
+    for name in ("_signature_values", "_share_values"):
+        monkeypatch.setattr(
+            toy.scheme, name, counting(getattr(toy.scheme, name)))
+    return calls
+
+
+class TestLocalizerCost:
+    """Products spent, not seconds: ``value_of`` evaluations per
+    localization, against plain quotient bisection over the same
+    items."""
+
+    @staticmethod
+    def _signature_costs(toy, evaluations, messages, signatures):
+        """``(located, products, reference products)``."""
+        del evaluations[:]
+        located = toy.scheme.locate_invalid(
+            toy.pk, messages, signatures, rng=toy.rng)
+        spent = len(evaluations)
+        del evaluations[:]
+        value_of = toy.scheme._signature_values(
+            toy.pk, messages, signatures, _coins(len(messages), toy.rng))
+        count = len(messages)
+        assert _plain_bisection(
+            value_of, 0, count, value_of(0, count)) == located
+        return located, spent, len(evaluations)
+
+    def test_every_subset_up_to_ten_never_dearer_than_bisection(
+            self, toy, evaluations):
+        for size in range(2, 11):
+            messages, honest = toy.signatures(size, set())
+            _, forged = toy.signatures(size, set(range(size)))
+            for flags in itertools.product((False, True), repeat=size):
+                signatures = [bad if flag else good for flag, good, bad
+                              in zip(flags, honest, forged)]
+                located, spent, reference = self._signature_costs(
+                    toy, evaluations, messages, signatures)
+                assert located == toy.scan_signatures(messages, signatures)
+                assert located == [position for position, flag
+                                   in enumerate(flags) if flag]
+                assert spent <= reference, (size, flags)
+
+    def test_every_shape_up_to_thirty_three_never_dearer(
+            self, toy, evaluations):
+        for size in SIZES:
+            for name, forged in _forgery_sets(size, toy.rng).items():
+                located, spent, reference = self._signature_costs(
+                    toy, evaluations, *toy.signatures(size, forged))
+                assert located == sorted(forged)
+                assert spent <= reference, (size, name)
+                if size > 1 and not forged:
+                    assert spent == 1
+
+    def test_lone_forgery_is_one_product_beyond_the_root(
+            self, toy, evaluations):
+        for size in SIZES[1:]:
+            messages, honest = toy.signatures(size, set())
+            _, forged = toy.signatures(size, set(range(size)))
+            for position in range(size):
+                signatures = list(honest)
+                signatures[position] = forged[position]
+                del evaluations[:]
+                assert toy.scheme.locate_invalid(
+                    toy.pk, messages, signatures, rng=toy.rng
+                ) == [position]
+                assert evaluations == [
+                    (0, size), (0, size, ("weighted", True))]
+
+    def test_share_level_descends_without_a_companion(
+            self, toy, evaluations):
+        """``locate_invalid_partials`` hands :func:`_descend` no
+        companion: its products are exactly plain bisection's over the
+        signer-major order, none of them weighted."""
+        for size in SIZES:
+            for name, forged in _forgery_sets(size, toy.rng).items():
+                items = toy.partials(size, forged)
+                del evaluations[:]
+                assert toy.scheme.locate_invalid_partials(
+                    toy.pk, toy.vks, items, rng=toy.rng) == sorted(forged)
+                spent = list(evaluations)
+                if size == 1:
+                    assert spent == []          # a plain share_verify
+                    continue
+                order = sorted(range(size),
+                               key=lambda position: items[position][1].index)
+                del evaluations[:]
+                value_of = toy.scheme._share_values(
+                    toy.vks, [items[position] for position in order],
+                    _coins(size, toy.rng))
+                located = _plain_bisection(
+                    value_of, 0, size, value_of(0, size))
+                assert sorted(order[offset] for offset in located) == \
+                    sorted(forged)
+                assert spent == evaluations, (size, name)
 
 
 @pytest.mark.bn254

@@ -125,6 +125,26 @@ class TestSqrtMod:
         root = sqrt_mod(4, BN_P)
         assert root is not None and root * root % BN_P == 4
 
+    @pytest.mark.parametrize("p", [BN_P, P_TONELLI])
+    def test_agrees_with_legendre_then_root(self, p, rng):
+        """The p = 3 mod 4 branch decides residuosity by squaring its
+        one candidate; the answer — None or the very same root — is
+        what a Legendre symbol followed by the root formula gives."""
+        values = [0, 1, p - 1] + [rng.randrange(p) for _ in range(60)]
+        values += [a * a % p for a in values[3:33]]
+        symbols = set()
+        for a in values:
+            symbol = legendre_symbol(a, p)
+            symbols.add(symbol)
+            root = sqrt_mod(a, p)
+            if symbol == -1:
+                assert root is None
+            elif p % 4 == 3:
+                assert root == pow(a, (p + 1) // 4, p)
+            else:
+                assert root * root % p == a
+        assert symbols == {-1, 0, 1}
+
 
 class TestLegendre:
     def test_zero(self):

@@ -112,9 +112,13 @@ def _rng(stream: int) -> random.Random:
 
 #: Act 3 bound: Miller loops one window of 8 requests, each carrying
 #: one forged partial, costs on BN254 (smaller windows cost less) —
-#: window check and signature bisection 32, the 24 suspect partials 52,
-#: the 8 top-up partials 4.  Per-share checks over the full ring cost
-#: 424.
+#: window check, its index-weighted companion and the splits of a
+#: window whose every signature is bad 32 (8 products: root, companion,
+#: and a left value + left companion at the node of 8 and both nodes of
+#: 4; a pair no scan explains is reported as it stands — the shape the
+#: companion cannot shorten, and exactly what plain bisection paid),
+#: the 24 suspect partials 52, the 8 top-up partials 4.  Per-share
+#: checks over the full ring cost 424.
 FORGED_WINDOW_MILLER_LOOPS = 88
 #: Act 6 batch sizes: requests settled before the kill / left durable
 #: but unprocessed when the SIGKILL lands.
