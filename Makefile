@@ -52,20 +52,19 @@ bench:
 ## with e.g. `BENCH_TOLERANCE=25 make bench-check`.
 ## svc_robust_batch_shareverify holds the strict band (its committed
 ## speedup is real — one cross-message multi-pairing vs a per-share
-## loop), while the worker-tier ops (svc_mp_*, svc_tcp_*) are
-## overhead-bound on the loopback (committed near 1.0x, below
-## OVERHEAD_REFERENCE) and get the wide OVERHEAD_TOLERANCE floor —
-## their gate catches a tier collapsing, not scheduler jitter.
+## loop), while ops committed below OVERHEAD_REFERENCE (the
+## svc_wal/epoch/http overhead ratios, and the worker-tier svc_tcp_*
+## ops when recorded on one core) get the wide OVERHEAD_TOLERANCE
+## floor — their gate catches a tier collapsing, not scheduler jitter.
 bench-check:
 	$(PYTHON) tools/bench_snapshot.py --check --rounds 3
 
 ## Boot the async signing service, push 100+ requests through the load
-## generator in eight acts (in-process shards, the process-parallel
-## worker tier and the loopback-TCP remote-worker tier — including a
-## mid-window worker kill with two shards' jobs in flight, which must
-## fail every request id over to a second endpoint and settle each
-## exactly once) and fail on any rejected-valid request.  The
-## durability act
+## generator in seven acts (in-process shards and the loopback-TCP
+## remote-worker tier — including a mid-window worker kill with two
+## shards' jobs in flight, which must fail every request id over to a
+## second endpoint and settle each exactly once) and fail on any
+## rejected-valid request.  The durability act
 ## SIGKILLs the service itself mid-window and requires a restart
 ## against the same write-ahead log to complete every admitted request
 ## exactly once.  The key-lifecycle act refreshes, reshares and grows

@@ -28,12 +28,12 @@ SHARD_SWEEP = (1, 2, 4)
 
 
 def _drive(handle, num_shards, max_batch, requests=REQUESTS,
-           workload="sign", seed=0, max_wait_ms=20.0, workers=0):
+           workload="sign", seed=0, max_wait_ms=20.0):
     """One closed-loop run; returns (LoadReport, ServiceStats)."""
     config = ServiceConfig(
         num_shards=num_shards, max_batch=max_batch,
         max_wait_ms=max_wait_ms if max_batch > 1 else 0.0,
-        queue_depth=4 * requests, workers=workers, rng=random.Random(seed))
+        queue_depth=4 * requests, rng=random.Random(seed))
     if workload == "verify":
         messages = [b"f6 verify %d" % i for i in range(requests)]
         signatures = [handle.sign(message) for message in messages]
@@ -107,51 +107,6 @@ def test_f6_shards_partition_traffic(toy_group, save_table, benchmark):
             # Consistent hashing spreads traffic: no shard is starved.
             assert loads[0] > 0
     save_table(table, "f6b_service_shards")
-    benchmark(lambda: None)
-
-
-def test_f6d_worker_scaling_curve(toy_group, save_table, benchmark):
-    """F6d — throughput vs worker-process count at fixed offered load.
-
-    The offered load is pinned (48 sign requests, 16 closed-loop
-    clients, 4 shards, window 8); only the execution tier varies:
-    workers=0 runs every window on the event loop, workers=N dispatches
-    them to N processes.  The table is the *curve* the acceptance
-    criterion reads; the tracked speedup number lives in
-    ``BENCH_t2_ops.json`` (``svc_mp_*``, measured on BN254 where the
-    crypto dominates the IPC).  On the toy backend group operations are
-    near-free, so this table isolates dispatch overhead and the
-    *contract* (everything completes, jobs actually run on the pool);
-    wall-clock scaling with worker count needs both real crypto and
-    real cores and is asserted nowhere timing-noise can flake it.
-    """
-    handle = ServiceHandle.dealer(toy_group, 2, 5, rng=random.Random(45))
-    table = Table(
-        "F6d: throughput vs worker processes, toy backend "
-        f"({REQUESTS} sign requests, {CONCURRENCY} clients, 4 shards, "
-        "window 8)",
-        ["workers", "window jobs", "crashes", "throughput rps",
-         "p50 ms", "p99 ms"])
-    for workers in (0, 1, 2, 4):
-        report, stats = _drive(handle, 4, 8, seed=50 + workers,
-                               max_wait_ms=2.0, workers=workers)
-        assert report.completed == REQUESTS
-        assert report.rejected == 0 and report.failed == 0
-        if workers:
-            assert stats.workers is not None
-            assert stats.workers.jobs > 0
-            assert stats.workers.crashes == 0
-            jobs, crashes = stats.workers.jobs, stats.workers.crashes
-        else:
-            assert stats.workers is None
-            jobs, crashes = 0, 0
-        table.add_row(
-            workers=workers,
-            **{"window jobs": jobs, "crashes": crashes,
-               "throughput rps": round(report.throughput_rps, 1),
-               "p50 ms": round(report.p50_ms, 3),
-               "p99 ms": round(report.p99_ms, 3)})
-    save_table(table, "f6d_service_workers")
     benchmark(lambda: None)
 
 

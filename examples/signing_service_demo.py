@@ -73,16 +73,12 @@ async def demo(args) -> None:
         address for address in (args.remote_workers or "").split(",")
         if address)
     config = ServiceConfig(num_shards=args.shards, max_batch=16,
-                           max_wait_ms=10.0, workers=args.workers,
+                           max_wait_ms=10.0,
                            remote_workers=remote_workers,
                            remote_psk=args.psk,
                            rng=random.Random(2))
-    if remote_workers:
-        tier = f"remote TCP workers {', '.join(remote_workers)}"
-    elif args.workers:
-        tier = f"{args.workers} worker process(es)"
-    else:
-        tier = "in-process"
+    tier = (f"remote TCP workers {', '.join(remote_workers)}"
+            if remote_workers else "in-process")
     print(f"[2/4] Closed-loop signing: {args.requests} requests, "
           f"16 clients, {args.shards} shard(s), window 16, {tier}")
     gateway = client = None
@@ -172,11 +168,10 @@ async def demo(args) -> None:
         print(f"      {report.completed} verified, "
               f"{report.invalid} invalid | p50 {report.p50_ms:.1f} ms, "
               f"p99 {report.p99_ms:.1f} ms")
-        if args.workers or remote_workers:
+        if remote_workers:
             stats = service.snapshot_stats()
-            what = "remote workers" if remote_workers else "processes"
             print(f"      worker pool: {stats.workers.jobs} window jobs "
-                  f"over {stats.workers.workers} {what}, "
+                  f"over {stats.workers.workers} remote workers, "
                   f"{stats.workers.crashes} crashes, "
                   f"{stats.workers.reconnects} reconnects")
         if client is not None:
@@ -217,15 +212,12 @@ def main() -> None:
     parser.add_argument("-t", type=int, default=2)
     parser.add_argument("-n", type=int, default=5)
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes for the window crypto "
-                        "(0 = in-process; N = process-parallel tier, "
-                        "try N = your core count with --backend bn254)")
     parser.add_argument("--remote-workers", default=None,
                         metavar="HOST:PORT[,HOST:PORT...]",
-                        help="TCP tier: comma-separated addresses of "
+                        help="worker tier: comma-separated addresses of "
                         "running remote workers (python -m "
-                        "repro.service.remote_worker); combine with "
+                        "repro.service.remote_worker — one per core on "
+                        "loopback, or on other machines); combine with "
                         "--context so both ends hold the same keys")
     parser.add_argument("--psk", default=None, metavar="KEY",
                         help="pre-shared key for the remote-worker "

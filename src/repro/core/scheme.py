@@ -1025,9 +1025,9 @@ class ServiceHandle:
         signer ring, so it completes whenever t+1 honest servers exist.
 
         Returns a :class:`~repro.serialization.SignWindowOutcome` — the
-        shard workers of :mod:`repro.service.shards` and the process
-        workers of :mod:`repro.service.workers` both dispatch here, so
-        in-process and multi-process modes serve the identical contract.
+        shard workers of :mod:`repro.service.shards` and the remote
+        workers of :mod:`repro.service.transport` both dispatch here, so
+        the in-process and remote tiers serve the identical contract.
         """
         from repro.serialization import SignWindowOutcome
         signatures, flagged, topped_up = self._sign_window(

@@ -12,8 +12,8 @@ Two layers live here:
 * **The wire format** (:class:`WireCodec` and the job dataclasses): a
   round-trippable byte encoding for partial signatures, signatures,
   verification keys, key shares and the window-sized jobs the
-  process-parallel worker tier (:mod:`repro.service.workers`) ships
-  across process boundaries.  Group elements already know their
+  worker tier (:mod:`repro.service.transport`) ships across process
+  and machine boundaries.  Group elements already know their
   canonical encodings (``to_bytes`` / ``g1_from_bytes`` /
   ``g2_from_bytes``); the codec frames them with fixed-width element
   fields, 4-byte big-endian integers and length-prefixed byte strings,
@@ -23,8 +23,8 @@ Two layers live here:
 * **The TCP frame layer** (``encode_frame`` / ``decode_frame_header``
   and the HELLO handshake payload): a length-prefixed, versioned
   framing for shipping the wire-format blobs over a byte stream — what
-  the multi-machine transport (:mod:`repro.service.transport`) puts on
-  real sockets.  Byte-level spec: ``docs/WIRE_FORMAT.md``.
+  the transport puts on real sockets.  Byte-level spec:
+  ``docs/WIRE_FORMAT.md``.
 """
 
 from __future__ import annotations
@@ -674,7 +674,7 @@ def encode_service_context(handle) -> bytes:
 def decode_service_context(blob: bytes):
     """Rebuild a :class:`~repro.core.scheme.ServiceHandle` from
     :func:`encode_service_context` output (used as the per-process
-    warm-state seed by :mod:`repro.service.workers`)."""
+    warm-state seed by :mod:`repro.service.remote_worker`)."""
     from repro.core.keys import PublicKey, ThresholdParams
     from repro.core.scheme import LJYThresholdScheme, ServiceHandle
     from repro.groups import get_group

@@ -30,17 +30,13 @@ Thetacrypt mold:
   (:mod:`~repro.service.tenants`) with token-bucket rate quotas,
   in-flight caps and per-tenant quorum pinning; typed shedding maps to
   HTTP 429/503/504 with ``Retry-After``.
-* :class:`~repro.service.workers.WorkerPool` — the process-parallel
-  execution tier: shard workers encode their windows into the wire
-  format of :mod:`repro.serialization` and dispatch them to a pool of
-  warm worker processes (``ServiceConfig(workers=N)``), with crash
-  detection and job resubmission.
-* :mod:`~repro.service.transport` — the multi-machine tier: the same
-  wire-format jobs over framed asyncio TCP
-  (``ServiceConfig(remote_workers=["host:port", ...])``), served by
-  standalone ``python -m repro.service.remote_worker`` processes, with
-  a context-digest handshake and reconnect-with-backoff + resubmission
-  on dropped connections.
+* :mod:`~repro.service.transport` — the worker tier: shard workers
+  encode their windows into the wire format of
+  :mod:`repro.serialization` and ship them over framed asyncio TCP
+  (``ServiceConfig(remote_workers=["host:port", ...])``) to standalone
+  ``python -m repro.service.remote_worker`` processes — one per core on
+  loopback, or on other machines — with a context-digest handshake and
+  reconnect-with-backoff + resubmission on dropped connections.
 * :mod:`~repro.service.wal` — the crash-safe durability layer: every
   admitted sign request is appended to a write-ahead log (length+CRC
   record framing, fsync batched per closed window) and replayed
@@ -53,23 +49,23 @@ Thetacrypt mold:
 * :mod:`~repro.service.faults` — failure injection: a shard returning
   forged partial signatures exercises the robust path (quotient
   localization of the forged partials, top-up from the next signers)
-  without poisoning neighbors in the same window; a worker process dying mid-window
-  (:class:`~repro.service.faults.WorkerCrashFault`) exercises the
-  pool's crash recovery; random live lifecycle churn
+  without poisoning neighbors in the same window; a worker process
+  dying mid-window (:class:`~repro.service.faults.WorkerCrashFault`)
+  exercises the pool's crash recovery; random live lifecycle churn
   (:class:`~repro.service.faults.ChurnFault`) exercises the epoch
   barrier under load.
 * **Key lifecycle** — live epoch transitions with zero lifecycle
   rejections: ``SigningService.begin_epoch`` drains in-flight windows
   behind per-shard barriers, swaps shares/quorums/worker contexts
-  (executor rebuild, or a ``C`` context-push frame on the TCP tier)
-  and resumes — requests queued across the swap are served under the
-  new shares with byte-identical signatures.  ``refresh`` / ``reshare``
+  (a ``C`` context-push frame to every remote worker) and resumes —
+  requests queued across the swap are served under the new shares
+  with byte-identical signatures.  ``refresh`` / ``reshare``
   / ``retire_signer`` / ``recover_signer`` wrap the DKG protocols of
   :mod:`repro.dkg`; ``resize`` re-rings the shard pool live, migrating
   queued requests.  Telemetry in
   :class:`~repro.service.types.EpochStats`.
 
-Scheduling policy, amortization and (with ``workers=N``) process
+Scheduling policy, amortization and (with ``remote_workers``) process
 parallelism are real; only the client/server network is simulated away.
 """
 
@@ -90,11 +86,9 @@ from repro.service.types import (
     EpochStats, HandshakeError, RemoteJobError, RequestExpiredError,
     RequestFailedError, ServiceClosedError, ServiceError,
     ServiceOverloadedError, ServiceStats, ShardStats, SignResult,
-    StaleEpochError, TransportError, VerifyResult, WorkerCrashError,
-    WorkerPoolStats,
+    StaleEpochError, TransportError, VerifyResult, WorkerPoolStats,
 )
 from repro.service.wal import WalStats, WriteAheadLog
-from repro.service.workers import WorkerPool
 
 __all__ = [
     "BatchAccumulator", "ChurnFault", "CorruptSignerFault", "EpochStats",
@@ -105,7 +99,6 @@ __all__ = [
     "ServiceStats", "ShardPool", "ShardStats", "SigningService",
     "SignResult", "StaleEpochError", "TenantConfig", "TenantQuotaError",
     "TenantRegistry", "TenantStats", "TokenBucket", "TransportError",
-    "UnknownTenantError", "VerifyResult", "WalStats", "WorkerCrashError",
-    "WorkerCrashFault", "WorkerPool", "WorkerPoolStats", "WorkerServer",
-    "WriteAheadLog",
+    "UnknownTenantError", "VerifyResult", "WalStats", "WorkerCrashFault",
+    "WorkerPoolStats", "WorkerServer", "WriteAheadLog",
 ]

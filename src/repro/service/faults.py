@@ -23,19 +23,20 @@ from repro.core.keys import PartialSignature
 
 
 class WorkerCrashFault:
-    """Kill the executing worker *process* the first time it signs.
+    """Kill the executing worker *process* the first time it signs
+    (``remote_worker --crash-sentinel`` installs it).
 
     Models a worker OOM-killed or segfaulting mid-window: the process
-    dies hard (``os._exit``, no exception propagation, no cleanup), the
-    executor breaks, and :class:`~repro.service.workers.WorkerPool` must
-    detect the crash and resubmit the window to a rebuilt pool.
+    dies hard (``os._exit``, no exception propagation, no cleanup), its
+    connections drop, and
+    :class:`~repro.service.transport.RemoteWorkerPool` must detect the
+    crash and resubmit the window to another (or the restarted) worker.
 
-    Crash-once bookkeeping cannot live in instance state — the fault
-    object is copied into every worker process, and the resubmitted job
-    lands in a *fresh* process with a fresh copy.  A sentinel file
-    marks "already crashed" across process generations instead: the
-    first worker to fire creates it and dies; the retried job sees it
-    and proceeds honestly.
+    Crash-once bookkeeping cannot live in instance state — the
+    resubmitted job lands in a *different* process with its own copy of
+    the fault.  A sentinel file marks "already crashed" across
+    processes instead: the first worker to fire creates it and dies;
+    the retried job sees it and proceeds honestly.
     """
 
     def __init__(self, sentinel_path, signer_index: Optional[int] = None):

@@ -43,24 +43,21 @@ class ServiceConfig:
     #: Per-shard admission bound; beyond it requests are shed with
     #: :class:`~repro.service.types.ServiceOverloadedError`.
     queue_depth: int = 256
-    #: Process-parallel tier.  0 (the default) runs every window on the
-    #: event loop; N > 0 dispatches windows to a shared
-    #: :class:`~repro.service.workers.WorkerPool` of N warm processes,
-    #: so up to min(num_shards, N) windows run in parallel on separate
-    #: cores.
-    workers: int = 0
-    #: TCP (multi-machine) tier: "host:port" addresses of standalone
-    #: workers (``python -m repro.service.remote_worker``) provisioned
-    #: with the same service context (the HELLO handshake enforces the
-    #: match), dispatched through
-    #: :class:`~repro.service.transport.RemoteWorkerPool`.  Mutually
-    #: exclusive with ``workers`` (a window has one execution tier).
-    #: Fault injectors are not shipped over the wire — a remote worker
-    #: configures its own (e.g. ``--crash-sentinel``).
+    #: The worker tier.  Empty (the default) runs every window on the
+    #: event loop; otherwise windows are dispatched through
+    #: :class:`~repro.service.transport.RemoteWorkerPool` to these
+    #: "host:port" addresses of standalone workers (``python -m
+    #: repro.service.remote_worker``) provisioned with the same service
+    #: context (the HELLO handshake enforces the match) — one per core
+    #: on loopback to use this machine's cores, or on other machines —
+    #: so up to min(2 * num_shards, len(remote_workers)) window jobs
+    #: run in parallel.
     remote_workers: Sequence[str] = ()
-    #: Optional fault injector (see :mod:`repro.service.faults`).  With
-    #: ``workers > 0`` it is applied inside the worker processes, so any
-    #: state it keeps (e.g. ``CorruptSignerFault.injected``) lives there.
+    #: Optional fault injector (see :mod:`repro.service.faults`) for
+    #: the in-process tier.  Injectors are not shipped over the wire —
+    #: a remote worker configures its own (``WorkerServer(
+    #: fault_injector=...)``, ``--crash-sentinel``) — so combining it
+    #: with ``remote_workers`` is refused at start-up.
     fault_injector: Optional[Callable] = None
     #: RNG driving the small-exponent batching coins (tests pin it).
     #: Worker processes draw their own coins — an adversary must not be
@@ -161,8 +158,8 @@ class SigningService:
             self.handle, config.num_shards, config.max_batch,
             config.max_wait_ms, config.queue_depth,
             fault_injector=config.fault_injector, rng=config.rng,
-            workers=config.workers, remote_workers=config.remote_workers,
-            wal=self.wal, remote_job_timeout_s=config.remote_job_timeout_s,
+            remote_workers=config.remote_workers, wal=self.wal,
+            remote_job_timeout_s=config.remote_job_timeout_s,
             remote_psk=config.remote_psk)
         self._pool.start()
         self._transition_lock = asyncio.Lock()
@@ -243,8 +240,8 @@ class SigningService:
         The barrier: acquire every shard's lifecycle lock (draining all
         in-flight windows — admission keeps queueing throughout, so
         nothing is shed because of the transition), swap the handle and
-        every shard's quorum, re-provision the worker tier (executor
-        rebuild or ``C`` context push), then release.  Requests queued
+        every shard's quorum, re-provision the worker tier (a ``C``
+        context push), then release.  Requests queued
         across the swap are served under the new shares — byte-identical
         signatures, because a transition provably preserves the master
         key (which is also validated here, along with the epoch being

@@ -15,10 +15,10 @@ Latency is measured per request from submission to completion and
 reported as p50/p99/mean plus throughput over the wall-clock span.
 
 The generator is execution-tier agnostic: the same workload drives an
-in-process service or the process-parallel worker tier — the knob is
-``ServiceConfig(workers=N)`` on the service under test, which is how
-``tools/bench_snapshot.py`` (``svc_mp_*``) and the F6d experiment
-measure multi-core scaling at fixed offered load.  It is also
+in-process service or the remote-worker tier — the knob is
+``ServiceConfig(remote_workers=[...])`` on the service under test,
+which is how ``tools/bench_snapshot.py`` (``svc_tcp_*``) measures
+multi-core scaling at fixed offered load.  It is also
 *transport* agnostic: :class:`GatewayClient` wraps the HTTP front door
 (:class:`~repro.service.gateway.HttpGateway`) in the same
 ``sign``/``verify`` shape with the same typed errors, so a workload

@@ -1,10 +1,10 @@
 """Standalone TCP shard worker: ``python -m repro.service.remote_worker``.
 
-One process per machine.  It decodes an encoded service context once
-(``--context ctx.bin``), warms the hot caches (``PreparedG2`` line
-coefficients for every fixed pairing argument, fixed-base window tables
-for the derived generators — the same
-:func:`~repro.service.workers.warm_handle` the process tier runs), then
+One process per core (on loopback) or per machine.  It decodes an
+encoded service context once (``--context ctx.bin``), warms the hot
+caches (``PreparedG2`` line coefficients for every fixed pairing
+argument, fixed-base window tables for the derived generators —
+:func:`~repro.service.transport.warm_handle`), then
 serves ``combine_window`` / ``verify_window`` / ``PartialSignJob``
 requests over the framed TCP protocol of
 :mod:`repro.service.transport` until killed.  Point a service at it
@@ -24,8 +24,8 @@ share)::
 
 Fault injection for the crash-recovery acts (``--crash-sentinel``): the
 worker dies hard (``os._exit``) on the first partial it signs while the
-sentinel file does not exist — the TCP analogue of the
-:class:`~repro.service.faults.WorkerCrashFault` process test.  A
+sentinel file does not exist
+(:class:`~repro.service.faults.WorkerCrashFault`).  A
 restarted worker sees the sentinel and serves honestly, so a
 supervisor restart plus the dispatcher's reconnect/resubmission
 completes every request.
@@ -97,13 +97,13 @@ def write_context(args) -> int:
 async def serve(args) -> int:
     from repro.serialization import decode_service_context
     from repro.service.faults import WorkerCrashFault
-    from repro.service.transport import READY_MARKER, WorkerServer
-    from repro.service.workers import warm_handle
+    from repro.service.transport import (
+        READY_MARKER, WorkerServer, warm_handle,
+    )
 
     handle = decode_service_context(args.context.read_bytes())
     # Warm before binding: once the ready line is printed, the first
-    # job pays only its own crypto (same guarantee as a process-pool
-    # worker's initializer).
+    # job pays only its own crypto.
     warm_handle(handle)
     fault_injector = (WorkerCrashFault(args.crash_sentinel)
                       if args.crash_sentinel is not None else None)

@@ -27,7 +27,6 @@ from repro.service.types import (
     ShardStats, SignResult, VerifyResult,
 )
 from repro.service.wal import WriteAheadLog
-from repro.service.workers import WorkerPool
 
 #: Virtual nodes per shard on the hash ring; enough that load imbalance
 #: between shards stays within a few percent.
@@ -69,7 +68,7 @@ class ShardWorker:
     def __init__(self, shard_id: int, handle: ServiceHandle,
                  max_batch: int, max_wait_ms: float, queue_depth: int,
                  fault_injector: Optional[Callable] = None, rng=None,
-                 worker_pool: Optional[WorkerPool] = None,
+                 worker_pool: Optional[RemoteWorkerPool] = None,
                  wal: Optional[WriteAheadLog] = None):
         self.shard_id = shard_id
         self.handle = handle
@@ -82,7 +81,7 @@ class ShardWorker:
         self.fault_injector = fault_injector
         self.rng = rng
         #: When set, windows are encoded into wire jobs and dispatched
-        #: to the shared process pool instead of running on this loop.
+        #: to the shared remote workers instead of running on this loop.
         self.worker_pool = worker_pool
         #: The service-wide write-ahead log (shared across shards;
         #: this worker fsyncs it once per closed window).
@@ -158,7 +157,7 @@ class ShardWorker:
                         if self.worker_pool is None:
                             self._process_window(window, loop)
                         else:
-                            await self._process_window_mp(window, loop)
+                            await self._process_window_remote(window, loop)
                     except Exception as exc:  # defensive: fail requests,
                         for request in window:  # not the shard
                             if not request.future.done():
@@ -226,34 +225,41 @@ class ShardWorker:
             self._apply_verify_verdicts(verifies, verdicts,
                                         len(window), loop)
 
-    async def _process_window_mp(self, window: List[PendingRequest],
-                                 loop) -> None:
-        """Multi-process mode: encode the window into wire jobs and
-        dispatch them to the shared worker pool.  The sign and verify
-        halves of a mixed window run concurrently (they are independent
-        jobs, possibly on different worker processes)."""
+    async def _process_window_remote(self, window: List[PendingRequest],
+                                     loop) -> None:
+        """Remote mode: encode the window into wire jobs and dispatch
+        them to the shared worker pool.  The sign and verify halves of
+        a mixed window are independent jobs (possibly on different
+        workers): they run concurrently and each settles on its own
+        outcome, so one half failing does not fail the other."""
         signs, verifies = self._split(window)
-        jobs = []
+        halves = []
         if signs:
             self.stats.sign_requests += len(signs)
-            jobs.append(self.worker_pool.run_job(SignWindowJob(
+            halves.append((signs, SignWindowJob(
                 shard_id=self.shard_id, epoch=self.handle.epoch,
                 messages=tuple(request.message for request in signs),
                 quorum=tuple(self.quorum))))
         if verifies:
             self.stats.verify_requests += len(verifies)
-            jobs.append(self.worker_pool.run_job(VerifyWindowJob(
+            halves.append((verifies, VerifyWindowJob(
                 shard_id=self.shard_id, epoch=self.handle.epoch,
                 messages=tuple(request.message for request in verifies),
                 signatures=tuple(
                     request.signature for request in verifies))))
-        outcomes = await asyncio.gather(*jobs)
-        if signs:
-            self._apply_sign_outcome(signs, outcomes.pop(0),
-                                     len(window), loop)
-        if verifies:
-            self._apply_verify_verdicts(verifies, outcomes.pop(0).verdicts,
-                                        len(window), loop)
+        outcomes = await asyncio.gather(
+            *(self.worker_pool.run_job(job) for _, job in halves),
+            return_exceptions=True)
+        for (requests, job), outcome in zip(halves, outcomes):
+            if isinstance(outcome, BaseException):
+                for request in requests:
+                    self._resolve(request, RequestFailedError(str(outcome)))
+            elif isinstance(job, SignWindowJob):
+                self._apply_sign_outcome(requests, outcome,
+                                         len(window), loop)
+            else:
+                self._apply_verify_verdicts(requests, outcome.verdicts,
+                                            len(window), loop)
 
     @staticmethod
     def _resolve(request: PendingRequest, result) -> None:
@@ -304,36 +310,28 @@ class ShardPool:
     def __init__(self, handle: ServiceHandle, num_shards: int,
                  max_batch: int, max_wait_ms: float, queue_depth: int,
                  fault_injector: Optional[Callable] = None, rng=None,
-                 workers: int = 0, remote_workers: Sequence[str] = (),
+                 remote_workers: Sequence[str] = (),
                  wal: Optional[WriteAheadLog] = None,
                  remote_job_timeout_s: float = 60.0,
                  remote_psk: Optional[object] = None):
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if workers > 0 and remote_workers:
+        if fault_injector is not None and remote_workers:
             raise ValueError(
-                "configure either worker processes (workers=N) or remote "
-                "workers (remote_workers=[...]), not both — a window "
-                "must have one execution tier")
-        # ``workers > 0`` adds the process-parallel tier: one pool of
-        # warm worker processes shared by all shards, so up to
-        # min(num_shards, workers) windows run crypto concurrently.  In
-        # that mode the fault injector runs inside the worker processes
-        # (its call-count state is per-process) and ``rng`` only drives
-        # the in-parent paths — worker coins are process-local.
-        # ``remote_workers`` swaps that pool for TCP endpoints
-        # (standalone ``repro.service.remote_worker`` processes, possibly
-        # on other machines); fault injectors are NOT shipped over the
-        # wire — a remote worker configures its own at launch.
-        if remote_workers:
-            self.worker_pool = RemoteWorkerPool(
-                handle, remote_workers, job_timeout_s=remote_job_timeout_s,
-                psk=remote_psk)
-        elif workers > 0:
-            self.worker_pool = WorkerPool(
-                handle, workers, fault_injector=fault_injector)
-        else:
-            self.worker_pool = None
+                "fault_injector runs on the in-process tier only: with "
+                "remote_workers=[...] the partials are signed on the "
+                "workers and an injector is not shipped over the wire — "
+                "configure it there (WorkerServer(fault_injector=...))")
+        # ``remote_workers`` moves every window's crypto off this loop
+        # onto standalone ``repro.service.remote_worker`` processes
+        # (loopback for the cores of this machine, or other machines),
+        # shared by all shards; ``rng`` then only drives the in-process
+        # paths — worker coins are process-local.
+        self.worker_pool: Optional[RemoteWorkerPool] = (
+            RemoteWorkerPool(handle, remote_workers,
+                             job_timeout_s=remote_job_timeout_s,
+                             psk=remote_psk)
+            if remote_workers else None)
         # Kept for live resize: added shards are built from the same
         # recipe (and the *current* handle, which swap_handle tracks).
         self._handle = handle
@@ -482,10 +480,8 @@ class ShardPool:
         await asyncio.gather(
             *(worker.stop() for worker in self.workers.values()))
         if self.worker_pool is not None:
-            # Both tiers expose the async shutdown: the process pool
-            # joins its workers off-loop, the remote pool closes its
-            # connections (the worker processes themselves live on —
-            # they belong to their machines' supervisors, not to us).
+            # Closes the connections; the worker processes themselves
+            # live on — they belong to their supervisors, not to us.
             await self.worker_pool.aclose()
 
     def stats(self) -> Dict[int, ShardStats]:

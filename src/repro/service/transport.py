@@ -1,31 +1,32 @@
-"""TCP transport for the worker tier: multi-machine shard workers.
+"""TCP transport for the worker tier: shard workers on other cores and
+other machines.
 
-The process-parallel tier (:mod:`repro.service.workers`) already ships
-every job as canonical wire bytes — the encoding was built to cross
-machine boundaries, but PR 4 only ever carried it over a
-``ProcessPoolExecutor`` pipe on one host.  This module puts the same
-bytes on real sockets:
+A shard that does not run its windows on its own event loop ships them
+as canonical wire bytes (:mod:`repro.serialization`) to standalone
+worker processes — one per core on this machine (loopback) or one per
+machine.  This module is both ends of that:
 
 * :func:`read_frame` / :func:`write_frame` — length-prefixed, versioned
   framing over asyncio streams (header layout and compatibility rule:
   ``docs/WIRE_FORMAT.md``; the byte-level codecs live in
   :mod:`repro.serialization`).
+* :func:`warm_handle` / :func:`execute_job` — what a worker does with a
+  service context (warm the pairing and fixed-base caches once) and
+  with a decoded job (the one job -> ``ServiceHandle`` dispatch, epoch
+  fenced).
 * :class:`WorkerServer` — the accept loop a standalone worker process
   (:mod:`repro.service.remote_worker`) runs: handshake, then a
   pipelined read loop per connection (frames matched to answers by the
-  header's request id, so many jobs ride one connection), dispatching
-  through the same :func:`~repro.service.workers.execute_job` the
-  process tier uses.
-* :class:`RemoteWorkerPool` — the dispatcher side, a drop-in for
-  :class:`~repro.service.workers.WorkerPool` behind the shard workers
-  (``ServiceConfig(remote_workers=["host:port", ...])``): round-robin
-  over configured endpoints, lazy dialing, every shard's window jobs
-  concurrently in flight on one connection (a per-connection reader
-  task resolves them by request id, in whatever order the worker
-  answers), and the same crash-recovery contract as the process pool
-  — a dropped connection fails every in-flight request id at once,
-  each owning call re-dials/resubmits exactly its own job, so a
-  killed worker costs latency, never a lost or double-served request.
+  header's request id, so many jobs ride one connection).
+* :class:`RemoteWorkerPool` — the dispatcher side behind the shard
+  workers (``ServiceConfig(remote_workers=["host:port", ...])``):
+  round-robin over configured endpoints, lazy dialing, every shard's
+  window jobs concurrently in flight on one connection (a
+  per-connection reader task resolves them by request id, in whatever
+  order the worker answers), and crash recovery — a dropped connection
+  fails every in-flight request id at once, each owning call
+  re-dials/resubmits exactly its own job, so a killed worker costs
+  latency, never a lost or double-served request.
 
 **Handshake.**  A connection is useless unless both ends hold the same
 service context (scheme, curve, threshold parameters, keys), so the
@@ -40,8 +41,7 @@ version or PSK) is misprovisioning, not a transient fault: the server
 refuses with an error frame and the client raises a typed
 :class:`~repro.service.types.HandshakeError` instead of retrying.
 
-**Failure taxonomy** (mirrors the process tier's
-``BrokenProcessPool`` handling):
+**Failure taxonomy:**
 
 ===========================  ============================================
 observation                  reaction
@@ -82,14 +82,15 @@ from repro.errors import SerializationError
 from repro.serialization import (
     FRAME_HEADER_BYTES, FRAME_KIND_CONTEXT, FRAME_KIND_ERROR,
     FRAME_KIND_HELLO, FRAME_KIND_JOB, FRAME_KIND_OUTCOME,
-    WireCodec, decode_frame_header, decode_hello, decode_service_context,
-    encode_frame, encode_hello, encode_service_context, hello_mac,
-    service_context_digest,
+    PartialSignJob, PartialSignOutcome, SignWindowJob, VerifyWindowJob,
+    VerifyWindowOutcome, WireCodec, decode_frame_header, decode_hello,
+    decode_service_context, encode_frame, encode_hello,
+    encode_service_context, hello_mac, service_context_digest,
 )
 from repro.service.types import (
-    HandshakeError, RemoteJobError, TransportError, WorkerPoolStats,
+    HandshakeError, RemoteJobError, StaleEpochError, TransportError,
+    WorkerPoolStats,
 )
-from repro.service.workers import execute_job, warm_handle
 
 #: Errors that mean "this connection is gone" (``IncompleteReadError``
 #: is an ``EOFError``; ``ConnectionError`` and timeouts are ``OSError``
@@ -146,6 +147,56 @@ def parse_address(address: str) -> Tuple[str, int]:
 # The server side (what a remote worker process runs)
 # ---------------------------------------------------------------------------
 
+def warm_handle(handle) -> None:
+    """Warm every cache a window job's hot path touches repeatedly:
+    pairing preparation (Miller-loop line coefficients) for all fixed
+    G_hat arguments and fixed-base window tables for the derived
+    generators.  ``ThresholdParams`` already prepares ``g_z``/``g_r`` on
+    construction; the public key and verification keys are prepared
+    explicitly because every window check pairs against them.
+
+    Run once per worker process before it binds
+    (:mod:`repro.service.remote_worker`) and again on every accepted
+    context push — jobs then pay only their own crypto.
+    """
+    group = handle.scheme.group
+    params = handle.scheme.params
+    group.prepare_pair(handle.public_key.g_1)
+    group.prepare_pair(handle.public_key.g_2)
+    for vk in handle.verification_keys.values():
+        group.prepare_pair(vk.v_1)
+        group.prepare_pair(vk.v_2)
+    params.g_z.precompute()
+    params.g_r.precompute()
+
+
+def execute_job(handle, job, fault_injector=None):
+    """Run one decoded window job against a handle; returns the outcome.
+
+    Jobs are epoch-stamped: a job formed under key-lifecycle epoch e
+    must never execute against epoch-e' key material (the shares would
+    be dead, the partial checks wrong).  The dispatcher re-warms every
+    worker inside the ``begin_epoch`` barrier, so a mismatch here means
+    a provisioning bug — refuse loudly rather than sign quietly.
+    """
+    job_epoch = getattr(job, "epoch", 0)
+    if job_epoch != handle.epoch:
+        raise StaleEpochError(job_epoch, handle.epoch)
+    if isinstance(job, SignWindowJob):
+        return handle.process_sign_window(
+            list(job.messages), quorum=list(job.quorum),
+            fault_injector=fault_injector, shard_id=job.shard_id)
+    if isinstance(job, VerifyWindowJob):
+        return VerifyWindowOutcome(verdicts=tuple(handle.verify_window(
+            list(job.messages), list(job.signatures))))
+    if isinstance(job, PartialSignJob):
+        return PartialSignOutcome(partials=tuple(
+            handle.partials_with_faults(
+                job.message, job.signers, fault_injector=fault_injector,
+                shard_id=job.shard_id)))
+    raise TypeError(f"unknown job type {type(job).__name__}")
+
+
 class _ServedConnection:
     """One accepted dispatcher connection: its writer, the write lock
     that keeps the two tasks answering on it (the executor, and the
@@ -185,7 +236,7 @@ class WorkerServer:
     def __init__(self, handle, host: str = "127.0.0.1", port: int = 0,
                  fault_injector=None, psk: Optional[bytes] = None):
         # Raises TypeError for schemes without window entry points —
-        # fail at construction, like WorkerPool.
+        # fail at construction, not on the first job.
         self._context = encode_service_context(handle)
         self._digest = service_context_digest(self._context)
         self._handle = handle
@@ -493,12 +544,10 @@ class _Endpoint:
 class RemoteWorkerPool:
     """A pool of TCP remote workers serving window jobs.
 
-    Drop-in for :class:`~repro.service.workers.WorkerPool` behind
-    :class:`~repro.service.shards.ShardWorker` (same ``run_job`` /
-    ``start`` / ``aclose`` / ``stats`` surface), so the in-process,
-    process-pool and remote tiers all serve the
-    ``ServiceHandle.process_sign_window`` contract through one shard
-    code path.
+    The worker tier behind :class:`~repro.service.shards.ShardWorker`
+    (``run_job`` / ``start`` / ``aclose`` / ``update_handle`` /
+    ``stats``): the in-process and remote tiers both serve the
+    ``ServiceHandle.process_sign_window`` contract.
 
     Connections are dialed lazily (on the first job, and again after
     any drop), with exponential backoff while every endpoint is down —
@@ -592,9 +641,8 @@ class RemoteWorkerPool:
     async def update_handle(self, handle) -> None:
         """Push new-epoch key material to every endpoint in place (a
         ``C`` context-push frame, acknowledged by a HELLO carrying the
-        new digest) — the TCP analogue of the process pool's executor
-        rebuild.  Called from inside the ``begin_epoch`` barrier, so no
-        job shares a connection with the push.
+        new digest).  Called from inside the ``begin_epoch`` barrier,
+        so no job shares a connection with the push.
 
         An endpoint that cannot be updated (unreachable, or it refuses
         the push) still holds the *old* shares — dead key material —
@@ -678,10 +726,9 @@ class RemoteWorkerPool:
     async def _discard(self, endpoint: _Endpoint) -> bool:
         """Tear down a (broken) connection.  Returns True only for the
         caller that actually closed it, so one worker death breaking a
-        whole window of in-flight requests is counted as one crash —
-        the same first-observer rule as ``WorkerPool._restart``.  The
-        reader task tears its own connection down when the socket dies
-        under it, so callers arriving here afterwards get False."""
+        whole window of in-flight requests is counted as one crash.
+        The reader task tears its own connection down when the socket
+        dies under it, so callers arriving here afterwards get False."""
         writer = endpoint.writer
         reader_task = endpoint.reader_task
         endpoint.reader = endpoint.writer = None
@@ -910,9 +957,8 @@ class RemoteWorkerPool:
     # -- job dispatch -------------------------------------------------------
     async def run_job(self, job):
         """Dispatch one window job to a remote worker and decode its
-        outcome, reconnecting and resubmitting on dropped connections —
-        the socket analogue of ``WorkerPool.run_job``'s
-        ``BrokenProcessPool`` recovery."""
+        outcome, reconnecting and resubmitting on dropped or hung
+        connections (bounded by ``max_retries``)."""
         if not self._running:
             raise TransportError("remote worker pool is not running")
         blob = self._codec.encode_job(job)

@@ -54,12 +54,6 @@ class StaleEpochError(ServiceError):
         self.job_epoch = job_epoch
         self.handle_epoch = handle_epoch
 
-    def __reduce__(self):
-        # Raised inside worker processes and pickled back through the
-        # executor; the default reduction replays ``args`` (the message
-        # string) into our two-int signature and fails to unpickle.
-        return (StaleEpochError, (self.job_epoch, self.handle_epoch))
-
 
 class RequestExpiredError(ServiceError):
     """The request's end-to-end deadline passed before its window ran;
@@ -75,18 +69,12 @@ class RequestExpiredError(ServiceError):
         self.overdue_ms = overdue_ms
 
 
-class WorkerCrashError(ServiceError):
-    """A window job kept landing on crashing worker processes (the pool
-    rebuilds and resubmits on a crash; this fires only when the retry
-    budget is exhausted, or the pool is not running)."""
-
-
 class TransportError(ServiceError):
-    """The remote-worker tier could not serve a job: every configured
-    endpoint stayed unreachable past the dial deadline, or the retry
-    budget was exhausted on dropped connections (each drop is detected
-    and the job resubmitted first — this is the gave-up error, the
-    socket analogue of :class:`WorkerCrashError`)."""
+    """The remote-worker tier could not serve a job: the pool is not
+    running, every configured endpoint stayed unreachable past the dial
+    deadline, or the retry budget was exhausted on dropped connections
+    (each drop is detected and the job resubmitted first — this is the
+    gave-up error)."""
 
 
 class HandshakeError(TransportError):
@@ -171,37 +159,33 @@ class ShardStats:
 
 @dataclass
 class WorkerPoolStats:
-    """Worker-tier accounting, shared by the process pool
-    (:class:`~repro.service.workers.WorkerPool`) and the TCP remote
-    pool (:class:`~repro.service.transport.RemoteWorkerPool`) — the two
-    tiers serve one contract, so they report one stats shape."""
+    """Worker-tier accounting
+    (:class:`~repro.service.transport.RemoteWorkerPool`)."""
 
+    #: Configured worker endpoints.
     workers: int = 0
-    #: Window jobs that completed on a worker (process or remote).
+    #: Window jobs that completed on a worker.
     jobs: int = 0
-    #: Worker deaths observed: a process death poisons one executor; a
-    #: remote worker's death shows as a dropped connection mid-job.
+    #: Worker deaths observed: a connection dropped mid-job.
     crashes: int = 0
-    #: Jobs resubmitted (to a rebuilt pool / another endpoint) after a
-    #: crash or connection drop.
+    #: Jobs resubmitted (to the re-dialed or another endpoint) after a
+    #: crash, connection drop or timeout.
     resubmissions: int = 0
-    #: Successful re-dials after a connection was lost (TCP tier only;
-    #: the process tier rebuilds executors instead of reconnecting).
+    #: Successful re-dials after a connection was lost.
     reconnects: int = 0
     #: Jobs abandoned because a *connected* worker did not answer
-    #: within the per-job timeout (TCP tier only) — the hung-worker
-    #: detector; each one also discards the connection and resubmits.
+    #: within the per-job timeout — the hung-worker detector; each one
+    #: also discards the connection and resubmits.
     timeouts: int = 0
     #: Circuit-breaker openings: an endpoint quarantined after repeated
     #: dial/job failures instead of staying in the round-robin.
     breaker_trips: int = 0
     #: Live context re-warms: workers handed new-epoch key material in
-    #: place (executor rebuild on the process tier, a ``C`` context-push
-    #: frame on the TCP tier) instead of being torn down.
+    #: place (a ``C`` context-push frame) instead of being torn down.
     rewarms: int = 0
     #: High-water mark of concurrently in-flight requests on one
-    #: connection (TCP tier only) — evidence that several shards'
-    #: window jobs really do share a connection instead of serializing.
+    #: connection — evidence that several shards' window jobs really do
+    #: share a connection instead of serializing.
     max_inflight: int = 0
 
 
@@ -270,8 +254,8 @@ class ServiceStats:
     ingress: TrafficCounter = field(default_factory=TrafficCounter)
     egress: TrafficCounter = field(default_factory=TrafficCounter)
     shards: Dict[int, ShardStats] = field(default_factory=dict)
-    #: Present when the service runs a worker tier — process-parallel
-    #: (``workers``) or TCP (``remote_workers``); None in-process.
+    #: Present when the service runs the worker tier
+    #: (``remote_workers``); None in-process.
     workers: Optional[WorkerPoolStats] = None
     #: Key-lifecycle accounting (epoch transitions, barrier pauses).
     epochs: EpochStats = field(default_factory=EpochStats)

@@ -44,11 +44,9 @@ NEW_OPS = ["batch_verify_msg", "gt_exp", "final_exp"]
 #: Service ops added by the serving-layer PR (fast = batch window of
 #: meta.batch_k, naive = the same pipeline in single-request mode).
 SVC_OPS = ["svc_sign_p50", "svc_verify_req", "svc_throughput"]
-#: Process-parallel ops (fast = meta.mp_workers worker processes,
-#: naive = the same batched pipeline on the event loop).
-MP_OPS = ["svc_mp_verify_req", "svc_mp_throughput"]
-#: TCP remote-worker ops (fast = meta.tcp_workers standalone worker
-#: processes over loopback sockets, naive = the event-loop pipeline).
+#: Worker-tier ops (fast = meta.tcp_workers standalone worker
+#: processes over loopback sockets, naive = the same batched pipeline
+#: on the event loop).
 TCP_OPS = ["svc_tcp_verify_req", "svc_tcp_throughput"]
 #: The combiner's window-level Share-Verify micro-op (fast = one
 #: cross-message multi-pairing over a window of meta.batch_k shares,
@@ -69,13 +67,12 @@ HTTP_OPS = ["svc_http_sign_p50", "svc_http_throughput"]
 def test_snapshot_records_all_operations(snapshot):
     for section in ("fast_ms", "naive_ms", "speedup"):
         assert set(snapshot[section]) == \
-            set(SEED_OPS + NEW_OPS + SVC_OPS + MP_OPS + TCP_OPS
+            set(SEED_OPS + NEW_OPS + SVC_OPS + TCP_OPS
                 + SHAREVERIFY_OPS + WAL_OPS + EPOCH_OPS + HTTP_OPS)
     assert set(snapshot["seed_reference_ms"]) == set(SEED_OPS)
     assert snapshot["meta"]["backend"] == "bn254"
     assert snapshot["meta"]["batch_k"] >= 2
     assert snapshot["meta"]["svc_total"] >= snapshot["meta"]["batch_k"]
-    assert snapshot["meta"]["mp_workers"] >= 2
     assert snapshot["meta"]["tcp_workers"] >= 1
     assert snapshot["meta"]["cpu_count"] >= 1
 
@@ -110,25 +107,12 @@ def test_service_window_amortizes_verify_traffic(snapshot):
         0.8 * snapshot["naive_ms"]["svc_throughput"]
 
 
-def test_mp_tier_serves_the_workload(snapshot):
+def test_tcp_tier_serves_the_workload(snapshot):
     # The worker-tier measurement must exist and be sane.  Its *ratio*
     # against single-process mode is hardware-dependent — it approaches
-    # min(mp_workers, cores) on multi-core machines and ~1x on a single
+    # min(tcp_workers, cores) on multi-core machines and ~1x on a single
     # core, where process parallelism cannot add CPU time — so the
-    # strict scaling assertion only applies when the cores exist.
-    assert snapshot["fast_ms"]["svc_mp_throughput"] > 0
-    assert snapshot["fast_ms"]["svc_mp_verify_req"] > 0
-    cpu_count = snapshot["meta"]["cpu_count"]
-    if cpu_count >= 4:
-        assert snapshot["speedup"]["svc_mp_throughput"] >= 1.5
-    else:
-        # One core: the tier must at least not collapse (overhead-bound
-        # floor — wire encoding + IPC on top of the same crypto).
-        assert snapshot["speedup"]["svc_mp_throughput"] >= 0.5
-
-
-def test_tcp_tier_serves_the_workload(snapshot):
-    # Same hardware caveat as the mp tier, plus socket framing on top;
+    # scaling assertion only applies when the cores exist; otherwise
     # the floor only guards against the transport collapsing (e.g. a
     # reconnect storm or per-job re-dial).
     assert snapshot["fast_ms"]["svc_tcp_throughput"] > 0

@@ -5,7 +5,7 @@ runs on the toy backend with one end-to-end test (marked ``bn254``) on
 the real pairing.  The Prometheus tests parse the exposition output
 line-by-line — including label unescaping — and reconcile every counter
 against ``snapshot_stats()`` exactly, which is the same gate
-``tools/serve_smoke.py`` act 8 enforces.
+``tools/serve_smoke.py`` act 7 enforces.
 """
 
 import asyncio

@@ -16,7 +16,7 @@ from repro.core.scheme import ServiceHandle
 from repro.service import (
     BatchAccumulator, CorruptSignerFault, HashRing, LoadGenerator,
     ServiceConfig, ServiceClosedError, ServiceOverloadedError,
-    SigningService, WorkerCrashFault, WorkerPool,
+    SigningService,
 )
 
 
@@ -631,152 +631,6 @@ class TestSigningService:
 
 
 # ---------------------------------------------------------------------------
-# The process-parallel worker tier
-# ---------------------------------------------------------------------------
-
-class TestWorkerPool:
-    def test_sign_and_verify_through_worker_processes(self, handle):
-        """workers=N serves the same contract as in-process mode: every
-        signature produced in a worker process verifies in the parent,
-        and the job/crash accounting is exposed in the stats."""
-        async def scenario():
-            config = ServiceConfig(num_shards=2, max_batch=4,
-                                   max_wait_ms=10.0, workers=2)
-            async with SigningService(handle, config) as service:
-                results = await asyncio.gather(*(
-                    service.sign(b"mp svc %d" % i) for i in range(12)))
-                verdicts = await asyncio.gather(*(
-                    service.verify(result.message, result.signature)
-                    for result in results))
-            return service, results, verdicts
-
-        service, results, verdicts = run(scenario())
-        assert all(handle.verify(r.message, r.signature) for r in results)
-        assert all(v.valid for v in verdicts)
-        stats = service.snapshot_stats()
-        assert stats.failed == 0
-        assert stats.workers is not None
-        assert stats.workers.workers == 2
-        assert stats.workers.jobs > 0
-        assert stats.workers.crashes == 0
-
-    def test_worker_crash_recovered_by_resubmission(self, handle,
-                                                    tmp_path):
-        """Kill a worker process mid-window: the pool must detect the
-        crash, rebuild the executor, resubmit the job, and every request
-        in the window must still complete with a valid signature."""
-        fault = WorkerCrashFault(tmp_path / "crashed.sentinel")
-
-        async def scenario():
-            config = ServiceConfig(num_shards=1, max_batch=8,
-                                   max_wait_ms=50.0, workers=2,
-                                   fault_injector=fault)
-            async with SigningService(handle, config) as service:
-                results = await asyncio.gather(*(
-                    service.sign(b"crash %d" % i) for i in range(8)))
-            return service, results
-
-        service, results = run(scenario())
-        assert (tmp_path / "crashed.sentinel").exists()
-        assert len(results) == 8
-        for result in results:
-            assert handle.verify(result.message, result.signature)
-        stats = service.snapshot_stats()
-        assert stats.failed == 0
-        assert stats.workers.crashes >= 1
-        assert stats.workers.resubmissions >= 1
-
-    def test_corrupt_signer_localized_inside_worker(self, handle):
-        """The CorruptSignerFault pattern survives the process boundary:
-        the injector runs inside the worker, the forgery is localized
-        there, and the fallback accounting flows back in the outcome."""
-        fault = CorruptSignerFault(signer_index=1, shard_id=0)
-
-        async def scenario():
-            config = ServiceConfig(num_shards=1, max_batch=8,
-                                   max_wait_ms=50.0, workers=1,
-                                   fault_injector=fault)
-            async with SigningService(handle, config) as service:
-                results = await asyncio.gather(*(
-                    service.sign(b"mp fault %d" % i) for i in range(8)))
-            return service, results
-
-        service, results = run(scenario())
-        for result in results:
-            assert handle.verify(result.message, result.signature)
-        stats = service.snapshot_stats()
-        shard = stats.shards[0]
-        # ``fault.injected`` lives in the worker process; the parent
-        # sees the localization through the outcome counters instead.
-        assert shard.faults_localized > 0
-        assert shard.fallback_combines > 0
-        assert stats.failed == 0
-
-    def test_partial_sign_job_round_trips_process_boundary(self, handle):
-        """A partial-signing job crosses the wire, and the decoded
-        partials combine and verify in the parent — the split-combiner
-        deployment shape."""
-        from repro.serialization import PartialSignJob
-
-        async def scenario():
-            pool = WorkerPool(handle, workers=1)
-            pool.start()
-            try:
-                outcome = await pool.run_job(PartialSignJob(
-                    shard_id=0, message=b"remote partials",
-                    signers=tuple(handle.quorum())))
-            finally:
-                pool.shutdown()
-            return outcome
-
-        outcome = run(scenario())
-        assert [p.index for p in outcome.partials] == handle.quorum()
-        signature = handle.scheme.combine(
-            handle.public_key, handle.verification_keys,
-            b"remote partials", list(outcome.partials))
-        assert handle.verify(b"remote partials", signature)
-
-    def test_pool_rejects_schemes_without_window_entry_points(
-            self, toy_group):
-        from repro.core.aggregation import (
-            AggThresholdParams, LJYAggregateScheme,
-        )
-        params = AggThresholdParams.generate(toy_group, t=1, n=3)
-        scheme = LJYAggregateScheme(params)
-        pk, shares, vks = scheme.dealer_keygen(rng=random.Random(23))
-        agg_handle = ServiceHandle(scheme, pk, shares, vks)
-        with pytest.raises(TypeError):
-            WorkerPool(agg_handle, workers=1)
-
-    def test_pool_rejects_bad_parameters(self, handle):
-        with pytest.raises(ValueError):
-            WorkerPool(handle, workers=0)
-        with pytest.raises(ValueError):
-            WorkerPool(handle, workers=1, max_retries=-1)
-
-    def test_worker_pids_report_real_children(self, handle):
-        import os
-
-        from repro.service import WorkerCrashError
-
-        async def scenario():
-            pool = WorkerPool(handle, workers=2)
-            with pytest.raises(WorkerCrashError):
-                await pool.worker_pids()   # not started yet
-            pool.start()
-            try:
-                pids = await pool.worker_pids()
-            finally:
-                pool.shutdown()
-            with pytest.raises(WorkerCrashError):
-                await pool.worker_pids()   # stopped again
-            return pids
-
-        pids = run(scenario())
-        assert pids and os.getpid() not in pids
-
-
-# ---------------------------------------------------------------------------
 # Load generator
 # ---------------------------------------------------------------------------
 
@@ -865,27 +719,3 @@ def test_service_end_to_end_on_bn254(bn254_group):
     assert fault.injected
     assert all(handle.verify(r.message, r.signature) for r in results)
     assert all(v.valid for v in verdicts)
-
-
-@pytest.mark.bn254
-def test_worker_tier_end_to_end_on_bn254(bn254_group):
-    """Signatures produced by worker processes over the real pairing
-    verify in the parent — the wire format carries real curve points."""
-    handle = ServiceHandle.dealer(bn254_group, 1, 3, rng=random.Random(24))
-
-    async def scenario():
-        config = ServiceConfig(num_shards=2, max_batch=4,
-                               max_wait_ms=50.0, workers=2)
-        async with SigningService(handle, config) as service:
-            results = await asyncio.gather(*(
-                service.sign(b"bn254 mp %d" % i) for i in range(4)))
-            verdicts = await asyncio.gather(*(
-                service.verify(result.message, result.signature)
-                for result in results))
-        return service, results, verdicts
-
-    service, results, verdicts = asyncio.run(scenario())
-    assert all(handle.verify(r.message, r.signature) for r in results)
-    assert all(v.valid for v in verdicts)
-    stats = service.snapshot_stats()
-    assert stats.workers.jobs > 0 and stats.workers.crashes == 0

@@ -3,10 +3,10 @@ worker pool, crash recovery, the standalone worker entry point).
 
 Most tests run an in-process :class:`WorkerServer` on the loopback —
 real sockets, same event loop — on the toy backend.  The crash-recovery
-test mirrors the ``WorkerCrashFault`` sentinel test of the process tier
-with actual subprocess workers; frame-rejection tests run on both
-backends (the wire payloads are backend-specific even though the frame
-header is not).
+tests run actual subprocess workers (the ``WorkerCrashFault`` sentinel
+pattern); the end-to-end and frame-rejection tests run on both backends
+(the wire payloads are backend-specific even though the frame header is
+not).
 """
 
 import asyncio
@@ -24,11 +24,13 @@ from repro.serialization import (
     encode_service_context, hello_mac, service_context_digest,
 )
 from repro.service import (
-    HandshakeError, RemoteJobError, RemoteWorkerPool, ServiceConfig,
-    SigningService, TransportError, WorkerServer,
+    CorruptSignerFault, HandshakeError, RemoteJobError, RemoteWorkerPool,
+    RequestFailedError, ServiceConfig, SigningService, TransportError,
+    WorkerServer,
 )
 from repro.service.transport import (
-    parse_address, read_frame, start_worker_process, write_frame,
+    execute_job, parse_address, read_frame, start_worker_process,
+    write_frame,
 )
 
 
@@ -348,10 +350,19 @@ class TestWorkerServerProtocol:
 # ---------------------------------------------------------------------------
 
 class TestRemoteWorkerPool:
-    def test_service_sign_and_verify_through_tcp(self, handle):
-        """remote_workers=[...] serves the same contract as the other
-        two tiers: every signature produced across the wire verifies in
-        the dispatcher, with jobs accounted in the stats."""
+    @pytest.fixture(params=[
+        "toy", pytest.param("bn254", marks=pytest.mark.bn254)])
+    def backend_handle(self, request, toy_group, bn254_group):
+        group = toy_group if request.param == "toy" else bn254_group
+        return ServiceHandle.dealer(group, 2, 5, rng=random.Random(11))
+
+    def test_service_sign_and_verify_through_tcp(self, backend_handle):
+        """remote_workers=[...] serves the same contract as the
+        in-process tier on both backends (the wire format carries real
+        curve points): every signature produced across the wire
+        verifies in the dispatcher, with jobs accounted in the stats."""
+        handle = backend_handle
+
         async def scenario():
             servers = [await WorkerServer(handle).start()
                        for _ in range(2)]
@@ -432,21 +443,97 @@ class TestRemoteWorkerPool:
 
         run(scenario())
 
-    def test_pool_rejects_bad_configuration(self, handle):
+    def test_pool_rejects_bad_configuration(self, handle, toy_group):
         with pytest.raises(ValueError):
             RemoteWorkerPool(handle, [])
         with pytest.raises(ValueError):
             RemoteWorkerPool(handle, ["host:port-less"])
 
-        # workers and remote_workers are mutually exclusive.
+        # Both ends refuse a scheme without window entry points at
+        # construction, not on the first job.
+        from repro.core.aggregation import (
+            AggThresholdParams, LJYAggregateScheme,
+        )
+        scheme = LJYAggregateScheme(
+            AggThresholdParams.generate(toy_group, t=1, n=3))
+        agg_handle = ServiceHandle(
+            scheme, *scheme.dealer_keygen(rng=random.Random(23)))
+        with pytest.raises(TypeError):
+            RemoteWorkerPool(agg_handle, ["127.0.0.1:1"])
+        with pytest.raises(TypeError):
+            WorkerServer(agg_handle)
+
+        # An injector is not shipped over the wire: configuring one
+        # that would never run is refused, not silently dropped.
         async def scenario():
-            config = ServiceConfig(workers=2,
-                                   remote_workers=["127.0.0.1:1"])
+            config = ServiceConfig(
+                fault_injector=CorruptSignerFault(signer_index=1),
+                remote_workers=["127.0.0.1:1"])
             service = SigningService(handle, config)
-            with pytest.raises(ValueError, match="not both"):
+            with pytest.raises(ValueError, match="fault_injector"):
                 await service.start()
+            assert not service.running
 
         run(scenario())
+
+    def test_corrupt_signer_localized_inside_remote_worker(self, handle):
+        """The injector runs where the partials are signed — inside the
+        worker: the forgery is localized there and the fallback
+        accounting flows back in the outcome."""
+        fault = CorruptSignerFault(signer_index=1, shard_id=0)
+
+        async def scenario():
+            server = await WorkerServer(
+                handle, fault_injector=fault).start()
+            config = ServiceConfig(num_shards=1, max_batch=8,
+                                   max_wait_ms=50.0,
+                                   remote_workers=[server.address])
+            try:
+                async with SigningService(handle, config) as service:
+                    results = await asyncio.gather(*(
+                        service.sign(b"tcp fault %d" % i)
+                        for i in range(8)))
+            finally:
+                await server.aclose()
+            return service, results
+
+        service, results = run(scenario())
+        for result in results:
+            assert handle.verify(result.message, result.signature)
+        stats = service.snapshot_stats()
+        assert fault.injected
+        assert stats.shards[0].faults_localized > 0
+        assert stats.shards[0].fallback_combines > 0
+        assert stats.failed == 0
+
+    def test_failed_sign_half_does_not_fail_the_verify_half(self, handle):
+        """A mixed window is two independent jobs: when the sign job is
+        refused by the worker, the verify requests whose verdicts
+        arrived are still answered."""
+        def offline(shard_id, signer_index, message, partial):
+            raise RuntimeError("signer offline")
+
+        signature = handle.sign(b"already signed")
+
+        async def scenario():
+            server = await WorkerServer(
+                handle, fault_injector=offline).start()
+            config = ServiceConfig(num_shards=1, max_batch=2,
+                                   max_wait_ms=200.0,
+                                   remote_workers=[server.address])
+            try:
+                async with SigningService(handle, config) as service:
+                    return await asyncio.gather(
+                        service.sign(b"doomed"),
+                        service.verify(b"already signed", signature),
+                        return_exceptions=True)
+            finally:
+                await server.aclose()
+
+        signed, verified = run(scenario())
+        assert isinstance(signed, RequestFailedError)
+        assert "signer offline" in str(signed)
+        assert verified.valid and verified.batch_size == 2
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +543,7 @@ class TestRemoteWorkerPool:
 class TestRemoteWorkerCrashRecovery:
     def test_worker_killed_mid_window_recovered_by_resubmission(
             self, handle, tmp_path):
-        """Mirror of the process tier's WorkerCrashFault sentinel test:
-        one of two subprocess workers dies hard (os._exit) on the first
+        """One of two subprocess workers dies hard (os._exit) on the first
         partial it signs; the pool must detect the dropped connection,
         resubmit the window to the surviving worker, and every request
         must still complete with a valid signature."""
@@ -1011,8 +1097,6 @@ class TestRequestIdFraming:
         """A worker may answer the second in-flight job first; the pool
         must route each outcome to its own caller by request id, not by
         arrival order."""
-        from repro.service.workers import execute_job
-
         codec = WireCodec(handle.scheme.group)
         hello = encode_hello(
             handle.scheme.group.name,

@@ -17,13 +17,11 @@ The ``svc_*`` ops additionally measure the async signing service
 end to end: the same closed-loop workload through the same pipeline,
 batched (window = BATCH_K) versus single-request mode (window = 1), so
 their speedups isolate the batch-window amortization of the serving
-layer.  The ``svc_mp_*`` ops measure the process-parallel worker tier
-(MP_WORKERS worker processes vs the same batched pipeline on one
-process, same offered load) — the multi-core scaling knob.  The
-``svc_tcp_*`` ops measure the TCP remote-worker tier the same way
-(TCP_WORKERS standalone worker processes on the loopback vs the
-batched event-loop pipeline), isolating the framing/socket overhead of
-the multi-machine transport.  ``svc_wal_throughput`` measures the
+layer.  The ``svc_tcp_*`` ops measure the remote-worker tier
+(TCP_WORKERS standalone worker processes on the loopback vs the same
+batched pipeline on one process, same offered load) — the multi-core
+scaling knob, framing/socket overhead of the transport included.
+``svc_wal_throughput`` measures the
 durability overhead: the same sign-only pipeline with the write-ahead
 log on versus off (fsync batched per closed window), so its ratio is
 the cost of crash safety — expected slightly below 1.0x.
@@ -103,28 +101,25 @@ BATCH_K = 16
 SVC_TOTAL = 3 * BATCH_K
 #: Closed-loop client concurrency driving the service ops.
 SVC_CONCURRENCY = BATCH_K
-#: Worker processes for the ``svc_mp_*`` ops (the process-parallel tier).
-MP_WORKERS = 4
-#: Shards for the ``svc_mp_*`` ops — at least MP_WORKERS, so that many
-#: window jobs can be in flight at once (one per shard).
-MP_SHARDS = 4
-#: Service passes per ``svc_*``/``svc_mp_*``/``svc_tcp_*`` side.  Each
+#: Service passes per ``svc_*``/``svc_tcp_*`` side.  Each
 #: op's value is the **median** across passes (see
 #: ``interleaved_best``) — the service ops are single-pass aggregates,
 #: so variance is tamed by repeating the whole pass, and an odd pass
 #: count gives the median a true middle sample.
 SVC_PASSES = 3
-MP_PASSES = 3
-#: Requests per ``svc_mp_*`` workload — larger than SVC_TOTAL so every
+TCP_PASSES = 3
+#: Remote TCP workers for the ``svc_tcp_*`` ops (the worker tier,
+#: measured over the loopback — real sockets, framing and handshake,
+#: no real network latency).
+TCP_WORKERS = 2
+#: Shards for the ``svc_tcp_*`` ops — at least TCP_WORKERS, so that
+#: many window jobs can be in flight at once (one per shard).
+TCP_SHARDS = 4
+#: Requests per ``svc_tcp_*`` workload — larger than SVC_TOTAL so every
 #: shard sees several full windows (4 shards split the traffic; a small
 #: total would make the window-fill dynamics, and thus the measured
 #: ratio, noisy).
-MP_TOTAL = 2 * SVC_TOTAL
-#: Remote TCP workers for the ``svc_tcp_*`` ops (the multi-machine
-#: tier, measured over the loopback — real sockets, framing and
-#: handshake, no real network latency).
-TCP_WORKERS = 2
-TCP_PASSES = 3
+TCP_TOTAL = 2 * SVC_TOTAL
 
 #: Seed-commit T2 numbers (benchmarks/results/t2_ops.txt at PR 0), kept for
 #: context only — cross-machine comparisons are apples to oranges, which is
@@ -145,11 +140,11 @@ SEED_REFERENCE_MS = {
 #: edit.
 CHECK_TOLERANCE = 0.15
 #: Ops whose committed speedup sits below this are *overhead-bound*:
-#: the worker-tier ratios (``svc_mp_*``, ``svc_tcp_*``) hover near
+#: the worker-tier ratios (``svc_tcp_*``) hover near
 #: 1.0x on a single-core recorder, where their run-to-run scheduling
 #: noise (±10-15%) rivals the default tolerance.  For them the check's
 #: documented purpose is catching the tier *collapsing* (a reconnect
-#: storm, per-job re-dials, pickling whole handles — 0.3-0.5x events),
+#: storm, per-job re-dials, per-job handshakes — 0.3-0.5x events),
 #: so the floor widens to ``OVERHEAD_TOLERANCE`` instead of flaking on
 #: scheduler jitter.  Ops with real committed speedups keep the strict
 #: band (the threshold sits just under ``gt_exp``'s ~1.23x so a
@@ -320,23 +315,22 @@ class NaiveReference:
 
 def _drive_service(handle: ServiceHandle, max_batch: int,
                    sign_messages, verify_pairs, num_shards: int = 1,
-                   workers: int = 0, remote_workers=()) -> dict:
+                   remote_workers=()) -> dict:
     """Push one closed-loop workload through the signing service.
 
     ``max_batch=BATCH_K`` is the batched serving mode; ``max_batch=1``
     is single-request mode (every window degenerates to one request) —
     the baseline the batch-window amortization is measured against.
-    ``workers=N`` additionally dispatches the windows to N worker
-    processes (the ``svc_mp_*`` ops); ``remote_workers=[...]``
-    dispatches them to standalone TCP workers (the ``svc_tcp_*`` ops).
+    ``remote_workers=[...]`` additionally dispatches the windows to
+    standalone TCP workers (the ``svc_tcp_*`` ops).
     Returns per-request sign/verify/mixed costs and the sign p50.
     """
     total = len(sign_messages)
     config = ServiceConfig(
         num_shards=num_shards, max_batch=max_batch,
         max_wait_ms=25.0 if max_batch > 1 else 0.0,
-        queue_depth=4 * total, workers=workers,
-        remote_workers=remote_workers, rng=random.Random(77))
+        queue_depth=4 * total, remote_workers=remote_workers,
+        rng=random.Random(77))
 
     async def scenario():
         async with SigningService(handle, config) as service:
@@ -397,69 +391,31 @@ def run_service_ops(scheme: LJYThresholdScheme, pk, shares, vks, master,
         SVC_PASSES, include_naive)
 
 
-def run_mp_service_ops(scheme: LJYThresholdScheme, pk, shares, vks, master,
-                       include_naive: bool = True
-                       ) -> "tuple[dict, dict | None]":
-    """The ``svc_mp_*`` ops: the process-parallel tier vs one process.
-
-    Both sides run the batched pipeline over ``MP_SHARDS`` shards at the
-    same offered load (closed loop, ``SVC_CONCURRENCY`` clients); the
-    fast side dispatches windows to ``MP_WORKERS`` worker processes, the
-    baseline runs them on the event loop.  The speedup is therefore the
-    multi-core scaling of the worker tier — it approaches
-    min(MP_WORKERS, cores) on idle multi-core hardware and ~1x on a
-    single core, where process parallelism cannot add CPU time (the
-    committed snapshot records whatever the recording machine provides;
-    ``--check`` only guards against *regressions* from that baseline).
-    """
-    handle = ServiceHandle(scheme, pk, shares, vks)
-    sign_messages = [b"svc mp sign %d" % i for i in range(MP_TOTAL)]
-    verify_messages = [b"svc mp verify %d" % i for i in range(MP_TOTAL)]
-    verify_pairs = [
-        (message, scheme.sign_with_master(master, message))
-        for message in verify_messages
-    ]
-    for message in sign_messages + verify_messages:
-        scheme.params.hash_message(message)
-
-    def rekey(report: dict) -> dict:
-        return {
-            "svc_mp_verify_req": report["svc_verify_req"],
-            "svc_mp_throughput": report["svc_throughput"],
-        }
-
-    def drive(workers: int) -> dict:
-        return rekey(_drive_service(handle, BATCH_K, sign_messages,
-                                    verify_pairs, num_shards=MP_SHARDS,
-                                    workers=workers))
-
-    return interleaved_best(lambda: drive(MP_WORKERS), lambda: drive(0),
-                            MP_PASSES, include_naive)
-
-
 def run_tcp_service_ops(scheme: LJYThresholdScheme, pk, shares, vks,
                         master, include_naive: bool = True
                         ) -> "tuple[dict, dict | None]":
     """The ``svc_tcp_*`` ops: the TCP remote-worker tier vs one process.
 
-    Same methodology as the ``svc_mp_*`` ops — the batched pipeline
-    over ``MP_SHARDS`` shards at the same closed-loop offered load —
-    but the fast side dispatches windows to ``TCP_WORKERS`` standalone
+    Both sides run the batched pipeline over ``TCP_SHARDS`` shards at
+    the same offered load (closed loop, ``SVC_CONCURRENCY`` clients);
+    the fast side dispatches windows to ``TCP_WORKERS`` standalone
     worker processes over loopback sockets (framed wire jobs, HELLO
-    handshake, warm per-process caches) instead of a
-    ``ProcessPoolExecutor``.  On the loopback the measurement isolates
-    the transport's framing/socket overhead against the identical
-    event-loop baseline; the multi-core caveat of ``svc_mp_*`` applies
-    unchanged (``meta.cpu_count`` keeps the committed ratio
-    interpretable).  The worker processes are spawned once and reused
-    by every fast pass, mirroring a deployment's long-lived workers.
+    handshake, warm per-process caches), the baseline runs them on the
+    event loop.  The speedup is therefore the multi-core scaling of the
+    worker tier net of its framing/socket overhead — it approaches
+    min(TCP_WORKERS, cores) on idle multi-core hardware and ~1x on a
+    single core, where process parallelism cannot add CPU time
+    (``meta.cpu_count`` keeps the committed ratio interpretable;
+    ``--check`` only guards against *regressions* from that baseline).
+    The worker processes are spawned once and reused by every fast
+    pass, mirroring a deployment's long-lived workers.
     """
     from repro.serialization import encode_service_context
     from repro.service.transport import start_worker_process
 
     handle = ServiceHandle(scheme, pk, shares, vks)
-    sign_messages = [b"svc tcp sign %d" % i for i in range(MP_TOTAL)]
-    verify_messages = [b"svc tcp verify %d" % i for i in range(MP_TOTAL)]
+    sign_messages = [b"svc tcp sign %d" % i for i in range(TCP_TOTAL)]
+    verify_messages = [b"svc tcp verify %d" % i for i in range(TCP_TOTAL)]
     verify_pairs = [
         (message, scheme.sign_with_master(master, message))
         for message in verify_messages
@@ -486,7 +442,7 @@ def run_tcp_service_ops(scheme: LJYThresholdScheme, pk, shares, vks,
             def drive(remote: bool) -> dict:
                 return rekey(_drive_service(
                     handle, BATCH_K, sign_messages, verify_pairs,
-                    num_shards=MP_SHARDS,
+                    num_shards=TCP_SHARDS,
                     remote_workers=tuple(addresses) if remote else ()))
 
             return interleaved_best(
@@ -797,9 +753,6 @@ def run_snapshot(rounds: int, include_naive: bool = True) -> dict:
     svc_fast, svc_naive = run_service_ops(
         scheme, pk, shares, vks, master, include_naive=include_naive)
     fast_ms.update(svc_fast)
-    mp_fast, mp_naive = run_mp_service_ops(
-        scheme, pk, shares, vks, master, include_naive=include_naive)
-    fast_ms.update(mp_fast)
     tcp_fast, tcp_naive = run_tcp_service_ops(
         scheme, pk, shares, vks, master, include_naive=include_naive)
     fast_ms.update(tcp_fast)
@@ -822,9 +775,8 @@ def run_snapshot(rounds: int, include_naive: bool = True) -> dict:
             "batch_k": BATCH_K,
             "svc_total": SVC_TOTAL,
             "svc_concurrency": SVC_CONCURRENCY,
-            "mp_workers": MP_WORKERS,
-            "mp_shards": MP_SHARDS,
             "tcp_workers": TCP_WORKERS,
+            "tcp_shards": TCP_SHARDS,
             "wal_sync": "fsync batched per closed window, not per request",
             "cpu_count": os.cpu_count(),
             "message": MESSAGE.decode(),
@@ -840,10 +792,9 @@ def run_snapshot(rounds: int, include_naive: bool = True) -> dict:
         # (max_batch=1), i.e. what a caller driving the scheme one
         # request at a time pays.
         naive_ms.update(svc_naive)
-        # MP baselines: the same batched pipeline, same shard count and
-        # offered load, windows run on the event loop (workers=0).
-        naive_ms.update(mp_naive)
-        # TCP baselines: identical methodology, remote_workers=() side.
+        # TCP baselines: the same batched pipeline, same shard count
+        # and offered load, windows run on the event loop
+        # (remote_workers=()).
         naive_ms.update(tcp_naive)
         # WAL baseline: the same sign-only pipeline with the WAL off —
         # the ratio is the durability overhead (expected < 1.0x).
@@ -876,10 +827,6 @@ def render_table(snapshot: dict) -> Table:
         "svc_sign_p50": f"Service sign p50 (window {BATCH_K} vs 1)",
         "svc_verify_req": f"Service verify, per request (window {BATCH_K})",
         "svc_throughput": "Service mixed load, per request",
-        "svc_mp_verify_req": (
-            f"Service verify/request ({MP_WORKERS} worker procs vs 1)"),
-        "svc_mp_throughput": (
-            f"Service mixed load/request ({MP_WORKERS} worker procs vs 1)"),
         "svc_tcp_verify_req": (
             f"Service verify/request ({TCP_WORKERS} TCP workers vs 1)"),
         "svc_tcp_throughput": (

@@ -13,12 +13,10 @@ window) and asserts the service contract:
 * the forged-partial window is localized and still completes, at no
   more Miller loops per window than the batched robust path costs
   (check, quotient localization, top-up, recombine);
-* the process-parallel worker tier (``workers=N``) serves the same
-  contract over the wire format: signatures produced in worker
-  processes verify in the parent, nothing is rejected or failed;
-* the TCP transport tier (``remote_workers=[...]``) serves the same
-  contract over loopback sockets: a window routed through a standalone
-  remote worker process completes every request, and with two shards
+* the worker tier (``remote_workers=[...]``) serves the same contract
+  over the wire format and loopback sockets: signatures produced in a
+  standalone remote worker process verify in the parent, nothing is
+  rejected or failed, and with two shards
   over two workers, killing one worker mid-window (it ``os._exit``\\ s
   on its first partial) fails over to the survivor: every request id
   in flight on the dead connection is resubmitted, each request
@@ -65,7 +63,7 @@ run exits 0.
 Usage::
 
     PYTHONPATH=src python tools/serve_smoke.py [--backend bn254]
-        [--requests 100] [--shards 2] [--workers 2]
+        [--requests 100] [--shards 2]
 """
 
 from __future__ import annotations
@@ -120,21 +118,21 @@ def _rng(stream: int) -> random.Random:
 #: the 24 suspect partials 52, the 8 top-up partials 4.  Per-share
 #: checks over the full ring cost 424.
 FORGED_WINDOW_MILLER_LOOPS = 88
-#: Act 6 batch sizes: requests settled before the kill / left durable
+#: Act 5 batch sizes: requests settled before the kill / left durable
 #: but unprocessed when the SIGKILL lands.
 WAL_PHASE1 = 4
 WAL_PENDING = 6
-#: Act 7 batch sizes: durable admits carried across the SIGKILLed
+#: Act 6 batch sizes: durable admits carried across the SIGKILLed
 #: epoch transition — stamped with the old epoch / the new one.
 EPOCH_PHASE0 = 3
 EPOCH_PHASE1 = 3
-#: Act 8 batch size: HTTP requests admitted (durable in the WAL) but
+#: Act 7 batch size: HTTP requests admitted (durable in the WAL) but
 #: unanswered when the gateway's host process is SIGKILLed.
 HTTP_PENDING = 5
 
 
 async def run_wal_victim(wal_dir: pathlib.Path, backend: str) -> int:
-    """Act 6's SIGKILL victim (spawned by ``--wal-victim``).
+    """Act 5's SIGKILL victim (spawned by ``--wal-victim``).
 
     Phase 1 signs a batch cleanly (admits *and* settlements reach the
     log).  Phase 2 admits a second batch into a window that will not
@@ -168,7 +166,7 @@ async def run_wal_victim(wal_dir: pathlib.Path, backend: str) -> int:
 
 
 async def run_epoch_victim(epoch_dir: pathlib.Path, backend: str) -> int:
-    """Act 7's SIGKILL victim (spawned by ``--epoch-victim``).
+    """Act 6's SIGKILL victim (spawned by ``--epoch-victim``).
 
     Admits a batch into a window that will not close, performs a *live*
     share refresh while those admits are in flight, persists the
@@ -206,7 +204,7 @@ async def run_epoch_victim(epoch_dir: pathlib.Path, backend: str) -> int:
 
 
 async def run_http_victim(http_dir: pathlib.Path, backend: str) -> int:
-    """Act 8's SIGKILL victim (spawned by ``--http-victim``).
+    """Act 7's SIGKILL victim (spawned by ``--http-victim``).
 
     Boots the service on a stalled window (it will not close for a
     minute) behind an HTTP gateway on an ephemeral port, prints the
@@ -298,8 +296,7 @@ def parse_prometheus_text(text: str, check) -> dict:
     return samples
 
 
-async def run_smoke(backend: str, requests: int, shards: int,
-                    workers: int) -> int:
+async def run_smoke(backend: str, requests: int, shards: int) -> int:
     group = get_group(backend)
     handle = ServiceHandle.dealer(group, 2, 5, rng=_rng(1))
     failures = []
@@ -392,49 +389,14 @@ async def run_smoke(backend: str, requests: int, shards: int,
           f"(bound {FORGED_WINDOW_MILLER_LOOPS}): the robust path fell "
           "back to per-share checks or re-evaluates what it holds")
 
-    # -- act 4: the process-parallel worker tier -----------------------
-    mp_requests = min(requests, 16)
-    mp_config = ServiceConfig(num_shards=max(2, shards), max_batch=8,
-                              max_wait_ms=10.0, queue_depth=4 * requests,
-                              workers=workers)
-    async with SigningService(handle, mp_config) as service:
-        mp_signed = {}
-
-        async def mp_sign(ordinal):
-            result = await service.sign(b"mp doc %d" % ordinal)
-            mp_signed[ordinal] = result
-            return result
-
-        mp_report = await LoadGenerator(mp_sign).run_closed(
-            mp_requests, 8)
-        check(mp_report.rejected == 0 and mp_report.failed == 0,
-              f"worker tier shed/failed requests "
-              f"({mp_report.rejected} rejected, {mp_report.failed} failed)")
-        for ordinal, result in mp_signed.items():
-            check(handle.verify(result.message, result.signature),
-                  f"worker tier produced an invalid signature for "
-                  f"#{ordinal}")
-        mp_verify = await LoadGenerator(
-            lambda i: service.verify(mp_signed[i].message,
-                                     mp_signed[i].signature)
-        ).run_closed(mp_requests, 8)
-        check(mp_verify.completed == mp_requests
-              and mp_verify.invalid == 0,
-              "worker tier returned wrong verify verdicts")
-    mp_stats = service.snapshot_stats()
-    check(mp_stats.workers is not None and mp_stats.workers.jobs > 0,
-          "worker tier dispatched no jobs")
-    check(mp_stats.workers is not None and mp_stats.workers.crashes == 0,
-          "worker processes crashed during the smoke run")
-
-    # -- act 5: the TCP transport tier (loopback remote workers) -------
+    # -- act 4: the TCP transport tier (loopback remote workers) -------
     loop = asyncio.get_running_loop()
     tcp_requests = min(requests, 8)
     with tempfile.TemporaryDirectory() as tcp_dir:
         context_path = pathlib.Path(tcp_dir) / "ctx.bin"
         context_path.write_bytes(encode_service_context(handle))
 
-        # 5a: a clean window routed through one remote worker process.
+        # 4a: a clean window routed through one remote worker process.
         process, address = await loop.run_in_executor(
             None, lambda: start_worker_process(context_path))
         tcp_config = ServiceConfig(num_shards=1, max_batch=8,
@@ -478,7 +440,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
               and tcp_stats.workers.crashes == 0,
               "TCP tier dropped connections during the clean act")
 
-        # 5b: two shards over a crasher and a survivor; the crasher
+        # 4b: two shards over a crasher and a survivor; the crasher
         # os._exits on the first partial it signs while the sentinel
         # file does not exist (the WorkerCrashFault pattern).  Every
         # request id in flight on the dead connection must fail over
@@ -520,7 +482,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
                       f"{crash_report.failed} failed)")
         finally:
             # terminate() is a no-op on the already-crashed worker but
-            # keeps an act-5b failure *before* the crash from hanging
+            # keeps an act-4b failure *before* the crash from hanging
             # in wait() and masking the real error.
             crasher.terminate()
             crasher.wait(timeout=10)
@@ -556,7 +518,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
               f"connection (max in flight "
               f"{crash_workers.max_inflight if crash_workers else 0})")
 
-    # -- act 6: SIGKILL the service mid-window; recover from the WAL ---
+    # -- act 5: SIGKILL the service mid-window; recover from the WAL ---
     # Fixed repo-root location (not a tempdir) so CI can upload the log
     # as an artifact when this act fails; removed on a clean run.
     wal_dir = REPO_ROOT / ".smoke-wal"
@@ -629,8 +591,8 @@ async def run_smoke(backend: str, requests: int, shards: int,
         check(service.stats.recovered == 0,
               "WAL act: a second restart replayed settled requests")
 
-    # -- act 7: live key lifecycle under churn -------------------------
-    # 7a: refresh + reshare + ring growth while open-loop load flows.
+    # -- act 6: live key lifecycle under churn -------------------------
+    # 6a: refresh + reshare + ring growth while open-loop load flows.
     epoch_dir = wal_dir / "epoch"
     epoch_dir.mkdir()
     pk_before = handle.public_key.to_bytes()
@@ -695,7 +657,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
         f"summary  -> pause p99 {lc_stats.epochs.pause_p99_ms:.3f}ms, "
         f"{lc_stats.epochs.requests_carried} requests carried")
 
-    # 7b: SIGKILL mid-transition; only the new epoch may resume the WAL.
+    # 6b: SIGKILL mid-transition; only the new epoch may resume the WAL.
     victim_dir = epoch_dir / "victim"
     victim_dir.mkdir()
     (victim_dir / "ctx.bin").write_bytes(encode_service_context(handle))
@@ -774,8 +736,8 @@ async def run_smoke(backend: str, requests: int, shards: int,
     (epoch_dir / "epoch.log").write_text(
         "\n".join(lifecycle_lines) + "\n")
 
-    # -- act 8: the HTTP front door ------------------------------------
-    # 8a: two tenants with different quotas drive the gateway; an
+    # -- act 7: the HTTP front door ------------------------------------
+    # 7a: two tenants with different quotas drive the gateway; an
     # admin-triggered reshare lands mid-load; the Prometheus exposition
     # must parse line-by-line and reconcile exactly with
     # snapshot_stats() and the tenant registry.
@@ -898,7 +860,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
               f"HTTP act: request {request_id} settled "
               f"{len(http_dones.get(request_id, []))} times")
 
-    # 8b: SIGKILL the gateway's host process with admitted-but-
+    # 7b: SIGKILL the gateway's host process with admitted-but-
     # unanswered HTTP requests; a restart against the same WAL must
     # settle every admitted request exactly once.
     hv_dir = http_dir / "victim"
@@ -975,10 +937,7 @@ async def run_smoke(backend: str, requests: int, shards: int,
           f"localized ({shard.faults_localized} flags, "
           f"{shard.fallback_combines} topped up, "
           f"{forged_window_loops:.0f} Miller loops per forged window); "
-          f"worker tier "
-          f"[{workers} procs] served "
-          f"{mp_stats.workers.jobs if mp_stats.workers else 0} window "
-          f"jobs; TCP tier served "
+          f"TCP worker tier served "
           f"{tcp_stats.workers.jobs if tcp_stats.workers else 0} jobs "
           f"clean + failed {crash_requests} requests over to a second "
           f"endpoint through a mid-window worker kill "
@@ -1016,10 +975,6 @@ def main(argv=None) -> int:
                         "curve — this is the CI gate)")
     parser.add_argument("--requests", type=int, default=100)
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker processes for the process-parallel "
-                        "act (must be >= 1; the tier is part of the "
-                        "service contract this smoke gates)")
     parser.add_argument("--wal-victim", type=pathlib.Path, default=None,
                         help=argparse.SUPPRESS)
     parser.add_argument("--epoch-victim", type=pathlib.Path, default=None,
@@ -1033,20 +988,18 @@ def main(argv=None) -> int:
     global _SEED_BASE
     _SEED_BASE = args.seed
     if args.wal_victim is not None:
-        # Internal re-entry: we are act 6's SIGKILL victim.
+        # Internal re-entry: we are act 5's SIGKILL victim.
         return asyncio.run(run_wal_victim(args.wal_victim, args.backend))
     if args.epoch_victim is not None:
-        # Internal re-entry: we are act 7's mid-transition SIGKILL victim.
+        # Internal re-entry: we are act 6's mid-transition SIGKILL victim.
         return asyncio.run(
             run_epoch_victim(args.epoch_victim, args.backend))
     if args.http_victim is not None:
-        # Internal re-entry: we are act 8's gateway SIGKILL victim.
+        # Internal re-entry: we are act 7's gateway SIGKILL victim.
         return asyncio.run(
             run_http_victim(args.http_victim, args.backend))
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     return asyncio.run(
-        run_smoke(args.backend, args.requests, args.shards, args.workers))
+        run_smoke(args.backend, args.requests, args.shards))
 
 
 if __name__ == "__main__":
