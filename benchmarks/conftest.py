@@ -1,9 +1,9 @@
 """Shared fixtures for the experiment benchmarks.
 
-Each experiment (T1-T5, F1-F5 in DESIGN.md) lives in its own module,
-produces a plain-text table under ``benchmarks/results/`` and registers at
-least one pytest-benchmark measurement.  The tables are the
-paper-vs-measured records that EXPERIMENTS.md references.
+Each experiment (T1-T5, F1-F7) lives in its own module, produces a
+plain-text table under ``benchmarks/results/`` and asserts the paper's
+claim about it; plain pytest runs them, no timing plugin (wall-clock
+columns use a local ``time.perf_counter`` loop).
 
 Timing experiments that need real cryptographic costs run on BN254; shape
 experiments (rounds, storage, message counts, bias rates) run on the toy

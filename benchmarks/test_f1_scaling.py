@@ -32,7 +32,7 @@ def _timed(fn, repeats=5):
     return (time.perf_counter() - start) / repeats * 1000
 
 
-def test_f1_scaling_table(toy_group, save_table, benchmark):
+def test_f1_scaling_table(toy_group, save_table):
     rng = random.Random(10)
     message = b"scaling message"
     table = Table(
@@ -67,10 +67,9 @@ def test_f1_scaling_table(toy_group, save_table, benchmark):
     # Combine grows with t (Lagrange over t+1 shares): largest sweep point
     # must dominate the smallest.
     assert combine_times[-1] > combine_times[0]
-    benchmark(lambda: None)
 
 
-def test_f1_combine_growth_is_linear_in_t(toy_group, save_table, benchmark):
+def test_f1_combine_growth_is_linear_in_t(toy_group, save_table):
     """Least-squares check: combine time vs t fits a line much better
     than a constant (ratio test on residuals)."""
     import numpy as np
@@ -94,12 +93,11 @@ def test_f1_combine_growth_is_linear_in_t(toy_group, save_table, benchmark):
         table.add_row(t=t, measured_ms=measured,
                       fit_ms=slope * t + intercept)
     save_table(table, "f1b_combine_fit")
-    benchmark(lambda: None)
 
 
-def test_f1_share_sign_bn254(bn254_group, benchmark):
-    """Absolute per-server signing cost on the real curve."""
+def test_f1_share_sign_bn254(bn254_group):
+    """Per-server signing on the real curve: local, and publicly checkable."""
     rng = random.Random(12)
-    scheme, _pk, shares, _vks = _deploy(bn254_group, 3, rng)
-    benchmark.pedantic(
-        scheme.share_sign, args=(shares[1], b"m"), rounds=3, iterations=1)
+    scheme, pk, shares, vks = _deploy(bn254_group, 3, rng)
+    partial = scheme.share_sign(shares[1], b"m")
+    assert scheme.share_verify(pk, vks[1], b"m", partial)

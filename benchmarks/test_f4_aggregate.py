@@ -38,7 +38,7 @@ def _signed_batch(scheme, pk, shares, vks, count):
     return items
 
 
-def test_f4_compression_table(toy_group, save_table, benchmark):
+def test_f4_compression_table(toy_group, save_table):
     rng = random.Random(19)
     scheme, pk, shares, vks = _deploy(toy_group, rng)
     table = Table("F4: aggregate size vs separate signatures",
@@ -54,10 +54,9 @@ def test_f4_compression_table(toy_group, save_table, benchmark):
         assert scheme.aggregate_verify(
             [(k, m) for k, _s, m in items], aggregate)
     save_table(table, "f4_compression")
-    benchmark(lambda: None)
 
 
-def test_f4_pairing_counts(bn254_group, save_table, benchmark):
+def test_f4_pairing_counts(bn254_group, save_table):
     """Aggregate-Verify pairing count: (2 + 2l) + 4l sanity pairings vs
     4l for separate verifies (sanity checks are per-key and cacheable;
     both raw and key-cached counts are reported)."""
@@ -92,10 +91,9 @@ def test_f4_pairing_counts(bn254_group, save_table, benchmark):
         assert cached < separate_loops
     save_table(table, "f4b_pairings")
     reset_pairing_counters()
-    benchmark(lambda: None)
 
 
-def test_f4_wallclock_crossover(bn254_group, save_table, benchmark):
+def test_f4_wallclock_crossover(bn254_group, save_table):
     """Measured wall-clock: aggregate-verify vs separate verifies."""
     rng = random.Random(21)
     scheme, pk, shares, vks = _deploy(bn254_group, rng)
@@ -119,6 +117,3 @@ def test_f4_wallclock_crossover(bn254_group, save_table, benchmark):
         if count >= 2:
             assert aggregate_ms < separate_ms
     save_table(table, "f4c_wallclock")
-    benchmark.pedantic(
-        scheme.aggregate_verify, args=(pairs, aggregate),
-        rounds=2, iterations=1)

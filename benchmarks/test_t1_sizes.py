@@ -81,7 +81,7 @@ def reports(bn254_group):
     return rows
 
 
-def test_t1_size_table(reports, save_table, benchmark):
+def test_t1_size_table(reports, save_table):
     table = Table(
         "T1: sizes at the 128-bit level (bits, measured on BN254 / "
         "3072-bit RSA)",
@@ -111,10 +111,8 @@ def test_t1_size_table(reports, save_table, benchmark):
     assert rom.share_bits == 4 * 256
     assert std.share_bits == 2 * 256
 
-    benchmark(lambda: [r.as_row() for r in reports])
 
-
-def test_t1_share_size_constant_in_n(bn254_group, save_table, benchmark):
+def test_t1_share_size_constant_in_n(bn254_group, save_table):
     """Share bits for the Section 3 scheme do not grow with n."""
     table = Table("T1b: Section 3 share size vs n (bits)",
                   ["n", "share_bits"])
@@ -129,4 +127,3 @@ def test_t1_share_size_constant_in_n(bn254_group, save_table, benchmark):
         table.add_row(n=n, share_bits=size)
     save_table(table, "t1b_share_size")
     assert len(set(sizes)) == 1
-    benchmark(lambda: None)

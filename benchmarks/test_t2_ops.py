@@ -2,10 +2,11 @@
 
 Paper claims: each server computes "two multi-exponentiations with two
 base elements and two hash-on-curve operations"; the verifier computes "a
-product of four pairings".  We measure wall-clock on the real BN254
-backend and assert the operation counts (4 Miller loops + 1 shared final
-exponentiation per verification), plus an ablation: multi-pairing versus
-four naive pairings.
+product of four pairings".  On the real BN254 backend we assert the
+operation counts (4 Miller loops + 1 shared final exponentiation per
+Verify / Share-Verify), plus an ablation: multi-pairing versus four
+naive pairings.  The wall-clock T2 table (``results/t2_ops.txt``, with
+naive and speed-up columns) is rendered by ``tools/bench_snapshot.py``.
 """
 
 import random
@@ -33,74 +34,25 @@ def deployment(bn254_group):
     return scheme, pk, shares, vks, message, partials, signature
 
 
-def test_t2_verify_is_four_pairings_one_final_exp(deployment, benchmark):
+def test_t2_verify_is_four_pairings_one_final_exp(deployment):
     scheme, pk, _shares, _vks, message, _partials, signature = deployment
     reset_pairing_counters()
     assert scheme.verify(pk, message, signature)
     assert PAIRING_COUNTERS["miller_loops"] == 4
     assert PAIRING_COUNTERS["final_exps"] == 1
     reset_pairing_counters()
-    benchmark.pedantic(
-        scheme.verify, args=(pk, message, signature), rounds=3, iterations=1)
 
 
-def test_t2_share_sign(deployment, benchmark):
-    scheme, _pk, shares, _vks, message, _partials, _signature = deployment
-    benchmark.pedantic(
-        scheme.share_sign, args=(shares[1], message), rounds=3, iterations=1)
-
-
-def test_t2_share_verify(deployment, benchmark):
+def test_t2_share_verify(deployment):
     scheme, pk, _shares, vks, message, partials, _signature = deployment
     reset_pairing_counters()
     assert scheme.share_verify(pk, vks[1], message, partials[0])
     assert PAIRING_COUNTERS["miller_loops"] == 4
     assert PAIRING_COUNTERS["final_exps"] == 1
     reset_pairing_counters()
-    benchmark.pedantic(
-        scheme.share_verify, args=(pk, vks[1], message, partials[0]),
-        rounds=3, iterations=1)
 
 
-def test_t2_combine(deployment, benchmark):
-    scheme, pk, _shares, vks, message, partials, _signature = deployment
-    benchmark.pedantic(
-        scheme.combine, args=(pk, vks, message, partials),
-        kwargs={"verify_shares": False}, rounds=3, iterations=1)
-
-
-def test_t2_operation_table(deployment, save_table, benchmark):
-    scheme, pk, shares, vks, message, partials, signature = deployment
-
-    def timed(fn, repeats=3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return (time.perf_counter() - start) / repeats * 1000
-
-    rows = [
-        ("Share-Sign (2 multi-exps + 2 hash-on-curve)",
-         timed(lambda: scheme.share_sign(shares[1], message))),
-        ("Share-Verify (product of 4 pairings)",
-         timed(lambda: scheme.share_verify(pk, vks[1], message,
-                                           partials[0]))),
-        ("Combine (t+1 = 3, optimistic)",
-         timed(lambda: scheme.combine(pk, vks, message, partials,
-                                      verify_shares=False))),
-        ("Combine (robust, share-verifying)",
-         timed(lambda: scheme.combine(pk, vks, message, partials))),
-        ("Verify (product of 4 pairings)",
-         timed(lambda: scheme.verify(pk, message, signature))),
-    ]
-    table = Table("T2: operation costs on BN254, pure Python (ms)",
-                  ["operation", "ms"])
-    for name, ms in rows:
-        table.add_row(operation=name, ms=ms)
-    save_table(table, "t2_ops")
-    benchmark(lambda: None)
-
-
-def test_t2_ablation_multi_pairing(bn254_group, save_table, benchmark):
+def test_t2_ablation_multi_pairing(bn254_group, save_table):
     """Ablation: one 4-term multi-pairing vs four separate pairings."""
     group = bn254_group
     pairs = [
@@ -133,4 +85,3 @@ def test_t2_ablation_multi_pairing(bn254_group, save_table, benchmark):
     table.add_row(strategy="naive (4 final exps)", ms=naive_ms)
     save_table(table, "t2b_multipairing")
     assert shared_ms < naive_ms     # the optimization must actually win
-    benchmark.pedantic(shared, rounds=3, iterations=1)

@@ -17,7 +17,7 @@ from repro.core.scheme import LJYThresholdScheme
 SWEEP = (3, 5, 9, 17, 33)
 
 
-def test_t3_storage_table(toy_group, save_table, benchmark):
+def test_t3_storage_table(toy_group, save_table):
     rng = random.Random(4)
     table = Table(
         "T3: private storage per player (bytes) vs n",
@@ -44,13 +44,3 @@ def test_t3_storage_table(toy_group, save_table, benchmark):
     # O(1): identical at every n.  Theta(n): exactly n + 1 values.
     assert len(set(ours)) == 1
     assert theirs == [n + 1 for n in SWEEP]
-    benchmark(lambda: None)
-
-
-def test_t3_dealer_keygen_cost(toy_group, benchmark):
-    """Keygen cost for the largest sweep point (context for the table)."""
-    rng = random.Random(5)
-    params = ThresholdParams.generate(toy_group, 16, 33)
-    scheme = LJYThresholdScheme(params)
-    benchmark.pedantic(scheme.dealer_keygen, kwargs={"rng": rng},
-                       rounds=3, iterations=1)

@@ -21,8 +21,7 @@ from repro.core.standard_model import LJYStandardModelScheme, SMParams
 T, N = 2, 5
 
 
-def test_t5_comparison_matrix(toy_group, bn254_group, save_table,
-                              benchmark):
+def test_t5_comparison_matrix(toy_group, bn254_group, save_table):
     rng = random.Random(25)
     rows = []
 
@@ -101,4 +100,3 @@ def test_t5_comparison_matrix(toy_group, bn254_group, save_table,
     assert ours["adaptive"] == "yes"
     assert ours["storage_values"] == 4           # O(1)
     assert rows[4]["storage_values"] == N + 1     # Theta(n)
-    benchmark(lambda: None)

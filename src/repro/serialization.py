@@ -581,59 +581,6 @@ class WireCodec:
         reader.done()
         return record
 
-    # -- size accounting ------------------------------------------------------
-    def encoded_size(self, value) -> int:
-        """Exact wire size in bytes of a codec-encodable value, without
-        building the encoding.
-
-        The simulation harness and capacity planning both need per-
-        message byte counts for traffic a node *would* send; computing
-        them from the format spec (fixed-width elements and scalars,
-        4-byte counts, length-prefixed strings) is O(1) in the payload
-        size.  ``tests/test_fuzz_wire.py`` pins this to
-        ``len(encode_*(value))`` for every wire type on both backends.
-        """
-        g1, g2 = self.group.g1_bytes, self.group.g2_bytes
-        if isinstance(value, PartialSignature):
-            return 4 + 2 * g1
-        if isinstance(value, Signature):
-            return 2 * g1
-        if isinstance(value, VerificationKey):
-            return 4 + 2 * g2
-        if isinstance(value, PrivateKeyShare):
-            return 4 + 4 * self.scalar_bytes
-        if isinstance(value, SignWindowJob):
-            return (13 + sum(4 + len(m) for m in value.messages)
-                    + 4 + 4 * len(value.quorum))
-        if isinstance(value, VerifyWindowJob):
-            return (13 + sum(4 + len(m) + 2 * g1 for m in value.messages))
-        if isinstance(value, PartialSignJob):
-            return 13 + len(value.message) + 4 + 4 * len(value.signers)
-        if isinstance(value, SignWindowOutcome):
-            failures = dict(value.failures)
-            per_slot = sum(
-                1 + (4 + len(failures[position].encode("utf-8"))
-                     if signature is None else 2 * g1)
-                for position, signature in enumerate(value.signatures))
-            return 5 + per_slot + 4 + 4 * len(value.flagged) + 4
-        if isinstance(value, VerifyWindowOutcome):
-            return 5 + len(value.verdicts)
-        if isinstance(value, PartialSignOutcome):
-            return 5 + (4 + 2 * g1) * len(value.partials)
-        if isinstance(value, WalAdmitRecord):
-            return 13 + 4 + len(value.message)
-        if isinstance(value, WalDoneRecord):
-            if value.signature is None:
-                return 10 + 4 + len(value.reason.encode("utf-8"))
-            return 10 + 2 * g1
-        raise SerializationError(
-            f"cannot size unknown wire type {type(value).__name__}")
-
-    def framed_size(self, value) -> int:
-        """Wire bytes of ``value`` shipped as one TCP frame (header
-        included) — what the transport actually puts on the socket."""
-        return FRAME_HEADER_BYTES + self.encoded_size(value)
-
 
 def encode_service_context(handle) -> bytes:
     """Serialize everything a worker process needs to rebuild a

@@ -23,14 +23,13 @@ multi-core scaling at fixed offered load.  It is also
 (:class:`~repro.service.gateway.HttpGateway`) in the same
 ``sign``/``verify`` shape with the same typed errors, so a workload
 closure swaps between in-process and HTTP by swapping the client
-object (the ``svc_http_*`` benchmark ops).
+object (the ``sign_http`` workload of ``perf/``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
@@ -38,17 +37,8 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 from repro.service.tenants import TenantQuotaError
 from repro.service.types import (
     RequestExpiredError, RequestFailedError, ServiceClosedError,
-    ServiceOverloadedError, SignResult, VerifyResult,
+    ServiceOverloadedError, SignResult, VerifyResult, percentile,
 )
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """The q-th percentile (0 < q <= 100) by the nearest-rank method."""
-    if not samples:
-        return float("nan")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass

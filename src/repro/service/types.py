@@ -11,6 +11,7 @@ else is a bug, not an error code.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -189,13 +190,13 @@ class WorkerPoolStats:
     max_inflight: int = 0
 
 
-def _percentile(samples, q: float) -> float:
-    """Nearest-rank percentile (same convention as the load generator)."""
+def percentile(samples, q: float) -> float:
+    """The q-th percentile (0 < q <= 100) by the nearest-rank method."""
     if not samples:
-        return 0.0
+        return float("nan")
     ordered = sorted(samples)
-    rank = max(1, int(round(q / 100.0 * len(ordered))))
-    return ordered[min(rank, len(ordered)) - 1]
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[rank - 1]
 
 
 @dataclass
@@ -227,7 +228,7 @@ class EpochStats:
 
     @property
     def pause_p99_ms(self) -> float:
-        return _percentile(self.pauses_ms, 99.0)
+        return percentile(self.pauses_ms, 99.0) if self.pauses_ms else 0.0
 
     @property
     def pause_max_ms(self) -> float:

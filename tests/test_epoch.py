@@ -22,8 +22,9 @@ from repro.service import (
     ServiceConfig, ServiceError, ShardPool, SigningService,
     StaleEpochError, TransportError, WorkerServer, WriteAheadLog,
 )
+from repro.service import loadgen
 from repro.service.transport import execute_job
-from repro.service.types import PendingRequest, RequestKind
+from repro.service.types import PendingRequest, RequestKind, percentile
 from repro.service.wal import scan_records
 from repro.serialization import WireCodec
 
@@ -141,6 +142,36 @@ class TestBeginEpoch:
                 await service.begin_epoch(
                     handle.refreshed(rng=random.Random(5)))
         run(scenario())
+
+    def test_refresh_derives_the_handle_before_the_barrier(
+            self, handle, monkeypatch):
+        """The refresh DKG runs outside the pause: ``refreshed`` has
+        returned before ``pause_all`` is entered, so shards are held
+        for the swap only."""
+        calls = []
+        refreshed, pause_all = ServiceHandle.refreshed, ShardPool.pause_all
+
+        def spy_refreshed(self, **kwargs):
+            calls.append("refreshed: enter")
+            new_handle = refreshed(self, **kwargs)
+            calls.append("refreshed: return")
+            return new_handle
+
+        async def spy_pause_all(self):
+            calls.append("pause_all: enter")
+            return await pause_all(self)
+
+        monkeypatch.setattr(ServiceHandle, "refreshed", spy_refreshed)
+        monkeypatch.setattr(ShardPool, "pause_all", spy_pause_all)
+
+        async def scenario():
+            config = ServiceConfig(num_shards=2)
+            async with SigningService(handle, config) as service:
+                await service.refresh(rng=random.Random(21))
+
+        run(scenario())
+        assert calls == [
+            "refreshed: enter", "refreshed: return", "pause_all: enter"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +461,15 @@ class TestEpochStats:
         epochs.pauses_ms.extend(float(v) for v in range(1, 101))
         assert epochs.pause_p99_ms == 99.0
         assert epochs.pause_max_ms == 100.0
+        # Nearest rank is a ceiling, not a rounding: p99 of 150 is the
+        # 149th sample (148.5 rounds half-to-even to 148), p50 of 5 the
+        # 3rd — one helper, shared with the load generator.
+        assert EpochStats(pauses_ms=[float(v) for v in range(1, 151)]
+                          ).pause_p99_ms == 149.0
+        five = [float(v) for v in range(1, 6)]
+        assert EpochStats(pauses_ms=five).pause_p99_ms == 5.0
+        assert percentile(five, 50) == 3.0
+        assert loadgen.percentile is percentile
 
     def test_summary_silent_without_transitions(self, handle):
         async def scenario():

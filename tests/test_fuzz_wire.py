@@ -5,9 +5,8 @@ session-seeded ``random.Random`` (rerun a failure with ``--seed N``;
 the effective seed is printed in the terminal summary).  Three
 properties, each swept over a corpus covering every wire type:
 
-* **round trip** — ``decode(encode(x)) == x``, ``encode(decode(blob))
-  == blob`` (canonicity), and :meth:`WireCodec.encoded_size` /
-  :meth:`WireCodec.framed_size` exactly predict the real byte counts;
+* **round trip** — ``decode(encode(x)) == x`` and
+  ``encode(decode(blob)) == blob`` (canonicity);
 * **truncation** — every strict prefix of every blob is a typed
   :class:`~repro.errors.SerializationError`, at *every* boundary, not
   just "one byte short";
@@ -115,8 +114,6 @@ def _flip_bit(blob: bytes, bit: int) -> bytes:
 def _assert_round_trips(corpus, codec):
     for value, encode, decode in corpus:
         blob = encode(value)
-        assert len(blob) == codec.encoded_size(value), type(value).__name__
-        assert codec.framed_size(value) == FRAME_HEADER_BYTES + len(blob)
         decoded = decode(blob)
         if not isinstance(value, PrivateKeyShare):
             assert decoded == value

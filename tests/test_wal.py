@@ -211,6 +211,26 @@ class TestServiceRecovery:
                    if isinstance(r, WalAdmitRecord)) == 10
         wal.close()
 
+    def test_one_fsync_per_closed_window_not_per_request(self, handle,
+                                                        tmp_path):
+        total = 16
+
+        async def scenario():
+            config = self.config(tmp_path / "sync.wal", num_shards=1)
+            async with SigningService(handle, config) as service:
+                wal = service.wal
+                await asyncio.gather(
+                    *(service.sign(b"doc %d" % i) for i in range(total)))
+            return wal.stats, service.stats.shards[0].windows
+
+        wal_stats, windows = run(scenario())
+        assert wal_stats.admits == wal_stats.dones == total
+        assert windows >= total // 4
+        # The barrier rides the window close (plus one sync at close()
+        # for the last window's done records).
+        assert wal_stats.syncs <= windows + 1
+        assert wal_stats.syncs < total
+
     def test_replay_settles_crashed_admits_on_both_backends(
             self, backend_handle, tmp_path):
         """The tentpole contract end to end: unacknowledged admits are
