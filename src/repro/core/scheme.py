@@ -952,9 +952,10 @@ class ServiceHandle:
         """Like :meth:`partials_for`, with every partial run through a
         service-layer fault injector (see :mod:`repro.service.faults`)
         once, in signer order, after signing.
-        The single producer both the in-process shard workers and the
-        process workers use, so injector semantics cannot diverge
-        between the two execution tiers.
+        The single producer of a window's partials — at arrival (a
+        shard pre-signing while its window forms), at close, on a
+        remote worker, or as a top-up — so injector semantics cannot
+        diverge between them.
         """
         signers = list(signers)
         produced = self._share_sign_many(signers, message)
@@ -967,9 +968,11 @@ class ServiceHandle:
 
     def _sign_window(self, messages: Sequence[bytes],
                      signers: Optional[Sequence[int]],
-                     fault_injector, shard_id: int, rng):
+                     fault_injector, shard_id: int, rng,
+                     presigned: Optional[Mapping[int, list]] = None):
         """Window production + the one robust path: the quorum's
-        partial signatures per message, combined through
+        partial signatures per message (``presigned`` ones, by window
+        position, taken as given — the combiner half), combined through
         :meth:`LJYThresholdScheme.combine_window` with a ``top_up``
         that draws the missing partials from the next signers after the
         quorum in ring order — through :meth:`partials_with_faults`, so
@@ -983,11 +986,12 @@ class ServiceHandle:
                 f"{type(self.scheme).__name__} has no window-sized entry "
                 "points; use the one-off sign()/verify() paths")
         indices = self.quorum() if signers is None else list(signers)
+        presigned = presigned or {}
         windows = [
-            (message, self.partials_with_faults(
+            (message, presigned.get(position) or self.partials_with_faults(
                 message, indices, fault_injector=fault_injector,
                 shard_id=shard_id))
-            for message in messages
+            for position, message in enumerate(messages)
         ]
         ring = self._signer_ring
         after = ring.index(indices[-1]) + 1 if indices else 0
@@ -1013,12 +1017,15 @@ class ServiceHandle:
     def process_sign_window(self, messages: Sequence[bytes],
                             quorum: Optional[Sequence[int]] = None,
                             fault_injector=None, shard_id: int = 0,
-                            rng=None):
+                            rng=None,
+                            presigned: Optional[Mapping[int, list]] = None):
         """Serve one batch window of sign requests end to end.
 
         Produces the quorum's partial signatures per message (running
         ``fault_injector`` over each, when given — see
-        :mod:`repro.service.faults`) and combines the window through
+        :mod:`repro.service.faults`), except at the window positions
+        ``presigned`` holds them for (the caller vouches they are this
+        handle's and quorum's), and combines the window through
         :meth:`LJYThresholdScheme.combine_window` (one cross-message
         batch check); a request whose quorum held a forged partial
         keeps its verified partials and tops up from the rest of the
@@ -1031,7 +1038,7 @@ class ServiceHandle:
         """
         from repro.serialization import SignWindowOutcome
         signatures, flagged, topped_up = self._sign_window(
-            messages, quorum, fault_injector, shard_id, rng)
+            messages, quorum, fault_injector, shard_id, rng, presigned)
         failures = [
             (position,
              f"sign failed: fewer than {self.threshold + 1} valid partial "

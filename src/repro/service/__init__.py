@@ -14,7 +14,9 @@ Thetacrypt mold:
 * :class:`~repro.service.accumulator.BatchAccumulator` — closes a batch
   window on ``max_batch`` requests or ``max_wait_ms`` elapsed, whichever
   comes first, so latency is bounded while full windows pay one
-  amortized crypto call for the whole batch.
+  amortized crypto call for the whole batch; the in-process shard
+  Share-Signs requests while their window forms (its ``prepare`` hook),
+  so the wait is not idle and only Combine is left for the close.
 * :class:`~repro.service.shards.ShardPool` — partitions signer quorums
   and request traffic across N workers by consistent hashing on the
   message digest; per-shard stats.

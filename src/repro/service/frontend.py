@@ -371,8 +371,8 @@ class SigningService:
         if self.wal is not None and request.kind is RequestKind.SIGN:
             # Logged only past backpressure: a shed request was never
             # an obligation.  The append is buffered; the shard worker
-            # fsyncs once per closed window, before the window's crypto
-            # runs, so the admit is durable before any completion.
+            # fsyncs once per closed window, before anything of it is
+            # combined, so the admit is durable before any completion.
             request.request_id = self.wal.append_admit(
                 request.message, epoch=self.handle.epoch)
         self.stats.accepted += 1

@@ -641,9 +641,12 @@ class HttpGateway:
             ("ljy_shard_migrated_total", "counter",
              "Queued requests received by live resize migration.",
              lambda s: s.migrated),
+            ("ljy_shard_presigned_total", "counter",
+             "Sign requests served from partials made before their "
+             "window closed, by shard.", lambda s: s.presigned),
             ("ljy_shard_busy_ms_total", "counter",
-             "Wall-clock ms spent executing windows, by shard.",
-             lambda s: round(s.busy_ms, 3)),
+             "Wall-clock ms spent pre-signing and executing windows, "
+             "by shard.", lambda s: round(s.busy_ms, 3)),
         ]
         for name, kind, help_text, getter in shard_counters:
             family = MetricFamily(name, kind, help_text)

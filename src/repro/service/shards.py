@@ -74,8 +74,10 @@ class ShardWorker:
         self.handle = handle
         self.queue: "asyncio.Queue[PendingRequest]" = asyncio.Queue(
             maxsize=queue_depth)
-        self.accumulator = BatchAccumulator(self.queue, max_batch,
-                                            max_wait_ms)
+        # A remote window's crypto belongs to its worker: no hook there.
+        self.accumulator = BatchAccumulator(
+            self.queue, max_batch, max_wait_ms,
+            prepare=self._presign if worker_pool is None else None)
         self.max_batch = max_batch
         self.stats = ShardStats(shard_id=shard_id)
         self.fault_injector = fault_injector
@@ -126,6 +128,35 @@ class ShardWorker:
         self._task = None
 
     # -- request processing -------------------------------------------------
+    def _presign(self, request: PendingRequest) -> bool:
+        """The accumulator's ``prepare`` hook: Share-Sign is
+        non-interactive, so a sign request's quorum partials are made
+        while its window forms instead of after the timer — outside the
+        lifecycle barrier, hence :meth:`_fence_holds`."""
+        if request.kind is not RequestKind.SIGN or request.future.done():
+            return False
+        clock = asyncio.get_running_loop().time
+        started = clock()
+        try:
+            request.presigned = (
+                self.handle, self.quorum, self.handle.partials_with_faults(
+                    request.message, self.quorum,
+                    fault_injector=self.fault_injector,
+                    shard_id=self.shard_id))
+        except Exception:  # the close re-raises it under the window's guard
+            pass
+        self.stats.busy_ms += (clock() - started) * 1000.0
+        return True
+
+    def _fence_holds(self, request: PendingRequest) -> bool:
+        """Early partials are used only under the very handle and quorum
+        they were made with: after an epoch swap, resize or putback they
+        are re-made (an honest old-epoch partial checked against
+        new-epoch verification keys would be read as a forgery)."""
+        made = request.presigned
+        return made is not None and made[0] is self.handle \
+            and made[1] is self.quorum
+
     async def _run(self) -> None:
         while True:
             window = await self.accumulator.next_window()
@@ -212,10 +243,15 @@ class ShardWorker:
         signs, verifies = self._split(window)
         if signs:
             self.stats.sign_requests += len(signs)
+            presigned = {
+                position: request.presigned[2]
+                for position, request in enumerate(signs)
+                if self._fence_holds(request)}
+            self.stats.presigned += len(presigned)
             outcome = self.handle.process_sign_window(
                 [request.message for request in signs], quorum=self.quorum,
                 fault_injector=self.fault_injector,
-                shard_id=self.shard_id, rng=self.rng)
+                shard_id=self.shard_id, rng=self.rng, presigned=presigned)
             self._apply_sign_outcome(signs, outcome, len(window), loop)
         if verifies:
             self.stats.verify_requests += len(verifies)

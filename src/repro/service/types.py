@@ -151,6 +151,10 @@ class ShardStats:
     #: tenant label — library callers, WAL replay — are not counted
     #: here; the aggregate counters above cover them).
     tenant_requests: Dict[str, int] = field(default_factory=dict)
+    #: Sign requests served from partials made before their window
+    #: closed (Share-Sign while the window formed).
+    presigned: int = 0
+    #: Wall-clock ms spent on windows, pre-signing included.
     busy_ms: float = 0.0
 
     @property
@@ -314,3 +318,7 @@ class PendingRequest:
     #: callers and WAL replay — the label is edge metadata, not an
     #: obligation, so it is deliberately NOT persisted).
     tenant: Optional[str] = None
+    #: ``(handle, quorum, partials)`` when a shard Share-Signed this
+    #: request while its window formed; used at close only by a shard
+    #: still holding exactly that handle and quorum.
+    presigned: Optional[tuple] = None

@@ -29,8 +29,9 @@ acknowledged to any caller, so discarding it is correct, not lossy.
 
 **Fsync batching.**  Appends go to the OS via a buffered file; nothing
 is forced to disk per request.  The shard worker calls :meth:`sync`
-once per *closed window* — immediately before the window's crypto runs
-— so one ``fsync`` covers every admit in the window and the admit is
+once per *closed window* — before anything of it is combined (its
+Share-Sign may already have run while the window formed; a crash
+discards that) — so one ``fsync`` covers every admit and the admit is
 durable before any completion can be observed.  Done records ride the
 next window's sync (or the close on shutdown); losing a done record to
 a crash costs one idempotent replay, never correctness.

@@ -15,16 +15,19 @@ import random
 
 import pytest
 
-from repro.core.scheme import ServiceHandle
+from repro.core.scheme import LJYThresholdScheme, ServiceHandle
 from repro.serialization import PartialSignJob, SignWindowJob
 from repro.service import (
-    ChurnFault, EpochStats, HandshakeError, RemoteWorkerPool,
+    ChurnFault, CorruptSignerFault, EpochStats, HandshakeError, RemoteWorkerPool,
     ServiceConfig, ServiceError, ShardPool, SigningService,
     StaleEpochError, TransportError, WorkerServer, WriteAheadLog,
 )
 from repro.service import loadgen
+from repro.service.shards import ShardWorker
 from repro.service.transport import execute_job
-from repro.service.types import PendingRequest, RequestKind, percentile
+from repro.service.types import (
+    PendingRequest, RequestExpiredError, RequestKind, percentile,
+)
 from repro.service.wal import scan_records
 from repro.serialization import WireCodec
 
@@ -285,6 +288,220 @@ class TestResize:
             with pytest.raises(ValueError):
                 await pool.resize(0)
         run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Share-Sign at arrival vs. the lifecycle barrier
+# ---------------------------------------------------------------------------
+
+class _RecordingForger(CorruptSignerFault):
+    """Signer 1 forges everywhere; remembers the forged objects."""
+
+    def __init__(self):
+        super().__init__(signer_index=1)
+        self.forged = []
+
+    def __call__(self, shard_id, signer_index, message, partial):
+        out = super().__call__(shard_id, signer_index, message, partial)
+        if out is not partial:
+            self.forged.append(out)
+        return out
+
+
+class TestPresignedFence:
+    """A shard Share-Signs a request while its window forms — outside
+    the lifecycle barrier.  Every scenario holds a window open (the
+    timer is a minute, the window one short of full) until ``HELD``
+    requests are pre-signed, fires a lifecycle event, and only then lets
+    the window close: partials made under a handle or quorum the shard
+    no longer holds must be dropped and re-made, never combined."""
+
+    HELD = 5
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """``signed``: every ``partials_with_faults`` call as (epoch,
+        signers, message); ``combined``: every window handed to
+        ``combine_window`` as [(message, partials)]."""
+        signed, combined = [], []
+        sign = ServiceHandle.partials_with_faults
+        combine = LJYThresholdScheme.combine_window
+
+        def spy_sign(self, message, signers, **kwargs):
+            signed.append((self.epoch, tuple(signers), message))
+            return sign(self, message, signers, **kwargs)
+
+        def spy_combine(self, public_key, vks, windows, **kwargs):
+            combined.append([(m, list(p)) for m, p in windows])
+            return combine(self, public_key, vks, windows, **kwargs)
+
+        monkeypatch.setattr(ServiceHandle, "partials_with_faults", spy_sign)
+        monkeypatch.setattr(LJYThresholdScheme, "combine_window",
+                            spy_combine)
+        return signed, combined
+
+    def _hold(self, handle, spies, event, forger=None, last=True,
+              **config):
+        """Returns (outcomes, service, pk_before): ``HELD`` requests
+        pre-signed in a held-open window, ``await event(service)``, then
+        (``last``) the request that fills the window."""
+        signed, _ = spies
+        config = {"num_shards": 1, "max_batch": self.HELD + 1, **config}
+
+        async def scenario():
+            service = SigningService(handle, ServiceConfig(
+                max_wait_ms=60_000.0, fault_injector=forger,
+                rng=random.Random(3), **config))
+            async with service:
+                before = service.handle.public_key.to_bytes()
+                tasks = [
+                    asyncio.create_task(service.sign(b"held %d" % i))
+                    for i in range(self.HELD)]
+                while len(signed) < self.HELD:
+                    await asyncio.sleep(0.001)
+                await event(service)
+                if last:
+                    tasks.append(asyncio.create_task(
+                        service.sign(b"held last")))
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*tasks, return_exceptions=True), 20)
+                return outcomes, service, before
+        return run(scenario())
+
+    def _check(self, handle, spies, held, forger=None):
+        """The invariants of every scenario whose requests all live."""
+        _, combined = spies
+        outcomes, service, before = held
+        assert service.handle.public_key.to_bytes() == before
+        for outcome in outcomes:
+            assert not isinstance(outcome, Exception), outcome
+            assert handle.verify(outcome.message, outcome.signature)
+        delivered = [partials for window in combined
+                     for _, partials in window]
+        # Only signers of the ring the shard holds at close contribute.
+        assert {p.index for partials in delivered for p in partials} \
+            <= set(service.handle.shares)
+        forged = forger.forged if forger is not None else []
+        poisoned = sum(
+            1 for partials in delivered
+            if any(p is f for p in partials for f in forged))
+        shards = service.stats.shards.values()
+        assert sum(s.faults_localized for s in shards) == poisoned
+        assert service.stats.failed == 0
+
+    TRANSITIONS = {
+        "refresh": lambda service: service.refresh(rng=random.Random(5)),
+        "reshare-out": lambda service: service.reshare(
+            2, (2, 3, 4, 5, 6), rng=random.Random(6)),
+        "reshare-in": lambda service: service.reshare(
+            2, (1, 2, 3, 4, 6), rng=random.Random(7)),
+        "retire": lambda service: service.retire_signer(3),
+    }
+
+    @pytest.mark.parametrize("forging", [False, True])
+    @pytest.mark.parametrize("transition", sorted(TRANSITIONS))
+    def test_epoch_swap_drops_presigned_partials(self, handle, spies,
+                                                 transition, forging):
+        forger = _RecordingForger() if forging else None
+        held = self._hold(handle, spies, self.TRANSITIONS[transition],
+                          forger=forger)
+        self._check(handle, spies, held, forger)
+        signed, _ = spies
+        service = held[1]
+        assert service.handle.epoch == 1
+        # Pre-signed under epoch 0, every one re-made under epoch 1.
+        quorum = tuple(service.handle.quorum(rotation=0))
+        for position in range(self.HELD):
+            message = b"held %d" % position
+            assert (0, (1, 2, 3), message) in signed
+            assert (1, quorum, message) in signed
+        assert service.stats.shards[0].presigned == 0
+        assert len(held[0]) == self.HELD + 1
+        if forging and 1 in quorum:
+            assert all(outcome.fallback for outcome in held[0])
+
+    def test_without_a_transition_the_presigned_partials_are_used(
+            self, handle, spies):
+        async def nothing(service):
+            pass
+        forger = _RecordingForger()
+        held = self._hold(handle, spies, nothing, forger=forger)
+        self._check(handle, spies, held, forger)
+        signed, combined = spies
+        assert held[1].stats.shards[0].presigned == self.HELD
+        # One Share-Sign per request (the last at close), one window.
+        assert len([s for s in signed if s[1] == (1, 2, 3)]) \
+            == self.HELD + 1
+        assert len(combined) == 1
+
+    @pytest.mark.parametrize("transition, forging",
+                             [("refresh", True), ("retire", False)])
+    def test_mutant_that_skips_the_fence_is_caught(
+            self, handle, spies, monkeypatch, transition, forging):
+        """The same scenarios with the fence disabled.  Refresh: signer
+        1's forgery sends the window down the robust path, where the
+        honest old-epoch partials of signers 2 and 3 are checked against
+        new-epoch verification keys, read as forged, and the requests
+        fail.  Retire: the retired signer's partial is combined."""
+        monkeypatch.setattr(
+            ShardWorker, "_fence_holds",
+            lambda self, request: request.presigned is not None)
+        forger = _RecordingForger() if forging else None
+        held = self._hold(handle, spies, self.TRANSITIONS[transition],
+                          forger=forger)
+        with pytest.raises(AssertionError):
+            self._check(handle, spies, held, forger)
+
+    def test_resize_mid_window_resigns_under_the_new_shards_quorum(
+            self, handle, spies, monkeypatch):
+        # Two shards hold HELD pre-signed requests between them; the
+        # shrink puts shard 1's window back and migrates it into shard
+        # 0's, which that fills: it closes without pre-signing again, so
+        # the migrated requests arrive with shard 1's partials.
+        forger = _RecordingForger()
+        migrated = []
+
+        async def shrink(service):
+            migrated.append(await service.resize(1))
+
+        held = self._hold(handle, spies, shrink, forger=forger, last=False,
+                          num_shards=2, max_batch=self.HELD)
+        self._check(handle, spies, held, forger)
+        signed, combined = spies
+        stats = held[1].stats.shards[0]
+        assert 0 < migrated[0] < self.HELD
+        assert stats.migrated == migrated[0]
+        assert stats.presigned == self.HELD - migrated[0]
+        # Shard 1's quorum (2, 3, 4) pre-signed the migrated requests;
+        # shard 0 combined only its own quorum's partials, forger and all.
+        assert sum(1 for s in signed if s[1] == (2, 3, 4)) == migrated[0]
+        assert len(combined) == 1 and len(combined[0]) == self.HELD
+        assert all(outcome.fallback for outcome in held[0])
+
+        monkeypatch.setattr(
+            ShardWorker, "_fence_holds",
+            lambda self, request: request.presigned is not None)
+        del signed[:], combined[:]
+        mutant = self._hold(handle, spies, shrink,
+                            forger=_RecordingForger(), last=False,
+                            num_shards=2, max_batch=self.HELD)
+        assert not all(outcome.fallback for outcome in mutant[0])
+
+    def test_expiry_drops_the_partials_with_the_request(self, handle,
+                                                        spies):
+        async def outlive_the_deadline(service):
+            await asyncio.sleep(0.08)
+
+        outcomes, service, _ = self._hold(
+            handle, spies, outlive_the_deadline, request_deadline_s=0.05)
+        signed, combined = spies
+        assert [type(o) for o in outcomes[:-1]] == \
+            [RequestExpiredError] * self.HELD
+        assert handle.verify(b"held last", outcomes[-1].signature)
+        stats = service.stats.shards[0]
+        assert stats.expired == self.HELD and stats.presigned == 0
+        assert [[m for m, _ in window] for window in combined] == \
+            [[b"held last"]]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ against ``snapshot_stats()`` exactly, which is the same gate
 import asyncio
 import json
 import random
+import time
 
 import pytest
 
@@ -650,6 +651,14 @@ class TestPrometheusExposition:
                     for sid in stats.shards)
                 assert per_shard == sum(
                     s.requests for s in stats.shards.values()) == 10
+                # Sequential clients: every request arrived alone and was
+                # Share-Signed while its window waited out the timer.
+                for sid, shard in stats.shards.items():
+                    assert sample(families, "ljy_shard_presigned_total",
+                                  shard=str(sid)) == shard.presigned
+                    assert sample(families, "ljy_shard_busy_ms_total",
+                                  shard=str(sid)) == round(shard.busy_ms, 3)
+                assert sum(s.presigned for s in stats.shards.values()) == 10
                 # The scrape itself is in flight while rendering.
                 assert sample(families, "ljy_gateway_inflight") == 1
                 # Route counters: 10 signs landed 200s and 2 landed 429s
@@ -724,6 +733,46 @@ class TestPrometheusExposition:
                 assert sample(families, "ljy_epoch_pause_ms_count") == 1
                 await admin.close()
         run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Share-Sign at arrival, over the wire
+# ---------------------------------------------------------------------------
+
+def test_two_closed_loop_clients_keep_windows_of_two(handle):
+    """The ``sign_http`` shape: two closed-loop clients, Share-Sign
+    slower than the window timer.  The first request is pre-signed
+    while the second crosses the edge, the window closes the moment
+    both are signed and the queue is empty — and the replies going out
+    together is what keeps the next window at two as well."""
+    rounds = 50
+
+    def slow_signer(shard_id, signer_index, message, partial):
+        time.sleep(0.001)         # 3 ms per request, timer at 2 ms
+        return partial
+
+    async def closed_loop(client, name):
+        for i in range(rounds):
+            result = await client.sign(b"%s %d" % (name, i))
+            assert handle.verify(result.message, result.signature)
+
+    async def scenario():
+        config = service_config(num_shards=1, max_batch=16,
+                                max_wait_ms=2.0, fault_injector=slow_signer)
+        async with gateway_running(handle, config=config) as gateway:
+            codec = WireCodec(handle.scheme.group)
+            clients = [client_for(gateway, "alpha-key", codec=codec)
+                       for _ in range(2)]
+            await asyncio.gather(closed_loop(clients[0], b"left"),
+                                 closed_loop(clients[1], b"right"))
+            for client in clients:
+                await client.close()
+            return gateway.service.snapshot_stats().shards[0]
+
+    stats = run(scenario())
+    assert stats.requests == 2 * rounds
+    assert stats.requests_per_window == 2.0
+    assert stats.presigned > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ assumed: each test drives its own event loop via ``asyncio.run``.
 
 import asyncio
 import random
+import socket
+import time
 
 import pytest
 
@@ -410,6 +412,139 @@ class TestBatchAccumulator:
             BatchAccumulator(queue, max_batch=1, max_wait_ms=-1)
 
 
+class TestPrepareHook:
+    """The accumulator with a per-item ``prepare`` hook: the window's
+    wait is work-conserving, the close rule is otherwise the same."""
+
+    def test_lone_item_still_waits_out_the_deadline_when_prepare_is_fast(
+            self):
+        async def scenario():
+            queue = asyncio.Queue()
+            prepared = []
+            accumulator = BatchAccumulator(
+                queue, max_batch=8, max_wait_ms=60,
+                prepare=lambda item: prepared.append(item) or True)
+            queue.put_nowait("first")
+
+            async def straggler():
+                await asyncio.sleep(0.02)
+                queue.put_nowait("second")
+
+            loop = asyncio.get_running_loop()
+            task = loop.create_task(straggler())
+            started = loop.time()
+            window = await accumulator.next_window()
+            await task
+            return window, prepared, loop.time() - started
+
+        window, prepared, elapsed = run(scenario())
+        assert window == prepared == ["first", "second"]
+        assert elapsed >= 0.055
+
+    def test_item_enqueued_during_an_overrun_joins_this_window(self):
+        async def scenario():
+            queue = asyncio.Queue()
+
+            def prepare(item):
+                time.sleep(0.01)          # overruns the 2 ms deadline
+                if item == "first":
+                    queue.put_nowait("during")
+                return True
+
+            accumulator = BatchAccumulator(queue, max_batch=8,
+                                           max_wait_ms=2, prepare=prepare)
+            queue.put_nowait("first")
+            return await accumulator.next_window(), queue.qsize()
+
+        assert run(scenario()) == (["first", "during"], 0)
+
+    def test_request_on_the_wire_during_an_overrun_joins_this_window(self):
+        """What :data:`ADMISSION_PASSES` is sized for: the bytes reach a
+        listening socket while ``prepare`` holds the loop, and selector
+        poll -> protocol read -> handler task -> put must all happen
+        before the window may close on its (already passed) deadline."""
+        async def scenario():
+            queue = asyncio.Queue()
+
+            async def admit(reader, writer):
+                queue.put_nowait((await reader.readline()).strip())
+                writer.close()
+
+            server = await asyncio.start_server(admit, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = socket.create_connection(("127.0.0.1", port))
+            await asyncio.sleep(0.01)     # the server side has accepted
+
+            def prepare(item):
+                if item == b"first":
+                    client.sendall(b"during\n")
+                time.sleep(0.01)
+                return True
+
+            accumulator = BatchAccumulator(queue, max_batch=8,
+                                           max_wait_ms=2, prepare=prepare)
+            queue.put_nowait(b"first")
+            window = await accumulator.next_window()
+            client.close()
+            server.close()
+            await server.wait_closed()
+            return window
+
+        assert run(scenario()) == [b"first", b"during"]
+
+    def test_full_queue_closes_at_max_batch_without_preparing(self):
+        async def scenario():
+            queue = asyncio.Queue()
+            prepared = []
+
+            def prepare(item):
+                prepared.append(item)
+                queue.put_nowait(7)       # fill the window meanwhile
+                queue.put_nowait(8)
+                return True
+
+            accumulator = BatchAccumulator(queue, max_batch=3,
+                                           max_wait_ms=10_000,
+                                           prepare=prepare)
+            for item in range(7):
+                queue.put_nowait(item)
+            windows = [await accumulator.next_window() for _ in range(3)]
+            return windows, prepared
+
+        windows, prepared = run(scenario())
+        # Two windows fill from the queue: closed at once, nothing
+        # prepared.  The third prepares its first item, fills while it
+        # does, and closes without preparing past max_batch.
+        assert windows == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert prepared == [6]
+
+    def test_cancellation_mid_prepare_puts_every_taken_item_back(self):
+        async def scenario():
+            queue = asyncio.Queue(maxsize=2)
+            consumer = None
+
+            def prepare(item):
+                queue.put_nowait("newcomer")   # admission refills a slot
+                consumer.cancel()              # lands at prepare's yield
+                return True
+
+            accumulator = BatchAccumulator(queue, max_batch=8,
+                                           max_wait_ms=10_000,
+                                           prepare=prepare)
+            queue.put_nowait("a")
+            queue.put_nowait("b")
+            consumer = asyncio.get_running_loop().create_task(
+                accumulator.next_window())
+            with pytest.raises(asyncio.CancelledError):
+                await consumer
+            queued = [queue.get_nowait() for _ in range(queue.qsize())]
+            return queued, accumulator.spilled
+
+        queued, spilled = run(scenario())
+        assert queued == ["newcomer", "a"]
+        assert spilled == ["b"]
+
+
 # ---------------------------------------------------------------------------
 # Consistent hashing
 # ---------------------------------------------------------------------------
@@ -487,6 +622,55 @@ class TestSigningService:
         assert shard.full_windows == 1
         assert shard.requests_per_window == 16
         assert all(result.batch_size == 16 for result in results)
+
+    def test_presigned_and_window_signed_bytes_are_identical(self, handle):
+        """LJY signatures are unique per message: whether a request's
+        partials were made at arrival or at the window's close cannot
+        show in the bytes — nor can busy time leave the shard's ledger
+        when Share-Sign moves in front of the window."""
+        messages = [b"unique %d" % i for i in range(8)]
+
+        async def scenario(trickle_s):
+            config = ServiceConfig(num_shards=1, max_batch=8,
+                                   max_wait_ms=30.0, rng=random.Random(9))
+
+            async def one(service, position):
+                await asyncio.sleep(trickle_s * position)
+                return await service.sign(messages[position])
+
+            async with SigningService(handle, config) as service:
+                results = await asyncio.gather(*(
+                    one(service, position) for position in range(8)))
+            return [r.signature.to_bytes() for r in results], \
+                service.stats.shards[0]
+
+        burst, burst_stats = run(scenario(0.0))
+        trickled, trickled_stats = run(scenario(0.001))
+        # A window that fills from the queue pre-signs nothing; one
+        # that waits pre-signs all but the request that closes it.
+        assert burst_stats.presigned == 0 and burst_stats.windows == 1
+        assert trickled_stats.presigned == 7 and trickled_stats.windows == 1
+        reference = [s.to_bytes() for s in handle.sign_window(messages)]
+        assert burst == trickled == reference
+        assert trickled_stats.busy_ms > 0
+
+    def test_presign_time_is_counted_as_busy(self, handle):
+        """A lone request whose Share-Sign takes 30 ms is a shard that
+        was busy 30 ms, although its window's close does none of it."""
+        def slow_signer(shard_id, signer_index, message, partial):
+            time.sleep(0.01)
+            return partial
+
+        async def scenario():
+            config = ServiceConfig(num_shards=1, max_wait_ms=1.0,
+                                   fault_injector=slow_signer)
+            async with SigningService(handle, config) as service:
+                await service.sign(b"lone")
+            return service.stats.shards[0]
+
+        stats = run(scenario())
+        assert stats.presigned == 1
+        assert stats.busy_ms >= 30.0
 
     def test_load_shedding_typed_and_counted(self, handle):
         async def scenario():

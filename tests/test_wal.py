@@ -15,7 +15,7 @@ import zlib
 
 import pytest
 
-from repro.core.scheme import ServiceHandle
+from repro.core.scheme import LJYThresholdScheme, ServiceHandle
 from repro.errors import SerializationError
 from repro.serialization import WalAdmitRecord, WalDoneRecord, WireCodec
 from repro.service import (
@@ -230,6 +230,68 @@ class TestServiceRecovery:
         # for the last window's done records).
         assert wal_stats.syncs <= windows + 1
         assert wal_stats.syncs < total
+
+    def test_nothing_is_combined_or_settled_before_the_windows_sync(
+            self, handle, tmp_path, monkeypatch):
+        """Share-Sign of an admitted request may run before its admit
+        is durable (at arrival, while the window forms); Combine and the
+        done record may not.  Trickled arrivals, so windows pre-sign."""
+        events = []
+
+        def spy(owner, name, label):
+            original = getattr(owner, name)
+
+            def recorder(self, *args, **kwargs):
+                events.append(label(*args, **kwargs))
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(owner, name, recorder)
+
+        spy(ServiceHandle, "partials_with_faults",
+            lambda message, *a, **k: ("partials", message))
+        spy(ServiceHandle, "process_sign_window",
+            lambda messages, **k: ("window", tuple(messages)))
+        spy(LJYThresholdScheme, "combine_window",
+            lambda pk, vks, windows, **k: (
+                "combine", tuple(m for m, _ in windows)))
+        spy(WriteAheadLog, "sync", lambda: ("sync",))
+        spy(WriteAheadLog, "append_admit",
+            lambda message, **k: ("admit", message))
+        spy(WriteAheadLog, "append_done", lambda request_id, **k: ("done",))
+        messages = [b"ordered %d" % i for i in range(9)]
+
+        async def one(service, message, delay):
+            await asyncio.sleep(delay)
+            return await service.sign(message)
+
+        async def scenario():
+            config = self.config(tmp_path / "order.wal", num_shards=1,
+                                 max_batch=3, max_wait_ms=5.0)
+            async with SigningService(handle, config) as service:
+                await asyncio.gather(*(
+                    one(service, message, 0.001 * position)
+                    for position, message in enumerate(messages)))
+            return service.stats.shards[0]
+
+        stats = run(scenario())
+        assert stats.presigned > 0
+        durable, admitted, dones = set(), [], 0
+        for event in events:
+            if event[0] == "admit":
+                admitted.append(event[1])
+            elif event[0] == "sync":
+                durable.update(admitted)
+            elif event[0] in ("window", "combine"):
+                assert set(event[1]) <= durable, event
+            elif event[0] == "done":
+                dones += 1
+                assert dones <= len(durable)
+        windows = [e for e in events if e[0] == "window"]
+        assert len(windows) == stats.windows
+        assert sorted(m for w in windows for m in w[1]) == sorted(messages)
+        # Each window's process_sign_window directly follows its sync.
+        for position, event in enumerate(events):
+            if event[0] == "window":
+                assert events[position - 1] == ("sync",)
 
     def test_replay_settles_crashed_admits_on_both_backends(
             self, backend_handle, tmp_path):

@@ -828,13 +828,20 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
         check(metrics.get(sample_name) == float(expected),
               f"HTTP act: metrics sample {sample_name} = "
               f"{metrics.get(sample_name)} but stats say {expected}")
-    per_shard_requests = sum(
-        value for name, value in metrics.items()
-        if name.startswith("ljy_shard_requests_total{"))
-    check(per_shard_requests == sum(
-        s.requests for s in http_stats.shards.values()),
-          "HTTP act: per-shard request counters do not sum to the "
-          "shard stats")
+    for family, digits in (("requests", 0), ("presigned", 0),
+                           ("busy_ms", 3)):
+        exposed = sum(
+            value for name, value in metrics.items()
+            if name.startswith("ljy_shard_%s_total{" % family))
+        expected = sum(round(getattr(s, family), digits)
+                       for s in http_stats.shards.values())
+        check(abs(exposed - expected) < 1e-6,
+              f"HTTP act: per-shard {family} counters sum to {exposed} "
+              f"but the shard stats say {expected}")
+    # beta's two admitted requests arrived alone: each was Share-Signed
+    # while its window waited, and that time is busy time.
+    check(sum(s.presigned for s in http_stats.shards.values()) >= beta_ok,
+          "HTTP act: lone requests were not signed at arrival")
     check(tenant_states["beta"].stats.rejected_quota == 4
           and http_stats.tenant_accepted.get("beta", 0) == 2,
           "HTTP act: beta's 429s leaked past the edge into the service")
