@@ -19,8 +19,10 @@ pairings" (Section 3.1).
 
 from __future__ import annotations
 
+import json
+import logging
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.core.keys import (
@@ -32,6 +34,8 @@ from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import lagrange_at_zero, lagrange_coefficients
 from repro.math.polynomial import Polynomial
 from repro.math.rng import random_scalar
+
+_LOG = logging.getLogger(__name__)
 
 
 def partials_over(group: BilinearGroup,
@@ -287,9 +291,10 @@ class LJYThresholdScheme:
                       verification_keys: Mapping[int, VerificationKey],
                       items: Sequence[Tuple[bytes, PartialSignature]],
                       coins: Sequence[int]):
-        """``value_of(lo, hi)``: the G_T value of the Share-Verify
-        equations of ``items[lo:hi]``, each raised to its own coin —
-        the identity iff (up to the batching bound) every one holds.
+        """``value_of(lo, hi, weighted=False)``: the G_T value of the
+        Share-Verify equations of ``items[lo:hi]``, each raised to its
+        own coin — the identity iff (up to the batching bound) every
+        one holds; ``weighted`` as in :meth:`_signature_values`.
 
         By bilinearity the product groups by pairing argument into
         ``2 + 2 * distinct_signers`` pairs — ``(z_agg, g_z)``,
@@ -309,8 +314,12 @@ class LJYThresholdScheme:
             if message not in hashes:
                 hashes[message] = p.hash_message(message)
 
-        def value_of(lo: int, hi: int) -> GroupElement:
+        def value_of(lo: int, hi: int,
+                     weighted: bool = False) -> GroupElement:
             exponents = coins[lo:hi]
+            if weighted:
+                exponents = [coin * weight for weight, coin
+                             in enumerate(exponents, lo + 1)]
             # Group the hash terms by signer: V_1i/V_2i are the only
             # non-shared G_hat arguments, so one MSM pair per
             # *distinct* signer is the finest the product collapses to.
@@ -392,15 +401,16 @@ class LJYThresholdScheme:
         after the items are fixed, and every sub-batch reuses its
         items' coins.  Sub-batches are taken over the items in
         signer-major order, so each touches few verification keys.
-        No companion is handed to the descent here: a full-range
-        product is this batch's dearest (2 + 2 * signers pairs), and a
-        forging signer's items sit adjacent in signer-major order,
-        where no lone offender is there to name (measured: 2 messages
-        by 3 signers, one forging both, 22 Miller loops without it and
-        26 with).  An
-        item whose signer has no verification key is reported invalid
-        without entering the batch.  Returns [] when the whole batch
-        verifies.
+        One signer's items — what :meth:`combine_window` asks about —
+        are a four-pair product whatever the slice, so a failing batch
+        of them gets its index-weighted companion and a lone forgery
+        is named from the pair.  Several signers' items descend
+        without one: their full-range product is the batch's dearest
+        (2 + 2 * signers pairs), and a forging signer's items sit
+        adjacent in signer-major order, where no lone offender is
+        there to name.  An item whose signer has no verification key
+        is reported invalid without entering the batch.  Returns []
+        when the whole batch verifies.
         """
         items = list(items)
         keyed = [self._has_key(verification_keys, partial)
@@ -422,8 +432,13 @@ class LJYThresholdScheme:
         value_of = self._share_values(
             verification_keys, [items[position] for position in order],
             _coins(len(order), rng))
-        offenders = _descend(
-            value_of, 0, len(order), value_of(0, len(order)))
+        value = value_of(0, len(order))
+        companion = None
+        # Signer-major order: equal ends mean one signer throughout.
+        if (not value.is_identity() and items[order[0]][1].index
+                == items[order[-1]][1].index):
+            companion = value_of(0, len(order), weighted=True)
+        offenders = _descend(value_of, 0, len(order), value, companion)
         return sorted(keyless + [order[offset] for offset in offenders])
 
     # ------------------------------------------------------------------
@@ -634,96 +649,129 @@ class LJYThresholdScheme:
                        verification_keys: Mapping[int, VerificationKey],
                        windows: Sequence[
                            Tuple[bytes, Sequence[PartialSignature]]],
-                       rng=None, top_up=None
+                       rng=None, top_up=None,
+                       suspects: Optional["Suspects"] = None
                        ) -> Tuple[List[Optional[Signature]], List[int]]:
         """Combine one batch window of ``(message, partials)`` requests.
 
-        Optimistically combines every request without share verification,
-        then checks the whole window with **one** cross-message coined
-        product (:meth:`locate_invalid`) — so a window of k honest
-        requests costs k cheap Lagrange MSMs plus a single multi-pairing
-        instead of k robust Combines.  When the window check fails its
-        value is localized down to the poisoned requests, and the robust
-        path runs over those positions only:
+        Each request combines its first t+1 distinct-index partials
+        unverified and **one** cross-message coined product
+        (:meth:`batch_verify`) checks the window: k honest requests
+        cost k Lagrange MSMs and a single multi-pairing.  That check
+        is the robust path's ground truth.  While it fails, the next
+        signer with unchecked partials in use — ``suspects.last``
+        first, then by index — has them localized across the window
+        (:meth:`locate_invalid_partials`: four pairs a product); what
+        that names is dropped and refilled, from the request's spare
+        partials, then from ``top_up(message, asked_indices,
+        missing)`` — up to ``missing`` partials of signers not in
+        ``asked_indices``; those positions recombine and the window is
+        checked again.  After a window that convicted someone
+        (``suspects.hot``) that signer's round runs *ahead of* the
+        first check, which is doomed if it forges again; an honest
+        window pays that one product once.
 
-        1. their partial signatures are checked together under ONE
-           cross-message batch (:meth:`locate_invalid_partials`), which
-           pinpoints the forged shares;
-        2. a position left with fewer than t+1 verified partials keeps
-           them and asks ``top_up(message, asked_indices, missing)`` —
-           a callable returning ``missing`` partials from signers not in
-           ``asked_indices`` (fewer when no such signer is left) — for
-           exactly the shortfall; all new partials of a round, across
-           all short positions, pass through one more batched check
-           before use.  Rounds repeat while some position is short and
-           some signer is unasked (at most n - t - 1 for a t+1 quorum);
-        3. each position recombines from partials that each passed a
-           batch, so the recombine skips share verification.
+        Soundness: coins (:func:`_coins`) are drawn inside each check,
+        after the items they weigh are fixed.  Refills enter
+        unverified, but every signature returned has passed a window
+        check since it was last recombined (error at most 2^-64 per
+        check), so a wrong localization costs a round, never an
+        output; a signer's slice is localized within the bound
+        :func:`_descend` states.  A round clears or drops every
+        unchecked partial of its signer, so there is at most one per
+        signer with unchecked partials in use (one more per duplicate
+        index a refill brings in); a window that still fails with none
+        left — keys that do not match ``public_key`` — fails the
+        positions :meth:`locate_invalid` names instead of emitting
+        them.
 
-        Returns ``(signatures, flagged)`` where ``flagged`` lists the
-        window positions that needed the robust path.  A flagged
-        position that never reached t+1 valid shares gets ``None`` in
-        the signature list; without ``top_up`` (a combiner that only
-        has what arrived) that is every position whose own partials
-        fall short.
+        Returns ``(signatures, flagged)``: the positions that needed
+        more than their first t+1 partials as they arrived — a forged
+        one dropped, or a ``top_up`` asked — with ``None`` for a
+        signature where t+1 good ones were not to be had.
         """
         t = self.params.t
-        windows = [(message, list(partials))
-                   for message, partials in windows]
-        signatures: List[Optional[Signature]] = []
-        for message, partials in windows:
-            try:
-                signatures.append(self.combine(
-                    public_key, verification_keys, message, partials,
-                    verify_shares=False))
-            except CombineError:
-                # Fewer than t+1 distinct partials even before any
-                # verification: flag the position, don't abort the
-                # window's other requests.
-                signatures.append(None)
-        combined = [position for position, signature
-                    in enumerate(signatures) if signature is not None]
-        invalid = {combined[offset] for offset in self.locate_invalid(
-            public_key,
-            [windows[position][0] for position in combined],
-            [signatures[position] for position in combined],
-            rng=rng)}
-        flagged = [position for position, signature in enumerate(signatures)
-                   if signature is None or position in invalid]
-        if not flagged:
-            return signatures, []
-        verified: Dict[int, Dict[int, PartialSignature]] = {
-            position: {} for position in flagged}
-        asked: Dict[int, set] = {position: set() for position in flagged}
-        pending = [(position, partial) for position in flagged
-                   for partial in windows[position][1]]
-        while True:
-            forged = set(self.locate_invalid_partials(
+        suspects = suspects or Suspects()
+        messages = [message for message, _ in windows]
+        spare = [list(partials) for _, partials in windows]
+        asked = [{partial.index for partial in queue} for queue in spare]
+        in_use: List[Dict[int, PartialSignature]] = [{} for _ in windows]
+        #: (position, signer) of every partial in use no round has checked.
+        unchecked: Set[Tuple[int, int]] = set()
+        signatures: List[Optional[Signature]] = [None] * len(windows)
+        flagged: Set[int] = set()
+        convictions = []
+
+        def fill(position: int) -> None:
+            chosen, queue = in_use[position], spare[position]
+            while len(chosen) <= t:
+                usable = [partial for partial in queue
+                          if partial.index not in chosen]
+                if not usable:
+                    flagged.add(position)       # short of what arrived
+                    if top_up is None:
+                        return
+                    usable = [partial for partial in top_up(
+                        messages[position], asked[position],
+                        t + 1 - len(chosen))
+                        if partial.index not in asked[position]]
+                    if not usable:
+                        return
+                    asked[position].update(p.index for p in usable)
+                    queue.extend(usable)
+                queue.remove(usable[0])
+                chosen[usable[0].index] = usable[0]
+                unchecked.add((position, usable[0].index))
+
+        def check(signer: int, first: bool = False) -> List[int]:
+            """One round; returns the positions it dropped from."""
+            held = sorted(position for position, index in unchecked
+                          if index == signer)
+            unchecked.difference_update(
+                (position, signer) for position in held)
+            named = [held[offset] for offset in self.locate_invalid_partials(
                 public_key, verification_keys,
-                [(windows[position][0], partial)
-                 for position, partial in pending], rng=rng))
-            for offset, (position, partial) in enumerate(pending):
-                asked[position].add(partial.index)
-                if offset not in forged:
-                    verified[position].setdefault(partial.index, partial)
-            if top_up is None:
-                break
-            pending = [
-                (position, partial) for position in flagged
-                if len(verified[position]) <= t
-                for partial in top_up(
-                    windows[position][0], asked[position],
-                    t + 1 - len(verified[position]))]
-            if not pending:
-                break
-        for position in flagged:
-            try:
+                [(messages[position], in_use[position][signer])
+                 for position in held], rng=rng)]
+            for position in named:
+                del in_use[position][signer]
+                flagged.add(position)
+                fill(position)
+            if named:
+                convictions.append((signer, named, first))
+            return named
+
+        for position in range(len(windows)):
+            fill(position)
+        if suspects.hot:
+            check(suspects.last, first=True)
+        stale: Sequence[int] = range(len(windows))
+        while stale:
+            for position in stale:
                 signatures[position] = self.combine(
-                    public_key, verification_keys, windows[position][0],
-                    verified[position].values(), verify_shares=False)
-            except CombineError:
-                signatures[position] = None
-        return signatures, flagged
+                    public_key, verification_keys, messages[position],
+                    in_use[position].values(), verify_shares=False
+                ) if len(in_use[position]) > t else None
+            combined = [position for position, signature
+                        in enumerate(signatures) if signature is not None]
+            window = ([messages[position] for position in combined],
+                      [signatures[position] for position in combined])
+            if self.batch_verify(public_key, *window, rng=rng):
+                break
+            for signer in sorted(
+                    {index for _, index in unchecked},
+                    key=lambda index: (index != suspects.last, index)):
+                stale = check(signer)
+                if stale:
+                    break
+            else:
+                stale = []
+                for offset in self.locate_invalid(
+                        public_key, *window, rng=rng):
+                    signatures[combined[offset]] = None
+                    flagged.add(combined[offset])
+        suspects.settle(len(windows), convictions)
+        return signatures, sorted(flagged)
 
     def verify_window(self, public_key: PublicKey,
                       messages: Sequence[bytes],
@@ -755,6 +803,31 @@ class LJYThresholdScheme:
         z = self.group.multi_exp(bases, [-a_10, -a_20])
         r = self.group.multi_exp(bases, [-b_10, -b_20])
         return Signature(z=z, r=r)
+
+
+class Suspects:
+    """The signer :meth:`LJYThresholdScheme.combine_window` last
+    convicted of forging: where its robust path looks first.
+    Combiner-side, never on the wire, gone with the epoch (each
+    :class:`ServiceHandle` starts a clean one; a refresh is the
+    paper's recovery from corruption)."""
+
+    def __init__(self, epoch: int = 0):
+        self.epoch = epoch
+        self.last: Optional[int] = None
+        #: The window just before convicted ``last``: check it first.
+        self.hot = False
+
+    def settle(self, window: int, convictions) -> None:
+        """File a window's ``(signer, positions, checked_first)``
+        convictions, a JSON log line each."""
+        for signer, positions, first in convictions:
+            self.last = signer
+            _LOG.info("%s", json.dumps({
+                "event": "conviction", "signer": signer,
+                "epoch": self.epoch, "window": window,
+                "positions": positions, "checked_first": first}))
+        self.hot = bool(convictions)
 
 
 class ServiceHandle:
@@ -790,6 +863,7 @@ class ServiceHandle:
         #: public key; the service layer uses the epoch to fence worker
         #: contexts and WAL records against stale key material.
         self.epoch = epoch
+        self._suspects = Suspects(epoch)
         self._signer_ring = sorted(self.shares)
         # Aggregate-scheme adaptation: its hash is key-prefixed, so
         # share_sign takes the public key as leading argument (and its
@@ -920,6 +994,12 @@ class ServiceHandle:
     def threshold(self) -> int:
         return self.scheme.params.t
 
+    @property
+    def suspects(self) -> Tuple[int, ...]:
+        """The last convicted signer, if any (:class:`Suspects`)."""
+        last = self._suspects.last
+        return () if last is None else (last,)
+
     def quorum(self, rotation: int = 0) -> List[int]:
         """A t+1 signer quorum, rotated so load spreads over all servers."""
         ring = self._signer_ring
@@ -977,9 +1057,9 @@ class ServiceHandle:
         that draws the missing partials from the next signers after the
         quorum in ring order — through :meth:`partials_with_faults`, so
         the injector sees every partial once and a persistent fault
-        still applies.  Returns ``(signatures, flagged, topped_up)``,
-        the last counting the requests that needed partials from beyond
-        their quorum.
+        still applies — and with this handle's :class:`Suspects`.
+        Returns ``(signatures, flagged, topped_up)``, the last counting
+        the requests that needed partials from beyond their quorum.
         """
         if not hasattr(self.scheme, "combine_window"):
             raise TypeError(
@@ -1011,7 +1091,7 @@ class ServiceHandle:
 
         signatures, flagged = self.scheme.combine_window(
             self.public_key, self.verification_keys, windows, rng=rng,
-            top_up=top_up)
+            top_up=top_up, suspects=self._suspects)
         return signatures, flagged, topped_up
 
     def process_sign_window(self, messages: Sequence[bytes],
@@ -1028,8 +1108,8 @@ class ServiceHandle:
         handle's and quorum's), and combines the window through
         :meth:`LJYThresholdScheme.combine_window` (one cross-message
         batch check); a request whose quorum held a forged partial
-        keeps its verified partials and tops up from the rest of the
-        signer ring, so it completes whenever t+1 honest servers exist.
+        drops it and tops up from the rest of the signer ring, so it
+        completes whenever t+1 honest servers exist.
 
         Returns a :class:`~repro.serialization.SignWindowOutcome` — the
         shard workers of :mod:`repro.service.shards` and the remote

@@ -9,10 +9,13 @@ different :class:`~repro.core.keys.PartialSignature` models a
 compromised or buggy signer/shard; returning the input unchanged models
 honesty.  The service applies the injector to the partials a request
 tops up with too — robustness must come from checking the window,
-localizing the forged partials (``locate_invalid`` for the requests,
-``locate_invalid_partials`` for the shares) and asking further signers
-for exactly the missing ones, not from the fault conveniently
-disappearing on retry.
+going signer by signer over the partials in use
+(``locate_invalid_partials``, last convicted signer first), asking
+further signers for exactly the missing ones and checking the window
+again, not from the fault conveniently disappearing on retry.  Who
+was convicted is the combiner's memory
+(:attr:`~repro.core.scheme.ServiceHandle.suspects`), not the
+injector's: a forger that falls silent costs one clean round, once.
 """
 
 from __future__ import annotations

@@ -504,6 +504,100 @@ class TestPresignedFence:
             [[b"held last"]]
 
 
+    def test_a_remembered_convict_changes_no_bytes(self, handle, spies):
+        """The order the robust path looks in is not an input to what
+        it returns: with signer 1 already convicted (and checked ahead
+        of the window), the pre-signed partials are used as they are
+        and combine to the bytes a clean handle signs."""
+        forger = _RecordingForger()
+        handle.process_sign_window([b"earlier"], fault_injector=forger,
+                                   rng=random.Random(9))
+        assert handle.suspects == (1,)
+        signed, combined = spies
+        del signed[:], combined[:]
+
+        async def nothing(service):
+            pass
+        held = self._hold(handle, spies, nothing, forger=forger)
+        self._check(handle, spies, held, forger)
+        assert held[1].stats.shards[0].presigned == self.HELD
+        assert held[1].handle.suspects == (1,)
+        clean = ServiceHandle(handle.scheme, handle.public_key,
+                              handle.shares, handle.verification_keys)
+        for outcome in held[0]:
+            assert outcome.fallback
+            assert outcome.signature.to_bytes() == \
+                clean.sign(outcome.message).to_bytes()
+
+
+class TestSuspectsFence:
+    """Who forged is remembered per handle, so per epoch: a lifecycle
+    step is the paper's recovery from corruption and starts clean."""
+
+    @staticmethod
+    def _convict(handle, signer):
+        outcome = handle.process_sign_window(
+            [b"convicting"], quorum=[signer, 3, 5], rng=random.Random(2),
+            fault_injector=CorruptSignerFault(signer_index=signer))
+        assert outcome.flagged == (0,) and outcome.failures == ()
+        assert handle.suspects == (signer,)
+
+    def test_the_convict_does_not_survive_a_lifecycle_step(self, handle):
+        self._convict(handle, 2)
+        retired = handle.without_signer(4)
+        assert retired.suspects == ()
+        self._convict(retired, 2)
+        for successor in (
+                handle.refreshed(rng=random.Random(5)),
+                handle.reshared(2, (2, 3, 4, 5, 6), rng=random.Random(6)),
+                retired.with_recovered(4)):
+            assert successor.suspects == ()
+            assert successor.epoch > handle.epoch
+            assert successor.public_key.to_bytes() == \
+                handle.public_key.to_bytes()
+        # The handles left behind keep theirs: nothing is shared.
+        assert handle.suspects == retired.suspects == (2,)
+
+    def test_an_index_that_left_the_ring_is_never_looked_up(self, handle):
+        """Even a stale ``Suspects`` handed to ``combine_window`` only
+        orders the signers with partials in use: signer 1, convicted
+        and hot but resharded out, costs no lookup of a key that is
+        gone."""
+        from repro.core.scheme import Suspects
+
+        class Watched(dict):
+            looked_up = []
+
+            def get(self, key, default=None):
+                self.looked_up.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.looked_up.append(key)
+                return super().__getitem__(key)
+
+        self._convict(handle, 1)
+        successor = handle.reshared(2, (2, 3, 4, 5, 6),
+                                    rng=random.Random(6))
+        assert 1 not in successor.verification_keys
+        stale = Suspects(epoch=1)
+        stale.last, stale.hot = 1, True
+        message = b"after the reshare"
+        partials = successor.partials_with_faults(
+            message, (2, 3, 4),
+            fault_injector=CorruptSignerFault(signer_index=3))
+        vks = Watched(successor.verification_keys)
+        signatures, flagged = successor.scheme.combine_window(
+            successor.public_key, vks, [(message, partials)],
+            rng=random.Random(8), suspects=stale,
+            top_up=lambda message, asked, missing:
+                successor.partials_for(message, [5][:missing]))
+        assert flagged == [0] and stale.last == 3
+        assert signatures[0].to_bytes() == \
+            handle.sign(message).to_bytes()
+        assert vks.looked_up and 1 not in vks.looked_up
+
+
 # ---------------------------------------------------------------------------
 # Worker-tier re-warming
 # ---------------------------------------------------------------------------

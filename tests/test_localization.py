@@ -22,6 +22,13 @@ duplicate indices, and the same items in another order.
 ``TestLocalizerCost`` counts pairing products (evaluations of the
 ``value_of`` closure) against a plain quotient bisection kept here as
 the reference: the companion must never make a localization dearer.
+
+``TestRobustWindowSweep`` holds ``combine_window``'s robust path —
+signer by signer under a window check, last convict first — to a
+per-partial ``share_verify`` scan over the same windows: same bytes
+wherever t+1 honest partials are reachable, ``None`` elsewhere, the
+same flagged positions, whatever the ``Suspects`` it is handed
+remember.
 """
 
 import itertools
@@ -31,7 +38,7 @@ import pytest
 
 from repro.core.keys import PartialSignature, Signature, VerificationKey
 from repro.core.scheme import (
-    LJYThresholdScheme, ThresholdParams, _coins, _descend,
+    LJYThresholdScheme, Suspects, ThresholdParams, _coins, _descend,
     reconstruct_master_key,
 )
 
@@ -80,13 +87,13 @@ class _Fixture:
             signatures.append(signature)
         return messages, signatures
 
-    def partials(self, size, forged):
+    def partials(self, size, forged, signers=SIGNERS):
         """``size`` flattened ``(message, partial)`` items, message-major
         (the order a combiner flattens a window in)."""
         items = []
         for position in range(size):
-            message = b"sweep %d" % (position // len(SIGNERS))
-            signer = SIGNERS[position % len(SIGNERS)]
+            message = b"sweep %d" % (position // len(signers))
+            signer = signers[position % len(signers)]
             partial = self.scheme.share_sign(self.shares[signer], message)
             if position in forged:
                 partial = PartialSignature(
@@ -397,9 +404,13 @@ class TestLocalizerCost:
 
     def test_share_level_descends_without_a_companion(
             self, toy, evaluations):
-        """``locate_invalid_partials`` hands :func:`_descend` no
-        companion: its products are exactly plain bisection's over the
-        signer-major order, none of them weighted."""
+        """Several signers' items: ``locate_invalid_partials`` hands
+        :func:`_descend` no companion — its products are exactly plain
+        bisection's over the signer-major order, none of them weighted.
+        One signer's items (what ``combine_window`` asks about): a
+        failing root gets its companion, so a lone forgery is two
+        products wherever it sits and no shape is dearer than plain
+        bisection."""
         for size in SIZES:
             for name, forged in _forgery_sets(size, toy.rng).items():
                 items = toy.partials(size, forged)
@@ -421,6 +432,246 @@ class TestLocalizerCost:
                 assert sorted(order[offset] for offset in located) == \
                     sorted(forged)
                 assert spent == evaluations, (size, name)
+        for size in SIZES[1:]:
+            for name, forged in _forgery_sets(size, toy.rng).items():
+                items = toy.partials(size, forged, signers=(2,))
+                del evaluations[:]
+                assert toy.scheme.locate_invalid_partials(
+                    toy.pk, toy.vks, items, rng=toy.rng) == sorted(forged)
+                spent = list(evaluations)
+                assert spent[:2] == [(0, size)] + (
+                    [(0, size, ("weighted", True))] if forged else [])
+                if len(forged) <= 1:
+                    assert len(spent) == 1 + len(forged)
+                del evaluations[:]
+                value_of = toy.scheme._share_values(
+                    toy.vks, items, _coins(size, toy.rng))
+                _plain_bisection(value_of, 0, size, value_of(0, size))
+                assert len(spent) <= len(evaluations), (size, name)
+
+
+class _Window:
+    """One seeded window for ``combine_window`` with its partials laid
+    out per ``(position, signer)`` — forged where ``forged`` says so —
+    plus the recipe each position was built from."""
+
+    RING = (1, 2, 3, 4, 5)
+    ROGUE = 9                                   # no verification key
+    RECIPES = ("quorum", "quorum", "rotated", "spares", "duplicate_first",
+               "duplicate_last", "rogue", "short")
+
+    def __init__(self, toy, size, tag, forged=None, recipes=None):
+        """``forged``: ``(position, signer)`` pairs, ``recipes``: one
+        per position — both drawn from ``toy.rng`` when not given."""
+        rng = toy.rng
+        self.toy = toy
+        self.messages = [b"robust %s %d" % (tag, position)
+                         for position in range(size)]
+        if forged is None:
+            forgers = rng.sample(self.RING, rng.choice((1, 1, 2, 2, 3)))
+            forged = {(position, signer) for position in range(size)
+                      for signer in forgers if rng.random() < 0.6}
+        self.forged = forged
+        self.table = {}
+        for position, message in enumerate(self.messages):
+            for signer in self.RING:
+                partial = toy.scheme.share_sign(toy.shares[signer], message)
+                if (position, signer) in self.forged:
+                    partial = self.forge(partial)
+                self.table[position, signer] = partial
+        self.recipes = recipes or [
+            rng.choice(self.RECIPES) for _ in range(size)]
+        self.windows = [(message, self.carried(position, recipe))
+                        for position, (message, recipe)
+                        in enumerate(zip(self.messages, self.recipes))]
+
+    def forge(self, partial):
+        shift = self.toy.g ** self.toy.rng.randrange(1, 1 << 32)
+        return PartialSignature(index=partial.index, z=partial.z * shift,
+                                r=partial.r)
+
+    def carried(self, position, recipe):
+        """The partials a request arrives with."""
+        rng = self.toy.rng
+        quorum = [self.table[position, signer] for signer in (1, 2, 3)]
+        if recipe == "rotated":
+            return [self.table[position, signer] for signer in (4, 5, 1)]
+        if recipe == "spares":
+            return [self.table[position, signer]
+                    for signer in rng.sample(self.RING, rng.choice((4, 5)))]
+        if recipe == "duplicate_first":         # a forged 1, then the real one
+            return [self.forge(quorum[0])] + quorum
+        if recipe == "duplicate_last":
+            return quorum + [self.forge(quorum[0])]
+        if recipe == "rogue":
+            return [PartialSignature(index=self.ROGUE, z=quorum[0].z,
+                                     r=quorum[0].r)] + quorum[1:]
+        if recipe == "short":
+            return quorum[:2]
+        return quorum
+
+    def top_up(self, message, asked, missing):
+        position = self.messages.index(message)
+        return [self.table[position, signer] for signer in self.RING
+                if signer not in asked][:missing]
+
+    def scan(self, top_up):
+        """The reference: every partial put in use is judged by its own
+        ``share_verify``; a bad one is dropped and the position refilled
+        the way ``combine_window`` says it refills.  Flagged: a partial
+        dropped, or the partials that arrived ran out (``top_up`` asked,
+        or nobody to ask)."""
+        toy, t = self.toy, self.toy.scheme.params.t
+        expected, flagged = [], []
+        for position, (message, carried) in enumerate(self.windows):
+            queue = list(carried)
+            asked = {partial.index for partial in queue}
+            good, robust = {}, False
+            while len(good) <= t:
+                if not any(partial.index not in good for partial in queue):
+                    robust = True
+                    if top_up is not None:
+                        more = top_up(message, asked, t + 1 - len(good))
+                        asked.update(partial.index for partial in more)
+                        queue.extend(more)
+                usable = [partial for partial in queue
+                          if partial.index not in good]
+                if not usable:
+                    break
+                queue.remove(usable[0])
+                vk = toy.vks.get(usable[0].index)
+                if vk is not None and toy.scheme.share_verify(
+                        toy.pk, vk, message, usable[0]):
+                    good[usable[0].index] = usable[0]
+                else:
+                    robust = True
+            complete = len(good) > t
+            expected.append(toy.scheme.sign_with_master(
+                toy.master, message).to_bytes() if complete else None)
+            if robust:
+                flagged.append(position)
+        return expected, flagged
+
+
+class TestRobustWindowSweep:
+    """``combine_window`` against :meth:`_Window.scan`, windows of 1-6
+    over a 3-of-5 ring, every position a random recipe (the quorum, a
+    rotated quorum, spare partials, duplicate indices, a keyless
+    signer, a request short before any check) under one to three
+    forging signers — in the quorum, in the reserve the top-up draws
+    from, or both."""
+
+    ROUNDS = 40
+
+    @staticmethod
+    def _agree(window, top_up, suspects):
+        toy = window.toy
+        topped_up = set()
+
+        def counting(message, asked, missing):
+            # What ``ServiceHandle`` counts as ``fallback_combines``.
+            topped_up.add(window.messages.index(message))
+            return top_up(message, asked, missing)
+
+        signatures, flagged = toy.scheme.combine_window(
+            toy.pk, toy.vks, window.windows, rng=toy.rng,
+            top_up=top_up and counting, suspects=suspects)
+        expected = window.scan(top_up)
+        context = (window.recipes, sorted(window.forged))
+        assert [signature and signature.to_bytes()
+                for signature in signatures] == expected[0], context
+        assert flagged == expected[1], context
+        assert topped_up <= set(flagged), context
+
+    def test_same_bytes_and_flags_as_the_per_partial_scan(self, toy):
+        remembered = Suspects()
+        seen = set()
+        for size in range(1, 7):
+            for round_ in range(self.ROUNDS):
+                window = _Window(toy, size, b"%d.%d" % (size, round_))
+                seen.update(window.recipes)
+                for top_up in (window.top_up, None):
+                    # No memory, then whatever the windows so far left.
+                    self._agree(window, top_up, None)
+                    self._agree(window, top_up, remembered)
+        assert seen == set(_Window.RECIPES) and remembered.last
+
+    def test_honest_windows_flag_nothing_and_convict_nobody(self, toy):
+        remembered = Suspects()
+        for size in range(1, 7):
+            window = _Window(toy, size, b"honest %d" % size, forged=set(),
+                             recipes=["rotated"] * size)
+            signatures, flagged = toy.scheme.combine_window(
+                toy.pk, toy.vks, window.windows, rng=toy.rng,
+                suspects=remembered)
+            assert flagged == [] and remembered.last is None
+            assert [signature.to_bytes() for signature in signatures] == [
+                toy.scheme.sign_with_master(toy.master, message).to_bytes()
+                for message in window.messages]
+
+    def test_the_last_convict_is_looked_at_first(self, toy, monkeypatch):
+        """The last convict is the only state: signer 3 forging, cold,
+        is reached after 1 and 2; remembered, before them; in the
+        window right after a conviction, before the window check
+        itself."""
+        rounds = []
+        locate = toy.scheme.locate_invalid_partials
+        verify = toy.scheme.batch_verify
+        monkeypatch.setattr(
+            toy.scheme, "locate_invalid_partials",
+            lambda pk, vks, items, rng=None: rounds.append(
+                items[0][1].index) or locate(pk, vks, items, rng=rng))
+        monkeypatch.setattr(
+            toy.scheme, "batch_verify",
+            lambda pk, messages, signatures, rng=None: rounds.append(
+                "window") or verify(pk, messages, signatures, rng=rng))
+
+        def run(forger, suspects, tag):
+            window = _Window(
+                toy, 4, tag, forged={(2, forger)} if forger else set(),
+                recipes=["quorum"] * 4)
+            del rounds[:]
+            _, flagged = toy.scheme.combine_window(
+                toy.pk, toy.vks, window.windows, rng=toy.rng,
+                top_up=window.top_up, suspects=suspects)
+            assert flagged == ([2] if forger else [])
+            return list(rounds)
+
+        remembered = Suspects()
+        assert run(3, remembered, b"cold") == [
+            "window", 1, 2, 3, "window"]
+        assert (remembered.last, remembered.hot) == (3, True)
+        assert run(3, remembered, b"hot") == [3, "window"]
+        assert run(None, remembered, b"clean") == [3, "window"]
+        assert (remembered.last, remembered.hot) == (3, False)
+        assert run(None, remembered, b"cooled") == ["window"]
+        assert run(2, remembered, b"other") == [
+            "window", 3, 1, 2, "window"]
+        assert (remembered.last, remembered.hot) == (2, True)
+
+    def test_mutant_that_skips_the_recheck_emits_a_forged_top_up(
+            self, toy, monkeypatch):
+        """Top-ups enter unverified; the window re-check is what
+        covers them.  A ``combine_window`` whose checks after the first
+        always pass emits a signature combined from signer 4's forged
+        top-up — and the sweep's comparison catches it."""
+        window = _Window(toy, 3, b"mutant", forged={(1, 1), (1, 4)},
+                         recipes=["quorum"] * 3)
+        self._agree(window, window.top_up, None)
+        verify = toy.scheme.batch_verify
+        calls = []
+        monkeypatch.setattr(
+            toy.scheme, "batch_verify",
+            lambda pk, messages, signatures, rng=None: bool(
+                calls.append(1) or len(calls) > 1
+                or verify(pk, messages, signatures, rng=rng)))
+        with pytest.raises(AssertionError):
+            self._agree(window, window.top_up, None)
+        signatures, _ = toy.scheme.combine_window(
+            toy.pk, toy.vks, window.windows, rng=toy.rng,
+            top_up=window.top_up)
+        assert not toy.scheme.verify(
+            toy.pk, window.messages[1], signatures[1])
 
 
 @pytest.mark.bn254

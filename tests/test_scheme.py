@@ -607,29 +607,52 @@ class TestRobustPathOperationCounts:
         assert (spent["miller_loops"], spent["final_exps"]) == (64, 16)
 
     def test_one_signer_forging_two_of_sixteen(self, service_handle, rng):
-        """The benchmark's ``sign_faulty`` window: window check,
-        companion and one split naming a forgery in each half (16
-        Miller loops and 4 final exponentiations — 42 and 9 for the
-        window), one batched check and bisection of the 6 suspect
-        partials, one batched check of the 2 top-up partials.  The
-        second window's adjacent pair is the localizer's worst
-        two-forgery shape: no scan hits until the pair stands alone,
-        and it costs what plain quotient bisection does (46 and 10)."""
+        """The benchmark's ``sign_faulty`` window, in (Miller loops,
+        final exponentiations).  Cold: window check, signer 1's 16
+        partials (root, companion, one split naming a forgery in each
+        half: 4 products), re-check over the 2 top-ups — (24, 6).  With
+        signer 1 the last convict its round runs first and the doomed
+        check is never made: (20, 5).  Signer 3 forging is reached
+        after signers 1 and 2 the first time, (32, 8), and first from
+        then on.  The honest window after a conviction pays the
+        convict's clean round once, (8, 2), the next one nothing,
+        (4, 1) — the two-phase path paid (42, 9) every window.  The
+        third count is G2 verification keys prepared: a signer's two
+        on the first round that reaches it, none ever again."""
+        from repro.core.scheme import ServiceHandle
         from repro.service import CorruptSignerFault
-        messages = [b"faulty %d" % i for i in range(32)]
-        fault = CorruptSignerFault(
-            signer_index=1,
-            messages={messages[3], messages[12], messages[16],
-                      messages[17]})
-        for window in (messages[:16], messages[16:]):
+
+        def fresh():
+            return ServiceHandle(
+                service_handle.scheme, service_handle.public_key,
+                service_handle.shares, service_handle.verification_keys)
+
+        def window(handle, tag, forger=None, forged=(3, 12)):
+            messages = [b"faulty %s %d" % (tag, i) for i in range(16)]
+            fault = forger and CorruptSignerFault(
+                signer_index=forger,
+                messages={messages[position] for position in forged})
             outcome, spent = self._counted(
-                lambda: service_handle.process_sign_window(
-                    window, fault_injector=fault, rng=rng))
-            assert len(outcome.flagged) == outcome.fallback_combines == 2
-            assert all(service_handle.verify(message, signature)
+                lambda: handle.process_sign_window(
+                    messages, fault_injector=fault, rng=rng))
+            assert outcome.flagged == (forged if forger else ())
+            assert outcome.fallback_combines == len(outcome.flagged)
+            assert all(handle.verify(message, signature)
                        for message, signature
-                       in zip(window, outcome.signatures))
-            assert spent["miller_loops"] <= 48
-            assert spent["final_exps"] <= 10
-        # Signer 4's key was prepared by the first window's top-up.
-        assert spent["preparations"] == 0
+                       in zip(messages, outcome.signatures))
+            return (spent["miller_loops"], spent["final_exps"],
+                    spent["preparations"])
+
+        handle = fresh()
+        assert window(handle, b"cold", 1)[:2] == (24, 6)
+        assert window(handle, b"convict", 1) == (20, 5, 0)
+        # An adjacent pair is the localizer's worst two-forgery shape:
+        # no scan hits until the pair stands alone, one split more.
+        assert window(handle, b"adjacent", 1, forged=(8, 9)) == (24, 6, 0)
+        assert window(handle, b"honest") == (8, 2, 0)
+        assert window(handle, b"honest again") == (4, 1, 0)
+        assert handle.suspects == (1,)
+        handle = fresh()
+        # Signers 2 and 3 are reached for the first time: two keys each.
+        assert window(handle, b"third", 3) == (32, 8, 4)
+        assert window(handle, b"third again", 3) == (20, 5, 0)

@@ -274,7 +274,9 @@ class TestTopUp:
     def test_every_request_forged_tops_up_under_one_batched_check(
             self, handle, monkeypatch):
         """``CorruptSignerFault(messages=None)``: all 16 requests lose
-        signer 1, and the 16 top-up partials are verified together."""
+        signer 1 in one round over its 16 partials, and the 16 top-up
+        partials get no share-level check of their own — the window
+        re-check is theirs."""
         messages = [b"all forged %d" % i for i in range(16)]
         forgers = _Forgers(1)
         batches = []
@@ -287,7 +289,8 @@ class TestTopUp:
         monkeypatch.setattr(handle.scheme, "locate_invalid_partials", spy)
         outcome = handle.process_sign_window(
             messages, fault_injector=forgers, rng=random.Random(34))
-        assert batches == [[1, 2, 3] * 16, [4] * 16]
+        assert batches == [[1] * 16]
+        assert handle.suspects == (1,)
         assert len(forgers.calls) == 48 + 16
         assert outcome.flagged == tuple(range(16))
         assert outcome.fallback_combines == 16
@@ -308,6 +311,28 @@ class TestTopUp:
         assert outcome.fallback_combines == 2
         for message, signature in zip(messages, outcome.signatures):
             assert handle.verify(message, signature)
+
+    def test_a_conviction_is_one_json_line(self, handle, caplog):
+        """Which signer forged, answered from what the system emits:
+        one record on logger ``repro.core.scheme`` per conviction,
+        none for an honest window."""
+        import json
+        import logging
+        messages = [b"logged %d" % i for i in range(4)]
+        forgers = _Forgers(2, messages={messages[1], messages[3]})
+        with caplog.at_level(logging.INFO, logger="repro.core.scheme"):
+            handle.process_sign_window(messages, rng=random.Random(40))
+            assert caplog.records == []
+            for _ in range(2):
+                handle.process_sign_window(
+                    messages, fault_injector=forgers, rng=random.Random(41))
+        cold, convict = [json.loads(record.getMessage())
+                         for record in caplog.records]
+        assert cold == {
+            "event": "conviction", "signer": 2, "epoch": handle.epoch,
+            "window": 4, "positions": [1, 3], "checked_first": False}
+        assert convict == {**cold, "checked_first": True}
+        assert handle.suspects == (2,)
 
     def test_sign_window_takes_the_same_path(self, handle):
         """A handle holding a wrong share for signer 2 (no injector in

@@ -11,8 +11,10 @@ window) and asserts the service contract:
 * verify traffic returns the right verdicts (including for the one
   deliberately forged signature);
 * the forged-partial window is localized and still completes, at no
-  more Miller loops per window than the batched robust path costs
-  (check, quotient localization, top-up, recombine);
+  more Miller loops per window than the robust path costs (window
+  check, one round over the forging signer's partials, top-up,
+  recombine, re-check), and the JSON conviction records the scheme
+  logs name the forging signer;
 * the worker tier (``remote_workers=[...]``) serves the same contract
   over the wire format and loopback sockets: signatures produced in a
   standalone remote worker process verify in the parent, nothing is
@@ -70,6 +72,8 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
+import logging
 import pathlib
 import random
 import select
@@ -109,15 +113,16 @@ def _rng(stream: int) -> random.Random:
 
 
 #: Act 3 bound: Miller loops one window of 8 requests, each carrying
-#: one forged partial, costs on BN254 (smaller windows cost less) —
-#: window check, its index-weighted companion and the splits of a
-#: window whose every signature is bad 32 (8 products: root, companion,
-#: and a left value + left companion at the node of 8 and both nodes of
-#: 4; a pair no scan explains is reported as it stands — the shape the
-#: companion cannot shorten, and exactly what plain bisection paid),
-#: the 24 suspect partials 52, the 8 top-up partials 4.  Per-share
-#: checks over the full ring cost 424.
-FORGED_WINDOW_MILLER_LOOPS = 88
+#: one forged partial of signer 1, costs on BN254 — the window check 4,
+#: signer 1's round over its 8 partials 32 (8 four-pair products: root,
+#: companion, and a left value + left companion at the node of 8 and
+#: both nodes of 4; a pair no scan explains is reported as it stands —
+#: the shape the companion cannot shorten, and exactly what plain
+#: bisection paid), the re-check over the 8 top-ups 4.  Smaller windows
+#: cost less (12, 16, 24 at 1, 2, 4), and every window after the first
+#: finds signer 1 convicted and skips the doomed window check.  The
+#: two-phase path paid 88; per-share checks over the full ring 424.
+FORGED_WINDOW_MILLER_LOOPS = 40
 #: Act 5 batch sizes: requests settled before the kill / left durable
 #: but unprocessed when the SIGKILL lands.
 WAL_PHASE1 = 4
@@ -369,16 +374,39 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
                            queue_depth=64, fault_injector=fault,
                            rng=_rng(4))
     miller_loops = PAIRING_COUNTERS["miller_loops"]
-    async with SigningService(handle, faulty) as service:
-        report = await LoadGenerator(
-            lambda i: service.sign(b"contested doc %d" % i)
-        ).run_closed(8, 8)
-        check(report.completed == 8 and report.failed == 0,
-              "fault-injected window dropped requests")
+    convictions = []
+    capture = logging.Handler(logging.INFO)
+    capture.emit = lambda record: convictions.append(
+        json.loads(record.getMessage()))
+    scheme_log = logging.getLogger("repro.core.scheme")
+    level = scheme_log.level
+    scheme_log.addHandler(capture)
+    scheme_log.setLevel(logging.INFO)
+    try:
+        async with SigningService(handle, faulty) as service:
+            report = await LoadGenerator(
+                lambda i: service.sign(b"contested doc %d" % i)
+            ).run_closed(8, 8)
+            check(report.completed == 8 and report.failed == 0,
+                  "fault-injected window dropped requests")
+    finally:
+        scheme_log.removeHandler(capture)
+        scheme_log.setLevel(level)
     faulty_stats = service.snapshot_stats()
     shard = faulty_stats.shards[0]
     check(len(fault.injected) > 0, "fault injector never fired")
     check(shard.faults_localized > 0, "forged partials not localized")
+    # "Which signer forged", answered from what the service emits: one
+    # JSON record per conviction, each naming signer 1 under this
+    # handle's epoch, together covering every request of the act.
+    check(len(convictions) == shard.windows
+          and all(record["event"] == "conviction" and record["signer"] == 1
+                  and record["epoch"] == handle.epoch
+                  for record in convictions)
+          and sum(len(record["positions"]) for record in convictions) == 8,
+          f"conviction records do not name signer 1: {convictions}")
+    check(handle.suspects == (1,),
+          f"handle suspects {handle.suspects}, not signer 1")
     # The act runs in this process and on this loop alone, so the
     # counter's delta is the robust path's (0 on the toy backend).
     forged_window_loops = (
