@@ -2,10 +2,11 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 ## Single source of truth for what CI installs.  The fast/full jobs
-## need pytest only — `make test` / `make test-fast` disable the
+## need pytest and hypothesis (seven tier-1 modules import it at
+## collection) — `make test` / `make test-fast` disable the
 ## pytest-benchmark plugin where it happens to be installed, so a
 ## local run equals CI's; the lint job needs ruff only.
-TEST_DEPS = -e . pytest
+TEST_DEPS = -e . pytest hypothesis
 LINT_DEPS = ruff
 
 .PHONY: test test-fast lint install-test install-lint bench \

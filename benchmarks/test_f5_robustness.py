@@ -52,20 +52,21 @@ def test_f5_robustness_table(toy_group, save_table):
 
 
 def test_f5_eager_vs_optimistic_ablation(toy_group, save_table):
-    """Ablation: always-verify combining vs optimistic combine that
-    verifies shares only after the combined signature fails."""
+    """Ablation: eager combining (every partial Share-Verified, then
+    the valid ones interpolated) vs ``scheme.combine``, which
+    interpolates first and checks partials only when the combined
+    signature fails Verify."""
     rng = random.Random(23)
     scheme, pk, shares, vks = _deploy(toy_group, rng)
     message = b"ablation"
 
+    def eager_combine(inputs):
+        valid = [partial for partial in inputs
+                 if partial.index in vks and scheme.share_verify(
+                     pk, vks[partial.index], message, partial)]
+        return scheme.combine(pk, vks, message, valid, verify_shares=False)
+
     def optimistic_combine(inputs):
-        try:
-            signature = scheme.combine(pk, vks, message, inputs,
-                                       verify_shares=False)
-        except Exception:
-            return scheme.combine(pk, vks, message, inputs)
-        if scheme.verify(pk, message, signature):
-            return signature
         return scheme.combine(pk, vks, message, inputs)
 
     def timed(fn, repeats=5):
@@ -82,10 +83,12 @@ def test_f5_eager_vs_optimistic_ablation(toy_group, save_table):
         scheme.share_sign(shares[i], message) for i in range(2, T + 3)]
     for name, inputs in [("all honest", honest_inputs),
                          ("1 bad share", mixed_inputs)]:
-        eager = timed(lambda: scheme.combine(pk, vks, message, inputs))
+        eager = timed(lambda: eager_combine(inputs))
         optimistic = timed(lambda: optimistic_combine(inputs))
         table.add_row(scenario=name, eager_ms=eager,
                       optimistic_ms=optimistic)
+        assert eager_combine(inputs).to_bytes() == \
+            optimistic_combine(inputs).to_bytes()
         assert scheme.verify(pk, message, optimistic_combine(inputs))
     save_table(table, "f5b_ablation")
 

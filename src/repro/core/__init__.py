@@ -11,7 +11,9 @@
   over a symmetric pairing (Appendix D.2).
 * :mod:`repro.core.aggregation` — the aggregation-enabled variant
   (Appendix G).
-* :mod:`repro.core.proactive` — proactive share refresh (Section 3.3).
+
+Proactive share refresh (Section 3.3) is :mod:`repro.dkg.refresh`,
+reached from a key holder as ``ServiceHandle.refreshed``.
 """
 
 from repro.core.keys import (
@@ -19,10 +21,8 @@ from repro.core.keys import (
     PartialSignature, Signature,
 )
 from repro.core.scheme import LJYThresholdScheme
-from repro.core.proactive import ProactiveSigningService
 
 __all__ = [
     "ThresholdParams", "PublicKey", "PrivateKeyShare", "VerificationKey",
     "PartialSignature", "Signature", "LJYThresholdScheme",
-    "ProactiveSigningService",
 ]

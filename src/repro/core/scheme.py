@@ -241,52 +241,6 @@ class LJYThresholdScheme:
             (h_2, verification_key.v_2),
         ])
 
-    def batch_share_verify(self, public_key: PublicKey,
-                           verification_keys: Mapping[int, VerificationKey],
-                           message: bytes,
-                           partials: Sequence[PartialSignature],
-                           rng=None) -> bool:
-        """Check many partial signatures with **one** multi-pairing.
-
-        Raises each partial's verification equation to a random 64-bit
-        exponent and multiplies them together; by bilinearity the product
-        collapses to the same four-pair shape as a single Share-Verify,
-        with the four aggregated arguments computed as multi-scalar
-        multiplications.  A batch of forgeries passes with probability at
-        most 2^-64 over the verifier's coins (the standard small-exponent
-        batching argument); robust Combine localizes the forged partials
-        (:meth:`locate_invalid_partials`) whenever the batch fails, so a
-        failing batch costs one extra multi-pairing, never a wrong
-        outcome.
-        """
-        partials = list(partials)
-        if not partials:
-            return True
-        p = self.params
-        group = self.group
-        for partial in partials:
-            vk = verification_keys.get(partial.index)
-            if vk is None or vk.index != partial.index:
-                return False
-        if len(partials) == 1:
-            return self.share_verify(
-                public_key, verification_keys[partials[0].index], message,
-                partials[0])
-        h_1, h_2 = p.hash_message(message)
-        exponents = _coins(len(partials), rng)
-        z_agg = group.multi_exp([pt.z for pt in partials], exponents)
-        r_agg = group.multi_exp([pt.r for pt in partials], exponents)
-        v_1_agg = group.multi_exp(
-            [verification_keys[pt.index].v_1 for pt in partials], exponents)
-        v_2_agg = group.multi_exp(
-            [verification_keys[pt.index].v_2 for pt in partials], exponents)
-        return group.pairing_product_is_one([
-            (z_agg, p.g_z),
-            (r_agg, p.g_r),
-            (h_1, v_1_agg),
-            (h_2, v_2_agg),
-        ])
-
     def _share_values(self,
                       verification_keys: Mapping[int, VerificationKey],
                       items: Sequence[Tuple[bytes, PartialSignature]],
@@ -359,9 +313,6 @@ class LJYThresholdScheme:
         """Check partial signatures across **many messages** with one
         multi-pairing — the Share-Verify twin of :meth:`batch_verify`.
 
-        :meth:`batch_share_verify` already collapses one message's
-        partials into four pairs, but a robust combiner faced with a
-        poisoned *window* holds partials for many messages at once.
         Each equation is raised to a fresh random 64-bit exponent and
         the product is evaluated as ``2 + 2 * distinct_signers`` pairs
         (see :meth:`_share_values`).
@@ -450,59 +401,44 @@ class LJYThresholdScheme:
                 partials: Iterable[PartialSignature],
                 verify_shares: bool = True,
                 rng=None) -> Signature:
-        """Interpolate t+1 valid partial signatures into a full signature.
+        """Combine (Section 2.1): the message's signature whenever t+1
+        valid partial signatures are among ``partials``, whatever else
+        arrived with them — forged partials, a forged duplicate of an
+        honest index, signers without a verification key — and
+        :class:`CombineError` otherwise.  Signatures are unique, so any
+        t+1 valid partials give the same bytes.
 
-        With ``verify_shares`` (the robust mode) invalid contributions are
-        filtered out via Share-Verify, so the combiner succeeds whenever at
-        least t+1 honest partial signatures are present — robustness against
-        up to t malicious servers.  Raises :class:`CombineError` otherwise.
+        This is :meth:`combine_window` on a window of one message: the
+        first t+1 distinct-index partials are interpolated and the
+        result is checked with one Verify — all an honest call costs.
+        While that fails, the partials in use are checked one signer at
+        a time; a forged one is dropped and replaced from the rest, and
+        the signature is recombined and checked again.  Every signature
+        returned has passed Verify.  A forger convicted here emits the
+        conviction line the service does on logger
+        ``repro.core.scheme``, with epoch 0 and window 1.
 
-        The robust path first batch-verifies the leading t+1 candidates
-        (one multi-pairing via :meth:`batch_share_verify`) and only when
-        that fails localizes the forged ones among all candidates
-        (:meth:`locate_invalid_partials`), so the all-honest case costs
-        one multi-pairing instead of t+1.  The final "Lagrange in the
-        exponent" is two (t+1)-term multi-scalar multiplications.
+        ``verify_shares=False`` is the interpolation alone, what
+        :meth:`combine_window` runs per request: the first t+1
+        distinct-index partials, "Lagrange in the exponent" as two
+        (t+1)-term multi-scalar multiplications, nothing checked.
         """
-        t = self.params.t
         if verify_shares:
-            # Keep every occurrence: a forged partial must not shadow a
-            # later honest one for the same index.
-            candidates = [
-                partial for partial in partials
-                if verification_keys.get(partial.index) is not None
-            ]
-            usable: Dict[int, PartialSignature] = {}
-            leading: Dict[int, PartialSignature] = {}
-            for partial in candidates:
-                if partial.index not in leading:
-                    leading[partial.index] = partial
-                    if len(leading) == t + 1:
-                        break
-            if len(leading) == t + 1 and self.batch_share_verify(
-                    public_key, verification_keys, message,
-                    list(leading.values()), rng=rng):
-                usable = leading
-            else:
-                # A window of one message, all candidates in it.
-                forged = set(self.locate_invalid_partials(
-                    public_key, verification_keys,
-                    [(message, partial) for partial in candidates],
-                    rng=rng))
-                for offset, partial in enumerate(candidates):
-                    if offset in forged or partial.index in usable:
-                        continue
-                    usable[partial.index] = partial
-                    if len(usable) == t + 1:
-                        break
-        else:
-            usable = {}
-            for partial in partials:
-                if partial.index in usable:
-                    continue
-                usable[partial.index] = partial
-                if len(usable) == t + 1:
-                    break
+            (signature,), _ = self.combine_window(
+                public_key, verification_keys, [(message, list(partials))],
+                rng=rng)
+            if signature is None:
+                raise CombineError(
+                    f"need {self.params.t + 1} valid partial signatures")
+            return signature
+        t = self.params.t
+        usable: Dict[int, PartialSignature] = {}
+        for partial in partials:
+            if partial.index in usable:
+                continue
+            usable[partial.index] = partial
+            if len(usable) == t + 1:
+                break
         if len(usable) < t + 1:
             raise CombineError(
                 f"need {t + 1} valid partial signatures, got {len(usable)}")
@@ -866,13 +802,10 @@ class ServiceHandle:
         self._suspects = Suspects(epoch)
         self._signer_ring = sorted(self.shares)
         # Aggregate-scheme adaptation: its hash is key-prefixed, so
-        # share_sign takes the public key as leading argument (and its
-        # combine predates the batching coins).
+        # share_sign takes the public key as leading argument.
         import inspect
         parameters = inspect.signature(scheme.share_sign).parameters
         self._key_prefixed = len(parameters) == 3
-        self._combine_accepts_rng = (
-            "rng" in inspect.signature(scheme.combine).parameters)
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -1130,16 +1063,16 @@ class ServiceHandle:
             failures=tuple(failures), fallback_combines=topped_up)
 
     def sign(self, message: bytes,
-             signers: Optional[Sequence[int]] = None,
-             robust: bool = False, rng=None) -> Signature:
-        """Share-sign with a quorum and combine into a full signature."""
-        partials = self.partials_for(message, signers)
-        kwargs = {"rng": rng} if self._combine_accepts_rng else {}
-        if not robust:
-            kwargs["verify_shares"] = False
+             signers: Optional[Sequence[int]] = None) -> Signature:
+        """Share-sign with ``signers`` (default: the first quorum) and
+        interpolate, unchecked — this handle's own shares, so nothing
+        arrives that needs checking.  ``sign_window([message])`` is the
+        robust one-message form.  Raises
+        :class:`~repro.errors.CombineError` for fewer than t+1 signers.
+        """
         return self.scheme.combine(
-            self.public_key, self.verification_keys, message, partials,
-            **kwargs)
+            self.public_key, self.verification_keys, message,
+            self.partials_for(message, signers), verify_shares=False)
 
     def sign_window(self, messages: Sequence[bytes],
                     signers: Optional[Sequence[int]] = None,

@@ -28,7 +28,8 @@ signer by signer under a window check, last convict first — to a
 per-partial ``share_verify`` scan over the same windows: same bytes
 wherever t+1 honest partials are reachable, ``None`` elsewhere, the
 same flagged positions, whatever the ``Suspects`` it is handed
-remember.
+remember — and robust ``combine``, a window of one message, to the
+same scan on every recipe.
 """
 
 import itertools
@@ -41,6 +42,7 @@ from repro.core.scheme import (
     LJYThresholdScheme, Suspects, ThresholdParams, _coins, _descend,
     reconstruct_master_key,
 )
+from repro.errors import CombineError
 
 SIZES = range(1, 34)
 SIGNERS = (1, 2, 3)
@@ -595,6 +597,36 @@ class TestRobustWindowSweep:
                     self._agree(window, top_up, None)
                     self._agree(window, top_up, remembered)
         assert seen == set(_Window.RECIPES) and remembered.last
+
+    def test_combine_is_a_window_of_one(self, toy):
+        """Robust ``combine`` on every recipe as a one-message window —
+        garbage first, last or throughout, a forged duplicate before or
+        after its honest twin, a keyless index, a short request — plus
+        seeded forgers: the master-key signature wherever the scan
+        finds t+1 honest partials among what arrived, ``CombineError``
+        exactly where ``combine_window`` returns ``None``."""
+        fixed = (set(), {(0, 1)}, {(0, 3)}, {(0, 1), (0, 2), (0, 3)})
+        for recipe in _Window.RECIPES:
+            for round_ in range(len(fixed) + self.ROUNDS // 4):
+                window = _Window(
+                    toy, 1, b"one %s %d" % (recipe.encode(), round_),
+                    forged=fixed[round_] if round_ < len(fixed) else None,
+                    recipes=[recipe])
+                (expected,), _ = window.scan(None)
+                (windowed,), _ = toy.scheme.combine_window(
+                    toy.pk, toy.vks, window.windows, rng=toy.rng)
+                context = (recipe, sorted(window.forged))
+                assert (windowed and windowed.to_bytes()) == expected, \
+                    context
+                message, partials = window.windows[0]
+                if expected is None:
+                    with pytest.raises(CombineError):
+                        toy.scheme.combine(toy.pk, toy.vks, message,
+                                           partials, rng=toy.rng)
+                    continue
+                assert toy.scheme.combine(
+                    toy.pk, toy.vks, message, partials, rng=toy.rng
+                ).to_bytes() == expected, context
 
     def test_honest_windows_flag_nothing_and_convict_nobody(self, toy):
         remembered = Suspects()

@@ -130,12 +130,17 @@ class TestServicePathRecovery:
     def test_recovered_player_signs_in_next_window(self, handle):
         recovered = handle.without_signer(2).with_recovered(2)
         message = b"recovered window"
-        signatures = recovered.sign_window(
-            [message], signers=(1, 2, 3), rng=random.Random(18))
-        assert recovered.verify(message, signatures[0])
-        # Byte-identical to the pre-crash service's signature: the
-        # recovered share is the original share.
-        assert signatures[0].to_bytes() == handle.sign(message).to_bytes()
+        # The recovered share is refreshed with the rest and still signs.
+        for successor in (recovered, recovered.refreshed(
+                rng=random.Random(19))):
+            signatures = successor.sign_window(
+                [message], signers=(1, 2, 3), rng=random.Random(18))
+            assert successor.verify(message, signatures[0])
+            # Byte-identical to the pre-crash service's signature: the
+            # recovered share is the original share, and a refresh
+            # keeps the key.
+            assert signatures[0].to_bytes() == \
+                handle.sign(message).to_bytes()
 
     def test_retire_below_quorum_refused(self, handle):
         shrunk = handle.without_signer(1).without_signer(2)
@@ -145,6 +150,8 @@ class TestServicePathRecovery:
             shrunk.without_signer(3)
 
     def test_recover_requires_missing_share_and_present_vk(self, handle):
+        with pytest.raises(ParameterError):
+            handle.without_signer(42)  # never a member
         with pytest.raises(ParameterError):
             handle.with_recovered(3)  # share still present
         with pytest.raises(ParameterError):

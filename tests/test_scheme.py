@@ -160,6 +160,30 @@ class TestRobustness:
         signature = toy_scheme.combine(pk, vks, b"m", [rogue] + honest)
         assert toy_scheme.verify(pk, b"m", signature)
 
+    def test_combine_replaces_forged_leading_partials(
+            self, toy_scheme, toy_keys):
+        # Both forgeries sit among the first t+1 partials, so the first
+        # Verify fails and the spares must stand in for them.
+        pk, shares, vks = toy_keys
+        g = toy_scheme.group.g1_generator()
+        garbage = [PartialSignature(index=i, z=g ** i, r=g) for i in (1, 2)]
+        honest = [toy_scheme.share_sign(shares[i], b"m") for i in (3, 4, 5)]
+        signature = toy_scheme.combine(pk, vks, b"m", garbage + honest)
+        assert toy_scheme.verify(pk, b"m", signature)
+
+    def test_combine_deterministic_across_coins(self, toy_scheme, toy_keys):
+        import random as random_module
+        pk, shares, vks = toy_keys
+        g = toy_scheme.group.g1_generator()
+        partials = [toy_scheme.share_sign(shares[i], b"m") for i in (1, 4, 5)]
+        forged = [PartialSignature(index=2, z=g, r=g)] + partials
+        for inputs in (partials, forged):
+            first = toy_scheme.combine(pk, vks, b"m", inputs,
+                                       rng=random_module.Random(1))
+            second = toy_scheme.combine(pk, vks, b"m", inputs,
+                                        rng=random_module.Random(2))
+            assert first.to_bytes() == second.to_bytes()
+
 
 class TestKeygenShapes:
     def test_share_storage_is_constant(self, toy_group, rng):
@@ -188,62 +212,6 @@ class TestKeygenShapes:
         for i in range(1, 6):
             assert toy_scheme.verification_key_for(shares[i]).v_1 == \
                 vks[i].v_1
-
-
-class TestBatchShareVerify:
-    def test_accepts_honest_batch(self, toy_scheme, toy_keys):
-        pk, shares, vks = toy_keys
-        partials = [toy_scheme.share_sign(shares[i], b"m") for i in (1, 2, 3)]
-        assert toy_scheme.batch_share_verify(pk, vks, b"m", partials)
-
-    def test_rejects_batch_with_one_forgery(self, toy_scheme, toy_keys):
-        pk, shares, vks = toy_keys
-        partials = [toy_scheme.share_sign(shares[i], b"m") for i in (1, 2)]
-        g = toy_scheme.group.g1_generator()
-        partials.append(PartialSignature(index=3, z=g, r=g))
-        assert not toy_scheme.batch_share_verify(pk, vks, b"m", partials)
-
-    def test_rejects_unknown_index(self, toy_scheme, toy_keys):
-        pk, shares, vks = toy_keys
-        partial = toy_scheme.share_sign(shares[1], b"m")
-        rogue = PartialSignature(index=99, z=partial.z, r=partial.r)
-        assert not toy_scheme.batch_share_verify(
-            pk, vks, b"m", [partial, rogue])
-
-    def test_empty_batch_passes(self, toy_scheme, toy_keys):
-        pk, _shares, vks = toy_keys
-        assert toy_scheme.batch_share_verify(pk, vks, b"m", [])
-
-    def test_single_partial_delegates_to_share_verify(
-            self, toy_scheme, toy_keys):
-        pk, shares, vks = toy_keys
-        good = toy_scheme.share_sign(shares[1], b"m")
-        bad = PartialSignature(
-            index=1, z=good.z * toy_scheme.group.g1_generator(), r=good.r)
-        assert toy_scheme.batch_share_verify(pk, vks, b"m", [good])
-        assert not toy_scheme.batch_share_verify(pk, vks, b"m", [bad])
-
-    def test_combine_falls_back_when_leading_batch_fails(
-            self, toy_scheme, toy_keys):
-        # Corrupt shares sit among the first t+1 candidates, so the batch
-        # check fails and the per-share fallback must still succeed.
-        pk, shares, vks = toy_keys
-        g = toy_scheme.group.g1_generator()
-        garbage = [PartialSignature(index=i, z=g ** i, r=g) for i in (1, 2)]
-        honest = [toy_scheme.share_sign(shares[i], b"m") for i in (3, 4, 5)]
-        signature = toy_scheme.combine(pk, vks, b"m", garbage + honest)
-        assert toy_scheme.verify(pk, b"m", signature)
-
-    def test_combine_deterministic_despite_batching_coins(
-            self, toy_scheme, toy_keys):
-        import random as random_module
-        pk, shares, vks = toy_keys
-        partials = [toy_scheme.share_sign(shares[i], b"m") for i in (1, 4, 5)]
-        first = toy_scheme.combine(pk, vks, b"m", partials,
-                                   rng=random_module.Random(1))
-        second = toy_scheme.combine(pk, vks, b"m", partials,
-                                    rng=random_module.Random(2))
-        assert first.to_bytes() == second.to_bytes()
 
 
 class TestCrossMessageBatchShareVerify:
@@ -605,6 +573,37 @@ class TestRobustPathOperationCounts:
                 messages, signatures, rng=rng))
         assert not any(verdicts)
         assert (spent["miller_loops"], spent["final_exps"]) == (64, 16)
+
+    def test_one_off_combine_is_a_window_of_one(self, bn254_group, rng):
+        """Robust ``combine`` is ``combine_window`` over one message:
+        one Verify when the first t+1 partials are honest; a forged one
+        in use costs its signer's ``share_verify`` and one more Verify
+        after the replacement.  (Miller loops, final exponentiations,
+        G2 preparations) on warm keys: honest (4, 1, 0), one garbage
+        partial among 4 (12, 3, 0), two among 5 (20, 5, 0)."""
+        import random
+
+        from repro.core.scheme import ServiceHandle
+        # Its own keys: the class handle's preparations are pinned below.
+        handle = ServiceHandle.dealer(bn254_group, 2, 5,
+                                      rng=random.Random(25))
+        scheme, message = handle.scheme, b"one-off combine"
+        g = scheme.group.g1_generator()
+        honest = handle.partials_for(message, [1, 2, 3, 4, 5])
+        garbage = [PartialSignature(index=i, z=g ** i, r=g) for i in (1, 2)]
+        expected = handle.sign(message).to_bytes()
+        for cost, partials in (((4, 1, 0), honest[:3]),
+                               ((12, 3, 0), garbage[:1] + honest[1:4]),
+                               ((20, 5, 0), garbage + honest[2:])):
+            def combine():
+                return scheme.combine(handle.public_key,
+                                      handle.verification_keys, message,
+                                      partials, rng=rng)
+            combine()                                       # warm
+            signature, spent = self._counted(combine)
+            assert signature.to_bytes() == expected
+            assert (spent["miller_loops"], spent["final_exps"],
+                    spent["preparations"]) == cost
 
     def test_one_signer_forging_two_of_sixteen(self, service_handle, rng):
         """The benchmark's ``sign_faulty`` window, in (Miller loops,

@@ -37,9 +37,15 @@ def run(coroutine):
 
 class TestServiceHandle:
     def test_sign_verify_roundtrip(self, handle):
+        from repro.errors import CombineError
         signature = handle.sign(b"facade message")
         assert handle.verify(b"facade message", signature)
         assert not handle.verify(b"other message", signature)
+        # Any t+1 signers give the same bytes; t give a typed refusal.
+        assert handle.sign(b"facade message", signers=(2, 4, 5)) \
+            .to_bytes() == signature.to_bytes()
+        with pytest.raises(CombineError):
+            handle.sign(b"facade message", signers=(1, 2))
 
     def test_quorum_rotates_over_all_signers(self, handle):
         quorums = [handle.quorum(rotation=r) for r in range(5)]
@@ -106,8 +112,6 @@ class TestServiceHandle:
         agg_handle = ServiceHandle(scheme, pk, shares, vks)
         signature = agg_handle.sign(b"agg message")
         assert agg_handle.verify(b"agg message", signature)
-        robust = agg_handle.sign(b"agg message", robust=True)
-        assert robust.to_bytes() == signature.to_bytes()
         # Window-sized paths are LJYThresholdScheme-only: typed error,
         # not an AttributeError from deep inside a shard worker.
         with pytest.raises(TypeError):
@@ -326,12 +330,19 @@ class TestTopUp:
             for _ in range(2):
                 handle.process_sign_window(
                     messages, fault_injector=forgers, rng=random.Random(41))
-        cold, convict = [json.loads(record.getMessage())
-                         for record in caplog.records]
+            # A one-off robust combine is a window of one, epoch 0.
+            handle.scheme.combine(
+                handle.public_key, handle.verification_keys, messages[1],
+                handle.partials_with_faults(
+                    messages[1], [2, 3, 4, 5], fault_injector=forgers))
+        cold, convict, one_off = [json.loads(record.getMessage())
+                                  for record in caplog.records]
         assert cold == {
             "event": "conviction", "signer": 2, "epoch": handle.epoch,
             "window": 4, "positions": [1, 3], "checked_first": False}
         assert convict == {**cold, "checked_first": True}
+        assert one_off == {**cold, "epoch": 0, "window": 1,
+                           "positions": [0]}
         assert handle.suspects == (2,)
 
     def test_sign_window_takes_the_same_path(self, handle):

@@ -447,7 +447,7 @@ def render_table(snapshot: dict) -> Table:
         "share_sign": "Share-Sign (2 multi-exps + 2 hash-on-curve)",
         "share_verify": "Share-Verify (product of 4 pairings)",
         "combine_optimistic": f"Combine (t+1 = {T + 1}, optimistic)",
-        "combine_robust": "Combine (robust, share-verifying)",
+        "combine_robust": "Combine (robust, one Verify if honest)",
         "verify": "Verify (product of 4 pairings)",
         "batch_verify_msg": f"Batch-Verify, per message (k = {BATCH_K})",
         "svc_robust_batch_shareverify": (
