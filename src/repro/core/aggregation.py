@@ -1,6 +1,13 @@
 """The aggregation-enabled threshold scheme (Appendix G of the paper).
 
-Differences from the Section 3 scheme:
+:class:`LJYAggregateScheme` is the Section 3 scheme over the hash
+``H(PK || M)``: it subclasses
+:class:`~repro.core.scheme.LJYThresholdScheme` and overrides its one
+hash seam, :meth:`~repro.core.scheme.LJYThresholdScheme.hashed`, so
+Share-Verify, the robust Combine and the window entry points are
+Section 3's own code, and a
+:class:`~repro.core.scheme.ServiceHandle` serves it like any other
+handle.  Differences from the Section 3 scheme:
 
 * public parameters gain two extra G generators ``g, h``;
 * during Dist-Keygen each dealer additionally broadcasts
@@ -12,7 +19,10 @@ Differences from the Section 3 scheme:
   proof of key sanity that Aggregate-Verify checks for every involved key
   (this replaces registered-key assumptions: the reduction can strip
   adversarial keys' contributions out of a fake aggregate);
-* Share-Sign binds the public key into the hash: ``H(PK || M)``;
+* Share-Sign binds the public key into the hash: ``H(PK || M)``, so
+  ``share_sign`` takes the public key first;
+* Verify is Aggregate-Verify with l = 1: the key sanity check, then the
+  Section 3 equation;
 * ``Aggregate`` multiplies signatures componentwise;
   ``Aggregate-Verify`` checks one product of 2 + 2*l pairings plus l key
   sanity checks (vs 4*l pairings for l separate verifications).
@@ -22,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.keys import (
     PartialSignature, PrivateKeyShare, Signature, VerificationKey,
@@ -30,7 +40,6 @@ from repro.core.keys import (
 from repro.core.scheme import LJYThresholdScheme, partials_over
 from repro.errors import CombineError, ParameterError
 from repro.groups.api import BilinearGroup, GroupElement
-from repro.math.polynomial import Polynomial
 from repro.sharing.shamir import validate_threshold
 
 
@@ -92,57 +101,35 @@ class AggPublicKey:
         ])
 
 
-class LJYAggregateScheme:
-    """Threshold signatures with unrestricted aggregation (Appendix G)."""
+class LJYAggregateScheme(LJYThresholdScheme):
+    """Threshold signatures with unrestricted aggregation (Appendix G).
 
-    def __init__(self, params: AggThresholdParams):
-        self.params = params
-        self.group = params.group
+    Section 3 over ``H(PK || M)``: Share-Verify, the robust Combine and
+    the window entry points are inherited and hash through
+    :meth:`hashed`, so only the hash, the key's (Z, R), the key-first
+    Share-Sign and Verify's key sanity check are defined here.
+    """
 
-    # ------------------------------------------------------------------
-    # Key generation
-    # ------------------------------------------------------------------
-    def dealer_keygen(self, rng=None):
-        """Centralized analogue of the Appendix G Dist-Keygen."""
-        order = self.group.order
-        t, n = self.params.t, self.params.n
-        polys = {
-            (k, name): Polynomial.random(t, order, rng=rng)
-            for k in (1, 2) for name in ("A", "B")
-        }
-        a_10 = polys[(1, "A")].constant_term
-        b_10 = polys[(1, "B")].constant_term
-        a_20 = polys[(2, "A")].constant_term
-        b_20 = polys[(2, "B")].constant_term
+    def public_key_from_master(self, a_10: int, b_10: int, a_20: int,
+                               b_20: int) -> AggPublicKey:
+        """Section 3's ``(g_hat_1, g_hat_2)`` plus ``(Z, R) = (g^{-a_10}
+        h^{-a_20}, g^{-b_10} h^{-b_20})``, so the inherited
+        :meth:`~LJYThresholdScheme.dealer_keygen` is the centralized
+        analogue of the Appendix G Dist-Keygen."""
+        base = super().public_key_from_master(a_10, b_10, a_20, b_20)
         p = self.params
-        public_key = AggPublicKey(
-            params=p,
-            g_1=(p.g_z ** a_10) * (p.g_r ** b_10),
-            g_2=(p.g_z ** a_20) * (p.g_r ** b_20),
+        return AggPublicKey(
+            params=p, g_1=base.g_1, g_2=base.g_2,
             z=(p.g ** (-a_10)) * (p.h ** (-a_20)),
             r=(p.g ** (-b_10)) * (p.h ** (-b_20)),
         )
-        shares = {
-            i: PrivateKeyShare(
-                index=i,
-                a_1=polys[(1, "A")](i), b_1=polys[(1, "B")](i),
-                a_2=polys[(2, "A")](i), b_2=polys[(2, "B")](i),
-            )
-            for i in range(1, n + 1)
-        }
-        verification_keys = {
-            i: VerificationKey(
-                index=i,
-                v_1=(p.g_z ** shares[i].a_1) * (p.g_r ** shares[i].b_1),
-                v_2=(p.g_z ** shares[i].a_2) * (p.g_r ** shares[i].b_2),
-            )
-            for i in shares
-        }
-        return public_key, shares, verification_keys
 
-    # ------------------------------------------------------------------
-    # Threshold signing (key-prefixed hash, otherwise as Section 3)
-    # ------------------------------------------------------------------
+    def hashed(self, public_key: AggPublicKey,
+               message: bytes) -> Tuple[GroupElement, GroupElement]:
+        """``H(PK || M)`` (:meth:`AggThresholdParams.hash_for_key`)."""
+        return self.params.hash_for_key(public_key, message)
+
+    # Share-Sign hashes the key, so it takes it first.
     def share_sign(self, public_key: AggPublicKey, share: PrivateKeyShare,
                    message: bytes) -> PartialSignature:
         return self.share_sign_many(public_key, [share], message)[0]
@@ -150,63 +137,14 @@ class LJYAggregateScheme:
     def share_sign_many(self, public_key: AggPublicKey,
                         shares: Sequence[PrivateKeyShare],
                         message: bytes) -> List[PartialSignature]:
-        """Share-Sign for several local shares on one message, over the
-        key-prefixed hash pair (see
-        :func:`~repro.core.scheme.partials_over`)."""
         return partials_over(
-            self.group, self.params.hash_for_key(public_key, message),
-            shares)
-
-    def share_verify(self, public_key: AggPublicKey,
-                     verification_key: VerificationKey, message: bytes,
-                     partial: PartialSignature) -> bool:
-        if partial.index != verification_key.index:
-            return False
-        h_1, h_2 = self.params.hash_for_key(public_key, message)
-        p = self.params
-        return self.group.pairing_product_is_one([
-            (partial.z, p.g_z),
-            (partial.r, p.g_r),
-            (h_1, verification_key.v_1),
-            (h_2, verification_key.v_2),
-        ])
-
-    def combine(self, public_key: AggPublicKey,
-                verification_keys: Mapping[int, VerificationKey],
-                message: bytes,
-                partials: Iterable[PartialSignature],
-                verify_shares: bool = True) -> Signature:
-        """Identical to Section 3 Combine (Lagrange in the exponent)."""
-        from repro.math.lagrange import lagrange_coefficients
-        t = self.params.t
-        usable: Dict[int, PartialSignature] = {}
-        for partial in partials:
-            if partial.index in usable:
-                continue
-            if verify_shares:
-                vk = verification_keys.get(partial.index)
-                if vk is None or not self.share_verify(
-                        public_key, vk, message, partial):
-                    continue
-            usable[partial.index] = partial
-            if len(usable) == t + 1:
-                break
-        if len(usable) < t + 1:
-            raise CombineError(
-                f"need {t + 1} valid partial signatures, got {len(usable)}")
-        coefficients = lagrange_coefficients(usable.keys(), self.group.order)
-        z = r = None
-        for index, partial in usable.items():
-            weight = coefficients[index]
-            z_term = partial.z ** weight
-            r_term = partial.r ** weight
-            z = z_term if z is None else z * z_term
-            r = r_term if r is None else r * r_term
-        return Signature(z=z, r=r)
+            self.group, self.hashed(public_key, message), shares)
 
     def verify(self, public_key: AggPublicKey, message: bytes,
                signature: Signature) -> bool:
-        """Single-signature verification = Aggregate-Verify with l = 1."""
+        """Single-signature verification = Aggregate-Verify with l = 1:
+        the key's sanity check and the Section 3 equation.  The window
+        checks the robust path runs check the equation alone."""
         return self.aggregate_verify(
             [(public_key, message)], signature)
 
@@ -244,22 +182,10 @@ class LJYAggregateScheme:
         for public_key, message in items:
             if not public_key.sanity_check():
                 return False
-            h_1, h_2 = p.hash_for_key(public_key, message)
+            h_1, h_2 = self.hashed(public_key, message)
             pairs.append((h_1, public_key.g_1))
             pairs.append((h_2, public_key.g_2))
         return self.group.pairing_product_is_one(pairs)
-
-
-def scheme_view(params: AggThresholdParams) -> LJYThresholdScheme:
-    """A Section 3 scheme sharing this instance's generators.
-
-    Useful for tests that compare the two constructions on identical keys.
-    """
-    from repro.core.keys import ThresholdParams
-    base = ThresholdParams(
-        group=params.group, t=params.t, n=params.n,
-        g_z=params.g_z, g_r=params.g_r, hash_domain=params.hash_domain)
-    return LJYThresholdScheme(base)
 
 
 # ---------------------------------------------------------------------------

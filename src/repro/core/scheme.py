@@ -46,8 +46,8 @@ def partials_over(group: BilinearGroup,
     H_2^{-B_2(i)})`` for every share, in order: 2 * len(shares) exponent
     rows over the one hashed pair, handed to
     :meth:`~repro.groups.api.BilinearGroup.multi_exp_rows` together so
-    they share its per-base precomputation.  Shared by the Section 3 and
-    Appendix G schemes, which differ only in how ``hashed`` is derived.
+    they share its per-base precomputation.  ``hashed`` is
+    :meth:`LJYThresholdScheme.hashed`'s pair.
     """
     rows = []
     for share in shares:
@@ -205,6 +205,13 @@ class LJYThresholdScheme:
     # ------------------------------------------------------------------
     # Signing
     # ------------------------------------------------------------------
+    def hashed(self, public_key: Optional[PublicKey],
+               message: bytes) -> Tuple[GroupElement, GroupElement]:
+        """``(H_1, H_2)``, the pair every equation of the scheme signs
+        and checks: ``H(M)``, whatever ``public_key`` is.  The one seam
+        the Appendix G scheme changes, to ``H(PK || M)``."""
+        return self.params.hash_message(message)
+
     def share_sign(self, share: PrivateKeyShare,
                    message: bytes) -> PartialSignature:
         """Non-interactive partial signing (Share-Sign).
@@ -223,8 +230,7 @@ class LJYThresholdScheme:
         Shares are never combined with each other — each partial is
         exactly what :meth:`share_sign` returns for that share.
         """
-        return partials_over(
-            self.group, self.params.hash_message(message), shares)
+        return partials_over(self.group, self.hashed(None, message), shares)
 
     def share_verify(self, public_key: PublicKey,
                      verification_key: VerificationKey, message: bytes,
@@ -232,7 +238,7 @@ class LJYThresholdScheme:
         """Check ``e(z_i, g_z) e(r_i, g_r) e(H_1, V_1i) e(H_2, V_2i) = 1``."""
         if partial.index != verification_key.index:
             return False
-        h_1, h_2 = self.params.hash_message(message)
+        h_1, h_2 = self.hashed(public_key, message)
         p = self.params
         return self.group.pairing_product_is_one([
             (partial.z, p.g_z),
@@ -241,7 +247,7 @@ class LJYThresholdScheme:
             (h_2, verification_key.v_2),
         ])
 
-    def _share_values(self,
+    def _share_values(self, public_key: PublicKey,
                       verification_keys: Mapping[int, VerificationKey],
                       items: Sequence[Tuple[bytes, PartialSignature]],
                       coins: Sequence[int]):
@@ -266,7 +272,7 @@ class LJYThresholdScheme:
         hashes: Dict[bytes, Tuple[GroupElement, GroupElement]] = {}
         for message, _ in items:
             if message not in hashes:
-                hashes[message] = p.hash_message(message)
+                hashes[message] = self.hashed(public_key, message)
 
         def value_of(lo: int, hi: int,
                      weighted: bool = False) -> GroupElement:
@@ -336,7 +342,7 @@ class LJYThresholdScheme:
                 public_key, verification_keys[partial.index], message,
                 partial)
         return self._share_values(
-            verification_keys, items, _coins(len(items), rng)
+            public_key, verification_keys, items, _coins(len(items), rng)
         )(0, len(items)).is_identity()
 
     def locate_invalid_partials(
@@ -381,8 +387,8 @@ class LJYThresholdScheme:
                 partial)
             return keyless if valid else sorted(keyless + order)
         value_of = self._share_values(
-            verification_keys, [items[position] for position in order],
-            _coins(len(order), rng))
+            public_key, verification_keys,
+            [items[position] for position in order], _coins(len(order), rng))
         value = value_of(0, len(order))
         companion = None
         # Signer-major order: equal ends mean one signer throughout.
@@ -462,7 +468,7 @@ class LJYThresholdScheme:
                signature: Signature) -> bool:
         """``e(z, g_z) e(r, g_r) e(H_1, g_1) e(H_2, g_2) = 1`` — one
         multi-pairing of four pairs."""
-        h_1, h_2 = self.params.hash_message(message)
+        h_1, h_2 = self.hashed(public_key, message)
         p = self.params
         return self.group.pairing_product_is_one([
             (signature.z, p.g_z),
@@ -490,7 +496,7 @@ class LJYThresholdScheme:
         """
         p = self.params
         group = self.group
-        hashes = [p.hash_message(message) for message in messages]
+        hashes = [self.hashed(public_key, message) for message in messages]
         z_points = [signature.z for signature in signatures]
         r_points = [signature.r for signature in signatures]
         h_1s = [pair[0] for pair in hashes]
@@ -536,7 +542,9 @@ class LJYThresholdScheme:
         if not messages:
             return True
         if len(messages) == 1:
-            return self.verify(public_key, messages[0], signatures[0])
+            # The equation alone, whatever a subclass's verify adds.
+            return LJYThresholdScheme.verify(
+                self, public_key, messages[0], signatures[0])
         return self._signature_values(
             public_key, messages, signatures, _coins(len(messages), rng)
         )(0, len(messages)).is_identity()
@@ -558,8 +566,8 @@ class LJYThresholdScheme:
         explains is evaluated) until each stands alone in its slice.
         The coins are drawn once, after the items are fixed; the
         companion and every sub-batch reuse their items' coins.  A
-        batch of one is a plain uncoined :meth:`verify`.  Returns []
-        when the whole batch verifies.
+        batch of one is this class's plain uncoined :meth:`verify`.
+        Returns [] when the whole batch verifies.
         """
         count = len(messages)
         if count != len(signatures):
@@ -568,7 +576,8 @@ class LJYThresholdScheme:
         if count == 0:
             return []
         if count == 1:
-            valid = self.verify(public_key, messages[0], signatures[0])
+            valid = LJYThresholdScheme.verify(
+                self, public_key, messages[0], signatures[0])
             return [] if valid else [0]
         value_of = self._signature_values(
             public_key, messages, signatures, _coins(count, rng))
@@ -734,8 +743,7 @@ class LJYThresholdScheme:
         """Sign directly with the master key ``(A_1(0), B_1(0), A_2(0),
         B_2(0))`` — what the combined signature must equal."""
         a_10, b_10, a_20, b_20 = master
-        h_1, h_2 = self.params.hash_message(message)
-        bases = [h_1, h_2]
+        bases = list(self.hashed(None, message))
         z = self.group.multi_exp(bases, [-a_10, -a_20])
         r = self.group.multi_exp(bases, [-b_10, -b_20])
         return Signature(z=z, r=r)
@@ -778,16 +786,15 @@ class ServiceHandle:
     dispatches, and ``partials_for`` for callers that split signing from
     combining (a shard worker, a distributed combiner).
 
-    The one-off paths (``sign``/``verify``/``partials_for``) work with
-    any scheme following the threshold-signature syntax — the
-    key-prefixed :class:`~repro.core.aggregation.LJYAggregateScheme`
-    (whose ``share_sign`` takes the public key first) is adapted
-    automatically.  The window-sized batch paths require a scheme with
-    ``combine_window``/``verify_window`` (i.e.
-    :class:`LJYThresholdScheme`) and raise :class:`TypeError` otherwise.
+    ``scheme`` is a :class:`LJYThresholdScheme` — the Appendix G
+    :class:`~repro.core.aggregation.LJYAggregateScheme` included, which
+    differs only in :meth:`LJYThresholdScheme.hashed` — so every path
+    works the same for both (the remote worker tier excepted: see
+    :func:`~repro.serialization.encode_service_context`).
     """
 
-    def __init__(self, scheme, public_key, shares: Mapping[int, "PrivateKeyShare"],
+    def __init__(self, scheme: LJYThresholdScheme, public_key,
+                 shares: Mapping[int, PrivateKeyShare],
                  verification_keys: Mapping[int, VerificationKey],
                  epoch: int = 0):
         self.scheme = scheme
@@ -801,11 +808,6 @@ class ServiceHandle:
         self.epoch = epoch
         self._suspects = Suspects(epoch)
         self._signer_ring = sorted(self.shares)
-        # Aggregate-scheme adaptation: its hash is key-prefixed, so
-        # share_sign takes the public key as leading argument.
-        import inspect
-        parameters = inspect.signature(scheme.share_sign).parameters
-        self._key_prefixed = len(parameters) == 3
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -944,11 +946,9 @@ class ServiceHandle:
     # -- signing ------------------------------------------------------------
     def _share_sign_many(self, signers: Sequence[int],
                          message: bytes) -> List[PartialSignature]:
-        shares = [self.shares[index] for index in signers]
-        if self._key_prefixed:
-            return self.scheme.share_sign_many(
-                self.public_key, shares, message)
-        return self.scheme.share_sign_many(shares, message)
+        return partials_over(
+            self.scheme.group, self.scheme.hashed(self.public_key, message),
+            [self.shares[index] for index in signers])
 
     def partials_for(self, message: bytes,
                      signers: Optional[Sequence[int]] = None
@@ -994,10 +994,6 @@ class ServiceHandle:
         Returns ``(signatures, flagged, topped_up)``, the last counting
         the requests that needed partials from beyond their quorum.
         """
-        if not hasattr(self.scheme, "combine_window"):
-            raise TypeError(
-                f"{type(self.scheme).__name__} has no window-sized entry "
-                "points; use the one-off sign()/verify() paths")
         indices = self.quorum() if signers is None else list(signers)
         presigned = presigned or {}
         windows = [
@@ -1100,10 +1096,6 @@ class ServiceHandle:
     def verify_window(self, messages: Sequence[bytes],
                       signatures: Sequence[Signature],
                       rng=None) -> List[bool]:
-        if not hasattr(self.scheme, "verify_window"):
-            raise TypeError(
-                f"{type(self.scheme).__name__} has no window-sized entry "
-                "points; use the one-off sign()/verify() paths")
         return self.scheme.verify_window(
             self.public_key, messages, signatures, rng=rng)
 

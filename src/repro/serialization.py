@@ -591,12 +591,19 @@ def encode_service_context(handle) -> bytes:
 
     This is the simulation's stand-in for deployment provisioning; a
     real deployment ships each server only its own share.
+
+    Only a :class:`~repro.core.scheme.LJYThresholdScheme` handle is
+    carried (:class:`TypeError` otherwise): the context has no field for
+    a subclass's hash, so a decoded Appendix G context would sign
+    ``H(M)`` where its handle signs ``H(PK || M)``.
     """
+    from repro.core.scheme import LJYThresholdScheme
+
     scheme = handle.scheme
-    if not hasattr(scheme, "combine_window"):
+    if type(scheme) is not LJYThresholdScheme:
         raise TypeError(
-            f"{type(scheme).__name__} has no window-sized entry points; "
-            "the worker tier serves LJYThresholdScheme handles only")
+            f"the service context carries LJYThresholdScheme handles "
+            f"only, not {type(scheme).__name__}")
     group = scheme.group
     params = scheme.params
     codec = WireCodec(group)

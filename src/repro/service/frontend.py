@@ -59,7 +59,8 @@ class ServiceConfig:
     #: fault_injector=...)``, ``--crash-sentinel``) — so combining it
     #: with ``remote_workers`` is refused at start-up.
     fault_injector: Optional[Callable] = None
-    #: RNG driving the small-exponent batching coins (tests pin it).
+    #: RNG driving the small-exponent batching coins (tests pin it),
+    #: and nothing else: key refresh and reshare never draw from it.
     #: Worker processes draw their own coins — an adversary must not be
     #: able to predict them from a parent-visible seed anyway.
     rng: Optional[object] = None
@@ -199,7 +200,7 @@ class SigningService:
             await asyncio.sleep(every_s)
             if not self.running:
                 return
-            await self.refresh(rng=self.config.rng)
+            await self.refresh()
 
     async def stop(self) -> None:
         """Graceful shutdown: finish every accepted request, then halt."""

@@ -124,6 +124,14 @@ def _hex_field(payload: dict, field: str) -> bytes:
                          f"field {field!r} is not valid hex") from None
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:      # the line outgrew the reader's buffer limit
+        raise _HttpError(400, "line-too-long",
+                         "request or header line too long") from None
+
+
 def _int_field(payload: dict, field: str) -> int:
     value = payload.get(field)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -242,31 +250,38 @@ class HttpGateway:
     async def _read_request(
             self, reader: asyncio.StreamReader,
             writer: asyncio.StreamWriter) -> Optional[_Request]:
-        """Parse one request off the connection; ``None`` on EOF.  Raises
-        ``_HttpError`` only via the caller's dispatch (malformed framing
-        is answered with 400 and the connection closed)."""
-        line = await reader.readline()
-        if not line:
-            return None
+        """Parse one request off the connection; ``None`` on EOF, or once
+        malformed framing is answered with its typed 4xx (the caller
+        then closes the connection)."""
         try:
-            method, path, version = line.decode("ascii").split()
-        except ValueError:
-            await self._write_error(
-                writer, None, 400, "bad-request-line",
-                "malformed HTTP request line")
-            return None
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
-            await self._write_error(
-                writer, None, 413, "payload-too-large",
-                f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            line = await _read_line(reader)
+            if not line:
+                return None
+            try:
+                method, path, version = line.decode("ascii").split()
+            except ValueError:
+                raise _HttpError(400, "bad-request-line",
+                                 "malformed HTTP request line") from None
+            headers: Dict[str, str] = {}
+            while True:
+                raw = await _read_line(reader)
+                if raw in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = raw.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            declared = headers.get("content-length", "0") or "0"
+            if not (declared.isascii() and declared.isdigit()):
+                raise _HttpError(
+                    400, "bad-content-length",
+                    f"Content-Length {declared!r} is not a byte count")
+            length = int(declared)
+            if length > MAX_BODY_BYTES:
+                raise _HttpError(
+                    413, "payload-too-large",
+                    f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        except _HttpError as exc:
+            await self._write_error(writer, None, exc.status, exc.error,
+                                    exc.detail)
             return None
         if headers.get("expect", "").lower() == "100-continue":
             writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
@@ -473,8 +488,7 @@ class HttpGateway:
     # -- control plane ------------------------------------------------------
     async def _handle_refresh(self, request: _Request):
         self._authorize(request, admin=True)
-        pause_ms = await self._lifecycle(
-            request, self.service.refresh(rng=self.service.config.rng))
+        pause_ms = await self._lifecycle(request, self.service.refresh())
         return 200, {
             "request_id": request.request_id,
             "epoch": self.service.handle.epoch,
@@ -491,8 +505,7 @@ class HttpGateway:
             raise _HttpError(400, "missing-field",
                              "field 'indices' must be a list of integers")
         pause_ms = await self._lifecycle(
-            request, self.service.reshare(
-                threshold, indices, rng=self.service.config.rng))
+            request, self.service.reshare(threshold, indices))
         return 200, {
             "request_id": request.request_id,
             "epoch": self.service.handle.epoch,

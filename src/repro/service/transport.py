@@ -235,7 +235,7 @@ class WorkerServer:
 
     def __init__(self, handle, host: str = "127.0.0.1", port: int = 0,
                  fault_injector=None, psk: Optional[bytes] = None):
-        # Raises TypeError for schemes without window entry points —
+        # Raises TypeError for a scheme the context cannot carry —
         # fail at construction, not on the first job.
         self._context = encode_service_context(handle)
         self._digest = service_context_digest(self._context)
@@ -575,7 +575,7 @@ class RemoteWorkerPool:
             raise ValueError("breaker_threshold must be at least 1")
         if isinstance(psk, str):
             psk = psk.encode("utf-8")
-        # Raises TypeError for schemes without window entry points.
+        # Raises TypeError for a scheme the context cannot carry.
         self._context = encode_service_context(handle)
         self._digest = service_context_digest(self._context)
         self._group_name = handle.scheme.group.name

@@ -274,6 +274,20 @@ class TestGatewayDataPlane:
                     b"POST /v1/sign HTTP/1.1\r\nX-API-Key: alpha-key\r\n"
                     b"Content-Length: 4\r\n\r\n{{{{")
                 assert b"400 Bad Request" in response
+                # Hostile framing: a typed 400, then the close.
+                head = b"POST /v1/sign HTTP/1.1\r\nX-API-Key: alpha-key\r\n"
+                for blob, error in (
+                        (head + b"Content-Length: abc\r\n\r\n{}",
+                         "bad-content-length"),
+                        (head + b"Content-Length: -5\r\n\r\n{}",
+                         "bad-content-length"),
+                        (head + b"X-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+                         "line-too-long")):
+                    response = await raw_exchange(gateway, blob)
+                    status, _, body = response.partition(b"\r\n\r\n")
+                    assert status.startswith(b"HTTP/1.1 400 Bad Request")
+                    assert b"Connection: close" in status
+                    assert json.loads(body)["error"] == error
                 await client.close()
         run(scenario())
 
@@ -383,6 +397,23 @@ class TestGatewayControlPlane:
                 assert stats.epochs.resizes == 1
                 await admin.close()
         run(scenario())
+
+    def test_pinned_coin_rng_does_not_seed_the_refresh(self, handle):
+        """``ServiceConfig.rng`` drives the batching coins only: two
+        services pinned to the same seed must not draw the same zero
+        sharing, or a pinned seed would predict every refresh."""
+        async def refreshed_handle():
+            config = service_config(rng=random.Random(7))
+            async with gateway_running(handle, config=config) as gateway:
+                admin = client_for(gateway, "alpha-key")
+                assert (await admin.admin_refresh())["epoch"] == 1
+                await admin.close()
+                return gateway.service.handle
+
+        first, second = run(refreshed_handle()), run(refreshed_handle())
+        assert first.public_key.to_bytes() == second.public_key.to_bytes() \
+            == handle.public_key.to_bytes()
+        assert first.shares != second.shares
 
     def test_bad_lifecycle_parameters_are_400(self, handle):
         async def scenario():

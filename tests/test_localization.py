@@ -29,7 +29,8 @@ per-partial ``share_verify`` scan over the same windows: same bytes
 wherever t+1 honest partials are reachable, ``None`` elsewhere, the
 same flagged positions, whatever the ``Suspects`` it is handed
 remember — and robust ``combine``, a window of one message, to the
-same scan on every recipe.
+same scan on every recipe, under the Section 3 scheme and under the
+Appendix G one.
 """
 
 import itertools
@@ -37,6 +38,7 @@ import random
 
 import pytest
 
+from repro.core.aggregation import AggThresholdParams, LJYAggregateScheme
 from repro.core.keys import PartialSignature, Signature, VerificationKey
 from repro.core.scheme import (
     LJYThresholdScheme, Suspects, ThresholdParams, _coins, _descend,
@@ -68,20 +70,26 @@ def _forgery_sets(size, rng):
 class _Fixture:
     """A keyed scheme on one backend plus item builders."""
 
-    def __init__(self, group, rng):
+    def __init__(self, group, rng, scheme=None):
         self.rng = rng
-        self.scheme = LJYThresholdScheme(
+        self.scheme = scheme or LJYThresholdScheme(
             ThresholdParams.generate(group, t=2, n=5))
         self.pk, self.shares, self.vks = self.scheme.dealer_keygen(rng=rng)
         self.master = reconstruct_master_key(
             list(self.shares.values()), group.order, 2)
         self.g = group.g1_generator()
 
+    def share_sign(self, signer, message):
+        return self.scheme.share_sign(self.shares[signer], message)
+
+    def master_signature(self, message):
+        return self.scheme.sign_with_master(self.master, message)
+
     def signatures(self, size, forged):
         messages = [b"sweep %d" % i for i in range(size)]
         signatures = []
         for position, message in enumerate(messages):
-            signature = self.scheme.sign_with_master(self.master, message)
+            signature = self.master_signature(message)
             if position in forged:
                 signature = Signature(
                     z=signature.z * self.g ** self.rng.randrange(1, 1 << 32),
@@ -96,7 +104,7 @@ class _Fixture:
         for position in range(size):
             message = b"sweep %d" % (position // len(signers))
             signer = signers[position % len(signers)]
-            partial = self.scheme.share_sign(self.shares[signer], message)
+            partial = self.share_sign(signer, message)
             if position in forged:
                 partial = PartialSignature(
                     index=signer, z=partial.z,
@@ -142,10 +150,33 @@ class _Fixture:
                 ) is (not forged)
 
 
+class _AggregateFixture(_Fixture):
+    """The Appendix G scheme: Section 3 over ``H(PK || M)``."""
+
+    def __init__(self, group, rng):
+        super().__init__(group, rng, LJYAggregateScheme(
+            AggThresholdParams.generate(group, t=2, n=5)))
+
+    def share_sign(self, signer, message):
+        return self.scheme.share_sign(self.pk, self.shares[signer], message)
+
+    def master_signature(self, message):
+        a_1, b_1, a_2, b_2 = self.master
+        h_1, h_2 = self.scheme.hashed(self.pk, message)
+        return Signature(z=h_1 ** -a_1 * h_2 ** -a_2,
+                         r=h_1 ** -b_1 * h_2 ** -b_2)
+
+
 @pytest.fixture
 def toy(toy_group, session_seed):
     return _Fixture(toy_group, random.Random(
         0x10CA7E if session_seed is None else session_seed))
+
+
+@pytest.fixture
+def aggregate(toy_group, session_seed):
+    return _AggregateFixture(toy_group, random.Random(
+        0xA66 if session_seed is None else session_seed))
 
 
 class TestLocalizerSweepToy:
@@ -427,7 +458,7 @@ class TestLocalizerCost:
                                key=lambda position: items[position][1].index)
                 del evaluations[:]
                 value_of = toy.scheme._share_values(
-                    toy.vks, [items[position] for position in order],
+                    toy.pk, toy.vks, [items[position] for position in order],
                     _coins(size, toy.rng))
                 located = _plain_bisection(
                     value_of, 0, size, value_of(0, size))
@@ -447,7 +478,7 @@ class TestLocalizerCost:
                     assert len(spent) == 1 + len(forged)
                 del evaluations[:]
                 value_of = toy.scheme._share_values(
-                    toy.vks, items, _coins(size, toy.rng))
+                    toy.pk, toy.vks, items, _coins(size, toy.rng))
                 _plain_bisection(value_of, 0, size, value_of(0, size))
                 assert len(spent) <= len(evaluations), (size, name)
 
@@ -477,7 +508,7 @@ class _Window:
         self.table = {}
         for position, message in enumerate(self.messages):
             for signer in self.RING:
-                partial = toy.scheme.share_sign(toy.shares[signer], message)
+                partial = toy.share_sign(signer, message)
                 if (position, signer) in self.forged:
                     partial = self.forge(partial)
                 self.table[position, signer] = partial
@@ -548,8 +579,8 @@ class _Window:
                 else:
                     robust = True
             complete = len(good) > t
-            expected.append(toy.scheme.sign_with_master(
-                toy.master, message).to_bytes() if complete else None)
+            expected.append(toy.master_signature(message).to_bytes()
+                            if complete else None)
             if robust:
                 flagged.append(position)
         return expected, flagged
@@ -605,6 +636,14 @@ class TestRobustWindowSweep:
         seeded forgers: the master-key signature wherever the scan
         finds t+1 honest partials among what arrived, ``CombineError``
         exactly where ``combine_window`` returns ``None``."""
+        self._window_of_one(toy)
+
+    def test_aggregate_combine_is_a_window_of_one(self, aggregate):
+        """The same recipes under the Appendix G scheme, whose robust
+        ``combine`` is the inherited Section 3 one over ``H(PK || M)``."""
+        self._window_of_one(aggregate)
+
+    def _window_of_one(self, toy):
         fixed = (set(), {(0, 1)}, {(0, 3)}, {(0, 1), (0, 2), (0, 3)})
         for recipe in _Window.RECIPES:
             for round_ in range(len(fixed) + self.ROUNDS // 4):

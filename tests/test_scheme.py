@@ -580,30 +580,42 @@ class TestRobustPathOperationCounts:
         in use costs its signer's ``share_verify`` and one more Verify
         after the replacement.  (Miller loops, final exponentiations,
         G2 preparations) on warm keys: honest (4, 1, 0), one garbage
-        partial among 4 (12, 3, 0), two among 5 (20, 5, 0)."""
+        partial among 4 (12, 3, 0), two among 5 (20, 5, 0) — the same
+        for the Appendix G scheme, whose window checks are the Section 3
+        equation over ``H(PK || M)``, without its Verify's key sanity
+        check."""
         import random
 
+        from repro.core.aggregation import (
+            AggThresholdParams, LJYAggregateScheme,
+        )
         from repro.core.scheme import ServiceHandle
-        # Its own keys: the class handle's preparations are pinned below.
-        handle = ServiceHandle.dealer(bn254_group, 2, 5,
-                                      rng=random.Random(25))
-        scheme, message = handle.scheme, b"one-off combine"
-        g = scheme.group.g1_generator()
-        honest = handle.partials_for(message, [1, 2, 3, 4, 5])
-        garbage = [PartialSignature(index=i, z=g ** i, r=g) for i in (1, 2)]
-        expected = handle.sign(message).to_bytes()
-        for cost, partials in (((4, 1, 0), honest[:3]),
-                               ((12, 3, 0), garbage[:1] + honest[1:4]),
-                               ((20, 5, 0), garbage + honest[2:])):
-            def combine():
-                return scheme.combine(handle.public_key,
-                                      handle.verification_keys, message,
-                                      partials, rng=rng)
-            combine()                                       # warm
-            signature, spent = self._counted(combine)
-            assert signature.to_bytes() == expected
-            assert (spent["miller_loops"], spent["final_exps"],
-                    spent["preparations"]) == cost
+        # Their own keys: the class handle's preparations are pinned below.
+        aggregate = LJYAggregateScheme(
+            AggThresholdParams.generate(bn254_group, t=2, n=5))
+        for handle in (
+                ServiceHandle.dealer(bn254_group, 2, 5,
+                                     rng=random.Random(25)),
+                ServiceHandle(aggregate, *aggregate.dealer_keygen(
+                    rng=random.Random(26)))):
+            scheme, message = handle.scheme, b"one-off combine"
+            g = scheme.group.g1_generator()
+            honest = handle.partials_for(message, [1, 2, 3, 4, 5])
+            garbage = [PartialSignature(index=i, z=g ** i, r=g)
+                       for i in (1, 2)]
+            expected = handle.sign(message).to_bytes()
+            for cost, partials in (((4, 1, 0), honest[:3]),
+                                   ((12, 3, 0), garbage[:1] + honest[1:4]),
+                                   ((20, 5, 0), garbage + honest[2:])):
+                def combine():
+                    return scheme.combine(handle.public_key,
+                                          handle.verification_keys, message,
+                                          partials, rng=rng)
+                combine()                                   # warm
+                signature, spent = self._counted(combine)
+                assert signature.to_bytes() == expected
+                assert (spent["miller_loops"], spent["final_exps"],
+                        spent["preparations"]) == cost
 
     def test_one_signer_forging_two_of_sixteen(self, service_handle, rng):
         """The benchmark's ``sign_faulty`` window, in (Miller loops,

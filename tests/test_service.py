@@ -112,12 +112,48 @@ class TestServiceHandle:
         agg_handle = ServiceHandle(scheme, pk, shares, vks)
         signature = agg_handle.sign(b"agg message")
         assert agg_handle.verify(b"agg message", signature)
-        # Window-sized paths are LJYThresholdScheme-only: typed error,
-        # not an AttributeError from deep inside a shard worker.
-        with pytest.raises(TypeError):
-            agg_handle.sign_window([b"agg message"])
-        with pytest.raises(TypeError):
-            agg_handle.verify_window([b"agg message"], [signature])
+        # The Appendix G scheme is Section 3 over H(PK || M): the
+        # window-sized paths are the inherited ones.
+        assert [s.to_bytes() for s in agg_handle.sign_window(
+            [b"agg message"])] == [signature.to_bytes()]
+        assert agg_handle.verify_window([b"agg message"], [signature]) \
+            == [True]
+
+    def test_aggregate_handle_serves_in_process(self, toy_group):
+        """One window of signs and one verify window holding a forgery,
+        through ``SigningService`` with no per-scheme code: the bytes
+        are ``combine``'s, the forgery is named."""
+        from repro.core.aggregation import (
+            AggThresholdParams, LJYAggregateScheme,
+        )
+        scheme = LJYAggregateScheme(
+            AggThresholdParams.generate(toy_group, t=2, n=5))
+        pk, shares, vks = scheme.dealer_keygen(rng=random.Random(4))
+        agg_handle = ServiceHandle(scheme, pk, shares, vks)
+        messages = [b"agg svc %d" % i for i in range(6)]
+
+        async def scenario():
+            config = ServiceConfig(num_shards=1, max_batch=6,
+                                   max_wait_ms=10_000, rng=random.Random(5))
+            async with SigningService(agg_handle, config) as service:
+                signed = await asyncio.gather(
+                    *(service.sign(message) for message in messages))
+                signatures = [result.signature for result in signed]
+                bad = signatures[2]
+                signatures[2] = type(bad)(z=bad.z * bad.z, r=bad.r)
+                verdicts = await asyncio.gather(*(
+                    service.verify(message, signature)
+                    for message, signature in zip(messages, signatures)))
+            return signed, verdicts, service.stats.shards[0]
+
+        signed, verdicts, stats = run(scenario())
+        assert stats.windows == 2
+        assert [result.signature.to_bytes() for result in signed] == [
+            scheme.combine(pk, vks, message, [
+                scheme.share_sign(pk, shares[i], message) for i in (1, 2, 3)
+            ]).to_bytes() for message in messages]
+        assert [verdict.valid for verdict in verdicts] == [
+            position != 2 for position in range(6)]
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +702,23 @@ class TestSigningService:
         when Share-Sign moves in front of the window."""
         messages = [b"unique %d" % i for i in range(8)]
 
-        async def scenario(trickle_s):
+        async def scenario(trickle):
+            # The trickle is deterministic: request k+1 is admitted
+            # once the shard has Share-Signed request k (the injector
+            # sees every partial it makes), never on a clock.
+            signed = {message: asyncio.Event() for message in messages}
+
+            def witness(shard_id, signer_index, message, partial):
+                signed[message].set()
+                return partial
+
             config = ServiceConfig(num_shards=1, max_batch=8,
-                                   max_wait_ms=30.0, rng=random.Random(9))
+                                   max_wait_ms=10_000, rng=random.Random(9),
+                                   fault_injector=witness)
 
             async def one(service, position):
-                await asyncio.sleep(trickle_s * position)
+                if trickle and position:
+                    await signed[messages[position - 1]].wait()
                 return await service.sign(messages[position])
 
             async with SigningService(handle, config) as service:
@@ -680,8 +727,8 @@ class TestSigningService:
             return [r.signature.to_bytes() for r in results], \
                 service.stats.shards[0]
 
-        burst, burst_stats = run(scenario(0.0))
-        trickled, trickled_stats = run(scenario(0.001))
+        burst, burst_stats = run(scenario(False))
+        trickled, trickled_stats = run(scenario(True))
         # A window that fills from the queue pre-signs nothing; one
         # that waits pre-signs all but the request that closes it.
         assert burst_stats.presigned == 0 and burst_stats.windows == 1
