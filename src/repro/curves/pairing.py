@@ -14,10 +14,14 @@ fresh G1 points on every call:
   into pure F_p12 accumulation.  Preparation costs about as much as the
   line arithmetic it replaces, so it breaks even on the first pairing and
   is pure profit afterwards; every ``G2Point`` memoizes its preparation.
+  The prepared loop walks the **NAF** of 6x + 2 (22 nonzero digits
+  against 37 set bits in binary), so a preparation holds 88 lines, not
+  102; a -1 digit stores the line through T and -Q.
 * Lines are **sparse** F_p12 elements (w-coefficients at w^0, w^1, w^3
-  only), so the accumulator update uses
-  :func:`~repro.math.tower.f12_mul_line` (~13 F_p2 multiplications)
-  instead of a full ``f12_mul`` (18).
+  only) and are **divided by y_P**, making the constant term 1, so the
+  accumulator update :func:`~repro.math.tower.f12_mul_line` is two
+  sparse F_p6 products (10 F_p2 multiplications) instead of a full
+  ``f12_mul`` (18).
 * ``multi_pairing`` computes a product of pairings with a single shared
   **final exponentiation** — the optimization behind the paper's "product
   of four pairings" verification cost (Section 3.1) — and the final
@@ -25,8 +29,14 @@ fresh G1 points on every call:
   exponentiations by the curve parameter x plus Frobenius maps) instead of
   a blind 2540-bit exponentiation.
 
-On the T2 benchmark these three changes together take Verify from ~70 ms
-to under half that; ``tools/bench_snapshot.py`` records the trajectory.
+The NAF schedule and the division by y_P change the raw Miller value but
+never a pairing: each only multiplies it by elements of F_p6* (the
+vertical lines the -1 digits imply, and 1/y_P in F_p*), and the final
+exponentiation by (p^12 - 1)/r sends all of F_p6* to 1 because p^6 - 1
+divides that exponent.  The reference loop :func:`_miller_loop_naive`
+keeps the binary schedule and unnormalised lines, and the tests compare
+the two after the final exponentiation.  ``tools/bench_snapshot.py``
+records fast against naive per operation.
 
 GT elements are wrapped in :class:`GTElement` so the protocol layer can use
 ``*``, ``**`` and equality without touching tower internals.
@@ -43,8 +53,8 @@ from repro.curves.g2 import G2Point
 from repro.math import tower
 from repro.math.tower import (
     ATE_LOOP_COUNT, BN_X, F12_ONE, Fp12Ele, TWIST_FROB_X, TWIST_FROB_X2,
-    TWIST_FROB_Y, TWIST_FROB_Y2, cyclotomic_exp, f2_add, f2_conj, f2_eq,
-    f2_inv, f2_mul, f2_mul_scalar, f2_neg, f2_sqr, f2_sub, f12_conj,
+    TWIST_FROB_Y, TWIST_FROB_Y2, _naf_digits, cyclotomic_exp, f2_conj,
+    f2_eq, f2_inv, f2_mul, f2_mul_scalar, f2_neg, f2_sqr, f2_sub, f12_conj,
     f12_cyclotomic_pow, f12_cyclotomic_sqr, f12_eq, f12_frobenius, f12_inv,
     f12_is_one, f12_mul, f12_mul_line, f12_sqr, wvec_to_f12, F2_ZERO,
 )
@@ -55,8 +65,13 @@ _R = bn254.R
 #: Hard part of the final exponentiation: (p^4 - p^2 + 1) / r.
 _HARD_EXPONENT = (_P ** 4 - _P ** 2 + 1) // _R
 
-#: Miller loop bits of 6x + 2, most significant first, skipping the leader.
+#: Miller loop bits of 6x + 2, most significant first, skipping the leader
+#: (the reference loop's schedule).
 _LOOP_BITS = [int(bit) for bit in bin(ATE_LOOP_COUNT)[3:]]
+
+#: NAF digits of 6x + 2, most significant first, skipping the leading 1
+#: (the prepared loop's schedule: 65 doublings, 21 additions).
+_LOOP_NAF = _naf_digits(ATE_LOOP_COUNT)[-2::-1]
 
 #: Global Miller-loop counter (used by the T2 operation-count experiment).
 PAIRING_COUNTERS = {"miller_loops": 0, "final_exps": 0, "preparations": 0}
@@ -72,20 +87,23 @@ PAIRING_COUNTERS = {"miller_loops": 0, "final_exps": 0, "preparations": 0}
 #
 #     y_P - lambda * x_P * w + (lambda * x_T - y_T) * w^3.
 #
-# Only the w^1 coefficient depends on P (by the scalar -x_P), so a line is
-# stored as the pair (lambda, lambda * x_T - y_T); a vertical line (T and Q
-# share an x-coordinate but are not equal) contributes x_P - x_T * w^2 and
-# is stored by its x-coordinate alone.
-
-_LINE = 0
-_VERTICAL = 1
+# A line is stored as the pair (lambda, lambda * x_T - y_T), which depends
+# on Q alone.  The prepared loop divides the line by y_P (an F_p element,
+# so the final exponentiation cancels it) and multiplies the accumulator by
+#
+#     1 + lambda * (-x_P / y_P) * w + (lambda * x_T - y_T) / y_P * w^3,
+#
+# paying one inversion of y_P per pair and product.  A vertical line (T and
+# Q share an x-coordinate but are not equal) is x_P - x_T * w^2, an element
+# of F_p6 that the final exponentiation cancels too; it is stored as None.
+# Only a Q outside the order-r subgroup can meet one.
 
 
 def _line_step(t_aff, q_aff):
     """Coefficients of the line through T and Q, plus T + Q.
 
-    Returns ``((tag, a, b), sum_aff)`` where ``sum_aff`` is None when the
-    line is vertical (the sum is the point at infinity).
+    Returns ``((slope, intercept), sum_aff)``, or ``(None, None)`` when
+    the line is vertical (the sum is the point at infinity).
     """
     xt, yt = t_aff
     xq, yq = q_aff
@@ -94,7 +112,7 @@ def _line_step(t_aff, q_aff):
         numerator = f2_mul_scalar(f2_sqr(xt), 3)
         denominator = f2_mul_scalar(yt, 2)
     elif f2_eq(xt, xq):
-        return (_VERTICAL, xt, None), None
+        return None, None
     else:
         numerator = f2_sub(yq, yt)
         denominator = f2_sub(xq, xt)
@@ -102,7 +120,7 @@ def _line_step(t_aff, q_aff):
     x3 = f2_sub(f2_sub(f2_sqr(slope), xt), xq)
     y3 = f2_sub(f2_mul(slope, f2_sub(xt, x3)), yt)
     intercept = f2_sub(f2_mul(slope, xt), yt)
-    return (_LINE, slope, intercept), (x3, y3)
+    return (slope, intercept), (x3, y3)
 
 
 def _frobenius_twist_points(q_aff):
@@ -117,9 +135,10 @@ def _frobenius_twist_points(q_aff):
 class PreparedG2:
     """A fixed G2 argument with all Miller-loop line coefficients cached.
 
-    The coefficient list follows the fixed schedule of ``_LOOP_BITS``: one
-    doubling line per bit, one addition line per set bit, then the two
-    Frobenius correction lines.  Evaluating a pairing against a prepared
+    The coefficient list follows the fixed schedule of ``_LOOP_NAF``: one
+    doubling line per digit, one addition line per nonzero digit (through
+    Q for +1, through -Q for -1), then the two Frobenius correction lines
+    — 65 + 21 + 2 = 88 entries.  Evaluating a pairing against a prepared
     point replays the schedule with no twist point arithmetic and no F_p2
     inversions.
     """
@@ -141,11 +160,12 @@ class PreparedG2:
         PAIRING_COUNTERS["preparations"] += 1
         lines: List[tuple] = []
         t = q_aff
-        for bit in _LOOP_BITS:
+        neg_q = (q_aff[0], f2_neg(q_aff[1]))
+        for digit in _LOOP_NAF:
             entry, t = _line_step(t, t)
             lines.append(entry)
-            if bit:
-                entry, t = _line_step(t, q_aff)
+            if digit:
+                entry, t = _line_step(t, q_aff if digit > 0 else neg_q)
                 lines.append(entry)
         q1, q2_neg = _frobenius_twist_points(q_aff)
         entry, t = _line_step(t, q1)
@@ -192,81 +212,84 @@ def prepare_g2(q: Union[G2Point, PreparedG2]) -> PreparedG2:
 # Miller loop
 # ---------------------------------------------------------------------------
 
-def _apply_line(f: Fp12Ele, entry, xp: int, nxp: int, yp: int) -> Fp12Ele:
-    tag, a, b = entry
-    if tag == _LINE:
-        return f12_mul_line(
-            f, (yp, 0), (a[0] * nxp % _P, a[1] * nxp % _P), b)
-    # Vertical line: x_P - x_T * w^2.
-    return f12_mul(f, wvec_to_f12(
-        ((xp, 0), F2_ZERO, f2_neg(a), F2_ZERO, F2_ZERO, F2_ZERO)))
+def _mul_lines(f: Fp12Ele, evaluated, index: int) -> Fp12Ele:
+    """``f`` times line ``index`` of every pair, each divided by its y_P.
+
+    ``evaluated`` holds ``(-x_P / y_P, 1 / y_P, lines)`` per pair.
+    Vertical lines (None) lie in F_p6 and are skipped.
+    """
+    for x_scale, y_scale, lines in evaluated:
+        line = lines[index]
+        if line is not None:
+            (s0, s1), (c0, c1) = line
+            f = f12_mul_line(
+                f, (s0 * x_scale % _P, s1 * x_scale % _P),
+                (c0 * y_scale % _P, c1 * y_scale % _P))
+    return f
 
 
 def _miller_loop_prepared(p_aff, prepared: PreparedG2) -> Fp12Ele:
-    """f_{6x+2, Q}(P) from cached line coefficients."""
+    """f_{6x+2, Q}(P) from cached line coefficients, up to a factor the
+    final exponentiation cancels."""
     return _miller_loop_prepared_multi([(p_aff, prepared)])
 
 
 def _miller_loop_prepared_multi(entries) -> Fp12Ele:
-    """``prod_i f_{6x+2, Q_i}(P_i)`` with ONE shared squaring chain.
+    """``prod_i f_{6x+2, Q_i}(P_i)`` with ONE shared squaring chain, up
+    to a factor in F_p6* that the final exponentiation cancels.
 
     Bilinearity gives ``(prod f_i)^2 = prod f_i^2``, so a product of k
-    Miller loops needs the 64 accumulator squarings only once instead of
+    Miller loops needs the 65 accumulator squarings only once instead of
     k times — per extra pairing in a product the marginal cost is just
-    the sparse line multiplications.  Entries are ``(p_aff, PreparedG2)``
-    pairs with neither argument the identity.
+    the sparse line multiplications and one inversion of y_P.  Entries
+    are ``(p_aff, PreparedG2)`` pairs with neither argument the identity.
     """
     PAIRING_COUNTERS["miller_loops"] += len(entries)
-    evaluated = [
-        (xp, -xp % _P, yp, prepared.lines)
-        for (xp, yp), prepared in entries
-    ]
+    evaluated = []
+    for (xp, yp), prepared in entries:
+        y_inv = pow(yp, -1, _P)
+        evaluated.append((-xp * y_inv % _P, y_inv, prepared.lines))
     f = F12_ONE
     index = 0
-    for bit in _LOOP_BITS:
-        f = f12_sqr(f)
-        for xp, nxp, yp, lines in evaluated:
-            f = _apply_line(f, lines[index], xp, nxp, yp)
+    for digit in _LOOP_NAF:
+        f = _mul_lines(f12_sqr(f), evaluated, index)
         index += 1
-        if bit:
-            for xp, nxp, yp, lines in evaluated:
-                f = _apply_line(f, lines[index], xp, nxp, yp)
+        if digit:
+            f = _mul_lines(f, evaluated, index)
             index += 1
-    for offset in (0, 1):
-        for xp, nxp, yp, lines in evaluated:
-            f = _apply_line(f, lines[index + offset], xp, nxp, yp)
-    return f
+    f = _mul_lines(f, evaluated, index)
+    return _mul_lines(f, evaluated, index + 1)
 
 
 def _miller_loop_naive(p_aff, q_aff) -> Fp12Ele:
     """Reference Miller loop computing lines inline with full F_p12
-    multiplications — the seed implementation, kept as the correctness and
-    benchmark baseline for the prepared path."""
+    multiplications over the binary schedule and unnormalised lines —
+    the seed implementation, kept as the correctness and benchmark
+    baseline for the prepared path."""
     PAIRING_COUNTERS["miller_loops"] += 1
     xp, yp = p_aff
 
-    def line_value(entry):
-        tag, a, b = entry
-        if tag == _LINE:
-            return wvec_to_f12((
-                (yp, 0), f2_mul_scalar(a, -xp % _P), F2_ZERO, b,
-                F2_ZERO, F2_ZERO))
-        return wvec_to_f12((
-            (xp, 0), F2_ZERO, f2_neg(a), F2_ZERO, F2_ZERO, F2_ZERO))
+    def step(f, t, q):
+        """``f`` times the line through T and Q, and T + Q."""
+        line, t_next = _line_step(t, q)
+        if line is None:    # vertical: x_P - x_T * w^2
+            value = ((xp, 0), F2_ZERO, f2_neg(t[0]), F2_ZERO, F2_ZERO,
+                     F2_ZERO)
+        else:
+            slope, intercept = line
+            value = ((yp, 0), f2_mul_scalar(slope, -xp % _P), F2_ZERO,
+                     intercept, F2_ZERO, F2_ZERO)
+        return f12_mul(f, wvec_to_f12(value)), t_next
 
     f = F12_ONE
     t = q_aff
     for bit in _LOOP_BITS:
-        entry, t = _line_step(t, t)
-        f = f12_mul(f12_sqr(f), line_value(entry))
+        f, t = step(f12_sqr(f), t, t)
         if bit:
-            entry, t = _line_step(t, q_aff)
-            f = f12_mul(f, line_value(entry))
+            f, t = step(f, t, q_aff)
     q1, q2_neg = _frobenius_twist_points(q_aff)
-    entry, t = _line_step(t, q1)
-    f = f12_mul(f, line_value(entry))
-    entry, _t = _line_step(t, q2_neg)
-    f = f12_mul(f, line_value(entry))
+    f, t = step(f, t, q1)
+    f, _t = step(f, t, q2_neg)
     return f
 
 

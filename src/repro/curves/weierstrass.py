@@ -2,8 +2,10 @@
 
 Both BN254 groups use a zero ``a`` coefficient, so one set of formulas,
 parameterized by a :class:`FieldOps` bundle, serves G1 (over F_p) and G2
-(over F_p2).  Points are (X, Y, Z) Jacobian triples; Z equal to the field
-zero encodes the point at infinity.
+(over F_p2).  The ``*_fp`` variants repeat the doubling and the two
+additions over plain ints for prime fields, which is G1 only.  Points are
+(X, Y, Z) Jacobian triples; Z equal to the field zero encodes the point
+at infinity.
 """
 
 from __future__ import annotations
@@ -133,6 +135,36 @@ def jac_double_fp(point, m: int):
     x3 = (f - 2 * d) % m
     y3 = (e * (d - x3) - 8 * c) % m
     z3 = 2 * y * z % m
+    return (x3, y3, z3)
+
+
+def jac_add_fp(p1, p2, m: int):
+    """Int-specialized :func:`jac_add` for prime fields (same formulas,
+    same reduced output)."""
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    if z1 == 0:
+        return p2
+    if z2 == 0:
+        return p1
+    z1z1 = z1 * z1 % m
+    z2z2 = z2 * z2 % m
+    u1 = x1 * z2z2 % m
+    u2 = x2 * z1z1 % m
+    s1 = y1 * z2 * z2z2 % m
+    s2 = y2 * z1 * z1z1 % m
+    if u1 == u2:
+        if s1 == s2:
+            return jac_double_fp(p1, m)
+        return (1, 1, 0)
+    h = (u2 - u1) % m
+    i = 4 * h * h % m
+    j = h * i % m
+    r = 2 * (s2 - s1) % m
+    v = u1 * i % m
+    x3 = (r * r - j - 2 * v) % m
+    y3 = (r * (v - x3) - 2 * s1 * j) % m
+    z3 = 2 * z1 * z2 * h % m
     return (x3, y3, z3)
 
 

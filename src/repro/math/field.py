@@ -135,12 +135,26 @@ class Fp:
 
 
 def legendre_symbol(a: int, p: int) -> int:
-    """Return the Legendre symbol (a/p) in {-1, 0, 1} for odd prime p."""
+    """Return the Legendre symbol (a/p) in {-1, 0, 1} for odd prime p.
+
+    Computed as the Jacobi symbol by the binary recurrence (quadratic
+    reciprocity plus the rule for (2/n)), which costs a fraction of
+    Euler's criterion ``a^((p-1)/2)`` at 254 bits in CPython.
+    """
     a %= p
-    if a == 0:
-        return 0
-    symbol = pow(a, (p - 1) // 2, p)
-    return -1 if symbol == p - 1 else symbol
+    n = p
+    symbol = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        # (2/n) = -1 exactly when n = 3 or 5 (mod 8).
+        if zeros & 1 and n & 7 in (3, 5):
+            symbol = -symbol
+        # Reciprocity flips the sign when both are 3 (mod 4).
+        if a & n & 2:
+            symbol = -symbol
+        a, n = n % a, a
+    return symbol if n == 1 else 0
 
 
 def sqrt_mod(a: int, p: int) -> int | None:

@@ -70,13 +70,13 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.curves.weierstrass import (
-    FieldOps, jac_add, jac_add_affine, jac_add_affine_fp,
+    FieldOps, jac_add, jac_add_affine, jac_add_affine_fp, jac_add_fp,
     jac_batch_normalize, jac_double, jac_double_fp,
 )
 
 
 def _fast_arith(ops: FieldOps):
-    """``(double, mixed_add)`` closures for the inner loops.
+    """``(double, add, mixed_add)`` closures for tables and inner loops.
 
     Prime fields carried as plain ints (``ops.modulus`` set) get the
     specialized formulas with no per-operation lambda dispatch — worth
@@ -86,8 +86,10 @@ def _fast_arith(ops: FieldOps):
     m = ops.modulus
     if m is not None:
         return (lambda point: jac_double_fp(point, m),
+                lambda p1, p2: jac_add_fp(p1, p2, m),
                 lambda point, aff: jac_add_affine_fp(point, aff, m))
     return (lambda point: jac_double(ops, point),
+            lambda p1, p2: jac_add(ops, p1, p2),
             lambda point, aff: jac_add_affine(ops, point, aff))
 
 
@@ -122,9 +124,10 @@ def _odd_multiples(ops: FieldOps, point, count: int) -> list:
     """``[P, 3P, 5P, ..., (2*count - 1)P]`` (count entries, Jacobian)."""
     multiples = [point]
     if count > 1:
-        twice = jac_double(ops, point)
+        double, add, _mixed_add = _fast_arith(ops)
+        twice = double(point)
         for _ in range(count - 1):
-            multiples.append(jac_add(ops, multiples[-1], twice))
+            multiples.append(add(multiples[-1], twice))
     return multiples
 
 
@@ -362,7 +365,7 @@ def _pippenger(ops: FieldOps, live, scalar_bits: int):
     c = _pippenger_window(len(live))
     mask = (1 << c) - 1
     windows = (scalar_bits + c - 1) // c
-    double, mixed_add = _fast_arith(ops)
+    double, add, mixed_add = _fast_arith(ops)
     result = infinity
     for w in range(windows - 1, -1, -1):
         if result is not infinity:
@@ -382,14 +385,13 @@ def _pippenger(ops: FieldOps, live, scalar_bits: int):
         for digit in range(mask, 0, -1):
             held = buckets[digit]
             if held is not None:
-                running = held if running is None else jac_add(
-                    ops, running, held)
+                running = held if running is None else add(running, held)
             if running is not None:
-                window_sum = running if window_sum is None else jac_add(
-                    ops, window_sum, running)
+                window_sum = running if window_sum is None else add(
+                    window_sum, running)
         if window_sum is not None:
-            result = window_sum if result is infinity else jac_add(
-                ops, result, window_sum)
+            result = window_sum if result is infinity else add(
+                result, window_sum)
     return result
 
 
@@ -420,15 +422,16 @@ class FixedBaseTable:
             self.tables = None
             return
         bits = order.bit_length()
+        double, add, _mixed_add = _fast_arith(ops)
         base = point
         rows: List[list] = []
         for _ in range((bits + window - 1) // window):
             row = [base]
             for _ in range((1 << window) - 2):
-                row.append(jac_add(ops, row[-1], base))
+                row.append(add(row[-1], base))
             rows.append(row)
             for _ in range(window):
-                base = jac_double(ops, base)
+                base = double(base)
         flat = jac_batch_normalize(
             ops, [entry for row in rows for entry in row])
         per_row = (1 << window) - 1
@@ -444,7 +447,7 @@ class FixedBaseTable:
         result = self._infinity
         if self.tables is None:
             return result
-        _double, mixed_add = _fast_arith(ops)
+        _double, _add, mixed_add = _fast_arith(ops)
         mask = (1 << self.window) - 1
         index = 0
         while scalar:

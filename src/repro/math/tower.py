@@ -457,57 +457,36 @@ def _f6_mul_sparse01_int(a: Fp6Ele, b0: Fp2Ele, b1: Fp2Ele) -> Fp6Ele:
     )
 
 
-def f12_mul_line(f: Fp12Ele, l0: Fp2Ele, l1: Fp2Ele,
-                 l3: Fp2Ele) -> Fp12Ele:
-    """Multiply by the sparse element ``l0 + l1*w + l3*w^3``, int-inlined.
+def f12_mul_line(f: Fp12Ele, l1: Fp2Ele, l3: Fp2Ele) -> Fp12Ele:
+    """Multiply by the sparse element ``1 + l1*w + l3*w^3``, int-inlined.
 
-    This is the shape of every Miller-loop line on BN curves (nonzero
-    w-vector coefficients at w^0, w^1, w^3 only), so the pairing pays
-    ~13 F_p2 multiplications per line instead of the 18 of a full
-    :func:`f12_mul` — fewer still when ``l0`` lies in F_p, which holds
-    for every chord/tangent line (``l0 = (y_P, 0)``).  Like
-    :func:`_fp4_sqr`, the whole schedule runs on plain ints (this is the
-    other per-line hot op of the Miller loop, executed ~90 times per
-    pairing) and each output coefficient is reduced exactly once.
+    This is the shape of every Miller-loop line on BN curves once it is
+    divided by its F_p constant term ``y_P`` (see
+    :mod:`repro.curves.pairing`).  With ``l = l1 + l3*v`` in F_p6 the
+    line is ``1 + l*w``, and
+
+        (f0 + f1*w)(1 + l*w) = (f0 + v*(f1*l)) + (f0*l + f1)*w:
+
+    two sparse F_p6 products, 10 F_p2 multiplications against the 18 of
+    a full :func:`f12_mul`.  Like :func:`_fp4_sqr`, the whole schedule
+    runs on plain ints (this is the per-line hot op of the Miller loop,
+    executed 88 times per pairing) and each output coefficient is
+    reduced exactly once.
     """
     f0, f1 = f
-    if l0[1] == 0:
-        scalar = l0[0]
-        t0 = (
-            (f0[0][0] * scalar, f0[0][1] * scalar),
-            (f0[1][0] * scalar, f0[1][1] * scalar),
-            (f0[2][0] * scalar, f0[2][1] * scalar),
-        )
-    else:
-        l00, l01 = l0
-        t0 = []
-        for c0, c1 in f0:
-            v0 = c0 * l00
-            v1 = c1 * l01
-            t0.append((v0 - v1, (c0 + c1) * (l00 + l01) - v0 - v1))
-        t0 = tuple(t0)
+    t0 = _f6_mul_sparse01_int(f0, l1, l3)
     t1 = _f6_mul_sparse01_int(f1, l1, l3)
-    fsum = (
-        (f0[0][0] + f1[0][0], f0[0][1] + f1[0][1]),
-        (f0[1][0] + f1[1][0], f0[1][1] + f1[1][1]),
-        (f0[2][0] + f1[2][0], f0[2][1] + f1[2][1]),
-    )
-    tsum = _f6_mul_sparse01_int(
-        fsum, (l0[0] + l1[0], l0[1] + l1[1]), l3)
-    # out0 = t0 + v*t1 with v*(c0, c1, c2) = (xi*c2, c0, c1).
+    # out0 = f0 + v*t1 with v*(c0, c1, c2) = (xi*c2, c0, c1), xi = 9 + u.
     out0 = (
-        ((t0[0][0] + 9 * t1[2][0] - t1[2][1]) % P,
-         (t0[0][1] + t1[2][0] + 9 * t1[2][1]) % P),
-        ((t0[1][0] + t1[0][0]) % P, (t0[1][1] + t1[0][1]) % P),
-        ((t0[2][0] + t1[1][0]) % P, (t0[2][1] + t1[1][1]) % P),
+        ((f0[0][0] + 9 * t1[2][0] - t1[2][1]) % P,
+         (f0[0][1] + t1[2][0] + 9 * t1[2][1]) % P),
+        ((f0[1][0] + t1[0][0]) % P, (f0[1][1] + t1[0][1]) % P),
+        ((f0[2][0] + t1[1][0]) % P, (f0[2][1] + t1[1][1]) % P),
     )
     out1 = (
-        ((tsum[0][0] - t0[0][0] - t1[0][0]) % P,
-         (tsum[0][1] - t0[0][1] - t1[0][1]) % P),
-        ((tsum[1][0] - t0[1][0] - t1[1][0]) % P,
-         (tsum[1][1] - t0[1][1] - t1[1][1]) % P),
-        ((tsum[2][0] - t0[2][0] - t1[2][0]) % P,
-         (tsum[2][1] - t0[2][1] - t1[2][1]) % P),
+        ((t0[0][0] + f1[0][0]) % P, (t0[0][1] + f1[0][1]) % P),
+        ((t0[1][0] + f1[1][0]) % P, (t0[1][1] + f1[1][1]) % P),
+        ((t0[2][0] + f1[2][0]) % P, (t0[2][1] + f1[2][1]) % P),
     )
     return (out0, out1)
 
@@ -675,25 +654,56 @@ def _fp4_sqr(a: Fp2Ele, b: Fp2Ele) -> Tuple[Fp2Ele, Fp2Ele]:
 
 
 def f12_cyclotomic_sqr(a: Fp12Ele) -> Fp12Ele:
-    """Granger-Scott squaring; only valid in the cyclotomic subgroup."""
-    a0, a1, a2, a3, a4, a5 = f12_to_wvec(a)
-    t0, t1 = _fp4_sqr(a0, a3)
-    x = f2_sub(t0, a0)
-    n0 = f2_add(f2_add(x, x), t0)
-    y = f2_add(t1, a3)
-    n3 = f2_add(f2_add(y, y), t1)
-    t0, t1 = _fp4_sqr(a1, a4)
-    x = f2_sub(t0, a2)
-    n2 = f2_add(f2_add(x, x), t0)
-    y = f2_add(t1, a5)
-    n5 = f2_add(f2_add(y, y), t1)
-    t0, t1 = _fp4_sqr(a2, a5)
-    xi_t1 = f2_mul_xi(t1)
-    x = f2_add(xi_t1, a1)
-    n1 = f2_add(f2_add(x, x), xi_t1)
-    y = f2_sub(t0, a4)
-    n4 = f2_add(f2_add(y, y), t0)
-    return wvec_to_f12((n0, n1, n2, n3, n4, n5))
+    """Granger-Scott squaring; only valid in the cyclotomic subgroup.
+
+    One F_p4 squaring ``(x + y*s)^2 = (x^2 + xi*y^2) + 2xy*s`` per plane
+    (a0, a3), (a1, a4), (a2, a5) of the w-power basis, then ``3t - 2a``
+    or ``3t + 2a`` per coefficient (the (a2, a5) plane's cross term picks
+    up one more xi).  Int-inlined like :func:`f12_sqr`: the squarings of
+    :func:`_fp4_sqr` are spelled out over base-field ints, and each of
+    the twelve output coefficients is reduced once — this runs ~190
+    times per final exponentiation.
+    """
+    # F_p12 (d0, d1) over (1, v, v^2) holds w-powers (a0, a2, a4), (a1, a3, a5).
+    (a00, a01), (a20, a21), (a40, a41) = a[0]
+    (a10, a11), (a30, a31), (a50, a51) = a[1]
+    # Plane (a0, a3) -> n0 = 3(a0^2 + xi a3^2) - 2a0, n3 = 3(2 a0 a3) + 2a3.
+    s00 = (a00 + a01) * (a00 - a01)
+    s01 = 2 * a00 * a01
+    s10 = (a30 + a31) * (a30 - a31)
+    s11 = 2 * a30 * a31
+    z0 = a00 + a30
+    z1 = a01 + a31
+    n00 = (3 * (9 * s10 - s11 + s00) - 2 * a00) % P
+    n01 = (3 * (s10 + 9 * s11 + s01) - 2 * a01) % P
+    n30 = (3 * ((z0 + z1) * (z0 - z1) - s00 - s10) + 2 * a30) % P
+    n31 = (3 * (2 * z0 * z1 - s01 - s11) + 2 * a31) % P
+    # Plane (a1, a4) -> n2 = 3(a1^2 + xi a4^2) - 2a2, n5 = 3(2 a1 a4) + 2a5.
+    s00 = (a10 + a11) * (a10 - a11)
+    s01 = 2 * a10 * a11
+    s10 = (a40 + a41) * (a40 - a41)
+    s11 = 2 * a40 * a41
+    z0 = a10 + a40
+    z1 = a11 + a41
+    n20 = (3 * (9 * s10 - s11 + s00) - 2 * a20) % P
+    n21 = (3 * (s10 + 9 * s11 + s01) - 2 * a21) % P
+    n50 = (3 * ((z0 + z1) * (z0 - z1) - s00 - s10) + 2 * a50) % P
+    n51 = (3 * (2 * z0 * z1 - s01 - s11) + 2 * a51) % P
+    # Plane (a2, a5) -> n4 = 3(a2^2 + xi a5^2) - 2a4, n1 = 3 xi (2 a2 a5) + 2a1.
+    s00 = (a20 + a21) * (a20 - a21)
+    s01 = 2 * a20 * a21
+    s10 = (a50 + a51) * (a50 - a51)
+    s11 = 2 * a50 * a51
+    z0 = a20 + a50
+    z1 = a21 + a51
+    n40 = (3 * (9 * s10 - s11 + s00) - 2 * a40) % P
+    n41 = (3 * (s10 + 9 * s11 + s01) - 2 * a41) % P
+    c0 = (z0 + z1) * (z0 - z1) - s00 - s10
+    c1 = 2 * z0 * z1 - s01 - s11
+    n10 = (3 * (9 * c0 - c1) + 2 * a10) % P
+    n11 = (3 * (c0 + 9 * c1) + 2 * a11) % P
+    return (((n00, n01), (n20, n21), (n40, n41)),
+            ((n10, n11), (n30, n31), (n50, n51)))
 
 
 #: Compressed cyclotomic element: the (a1, a2, a4, a5) w-power coefficients.

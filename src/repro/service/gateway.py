@@ -70,8 +70,8 @@ _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 401: "Unauthorized", 403: "Forbidden",
     404: "Not Found", 405: "Method Not Allowed",
     413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-    504: "Gateway Timeout",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
 
@@ -267,8 +267,23 @@ class HttpGateway:
                 raw = await _read_line(reader)
                 if raw in (b"\r\n", b"\n", b""):
                     break
-                name, _, value = raw.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+                name, colon, value = raw.decode("latin-1").partition(":")
+                name, value = name.strip().lower(), value.strip()
+                if not colon or not name:
+                    raise _HttpError(400, "bad-header",
+                                     "header line is not 'name: value'")
+                # RFC 9112 section 6.3: differing lengths are refused,
+                # never resolved by picking one.
+                if name == "content-length" and \
+                        headers.get(name, value) != value:
+                    raise _HttpError(400, "conflicting-content-length",
+                                     "Content-Length given twice, differing")
+                headers[name] = value
+            if "transfer-encoding" in headers:
+                # No transfer coding is implemented, so a chunked body
+                # could only be misread as the next request.
+                raise _HttpError(501, "unsupported-transfer-encoding",
+                                 "bodies must be framed by Content-Length")
             declared = headers.get("content-length", "0") or "0"
             if not (declared.isascii() and declared.isdigit()):
                 raise _HttpError(

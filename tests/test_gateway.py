@@ -274,20 +274,38 @@ class TestGatewayDataPlane:
                     b"POST /v1/sign HTTP/1.1\r\nX-API-Key: alpha-key\r\n"
                     b"Content-Length: 4\r\n\r\n{{{{")
                 assert b"400 Bad Request" in response
-                # Hostile framing: a typed 400, then the close.
+                # Hostile framing: a typed 400 (501 for a transfer
+                # coding), then the close.
                 head = b"POST /v1/sign HTTP/1.1\r\nX-API-Key: alpha-key\r\n"
-                for blob, error in (
+                sign = b'{"message": "00"}'
+                bad_request = b"HTTP/1.1 400 Bad Request"
+                for blob, error, status_line in (
                         (head + b"Content-Length: abc\r\n\r\n{}",
-                         "bad-content-length"),
+                         "bad-content-length", bad_request),
                         (head + b"Content-Length: -5\r\n\r\n{}",
-                         "bad-content-length"),
+                         "bad-content-length", bad_request),
                         (head + b"X-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
-                         "line-too-long")):
+                         "line-too-long", bad_request),
+                        (head + b"Content-Length: 999\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(sign) + sign,
+                         "conflicting-content-length", bad_request),
+                        (head + b"Transfer-Encoding: chunked\r\n\r\n"
+                         b"%x\r\n" % len(sign) + sign + b"\r\n0\r\n\r\n",
+                         "unsupported-transfer-encoding",
+                         b"HTTP/1.1 501 Not Implemented"),
+                        (head + b"garbage-line\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(sign) + sign,
+                         "bad-header", bad_request)):
                     response = await raw_exchange(gateway, blob)
                     status, _, body = response.partition(b"\r\n\r\n")
-                    assert status.startswith(b"HTTP/1.1 400 Bad Request")
+                    assert status.startswith(status_line)
                     assert b"Connection: close" in status
                     assert json.loads(body)["error"] == error
+                # Repeating one Content-Length value is still accepted.
+                response = await raw_exchange(
+                    gateway, head + b"Content-Length: %d\r\n" % len(sign) * 2
+                    + b"\r\n" + sign)
+                assert response.startswith(b"HTTP/1.1 200 OK")
                 await client.close()
         run(scenario())
 

@@ -153,6 +153,15 @@ class TestLegendre:
     def test_square_is_one(self):
         assert legendre_symbol(4, P_SMALL) == 1
 
+    @pytest.mark.parametrize("p", [P_SMALL, P_TONELLI, BN_P])
+    def test_matches_euler_criterion(self, p, rng):
+        # The Jacobi recurrence against a^((p-1)/2), unreduced inputs too.
+        values = [0, 1, 2, p - 1, p, 3 * p + 2, -1, -p - 5]
+        values += [rng.randrange(p) for _ in range(200)]
+        for a in values:
+            euler = pow(a, (p - 1) // 2, p)
+            assert legendre_symbol(a, p) == (-1 if euler == p - 1 else euler)
+
     @given(a=st.integers(min_value=1, max_value=P_SMALL - 1),
            b=st.integers(min_value=1, max_value=P_SMALL - 1))
     @settings(max_examples=50)

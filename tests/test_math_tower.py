@@ -205,20 +205,12 @@ class TestIntInlinedHotOps:
         composed = tower._f6_mul_sparse01(a, b0, b1)
         assert f6_eq(reduced, composed)
 
-    @given(a=f12_elements, l0=f2_elements, l1=f2_elements, l3=f2_elements)
+    @given(a=f12_elements, l1=f2_elements, l3=f2_elements)
     @settings(max_examples=15)
-    def test_mul_line_matches_full_mul(self, a, l0, l1, l3):
-        sparse = wvec_to_f12((l0, l1, F2_ZERO, l3, F2_ZERO, F2_ZERO))
-        assert f12_eq(f12_mul_line(a, l0, l1, l3), f12_mul(a, sparse))
-
-    @given(a=f12_elements, y=scalars, l1=f2_elements, l3=f2_elements)
-    @settings(max_examples=15)
-    def test_mul_line_scalar_l0_branch(self, a, y, l1, l3):
-        # Every chord/tangent line has l0 = (y_P, 0) in F_p — the branch
-        # the Miller loop actually takes.
-        l0 = (y, 0)
-        sparse = wvec_to_f12((l0, l1, F2_ZERO, l3, F2_ZERO, F2_ZERO))
-        assert f12_eq(f12_mul_line(a, l0, l1, l3), f12_mul(a, sparse))
+    def test_mul_line_matches_full_mul(self, a, l1, l3):
+        # Miller-loop lines are divided by y_P, so the w^0 term is 1.
+        sparse = wvec_to_f12((F2_ONE, l1, F2_ZERO, l3, F2_ZERO, F2_ZERO))
+        assert f12_eq(f12_mul_line(a, l1, l3), f12_mul(a, sparse))
 
     @given(a=f12_elements)
     @settings(max_examples=15)
