@@ -46,7 +46,9 @@ def partials_over(group: BilinearGroup,
     H_2^{-B_2(i)})`` for every share, in order: 2 * len(shares) exponent
     rows over the one hashed pair, handed to
     :meth:`~repro.groups.api.BilinearGroup.multi_exp_rows` together so
-    they share its per-base precomputation.  ``hashed`` is
+    they share its per-base work — on BN254, a quorum's rows (more rows
+    than bases) share one doubling ladder of ``(H_1, H_2)``, one share's
+    two rows share odd-multiples tables.  ``hashed`` is
     :meth:`LJYThresholdScheme.hashed`'s pair.
     """
     rows = []

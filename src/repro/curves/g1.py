@@ -124,7 +124,8 @@ class G1Point:
     @classmethod
     def multi_mul_rows(cls, points, scalar_rows) -> "list[G1Point]":
         """``[sum_j row[j] * points[j] for row in scalar_rows]`` — every
-        row against one shared odd-multiples table of ``points``."""
+        row against one shared precomputation of ``points`` (see
+        :func:`~repro.math.msm.multi_scalar_mul_rows`)."""
         return [cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
             FP_OPS, [point._jac for point in points], scalar_rows, _R, GLV)]
 

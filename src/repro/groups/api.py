@@ -177,8 +177,8 @@ class BilinearGroup(ABC):
         Share-Sign is the shape: ``z_i`` and ``r_i``, for every signer
         of a quorum, are all products over the hashed pair
         ``(H_1, H_2)``.  The default loops :meth:`multi_exp`; backends
-        whose multi-exponentiation precomputes per base build that
-        table once for all rows.
+        whose multi-exponentiation precomputes per base do that work
+        once for all rows.
         """
         bases = list(bases)
         return [self.multi_exp(bases, row) for row in scalar_rows]

@@ -215,8 +215,10 @@ class BN254Group(BilinearGroup):
     def multi_exp_rows(self, bases: Sequence[GroupElement],
                        scalar_rows: Sequence[Sequence[int]]
                        ) -> List[GroupElement]:
-        """G bases share one odd-multiples table across all rows; the
-        other groups take the per-row default."""
+        """G1 rows go to :func:`~repro.math.msm.multi_scalar_mul_rows` in
+        one call: more rows than bases share one doubling ladder of the
+        bases, fewer share one odd-multiples table per base.  The other
+        groups take the per-row default."""
         bases = list(bases)
         if not all(isinstance(base, BNG1) for base in bases):
             return super().multi_exp_rows(bases, scalar_rows)

@@ -43,7 +43,9 @@ import asyncio
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.curves.pairing import PAIRING_COUNTERS
 from repro.errors import ReproError
+from repro.math.msm import MSM_COUNTERS
 from repro.net.metrics import (
     Histogram, MetricFamily, render_prometheus,
 )
@@ -252,10 +254,13 @@ class HttpGateway:
             writer: asyncio.StreamWriter) -> Optional[_Request]:
         """Parse one request off the connection; ``None`` on EOF, or once
         malformed framing is answered with its typed 4xx (the caller
-        then closes the connection)."""
+        then closes the connection).  EOF anywhere before the blank line
+        that ends the head — a request or header line without its
+        ``\\n`` — is a truncated request: ``None``, never dispatched,
+        exactly like a body cut short."""
         try:
             line = await _read_line(reader)
-            if not line:
+            if not line.endswith(b"\n"):
                 return None
             try:
                 method, path, version = line.decode("ascii").split()
@@ -265,7 +270,9 @@ class HttpGateway:
             headers: Dict[str, str] = {}
             while True:
                 raw = await _read_line(reader)
-                if raw in (b"\r\n", b"\n", b""):
+                if not raw.endswith(b"\n"):
+                    return None
+                if raw in (b"\r\n", b"\n"):
                     break
                 name, colon, value = raw.decode("latin-1").partition(":")
                 name, value = name.strip().lower(), value.strip()
@@ -567,8 +574,9 @@ class HttpGateway:
 
         Counters here mirror — exactly, the serve-smoke gate asserts it
         — the numbers in :meth:`SigningService.snapshot_stats` and the
-        tenant registry; the gateway adds only its own route counters
-        and latency histograms.
+        tenant registry; the gateway adds its own route counters and
+        latency histograms, and ``ljy_crypto_ops_total`` mirrors the
+        process-wide ``PAIRING_COUNTERS`` and ``MSM_COUNTERS`` dicts.
         """
         stats = self.service.snapshot_stats()
         families: List[MetricFamily] = []
@@ -742,4 +750,17 @@ class HttpGateway:
         families.append(MetricFamily(
             "ljy_epoch_pause_ms", "histogram",
             "Barrier pause per lifecycle transition.").add({}, pause))
+
+        crypto_ops = MetricFamily(
+            "ljy_crypto_ops_total", "counter",
+            "Pairing and MSM operations run in this process, by op "
+            "(MSM rows by the kernel that served them).")
+        for op, value in (
+                ("miller_loops", PAIRING_COUNTERS["miller_loops"]),
+                ("final_exps", PAIRING_COUNTERS["final_exps"]),
+                ("g2_preparations", PAIRING_COUNTERS["preparations"]),
+                ("msm_ladder_rows", MSM_COUNTERS["ladder_rows"]),
+                ("msm_lane_rows", MSM_COUNTERS["lane_rows"])):
+            crypto_ops.add({"op": op}, value)
+        families.append(crypto_ops)
         return families

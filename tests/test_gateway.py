@@ -4,8 +4,9 @@ The gateway binds an ephemeral loopback port per test; protocol logic
 runs on the toy backend with one end-to-end test (marked ``bn254``) on
 the real pairing.  The Prometheus tests parse the exposition output
 line-by-line — including label unescaping — and reconcile every counter
-against ``snapshot_stats()`` exactly, which is the same gate
-``tools/serve_smoke.py`` act 7 enforces.
+against ``snapshot_stats()`` exactly (``ljy_crypto_ops_total`` against
+the ``PAIRING_COUNTERS`` / ``MSM_COUNTERS`` dicts), which is the same
+gate ``tools/serve_smoke.py`` act 7 enforces.
 """
 
 import asyncio
@@ -16,6 +17,8 @@ import time
 import pytest
 
 from repro.core.scheme import ServiceHandle
+from repro.curves.pairing import PAIRING_COUNTERS
+from repro.math.msm import MSM_COUNTERS
 from repro.serialization import WireCodec
 from repro.service import (
     GatewayClient, HttpGateway, ServiceConfig, SigningService,
@@ -307,6 +310,41 @@ class TestGatewayDataPlane:
                     + b"\r\n" + sign)
                 assert response.startswith(b"HTTP/1.1 200 OK")
                 await client.close()
+        run(scenario())
+
+    def test_truncated_requests_are_never_dispatched(self, handle):
+        """EOF at any byte before a request is complete closes the
+        connection with no reply and no dispatch — a cut head (even one
+        missing only its blank line) included, not just a cut body."""
+        head = b"X-API-Key: alpha-key\r\nContent-Length: %d\r\n\r\n"
+        refresh = b"POST /admin/refresh HTTP/1.1\r\n" + head % 2 + b"{}"
+        sign_body = b'{"message": "00"}'
+        sign = b"POST /v1/sign HTTP/1.1\r\n" + head % len(sign_body) \
+            + sign_body
+
+        async def send_then_eof(gateway, blob):
+            reader, writer = await asyncio.open_connection(
+                gateway.host, gateway.port)
+            writer.write(blob)
+            writer.write_eof()
+            response = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            return response
+
+        async def scenario():
+            async with gateway_running(handle) as gateway:
+                for request in (refresh, sign):
+                    for cut in range(len(request)):
+                        response = await send_then_eof(
+                            gateway, request[:cut])
+                        assert response == b"", (request[:cut], response)
+                assert gateway.service.handle.epoch == 0
+                assert gateway.requests_total == {}
+                assert gateway.service.snapshot_stats().accepted == 0
+                for request in (refresh, sign):
+                    response = await send_then_eof(gateway, request)
+                    assert response.startswith(b"HTTP/1.1 200 OK")
+                assert gateway.service.handle.epoch == 1
         run(scenario())
 
     def test_unknown_route_and_method(self, handle):
@@ -716,6 +754,16 @@ class TestPrometheusExposition:
                               route="/v1/sign", code="200") == 10
                 assert sample(families, "ljy_gateway_requests_total",
                               route="/v1/sign", code="429") == 2
+                # The process-wide crypto counters, read from their dicts.
+                for op, value in (
+                        ("miller_loops", PAIRING_COUNTERS["miller_loops"]),
+                        ("final_exps", PAIRING_COUNTERS["final_exps"]),
+                        ("g2_preparations",
+                         PAIRING_COUNTERS["preparations"]),
+                        ("msm_ladder_rows", MSM_COUNTERS["ladder_rows"]),
+                        ("msm_lane_rows", MSM_COUNTERS["lane_rows"])):
+                    assert sample(families, "ljy_crypto_ops_total",
+                                  op=op) == value
                 await alpha.close()
                 await beta.close()
         run(scenario())
@@ -846,7 +894,10 @@ def test_http_gateway_on_bn254(bn254_group):
         await gateway.start()
         codec = WireCodec(bn254_group)
         alpha = client_for(gateway, "alpha-key", codec=codec)
+        ladder_rows = MSM_COUNTERS["ladder_rows"]
         result = await alpha.sign(b"bn254 over http")
+        # Share-Sign for the quorum: 2(t + 1) rows over H(M), one call.
+        assert MSM_COUNTERS["ladder_rows"] - ladder_rows == 2 * (1 + 1)
         assert handle.verify(b"bn254 over http", result.signature)
         verdict = await alpha.verify(b"bn254 over http", result.signature)
         assert verdict.valid

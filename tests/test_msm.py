@@ -28,8 +28,8 @@ from repro.curves.pairing import (
     _miller_loop_naive,
 )
 from repro.curves.weierstrass import (
-    jac_add, jac_add_affine, jac_batch_normalize, jac_double,
-    jac_normalize, jac_scalar_mul,
+    batch_add_affine_fp, jac_add, jac_add_affine, jac_batch_normalize,
+    jac_double, jac_normalize, jac_scalar_mul,
 )
 from repro.math.tower import f12_cyclotomic_pow, f12_pow
 from repro.errors import ParameterError
@@ -323,20 +323,43 @@ class TestKernelSweep:
                                                  session_seed):
         rng = _sweep_rng(session_seed, 22)
         point = point_cls.generator() * rng.randrange(2, R)
-        points = [point, point, point_cls.identity(), point, -point]
-        rows = [
-            [rng.randrange(R) for _ in points],
-            [7, 7, 7, 7, 7],                    # P + P at every digit
-            [0, 0, rng.randrange(R), R, 2 * R],  # every term vanishes
-            [0] * len(points),
-        ]
-        results = [
-            point_cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
-                ops, [p._jac for p in points], rows, R,
-                GLV if point_cls is G1Point else None)]
-        for row, result in zip(rows, results):
-            assert result == _fold(ops, point_cls, points, row)
-        assert results[2].is_identity() and results[3].is_identity()
+        named = {"P": point, "-P": -point, "O": point_cls.identity(),
+                 "Q": point_cls.generator() * rng.randrange(2, R)}
+        # The first shape is four rows over four live bases (lanes);
+        # the others have more rows than live bases, which sends G1 to
+        # the ladder, where [P, P] and [P, -P] put equal-x pairs into
+        # the batched addition (P + P and P - P).
+        for spec, row_count in (("P P O P -P", 4), ("P P", 3),
+                                ("P -P O", 6), ("P Q", 10), ("P -P Q", 4)):
+            names = spec.split()
+            points = [named[name] for name in names]
+            k = rng.randrange(R)
+            edges = [R - 1, -3, R + 5, -(1 << 200), 1]
+            cycle = [
+                [k] * len(points),            # equal digits on every base
+                [rng.randrange(-R, 3 * R) for _ in points],
+                # every term vanishes: 0, r, 2r; anything on the identity
+                [rng.randrange(R) if name == "O" else (0, R, 2 * R)[i % 3]
+                 for i, name in enumerate(names)],
+                [0] * len(points),
+                [edges[i % len(edges)] for i in range(len(points))],
+                [k] * len(points),            # a repeated row
+            ]
+            rows = [cycle[i % len(cycle)] for i in range(row_count)]
+            live = len(names) - names.count("O")
+            kernel = ("ladder_rows" if point_cls is G1Point
+                      and row_count > live else "lane_rows")
+            before = msm.MSM_COUNTERS[kernel]
+            results = [
+                point_cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
+                    ops, [p._jac for p in points], rows, R,
+                    GLV if point_cls is G1Point else None)]
+            assert msm.MSM_COUNTERS[kernel] - before == row_count, spec
+            for row, result in zip(rows, results):
+                assert result == _fold(ops, point_cls, points, row), spec
+            assert results[2].is_identity(), spec
+            if spec == "P -P O":
+                assert results[0].is_identity()     # k*P - k*P + k*O
 
     def test_short_scalars_take_the_undecomposed_lane(self, session_seed,
                                                       monkeypatch):
@@ -363,18 +386,21 @@ class TestKernelSweep:
 
     # -- the seam: rows == per-row multi_exp; many == per-share ---------------
     @pytest.mark.parametrize("backend", ["toy", "bn254"])
-    @pytest.mark.parametrize("row_count", [0, 1, 3, 4, 9])
+    @pytest.mark.parametrize("row_count", [0, 1, 3, 4, 6, 9, 10])
     def test_multi_exp_rows_matches_multi_exp(self, backend, row_count,
                                               session_seed):
+        # Over two and three bases: more rows than bases is the ladder
+        # kernel (2 x 3, 2 x 6, 3 x 4, ...), one row is always lanes.
         rng = _sweep_rng(session_seed, 30 + row_count)
         group = get_group(backend)
-        bases = [group.g1_generator() ** rng.getrandbits(24)
-                 for _ in range(3)]
-        rows = [[_mixed_scalar(rng, (1, 64, 128, 254, 300))
-                 * rng.choice((1, -1)) for _ in bases]
-                for _ in range(row_count)]
-        assert group.multi_exp_rows(bases, rows) == [
-            group.multi_exp(bases, row) for row in rows]
+        for base_count in (2, 3):
+            bases = [group.g1_generator() ** rng.getrandbits(24)
+                     for _ in range(base_count)]
+            rows = [[_mixed_scalar(rng, (1, 64, 128, 254, 300))
+                     * rng.choice((1, -1)) for _ in bases]
+                    for _ in range(row_count)]
+            assert group.multi_exp_rows(bases, rows) == [
+                group.multi_exp(bases, row) for row in rows]
 
     @pytest.mark.parametrize("backend", ["toy", "bn254"])
     def test_multi_exp_rows_other_groups(self, backend, session_seed):
@@ -451,6 +477,26 @@ class TestMixedAddition:
         result = G1Point(_jac=jac_add_affine(FP_OPS, g._jac, aff))
         assert result.is_identity()
 
+    def test_batch_add_affine_matches_full_addition(self):
+        # One batch mixing ordinary pairs with P + P (the tangent) and
+        # P + (-P) (the identity, returned as None).
+        rng = random.Random(53)
+        g = G1Point.generator()
+        p = g * rng.randrange(2, R)
+        others = [g * rng.randrange(2, R) for _ in range(4)]
+        pairs = [(p, others[0]), (p, p), (others[1], others[2]),
+                 (p, -p), (others[3], others[3]), (others[2], -p)]
+        sums = batch_add_affine_fp(
+            [(a.affine(), b.affine()) for a, b in pairs], P)
+        for (a, b), aff in zip(pairs, sums):
+            expected = G1Point(_jac=jac_add(FP_OPS, a._jac, b._jac))
+            if aff is None:
+                assert expected.is_identity()
+            else:
+                assert G1Point(*aff) == expected
+        assert sums[3] is None
+        assert [aff is None for aff in sums].count(True) == 1
+
     def test_non_normalized_accumulator(self):
         # Accumulator with Z != 1 (fresh sum) plus an affine point.
         g = G1Point.generator()
@@ -468,6 +514,7 @@ class TestMixedAddition:
             a = (g * rng.randrange(2, R))._jac
             b = (g * rng.randrange(2, R))._jac
             jacs.append(jac_add(FP_OPS, a, b))
+        jacs.append((*(g * 3).affine(), 1))      # already affine
         jacs.append(G1Point.identity()._jac)
         batch = jac_batch_normalize(FP_OPS, jacs)
         singles = [jac_normalize(FP_OPS, jac) for jac in jacs]

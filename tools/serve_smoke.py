@@ -88,6 +88,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import ServiceHandle, get_group                 # noqa: E402
 from repro.curves.pairing import PAIRING_COUNTERS          # noqa: E402
+from repro.math.msm import MSM_COUNTERS                    # noqa: E402
 from repro.serialization import (                          # noqa: E402
     WalAdmitRecord, WireCodec, decode_service_context,
     encode_service_context,
@@ -768,7 +769,8 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     # 7a: two tenants with different quotas drive the gateway; an
     # admin-triggered reshare lands mid-load; the Prometheus exposition
     # must parse line-by-line and reconcile exactly with
-    # snapshot_stats() and the tenant registry.
+    # snapshot_stats(), the tenant registry and the process-wide
+    # PAIRING_COUNTERS / MSM_COUNTERS dicts.
     http_dir = wal_dir / "http"
     http_dir.mkdir()
     http_requests = min(requests, 32)
@@ -851,6 +853,17 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
          http_stats.tenant_accepted.get("alpha", 0)),
         ('ljy_service_tenant_accepted_total{tenant="beta"}',
          http_stats.tenant_accepted.get("beta", 0)),
+        # Process-wide crypto counters: read from their dicts.
+        ('ljy_crypto_ops_total{op="miller_loops"}',
+         PAIRING_COUNTERS["miller_loops"]),
+        ('ljy_crypto_ops_total{op="final_exps"}',
+         PAIRING_COUNTERS["final_exps"]),
+        ('ljy_crypto_ops_total{op="g2_preparations"}',
+         PAIRING_COUNTERS["preparations"]),
+        ('ljy_crypto_ops_total{op="msm_ladder_rows"}',
+         MSM_COUNTERS["ladder_rows"]),
+        ('ljy_crypto_ops_total{op="msm_lane_rows"}',
+         MSM_COUNTERS["lane_rows"]),
     ]
     for sample_name, expected in reconcile:
         check(metrics.get(sample_name) == float(expected),
