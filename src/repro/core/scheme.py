@@ -234,45 +234,70 @@ class LJYThresholdScheme:
         """
         return partials_over(self.group, self.hashed(None, message), shares)
 
+    # ------------------------------------------------------------------
+    # Verification: one equation, keyed by PK or VK_i
+    # ------------------------------------------------------------------
+    # A partial signature is the Section 2.3 one-time LHSPS signature on
+    # (H_1, H_2) under share i's key VK_i = (V_1i, V_2i), and a signature
+    # is the same under PK = (g_1, g_2), the key at index 0: Share-Verify
+    # and Verify are one equation.  Every check below is ``_holds`` on
+    # one item or a coined product from ``_values``.  Items are
+    # ``(label, message, z, r)``, each checked under ``keys[label]``:
+    # label 0 and PK for signatures, label i and VK_i for partials.
+
+    def _holds(self, key: Tuple[GroupElement, GroupElement],
+               hashed: Tuple[GroupElement, GroupElement],
+               z: GroupElement, r: GroupElement) -> bool:
+        """``e(z, g_z) e(r, g_r) e(H_1, K_1) e(H_2, K_2) = 1`` for
+        ``key = (K_1, K_2)``: one multi-pairing of four pairs."""
+        p = self.params
+        (h_1, h_2), (k_1, k_2) = hashed, key
+        return self.group.pairing_product_is_one(
+            [(z, p.g_z), (r, p.g_r), (h_1, k_1), (h_2, k_2)])
+
     def share_verify(self, public_key: PublicKey,
                      verification_key: VerificationKey, message: bytes,
                      partial: PartialSignature) -> bool:
-        """Check ``e(z_i, g_z) e(r_i, g_r) e(H_1, V_1i) e(H_2, V_2i) = 1``."""
-        if partial.index != verification_key.index:
-            return False
-        h_1, h_2 = self.hashed(public_key, message)
-        p = self.params
-        return self.group.pairing_product_is_one([
-            (partial.z, p.g_z),
-            (partial.r, p.g_r),
-            (h_1, verification_key.v_1),
-            (h_2, verification_key.v_2),
-        ])
+        """Share-Verify: the equation under ``VK_i = (V_1i, V_2i)``, for
+        a partial of index i only."""
+        return partial.index == verification_key.index and self._holds(
+            (verification_key.v_1, verification_key.v_2),
+            self.hashed(public_key, message), partial.z, partial.r)
 
-    def _share_values(self, public_key: PublicKey,
-                      verification_keys: Mapping[int, VerificationKey],
-                      items: Sequence[Tuple[bytes, PartialSignature]],
-                      coins: Sequence[int]):
+    def verify(self, public_key: PublicKey, message: bytes,
+               signature: Signature) -> bool:
+        """Verify: the equation under ``PK = (g_1, g_2)``."""
+        return self._holds(
+            (public_key.g_1, public_key.g_2),
+            self.hashed(public_key, message), signature.z, signature.r)
+
+    def _values(self, public_key: PublicKey,
+                keys: Mapping[int, Tuple[GroupElement, GroupElement]],
+                items: Sequence[Tuple[int, bytes, GroupElement,
+                                      GroupElement]],
+                coins: Sequence[int]):
         """``value_of(lo, hi, weighted=False)``: the G_T value of the
-        Share-Verify equations of ``items[lo:hi]``, each raised to its
-        own coin — the identity iff (up to the batching bound) every
-        one holds; ``weighted`` as in :meth:`_signature_values`.
+        equations of ``items[lo:hi]``, each raised to its own coin — the
+        identity iff (up to the batching bound) every one holds.
+        ``weighted`` multiplies item i's coin by i + 1: the companion
+        :func:`_descend` names a lone offender from (about 70 bits for
+        any real window, still a small exponent).
 
-        By bilinearity the product groups by pairing argument into
-        ``2 + 2 * distinct_signers`` pairs — ``(z_agg, g_z)``,
-        ``(r_agg, g_r)`` and one ``(H_1-agg_i, V_1i)``/``(H_2-agg_i,
-        V_2i)`` pair per signer in the slice — so every G_hat argument
-        stays a *fixed, Miller-loop-prepared* point and the per-item
-        cost is a few small-exponent MSM terms.  Every item's signer
-        must have a verification key.
+        By bilinearity a slice collapses to ``2 + 2 * labels`` pairs —
+        ``(z_agg, g_z)``, ``(r_agg, g_r)`` and one ``(H_1-agg, K_1)`` /
+        ``(H_2-agg, K_2)`` pair per key in the slice — so every G_hat
+        argument stays a *fixed, Miller-loop-prepared* point and an
+        item costs a few small-exponent MSM terms.  One key's items
+        (signatures, or one signer's partials) are four pairs whatever
+        the slice.
         """
         p = self.params
         group = self.group
-        z_points = [partial.z for _, partial in items]
-        r_points = [partial.r for _, partial in items]
+        z_points = [z for _, _, z, _ in items]
+        r_points = [r for _, _, _, r in items]
         group.batch_normalize(z_points + r_points)
         hashes: Dict[bytes, Tuple[GroupElement, GroupElement]] = {}
-        for message, _ in items:
+        for _, message, _, _ in items:
             if message not in hashes:
                 hashes[message] = self.hashed(public_key, message)
 
@@ -282,14 +307,13 @@ class LJYThresholdScheme:
             if weighted:
                 exponents = [coin * weight for weight, coin
                              in enumerate(exponents, lo + 1)]
-            # Group the hash terms by signer: V_1i/V_2i are the only
-            # non-shared G_hat arguments, so one MSM pair per
-            # *distinct* signer is the finest the product collapses to.
+            # The keys are the only G_hat arguments items do not share,
+            # so one MSM pair per *distinct* key is the finest the
+            # product collapses to.
             buckets: Dict[int, Tuple[list, list, list]] = {}
-            for exponent, (message, partial) in zip(
+            for exponent, (label, message, _, _) in zip(
                     exponents, items[lo:hi]):
-                h_1s, h_2s, exps = buckets.setdefault(
-                    partial.index, ([], [], []))
+                h_1s, h_2s, exps = buckets.setdefault(label, ([], [], []))
                 h_1, h_2 = hashes[message]
                 h_1s.append(h_1)
                 h_2s.append(h_2)
@@ -298,107 +322,141 @@ class LJYThresholdScheme:
                 (group.multi_exp(z_points[lo:hi], exponents), p.g_z),
                 (group.multi_exp(r_points[lo:hi], exponents), p.g_r),
             ]
-            for index in sorted(buckets):
-                h_1s, h_2s, exps = buckets[index]
-                vk = verification_keys[index]
-                pairs.append((group.multi_exp(h_1s, exps), vk.v_1))
-                pairs.append((group.multi_exp(h_2s, exps), vk.v_2))
+            for label in sorted(buckets):
+                h_1s, h_2s, exps = buckets[label]
+                k_1, k_2 = keys[label]
+                pairs.append((group.multi_exp(h_1s, exps), k_1))
+                pairs.append((group.multi_exp(h_2s, exps), k_2))
             return group.pairing_product(pairs)
 
         return value_of
 
+    def _check(self, public_key: PublicKey, keys, items, rng) -> bool:
+        """One coined product over ``items``, the coins drawn here,
+        after the items are fixed: a batch holding any failing equation
+        passes with probability at most 2^-64 over them (standard
+        small-exponent batching).  A single item is its plain equation;
+        an empty batch passes."""
+        if len(items) == 1:
+            label, message, z, r = items[0]
+            return self._holds(keys[label], self.hashed(public_key, message),
+                               z, r)
+        return not items or self._values(
+            public_key, keys, items, _coins(len(items), rng)
+        )(0, len(items)).is_identity()
+
+    def _locate(self, public_key: PublicKey, keys, items,
+                rng) -> List[int]:
+        """Positions (into ``items``) of failing equations, localized
+        from coined values (:func:`_descend`); [] when all hold.
+
+        The items are taken label-major (arrival order within a label),
+        so each sub-batch touches few keys, and the coins are drawn
+        once, after the items are fixed: the root, its companion and
+        every sub-batch reuse their items' coins.  A passing root is
+        all an honest batch costs.  Under one key — signatures, or what
+        :meth:`combine_window` asks about, one signer's partials — every
+        slice is four pairs, so a failing root gets its index-weighted
+        companion and a lone offender is named from the pair.  Several
+        keys descend without one: their root is the batch's dearest
+        product (2 + 2 * keys pairs), and one key's offenders sit
+        adjacent, where no lone offender is there to name.  A single
+        item is its plain equation.
+        """
+        order = sorted(range(len(items)),
+                       key=lambda position: items[position][0])
+        if len(order) <= 1:
+            return [] if self._check(public_key, keys, items, rng) else order
+        items = [items[position] for position in order]
+        value_of = self._values(public_key, keys, items,
+                                _coins(len(items), rng))
+        value = value_of(0, len(items))
+        companion = None
+        # Label-major order: equal ends mean one key throughout.
+        if not value.is_identity() and items[0][0] == items[-1][0]:
+            companion = value_of(0, len(items), weighted=True)
+        return sorted(order[offset] for offset in _descend(
+            value_of, 0, len(items), value, companion))
+
     @staticmethod
-    def _has_key(verification_keys: Mapping[int, VerificationKey],
-                 partial: PartialSignature) -> bool:
-        vk = verification_keys.get(partial.index)
-        return vk is not None and vk.index == partial.index
+    def _signed(public_key: PublicKey, messages: Sequence[bytes],
+                signatures: Sequence[Signature]):
+        """``(keys, items)`` for signatures: each under PK, label 0."""
+        if len(messages) != len(signatures):
+            raise ParameterError("need exactly one signature per message")
+        return ({0: (public_key.g_1, public_key.g_2)},
+                [(0, message, signature.z, signature.r)
+                 for message, signature in zip(messages, signatures)])
+
+    @staticmethod
+    def _keyed(verification_keys: Mapping[int, VerificationKey],
+               items: Sequence[Tuple[bytes, PartialSignature]]):
+        """``(keys, checked, positions, keyless)`` for ``(message,
+        partial)`` items: those whose signer has a verification key
+        filed under its own index become ``checked`` items, taken from
+        ``positions``; the rest are ``keyless``, invalid whatever they
+        carry.  One ``verification_keys.get`` per item."""
+        keys: Dict[int, Tuple[GroupElement, GroupElement]] = {}
+        checked, positions, keyless = [], [], []
+        for position, (message, partial) in enumerate(items):
+            vk = verification_keys.get(partial.index)
+            if vk is None or vk.index != partial.index:
+                keyless.append(position)
+                continue
+            keys[partial.index] = (vk.v_1, vk.v_2)
+            checked.append((partial.index, message, partial.z, partial.r))
+            positions.append(position)
+        return keys, checked, positions, keyless
+
+    def batch_verify(self, public_key: PublicKey,
+                     messages: Sequence[bytes],
+                     signatures: Sequence[Signature],
+                     rng=None) -> bool:
+        """Verify signatures on many **distinct messages** with one
+        coined four-pair product (:meth:`_check`) — the server-side
+        amortization: a few 64-bit MSM terms a message instead of a
+        four-pair product.  True for an empty batch; use
+        :meth:`locate_invalid` to name offenders when a batch fails.
+        """
+        return self._check(
+            public_key, *self._signed(public_key, messages, signatures), rng)
+
+    def locate_invalid(self, public_key: PublicKey,
+                       messages: Sequence[bytes],
+                       signatures: Sequence[Signature],
+                       rng=None) -> List[int]:
+        """Indices of invalid signatures (:meth:`_locate`): one coined
+        product when all are valid, its index-weighted companion more
+        to name a lone forgery, quotient bisection to split several.
+        """
+        return self._locate(
+            public_key, *self._signed(public_key, messages, signatures), rng)
 
     def batch_share_verify_window(
             self, public_key: PublicKey,
             verification_keys: Mapping[int, VerificationKey],
             items: Sequence[Tuple[bytes, PartialSignature]],
             rng=None) -> bool:
-        """Check partial signatures across **many messages** with one
-        multi-pairing — the Share-Verify twin of :meth:`batch_verify`.
-
-        Each equation is raised to a fresh random 64-bit exponent and
-        the product is evaluated as ``2 + 2 * distinct_signers`` pairs
-        (see :meth:`_share_values`).
-
-        A batch containing any forged partial passes with probability
-        at most 2^-64 over the verifier's coins (standard
-        small-exponent batching).  Returns False when any item's signer
-        has no verification key; True for an empty batch.  Use
-        :meth:`locate_invalid_partials` to identify offenders when a
-        batch fails.
+        """Share-Verify ``(message, partial)`` items across many messages
+        and signers with one coined product of ``2 + 2 * signers`` pairs
+        (:meth:`_check`).  False when any item's signer has no
+        verification key; True for an empty batch.
         """
-        items = list(items)
-        if not all(self._has_key(verification_keys, partial)
-                   for _, partial in items):
-            return False
-        if not items:
-            return True
-        if len(items) == 1:
-            message, partial = items[0]
-            return self.share_verify(
-                public_key, verification_keys[partial.index], message,
-                partial)
-        return self._share_values(
-            public_key, verification_keys, items, _coins(len(items), rng)
-        )(0, len(items)).is_identity()
+        keys, checked, _, keyless = self._keyed(verification_keys, items)
+        return not keyless and self._check(public_key, keys, checked, rng)
 
     def locate_invalid_partials(
             self, public_key: PublicKey,
             verification_keys: Mapping[int, VerificationKey],
             items: Sequence[Tuple[bytes, PartialSignature]],
             rng=None) -> List[int]:
-        """Positions (into ``items``) of invalid ``(message, partial)``
-        pairs: one coined check of the whole batch, then quotient
-        bisection (:func:`_descend`) — so few forgeries in a big
-        flattened window cost ~log2(k) sub-batch multi-pairings each
-        instead of k Share-Verify calls.  The coins are drawn once,
-        after the items are fixed, and every sub-batch reuses its
-        items' coins.  Sub-batches are taken over the items in
-        signer-major order, so each touches few verification keys.
-        One signer's items — what :meth:`combine_window` asks about —
-        are a four-pair product whatever the slice, so a failing batch
-        of them gets its index-weighted companion and a lone forgery
-        is named from the pair.  Several signers' items descend
-        without one: their full-range product is the batch's dearest
-        (2 + 2 * signers pairs), and a forging signer's items sit
-        adjacent in signer-major order, where no lone offender is
-        there to name.  An item whose signer has no verification key
-        is reported invalid without entering the batch.  Returns []
-        when the whole batch verifies.
-        """
-        items = list(items)
-        keyed = [self._has_key(verification_keys, partial)
-                 for _, partial in items]
-        keyless = [position for position, has_key in enumerate(keyed)
-                   if not has_key]
-        # Stable sort: signer-major, arrival order within a signer.
-        order = sorted(
-            (position for position, has_key in enumerate(keyed) if has_key),
-            key=lambda position: items[position][1].index)
-        if not order:
-            return keyless
-        if len(order) == 1:
-            message, partial = items[order[0]]
-            valid = self.share_verify(
-                public_key, verification_keys[partial.index], message,
-                partial)
-            return keyless if valid else sorted(keyless + order)
-        value_of = self._share_values(
-            public_key, verification_keys,
-            [items[position] for position in order], _coins(len(order), rng))
-        value = value_of(0, len(order))
-        companion = None
-        # Signer-major order: equal ends mean one signer throughout.
-        if (not value.is_identity() and items[order[0]][1].index
-                == items[order[-1]][1].index):
-            companion = value_of(0, len(order), weighted=True)
-        offenders = _descend(value_of, 0, len(order), value, companion)
-        return sorted(keyless + [order[offset] for offset in offenders])
+        """Positions of invalid ``(message, partial)`` items: those
+        :meth:`_locate` names, signer-major, and every item whose signer
+        has no verification key, which never enters a product."""
+        keys, checked, positions, keyless = self._keyed(
+            verification_keys, items)
+        return sorted(keyless + [positions[offset] for offset in self._locate(
+            public_key, keys, checked, rng)])
 
     # ------------------------------------------------------------------
     # Combining and verification
@@ -465,129 +523,6 @@ class LJYThresholdScheme:
         z = self.group.multi_exp(z_points, weights)
         r = self.group.multi_exp(r_points, weights)
         return Signature(z=z, r=r)
-
-    def verify(self, public_key: PublicKey, message: bytes,
-               signature: Signature) -> bool:
-        """``e(z, g_z) e(r, g_r) e(H_1, g_1) e(H_2, g_2) = 1`` — one
-        multi-pairing of four pairs."""
-        h_1, h_2 = self.hashed(public_key, message)
-        p = self.params
-        return self.group.pairing_product_is_one([
-            (signature.z, p.g_z),
-            (signature.r, p.g_r),
-            (h_1, public_key.g_1),
-            (h_2, public_key.g_2),
-        ])
-
-    def _signature_values(self, public_key: PublicKey,
-                          messages: Sequence[bytes],
-                          signatures: Sequence[Signature],
-                          coins: Sequence[int]):
-        """``value_of(lo, hi, weighted=False)``: the G_T value of the
-        verification equations of ``messages[lo:hi]``, each raised to
-        its own coin — the identity iff (up to the batching bound)
-        every one holds.  ``weighted`` multiplies item i's coin by
-        i + 1: the companion :func:`_descend` names a lone offender
-        from (about 70 bits for any real window, still a small
-        exponent).
-
-        All four G_hat arguments (``g_z``, ``g_r``, ``g_1``, ``g_2``)
-        are shared across messages, so by bilinearity a slice collapses
-        to the same four-pair shape as a single Verify — the four
-        aggregated G arguments being MSMs over *small* exponents.
-        """
-        p = self.params
-        group = self.group
-        hashes = [self.hashed(public_key, message) for message in messages]
-        z_points = [signature.z for signature in signatures]
-        r_points = [signature.r for signature in signatures]
-        h_1s = [pair[0] for pair in hashes]
-        h_2s = [pair[1] for pair in hashes]
-        group.batch_normalize(z_points + r_points)
-
-        def value_of(lo: int, hi: int,
-                     weighted: bool = False) -> GroupElement:
-            exponents = coins[lo:hi]
-            if weighted:
-                exponents = [coin * weight for weight, coin
-                             in enumerate(exponents, lo + 1)]
-            return group.pairing_product([
-                (group.multi_exp(z_points[lo:hi], exponents), p.g_z),
-                (group.multi_exp(r_points[lo:hi], exponents), p.g_r),
-                (group.multi_exp(h_1s[lo:hi], exponents), public_key.g_1),
-                (group.multi_exp(h_2s[lo:hi], exponents), public_key.g_2),
-            ])
-
-        return value_of
-
-    def batch_verify(self, public_key: PublicKey,
-                     messages: Sequence[bytes],
-                     signatures: Sequence[Signature],
-                     rng=None) -> bool:
-        """Verify signatures on many **distinct messages** with one
-        multi-pairing — the server-side amortization.
-
-        Each verification equation is raised to a fresh random 64-bit
-        exponent and the product collapses to one four-pair pairing
-        product (see :meth:`_signature_values`).  Amortized per-message
-        cost is therefore a few 64-bit MSM terms instead of a full
-        four-pair pairing product.
-
-        A batch containing any forgery passes with probability at most
-        2^-64 over the verifier's coins (standard small-exponent
-        batching).  Returns True for an empty batch.  Use
-        :meth:`locate_invalid` to identify offenders when a batch fails.
-        """
-        if len(messages) != len(signatures):
-            raise ParameterError(
-                "need exactly one signature per message")
-        if not messages:
-            return True
-        if len(messages) == 1:
-            # The equation alone, whatever a subclass's verify adds.
-            return LJYThresholdScheme.verify(
-                self, public_key, messages[0], signatures[0])
-        return self._signature_values(
-            public_key, messages, signatures, _coins(len(messages), rng)
-        )(0, len(messages)).is_identity()
-
-    def locate_invalid(self, public_key: PublicKey,
-                       messages: Sequence[bytes],
-                       signatures: Sequence[Signature],
-                       rng=None) -> List[int]:
-        """Indices of invalid signatures, localized from coined
-        pairing-product values (:func:`_descend`).
-
-        ONE coined check of the whole batch is all an honest batch
-        costs.  A failing one pays one more product, the batch's
-        index-weighted companion under the same coins, and a single
-        forgery in a batch of k is named from that pair with no
-        further pairing — two products instead of k individual
-        verifications; several forgeries are split by quotient
-        bisection (only the left half of a node that no lone offender
-        explains is evaluated) until each stands alone in its slice.
-        The coins are drawn once, after the items are fixed; the
-        companion and every sub-batch reuse their items' coins.  A
-        batch of one is this class's plain uncoined :meth:`verify`.
-        Returns [] when the whole batch verifies.
-        """
-        count = len(messages)
-        if count != len(signatures):
-            raise ParameterError(
-                "need exactly one signature per message")
-        if count == 0:
-            return []
-        if count == 1:
-            valid = LJYThresholdScheme.verify(
-                self, public_key, messages[0], signatures[0])
-            return [] if valid else [0]
-        value_of = self._signature_values(
-            public_key, messages, signatures, _coins(count, rng))
-        value = value_of(0, count)
-        if value.is_identity():
-            return []
-        return _descend(value_of, 0, count, value,
-                        value_of(0, count, weighted=True))
 
     # ------------------------------------------------------------------
     # Window-sized entry points (the serving-layer amortization)
@@ -731,8 +666,6 @@ class LJYThresholdScheme:
         one more product for a lone forgery — so a window with few
         forgeries still amortizes.
         """
-        if len(messages) != len(signatures):
-            raise ParameterError("need exactly one signature per message")
         invalid = set(self.locate_invalid(public_key, messages, signatures,
                                           rng=rng))
         return [index not in invalid for index in range(len(messages))]
@@ -946,18 +879,12 @@ class ServiceHandle:
         return doubled[start:start + size]
 
     # -- signing ------------------------------------------------------------
-    def _share_sign_many(self, signers: Sequence[int],
-                         message: bytes) -> List[PartialSignature]:
-        return partials_over(
-            self.scheme.group, self.scheme.hashed(self.public_key, message),
-            [self.shares[index] for index in signers])
-
     def partials_for(self, message: bytes,
                      signers: Optional[Sequence[int]] = None
                      ) -> List[PartialSignature]:
         """Partial signatures from ``signers`` (default: the first quorum)."""
-        return self._share_sign_many(
-            self.quorum() if signers is None else signers, message)
+        return self.partials_with_faults(
+            message, self.quorum() if signers is None else signers)
 
     def partials_with_faults(self, message: bytes,
                              signers: Sequence[int],
@@ -973,7 +900,9 @@ class ServiceHandle:
         diverge between them.
         """
         signers = list(signers)
-        produced = self._share_sign_many(signers, message)
+        produced = partials_over(
+            self.scheme.group, self.scheme.hashed(self.public_key, message),
+            [self.shares[index] for index in signers])
         if fault_injector is None:
             return produced
         return [
@@ -981,22 +910,35 @@ class ServiceHandle:
             for index, partial in zip(signers, produced)
         ]
 
-    def _sign_window(self, messages: Sequence[bytes],
-                     signers: Optional[Sequence[int]],
-                     fault_injector, shard_id: int, rng,
-                     presigned: Optional[Mapping[int, list]] = None):
-        """Window production + the one robust path: the quorum's
-        partial signatures per message (``presigned`` ones, by window
-        position, taken as given — the combiner half), combined through
-        :meth:`LJYThresholdScheme.combine_window` with a ``top_up``
-        that draws the missing partials from the next signers after the
-        quorum in ring order — through :meth:`partials_with_faults`, so
-        the injector sees every partial once and a persistent fault
-        still applies — and with this handle's :class:`Suspects`.
-        Returns ``(signatures, flagged, topped_up)``, the last counting
-        the requests that needed partials from beyond their quorum.
+    def process_sign_window(self, messages: Sequence[bytes],
+                            quorum: Optional[Sequence[int]] = None,
+                            fault_injector=None, shard_id: int = 0,
+                            rng=None,
+                            presigned: Optional[Mapping[int, list]] = None):
+        """Serve one batch window of sign requests end to end.
+
+        Produces the quorum's partial signatures per message (running
+        ``fault_injector`` over each, when given — see
+        :mod:`repro.service.faults`), except at the window positions
+        ``presigned`` holds them for (the caller vouches they are this
+        handle's and quorum's), and combines the window through
+        :meth:`LJYThresholdScheme.combine_window` (one cross-message
+        batch check) with this handle's :class:`Suspects`.  A request
+        whose quorum held a forged partial drops it and tops up from
+        the next signers after the quorum in ring order — through
+        :meth:`partials_with_faults`, so the injector sees every
+        partial once and a persistent fault still applies — so it
+        completes whenever t+1 honest servers exist.
+
+        Returns a :class:`~repro.serialization.SignWindowOutcome` — the
+        shard workers of :mod:`repro.service.shards` and the remote
+        workers of :mod:`repro.service.transport` both dispatch here, so
+        the in-process and remote tiers serve the identical contract.
+        Its ``fallback_combines`` counts the requests that needed
+        partials from beyond their quorum.
         """
-        indices = self.quorum() if signers is None else list(signers)
+        from repro.serialization import SignWindowOutcome
+        indices = self.quorum() if quorum is None else list(quorum)
         presigned = presigned or {}
         windows = [
             (message, presigned.get(position) or self.partials_with_faults(
@@ -1023,33 +965,6 @@ class ServiceHandle:
         signatures, flagged = self.scheme.combine_window(
             self.public_key, self.verification_keys, windows, rng=rng,
             top_up=top_up, suspects=self._suspects)
-        return signatures, flagged, topped_up
-
-    def process_sign_window(self, messages: Sequence[bytes],
-                            quorum: Optional[Sequence[int]] = None,
-                            fault_injector=None, shard_id: int = 0,
-                            rng=None,
-                            presigned: Optional[Mapping[int, list]] = None):
-        """Serve one batch window of sign requests end to end.
-
-        Produces the quorum's partial signatures per message (running
-        ``fault_injector`` over each, when given — see
-        :mod:`repro.service.faults`), except at the window positions
-        ``presigned`` holds them for (the caller vouches they are this
-        handle's and quorum's), and combines the window through
-        :meth:`LJYThresholdScheme.combine_window` (one cross-message
-        batch check); a request whose quorum held a forged partial
-        drops it and tops up from the rest of the signer ring, so it
-        completes whenever t+1 honest servers exist.
-
-        Returns a :class:`~repro.serialization.SignWindowOutcome` — the
-        shard workers of :mod:`repro.service.shards` and the remote
-        workers of :mod:`repro.service.transport` both dispatch here, so
-        the in-process and remote tiers serve the identical contract.
-        """
-        from repro.serialization import SignWindowOutcome
-        signatures, flagged, topped_up = self._sign_window(
-            messages, quorum, fault_injector, shard_id, rng, presigned)
         failures = [
             (position,
              f"sign failed: fewer than {self.threshold + 1} valid partial "
@@ -1077,19 +992,18 @@ class ServiceHandle:
                     rng=None) -> List[Signature]:
         """Sign a whole batch window with one cross-message check.
 
-        The library-side twin of :meth:`process_sign_window` (same
-        robust path, no injector): a request whose quorum contributed a
-        forged partial tops up from the rest of the signer ring, and
-        :class:`~repro.errors.CombineError` is raised when one still
-        lacks t+1 valid partial signatures.
+        :meth:`process_sign_window` with no injector: a request whose
+        quorum contributed a forged partial tops up from the rest of the
+        signer ring, and :class:`~repro.errors.CombineError` is raised
+        at the first position that still lacks t+1 valid partial
+        signatures.
         """
-        signatures, _, _ = self._sign_window(
-            messages, signers, None, 0, rng)
-        if None in signatures:
+        outcome = self.process_sign_window(messages, signers, rng=rng)
+        if outcome.failures:
             raise CombineError(
                 f"need {self.threshold + 1} valid partial signatures for "
-                f"window position {signatures.index(None)}")
-        return signatures
+                f"window position {outcome.failures[0][0]}")
+        return list(outcome.signatures)
 
     # -- verification -------------------------------------------------------
     def verify(self, message: bytes, signature: Signature) -> bool:

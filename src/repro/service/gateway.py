@@ -65,6 +65,13 @@ from repro.service.types import (
 #: megabyte-scale is a client bug or abuse).
 MAX_BODY_BYTES = 1 << 20
 
+#: From a request's first byte to its last body byte, a client has this
+#: long; a request still incomplete then is closed without dispatch,
+#: like a truncated one, so a stalled client cannot hold a connection.
+#: The wait for the first byte (an idle keep-alive connection) is not
+#: timed.
+REQUEST_DEADLINE_S = 10.0
+
 _JSON = "application/json"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -257,9 +264,25 @@ class HttpGateway:
         then closes the connection).  EOF anywhere before the blank line
         that ends the head — a request or header line without its
         ``\\n`` — is a truncated request: ``None``, never dispatched,
-        exactly like a body cut short."""
+        exactly like a body cut short.  So is a request whose last
+        body byte has not arrived :data:`REQUEST_DEADLINE_S` after its
+        first byte."""
+        first = await reader.read(1)
+        if not first:
+            return None
         try:
-            line = await _read_line(reader)
+            async with asyncio.timeout(REQUEST_DEADLINE_S):
+                return await self._read_rest(first, reader, writer)
+        except TimeoutError:
+            return None
+
+    async def _read_rest(
+            self, first: bytes, reader: asyncio.StreamReader,
+            writer: asyncio.StreamWriter) -> Optional[_Request]:
+        """:meth:`_read_request` after the request's ``first`` byte."""
+        try:
+            line = first if first == b"\n" else first + await _read_line(
+                reader)
             if not line.endswith(b"\n"):
                 return None
             try:

@@ -143,6 +143,24 @@ def parse_address(address: str) -> Tuple[str, int]:
     return host, port
 
 
+def _hello_payload(group_name: str, digest: bytes,
+                   psk: Optional[bytes]) -> bytes:
+    """This end's HELLO: backend, context digest and, with a PSK, its
+    authenticator over the digest."""
+    mac = hello_mac(psk, digest) if psk else b""
+    return encode_hello(group_name, digest, mac)
+
+
+def _psk_agrees(psk: Optional[bytes], mac: bytes, digest: bytes) -> bool:
+    """Constant-time check of the peer's HELLO authenticator — mutual
+    authentication, so neither end serves a peer that merely replayed a
+    digest.  Both ends must agree on *whether* a PSK is configured,
+    exactly like they must agree on the digest itself."""
+    if not psk:
+        return not mac
+    return len(mac) == 32 and hmac.compare_digest(mac, hello_mac(psk, digest))
+
+
 # ---------------------------------------------------------------------------
 # The server side (what a remote worker process runs)
 # ---------------------------------------------------------------------------
@@ -252,10 +270,6 @@ class WorkerServer:
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
-
-    def _hello_payload(self) -> bytes:
-        mac = hello_mac(self._psk, self._digest) if self._psk else b""
-        return encode_hello(self._group_name, self._digest, mac)
 
     async def start(self) -> "WorkerServer":
         """Bind and start accepting; resolves ``port`` when it was 0."""
@@ -432,17 +446,8 @@ class WorkerServer:
         self._handle = handle
         self._context = payload
         self._digest = service_context_digest(payload)
-        await self._send(connection, FRAME_KIND_HELLO,
-                         self._hello_payload(), request_id)
-
-    def _psk_agrees(self, mac: bytes, digest: bytes) -> bool:
-        """Constant-time check of the peer's HELLO authenticator.  Both
-        ends must agree on *whether* a PSK is configured, exactly like
-        they must agree on the digest itself."""
-        if not self._psk:
-            return not mac
-        return len(mac) == 32 and hmac.compare_digest(
-            mac, hello_mac(self._psk, digest))
+        await self._send(connection, FRAME_KIND_HELLO, _hello_payload(
+            self._group_name, self._digest, self._psk), request_id)
 
     async def _handshake(self, reader: asyncio.StreamReader,
                          connection: _ServedConnection) -> bool:
@@ -473,15 +478,15 @@ class WorkerServer:
                 f"{self._digest.hex()[:16]}..., dispatcher offered "
                 f"{group_name!r}/{digest.hex()[:16]}...")
             return False
-        if not self._psk_agrees(mac, digest):
+        if not _psk_agrees(self._psk, mac, digest):
             await self._refuse(
                 connection,
                 "pre-shared-key mismatch: the dispatcher's HELLO "
                 "authenticator does not match this worker's PSK "
                 "configuration")
             return False
-        await self._send(connection, FRAME_KIND_HELLO,
-                         self._hello_payload())
+        await self._send(connection, FRAME_KIND_HELLO, _hello_payload(
+            self._group_name, self._digest, self._psk))
         return True
 
     async def _refuse(self, connection: _ServedConnection,
@@ -620,19 +625,6 @@ class RemoteWorkerPool:
         the first job waits for it inside the backoff loop instead."""
         self._running = True
 
-    def _hello_payload(self) -> bytes:
-        mac = hello_mac(self._psk, self._digest) if self._psk else b""
-        return encode_hello(self._group_name, self._digest, mac)
-
-    def _psk_agrees(self, mac: bytes, digest: bytes) -> bool:
-        """Constant-time check of the worker's HELLO authenticator —
-        mutual authentication, so a dispatcher cannot be fooled into
-        shipping jobs to a worker that merely replayed a digest."""
-        if not self._psk:
-            return not mac
-        return len(mac) == 32 and hmac.compare_digest(
-            mac, hello_mac(self._psk, digest))
-
     async def aclose(self) -> None:
         self._running = False
         for endpoint in self._endpoints:
@@ -690,23 +682,40 @@ class RemoteWorkerPool:
         kind, payload = await asyncio.wait_for(
             self._roundtrip(endpoint, FRAME_KIND_CONTEXT, context),
             self.job_timeout_s)
+        self._check_hello(endpoint, "the context push", kind, payload,
+                          digest)
+        return True
+
+    def _check_hello(self, endpoint: "_Endpoint", what: str, kind: bytes,
+                     payload: bytes, digest: bytes) -> None:
+        """Raise :class:`~repro.service.types.HandshakeError` unless a
+        worker answered ``what`` (the handshake or a context push) with
+        a HELLO for ``digest`` under this pool's backend and PSK —
+        misprovisioning, which retrying cannot fix."""
+        worker = f"remote worker {endpoint.address}"
         if kind == FRAME_KIND_ERROR:
             raise HandshakeError(
-                f"remote worker {endpoint.address} refused the context "
-                f"push: {payload.decode('utf-8', 'replace')}")
+                f"{worker} refused {what}: "
+                f"{payload.decode('utf-8', 'replace')}")
         if kind != FRAME_KIND_HELLO:
-            raise SerializationError(
-                f"expected HELLO after a context push, got {kind!r}")
-        group_name, answered, mac = decode_hello(payload)
+            raise HandshakeError(
+                f"{worker} answered {what} with frame kind {kind!r}")
+        try:
+            group_name, answered, mac = decode_hello(payload)
+        except SerializationError as exc:
+            raise HandshakeError(
+                f"{worker} answered {what} with a bad HELLO payload: "
+                f"{exc}") from None
         if group_name != self._group_name or answered != digest:
             raise HandshakeError(
-                f"remote worker {endpoint.address} acknowledged the "
-                f"context push with the wrong digest")
-        if not self._psk_agrees(mac, answered):
+                f"{worker} answered {what} for a different service "
+                f"context ({group_name!r}/{answered.hex()[:16]}..., "
+                f"expected {self._group_name!r}/{digest.hex()[:16]}...)")
+        if not _psk_agrees(self._psk, mac, answered):
             raise HandshakeError(
-                f"remote worker {endpoint.address} acknowledged the "
-                f"context push with a bad PSK authenticator")
-        return True
+                f"{worker} answered {what} with a bad PSK authenticator "
+                f"(pre-shared keys differ, or only one side has one "
+                f"configured)")
 
     # -- connection management ----------------------------------------------
     def _fail_pending(self, endpoint: _Endpoint) -> bool:
@@ -836,11 +845,13 @@ class RemoteWorkerPool:
             except _CONNECTION_ERRORS + (asyncio.TimeoutError,):
                 return False
             try:
-                write_frame(writer, FRAME_KIND_HELLO,
-                            self._hello_payload())
+                write_frame(writer, FRAME_KIND_HELLO, _hello_payload(
+                    self._group_name, self._digest, self._psk))
                 await writer.drain()
                 kind, _, payload = await asyncio.wait_for(
                     read_frame(reader), self.dial_timeout_s)
+                self._check_hello(endpoint, "the handshake", kind, payload,
+                                  self._digest)
             except _CONNECTION_ERRORS + (asyncio.TimeoutError,):
                 writer.close()
                 return False
@@ -849,36 +860,9 @@ class RemoteWorkerPool:
                 raise HandshakeError(
                     f"remote worker {endpoint.address} sent a malformed "
                     f"handshake frame: {exc}")
-            if kind == FRAME_KIND_ERROR:
+            except HandshakeError:
                 writer.close()
-                raise HandshakeError(
-                    f"remote worker {endpoint.address} refused the "
-                    f"handshake: {payload.decode('utf-8', 'replace')}")
-            if kind != FRAME_KIND_HELLO:
-                writer.close()
-                raise HandshakeError(
-                    f"remote worker {endpoint.address} answered HELLO "
-                    f"with frame kind {kind!r}")
-            try:
-                group_name, digest, mac = decode_hello(payload)
-            except SerializationError as exc:
-                writer.close()
-                raise HandshakeError(
-                    f"remote worker {endpoint.address} sent a bad HELLO "
-                    f"payload: {exc}")
-            if group_name != self._group_name or digest != self._digest:
-                writer.close()
-                raise HandshakeError(
-                    f"remote worker {endpoint.address} serves a different "
-                    f"service context ({group_name!r}/"
-                    f"{digest.hex()[:16]}..., expected "
-                    f"{self._group_name!r}/{self._digest.hex()[:16]}...)")
-            if not self._psk_agrees(mac, digest):
-                writer.close()
-                raise HandshakeError(
-                    f"remote worker {endpoint.address} answered HELLO "
-                    f"with a bad PSK authenticator (pre-shared keys "
-                    f"differ, or only one side has one configured)")
+                raise
             endpoint.reader, endpoint.writer = reader, writer
             endpoint.reader_task = asyncio.get_running_loop().create_task(
                 self._reader_loop(endpoint),

@@ -347,6 +347,49 @@ class TestGatewayDataPlane:
                 assert gateway.service.handle.epoch == 1
         run(scenario())
 
+    def test_stalled_requests_are_closed_undispatched(self, handle,
+                                                      monkeypatch):
+        """A request that stops arriving — mid-body or mid-head — is
+        closed with no reply ``REQUEST_DEADLINE_S`` after its first
+        byte, and never dispatched.  A keep-alive connection idle
+        between requests is not timed."""
+        from repro.service import gateway as gateway_module
+        monkeypatch.setattr(gateway_module, "REQUEST_DEADLINE_S", 0.2)
+        sign_head = (b"POST /v1/sign HTTP/1.1\r\nX-API-Key: alpha-key\r\n"
+                     b"Content-Length: %d\r\n\r\n")
+        sign_body = b'{"message": "00"}'
+        stalls = (sign_head % 64 + b"0" * 10,
+                  b"POST /admin/refresh HTTP/1.1\r\nX-API-Ke")
+
+        async def scenario():
+            async with gateway_running(handle) as gateway:
+                for blob in stalls:
+                    reader, writer = await asyncio.open_connection(
+                        gateway.host, gateway.port)
+                    writer.write(blob)
+                    await writer.drain()
+                    # The gateway hangs up: EOF, with no bytes.
+                    assert await asyncio.wait_for(
+                        reader.read(), timeout=5) == b""
+                    writer.close()
+                assert gateway.requests_total == {}
+                assert gateway.service.snapshot_stats().accepted == 0
+                assert gateway.service.handle.epoch == 0
+                reader, writer = await asyncio.open_connection(
+                    gateway.host, gateway.port)
+                for _ in range(2):
+                    writer.write(sign_head % len(sign_body) + sign_body)
+                    await writer.drain()
+                    head = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), timeout=5)
+                    assert head.startswith(b"HTTP/1.1 200 OK")
+                    length = int(head.split(b"Content-Length: ")[1]
+                                 .split(b"\r\n")[0])
+                    await reader.readexactly(length)
+                    await asyncio.sleep(0.5)    # idle past the deadline
+                writer.close()
+        run(scenario())
+
     def test_unknown_route_and_method(self, handle):
         async def scenario():
             async with gateway_running(handle) as gateway:

@@ -112,6 +112,18 @@ class _Fixture:
             items.append((message, partial))
         return items
 
+    def signature_values(self, messages, signatures, coins):
+        """The scheme's ``value_of`` over signatures, under ``coins``."""
+        return self.scheme._values(
+            self.pk, *self.scheme._signed(self.pk, messages, signatures),
+            coins)
+
+    def partial_values(self, items, coins):
+        """The scheme's ``value_of`` over keyed ``(message, partial)``
+        items, under ``coins``."""
+        keys, checked, _, _ = self.scheme._keyed(self.vks, items)
+        return self.scheme._values(self.pk, keys, checked, coins)
+
     def scan_signatures(self, messages, signatures):
         return [position for position, (message, signature)
                 in enumerate(zip(messages, signatures))
@@ -233,8 +245,7 @@ class TestLocalizerSweepToy:
                 good = signatures[position]
                 signatures[position] = Signature(
                     z=good.z * toy.g ** (shift % order), r=good.r)
-            value_of = toy.scheme._signature_values(
-                toy.pk, messages, signatures, [1] * size)
+            value_of = toy.signature_values(messages, signatures, [1] * size)
             assert _descend(value_of, 0, size, value_of(0, size),
                             value_of(0, size, weighted=True)) == [k]
             assert toy.scheme.locate_invalid(
@@ -368,9 +379,7 @@ def evaluations(toy, monkeypatch):
             return counted
         return counted_build
 
-    for name in ("_signature_values", "_share_values"):
-        monkeypatch.setattr(
-            toy.scheme, name, counting(getattr(toy.scheme, name)))
+    monkeypatch.setattr(toy.scheme, "_values", counting(toy.scheme._values))
     return calls
 
 
@@ -387,8 +396,8 @@ class TestLocalizerCost:
             toy.pk, messages, signatures, rng=toy.rng)
         spent = len(evaluations)
         del evaluations[:]
-        value_of = toy.scheme._signature_values(
-            toy.pk, messages, signatures, _coins(len(messages), toy.rng))
+        value_of = toy.signature_values(
+            messages, signatures, _coins(len(messages), toy.rng))
         count = len(messages)
         assert _plain_bisection(
             value_of, 0, count, value_of(0, count)) == located
@@ -457,8 +466,8 @@ class TestLocalizerCost:
                 order = sorted(range(size),
                                key=lambda position: items[position][1].index)
                 del evaluations[:]
-                value_of = toy.scheme._share_values(
-                    toy.pk, toy.vks, [items[position] for position in order],
+                value_of = toy.partial_values(
+                    [items[position] for position in order],
                     _coins(size, toy.rng))
                 located = _plain_bisection(
                     value_of, 0, size, value_of(0, size))
@@ -477,8 +486,7 @@ class TestLocalizerCost:
                 if len(forged) <= 1:
                     assert len(spent) == 1 + len(forged)
                 del evaluations[:]
-                value_of = toy.scheme._share_values(
-                    toy.pk, toy.vks, items, _coins(size, toy.rng))
+                value_of = toy.partial_values(items, _coins(size, toy.rng))
                 _plain_bisection(value_of, 0, size, value_of(0, size))
                 assert len(spent) <= len(evaluations), (size, name)
 

@@ -574,6 +574,43 @@ class TestRobustPathOperationCounts:
         assert not any(verdicts)
         assert (spent["miller_loops"], spent["final_exps"]) == (64, 16)
 
+    def test_multi_signer_share_verify_is_one_product(self, bn254_group,
+                                                      rng):
+        """Share-Verify over several signers' partials is one product of
+        ``2 + 2 * signers`` pairs, not a four-pair product per signer:
+        3 signers x 4 messages cost (8, 1), not (12, 3); one signer's 4
+        cost (4, 1).  Localizing one forged partial among the 12 descends
+        without a companion, signer-major: signer 1's on the second
+        message sits at offset 1, reached through slices of 12, 6, 3, 1
+        and 1 items — 8 + 6 + 4 + 4 + 4 pairs, (26, 5)."""
+        import random
+
+        from repro.core.scheme import ServiceHandle
+        # Its own keys: the class handle's preparations are pinned below.
+        service_handle = ServiceHandle.dealer(bn254_group, 2, 5,
+                                              rng=random.Random(29))
+        messages = [b"share-verify %d" % i for i in range(4)]
+        items = [(message, partial) for message in messages
+                 for partial in service_handle.partials_for(message)]
+        scheme, pk = service_handle.scheme, service_handle.public_key
+        vks = service_handle.verification_keys
+        for window, cost in ((items, (8, 1)),
+                             ([item for item in items
+                               if item[1].index == items[0][1].index],
+                              (4, 1))):
+            valid, spent = self._counted(
+                lambda: scheme.batch_share_verify_window(
+                    pk, vks, window, rng=rng))
+            assert valid
+            assert (spent["miller_loops"], spent["final_exps"]) == cost
+        message, good = items[3]
+        items[3] = (message, PartialSignature(
+            index=good.index, z=good.z * good.z, r=good.r))
+        located, spent = self._counted(
+            lambda: scheme.locate_invalid_partials(pk, vks, items, rng=rng))
+        assert located == [3]
+        assert (spent["miller_loops"], spent["final_exps"]) == (26, 5)
+
     def test_one_off_combine_is_a_window_of_one(self, bn254_group, rng):
         """Robust ``combine`` is ``combine_window`` over one message:
         one Verify when the first t+1 partials are honest; a forged one

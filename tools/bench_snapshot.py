@@ -395,7 +395,7 @@ def run_snapshot(rounds: int) -> dict:
          lambda: all(naive.verify(pk, sig, msg)
                      for msg, sig in zip(batch_messages,
                                          batch_signatures))),
-        # The combiner's window-level Share-Verify: K shares across K
+        # The multi-signer Share-Verify batch: K shares across K
         # messages under ONE multi-pairing, vs one full naive
         # Share-Verify (4 inline pairings) per share.
         ("svc_robust_batch_shareverify", BATCH_K,

@@ -11,7 +11,11 @@ and fails (exit 1, one reason per line) when:
   punctuation stripped, spaces to hyphens);
 * a `` `path/to/file.py` `` code span that looks like a repo path names
   a file that does not exist (so module moves cannot silently strand
-  the architecture docs).
+  the architecture docs);
+* a `` `path/to/file.py:Symbol` `` span names a symbol the file does
+  not define at top level — a def, class or assigned name — or, as
+  ``Class.member``, inside a top-level class (so renames cannot
+  either).  A numeric tail is a line number and must be in the file.
 
 External links (``http://``, ``https://``, ``mailto:``) are not fetched
 — CI must not depend on the network.
@@ -24,6 +28,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
 import pathlib
 import re
 import sys
@@ -34,11 +39,38 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: ATX headings, for anchor checking.
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 #: Code spans that look like repository file paths (contain a slash and
-#: a known source/doc suffix; an optional :symbol / :line tail is
-#: stripped before the existence check).
+#: a known source/doc suffix), with an optional :symbol / :line tail.
 CODE_PATH_RE = re.compile(
     r"`([A-Za-z0-9_.\-]+(?:/[A-Za-z0-9_.\-]+)+"
-    r"\.(?:py|md|json|yml|txt))(?::[A-Za-z0-9_.]+)?`")
+    r"\.(?:py|md|json|yml|txt))(?::([A-Za-z0-9_.]+))?`")
+
+
+def _defined(body) -> set:
+    """Names a module or class body binds directly: defs, classes and
+    assignment targets."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(target.id for target in targets
+                         if isinstance(target, ast.Name))
+    return names
+
+
+def python_symbols(source: str) -> set:
+    """What a ``file.py:Symbol`` reference may name: every top-level
+    name, and ``Class.member`` for each top-level class."""
+    tree = ast.parse(source)
+    symbols = _defined(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            symbols.update(f"{node.name}.{member}"
+                           for member in _defined(node.body))
+    return symbols
 
 
 def github_slug(heading: str) -> str:
@@ -91,16 +123,31 @@ def check_document(path: pathlib.Path, root: pathlib.Path) -> list:
                 f"found in {resolved.relative_to(root)}")
 
     for match in CODE_PATH_RE.finditer(markdown):
-        candidate = match.group(1)
+        candidate, symbol = match.groups()
         # A code-span path may be written relative to the repo root or
         # to the document's own directory (benchmarks/README.md says
         # `results/...`); accept either.
-        if not (root / candidate).exists() and \
-                not (path.parent / candidate).exists():
+        target = next((base / candidate for base in (root, path.parent)
+                       if (base / candidate).exists()), None)
+        if target is None:
             problems.append(
                 f"{path.relative_to(root)}: code reference "
                 f"`{candidate}` names a file that does not exist")
+        elif symbol and not _resolves(target, symbol):
+            problems.append(
+                f"{path.relative_to(root)}: code reference "
+                f"`{candidate}:{symbol}` names a symbol that "
+                f"{candidate} does not define")
     return problems
+
+
+def _resolves(target: pathlib.Path, symbol: str) -> bool:
+    """Whether ``symbol`` — a line number, or a name in a ``.py``
+    file — exists in ``target``."""
+    source = target.read_text()
+    if symbol.isdigit():
+        return 0 < int(symbol) <= len(source.splitlines())
+    return target.suffix == ".py" and symbol in python_symbols(source)
 
 
 def main(argv=None) -> int:
@@ -128,7 +175,7 @@ def main(argv=None) -> int:
             print(f"  - {problem}")
         return 1
     print(f"docs-check passed: {len(documents)} documents, all internal "
-          "links and code references resolve")
+          "links, code references and their symbols resolve")
     return 0
 
 
