@@ -132,13 +132,16 @@ class LJYAggregateScheme(LJYThresholdScheme):
     # Share-Sign hashes the key, so it takes it first.
     def share_sign(self, public_key: AggPublicKey, share: PrivateKeyShare,
                    message: bytes) -> PartialSignature:
-        return self.share_sign_many(public_key, [share], message)[0]
+        return self.share_sign_many(public_key, [share], [message])[0][0]
 
     def share_sign_many(self, public_key: AggPublicKey,
                         shares: Sequence[PrivateKeyShare],
-                        message: bytes) -> List[PartialSignature]:
+                        messages: Sequence[bytes]
+                        ) -> List[List[PartialSignature]]:
         return partials_over(
-            self.group, self.hashed(public_key, message), shares)
+            self.group,
+            [self.hashed(public_key, message) for message in messages],
+            shares)
 
     def verify(self, public_key: AggPublicKey, message: bytes,
                signature: Signature) -> bool:

@@ -39,27 +39,30 @@ _LOG = logging.getLogger(__name__)
 
 
 def partials_over(group: BilinearGroup,
-                  hashed: Tuple[GroupElement, GroupElement],
+                  hashed: Sequence[Tuple[GroupElement, GroupElement]],
                   shares: Sequence[PrivateKeyShare]
-                  ) -> List[PartialSignature]:
+                  ) -> List[List[PartialSignature]]:
     """``(z_i, r_i) = (H_1^{-A_1(i)} H_2^{-A_2(i)}, H_1^{-B_1(i)}
-    H_2^{-B_2(i)})`` for every share, in order: 2 * len(shares) exponent
-    rows over the one hashed pair, handed to
-    :meth:`~repro.groups.api.BilinearGroup.multi_exp_rows` together so
-    they share its per-base work — on BN254, a quorum's rows (more rows
-    than bases) share one doubling ladder of ``(H_1, H_2)``, one share's
-    two rows share odd-multiples tables.  ``hashed`` is
-    :meth:`LJYThresholdScheme.hashed`'s pair.
+    H_2^{-B_2(i)})`` for every share, in order, on every hashed pair:
+    one partial list per pair.  The 2 * len(shares) exponent rows are
+    handed to :meth:`~repro.groups.api.BilinearGroup.multi_exp_windows`
+    once, over all pairs, so they share its per-base and per-row work —
+    on BN254, a quorum's rows (more rows than bases) are recoded once
+    and double each ``(H_1, H_2)`` once, one share's two rows share
+    odd-multiples tables.  ``hashed`` holds
+    :meth:`LJYThresholdScheme.hashed`'s pairs.
     """
     rows = []
     for share in shares:
         rows.append((-share.a_1, -share.a_2))
         rows.append((-share.b_1, -share.b_2))
-    points = iter(group.multi_exp_rows(hashed, rows))
-    return [
-        PartialSignature(index=share.index, z=z, r=r)
-        for share, z, r in zip(shares, points, points)
-    ]
+    partials = []
+    for points in group.multi_exp_windows(hashed, rows):
+        points = iter(points)
+        partials.append([
+            PartialSignature(index=share.index, z=z, r=r)
+            for share, z, r in zip(shares, points, points)])
+    return partials
 
 
 def _coins(count: int, rng) -> List[int]:
@@ -222,17 +225,22 @@ class LJYThresholdScheme:
         ``r_i = H_1^{-B_1(i)} H_2^{-B_2(i)}`` — two exponent rows over
         the one hashed pair, so both share its precomputation.
         """
-        return self.share_sign_many([share], message)[0]
+        return self.share_sign_many([share], [message])[0][0]
 
     def share_sign_many(self, shares: Sequence[PrivateKeyShare],
-                        message: bytes) -> List[PartialSignature]:
-        """Share-Sign for several local shares on one message, in the
-        order given (see :func:`partials_over`).
+                        messages: Sequence[bytes]
+                        ) -> List[List[PartialSignature]]:
+        """Share-Sign for several local shares on several messages: one
+        partial list per message, shares in the order given (see
+        :func:`partials_over`).
 
         Shares are never combined with each other — each partial is
-        exactly what :meth:`share_sign` returns for that share.
+        exactly what :meth:`share_sign` returns for that share and
+        message.
         """
-        return partials_over(self.group, self.hashed(None, message), shares)
+        return partials_over(
+            self.group, [self.hashed(None, message) for message in messages],
+            shares)
 
     # ------------------------------------------------------------------
     # Verification: one equation, keyed by PK or VK_i
@@ -884,30 +892,34 @@ class ServiceHandle:
                      ) -> List[PartialSignature]:
         """Partial signatures from ``signers`` (default: the first quorum)."""
         return self.partials_with_faults(
-            message, self.quorum() if signers is None else signers)
+            [message], self.quorum() if signers is None else signers)[0]
 
-    def partials_with_faults(self, message: bytes,
+    def partials_with_faults(self, messages: Sequence[bytes],
                              signers: Sequence[int],
                              fault_injector=None,
                              shard_id: int = 0
-                             ) -> List[PartialSignature]:
-        """Like :meth:`partials_for`, with every partial run through a
-        service-layer fault injector (see :mod:`repro.service.faults`)
-        once, in signer order, after signing.
+                             ) -> List[List[PartialSignature]]:
+        """Partial signatures from ``signers`` on every message, one
+        list per message, with every partial run through a service-layer
+        fault injector (see :mod:`repro.service.faults`) once after
+        signing: message-major, in signer order.
         The single producer of a window's partials — at arrival (a
-        shard pre-signing while its window forms), at close, on a
-        remote worker, or as a top-up — so injector semantics cannot
-        diverge between them.
+        shard pre-signing while its window forms), at close (every
+        position not pre-signed, in one call), on a remote worker, or as
+        a top-up — so injector semantics cannot diverge between them.
         """
         signers = list(signers)
         produced = partials_over(
-            self.scheme.group, self.scheme.hashed(self.public_key, message),
+            self.scheme.group,
+            [self.scheme.hashed(self.public_key, message)
+             for message in messages],
             [self.shares[index] for index in signers])
         if fault_injector is None:
             return produced
         return [
-            fault_injector(shard_id, index, message, partial)
-            for index, partial in zip(signers, produced)
+            [fault_injector(shard_id, index, message, partial)
+             for index, partial in zip(signers, partials)]
+            for message, partials in zip(messages, produced)
         ]
 
     def process_sign_window(self, messages: Sequence[bytes],
@@ -917,11 +929,12 @@ class ServiceHandle:
                             presigned: Optional[Mapping[int, list]] = None):
         """Serve one batch window of sign requests end to end.
 
-        Produces the quorum's partial signatures per message (running
-        ``fault_injector`` over each, when given — see
-        :mod:`repro.service.faults`), except at the window positions
-        ``presigned`` holds them for (the caller vouches they are this
-        handle's and quorum's), and combines the window through
+        Produces the quorum's partial signatures for every window
+        position ``presigned`` holds none for (the caller vouches its
+        partials are this handle's and quorum's) in ONE
+        :meth:`partials_with_faults` call, running ``fault_injector``
+        over each when given (see :mod:`repro.service.faults`), and
+        combines the window through
         :meth:`LJYThresholdScheme.combine_window` (one cross-message
         batch check) with this handle's :class:`Suspects`.  A request
         whose quorum held a forged partial drops it and tops up from
@@ -940,10 +953,15 @@ class ServiceHandle:
         from repro.serialization import SignWindowOutcome
         indices = self.quorum() if quorum is None else list(quorum)
         presigned = presigned or {}
+        unsigned = [position for position in range(len(messages))
+                    if not presigned.get(position)]
+        made = {}
+        if unsigned:
+            made = dict(zip(unsigned, self.partials_with_faults(
+                [messages[position] for position in unsigned], indices,
+                fault_injector=fault_injector, shard_id=shard_id)))
         windows = [
-            (message, presigned.get(position) or self.partials_with_faults(
-                message, indices, fault_injector=fault_injector,
-                shard_id=shard_id))
+            (message, presigned.get(position) or made[position])
             for position, message in enumerate(messages)
         ]
         ring = self._signer_ring
@@ -958,9 +976,9 @@ class ServiceHandle:
                 # This request's first step beyond its quorum.
                 topped_up += 1
             return self.partials_with_faults(
-                message,
+                [message],
                 [index for index in reserve if index not in asked][:missing],
-                fault_injector=fault_injector, shard_id=shard_id)
+                fault_injector=fault_injector, shard_id=shard_id)[0]
 
         signatures, flagged = self.scheme.combine_window(
             self.public_key, self.verification_keys, windows, rng=rng,

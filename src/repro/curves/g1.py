@@ -124,10 +124,21 @@ class G1Point:
     @classmethod
     def multi_mul_rows(cls, points, scalar_rows) -> "list[G1Point]":
         """``[sum_j row[j] * points[j] for row in scalar_rows]`` — every
-        row against one shared precomputation of ``points`` (see
-        :func:`~repro.math.msm.multi_scalar_mul_rows`)."""
-        return [cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
-            FP_OPS, [point._jac for point in points], scalar_rows, _R, GLV)]
+        row against one shared precomputation of ``points``: a window of
+        one point set (:meth:`multi_mul_windows`)."""
+        return cls.multi_mul_windows([points], scalar_rows)[0]
+
+    @classmethod
+    def multi_mul_windows(cls, point_sets, scalar_rows
+                          ) -> "list[list[G1Point]]":
+        """:meth:`multi_mul_rows` for every point set, the rows recoded
+        once and each base doubled once (see
+        :func:`~repro.math.msm.multi_scalar_mul_windows`)."""
+        return [[cls(_jac=jac) for jac in products]
+                for products in msm.multi_scalar_mul_windows(
+                    FP_OPS, [[point._jac for point in points]
+                             for points in point_sets],
+                    scalar_rows, _R, GLV)]
 
     @classmethod
     def batch_normalize(cls, points) -> None:

@@ -42,6 +42,11 @@ _P = bn254.P
 _HASH_G1_CACHE: "OrderedDict[tuple, G1Point]" = OrderedDict()
 _HASH_G1_CACHE_LIMIT = 256
 
+#: :func:`hash_to_g1` calls in this process answered by the memo
+#: (``g1_hits``) and by try-and-increment (``g1_misses``) — the
+#: hashing counterpart of ``PAIRING_COUNTERS``; read deltas, never reset.
+HASH_COUNTERS = {"g1_hits": 0, "g1_misses": 0}
+
 
 def hash_to_g1_uncached(message: bytes,
                         domain: str = "repro:H:G1") -> G1Point:
@@ -72,8 +77,10 @@ def hash_to_g1(message: bytes, domain: str = "repro:H:G1") -> G1Point:
     key = (domain, message)
     hit = _HASH_G1_CACHE.get(key)
     if hit is not None:
+        HASH_COUNTERS["g1_hits"] += 1
         _HASH_G1_CACHE.move_to_end(key)
         return hit
+    HASH_COUNTERS["g1_misses"] += 1
     point = hash_to_g1_uncached(message, domain)
     _HASH_G1_CACHE[key] = point
     if len(_HASH_G1_CACHE) > _HASH_G1_CACHE_LIMIT:

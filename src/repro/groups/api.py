@@ -172,16 +172,25 @@ class BilinearGroup(ABC):
                        scalar_rows: Sequence[Sequence[int]]
                        ) -> List[GroupElement]:
         """``[multi_exp(bases, row) for row in scalar_rows]`` — many
-        multi-exponentiations over the *same* bases.
+        multi-exponentiations over the *same* bases: a window of one
+        base set (:meth:`multi_exp_windows`)."""
+        return self.multi_exp_windows([bases], scalar_rows)[0]
+
+    def multi_exp_windows(self, base_sets: Sequence[Sequence[GroupElement]],
+                          scalar_rows: Sequence[Sequence[int]]
+                          ) -> List[List[GroupElement]]:
+        """``[[multi_exp(bases, row) for row in scalar_rows] for bases in
+        base_sets]`` — the same exponent rows over many base sets.
 
         Share-Sign is the shape: ``z_i`` and ``r_i``, for every signer
         of a quorum, are all products over the hashed pair
-        ``(H_1, H_2)``.  The default loops :meth:`multi_exp`; backends
-        whose multi-exponentiation precomputes per base do that work
-        once for all rows.
+        ``(H_1, H_2)``, and a window signs many messages under one
+        quorum.  The default loops :meth:`multi_exp`; backends whose
+        multi-exponentiation precomputes per base or per row do that
+        work once for all rows, or once for all sets.
         """
-        bases = list(bases)
-        return [self.multi_exp(bases, row) for row in scalar_rows]
+        return [[self.multi_exp(list(bases), row) for row in scalar_rows]
+                for bases in base_sets]
 
     def batch_normalize(self, elements: Sequence[GroupElement]) -> None:
         """Hint that many elements are about to enter hot arithmetic.

@@ -212,22 +212,26 @@ class BN254Group(BilinearGroup):
             return wrapper(result)
         return wrapper(point_cls.multi_mul(points, scalars))
 
-    def multi_exp_rows(self, bases: Sequence[GroupElement],
-                       scalar_rows: Sequence[Sequence[int]]
-                       ) -> List[GroupElement]:
-        """G1 rows go to :func:`~repro.math.msm.multi_scalar_mul_rows` in
-        one call: more rows than bases share one doubling ladder of the
-        bases, fewer share one odd-multiples table per base.  The other
-        groups take the per-row default."""
-        bases = list(bases)
-        if not all(isinstance(base, BNG1) for base in bases):
-            return super().multi_exp_rows(bases, scalar_rows)
-        rows = [
-            self._checked_multi_exp_args(bases, row)[1]
-            for row in scalar_rows
-        ]
-        return [BNG1(point) for point in G1Point.multi_mul_rows(
-            [base.point for base in bases], rows)]
+    def multi_exp_windows(self, base_sets: Sequence[Sequence[GroupElement]],
+                          scalar_rows: Sequence[Sequence[int]]
+                          ) -> List[List[GroupElement]]:
+        """G1 sets go to :func:`~repro.math.msm.multi_scalar_mul_windows`
+        in one call: more rows than bases share one doubling ladder per
+        base and one recoding of the rows for all sets, fewer share one
+        odd-multiples table per base.  The other groups take the per-row
+        default."""
+        base_sets = [list(bases) for bases in base_sets]
+        if not all(isinstance(base, BNG1)
+                   for bases in base_sets for base in bases):
+            return super().multi_exp_windows(base_sets, scalar_rows)
+        rows = [list(row) for row in scalar_rows]
+        for bases in base_sets:
+            for row in rows:
+                self._checked_multi_exp_args(bases, row)
+        return [[BNG1(point) for point in products]
+                for products in G1Point.multi_mul_windows(
+                    [[base.point for base in bases] for bases in base_sets],
+                    rows)]
 
     def batch_normalize(self, elements: Sequence[GroupElement]) -> None:
         """Normalize the Jacobian representations of many source-group

@@ -54,13 +54,42 @@ buckets of all rows pairwise with batched affine additions
 round) and folds each row as ``sum_u (2u + 1) * S_u``.  A row then costs
 only additions at ~6 multiplications each; the ladder, 2 x 128
 doublings plus one normalization, is paid once per call.
-:func:`multi_scalar_mul_rows` picks it from the input's shape alone:
+:func:`multi_scalar_mul_windows` picks it from the input's shape alone:
 more rows than live bases, over a prime field (G1).  Measured twice on
 one 2-core box (full-size scalars over hash-to-curve bases), the ladder
 took 1.27-1.31x the lanes' time on 2 bases x 2 rows (one-share
 Share-Sign), 0.98-1.00x at 2 x 3, 0.71x at 2 x 6 (the t = 2 quorum) and
 0.57-0.59x at 2 x 10; over 3 bases, 1.13-1.14x at 3 x 3 (DLIN's
 Share-Sign), 0.94-0.96x at 3 x 4 and 0.60-0.64x at 3 x 10.
+
+**The window form.**  A batch window Share-Signs all its messages under
+one quorum: the same rows over many base sets, one ``(H_1, H_2)`` per
+message.  :func:`multi_scalar_mul_windows` hands every set to ONE
+ladder call, which splits and recodes the rows once (a schedule of
+``(slot, variant, bucket, sign)`` entries per bit, shared by all sets)
+rather than once per message.  From ``_AFFINE_LADDER_BASES`` (8) live
+bases in all it also changes how rungs are made: every base is doubled
+in *affine* coordinates, ``2P`` by the tangent slope, one
+:func:`~repro.curves.weierstrass.batch_add_affine_fp` per rung across
+all bases — ~7 multiplications a rung against ~16 for a Jacobian
+doubling plus its share of the final normalization — and the bucket
+pairs that rung completed ride in the same batch, so they share its
+inversion.  The inversion is what sets the crossover: one per rung is
+~128 inversions a call, worth it only over enough bases.  Measured in
+one process on the 2-core box, alternating 15-21 times (2 bases x 6
+rows a set, per-message Jacobian calls = 1.00): the affine ladder took
+1.41x at 1 set, 1.09-1.12x at 2, 0.98-0.99x at 3, 0.93-0.94x at 4 and
+0.81x at 16 (a full window); the Jacobian ladder over a whole window
+took 0.96-1.00x at every size.  Below 8 bases — a presigned request, a
+top-up, one share's Share-Sign — the ladder stays Jacobian with one
+normalization, exactly the per-message kernel.
+
+A streamed rung is filed into its buckets as soon as it exists and is
+then dropped, and a bucket is paired down as soon as it holds two
+points, so what a call holds is the current rung of every base plus a
+few points per bucket.  Stored ladders would be ~130 rungs x 32 bases
+plus their phi-images per window, ~1.5-2 MB of Python ints — beyond
+what a window may add to a signing process's resident set.
 
 The other algorithms:
 
@@ -286,55 +315,97 @@ def _run_lanes(ops: FieldOps, schedule: List[list]):
     return result
 
 
-#: Rows served by each kernel of :func:`multi_scalar_mul_rows` in this
-#: process (``ladder_rows`` / ``lane_rows``), one increment per call —
-#: the MSM counterpart of ``PAIRING_COUNTERS``; read deltas, never reset.
-MSM_COUNTERS = {"ladder_rows": 0, "lane_rows": 0}
+#: Work served by each kernel of :func:`multi_scalar_mul_windows` in this
+#: process: rows per kernel (``ladder_rows`` / ``lane_rows``, every base
+#: set's rows counted) and ladder-kernel calls (``ladder_calls``) — the
+#: MSM counterpart of ``PAIRING_COUNTERS``; read deltas, never reset.
+MSM_COUNTERS = {"ladder_rows": 0, "lane_rows": 0, "ladder_calls": 0}
 
 #: w-NAF widths: the lane kernel's odd-multiples tables (2^{w-2} entries
 #: per base) and the ladder kernel's buckets (2^{w-2} per row).
 _LANE_WIDTH = 4
 _LADDER_WIDTH = 5
 
+#: Live bases, over all base sets of one ladder call, from which the
+#: rungs are doubled in affine coordinates (one inversion per rung)
+#: instead of in Jacobian ones normalized together at the end.  See the
+#: module docstring for the measurement behind it.
+_AFFINE_LADDER_BASES = 8
+
 
 def multi_scalar_mul_rows(ops: FieldOps, points: Sequence,
                           scalar_rows: Sequence[Sequence[int]], order: int,
                           endo: Optional[Endomorphism] = None) -> list:
     """``[sum_j row[j] * points[j] for row in scalar_rows]`` — many
-    products over the *same* bases.
+    products over the *same* bases: :func:`multi_scalar_mul_windows`
+    over a window of one base set."""
+    return multi_scalar_mul_windows(
+        ops, [points], scalar_rows, order, endo)[0]
 
-    More rows than live bases (and at least one) over a prime field
-    (Share-Sign's 2(t+1) rows over ``(H_1, H_2)``) go to the ladder
-    kernel (:func:`_ladder_rows`): the bases are doubled once for all
-    rows.  Every other shape — one row, G2, few rows over many bases,
-    nothing live — builds
-    one odd-multiples table per base (one batch inversion), recodes each
-    row into lanes against it and runs them through :func:`_run_lanes`.
-    Either way nothing outlives the call.
+
+def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
+                             scalar_rows: Sequence[Sequence[int]],
+                             order: int,
+                             endo: Optional[Endomorphism] = None
+                             ) -> List[list]:
+    """``[[sum_j row[j] * points[j] for row in scalar_rows] for points
+    in point_sets]`` — the same rows over many base sets (Share-Sign of
+    a window: one quorum's rows over every message's ``(H_1, H_2)``).
+
+    Sets whose live bases (non-identity, under some nonzero scalar) are
+    fewer than the rows, over a prime field, go to the ladder kernel
+    (:func:`_ladder_rows`) in ONE call per live pattern: each base is
+    doubled once for all rows, and the rows are split and recoded once
+    for all sets.  Every other shape — one row, G2, few rows over many
+    bases, nothing live — builds one odd-multiples table per base (one
+    batch inversion), recodes each row into lanes against it and runs
+    them through :func:`_run_lanes`.  Either way nothing outlives the
+    call.
     """
     rows = []
     for row in scalar_rows:
-        if len(row) != len(points):
+        if any(len(row) != len(points) for points in point_sets):
             raise ValueError("points and scalars must have equal length")
         rows.append([scalar % order for scalar in row])
-    live = [
-        index for index, point in enumerate(points)
-        if not ops.is_zero(point[2]) and any(row[index] for row in rows)
-    ]
-    bases = [points[index] for index in live]
-    if ops.modulus is not None and 0 < len(live) < len(rows):
-        MSM_COUNTERS["ladder_rows"] += len(rows)
-        return _ladder_rows(
-            ops, bases, [[row[index] for index in live] for row in rows],
-            order, endo)
-    MSM_COUNTERS["lane_rows"] += len(rows)
+    width = len(point_sets[0]) if point_sets else 0
+    used = [index for index in range(width)
+            if any(row[index] for row in rows)]
+    patterns = {}
+    for position, points in enumerate(point_sets):
+        live = tuple(index for index in used
+                     if not ops.is_zero(points[index][2]))
+        patterns.setdefault(live, []).append(position)
+    results: List[list] = [None] * len(point_sets)
+    for live, positions in patterns.items():
+        if ops.modulus is not None and 0 < len(live) < len(rows):
+            MSM_COUNTERS["ladder_rows"] += len(rows) * len(positions)
+            MSM_COUNTERS["ladder_calls"] += 1
+            sums = _ladder_rows(
+                ops, [[point_sets[position][index] for index in live]
+                      for position in positions],
+                [[row[index] for index in live] for row in rows],
+                order, endo)
+        else:
+            MSM_COUNTERS["lane_rows"] += len(rows) * len(positions)
+            sums = [_lane_rows(
+                ops, [point_sets[position][index] for index in live],
+                [[row[index] for index in live] for row in rows],
+                order, endo) for position in positions]
+        for position, products in zip(positions, sums):
+            results[position] = products
+    return results
+
+
+def _lane_rows(ops: FieldOps, bases: Sequence, rows: Sequence[list],
+               order: int, endo: Optional[Endomorphism]) -> list:
+    """The lane kernel over one base set's live bases."""
     tables = _lane_tables(ops, bases, 1 << (_LANE_WIDTH - 2))
-    phi_tables = [None] * len(live)
+    phi_tables = [None] * len(bases)
     results = []
     for row in rows:
         schedule: List[list] = []
-        for slot, index in enumerate(live):
-            for k, variant in _split(row[index], order, endo):
+        for slot, scalar in enumerate(row):
+            for k, variant in _split(scalar, order, endo):
                 if not variant:
                     table = tables[slot]
                 else:
@@ -347,20 +418,27 @@ def multi_scalar_mul_rows(ops: FieldOps, points: Sequence,
     return results
 
 
-def _ladder_rows(ops: FieldOps, bases: Sequence, rows: Sequence[list],
-                 order: int, endo: Optional[Endomorphism]) -> list:
+def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
+                 rows: Sequence[list], order: int,
+                 endo: Optional[Endomorphism]) -> List[list]:
     """The ladder-and-bucket kernel: many rows over a few live bases, in
-    a prime field.
+    a prime field, for every base set of a window.
 
-    * **Ladder.**  Each base ``P`` is doubled once, to ``2^j * P`` for
-      every bit ``j`` its longest lane can reach; the whole ladder is
-      normalized with one inversion.  A phi-image ladder is ``(beta * x,
-      y)``, one multiplication per rung.
-    * **Buckets.**  Every row's lanes (:func:`_split`) are recoded to
-      w-NAF; a digit ``d`` at bit ``j`` files ``sign(d) * 2^j * P`` into
-      the row's bucket ``|d| >> 1``, so bucket ``u`` holds the points
+    * **Schedule.**  Every row's lanes (:func:`_split`) are recoded to
+      w-NAF once per call; a digit ``d`` at bit ``j`` of a lane over
+      slot ``s`` files ``sign(d) * 2^j * P_s`` into the row's bucket
+      ``|d| >> 1`` — in every set — so bucket ``u`` holds the points
       that are multiplied by ``2u + 1``.  No bucket point is doubled.
-    * **Reduction.**  All buckets of all rows are summed pairwise in
+    * **Ladder.**  Each base ``P`` is doubled once, to ``2^j * P`` for
+      every bit ``j`` its longest lane can reach; a phi-image rung is
+      ``(beta * x, y)``, one multiplication.  Under
+      ``_AFFINE_LADDER_BASES`` bases in all, the rungs are doubled in
+      Jacobian coordinates and normalized with one inversion at the end;
+      from there on each rung of every base is doubled in affine
+      coordinates, one :func:`batch_add_affine_fp` per rung, which also
+      adds the bucket pairs that rung completed.  A streamed rung is
+      filed as soon as it exists and then dropped.
+    * **Reduction.**  What is left in the buckets is summed pairwise in
       rounds, each round ONE :func:`batch_add_affine_fp` over every pair.
     * **Fold.**  Each row is ``sum_u (2u + 1) * S_u``: with running sums
       ``R_u = sum_{v >= u} S_v`` that is ``2 * sum_{u >= 1} R_u + R_0``.
@@ -369,61 +447,117 @@ def _ladder_rows(ops: FieldOps, bases: Sequence, rows: Sequence[list],
     no rung is the identity and no affine ``y`` is zero.
     """
     m = ops.modulus
-    lanes = [[_split(scalar, order, endo) for scalar in row] for row in rows]
-    jacobian = []
-    for slot, base in enumerate(bases):
-        top = max(abs(k).bit_length() for row in lanes for k, _ in row[slot])
-        rungs = [base]
-        for _ in range(top):
-            rungs.append(jac_double_fp(rungs[-1], m))
-        jacobian.append(rungs)
-    flat = iter(jac_batch_normalize(
-        ops, [rung for rungs in jacobian for rung in rungs]))
-    ladders = [list(islice(flat, len(rungs))) for rungs in jacobian]
-    images = None if endo is None else [
-        [(endo.beta * x % m, y) for x, y in ladder] for ladder in ladders]
-
-    buckets = []
-    for row in lanes:
-        row_buckets = [[] for _ in range(1 << (_LADDER_WIDTH - 2))]
-        for slot, slot_lanes in enumerate(row):
-            for k, variant in slot_lanes:
-                ladder = images[slot] if variant else ladders[slot]
-                negate = k < 0
+    width = 1 << (_LADDER_WIDTH - 2)
+    tops = [0] * len(rows[0])
+    schedule: List[list] = []
+    for position, row in enumerate(rows):
+        for slot, scalar in enumerate(row):
+            for k, variant in _split(scalar, order, endo):
+                tops[slot] = max(tops[slot], abs(k).bit_length())
+                schedule.extend(
+                    [] for _ in range(abs(k).bit_length() + 1
+                                      - len(schedule)))
                 for bit, digit in _wnaf_terms(abs(k), _LADDER_WIDTH):
-                    x, y = ladder[bit]
-                    if (digit < 0) != negate:
-                        y = m - y
-                    row_buckets[abs(digit) >> 1].append((x, y))
-        buckets.append(row_buckets)
+                    schedule[bit].append((
+                        slot, variant, position * width + (abs(digit) >> 1),
+                        (digit < 0) != (k < 0)))
+    buckets = [[[] for _ in range(len(rows) * width)] for _ in base_sets]
+    beta = None if endo is None else endo.beta
 
-    pending = [bucket for row in buckets for bucket in row if len(bucket) > 1]
+    def file(entries, rung, set_buckets, full):
+        """Every entry of one bit into one set's buckets, ``rung[slot]``
+        being that bit's affine rung; a bucket reaching two points goes
+        on ``full``."""
+        images = {}
+        for slot, variant, index, negative in entries:
+            if not variant:
+                x, y = rung[slot]
+            elif slot in images:
+                x, y = images[slot]
+            else:
+                x, y = rung[slot]
+                x = beta * x % m
+                images[slot] = x, y
+            bucket = set_buckets[index]
+            bucket.append((x, m - y) if negative else (x, y))
+            if len(bucket) == 2:
+                full.append(bucket)
+
+    if len(base_sets) * len(tops) < _AFFINE_LADDER_BASES:
+        jacobian = []
+        for bases in base_sets:
+            for base, top in zip(bases, tops):
+                jacobian.append(base)
+                for _ in range(top):
+                    jacobian.append(jac_double_fp(jacobian[-1], m))
+        flat = iter(jac_batch_normalize(ops, jacobian))
+        for set_buckets in buckets:
+            ladders = [list(islice(flat, top + 1)) for top in tops]
+            variants = (ladders, None if beta is None else [
+                [(beta * x % m, y) for x, y in ladder] for ladder in ladders])
+            for bit, entries in enumerate(schedule):
+                for slot, variant, index, negative in entries:
+                    x, y = variants[variant][slot][bit]
+                    set_buckets[index].append(
+                        (x, m - y) if negative else (x, y))
+        pending = [bucket for set_buckets in buckets
+                   for bucket in set_buckets if len(bucket) > 1]
+    else:
+        flat = iter(jac_batch_normalize(
+            ops, [base for bases in base_sets for base in bases]))
+        rungs = [[next(flat) for _ in tops] for _ in base_sets]
+        pending = []
+        for bit, entries in enumerate(schedule):
+            for rung, set_buckets in zip(rungs, buckets):
+                file(entries, rung, set_buckets, pending)
+            climbing = [slot for slot, top in enumerate(tops) if top > bit]
+            if not climbing and not pending:
+                continue
+            sums = iter(batch_add_affine_fp(
+                [(rung[slot], rung[slot]) for rung in rungs
+                 for slot in climbing]
+                + [pair for bucket in pending
+                   for pair in zip(bucket[0::2], bucket[1::2])], m))
+            for rung in rungs:
+                for slot in climbing:
+                    rung[slot] = next(sums)
+            pending = _reduced(pending, sums)
     while pending:
-        sums = iter(batch_add_affine_fp(
+        pending = _reduced(pending, iter(batch_add_affine_fp(
             [pair for bucket in pending
-             for pair in zip(bucket[0::2], bucket[1::2])], m))
-        still = []
-        for bucket in pending:
-            kept = [point for point in islice(sums, len(bucket) >> 1)
-                    if point is not None]
-            if len(bucket) & 1:
-                kept.append(bucket[-1])
-            bucket[:] = kept
-            if len(kept) > 1:
-                still.append(bucket)
-        pending = still
+             for pair in zip(bucket[0::2], bucket[1::2])], m)))
 
     results = []
-    for row in buckets:
-        running = total = (1, 1, 0)
-        for bucket in reversed(row[1:]):
-            if bucket:
-                running = jac_add_affine_fp(running, bucket[0], m)
-            total = jac_add_fp(total, running, m)
-        if row[0]:
-            running = jac_add_affine_fp(running, row[0][0], m)
-        results.append(jac_add_fp(jac_double_fp(total, m), running, m))
+    for set_buckets in buckets:
+        products = []
+        for start in range(0, len(set_buckets), width):
+            row = set_buckets[start:start + width]
+            running = total = (1, 1, 0)
+            for bucket in reversed(row[1:]):
+                if bucket:
+                    running = jac_add_affine_fp(running, bucket[0], m)
+                total = jac_add_fp(total, running, m)
+            if row[0]:
+                running = jac_add_affine_fp(running, row[0][0], m)
+            products.append(jac_add_fp(jac_double_fp(total, m), running, m))
+        results.append(products)
     return results
+
+
+def _reduced(pending: List[list], sums) -> List[list]:
+    """One pairwise round over ``pending`` buckets: each keeps its pairs'
+    sums (from ``sums``, identities dropped) plus an odd last point;
+    returns the buckets still holding two or more."""
+    still = []
+    for bucket in pending:
+        kept = [point for point in islice(sums, len(bucket) >> 1)
+                if point is not None]
+        if len(bucket) & 1:
+            kept.append(bucket[-1])
+        bucket[:] = kept
+        if len(kept) > 1:
+            still.append(bucket)
+    return still
 
 
 def scalar_mul(ops: FieldOps, point, scalar: int, order: int,

@@ -43,6 +43,7 @@ import asyncio
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.errors import ReproError
 from repro.math.msm import MSM_COUNTERS
@@ -599,7 +600,8 @@ class HttpGateway:
         — the numbers in :meth:`SigningService.snapshot_stats` and the
         tenant registry; the gateway adds its own route counters and
         latency histograms, and ``ljy_crypto_ops_total`` mirrors the
-        process-wide ``PAIRING_COUNTERS`` and ``MSM_COUNTERS`` dicts.
+        process-wide ``PAIRING_COUNTERS``, ``MSM_COUNTERS`` and
+        ``HASH_COUNTERS`` dicts.
         """
         stats = self.service.snapshot_stats()
         families: List[MetricFamily] = []
@@ -776,14 +778,17 @@ class HttpGateway:
 
         crypto_ops = MetricFamily(
             "ljy_crypto_ops_total", "counter",
-            "Pairing and MSM operations run in this process, by op "
-            "(MSM rows by the kernel that served them).")
+            "Pairing, MSM and hash-to-G1 operations run in this process, "
+            "by op (MSM rows by the kernel that served them).")
         for op, value in (
                 ("miller_loops", PAIRING_COUNTERS["miller_loops"]),
                 ("final_exps", PAIRING_COUNTERS["final_exps"]),
                 ("g2_preparations", PAIRING_COUNTERS["preparations"]),
                 ("msm_ladder_rows", MSM_COUNTERS["ladder_rows"]),
-                ("msm_lane_rows", MSM_COUNTERS["lane_rows"])):
+                ("msm_lane_rows", MSM_COUNTERS["lane_rows"]),
+                ("msm_ladder_calls", MSM_COUNTERS["ladder_calls"]),
+                ("hash_g1_hits", HASH_COUNTERS["g1_hits"]),
+                ("hash_g1_misses", HASH_COUNTERS["g1_misses"])):
             crypto_ops.add({"op": op}, value)
         families.append(crypto_ops)
         return families

@@ -140,9 +140,9 @@ class ShardWorker:
         try:
             request.presigned = (
                 self.handle, self.quorum, self.handle.partials_with_faults(
-                    request.message, self.quorum,
+                    [request.message], self.quorum,
                     fault_injector=self.fault_injector,
-                    shard_id=self.shard_id))
+                    shard_id=self.shard_id)[0])
         except Exception:  # the close re-raises it under the window's guard
             pass
         self.stats.busy_ms += (clock() - started) * 1000.0

@@ -210,8 +210,8 @@ def execute_job(handle, job, fault_injector=None):
     if isinstance(job, PartialSignJob):
         return PartialSignOutcome(partials=tuple(
             handle.partials_with_faults(
-                job.message, job.signers, fault_injector=fault_injector,
-                shard_id=job.shard_id)))
+                [job.message], job.signers, fault_injector=fault_injector,
+                shard_id=job.shard_id)[0]))
     raise TypeError(f"unknown job type {type(job).__name__}")
 
 

@@ -176,7 +176,7 @@ def run_dkg_scenario(seed: int, n: int, t: int, profile: str = "wan",
     # End-to-end: the distributively-generated shares must sign.
     public_key, vks = state["keys"]
     message = b"sim-dkg:%d:%d" % (seed, n)
-    partials = scheme.share_sign_many(state["shares"], message)
+    partials, = scheme.share_sign_many(state["shares"], [message])
     signature = scheme.combine(public_key, vks, message, partials,
                                rng=_rng(seed, "dkg-combine"))
     if not scheme.verify(public_key, message, signature):

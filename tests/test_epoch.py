@@ -320,16 +320,17 @@ class TestPresignedFence:
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        """``signed``: every ``partials_with_faults`` call as (epoch,
-        signers, message); ``combined``: every window handed to
+        """``signed``: every message ``partials_with_faults`` signs, as
+        (epoch, signers, message); ``combined``: every window handed to
         ``combine_window`` as [(message, partials)]."""
         signed, combined = [], []
         sign = ServiceHandle.partials_with_faults
         combine = LJYThresholdScheme.combine_window
 
-        def spy_sign(self, message, signers, **kwargs):
-            signed.append((self.epoch, tuple(signers), message))
-            return sign(self, message, signers, **kwargs)
+        def spy_sign(self, messages, signers, **kwargs):
+            signed.extend((self.epoch, tuple(signers), message)
+                          for message in messages)
+            return sign(self, messages, signers, **kwargs)
 
         def spy_combine(self, public_key, vks, windows, **kwargs):
             combined.append([(m, list(p)) for m, p in windows])
@@ -583,8 +584,8 @@ class TestSuspectsFence:
         stale = Suspects(epoch=1)
         stale.last, stale.hot = 1, True
         message = b"after the reshare"
-        partials = successor.partials_with_faults(
-            message, (2, 3, 4),
+        partials, = successor.partials_with_faults(
+            [message], (2, 3, 4),
             fault_injector=CorruptSignerFault(signer_index=3))
         vks = Watched(successor.verification_keys)
         signatures, flagged = successor.scheme.combine_window(

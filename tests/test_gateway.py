@@ -5,7 +5,8 @@ runs on the toy backend with one end-to-end test (marked ``bn254``) on
 the real pairing.  The Prometheus tests parse the exposition output
 line-by-line — including label unescaping — and reconcile every counter
 against ``snapshot_stats()`` exactly (``ljy_crypto_ops_total`` against
-the ``PAIRING_COUNTERS`` / ``MSM_COUNTERS`` dicts), which is the same
+the ``PAIRING_COUNTERS`` / ``MSM_COUNTERS`` / ``HASH_COUNTERS``
+dicts), which is the same
 gate ``tools/serve_smoke.py`` act 7 enforces.
 """
 
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from repro.core.scheme import ServiceHandle
+from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.math.msm import MSM_COUNTERS
 from repro.serialization import WireCodec
@@ -804,7 +806,10 @@ class TestPrometheusExposition:
                         ("g2_preparations",
                          PAIRING_COUNTERS["preparations"]),
                         ("msm_ladder_rows", MSM_COUNTERS["ladder_rows"]),
-                        ("msm_lane_rows", MSM_COUNTERS["lane_rows"])):
+                        ("msm_lane_rows", MSM_COUNTERS["lane_rows"]),
+                        ("msm_ladder_calls", MSM_COUNTERS["ladder_calls"]),
+                        ("hash_g1_hits", HASH_COUNTERS["g1_hits"]),
+                        ("hash_g1_misses", HASH_COUNTERS["g1_misses"])):
                     assert sample(families, "ljy_crypto_ops_total",
                                   op=op) == value
                 await alpha.close()
@@ -937,10 +942,17 @@ def test_http_gateway_on_bn254(bn254_group):
         await gateway.start()
         codec = WireCodec(bn254_group)
         alpha = client_for(gateway, "alpha-key", codec=codec)
-        ladder_rows = MSM_COUNTERS["ladder_rows"]
+        ladder = dict(MSM_COUNTERS)
+        hashes = dict(HASH_COUNTERS)
         result = await alpha.sign(b"bn254 over http")
         # Share-Sign for the quorum: 2(t + 1) rows over H(M), one call.
-        assert MSM_COUNTERS["ladder_rows"] - ladder_rows == 2 * (1 + 1)
+        assert MSM_COUNTERS["ladder_rows"] - ladder["ladder_rows"] == \
+            2 * (1 + 1)
+        assert MSM_COUNTERS["ladder_calls"] - ladder["ladder_calls"] == 1
+        # H(M) is two fresh points hashed once; the window's batch check
+        # reads them from the parameters' own memo, not the module's.
+        assert HASH_COUNTERS["g1_misses"] - hashes["g1_misses"] == 2
+        assert HASH_COUNTERS["g1_hits"] == hashes["g1_hits"]
         assert handle.verify(b"bn254 over http", result.signature)
         verdict = await alpha.verify(b"bn254 over http", result.signature)
         assert verdict.valid

@@ -6,8 +6,10 @@ pairings, backend ``multi_exp``) is compared against its naive reference
 implementation on random inputs and edge cases: identity points, zero
 scalars, and scalars at or beyond the group order.
 
-``TestKernelSweep`` is the seeded differential sweep for the lane kernel
-(GLV split, signed scalars, shared tables), in the style of
+``TestKernelSweep`` is the seeded differential sweep for the MSM kernels
+(the lane kernel's GLV split, signed scalars and shared tables; the
+ladder kernel, per base set and in its window form over many sets) and
+the Share-Sign entry points above them, in the style of
 ``tests/test_fuzz_wire.py``: deterministic, driven by the session seed
 (rerun a failure with ``--seed N``).
 """
@@ -203,10 +205,11 @@ def _mixed_scalar(rng, widths):
 
 
 class TestKernelSweep:
-    """Seeded differential sweep: the lane kernel against the naive
-    ladder.  Deliberately *not* marked ``bn254`` — the point-arithmetic
-    cases are sized to a few seconds so the fast CI matrix runs them on
-    every interpreter."""
+    """Seeded differential sweep: the lane and ladder kernels, and the
+    window form, against the naive ladder.  Deliberately *not* marked
+    ``bn254`` — the point-arithmetic cases are sized to a few seconds so
+    the fast CI matrix runs them on every interpreter, once under the
+    default seed and once under a fresh one."""
 
     LAMBDA = bn254.GLV_LAMBDA
     EDGES = [0, 1, R - 1, R, R + 1, bn254.GLV_LAMBDA, R - bn254.GLV_LAMBDA,
@@ -429,16 +432,167 @@ class TestKernelSweep:
         _pk, shares, _vks = scheme.dealer_keygen(rng=rng)
         order = [4, 1, 5, 2, 3, 1]          # unsorted, one repeated
         chosen = [shares[index] for index in order]
-        assert encoded(scheme.share_sign_many(chosen, message)) == encoded(
-            [scheme.share_sign(share, message) for share in chosen])
-        assert scheme.share_sign_many([], message) == []
+        assert encoded(scheme.share_sign_many(chosen, [message])[0]) == \
+            encoded([scheme.share_sign(share, message) for share in chosen])
+        assert scheme.share_sign_many([], [message]) == [[]]
+        assert scheme.share_sign_many(chosen, []) == []
 
         agg = LJYAggregateScheme(AggThresholdParams.generate(group, 2, 5))
         agg_pk, agg_shares, _vks = agg.dealer_keygen(rng=rng)
         chosen = [agg_shares[index] for index in order]
         assert encoded(
-            agg.share_sign_many(agg_pk, chosen, message)) == encoded(
+            agg.share_sign_many(agg_pk, chosen, [message])[0]) == encoded(
             [agg.share_sign(agg_pk, share, message) for share in chosen])
+
+    # -- the window form: many base sets under the same rows ----------------
+    @staticmethod
+    def _window_counts():
+        """Set counts of 2-base windows: 1, 2, just below and at the
+        affine-ladder crossover, 16 and 17 — each with row counts that
+        together cover 1-10."""
+        below = (msm._AFFINE_LADDER_BASES - 1) // 2
+        at = -(-msm._AFFINE_LADDER_BASES // 2)
+        return [(1, (1, 5, 10)), (2, (2, 9)), (below, (3,)), (at, (8, 3)),
+                (16, (6,)), (17, (4, 7))]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_window_matches_per_set_and_naive(self, case, session_seed):
+        count, row_counts = self._window_counts()[case]
+        rng = _sweep_rng(session_seed, 50 + case)
+        generator = G1Point.generator()
+        sets = [[generator * (rng.getrandbits(24) + 1) for _ in range(2)]
+                for _ in range(count)]
+        if count > 1:
+            sets[-1] = sets[0]              # the same message twice
+        edges = [R - 1, -3, R + 5, -(1 << 200), 1, self.LAMBDA]
+        for row_count in row_counts:
+            rows = [[_mixed_scalar(rng, (16, 64, 128, 254, 300))
+                     * rng.choice((1, -1)) for _ in range(2)]
+                    for _ in range(row_count)]
+            if row_count > 1:
+                rows[1] = [0, 0]            # a zero row
+            if row_count > 2:
+                rows[2] = [edges[row_count % 6], edges[(row_count + 1) % 6]]
+            before = dict(msm.MSM_COUNTERS)
+            window = G1Point.multi_mul_windows(sets, rows)
+            kernel = "ladder_rows" if row_count > 2 else "lane_rows"
+            assert msm.MSM_COUNTERS[kernel] - before[kernel] == \
+                count * row_count
+            assert msm.MSM_COUNTERS["ladder_calls"] - \
+                before["ladder_calls"] == (row_count > 2)
+            assert window == [G1Point.multi_mul_rows(points, rows)
+                              for points in sets]
+            # The naive fold on the first, a middle and the last set.
+            for position in sorted({0, count // 2, count - 1}):
+                for row, product in zip(rows, window[position]):
+                    assert product == _fold(
+                        FP_OPS, G1Point, sets[position], row), (count, row)
+
+    def test_window_splits_sets_by_their_live_bases(self, session_seed):
+        # A set with an identity base is a different live pattern: its
+        # own kernel call, the same products.
+        rng = _sweep_rng(session_seed, 57)
+        generator = G1Point.generator()
+        sets = [[generator * rng.randrange(2, R) for _ in range(2)]
+                for _ in range(4)]
+        sets[2] = [sets[2][0], G1Point.identity()]
+        rows = [[rng.randrange(R), rng.randrange(R)] for _ in range(3)]
+        before = msm.MSM_COUNTERS["ladder_calls"]
+        window = G1Point.multi_mul_windows(sets, rows)
+        assert msm.MSM_COUNTERS["ladder_calls"] - before == 2
+        for points, products in zip(sets, window):
+            assert products == [_fold(FP_OPS, G1Point, points, row)
+                                for row in rows]
+        assert G1Point.multi_mul_windows([], rows) == []
+        with pytest.raises(ValueError):
+            G1Point.multi_mul_windows([sets[0], sets[1][:1]], rows)
+
+    @pytest.mark.parametrize("backend", [
+        "toy", pytest.param("bn254", marks=pytest.mark.bn254)])
+    def test_share_sign_many_over_messages(self, backend, session_seed):
+        rng = _sweep_rng(session_seed, 42)
+        group = get_group(backend)
+        messages = [b"window:%d:" % i + rng.randbytes(8) for i in range(3)]
+        messages.insert(2, messages[0])     # the same message twice
+
+        def encoded(windows):
+            return [[(partial.index, partial.z.to_bytes(),
+                      partial.r.to_bytes()) for partial in partials]
+                    for partials in windows]
+
+        scheme = LJYThresholdScheme(ThresholdParams.generate(group, 2, 5))
+        _pk, shares, _vks = scheme.dealer_keygen(rng=rng)
+        chosen = [shares[index] for index in (2, 5, 1)]
+        assert encoded(scheme.share_sign_many(chosen, messages)) == encoded(
+            [scheme.share_sign_many(chosen, [message])[0]
+             for message in messages])
+        assert encoded(scheme.share_sign_many(chosen[:1], messages)) == \
+            encoded([[scheme.share_sign(chosen[0], message)]
+                     for message in messages])
+
+        agg = LJYAggregateScheme(AggThresholdParams.generate(group, 2, 5))
+        agg_pk, agg_shares, _vks = agg.dealer_keygen(rng=rng)
+        chosen = [agg_shares[index] for index in (3, 4, 1)]
+        assert encoded(agg.share_sign_many(agg_pk, chosen, messages)) == \
+            encoded([[agg.share_sign(agg_pk, share, message)
+                      for share in chosen] for message in messages])
+
+    @pytest.mark.parametrize("backend", [
+        "toy", pytest.param("bn254", marks=pytest.mark.bn254)])
+    def test_process_sign_window_is_position_by_position(self, backend,
+                                                         session_seed):
+        """Share-Signing the window in one call changes nothing the
+        robust path sees: the reference hands ``process_sign_window``
+        every position's partials made one message at a time."""
+        from repro.core.scheme import ServiceHandle
+        from repro.service.faults import CorruptSignerFault
+        rng = _sweep_rng(session_seed, 43)
+        group = get_group(backend)
+        keys = ServiceHandle.dealer(group, 2, 5, rng=rng)
+        messages = [b"pos:%d:" % i + rng.randbytes(6) for i in range(6)]
+        messages[4] = messages[1]           # the same message twice
+        forged = {messages[1], messages[5]}
+
+        class Recording(CorruptSignerFault):
+            def __init__(self):
+                super().__init__(signer_index=1, messages=forged)
+                self.seen = []
+
+            def __call__(self, shard_id, signer_index, message, partial):
+                self.seen.append((message, signer_index))
+                return super().__call__(shard_id, signer_index, message,
+                                        partial)
+
+        def fresh():
+            return ServiceHandle(keys.scheme, keys.public_key, keys.shares,
+                                 keys.verification_keys)
+
+        windowed, stepped = Recording(), Recording()
+        before = dict(msm.MSM_COUNTERS)
+        outcome = fresh().process_sign_window(
+            messages, fault_injector=windowed, rng=random.Random(1))
+        if backend == "bn254":
+            # The quorum's 2(t + 1) rows over all six H(M): one call.
+            assert msm.MSM_COUNTERS["ladder_calls"] - \
+                before["ladder_calls"] == 1
+            assert msm.MSM_COUNTERS["ladder_rows"] - \
+                before["ladder_rows"] == 6 * len(messages)
+        handle = fresh()
+        quorum = handle.quorum()
+        presigned = {
+            position: handle.partials_with_faults(
+                [message], quorum, fault_injector=stepped)[0]
+            for position, message in enumerate(messages)}
+        reference = handle.process_sign_window(
+            messages, fault_injector=stepped, rng=random.Random(1),
+            presigned=presigned)
+        assert [s.to_bytes() for s in outcome.signatures] == \
+            [s.to_bytes() for s in reference.signatures]
+        assert outcome.flagged == reference.flagged == (1, 4, 5)
+        assert outcome.fallback_combines == reference.fallback_combines == 3
+        assert windowed.seen == stepped.seen
+        assert windowed.seen[:3 * len(messages)] == [
+            (message, signer) for message in messages for signer in quorum]
 
 
 @pytest.mark.bn254

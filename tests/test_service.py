@@ -85,22 +85,23 @@ class TestServiceHandle:
                     r=partial.r)
             return partial
 
-        produced = handle.partials_with_faults(
-            b"contract", signers, fault_injector=injector, shard_id=7)
+        produced, = handle.partials_with_faults(
+            [b"contract"], signers, fault_injector=injector, shard_id=7)
         assert [entry[:3] for entry in seen] == [
             (7, index, b"contract") for index in signers]
         assert [entry[3] for entry in seen] == honest
         assert [partial.index for partial in produced] == signers
         assert produced[0] == honest[0] and produced[2] == honest[2]
         assert produced[1] != honest[1]
-        assert handle.partials_with_faults(b"contract", signers) == honest
+        assert handle.partials_with_faults([b"contract"], signers) == \
+            [honest]
 
     def test_missing_share_is_a_key_error(self, handle):
         dropped = handle.without_signer(2)
         with pytest.raises(KeyError):
             dropped.partials_for(b"m", [1, 2, 3])
         with pytest.raises(KeyError):
-            dropped.partials_with_faults(b"m", [1, 2, 3])
+            dropped.partials_with_faults([b"m"], [1, 2, 3])
 
     def test_wraps_aggregate_scheme(self, toy_group):
         from repro.core.aggregation import (
@@ -370,7 +371,7 @@ class TestTopUp:
             handle.scheme.combine(
                 handle.public_key, handle.verification_keys, messages[1],
                 handle.partials_with_faults(
-                    messages[1], [2, 3, 4, 5], fault_injector=forgers))
+                    [messages[1]], [2, 3, 4, 5], fault_injector=forgers)[0])
         cold, convict, one_off = [json.loads(record.getMessage())
                                   for record in caplog.records]
         assert cold == {
@@ -409,8 +410,8 @@ class TestTopUp:
     def test_without_top_up_a_short_position_stays_none(self, handle):
         """The simulator's combiner only has what arrived."""
         message = b"what arrived"
-        partials = handle.partials_with_faults(
-            message, (1, 2, 3), fault_injector=_Forgers(2))
+        partials, = handle.partials_with_faults(
+            [message], (1, 2, 3), fault_injector=_Forgers(2))
         signatures, flagged = handle.scheme.combine_window(
             handle.public_key, handle.verification_keys,
             [(message, partials)], rng=random.Random(38))

@@ -143,6 +143,86 @@ class TestLogScan:
         assert [record.message for record in records] == \
             [b"kept", b"appended after truncation"]
 
+    @pytest.fixture
+    def three_records(self, codec, handle):
+        """A log holding an admit, a done with a signature and a done
+        with a reason (an orphan): its bytes and each record's end."""
+        records = [
+            WalAdmitRecord(request_id=1, message=b"swept", epoch=2),
+            WalDoneRecord(request_id=1, signature=handle.sign(b"swept")),
+            WalDoneRecord(request_id=7, reason="shed: déjà vu"),
+        ]
+        data, ends = b"", []
+        for record in records:
+            data += frame_record(codec.encode_wal_record(record))
+            ends.append(len(data))
+        return data, ends
+
+    @staticmethod
+    def _open_and_check(path, codec, data, kept):
+        """``WriteAheadLog.open`` over ``data``: exactly the first
+        ``kept`` records survive, and the file is cut back to them."""
+        path.write_bytes(data)
+        records, good, torn = scan_records(path, codec)
+        assert len(records) == kept
+        assert good + torn == len(data)
+        wal = WriteAheadLog.open(path, codec)
+        try:
+            assert wal.stats.torn_bytes == torn
+            assert wal.pending == ({1: b"swept"} if kept == 1 else {})
+            assert wal.max_epoch_seen == (2 if kept else 0)
+            assert wal.stats.orphan_dones == (1 if kept == 3 else 0)
+        finally:
+            wal.close()
+        assert path.stat().st_size == good
+        return good
+
+    def test_every_cut_keeps_the_longest_valid_prefix(
+            self, tmp_path, codec, three_records):
+        data, ends = three_records
+        path = tmp_path / "cut.wal"
+        for cut in range(len(data) + 1):
+            kept = sum(1 for end in ends if end <= cut)
+            good = self._open_and_check(path, codec, data[:cut], kept)
+            assert good == ([0] + ends)[kept], cut
+
+    def test_every_flipped_byte_cuts_at_its_record(
+            self, tmp_path, codec, three_records):
+        data, ends = three_records
+        path = tmp_path / "flipped.wal"
+        for position in range(len(data)):
+            flipped = bytearray(data)
+            flipped[position] ^= 0xFF
+            kept = sum(1 for end in ends if end <= position)
+            good = self._open_and_check(path, codec, bytes(flipped), kept)
+            assert good == ([0] + ends)[kept], position
+
+    @pytest.mark.parametrize("backend", [
+        "toy", pytest.param("bn254", marks=pytest.mark.bn254)])
+    def test_record_decoder_refuses_with_a_type(self, backend):
+        """Behind the CRC the decoder sees only whole payloads; still,
+        every cut and every flipped byte of each kind of payload either
+        decodes or is a :class:`SerializationError`."""
+        from repro.groups import get_group
+        group = get_group(backend)
+        codec = WireCodec(group)
+        signer = ServiceHandle.dealer(group, 1, 3, rng=random.Random(4))
+        for record in (
+                WalAdmitRecord(request_id=3, message=b"m\xff", epoch=1),
+                WalDoneRecord(request_id=3, signature=signer.sign(b"m")),
+                WalDoneRecord(request_id=3, reason="réason")):
+            blob = codec.encode_wal_record(record)
+            variants = [blob[:cut] for cut in range(len(blob))]
+            for position in range(len(blob)):
+                flipped = bytearray(blob)
+                flipped[position] ^= 0xFF
+                variants.append(bytes(flipped))
+            for variant in variants:
+                try:
+                    codec.decode_wal_record(variant)
+                except SerializationError:
+                    pass
+
     def test_orphan_done_is_tolerated_and_counted(self, tmp_path, codec):
         path = tmp_path / "orphan.wal"
         with open(path, "ab") as log:
@@ -247,7 +327,7 @@ class TestServiceRecovery:
             monkeypatch.setattr(owner, name, recorder)
 
         spy(ServiceHandle, "partials_with_faults",
-            lambda message, *a, **k: ("partials", message))
+            lambda messages, *a, **k: ("partials", tuple(messages)))
         spy(ServiceHandle, "process_sign_window",
             lambda messages, **k: ("window", tuple(messages)))
         spy(LJYThresholdScheme, "combine_window",
@@ -288,6 +368,9 @@ class TestServiceRecovery:
         windows = [e for e in events if e[0] == "window"]
         assert len(windows) == stats.windows
         assert sorted(m for w in windows for m in w[1]) == sorted(messages)
+        # Every message is Share-Signed exactly once, early or at close.
+        assert sorted(m for e in events if e[0] == "partials"
+                      for m in e[1]) == sorted(messages)
         # Each window's process_sign_window directly follows its sync.
         for position, event in enumerate(events):
             if event[0] == "window":

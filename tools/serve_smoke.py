@@ -87,6 +87,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import ServiceHandle, get_group                 # noqa: E402
+from repro.curves.hash_to_curve import HASH_COUNTERS     # noqa: E402
 from repro.curves.pairing import PAIRING_COUNTERS          # noqa: E402
 from repro.math.msm import MSM_COUNTERS                    # noqa: E402
 from repro.serialization import (                          # noqa: E402
@@ -770,7 +771,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     # admin-triggered reshare lands mid-load; the Prometheus exposition
     # must parse line-by-line and reconcile exactly with
     # snapshot_stats(), the tenant registry and the process-wide
-    # PAIRING_COUNTERS / MSM_COUNTERS dicts.
+    # PAIRING_COUNTERS / MSM_COUNTERS / HASH_COUNTERS dicts.
     http_dir = wal_dir / "http"
     http_dir.mkdir()
     http_requests = min(requests, 32)
@@ -864,6 +865,12 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
          MSM_COUNTERS["ladder_rows"]),
         ('ljy_crypto_ops_total{op="msm_lane_rows"}',
          MSM_COUNTERS["lane_rows"]),
+        ('ljy_crypto_ops_total{op="msm_ladder_calls"}',
+         MSM_COUNTERS["ladder_calls"]),
+        ('ljy_crypto_ops_total{op="hash_g1_hits"}',
+         HASH_COUNTERS["g1_hits"]),
+        ('ljy_crypto_ops_total{op="hash_g1_misses"}',
+         HASH_COUNTERS["g1_misses"]),
     ]
     for sample_name, expected in reconcile:
         check(metrics.get(sample_name) == float(expected),
