@@ -25,6 +25,10 @@ task-level entry points (``sign``/``verify`` plus the window-sized batch
 paths), and :mod:`repro.service` serves a handle as a long-lived async
 signing service with batch-window amortization — see
 ``examples/signing_service_demo.py``.
+
+The package root loads only what a signer runs.  The other schemes are
+imported from their own modules: :mod:`repro.core.standard_model`,
+:mod:`repro.core.dlin_scheme` and :mod:`repro.core.aggregation`.
 """
 
 from repro.groups import get_group
@@ -33,9 +37,6 @@ from repro.core.keys import (
     ThresholdParams, VerificationKey,
 )
 from repro.core.scheme import LJYThresholdScheme, ServiceHandle
-from repro.core.standard_model import LJYStandardModelScheme, SMParams
-from repro.core.dlin_scheme import DLINParams, LJYDLINScheme
-from repro.core.aggregation import AggThresholdParams, LJYAggregateScheme
 from repro.dkg import run_pedersen_dkg, dkg_result_to_keys, run_refresh
 
 __version__ = "1.0.0"
@@ -45,9 +46,6 @@ __all__ = [
     "ThresholdParams", "PublicKey", "PrivateKeyShare", "VerificationKey",
     "PartialSignature", "Signature",
     "LJYThresholdScheme", "ServiceHandle",
-    "LJYStandardModelScheme", "SMParams",
-    "DLINParams", "LJYDLINScheme",
-    "AggThresholdParams", "LJYAggregateScheme",
     "run_pedersen_dkg", "dkg_result_to_keys", "run_refresh",
     "__version__",
 ]

@@ -45,6 +45,20 @@ GLV_BASIS = (
     (2 * BN_X + 1, 6 * BN_X ** 2 + 4 * BN_X + 1),
 )
 
+#: GLV endomorphism of G2: ``phi_2(x, y) = (G2_GLV_BETA * x, y)`` on the
+#: twist acts on G2 as multiplication by the same GLV_LAMBDA, so G2 uses
+#: G1's lattice basis.  G2_GLV_BETA = GLV_BETA^2 = -1 - GLV_BETA is the
+#: other primitive cube root of unity in F_p.  Derivation: phi on the
+#: curve over F_p12 commutes with the p-power Frobenius, so it preserves
+#: the Frobenius eigenspaces of the r-torsion; on the eigenvalue-1 space
+#: (G1) it is lambda, and its determinant is deg(phi) = 1, so on the
+#: eigenvalue-p space (the image of G2 under the twist isomorphism
+#: (x, y) -> (x w^2, y w^3), which commutes with scaling x by an F_p
+#: element) it is lambda^-1 = lambda^2.  Pulled back to the twist that is
+#: (GLV_BETA * x, y) = lambda^2, whose square (GLV_BETA^2 * x, y) is
+#: lambda^4 = lambda.  tests/test_msm.py asserts both identities.
+G2_GLV_BETA = (18 * BN_X ** 3 + 18 * BN_X ** 2 + 9 * BN_X + 1) % P
+
 #: Cofactors: G1 is the full curve (h = 1); the twist group order is h2 * r.
 G1_COFACTOR = 1
 G2_COFACTOR = 2 * P - R
@@ -53,5 +67,5 @@ __all__ = [
     "P", "R", "B", "B2", "BN_X", "ATE_LOOP_COUNT",
     "G1_GENERATOR", "G2_GENERATOR_X", "G2_GENERATOR_Y",
     "G1_COFACTOR", "G2_COFACTOR",
-    "GLV_BETA", "GLV_LAMBDA", "GLV_BASIS",
+    "GLV_BETA", "GLV_LAMBDA", "GLV_BASIS", "G2_GLV_BETA",
 ]

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from repro.curves import bn254
 from repro.curves.weierstrass import (
-    FieldOps, jac_add, jac_batch_normalize, jac_double, jac_eq, jac_neg,
-    jac_normalize,
+    FieldOps, batch_normalize_fp, jac_add_affine_fp, jac_add_fp,
+    jac_batch_normalize, jac_double_fp, jac_eq, jac_neg, jac_normalize,
 )
 from repro.errors import NotOnCurveError, SerializationError
 from repro.math import msm
@@ -32,6 +32,11 @@ FP_OPS = FieldOps(
     zero=0,
     one=1,
     modulus=_P,
+    degree=1,
+    point_double=jac_double_fp,
+    point_add=jac_add_fp,
+    point_add_affine=jac_add_affine_fp,
+    batch_normalize=batch_normalize_fp,
 )
 
 #: The GLV endomorphism the MSM kernel splits full-size G1 scalars with.
@@ -85,7 +90,7 @@ class G1Point:
 
     # -- group law ---------------------------------------------------------
     def __add__(self, other: "G1Point") -> "G1Point":
-        return G1Point(_jac=jac_add(FP_OPS, self._jac, other._jac))
+        return G1Point(_jac=jac_add_fp(self._jac, other._jac, _P))
 
     def __neg__(self) -> "G1Point":
         return G1Point(_jac=jac_neg(FP_OPS, self._jac))
@@ -161,7 +166,7 @@ class G1Point:
             point._affine = True
 
     def double(self) -> "G1Point":
-        return G1Point(_jac=jac_double(FP_OPS, self._jac))
+        return G1Point(_jac=jac_double_fp(self._jac, _P))
 
     # -- queries -----------------------------------------------------------
     def is_identity(self) -> bool:

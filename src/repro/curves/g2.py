@@ -4,14 +4,26 @@ The twist curve is ``y^2 = x^3 + 3/xi``.  Unlike G1 the twist has a large
 cofactor (``2p - r``), so deserialization and untrusted inputs must pass a
 subgroup check (multiplication by r).  Serialization is the compressed
 64-byte encoding: x as two 32-byte limbs with a parity flag for y.
+
+Point arithmetic runs on the int-specialised F_p2 formulas of
+:mod:`repro.curves.weierstrass` (``*_fp2``), and scalar multiplication
+splits full-size scalars through the GLV endomorphism of the twist,
+``phi_2(x, y) = (G2_GLV_BETA * x, y)``, which acts on G2 as
+multiplication by G1's ``GLV_LAMBDA`` (derivation in
+:mod:`repro.curves.bn254`).  So scalars act modulo r and ``*`` is defined
+on G2 only: off the subgroup phi_2 is not multiplication by lambda, and
+:meth:`G2Point.in_subgroup` and :meth:`G2Point.clear_cofactor`, which
+act on arbitrary twist points, run the naive ladder over the twist's
+full order instead.
 """
 
 from __future__ import annotations
 
 from repro.curves import bn254
 from repro.curves.weierstrass import (
-    FieldOps, jac_add, jac_batch_normalize, jac_double, jac_eq, jac_neg,
-    jac_normalize, jac_scalar_mul,
+    FieldOps, batch_normalize_fp2, jac_add_affine_fp2, jac_add_fp2,
+    jac_batch_normalize, jac_double_fp2, jac_eq, jac_neg, jac_normalize,
+    jac_scalar_mul,
 )
 from repro.errors import NotOnCurveError, SerializationError
 from repro.math import msm
@@ -34,7 +46,20 @@ FP2_OPS = FieldOps(
     eq=f2_eq,
     zero=F2_ZERO,
     one=F2_ONE,
+    modulus=_P,
+    degree=2,
+    point_double=jac_double_fp2,
+    point_add=jac_add_fp2,
+    point_add_affine=jac_add_affine_fp2,
+    batch_normalize=batch_normalize_fp2,
 )
+
+#: The GLV endomorphism of the twist: ``phi_2(x, y) = (G2_GLV_BETA * x,
+#: y)`` is multiplication by G1's lambda on G2, with G1's lattice basis.
+#: Its ``beta`` is the F_p2 element ``(G2_GLV_BETA, 0)``.
+GLV = msm.Endomorphism(
+    beta=(bn254.G2_GLV_BETA, 0), eigenvalue=bn254.GLV_LAMBDA,
+    basis=bn254.GLV_BASIS)
 
 _SIGN_BIT = 0x80
 _INFINITY_BYTE = 0x40
@@ -86,7 +111,7 @@ class G2Point:
 
     # -- group law ---------------------------------------------------------
     def __add__(self, other: "G2Point") -> "G2Point":
-        return G2Point(_jac=jac_add(FP2_OPS, self._jac, other._jac))
+        return G2Point(_jac=jac_add_fp2(self._jac, other._jac, _P))
 
     def __neg__(self) -> "G2Point":
         return G2Point(_jac=jac_neg(FP2_OPS, self._jac))
@@ -102,7 +127,8 @@ class G2Point:
             if self._uses >= _AUTO_PRECOMPUTE_USES:
                 self.precompute()
                 return G2Point(_jac=self._table.mul(scalar))
-        return G2Point(_jac=msm.scalar_mul(FP2_OPS, self._jac, scalar, _R))
+        return G2Point(
+            _jac=msm.scalar_mul(FP2_OPS, self._jac, scalar, _R, GLV))
 
     __rmul__ = __mul__
 
@@ -115,9 +141,9 @@ class G2Point:
 
     @classmethod
     def multi_mul(cls, points, scalars) -> "G2Point":
-        """One multi-scalar multiplication over the twist."""
+        """One multi-scalar multiplication over G2 (GLV-split lanes)."""
         return cls(_jac=msm.multi_scalar_mul(
-            FP2_OPS, [point._jac for point in points], scalars, _R))
+            FP2_OPS, [point._jac for point in points], scalars, _R, GLV))
 
     @classmethod
     def batch_normalize(cls, points) -> None:
@@ -135,7 +161,7 @@ class G2Point:
             point._affine = True
 
     def double(self) -> "G2Point":
-        return G2Point(_jac=jac_double(FP2_OPS, self._jac))
+        return G2Point(_jac=jac_double_fp2(self._jac, _P))
 
     # -- queries -----------------------------------------------------------
     def is_identity(self) -> bool:

@@ -2,12 +2,14 @@
 and ladder), the Pippenger bucket method and fixed-base precomputation
 tables.
 
-All routines are generic over the :class:`~repro.curves.weierstrass.FieldOps`
-bundle, so the same code serves G1 (over F_p) and G2 (over F_p2); the
-ladder kernel is the exception, prime fields only.  Points are Jacobian
-``(X, Y, Z)`` triples exactly as in :mod:`repro.curves.weierstrass`; the
-naive ``jac_scalar_mul`` there remains the correctness reference the
-property tests compare against.
+All routines take a :class:`~repro.curves.weierstrass.FieldOps` bundle
+and call the int-specialised point formulas it names (``*_fp`` on G1
+over F_p, ``*_fp2`` on G2 over F_p2), so the same code serves both
+groups with no generic branch; the ladder kernel is the exception,
+prime fields only.  Points are Jacobian ``(X, Y, Z)`` triples exactly as
+in :mod:`repro.curves.weierstrass`; the generic formulas and the naive
+``jac_scalar_mul`` there remain the correctness reference the property
+tests compare against.
 
 **The lane kernel.**  :func:`scalar_mul`, :func:`multi_scalar_mul` (below
 the Pippenger crossover) and :func:`multi_scalar_mul_rows` (for most
@@ -19,14 +21,15 @@ bits`` doublings plus ~``bits / (w + 1)`` mixed additions per lane.
 Three things shorten or share the lanes:
 
 * **GLV endomorphism** (Gallant-Lambert-Vanstone, CRYPTO 2001).  Where
-  the group has ``phi(x, y) = (beta * x, y) = lambda * (x, y)`` (BN254 G1;
-  see :class:`Endomorphism`), a full-size scalar splits by Babai rounding
+  the group has ``phi(x, y) = (beta * x, y) = lambda * (x, y)`` (see
+  :class:`Endomorphism`), a full-size scalar splits by Babai rounding
   into ``k = k_1 + k_2 * lambda`` with ``|k_i| < 2^128``: two lanes of
   half the length, the second over the phi-image of the first's table.
   That image costs one field multiplication per entry and no point
   arithmetic, so a 2-base 254-bit product is 4 lanes over ~127 doublings
-  instead of 2 lanes over 254.  G2 runs the same kernel with no
-  endomorphism.
+  instead of 2 lanes over 254.  Both BN254 groups have one with the same
+  lambda and lattice basis: ``beta`` is a cube root of unity in F_p on
+  G1 and its square on the twist (G2).
 * **Signed scalars.**  Negating an affine table entry is free, so a lane
   takes whichever of ``k`` and ``k - r`` is shorter: the Lagrange
   coefficient ``-3`` costs a 2-bit lane, not a 254-bit one.  The GLV
@@ -108,7 +111,7 @@ The other algorithms:
 **Mixed coordinates**: every table entry, ladder rung and Pippenger input
 is batch-normalized to affine with one shared field inversion
 (:func:`~repro.curves.weierstrass.jac_batch_normalize`, over plain ints
-on G1), so the inner
+on G1 and over the F_p norms of the Z coordinates on G2), so the inner
 loops run mixed Jacobian+affine additions (7M + 4S instead of 11M + 5S —
 ~25% off each addition) and affine negation is free (negate y).  The
 pure-Jacobian formulas remain the agreement reference via the naive
@@ -121,28 +124,9 @@ from itertools import islice
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.curves.weierstrass import (
-    FieldOps, batch_add_affine_fp, jac_add, jac_add_affine,
-    jac_add_affine_fp, jac_add_fp, jac_batch_normalize, jac_double,
-    jac_double_fp,
+    FieldOps, batch_add_affine_fp, jac_add_affine_fp, jac_add_fp,
+    jac_batch_normalize, jac_double_fp,
 )
-
-
-def _fast_arith(ops: FieldOps):
-    """``(double, add, mixed_add)`` closures for tables and inner loops.
-
-    Prime fields carried as plain ints (``ops.modulus`` set) get the
-    specialized formulas with no per-operation lambda dispatch — worth
-    ~2x on the doubling chain in CPython; extension fields take the
-    generic path.
-    """
-    m = ops.modulus
-    if m is not None:
-        return (lambda point: jac_double_fp(point, m),
-                lambda p1, p2: jac_add_fp(p1, p2, m),
-                lambda point, aff: jac_add_affine_fp(point, aff, m))
-    return (lambda point: jac_double(ops, point),
-            lambda p1, p2: jac_add(ops, p1, p2),
-            lambda point, aff: jac_add_affine(ops, point, aff))
 
 
 def wnaf_digits(scalar: int, width: int = 4) -> List[int]:
@@ -176,16 +160,18 @@ def _odd_multiples(ops: FieldOps, point, count: int) -> list:
     """``[P, 3P, 5P, ..., (2*count - 1)P]`` (count entries, Jacobian)."""
     multiples = [point]
     if count > 1:
-        double, add, _mixed_add = _fast_arith(ops)
-        twice = double(point)
+        m, add = ops.modulus, ops.point_add
+        twice = ops.point_double(point, m)
         for _ in range(count - 1):
-            multiples.append(add(multiples[-1], twice))
+            multiples.append(add(multiples[-1], twice, m))
     return multiples
 
 
 class Endomorphism(NamedTuple):
     """An efficiently computable endomorphism ``phi(x, y) = (beta * x, y)``
-    acting on the group as multiplication by ``eigenvalue``.
+    acting on the group as multiplication by ``eigenvalue``; ``beta`` is
+    an element of the coordinate field (an int on G1, an ``(a0, a1)``
+    pair on G2), multiplied in with ``ops.mul``.
 
     ``basis`` is a reduced basis ``((a_1, b_1), (a_2, b_2))`` of the
     lattice ``{(a, b) : a + b * eigenvalue = 0 (mod order)}``, oriented so
@@ -300,18 +286,13 @@ def _run_lanes(ops: FieldOps, schedule: List[list]):
     shared doubling per bit and a mixed addition per filed entry.  The
     mixed addition handles the degenerate meetings (identity
     accumulator, P + P, P - P)."""
+    m, double = ops.modulus, ops.point_double
+    add_affine = ops.point_add_affine
     result = (ops.one, ops.one, ops.zero)
-    modulus = ops.modulus
-    if modulus is not None:
-        for entries in reversed(schedule):
-            result = jac_double_fp(result, modulus)
-            for entry in entries:
-                result = jac_add_affine_fp(result, entry, modulus)
-    else:
-        for entries in reversed(schedule):
-            result = jac_double(ops, result)
-            for entry in entries:
-                result = jac_add_affine(ops, result, entry)
+    for entries in reversed(schedule):
+        result = double(result, m)
+        for entry in entries:
+            result = add_affine(result, entry, m)
     return result
 
 
@@ -353,7 +334,7 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
     a window: one quorum's rows over every message's ``(H_1, H_2)``).
 
     Sets whose live bases (non-identity, under some nonzero scalar) are
-    fewer than the rows, over a prime field, go to the ladder kernel
+    fewer than the rows, over a prime field (G1), go to the ladder kernel
     (:func:`_ladder_rows`) in ONE call per live pattern: each base is
     doubled once for all rows, and the rows are split and recoded once
     for all sets.  Every other shape — one row, G2, few rows over many
@@ -377,7 +358,7 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
         patterns.setdefault(live, []).append(position)
     results: List[list] = [None] * len(point_sets)
     for live, positions in patterns.items():
-        if ops.modulus is not None and 0 < len(live) < len(rows):
+        if ops.degree == 1 and 0 < len(live) < len(rows):
             MSM_COUNTERS["ladder_rows"] += len(rows) * len(positions)
             MSM_COUNTERS["ladder_calls"] += 1
             sums = _ladder_rows(
@@ -627,12 +608,13 @@ def _pippenger(ops: FieldOps, live, scalar_bits: int):
     c = _pippenger_window(len(live))
     mask = (1 << c) - 1
     windows = (scalar_bits + c - 1) // c
-    double, add, mixed_add = _fast_arith(ops)
+    m, double, add = ops.modulus, ops.point_double, ops.point_add
+    mixed_add = ops.point_add_affine
     result = infinity
     for w in range(windows - 1, -1, -1):
         if result is not infinity:
             for _ in range(c):
-                result = double(result)
+                result = double(result, m)
         buckets = [None] * (mask + 1)
         shift = w * c
         for aff, scalar in live:
@@ -641,19 +623,20 @@ def _pippenger(ops: FieldOps, live, scalar_bits: int):
                 continue
             held = buckets[digit]
             buckets[digit] = (aff[0], aff[1], ops.one) if held is None \
-                else mixed_add(held, aff)
+                else mixed_add(held, aff, m)
         running = None
         window_sum = None
         for digit in range(mask, 0, -1):
             held = buckets[digit]
             if held is not None:
-                running = held if running is None else add(running, held)
+                running = held if running is None else add(
+                    running, held, m)
             if running is not None:
                 window_sum = running if window_sum is None else add(
-                    window_sum, running)
+                    window_sum, running, m)
         if window_sum is not None:
             result = window_sum if result is infinity else add(
-                result, window_sum)
+                result, window_sum, m)
     return result
 
 
@@ -684,16 +667,16 @@ class FixedBaseTable:
             self.tables = None
             return
         bits = order.bit_length()
-        double, add, _mixed_add = _fast_arith(ops)
+        m, double, add = ops.modulus, ops.point_double, ops.point_add
         base = point
         rows: List[list] = []
         for _ in range((bits + window - 1) // window):
             row = [base]
             for _ in range((1 << window) - 2):
-                row.append(add(row[-1], base))
+                row.append(add(row[-1], base, m))
             rows.append(row)
             for _ in range(window):
-                base = double(base)
+                base = double(base, m)
         flat = jac_batch_normalize(
             ops, [entry for row in rows for entry in row])
         per_row = (1 << window) - 1
@@ -709,7 +692,7 @@ class FixedBaseTable:
         result = self._infinity
         if self.tables is None:
             return result
-        _double, _add, mixed_add = _fast_arith(ops)
+        m, mixed_add = ops.modulus, ops.point_add_affine
         mask = (1 << self.window) - 1
         index = 0
         while scalar:
@@ -718,7 +701,7 @@ class FixedBaseTable:
                 entry = self.tables[index][digit]
                 result = (entry[0], entry[1], ops.one) \
                     if result is self._infinity \
-                    else mixed_add(result, entry)
+                    else mixed_add(result, entry, m)
             scalar >>= self.window
             index += 1
         return result

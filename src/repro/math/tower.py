@@ -538,23 +538,28 @@ def wvec_to_f12(vec: Tuple[Fp2Ele, ...]) -> Fp12Ele:
 
 
 def _frobenius_tables():
-    """Precompute xi^(k*(p^m - 1)/6) for m = 1, 2, 3 and k = 0..5."""
+    """Precompute xi^(k*(p^m - 1)/6) for m = 1, 2, 3 and k = 0..5: one
+    ``f2_pow`` per row, then successive multiplications by it."""
     tables = []
     for m in (1, 2, 3):
-        exponent = (P ** m - 1) // 6
-        tables.append(tuple(f2_pow(XI, k * exponent) for k in range(6)))
+        step = f2_pow(XI, (P ** m - 1) // 6)
+        row = [F2_ONE]
+        for _ in range(5):
+            row.append(f2_mul(row[-1], step))
+        tables.append(tuple(row))
     return tables
 
 
 _FROB_W1, _FROB_W2, _FROB_W3 = _frobenius_tables()
 
 #: Twist-Frobenius constants used to compute pi_p on G2 points:
-#: pi(x, y) = (conj(x) * TWIST_FROB_X, conj(y) * TWIST_FROB_Y).
-TWIST_FROB_X: Fp2Ele = f2_pow(XI, (P - 1) // 3)
-TWIST_FROB_Y: Fp2Ele = f2_pow(XI, (P - 1) // 2)
+#: pi(x, y) = (conj(x) * TWIST_FROB_X, conj(y) * TWIST_FROB_Y), i.e.
+#: xi^((p - 1)/3) and xi^((p - 1)/2), entries 2 and 3 of the first row.
+TWIST_FROB_X: Fp2Ele = _FROB_W1[2]
+TWIST_FROB_Y: Fp2Ele = _FROB_W1[3]
 #: And pi^2 constants (no conjugation): both lie in F_p for BN curves.
-TWIST_FROB_X2: Fp2Ele = f2_pow(XI, (P * P - 1) // 3)
-TWIST_FROB_Y2: Fp2Ele = f2_pow(XI, (P * P - 1) // 2)
+TWIST_FROB_X2: Fp2Ele = _FROB_W2[2]
+TWIST_FROB_Y2: Fp2Ele = _FROB_W2[3]
 
 
 def f12_frobenius(a: Fp12Ele, power: int = 1) -> Fp12Ele:

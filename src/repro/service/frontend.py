@@ -9,11 +9,17 @@ future or shed the request with a typed
 buffers unboundedly and never blocks the caller on a full queue
 (backpressure is explicit, so an open-loop client sees rejections rather
 than silently growing latency).
+
+Every epoch transition, resize included, is one JSON line at INFO on
+this module's logger (``event``, ``epoch``, ``kind``, ``pause_ms``,
+``derive_ms`` — null for a caller-supplied handle — and ``carried``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,6 +33,8 @@ from repro.service.types import (
     VerifyResult,
 )
 from repro.service.wal import WriteAheadLog
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass
@@ -256,14 +264,26 @@ class SigningService:
         :meth:`reshare` wrappers instead).
         """
         async with self._serialized_transitions():
-            return await self._begin_epoch(new_handle)
+            return await self._begin_epoch(new_handle, "swap")
 
     def _serialized_transitions(self):
         if self._transition_lock is None:
             raise ServiceClosedError("service is not running")
         return self._transition_lock
 
-    async def _begin_epoch(self, new_handle: ServiceHandle) -> float:
+    async def _derived_epoch(self, kind: str, derive) -> float:
+        """Derive the new handle with ``derive()`` on this loop, under
+        the transition lock and *outside* the barrier, timing it into
+        ``EpochStats.derive_ms``; then the epoch swap."""
+        async with self._serialized_transitions():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            new_handle = derive()
+            return await self._begin_epoch(
+                new_handle, kind, (loop.time() - started) * 1000.0)
+
+    async def _begin_epoch(self, new_handle: ServiceHandle, kind: str,
+                           derive_ms: Optional[float] = None) -> float:
         if not self.running:
             raise ServiceClosedError("service is not running")
         if new_handle.epoch != self.handle.epoch + 1:
@@ -293,7 +313,18 @@ class SigningService:
         epochs.transitions += 1
         epochs.requests_carried += carried
         epochs.pauses_ms.append(pause_ms)
+        if derive_ms is not None:
+            epochs.derive_ms.append(derive_ms)
+        self._log_transition(kind, pause_ms, derive_ms, carried)
         return pause_ms
+
+    def _log_transition(self, kind: str, pause_ms: float,
+                        derive_ms: Optional[float], carried: int) -> None:
+        _LOG.info("%s", json.dumps({
+            "event": "epoch_transition", "epoch": self.handle.epoch,
+            "kind": kind, "pause_ms": round(pause_ms, 3),
+            "derive_ms": None if derive_ms is None else round(derive_ms, 3),
+            "carried": carried}))
 
     async def refresh(self, rng=None, adversary=None) -> float:
         """Proactive share refresh as a live epoch transition: run the
@@ -302,9 +333,8 @@ class SigningService:
         is derived *under* the transition lock, so a refresh queued
         behind another transition re-derives from the then-current
         epoch instead of being refused."""
-        async with self._serialized_transitions():
-            pause_ms = await self._begin_epoch(
-                self.handle.refreshed(rng=rng, adversary=adversary))
+        pause_ms = await self._derived_epoch("refresh", lambda: (
+            self.handle.refreshed(rng=rng, adversary=adversary)))
         self.stats.epochs.refreshes += 1
         return pause_ms
 
@@ -312,9 +342,9 @@ class SigningService:
                       rng=None, adversary=None) -> float:
         """Reshare to a new ``(new_t, new_indices)`` committee (signer
         join/leave) as a live epoch transition."""
-        async with self._serialized_transitions():
-            pause_ms = await self._begin_epoch(self.handle.reshared(
-                new_t, new_indices, rng=rng, adversary=adversary))
+        pause_ms = await self._derived_epoch("reshare", lambda: (
+            self.handle.reshared(
+                new_t, new_indices, rng=rng, adversary=adversary)))
         self.stats.epochs.reshares += 1
         return pause_ms
 
@@ -322,16 +352,14 @@ class SigningService:
         """Drop a crashed/compromised signer's share from the live
         quorum rotation (its verification key stays, so
         :meth:`recover_signer` can later re-derive the share)."""
-        async with self._serialized_transitions():
-            return await self._begin_epoch(
-                self.handle.without_signer(index))
+        return await self._derived_epoch(
+            "retire", lambda: self.handle.without_signer(index))
 
     async def recover_signer(self, index: int) -> float:
         """Re-derive a retired signer's share from t+1 helpers and fold
         the player back into the live quorum rotation."""
-        async with self._serialized_transitions():
-            pause_ms = await self._begin_epoch(
-                self.handle.with_recovered(index))
+        pause_ms = await self._derived_epoch(
+            "recover", lambda: self.handle.with_recovered(index))
         self.stats.epochs.recoveries += 1
         return pause_ms
 
@@ -346,10 +374,12 @@ class SigningService:
         async with self._serialized_transitions():
             migrated = await self._pool.resize(num_shards)
         self.config.num_shards = num_shards
+        pause_ms = (loop.time() - started) * 1000.0
         epochs = self.stats.epochs
         epochs.resizes += 1
         epochs.requests_carried += migrated
-        epochs.pauses_ms.append((loop.time() - started) * 1000.0)
+        epochs.pauses_ms.append(pause_ms)
+        self._log_transition("resize", pause_ms, None, migrated)
         return migrated
 
     # -- admission ----------------------------------------------------------

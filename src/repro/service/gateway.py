@@ -775,6 +775,13 @@ class HttpGateway:
         families.append(MetricFamily(
             "ljy_epoch_pause_ms", "histogram",
             "Barrier pause per lifecycle transition.").add({}, pause))
+        derive = Histogram()
+        for derive_ms in epochs.derive_ms:
+            derive.observe(derive_ms)
+        families.append(MetricFamily(
+            "ljy_epoch_derive_ms", "histogram",
+            "Time deriving the new key material on the loop before "
+            "the barrier, per derived transition.").add({}, derive))
 
         crypto_ops = MetricFamily(
             "ljy_crypto_ops_total", "counter",

@@ -211,7 +211,9 @@ class EpochStats:
     *rejected* because of a transition (admission keeps queueing while
     shards drain), so the entire lifecycle cost is a bounded pause —
     recorded per transition — plus the queued requests carried across
-    the swap and served under the new shares.
+    the swap and served under the new shares.  Deriving the new key
+    material (the refresh or reshare DKG) precedes the pause and holds
+    the event loop for its own, recorded, time.
     """
 
     #: Current key-lifecycle generation.
@@ -229,6 +231,10 @@ class EpochStats:
     requests_carried: int = 0
     #: Wall-clock ms each barrier held the shards paused.
     pauses_ms: list = field(default_factory=list)
+    #: Wall-clock ms each refresh / reshare / retire / recover spent
+    #: deriving its new handle on the loop before the barrier (none for
+    #: a caller-supplied ``begin_epoch`` handle or a resize).
+    derive_ms: list = field(default_factory=list)
 
     @property
     def pause_p99_ms(self) -> float:

@@ -11,6 +11,8 @@ is ever rejected *because* of a lifecycle event.
 """
 
 import asyncio
+import json
+import logging
 import random
 
 import pytest
@@ -175,6 +177,44 @@ class TestBeginEpoch:
         run(scenario())
         assert calls == [
             "refreshed: enter", "refreshed: return", "pause_all: enter"]
+
+    def test_every_transition_is_one_json_line(self, handle, caplog):
+        """Each transition, resize included, logs one ``epoch_transition``
+        record; ``derive_ms`` is the time spent deriving the new handle
+        (null for a caller-supplied one, and for a resize), and
+        ``EpochStats.derive_ms`` holds one entry per derived transition."""
+        async def scenario():
+            config = ServiceConfig(num_shards=1)
+            async with SigningService(handle, config) as service:
+                await service.refresh(rng=random.Random(21))
+                await service.retire_signer(3)
+                await service.recover_signer(3)
+                await service.begin_epoch(
+                    service.handle.refreshed(rng=random.Random(23)))
+                await service.reshare(2, (2, 3, 4, 5, 6),
+                                      rng=random.Random(22))
+                await service.resize(2)
+                return service.stats.epochs
+
+        with caplog.at_level(logging.INFO, logger="repro.service.frontend"):
+            epochs = run(scenario())
+        lines = [json.loads(record.getMessage())
+                 for record in caplog.records
+                 if record.name == "repro.service.frontend"]
+        assert [line["kind"] for line in lines] == [
+            "refresh", "retire", "recover", "swap", "reshare", "resize"]
+        assert [line["epoch"] for line in lines] == [1, 2, 3, 4, 5, 5]
+        for line in lines:
+            assert set(line) == {"event", "epoch", "kind", "pause_ms",
+                                 "derive_ms", "carried"}
+            assert line["event"] == "epoch_transition"
+            assert line["pause_ms"] >= 0.0 and line["carried"] >= 0
+        derived = [line for line in lines if line["derive_ms"] is not None]
+        assert [line["kind"] for line in derived] == [
+            "refresh", "retire", "recover", "reshare"]
+        assert [round(ms, 3) for ms in epochs.derive_ms] == [
+            line["derive_ms"] for line in derived]
+        assert len(epochs.pauses_ms) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -876,6 +876,15 @@ class TestPrometheusExposition:
                 assert sample(families, "ljy_epoch_transitions_total",
                               kind="reshare") == 0
                 assert sample(families, "ljy_epoch_pause_ms_count") == 1
+                # One derived transition: the histogram reconciles with
+                # the service's own record of it.
+                derived = gateway.service.stats.epochs.derive_ms
+                assert len(derived) == 1 and derived[0] > 0.0
+                assert sample(families, "ljy_epoch_derive_ms_count") == 1
+                assert sample(families, "ljy_epoch_derive_ms_sum") == \
+                    pytest.approx(derived[0], rel=1e-6)
+                assert sample(families, "ljy_epoch_derive_ms_bucket",
+                              le="+Inf") == 1
                 await admin.close()
         run(scenario())
 

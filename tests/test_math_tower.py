@@ -185,6 +185,18 @@ class TestFp12:
         with pytest.raises(ValueError):
             f12_frobenius(F12_ONE, 4)
 
+    def test_frobenius_tables_are_the_powers_of_xi(self):
+        # Built by successive multiplication; pinned to the direct powers.
+        tables = (tower._FROB_W1, tower._FROB_W2, tower._FROB_W3)
+        for m, table in zip((1, 2, 3), tables):
+            exponent = (P ** m - 1) // 6
+            assert table == tuple(
+                f2_pow(XI, k * exponent) for k in range(6)), m
+        assert tower.TWIST_FROB_X == f2_pow(XI, (P - 1) // 3)
+        assert tower.TWIST_FROB_Y == f2_pow(XI, (P - 1) // 2)
+        assert tower.TWIST_FROB_X2 == f2_pow(XI, (P * P - 1) // 3)
+        assert tower.TWIST_FROB_Y2 == f2_pow(XI, (P * P - 1) // 2)
+
 
 class TestIntInlinedHotOps:
     """Agreement tests for the int-inlined Miller-loop accumulator ops

@@ -7,12 +7,15 @@ implementation on random inputs and edge cases: identity points, zero
 scalars, and scalars at or beyond the group order.
 
 ``TestKernelSweep`` is the seeded differential sweep for the MSM kernels
-(the lane kernel's GLV split, signed scalars and shared tables; the
-ladder kernel, per base set and in its window form over many sets) and
-the Share-Sign entry points above them, in the style of
-``tests/test_fuzz_wire.py``: deterministic, driven by the session seed
-(rerun a failure with ``--seed N``).
+over both groups (the lane kernel's GLV split on G1 and on the twist,
+signed scalars and shared tables; the ladder kernel, per base set and in
+its window form over many sets; G2's int F_p2 formulas, on subgroup and
+non-subgroup twist points) and the Share-Sign entry points above them,
+in the style of ``tests/test_fuzz_wire.py``: deterministic, driven by the
+session seed (rerun a failure with ``--seed N``).
 """
+
+import hashlib
 
 import random
 
@@ -23,15 +26,18 @@ from repro.core.aggregation import AggThresholdParams, LJYAggregateScheme
 from repro.core.keys import ThresholdParams
 from repro.core.scheme import LJYThresholdScheme
 from repro.curves.g1 import FP_OPS, GLV, G1Point
-from repro.curves.g2 import FP2_OPS, G2Point
+from repro.curves.g2 import FP2_OPS, G2Point, _twist_rhs
+from repro.curves.g2 import GLV as G2_GLV
+from repro.curves.hash_to_curve import derive_generator_g2
 from repro.curves.pairing import (
     GTElement, PreparedG2, final_exponentiation, final_exponentiation_naive,
     gt_multi_exp, multi_pairing, multi_pairing_naive, prepare_g2,
     _miller_loop_naive,
 )
 from repro.curves.weierstrass import (
-    batch_add_affine_fp, jac_add, jac_add_affine, jac_batch_normalize,
-    jac_double, jac_normalize, jac_scalar_mul,
+    batch_add_affine_fp, jac_add, jac_add_affine, jac_add_affine_fp2,
+    jac_add_fp2, jac_batch_normalize, jac_double, jac_double_fp2, jac_neg,
+    jac_normalize, jac_scalar_mul,
 )
 from repro.math.tower import f12_cyclotomic_pow, f12_pow
 from repro.errors import ParameterError
@@ -39,7 +45,8 @@ from repro.groups import get_group
 from repro.math import msm
 from repro.math.lagrange import batch_invert, lagrange_coefficients
 from repro.math.tower import (
-    F2_ZERO, f12_eq, f12_mul, f12_mul_line, wvec_to_f12, P,
+    F2_ZERO, f2_mul, f2_mul_scalar, f2_sqr, f2_sqrt, f12_eq, f12_mul,
+    f12_mul_line, wvec_to_f12, P,
 )
 
 R = bn254.R
@@ -204,6 +211,50 @@ def _mixed_scalar(rng, widths):
     return rng.getrandbits(rng.choice(widths))
 
 
+def _phi(point):
+    """The GLV image ``(beta * x, y)`` of a G1 point, or
+    ``(G2_GLV_BETA * x, y)`` of a twist point."""
+    x, y = point.affine()
+    if isinstance(point, G1Point):
+        return G1Point(bn254.GLV_BETA * x % P, y)
+    return G2Point(f2_mul_scalar(x, bn254.G2_GLV_BETA), y)
+
+
+def _naive_g2(point, scalar):
+    return G2Point(_jac=jac_scalar_mul(FP2_OPS, point._jac, scalar, R))
+
+
+def _twist_point(rng):
+    """A seeded point of the twist; outside G2 with overwhelming
+    probability (the cofactor is ~2^254), which the callers assert."""
+    while True:
+        x = (rng.randrange(P), rng.randrange(P))
+        y = f2_sqrt(_twist_rhs(x))
+        if y is not None:
+            return G2Point(x, y)
+
+
+def _rescaled(jac, rng):
+    """The same point with a random Z != 1: (l^2 X, l^3 Y, l Z)."""
+    x, y, z = jac
+    lam = (rng.randrange(1, P), rng.randrange(P))
+    lam2 = f2_sqr(lam)
+    return (f2_mul(x, lam2), f2_mul(y, f2_mul(lam2, lam)), f2_mul(z, lam))
+
+
+def _basis_edges():
+    """Scalars on the Babai rounding boundaries of the GLV basis (where
+    a coordinate ``c_i`` of :func:`~repro.math.msm.glv_decompose` flips,
+    so a half is at its largest), and the basis entries themselves."""
+    (a_1, b_1), (a_2, b_2) = bn254.GLV_BASIS
+    edges = [abs(a_1), abs(b_1), a_2, b_2, a_1 + a_2, b_2 - b_1]
+    for b in (b_2, -b_1):
+        for j in (0, 1, b // 2, b - 1):
+            centre = (2 * j + 1) * R // (2 * b)
+            edges += [centre - 1, centre, centre + 1]
+    return edges
+
+
 class TestKernelSweep:
     """Seeded differential sweep: the lane and ladder kernels, and the
     window form, against the naive ladder.  Deliberately *not* marked
@@ -239,7 +290,8 @@ class TestKernelSweep:
     # -- decomposition (integers only: cheap, so swept wide) ----------------
     def test_decomposition_identity_and_bounds(self, session_seed):
         rng = _sweep_rng(session_seed, 2)
-        scalars = self.EDGES + [rng.randrange(R) for _ in range(10_000)]
+        scalars = self.EDGES + _basis_edges()
+        scalars += [rng.randrange(R) for _ in range(10_000)]
         scalars += [rng.getrandbits(bits) for bits in range(1, 300)]
         for scalar in scalars:
             k_1, k_2 = msm.glv_decompose(GLV, scalar, R)
@@ -302,21 +354,27 @@ class TestKernelSweep:
             ops, point_cls, [point, -point], [k, other])
 
     def test_point_with_its_phi_image(self, session_seed):
+        self._point_with_its_phi_image(
+            FP_OPS, G1Point, _sweep_rng(session_seed, 21))
+
+    def test_g2_point_with_its_phi_image(self, session_seed):
+        self._point_with_its_phi_image(
+            FP2_OPS, G2Point, _sweep_rng(session_seed, 65))
+
+    def _point_with_its_phi_image(self, ops, point_cls, rng):
         # k*P + (k/lambda)*phi(P) = 2k*P: the two terms' lanes carry the
         # same digits against phi-related tables, so the ladder keeps
         # meeting P + P and P - P.
-        rng = _sweep_rng(session_seed, 21)
-        point = G1Point.generator() * rng.randrange(2, R)
-        x, y = point.affine()
-        image = G1Point(bn254.GLV_BETA * x % P, y)
+        point = point_cls.generator() * rng.randrange(2, R)
+        image = _phi(point)
         inverse = pow(self.LAMBDA, -1, R)
         for k in [1, 3, R - 1, self.LAMBDA, rng.randrange(R),
                   rng.getrandbits(64)]:
             scalars = [k, k * inverse % R]
-            assert G1Point.multi_mul([point, image], scalars) == _fold(
-                FP_OPS, G1Point, [point], [2 * k])
+            assert point_cls.multi_mul([point, image], scalars) == _fold(
+                ops, point_cls, [point], [2 * k])
             # ... and the cancelling twin: k*P - (k/lambda)*phi(P) = 0.
-            assert G1Point.multi_mul(
+            assert point_cls.multi_mul(
                 [point, -image], scalars).is_identity()
 
     @pytest.mark.parametrize("ops,point_cls", [
@@ -356,13 +414,104 @@ class TestKernelSweep:
             results = [
                 point_cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
                     ops, [p._jac for p in points], rows, R,
-                    GLV if point_cls is G1Point else None)]
+                    GLV if point_cls is G1Point else G2_GLV)]
             assert msm.MSM_COUNTERS[kernel] - before == row_count, spec
             for row, result in zip(rows, results):
                 assert result == _fold(ops, point_cls, points, row), spec
             assert results[2].is_identity(), spec
             if spec == "P -P O":
                 assert results[0].is_identity()     # k*P - k*P + k*O
+
+    # -- G2: the twist's endomorphism, int formulas and subgroup -----------
+    def test_g2_endomorphism_constant(self):
+        beta, beta_2 = bn254.GLV_BETA, bn254.G2_GLV_BETA
+        assert beta_2 == beta * beta % P == (-1 - beta) % P
+        assert beta_2 != 1 and pow(beta_2, 3, P) == 1
+        assert G2_GLV == ((beta_2, 0), self.LAMBDA, bn254.GLV_BASIS)
+
+    def test_phi2_is_multiplication_by_lambda(self, session_seed):
+        rng = _sweep_rng(session_seed, 60)
+        for _ in range(2):
+            point = G2Point.generator() * rng.randrange(1, R)
+            assert _phi(point) == _naive_g2(point, self.LAMBDA)
+            # The other cube root acts as lambda^2: the derivation's
+            # first step, and the constant a wrong G2_GLV_BETA would be.
+            x, y = point.affine()
+            assert G2Point(f2_mul_scalar(x, bn254.GLV_BETA), y) == \
+                _naive_g2(point, self.LAMBDA * self.LAMBDA % R)
+
+    def test_g2_edge_scalars_through_every_path(self, session_seed):
+        rng = _sweep_rng(session_seed, 61)
+        base = G2Point.generator() * rng.randrange(2, R)
+        table = msm.FixedBaseTable(FP2_OPS, base._jac, R)
+        other = G2Point.generator() * rng.randrange(2, R)
+        k_other = rng.randrange(R)
+        other_term = _naive_g2(other, k_other)
+        scalars = [0, 1, self.LAMBDA, R - self.LAMBDA, R - 1,
+                   rng.randrange(R)] + _basis_edges()
+        for scalar in scalars:
+            expected = _naive_g2(base, scalar)
+            # A fresh instance each time: no automatic table.
+            assert G2Point(_jac=base._jac) * scalar == expected, scalar
+            assert G2Point.multi_mul([base], [scalar]) == expected, scalar
+            assert G2Point.multi_mul(
+                [base, other], [scalar, k_other]) == \
+                expected + other_term, scalar
+            assert G2Point(_jac=table.mul(scalar)) == expected, scalar
+
+    def test_g2_int_formulas_match_generic(self, session_seed):
+        # Same formulas, same reduced output: compared exactly, on G2
+        # points and on twist points outside G2, with Z != 1 throughout.
+        rng = _sweep_rng(session_seed, 62)
+        infinity = G2Point.identity()._jac
+        pairs = [(G2Point.generator() * rng.randrange(2, R),
+                  G2Point.generator() * rng.randrange(2, R)),
+                 (_twist_point(rng), _twist_point(rng))]
+        for first, second in pairs:
+            p = _rescaled(first._jac, rng)
+            q = _rescaled(second._jac, rng)
+            p_aff, q_aff = first.affine(), second.affine()
+            minus_p = jac_neg(FP2_OPS, p)
+            for a in (p, first._jac, infinity):
+                assert jac_double_fp2(a, P) == jac_double(FP2_OPS, a)
+            for a, b in [(p, q), (p, p), (p, _rescaled(p, rng)),
+                         (p, minus_p), (infinity, p), (p, infinity),
+                         (infinity, infinity), (first._jac, q)]:
+                assert jac_add_fp2(a, b, P) == jac_add(FP2_OPS, a, b)
+            assert jac_add_fp2(p, minus_p, P)[2] == F2_ZERO
+            for acc in (p, first._jac, infinity):
+                for aff in (q_aff, p_aff, (p_aff[0], minus_p[1])):
+                    assert jac_add_affine_fp2(acc, aff, P) == \
+                        jac_add_affine(FP2_OPS, acc, aff)
+            assert jac_add_affine_fp2(
+                p, jac_normalize(FP2_OPS, minus_p), P)[2] == F2_ZERO
+
+    def test_g2_batch_normalize_mixed_entries(self, session_seed):
+        rng = _sweep_rng(session_seed, 63)
+        inside = G2Point.generator() * rng.randrange(2, R)
+        outside = _twist_point(rng)
+        infinity = G2Point.identity()._jac
+        points = [_rescaled(inside._jac, rng), infinity, inside._jac,
+                  _rescaled(outside._jac, rng), outside._jac, infinity,
+                  _rescaled(infinity, rng)]
+        batch = jac_batch_normalize(FP2_OPS, points)
+        assert batch == [jac_normalize(FP2_OPS, point) for point in points]
+        assert batch[1] is None and batch[-1] is None
+        assert batch[0] == batch[2] == inside.affine()
+        # Only identities and Z = 1 entries: nothing to invert.
+        assert jac_batch_normalize(FP2_OPS, [infinity, inside._jac]) == [
+            None, inside.affine()]
+
+    def test_g2_subgroup_check_and_derived_generators(self, session_seed):
+        outside = _twist_point(_sweep_rng(session_seed, 64))
+        assert outside.is_on_curve() and not outside.in_subgroup()
+        assert outside.clear_cofactor().in_subgroup()
+        labels = ["LJY14:g_z", "LJY14:g_r", "LJY14:agg:g_z",
+                  "LJY14:agg:g_r", "LJY14:dlin:h_z", "LJY14:dlin:h_u"]
+        encoded = b"".join(
+            derive_generator_g2(label).to_bytes() for label in labels)
+        assert hashlib.sha256(encoded).hexdigest() == (
+            "214731b8ad20a9cf665b3750c716de6fe8adef3425d8726c169fb5975bb26464")
 
     def test_short_scalars_take_the_undecomposed_lane(self, session_seed,
                                                       monkeypatch):

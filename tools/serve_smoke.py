@@ -842,6 +842,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
         ("ljy_epoch", http_stats.epochs.epoch),
         ('ljy_epoch_transitions_total{kind="reshare"}',
          http_stats.epochs.reshares),
+        ("ljy_epoch_derive_ms_count", len(http_stats.epochs.derive_ms)),
         ('ljy_tenant_admitted_total{tenant="alpha"}',
          tenant_states["alpha"].stats.admitted),
         ('ljy_tenant_completed_total{tenant="alpha"}',
