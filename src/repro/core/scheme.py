@@ -492,10 +492,10 @@ class LJYThresholdScheme:
         conviction line the service does on logger
         ``repro.core.scheme``, with epoch 0 and window 1.
 
-        ``verify_shares=False`` is the interpolation alone, what
-        :meth:`combine_window` runs per request: the first t+1
-        distinct-index partials, "Lagrange in the exponent" as two
-        (t+1)-term multi-scalar multiplications, nothing checked.
+        ``verify_shares=False`` is the interpolation alone: the first
+        t+1 distinct-index partials through :meth:`_interpolate` — the
+        one interpolation path, which :meth:`combine_window` runs over a
+        whole window — nothing checked.
         """
         if verify_shares:
             (signature,), _ = self.combine_window(
@@ -516,21 +516,46 @@ class LJYThresholdScheme:
         if len(usable) < t + 1:
             raise CombineError(
                 f"need {t + 1} valid partial signatures, got {len(usable)}")
-        # Lagrange-at-zero coefficient sets are memoized per signer set —
-        # a stable quorum pays the denominator inversions once — and the
-        # partial-signature points are batch-normalized with one shared
-        # field inversion across both MSMs (their own table passes then
-        # skip the already-affine entries, and every later affine()
-        # consumer of the same points gets normalization for free).
-        coefficients = lagrange_at_zero(
-            tuple(sorted(usable)), self.group.order)
-        weights = [coefficients[index] for index in usable]
-        z_points = [partial.z for partial in usable.values()]
-        r_points = [partial.r for partial in usable.values()]
-        self.group.batch_normalize(z_points + r_points)
-        z = self.group.multi_exp(z_points, weights)
-        r = self.group.multi_exp(r_points, weights)
-        return Signature(z=z, r=r)
+        return self._interpolate([usable])[0]
+
+    def _interpolate(
+            self, requests: Sequence[Mapping[int, PartialSignature]]
+    ) -> List[Signature]:
+        """"Lagrange in the exponent" for many requests at once, each a
+        map from signer index to one of its t+1 partials: ``z = prod
+        z_i^{lambda_i}`` and ``r = prod r_i^{lambda_i}``.
+
+        Requests over the same signer set share one Lagrange row, so all
+        their z- and r-partials go to ONE
+        :meth:`~repro.groups.api.BilinearGroup.multi_exp_windows` call
+        (on BN254, one normalization for every set's tables, each table
+        only as long as the row's digits need: lambda = +-3 takes P and
+        3P).  Coefficient rows are memoized per signer set, and the
+        partials are batch-normalized first with one shared inversion —
+        a no-op for the Share-Sign kernel's affine output — so every
+        later consumer of the same points finds them affine too.
+        """
+        group = self.group
+        group.batch_normalize([point for partials in requests
+                               for partial in partials.values()
+                               for point in (partial.z, partial.r)])
+        by_signers: Dict[Tuple[int, ...], List[int]] = {}
+        for position, partials in enumerate(requests):
+            by_signers.setdefault(tuple(sorted(partials)), []).append(
+                position)
+        signatures: List[Signature] = [None] * len(requests)
+        for signers, positions in by_signers.items():
+            coefficients = lagrange_at_zero(signers, group.order)
+            base_sets = []
+            for position in positions:
+                partials = requests[position]
+                base_sets.append([partials[index].z for index in signers])
+                base_sets.append([partials[index].r for index in signers])
+            products = iter(group.multi_exp_windows(
+                base_sets, [[coefficients[index] for index in signers]]))
+            for position, (z,), (r,) in zip(positions, products, products):
+                signatures[position] = Signature(z=z, r=r)
+        return signatures
 
     # ------------------------------------------------------------------
     # Window-sized entry points (the serving-layer amortization)
@@ -545,9 +570,11 @@ class LJYThresholdScheme:
         """Combine one batch window of ``(message, partials)`` requests.
 
         Each request combines its first t+1 distinct-index partials
-        unverified and **one** cross-message coined product
-        (:meth:`batch_verify`) checks the window: k honest requests
-        cost k Lagrange MSMs and a single multi-pairing.  That check
+        unverified — all of them in one :meth:`_interpolate` call, one
+        MSM call per signer set in use — and **one** cross-message
+        coined product (:meth:`batch_verify`) checks the window: k
+        honest requests cost one interpolation call and a single
+        multi-pairing.  That check
         is the robust path's ground truth.  While it fails, the next
         signer with unchecked partials in use — ``suspects.last``
         first, then by index — has them localized across the window
@@ -637,11 +664,13 @@ class LJYThresholdScheme:
             check(suspects.last, first=True)
         stale: Sequence[int] = range(len(windows))
         while stale:
+            ready = [position for position in stale
+                     if len(in_use[position]) > t]
             for position in stale:
-                signatures[position] = self.combine(
-                    public_key, verification_keys, messages[position],
-                    in_use[position].values(), verify_shares=False
-                ) if len(in_use[position]) > t else None
+                signatures[position] = None
+            for position, signature in zip(ready, self._interpolate(
+                    [in_use[position] for position in ready])):
+                signatures[position] = signature
             combined = [position for position, signature
                         in enumerate(signatures) if signature is not None]
             window = ([messages[position] for position in combined],

@@ -67,7 +67,7 @@ class G1Point:
         self._uses = 0
         if _jac is not None:
             self._jac = _jac
-            self._affine = False
+            self._affine = _jac[2] == 1
             return
         if x is None:  # point at infinity
             self._jac = (1, 1, 0)

@@ -10,14 +10,16 @@ per-operation lambda dispatch: the ``*_fp`` formulas over plain reduced
 ints (G1) and the ``*_fp2`` formulas over ``(a0, a1)`` pairs of reduced
 ints with Karatsuba inlined (G2; F_p2 = F_p[u]/(u^2 + 1)).  A field's
 :class:`FieldOps` names its copies, so the MSM kernels call them with no
-generic branch of their own.  :func:`batch_add_affine_fp` adds many
-affine pairs with one shared inversion.  Points are (X, Y, Z) Jacobian
-triples; Z equal to the field zero encodes the point at infinity.
+generic branch of their own.  :func:`batch_add_affine_fp` is the
+ladder kernel's fused pass: one round of affine doublings and additions
+over flat parallel coordinate lists, in place, with one shared
+inversion.  Points are (X, Y, Z) Jacobian triples; Z equal to the field
+zero encodes the point at infinity.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence
 
 from repro.math.lagrange import batch_invert
 
@@ -385,39 +387,56 @@ def jac_add_affine_fp2(p1, aff2, m: int):
              (2 * t0 * t1 - zz1 - hh1) % m))
 
 
-def batch_add_affine_fp(pairs: Sequence[Tuple[Tuple[int, int],
-                                              Tuple[int, int]]],
-                        m: int) -> List[Optional[Tuple[int, int]]]:
-    """``P + Q`` in affine coordinates for every affine pair, with ONE
-    field inversion for the whole batch (prime fields only).
+def batch_add_affine_fp(xs: List[int], ys: List[int], doubled: int,
+                        x1s: List[int], y1s: List[int],
+                        x2s: Sequence[int], y2s: Sequence[int],
+                        m: int) -> None:
+    """One fused affine round over a prime field, in place, with ONE
+    field inversion: the first ``doubled`` points ``(xs[i], ys[i])``
+    become ``2P``, and every pair ``(x1s[i], y1s[i]) + (x2s[i], y2s[i])``
+    becomes its sum in ``(x1s[i], y1s[i])``.
 
-    Each sum is ``x3 = s^2 - x1 - x2``, ``y3 = s(x1 - x3) - y1`` with the
-    chord slope ``s = (y2 - y1) / (x2 - x1)``; the denominators share one
-    Montgomery inversion, so a sum costs ~6 multiplications plus its
-    share of that inversion.  Equal x-coordinates are decided exactly:
-    ``P + P`` takes the tangent slope ``3x^2 / 2y`` (``y`` is never zero
-    on a curve of odd prime order) and ``P + (-P)`` is the identity,
-    returned as None.
+    A sum is ``x3 = s^2 - x1 - x2``, ``y3 = s(x1 - x3) - y1`` with the
+    chord slope ``s = (y2 - y1) / (x2 - x1)``, or the tangent slope
+    ``3x^2 / 2y`` for a doubling and for a pair with ``x1 == x2``, which
+    the caller passes only when the two points are equal: ``P + (-P)``
+    (the identity) is decided before a pair is queued, and ``y`` is never
+    zero on a curve of odd prime order.  Coordinates are reduced ints.
+    The denominators share one Montgomery inversion, walked forward once
+    for the prefix products and back once for the sums, so a sum costs
+    five reductions plus its share of the inversion.
     """
-    out: List[Optional[Tuple[int, int]]] = [None] * len(pairs)
-    where, numerators, denominators = [], [], []
-    for index, ((x1, y1), (x2, y2)) in enumerate(pairs):
-        if x1 != x2:
-            numerators.append(y2 - y1)
-            denominators.append(x2 - x1)
-        elif y1 == y2:
-            numerators.append(3 * x1 * x1)
-            denominators.append(2 * y1)
+    prefix = []
+    keep = prefix.append
+    acc = 1
+    for y in ys[:doubled]:
+        keep(acc)
+        acc = acc * (y + y) % m
+    for x1, y1, x2 in zip(x1s, y1s, x2s):
+        keep(acc)
+        acc = acc * ((x2 - x1) or y1 + y1) % m
+    if not prefix:
+        return
+    inverse = pow(acc, -1, m)
+    for i in range(len(x1s) - 1, -1, -1):
+        x1, y1, x2 = x1s[i], y1s[i], x2s[i]
+        denominator = x2 - x1
+        if denominator:
+            slope = (y2s[i] - y1) * prefix[doubled + i] * inverse % m
         else:
-            continue
-        where.append(index)
-    for index, numerator, inverse in zip(
-            where, numerators, batch_invert(denominators, m)):
-        (x1, y1), (x2, _y2) = pairs[index]
-        slope = numerator * inverse % m
+            denominator = y1 + y1
+            slope = 3 * x1 * x1 * prefix[doubled + i] % m * inverse % m
+        inverse = inverse * denominator % m
         x3 = (slope * slope - x1 - x2) % m
-        out[index] = (x3, (slope * (x1 - x3) - y1) % m)
-    return out
+        y1s[i] = (slope * (x1 - x3) - y1) % m
+        x1s[i] = x3
+    for i in range(doubled - 1, -1, -1):
+        x, y = xs[i], ys[i]
+        slope = 3 * x * x * prefix[i] % m * inverse % m
+        inverse = inverse * (y + y) % m
+        x3 = (slope * slope - x - x) % m
+        ys[i] = (slope * (x - x3) - y) % m
+        xs[i] = x3
 
 
 def jac_neg(ops: FieldOps, point):

@@ -73,7 +73,7 @@ class PedersenDKGPlayer(Player):
                  num_pairs: int = 2,
                  fixed_secrets: Optional[Sequence[Tuple[int, int]]] = None,
                  require_zero_constant: bool = False,
-                 rng=None):
+                 rng=None, indices: Optional[Sequence[int]] = None):
         super().__init__(index)
         validate_threshold(t, n)
         if n < 2 * t + 1:
@@ -83,6 +83,10 @@ class PedersenDKGPlayer(Player):
         self.g_r = g_r
         self.t = t
         self.n = n
+        #: The players' indices: 1..n unless a committee was renumbered
+        #: (a refresh after a reshare to, say, indices 2..6).
+        self.indices = list(range(1, n + 1) if indices is None
+                            else indices)
         self.num_pairs = num_pairs
         self.rng = rng
         self._fixed_secrets = fixed_secrets
@@ -137,7 +141,7 @@ class PedersenDKGPlayer(Player):
                 "commitments": [d.commitments for d in self.dealings],
                 "extra": self.extra_broadcast_payload(),
             }))
-        for j in range(1, self.n + 1):
+        for j in self.indices:
             if j == self.index:
                 continue
             outbound.append(private(
@@ -173,7 +177,7 @@ class PedersenDKGPlayer(Player):
 
     def _complain(self) -> List[Message]:
         outbound: List[Message] = []
-        for dealer in range(1, self.n + 1):
+        for dealer in self.indices:
             if dealer == self.index:
                 continue
             if not self._dealing_is_valid(dealer):
@@ -253,7 +257,7 @@ class PedersenDKGPlayer(Player):
                 self._vk_component(qualified, k, j)
                 for k in range(self.num_pairs)
             ]
-            for j in range(1, self.n + 1)
+            for j in self.indices
         }
         self._result = DKGResult(
             index=self.index,
@@ -289,7 +293,7 @@ class PedersenDKGPlayer(Player):
 
     def _qualified_set(self, responses) -> List[int]:
         qualified = []
-        for dealer in range(1, self.n + 1):
+        for dealer in self.indices:
             if dealer in self.disqualified:
                 continue
             if dealer not in self.received_commitments:
@@ -366,18 +370,25 @@ def run_pedersen_dkg(group: BilinearGroup, g_z: GroupElement,
                      num_pairs: int = 2,
                      adversary: Optional[Adversary] = None,
                      fixed_secrets=None, require_zero_constant: bool = False,
-                     rng=None, player_cls=PedersenDKGPlayer):
+                     rng=None, player_cls=PedersenDKGPlayer,
+                     indices: Optional[Sequence[int]] = None):
     """Run the full Dist-Keygen; returns (results_by_player, network).
 
     ``results_by_player`` maps each *honest* player index to its
     :class:`DKGResult`.  The network object carries the communication
-    metrics used by experiment T4.
+    metrics used by experiment T4.  The n players carry ``indices``
+    (1..n by default), and shares and verification keys are dealt to
+    exactly those.
     """
+    indices = list(range(1, n + 1) if indices is None else indices)
+    if len(indices) != n:
+        raise ParameterError("need exactly n player indices")
     players = {
         i: player_cls(i, group, g_z, g_r, t, n, num_pairs=num_pairs,
                       fixed_secrets=fixed_secrets,
-                      require_zero_constant=require_zero_constant, rng=rng)
-        for i in range(1, n + 1)
+                      require_zero_constant=require_zero_constant, rng=rng,
+                      indices=indices)
+        for i in indices
     }
     network = SyncNetwork(players, adversary=adversary)
     results = network.run(NUM_ROUNDS)

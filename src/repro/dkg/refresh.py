@@ -33,11 +33,15 @@ def run_refresh(group: BilinearGroup, g_z: GroupElement, g_r: GroupElement,
     ``shares`` maps honest player indices to their current shares; players
     missing from the map (e.g. previously crashed ones) are skipped — the
     share-recovery procedure of Herzberg et al. is a separate concern
-    handled by :func:`recover_share`.
+    handled by :func:`recover_share`.  The zero-sharing runs over the
+    committee's own indices, the keys of ``verification_keys`` — 1..n
+    after a dealer keygen, whatever a reshare renumbered them to after
+    one.
     """
     results, network = run_pedersen_dkg(
         group, g_z, g_r, t, n, num_pairs=2, adversary=adversary,
-        fixed_secrets=[(0, 0), (0, 0)], require_zero_constant=True, rng=rng)
+        fixed_secrets=[(0, 0), (0, 0)], require_zero_constant=True, rng=rng,
+        indices=sorted(verification_keys))
     new_shares: Dict[int, PrivateKeyShare] = {}
     new_vks: Dict[int, VerificationKey] = {}
     reference = None

@@ -36,8 +36,13 @@ Three things shorten or share the lanes:
   split yields signed halves by itself; groups without an endomorphism
   get the same effect from the comparison.
 * **Shared tables.**  Rows over the *same* bases share one w = 4
-  odd-multiples table per base, built once and batch-normalized with one
-  inversion.  A table lives for one call; nothing is cached.
+  odd-multiples table per base, and every base set of a call shares one
+  batch normalization — one inversion for all of them.  The rows are
+  recoded once per call, and a base's table only runs up to the largest
+  digit its lanes use: Combine's Lagrange row over the quorum {1, 2, 3}
+  is (3, -3, 1), which needs P and 3P, not four entries; full-size
+  lanes and the 64-bit coins use all four.  A table lives for one call;
+  nothing is cached.
 
 **Short scalars skip the split.**  A scalar of at most 128 bits — the
 64-bit small-exponent coins of ``batch_verify`` and
@@ -48,15 +53,13 @@ one undecomposed lane.
 **The ladder kernel.**  Share-Sign evaluates ``2(t + 1)`` rows over the
 one hashed pair ``(H_1, H_2)``: ``z_i``/``r_i`` for every signer of a
 quorum.  Lanes would give every row its own ~128-step doubling chain.
-:func:`_ladder_rows` instead doubles each base once, into a normalized
-ladder ``2^j * P`` (its phi-image is one multiplication per rung),
-files every row's w = 5 NAF
-digits as ``+-2^j * P`` into per-row buckets by ``|d|``, sums all
-buckets of all rows pairwise with batched affine additions
-(:func:`~repro.curves.weierstrass.batch_add_affine_fp`, one inversion per
-round) and folds each row as ``sum_u (2u + 1) * S_u``.  A row then costs
-only additions at ~6 multiplications each; the ladder, 2 x 128
-doublings plus one normalization, is paid once per call.
+:func:`_ladder_rows` instead doubles each base once, into a ladder
+``2^j * P`` (its phi-image is one multiplication per rung), files every
+row's w = 5 NAF digits as ``+-2^j * P`` into per-row buckets by ``|d|``,
+sums each bucket with batched affine additions and folds each row as
+``sum_u (2u + 1) * S_u``, also in batched affine rounds.  A row then
+costs only additions at ~6 multiplications each; the ladder, 2 x 128
+doublings, is paid once per call.
 :func:`multi_scalar_mul_windows` picks it from the input's shape alone:
 more rows than live bases, over a prime field (G1).  Measured twice on
 one 2-core box (full-size scalars over hash-to-curve bases), the ladder
@@ -69,30 +72,52 @@ Share-Sign), 0.94-0.96x at 3 x 4 and 0.60-0.64x at 3 x 10.
 one quorum: the same rows over many base sets, one ``(H_1, H_2)`` per
 message.  :func:`multi_scalar_mul_windows` hands every set to ONE
 ladder call, which splits and recodes the rows once (a schedule of
-``(slot, variant, bucket, sign)`` entries per bit, shared by all sets)
+``(variant, rung, bucket, sign)`` entries per bit, shared by all sets)
 rather than once per message.  From ``_AFFINE_LADDER_BASES`` (8) live
 bases in all it also changes how rungs are made: every base is doubled
-in *affine* coordinates, ``2P`` by the tangent slope, one
-:func:`~repro.curves.weierstrass.batch_add_affine_fp` per rung across
-all bases — ~7 multiplications a rung against ~16 for a Jacobian
-doubling plus its share of the final normalization — and the bucket
-pairs that rung completed ride in the same batch, so they share its
+in *affine* coordinates, ``2P`` by the tangent slope, all bases' rungs
+in one pass per bit — ~7 multiplications a rung against ~16 for a
+Jacobian doubling plus its share of a normalization — and the bucket
+pairs that bit completed ride in the same pass, so they share its
 inversion.  The inversion is what sets the crossover: one per rung is
 ~128 inversions a call, worth it only over enough bases.  Measured in
-one process on the 2-core box, alternating 15-21 times (2 bases x 6
-rows a set, per-message Jacobian calls = 1.00): the affine ladder took
-1.41x at 1 set, 1.09-1.12x at 2, 0.98-0.99x at 3, 0.93-0.94x at 4 and
-0.81x at 16 (a full window); the Jacobian ladder over a whole window
-took 0.96-1.00x at every size.  Below 8 bases — a presigned request, a
-top-up, one share's Share-Sign — the ladder stays Jacobian with one
-normalization, exactly the per-message kernel.
+one process on a 2-core box (2 bases x 6 rows a set, per-message
+Jacobian calls = 1.00), the affine ladder took 1.41x at 1 set,
+1.09-1.12x at 2, 0.98-0.99x at 3, 0.93-0.94x at 4 and 0.81x at 16;
+below 8 bases — a presigned request, a top-up, one share's Share-Sign
+— the rungs stay Jacobian, normalized with one inversion.
 
-A streamed rung is filed into its buckets as soon as it exists and is
-then dropped, and a bucket is paired down as soon as it holds two
-points, so what a call holds is the current rung of every base plus a
-few points per bucket.  Stored ladders would be ~130 rungs x 32 bases
-plus their phi-images per window, ~1.5-2 MB of Python ints — beyond
-what a window may add to a signing process's resident set.
+**The flat bucket engine.**  Both kinds of rungs feed one engine whose
+state is a handful of flat parallel int lists: the rungs' coordinates,
+one cell per (set, row, bucket), and the queue of the next pass.  A
+cell holds at most one point.  A point filed into an occupied cell
+queues the pair and marks the cell in flight (``P + (-P)`` empties the
+cell instead, decided exactly, so no identity ever enters a pass); a
+point filed into an in-flight cell waits, and waiting points are paired
+among themselves before each pass, their sums rejoining the cell's
+waiting points, so a stored ladder's hundreds of points per cell still
+reduce as a tree.  Each pass is ONE
+:func:`~repro.curves.weierstrass.batch_add_affine_fp` over the climbing
+rungs and every queued pair — one inversion, no per-point tuples or
+per-bucket lists.  The fold ``sum_u (2u + 1) * S_u`` is nine more passes
+over every row of every set (running sums ``R_u`` into cell ``u`` and
+their sum into the top cell in seven, then a doubling and ``+ R_0``), so
+products come out affine (Z = 1) and Combine's normalization has
+nothing left to do.  A full t = 2 window of 16 runs ~800 affine
+additions and ~9 passes a message (``MSM_COUNTERS``).  Measured in one
+process on the same 2-core box in CPU time, alternating 15-201 times
+against the list-of-buckets kernel with its Jacobian fold (= 1.00, 2
+bases x 6 rows a set, medians): 1.00-1.01x at 1 set (Jacobian rungs;
+1.00x counting the normalization of its output that Combine no longer
+pays), 0.95-0.97x at 2, 0.82-0.87x at 4, 0.84-0.85x at 8 and
+0.82-0.85x at 16.
+
+A streamed rung is filed into its cells as soon as it exists and is
+then dropped, and a cell never holds more than one point, so what a
+call holds is the current rung of every base, one point per cell and
+one pass's queue.  Stored ladders would be ~130 rungs x 32 bases plus
+their phi-images per window, ~1.5-2 MB of Python ints — beyond what a
+window may add to a signing process's resident set.
 
 The other algorithms:
 
@@ -121,11 +146,10 @@ pure-Jacobian formulas remain the agreement reference via the naive
 from __future__ import annotations
 
 from itertools import islice
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.curves.weierstrass import (
-    FieldOps, batch_add_affine_fp, jac_add_affine_fp, jac_add_fp,
-    jac_batch_normalize, jac_double_fp,
+    FieldOps, batch_add_affine_fp, jac_batch_normalize, jac_double_fp,
 )
 
 
@@ -218,20 +242,25 @@ def _split(scalar: int, order: int, endo: Optional[Endomorphism]):
     return ((k_1, 0), (k_2, 1))
 
 
-def _lane_tables(ops: FieldOps, points, count: int):
-    """``(positive, negative)`` affine odd-multiple tables for every
-    point, all sharing ONE inversion.  Odd multiples below the (prime)
-    group order are never the identity, so every normalized entry exists.
-    """
+def _lane_tables(ops: FieldOps, base_sets: Sequence[Sequence],
+                 counts: Sequence[int]) -> List[list]:
+    """``(positive, negative)`` affine odd-multiple tables, ``counts[j]``
+    entries for base ``j`` of every set, all sets sharing ONE inversion.
+    Odd multiples below the (prime) group order are never the identity,
+    so every normalized entry exists."""
     flat = []
-    for point in points:
-        flat.extend(_odd_multiples(ops, point, count))
-    normalized = jac_batch_normalize(ops, flat)
+    for bases in base_sets:
+        for base, count in zip(bases, counts):
+            flat.extend(_odd_multiples(ops, base, count))
+    normalized = iter(jac_batch_normalize(ops, flat))
     tables = []
-    for start in range(0, len(flat), count):
-        positive = normalized[start:start + count]
-        tables.append(
-            (positive, [(x, ops.neg(y)) for x, y in positive]))
+    for _ in base_sets:
+        set_tables = []
+        for count in counts:
+            positive = list(islice(normalized, count))
+            set_tables.append(
+                (positive, [(x, ops.neg(y)) for x, y in positive]))
+        tables.append(set_tables)
     return tables
 
 
@@ -264,17 +293,16 @@ def _wnaf_terms(k: int, width: int):
         k -= digit
 
 
-def _schedule_lane(schedule: List[list], k: int, table, width: int):
-    """Recode the signed lane scalar ``k`` into width-``w`` NAF and file
-    each nonzero digit's table entry under its bit in ``schedule``
+def _schedule_lane(schedule: List[list], negated: bool, terms, table):
+    """File each ``(bit, digit)`` of a recoded lane (``negated`` when its
+    scalar is negative) as its table entry under its bit in ``schedule``
     (``schedule[i]`` = what to add after the doubling at bit ``i``)."""
     positive, negative = table
-    if k < 0:
-        k = -k
+    if negated:
         positive, negative = negative, positive
     schedule.extend(
-        [] for _ in range(k.bit_length() + 1 - len(schedule)))
-    for bit, digit in _wnaf_terms(k, width):
+        [] for _ in range(terms[-1][0] + 1 - len(schedule)))
+    for bit, digit in terms:
         if digit < 0:
             schedule[bit].append(negative[-digit >> 1])
         else:
@@ -298,14 +326,21 @@ def _run_lanes(ops: FieldOps, schedule: List[list]):
 
 #: Work served by each kernel of :func:`multi_scalar_mul_windows` in this
 #: process: rows per kernel (``ladder_rows`` / ``lane_rows``, every base
-#: set's rows counted) and ladder-kernel calls (``ladder_calls``) — the
-#: MSM counterpart of ``PAIRING_COUNTERS``; read deltas, never reset.
-MSM_COUNTERS = {"ladder_rows": 0, "lane_rows": 0, "ladder_calls": 0}
+#: set's rows counted), ladder-kernel calls (``ladder_calls``), and the
+#: ladder kernel's fused affine passes (``inversions``, one field
+#: inversion each) and the additions and doublings they ran
+#: (``affine_adds``: rungs, bucket pairs and fold) — the MSM counterpart
+#: of ``PAIRING_COUNTERS``; read deltas, never reset.
+MSM_COUNTERS = {"ladder_rows": 0, "lane_rows": 0, "ladder_calls": 0,
+                "affine_adds": 0, "inversions": 0}
 
 #: w-NAF widths: the lane kernel's odd-multiples tables (2^{w-2} entries
 #: per base) and the ladder kernel's buckets (2^{w-2} per row).
 _LANE_WIDTH = 4
 _LADDER_WIDTH = 5
+
+#: Marks a ladder-kernel cell whose point is in this round's pass.
+_IN_FLIGHT = object()
 
 #: Live bases, over all base sets of one ladder call, from which the
 #: rungs are doubled in affine coordinates (one inversion per rung)
@@ -338,10 +373,11 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
     (:func:`_ladder_rows`) in ONE call per live pattern: each base is
     doubled once for all rows, and the rows are split and recoded once
     for all sets.  Every other shape — one row, G2, few rows over many
-    bases, nothing live — builds one odd-multiples table per base (one
-    batch inversion), recodes each row into lanes against it and runs
-    them through :func:`_run_lanes`.  Either way nothing outlives the
-    call.
+    bases, nothing live — goes to the lane kernel (:func:`_lane_rows`),
+    also in one call per live pattern: the rows are recoded once, each
+    base gets an odd-multiples table as long as their digits need, every
+    set's tables share one batch inversion, and each row runs through
+    :func:`_run_lanes`.  Either way nothing outlives the call.
     """
     rows = []
     for row in scalar_rows:
@@ -368,34 +404,51 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
                 order, endo)
         else:
             MSM_COUNTERS["lane_rows"] += len(rows) * len(positions)
-            sums = [_lane_rows(
-                ops, [point_sets[position][index] for index in live],
+            sums = _lane_rows(
+                ops, [[point_sets[position][index] for index in live]
+                      for position in positions],
                 [[row[index] for index in live] for row in rows],
-                order, endo) for position in positions]
+                order, endo)
         for position, products in zip(positions, sums):
             results[position] = products
     return results
 
 
-def _lane_rows(ops: FieldOps, bases: Sequence, rows: Sequence[list],
-               order: int, endo: Optional[Endomorphism]) -> list:
-    """The lane kernel over one base set's live bases."""
-    tables = _lane_tables(ops, bases, 1 << (_LANE_WIDTH - 2))
-    phi_tables = [None] * len(bases)
-    results = []
+def _lane_rows(ops: FieldOps, base_sets: Sequence[Sequence],
+               rows: Sequence[list], order: int,
+               endo: Optional[Endomorphism]) -> List[list]:
+    """The lane kernel over many base sets' live bases: every row is
+    split and recoded once, and each base's table holds odd multiples
+    only up to the largest digit its lanes use."""
+    full = 1 << (_LANE_WIDTH - 2)
+    counts = [1] * len(rows[0] if rows else ())
+    recoded = []
     for row in rows:
-        schedule: List[list] = []
+        lanes = []
         for slot, scalar in enumerate(row):
             for k, variant in _split(scalar, order, endo):
-                if not variant:
-                    table = tables[slot]
-                else:
-                    table = phi_tables[slot]
-                    if table is None:
-                        table = phi_tables[slot] = _phi_tables(
-                            ops, endo, tables[slot])
-                _schedule_lane(schedule, k, table, _LANE_WIDTH)
-        results.append(_run_lanes(ops, schedule))
+                if k:
+                    terms = list(_wnaf_terms(abs(k), _LANE_WIDTH))
+                    if counts[slot] < full:
+                        counts[slot] = max(counts[slot], 1 + max(
+                            [abs(digit) for _, digit in terms]) // 2)
+                    lanes.append((slot, variant, k < 0, terms))
+        recoded.append(lanes)
+    results = []
+    for tables in _lane_tables(ops, base_sets, counts):
+        images = [None] * len(tables)
+        products = []
+        for lanes in recoded:
+            schedule: List[list] = []
+            for slot, variant, negated, terms in lanes:
+                table = tables[slot]
+                if variant:
+                    if images[slot] is None:
+                        images[slot] = _phi_tables(ops, endo, table)
+                    table = images[slot]
+                _schedule_lane(schedule, negated, terms, table)
+            products.append(_run_lanes(ops, schedule))
+        results.append(products)
     return results
 
 
@@ -414,131 +467,173 @@ def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
       every bit ``j`` its longest lane can reach; a phi-image rung is
       ``(beta * x, y)``, one multiplication.  Under
       ``_AFFINE_LADDER_BASES`` bases in all, the rungs are doubled in
-      Jacobian coordinates and normalized with one inversion at the end;
-      from there on each rung of every base is doubled in affine
-      coordinates, one :func:`batch_add_affine_fp` per rung, which also
-      adds the bucket pairs that rung completed.  A streamed rung is
-      filed as soon as it exists and then dropped.
-    * **Reduction.**  What is left in the buckets is summed pairwise in
-      rounds, each round ONE :func:`batch_add_affine_fp` over every pair.
+      Jacobian coordinates, normalized with one inversion and filed all
+      at once; from there on each rung is doubled in affine coordinates
+      in the pass after its bit is filed, and dropped.
+    * **Buckets.**  Coordinates live in flat parallel lists, one cell
+      per (set, row, bucket), and a cell holds at most one point.  A
+      point filed into an occupied cell queues the pair for the next
+      pass and marks the cell in flight (``P + (-P)`` empties it
+      instead, decided exactly here); a point filed into an in-flight
+      cell waits, and the waiting points of a cell are paired among
+      themselves before the next pass.  Each round is ONE
+      :func:`~repro.curves.weierstrass.batch_add_affine_fp` pass over
+      the climbing rungs and the queued pairs.
     * **Fold.**  Each row is ``sum_u (2u + 1) * S_u``: with running sums
-      ``R_u = sum_{v >= u} S_v`` that is ``2 * sum_{u >= 1} R_u + R_0``.
+      ``R_u = sum_{v >= u} S_v`` that is ``2 * sum_{u >= 1} R_u + R_0``,
+      filed as affine rounds across every row of every set — ``R_u``
+      into cell ``u``, the sum of the ``R_u`` into the top cell, then
+      that cell doubled and ``R_0`` added.  Products come out affine.
 
     Bases must be non-identity points of the (odd prime order) group, so
     no rung is the identity and no affine ``y`` is zero.
     """
     m = ops.modulus
     width = 1 << (_LADDER_WIDTH - 2)
+    sets = len(base_sets)
     tops = [0] * len(rows[0])
-    schedule: List[list] = []
+    lanes = []
     for position, row in enumerate(rows):
         for slot, scalar in enumerate(row):
             for k, variant in _split(scalar, order, endo):
                 tops[slot] = max(tops[slot], abs(k).bit_length())
-                schedule.extend(
-                    [] for _ in range(abs(k).bit_length() + 1
-                                      - len(schedule)))
-                for bit, digit in _wnaf_terms(abs(k), _LADDER_WIDTH):
-                    schedule[bit].append((
-                        slot, variant, position * width + (abs(digit) >> 1),
-                        (digit < 0) != (k < 0)))
-    buckets = [[[] for _ in range(len(rows) * width)] for _ in base_sets]
-    beta = None if endo is None else endo.beta
+                lanes.append((position * width, slot, variant, k))
+    # Rungs are stored slot-major, the longest ladders first, so the
+    # rungs still climbing at any bit are a prefix of the rung lists.
+    slots = sorted(range(len(tops)), key=lambda slot: -tops[slot])
+    schedule: List[list] = [[] for _ in range(max(tops) + 1)]
+    imaged: List[set] = [set() for _ in schedule]
+    for cell, slot, variant, k in lanes:
+        rung = slots.index(slot) * sets
+        for bit, digit in _wnaf_terms(abs(k), _LADDER_WIDTH):
+            schedule[bit].append((variant, rung, cell + (abs(digit) >> 1),
+                                  (digit < 0) != (k < 0)))
+            if variant:
+                imaged[bit].add(rung)
+    bases = [bases[slot] for slot in slots for bases in base_sets]
+    beta = endo.beta if endo is not None else 0
 
-    def file(entries, rung, set_buckets, full):
-        """Every entry of one bit into one set's buckets, ``rung[slot]``
-        being that bit's affine rung; a bucket reaching two points goes
-        on ``full``."""
-        images = {}
-        for slot, variant, index, negative in entries:
-            if not variant:
-                x, y = rung[slot]
-            elif slot in images:
-                x, y = images[slot]
+    cells = len(rows) * width
+    bx: list = [None] * (sets * cells)
+    by = [0] * (sets * cells)
+    qx: List[int] = []
+    qy: List[int] = []
+    qx2: List[int] = []
+    qy2: List[int] = []
+    qcell: List[int] = []
+    waiting: Dict[int, list] = {}
+    rx: List[int] = []
+    ry: List[int] = []
+
+    def put(cell: int, x: int, y: int) -> None:
+        """One point into one cell (see the Buckets bullet)."""
+        held = bx[cell]
+        if held is None:
+            bx[cell] = x
+            by[cell] = y
+        elif held is _IN_FLIGHT:
+            waiting.setdefault(cell, []).append((x, y))
+        elif held != x or by[cell] == y:
+            qx.append(held)
+            qy.append(by[cell])
+            qx2.append(x)
+            qy2.append(y)
+            qcell.append(cell)
+            bx[cell] = _IN_FLIGHT
+        else:
+            bx[cell] = None
+
+    def run_round(doubled: int) -> None:
+        """Pair up the waiting points, then one fused pass; each sum goes
+        back into its cell, or joins its cell's waiting points."""
+        for cell, points in list(waiting.items()):
+            del waiting[cell]
+            while points and bx[cell] is not _IN_FLIGHT:
+                put(cell, *points.pop())
+            while len(points) > 1:
+                x, y = points.pop()
+                x2, y2 = points.pop()
+                if x != x2 or y == y2:
+                    qx.append(x)
+                    qy.append(y)
+                    qx2.append(x2)
+                    qy2.append(y2)
+                    qcell.append(~cell)
+            if points:
+                waiting[cell] = points
+        if not (doubled or qcell):
+            return
+        MSM_COUNTERS["affine_adds"] += doubled + len(qcell)
+        MSM_COUNTERS["inversions"] += 1
+        batch_add_affine_fp(rx, ry, doubled, qx, qy, qx2, qy2, m)
+        for cell, x, y in zip(qcell, qx, qy):
+            if cell < 0:
+                waiting.setdefault(~cell, []).append((x, y))
             else:
-                x, y = rung[slot]
-                x = beta * x % m
-                images[slot] = x, y
-            bucket = set_buckets[index]
-            bucket.append((x, m - y) if negative else (x, y))
-            if len(bucket) == 2:
-                full.append(bucket)
+                bx[cell] = x
+                by[cell] = y
+        for column in (qx, qy, qx2, qy2, qcell):
+            column.clear()
 
-    if len(base_sets) * len(tops) < _AFFINE_LADDER_BASES:
-        jacobian = []
-        for bases in base_sets:
-            for base, top in zip(bases, tops):
-                jacobian.append(base)
-                for _ in range(top):
-                    jacobian.append(jac_double_fp(jacobian[-1], m))
-        flat = iter(jac_batch_normalize(ops, jacobian))
-        for set_buckets in buckets:
-            ladders = [list(islice(flat, top + 1)) for top in tops]
-            variants = (ladders, None if beta is None else [
-                [(beta * x % m, y) for x, y in ladder] for ladder in ladders])
-            for bit, entries in enumerate(schedule):
-                for slot, variant, index, negative in entries:
-                    x, y = variants[variant][slot][bit]
-                    set_buckets[index].append(
-                        (x, m - y) if negative else (x, y))
-        pending = [bucket for set_buckets in buckets
-                   for bucket in set_buckets if len(bucket) > 1]
-    else:
-        flat = iter(jac_batch_normalize(
-            ops, [base for bases in base_sets for base in bases]))
-        rungs = [[next(flat) for _ in tops] for _ in base_sets]
-        pending = []
+    if sets * len(slots) < _AFFINE_LADDER_BASES:
+        ladders = []
+        for base, slot in zip(bases, (slot for slot in slots
+                                      for _ in base_sets)):
+            ladders.append(base)
+            for _ in range(tops[slot]):
+                ladders.append(jac_double_fp(ladders[-1], m))
+        ladders = iter(jac_batch_normalize(ops, ladders))
+        ladders = [list(islice(ladders, tops[slot] + 1))
+                   for slot in slots for _ in base_sets]
+        variants = (ladders, [[(beta * x % m, y) for x, y in ladder]
+                              for ladder in ladders] if beta else None)
         for bit, entries in enumerate(schedule):
-            for rung, set_buckets in zip(rungs, buckets):
-                file(entries, rung, set_buckets, pending)
-            climbing = [slot for slot, top in enumerate(tops) if top > bit]
-            if not climbing and not pending:
-                continue
-            sums = iter(batch_add_affine_fp(
-                [(rung[slot], rung[slot]) for rung in rungs
-                 for slot in climbing]
-                + [pair for bucket in pending
-                   for pair in zip(bucket[0::2], bucket[1::2])], m))
-            for rung in rungs:
-                for slot in climbing:
-                    rung[slot] = next(sums)
-            pending = _reduced(pending, sums)
-    while pending:
-        pending = _reduced(pending, iter(batch_add_affine_fp(
-            [pair for bucket in pending
-             for pair in zip(bucket[0::2], bucket[1::2])], m)))
+            for set_index in range(sets):
+                offset = set_index * cells
+                for variant, rung, cell, negative in entries:
+                    x, y = variants[variant][rung + set_index][bit]
+                    waiting.setdefault(cell + offset, []).append(
+                        (x, m - y) if negative else (x, y))
+    else:
+        for x, y in jac_batch_normalize(ops, bases):
+            rx.append(x)
+            ry.append(y)
+        px = [0] * len(rx)
+        variants = (rx, px)
+        for bit, entries in enumerate(schedule):
+            for rung in imaged[bit]:
+                for index in range(rung, rung + sets):
+                    px[index] = beta * rx[index] % m
+            for set_index in range(sets):
+                offset = set_index * cells
+                for variant, rung, cell, negative in entries:
+                    rung += set_index
+                    put(cell + offset, variants[variant][rung],
+                        m - ry[rung] if negative else ry[rung])
+            run_round(sets * sum(top > bit for top in tops))
+    while qcell or waiting:
+        run_round(0)
 
-    results = []
-    for set_buckets in buckets:
-        products = []
-        for start in range(0, len(set_buckets), width):
-            row = set_buckets[start:start + width]
-            running = total = (1, 1, 0)
-            for bucket in reversed(row[1:]):
-                if bucket:
-                    running = jac_add_affine_fp(running, bucket[0], m)
-                total = jac_add_fp(total, running, m)
-            if row[0]:
-                running = jac_add_affine_fp(running, row[0][0], m)
-            products.append(jac_add_fp(jac_double_fp(total, m), running, m))
-        results.append(products)
-    return results
-
-
-def _reduced(pending: List[list], sums) -> List[list]:
-    """One pairwise round over ``pending`` buckets: each keeps its pairs'
-    sums (from ``sums``, identities dropped) plus an odd last point;
-    returns the buckets still holding two or more."""
-    still = []
-    for bucket in pending:
-        kept = [point for point in islice(sums, len(bucket) >> 1)
-                if point is not None]
-        if len(bucket) & 1:
-            kept.append(bucket[-1])
-        bucket[:] = kept
-        if len(kept) > 1:
-            still.append(bucket)
-    return still
+    top = width - 1
+    for u in range(width - 2, -1, -1):
+        for row in range(0, sets * cells, width):
+            x = bx[row + u + 1]
+            if x is not None:
+                y = by[row + u + 1]
+                put(row + u, x, y)
+                if u + 1 < top:
+                    put(row + top, x, y)
+        run_round(0)
+    for source in (top, 0):
+        for row in range(0, sets * cells, width):
+            x = bx[row + source]
+            if x is not None:
+                put(row + top, x, by[row + source])
+        run_round(0)
+    return [[(bx[row + top], by[row + top], 1)
+             if bx[row + top] is not None else (1, 1, 0)
+             for row in range(start, start + cells, width)]
+            for start in range(0, sets * cells, cells)]
 
 
 def scalar_mul(ops: FieldOps, point, scalar: int, order: int,

@@ -794,6 +794,8 @@ class HttpGateway:
                 ("msm_ladder_rows", MSM_COUNTERS["ladder_rows"]),
                 ("msm_lane_rows", MSM_COUNTERS["lane_rows"]),
                 ("msm_ladder_calls", MSM_COUNTERS["ladder_calls"]),
+                ("msm_affine_adds", MSM_COUNTERS["affine_adds"]),
+                ("msm_inversions", MSM_COUNTERS["inversions"]),
                 ("hash_g1_hits", HASH_COUNTERS["g1_hits"]),
                 ("hash_g1_misses", HASH_COUNTERS["g1_misses"])):
             crypto_ops.add({"op": op}, value)

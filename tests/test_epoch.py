@@ -97,6 +97,39 @@ class TestBeginEpoch:
         assert committee == [2, 3, 4, 5, 6]
         assert epochs.reshares == 1 and epochs.epoch == 1
 
+    def test_refresh_after_renumbering_reshare_under_load(self, handle):
+        # The refresh's zero-sharing DKG runs over the committee's own
+        # indices: after a reshare to 2..6 there is no signer 1 to deal
+        # to, and the refreshed committee is still 2..6.
+        async def scenario():
+            service = SigningService(handle, ServiceConfig(
+                num_shards=2, max_batch=4, max_wait_ms=1.0))
+            async with service:
+                before = service.handle.public_key.to_bytes()
+                first = await service.sign(b"renumbered 0")
+                tasks = [asyncio.create_task(
+                    service.sign(b"renumbered %d" % i)) for i in range(24)]
+                await service.reshare(2, (2, 3, 4, 5, 6),
+                                      rng=random.Random(23))
+                await service.refresh(rng=random.Random(24))
+                results = await asyncio.gather(*tasks)
+                again = await service.sign(b"renumbered 0")
+                return (before, service.handle.public_key.to_bytes(),
+                        first, again, results,
+                        sorted(service.handle.shares), service.stats)
+        before, after, first, again, results, committee, stats = \
+            run(scenario())
+        assert after == before
+        assert again.signature.to_bytes() == first.signature.to_bytes()
+        for position, result in enumerate(results):
+            assert handle.verify(b"renumbered %d" % position,
+                                 result.signature)
+        assert committee == [2, 3, 4, 5, 6]
+        assert stats.rejected == 0
+        assert stats.completed == len(results) + 2
+        assert stats.epochs.reshares == 1 and stats.epochs.refreshes == 1
+        assert stats.epochs.epoch == 2
+
     def test_retire_then_recover_signer_signs_next_window(self, handle):
         # One shard => one quorum, rotation 0: signers (1, 2, 3).  After
         # retiring signer 3 the quorum re-forms without it; after

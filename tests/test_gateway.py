@@ -808,6 +808,8 @@ class TestPrometheusExposition:
                         ("msm_ladder_rows", MSM_COUNTERS["ladder_rows"]),
                         ("msm_lane_rows", MSM_COUNTERS["lane_rows"]),
                         ("msm_ladder_calls", MSM_COUNTERS["ladder_calls"]),
+                        ("msm_affine_adds", MSM_COUNTERS["affine_adds"]),
+                        ("msm_inversions", MSM_COUNTERS["inversions"]),
                         ("hash_g1_hits", HASH_COUNTERS["g1_hits"]),
                         ("hash_g1_misses", HASH_COUNTERS["g1_misses"])):
                     assert sample(families, "ljy_crypto_ops_total",
@@ -958,6 +960,11 @@ def test_http_gateway_on_bn254(bn254_group):
         assert MSM_COUNTERS["ladder_rows"] - ladder["ladder_rows"] == \
             2 * (1 + 1)
         assert MSM_COUNTERS["ladder_calls"] - ladder["ladder_calls"] == 1
+        # Its bucket sums and fold ran as batched affine passes, the
+        # fold alone nine of them (7 running-sum rounds, 2 to finish).
+        assert MSM_COUNTERS["inversions"] - ladder["inversions"] >= 9
+        assert MSM_COUNTERS["affine_adds"] - ladder["affine_adds"] > \
+            MSM_COUNTERS["inversions"] - ladder["inversions"]
         # H(M) is two fresh points hashed once; the window's batch check
         # reads them from the parameters' own memo, not the module's.
         assert HASH_COUNTERS["g1_misses"] - hashes["g1_misses"] == 2

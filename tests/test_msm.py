@@ -9,8 +9,10 @@ scalars, and scalars at or beyond the group order.
 ``TestKernelSweep`` is the seeded differential sweep for the MSM kernels
 over both groups (the lane kernel's GLV split on G1 and on the twist,
 signed scalars and shared tables; the ladder kernel, per base set and in
-its window form over many sets; G2's int F_p2 formulas, on subgroup and
-non-subgroup twist points) and the Share-Sign entry points above them,
+its window form over many sets, with its flat bucket engine's fused
+pass and degenerate cells; G2's int F_p2 formulas, on subgroup and
+non-subgroup twist points) and the Share-Sign and Combine entry points
+above them (a window's interpolation in one call per signer set),
 in the style of ``tests/test_fuzz_wire.py``: deterministic, driven by the
 session seed (rerun a failure with ``--seed N``).
 """
@@ -656,6 +658,147 @@ class TestKernelSweep:
         with pytest.raises(ValueError):
             G1Point.multi_mul_windows([sets[0], sets[1][:1]], rows)
 
+    # -- the flat bucket engine, its fused pass, window interpolation -------
+    def test_fused_pass_matches_generic_formulas(self, session_seed):
+        # Rung doublings and queued pairs in one pass, one inversion:
+        # chords, the tangent of an equal pair, and a doubling-free tail
+        # rung, each against the generic Jacobian formulas.
+        rng = _sweep_rng(session_seed, 60)
+        g = G1Point.generator()
+        points = [g * rng.randrange(2, R) for _ in range(8)]
+        rungs = points[:3]
+        pairs = [(rng.choice(points), rng.choice(points)) for _ in range(9)]
+        pairs += [(points[0], points[0]), (points[1], -points[2]),
+                  (-points[3], -points[3])]
+        rng.shuffle(pairs)
+        xs, ys = map(list, zip(*(point.affine() for point in rungs)))
+        x1s, y1s = map(list, zip(*(a.affine() for a, _ in pairs)))
+        x2s, y2s = map(list, zip(*(b.affine() for _, b in pairs)))
+        before = [(x, y) for x, y in zip(x2s, y2s)]
+        batch_add_affine_fp(xs, ys, 2, x1s, y1s, x2s, y2s, P)
+        for index, point in enumerate(rungs):
+            expected = (G1Point(_jac=jac_double(FP_OPS, point._jac))
+                        if index < 2 else point)
+            assert G1Point(xs[index], ys[index]) == expected
+        for (a, b), x, y in zip(pairs, x1s, y1s):
+            assert G1Point(x, y) == G1Point(
+                _jac=jac_add(FP_OPS, a._jac, b._jac))
+        assert list(zip(x2s, y2s)) == before      # second operands kept
+        batch_add_affine_fp([], [], 0, [], [], [], [], P)  # empty round
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 33])
+    def test_flat_engine_windows(self, count, session_seed):
+        """The ladder kernel over windows of 2-base sets around and far
+        past the affine-rung crossover, identity and duplicate base sets
+        mixed in: against per-set calls, the naive fold, and affine."""
+        rng = _sweep_rng(session_seed, 61 + count)
+        generator = G1Point.generator()
+        sets = [[generator * rng.randrange(1, R) for _ in range(2)]
+                for _ in range(count)]
+        if count > 2:
+            sets[1] = sets[0]                       # the same message twice
+            sets[2] = [sets[2][0], G1Point.identity()]  # its own pattern
+        rows = [[rng.randrange(-R, 3 * R) for _ in range(2)]
+                for _ in range(6)]
+        rows[3] = [rows[0][0], rows[0][0]]
+        rows[4] = [1, -3]
+        before = dict(msm.MSM_COUNTERS)
+        window = G1Point.multi_mul_windows(sets, rows)
+        assert msm.MSM_COUNTERS["ladder_rows"] - before["ladder_rows"] == \
+            6 * count
+        passes = msm.MSM_COUNTERS["inversions"] - before["inversions"]
+        assert 0 < passes < msm.MSM_COUNTERS["affine_adds"] - \
+            before["affine_adds"]
+        assert window == [G1Point.multi_mul_rows(points, rows)
+                          for points in sets]
+        for products in window:                 # the fold ends affine
+            assert all(product._jac[2] == 1 for product in products)
+        for position in sorted({0, 2 % count, count // 2, count - 1}):
+            for row, product in zip(rows, window[position]):
+                assert product == _fold(
+                    FP_OPS, G1Point, sets[position], row), (count, row)
+
+    def test_flat_engine_degenerate_buckets(self, session_seed):
+        """P + (-P) inside a bucket and inside the fold, P + P inside a
+        bucket (the tangent), and cells filed while their pair is in
+        flight — once and more than once, cancelling among themselves —
+        on Jacobian rungs (one set) and affine rungs (a window)."""
+        rng = _sweep_rng(session_seed, 70)
+        generator = G1Point.generator()
+        a, b = (generator * rng.randrange(2, R) for _ in range(2))
+        k = rng.randrange(R)
+        cases = [
+            # [k, k] cancels per bucket; [3, 1] puts A in bucket 1 and
+            # -A in bucket 0, which cancel in the fold's running sum.
+            ([a, -a], [[k, k], [3, 1], [1, 3], [5, 5]]),
+            # Equal points under equal digits: the tangent.
+            ([a, a], [[k, k], [1, 1], [3, 3], [k, 1]]),
+            # Four points into one bucket at one bit: one pair in
+            # flight, two waiting that cancel each other.
+            ([a, b, -a, a], [[1, 1, 1, 1], [3, 3, 3, 3], [k, k, k, k],
+                             [7, 1, 7, 1], [1, 0, 0, 1]]),
+        ]
+        for bases, rows in cases:
+            for count in (1, 4):
+                sets = [[point * (index + 1) for point in bases]
+                        for index in range(count)]
+                window = G1Point.multi_mul_windows(sets, rows)
+                for points, products in zip(sets, window):
+                    for row, product in zip(rows, products):
+                        assert product == _fold(
+                            FP_OPS, G1Point, points, row), (count, row)
+                if bases[1] is not b:
+                    assert window[0][0].is_identity() == (bases[1] == -a)
+
+    def test_window_interpolation_matches_per_position(self, session_seed):
+        """``combine_window``'s interpolation — one MSM call per signer
+        set — against per-position ``combine`` and Verify for quorums
+        {1,2,3}, {3,4,5} and {4,5,1}, and against the naive fold for a
+        window mixing two signer sets (a top-up) and for an identity
+        partial."""
+        rng = _sweep_rng(session_seed, 80)
+        group = get_group("bn254")
+        scheme = LJYThresholdScheme(ThresholdParams.generate(group, 2, 5))
+        pk, shares, vks = scheme.dealer_keygen(rng=rng)
+        messages = [b"interp:%d:" % i + rng.randbytes(6) for i in range(3)]
+        signed = {quorum: scheme.share_sign_many(
+            [shares[index] for index in quorum], messages)
+            for quorum in ((1, 2, 3), (3, 4, 5), (4, 5, 1), (1, 2, 4))}
+
+        def requests(*quorums):
+            return [{partial.index: partial for partial in signed[quorum][i]}
+                    for i, quorum in enumerate(quorums)]
+
+        def naive(request):
+            signers = tuple(sorted(request))
+            weights = lagrange_coefficients(list(signers), R)
+            return [_fold(FP_OPS, G1Point,
+                          [getattr(request[index], name).point
+                           for index in signers],
+                          [weights[index] for index in signers])
+                    for name in ("z", "r")]
+
+        for quorum in ((1, 2, 3), (3, 4, 5), (4, 5, 1)):
+            window = requests(quorum, quorum, quorum)
+            combined = scheme._interpolate(window)
+            for message, request, signature in zip(messages, window,
+                                                   combined):
+                assert signature.to_bytes() == scheme.combine(
+                    pk, vks, message, request.values(),
+                    verify_shares=False).to_bytes()
+                assert scheme.verify(pk, message, signature)
+        mixed = requests((1, 2, 3), (1, 2, 4), (1, 2, 3))
+        forged = mixed[2][2]
+        mixed[2][2] = type(forged)(index=2, z=group.g1_identity(),
+                                   r=forged.r)
+        for request, signature in zip(mixed, scheme._interpolate(mixed)):
+            assert [signature.z.point, signature.r.point] == naive(request)
+        combined = scheme._interpolate(mixed[:2])
+        assert all(scheme.verify(pk, message, signature)
+                   for message, signature in zip(messages, combined))
+        assert not scheme.verify(pk, messages[2],
+                                 scheme._interpolate(mixed)[2])
+
     @pytest.mark.parametrize("backend", [
         "toy", pytest.param("bn254", marks=pytest.mark.bn254)])
     def test_share_sign_many_over_messages(self, backend, session_seed):
@@ -781,24 +924,23 @@ class TestMixedAddition:
         assert result.is_identity()
 
     def test_batch_add_affine_matches_full_addition(self):
-        # One batch mixing ordinary pairs with P + P (the tangent) and
-        # P + (-P) (the identity, returned as None).
+        # One fused pass mixing ordinary pairs with P + P (the tangent)
+        # and a rung doubling; P + (-P) never enters a pass — the bucket
+        # engine decides it when it queues — so none is passed here.
         rng = random.Random(53)
         g = G1Point.generator()
         p = g * rng.randrange(2, R)
         others = [g * rng.randrange(2, R) for _ in range(4)]
         pairs = [(p, others[0]), (p, p), (others[1], others[2]),
-                 (p, -p), (others[3], others[3]), (others[2], -p)]
-        sums = batch_add_affine_fp(
-            [(a.affine(), b.affine()) for a, b in pairs], P)
-        for (a, b), aff in zip(pairs, sums):
-            expected = G1Point(_jac=jac_add(FP_OPS, a._jac, b._jac))
-            if aff is None:
-                assert expected.is_identity()
-            else:
-                assert G1Point(*aff) == expected
-        assert sums[3] is None
-        assert [aff is None for aff in sums].count(True) == 1
+                 (others[3], others[3]), (others[2], -p)]
+        x1s, y1s = map(list, zip(*(a.affine() for a, _ in pairs)))
+        x2s, y2s = map(list, zip(*(b.affine() for _, b in pairs)))
+        xs, ys = map(list, zip(others[0].affine()))
+        batch_add_affine_fp(xs, ys, 1, x1s, y1s, x2s, y2s, P)
+        for (a, b), x, y in zip(pairs, x1s, y1s):
+            assert G1Point(x, y) == G1Point(
+                _jac=jac_add(FP_OPS, a._jac, b._jac))
+        assert G1Point(xs[0], ys[0]) == others[0].double()
 
     def test_non_normalized_accumulator(self):
         # Accumulator with Z != 1 (fresh sum) plus an affine point.

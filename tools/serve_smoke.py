@@ -868,6 +868,10 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
          MSM_COUNTERS["lane_rows"]),
         ('ljy_crypto_ops_total{op="msm_ladder_calls"}',
          MSM_COUNTERS["ladder_calls"]),
+        ('ljy_crypto_ops_total{op="msm_affine_adds"}',
+         MSM_COUNTERS["affine_adds"]),
+        ('ljy_crypto_ops_total{op="msm_inversions"}',
+         MSM_COUNTERS["inversions"]),
         ('ljy_crypto_ops_total{op="hash_g1_hits"}',
          HASH_COUNTERS["g1_hits"]),
         ('ljy_crypto_ops_total{op="hash_g1_misses"}',
