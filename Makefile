@@ -22,14 +22,15 @@ test:
 test-fast:
 	$(PYTHON) -m pytest -x -q -p no:benchmark -m "not bn254 and not sim"
 
-## Lint gate (the third fast CI gate).  Byte-compiles src/ and tools/
-## unconditionally — a syntax error anywhere fails even without ruff —
+## Lint gate (the third fast CI gate).  Byte-compiles every Python tree
+## (src, tools, tests, perf, benchmarks, examples) unconditionally — a
+## syntax error anywhere fails even without ruff —
 ## then runs `ruff check` (zero-warning baseline, rules in ruff.toml)
 ## when ruff is importable.  Environments without ruff (the dev
 ## container bakes in the Python toolchain only) still get the
 ## compileall gate; CI installs ruff via `make install-lint`.
 lint:
-	$(PYTHON) -m compileall -q src tools
+	$(PYTHON) -m compileall -q src tools tests perf benchmarks examples
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check .; \
 	else \

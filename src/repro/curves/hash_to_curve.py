@@ -26,9 +26,12 @@ from repro.curves.g1 import G1Point
 from repro.curves.g2 import G2Point
 from repro.math.field import legendre_symbol, sqrt_mod
 from repro.math.rng import hash_to_int
-from repro.math.tower import f2_neg, f2_sqrt
 
 _P = bn254.P
+
+#: The twist equation and the F_p2 square root, read once from G2's curve
+#: record.
+_TWIST = G2Point.curve
 
 #: Module-scope memo for try-and-increment hashing, keyed by
 #: ``(domain, message)``.  Per-instance caches (``ThresholdParams``) die
@@ -109,12 +112,11 @@ def hash_to_g2(message: bytes, domain: str = "repro:H:G2") -> G2Point:
             hash_to_int(tag + ":x0", message, _P),
             hash_to_int(tag + ":x1", message, _P),
         )
-        from repro.curves.g2 import _twist_rhs
-        y = f2_sqrt(_twist_rhs(x))
+        y = _TWIST.sqrt(_TWIST.rhs(x))
         if y is not None:
             parity = hash_to_int(tag + ":sign", message, 2)
             if (y[0] & 1) != parity:
-                y = f2_neg(y)
+                y = _TWIST.ops.neg(y)
             point = G2Point(x, y).clear_cofactor()
             if not point.is_identity():
                 return point

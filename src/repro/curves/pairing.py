@@ -193,7 +193,7 @@ def prepare_g2(q: Union[G2Point, PreparedG2]) -> PreparedG2:
     """
     if isinstance(q, PreparedG2):
         return q
-    prep = q._prep
+    prep = getattr(q, "_prep", None)   # unset until first prepared
     if prep is None:
         key = q.affine()
         prep = _PREP_CACHE.get(key)

@@ -1,9 +1,10 @@
 """The real BN254 backend: multiplicative wrappers over the curve layer.
 
-``BNG1``/``BNG2`` wrap :class:`~repro.curves.g1.G1Point` and
-:class:`~repro.curves.g2.G2Point` (which are additive, as is customary for
-elliptic-curve code) in the multiplicative interface the protocol layer
-uses.  ``BNGT`` wraps the F_p12 target-group element.
+``BNG1``/``BNG2`` are two empty subclasses of one :class:`BNPoint`, which
+wraps a :class:`~repro.curves.point.CurvePoint` (``G1Point`` or
+``G2Point``: additive, as is customary for elliptic-curve code) in the
+multiplicative interface the protocol layer uses.  ``BNGT`` wraps the
+F_p12 target-group element.
 """
 
 from __future__ import annotations
@@ -19,82 +20,60 @@ from repro.curves.hash_to_curve import (
 from repro.curves.pairing import (
     GTElement, gt_multi_exp, multi_pairing, prepare_g2,
 )
+from repro.curves.point import CurvePoint
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.rng import random_scalar
 
 
-class BNG1(GroupElement):
+class BNPoint(GroupElement):
+    """Element of a BN254 source group: a multiplicative wrapper over a
+    :class:`~repro.curves.point.CurvePoint`.  The subclasses ``BNG1``
+    and ``BNG2`` only name the group."""
+
+    __slots__ = ("point",)
+
+    def __init__(self, point: CurvePoint):
+        self.point = point
+
+    def op(self, other: "BNPoint") -> "BNPoint":
+        return type(self)(self.point + other.point)
+
+    def exp(self, scalar: int) -> "BNPoint":
+        return type(self)(self.point * scalar)
+
+    def precompute(self, window: int = 4) -> "BNPoint":
+        self.point.precompute(window)
+        return self
+
+    def inverse(self) -> "BNPoint":
+        return type(self)(-self.point)
+
+    def is_identity(self) -> bool:
+        return self.point.is_identity()
+
+    def to_bytes(self) -> bytes:
+        return self.point.to_bytes()
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.point == other.point
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.point))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.point!r})"
+
+
+class BNG1(BNPoint):
     """Element of G (the paper's first source group) on BN254."""
 
-    __slots__ = ("point",)
-
-    def __init__(self, point: G1Point):
-        self.point = point
-
-    def op(self, other: "BNG1") -> "BNG1":
-        return BNG1(self.point + other.point)
-
-    def exp(self, scalar: int) -> "BNG1":
-        return BNG1(self.point * scalar)
-
-    def precompute(self, window: int = 4) -> "BNG1":
-        self.point.precompute(window)
-        return self
-
-    def inverse(self) -> "BNG1":
-        return BNG1(-self.point)
-
-    def is_identity(self) -> bool:
-        return self.point.is_identity()
-
-    def to_bytes(self) -> bytes:
-        return self.point.to_bytes()
-
-    def __eq__(self, other):
-        return isinstance(other, BNG1) and self.point == other.point
-
-    def __hash__(self):
-        return hash(("BNG1", self.point))
-
-    def __repr__(self):
-        return f"BNG1({self.point!r})"
+    __slots__ = ()
 
 
-class BNG2(GroupElement):
+class BNG2(BNPoint):
     """Element of G_hat (the paper's second source group) on BN254."""
 
-    __slots__ = ("point",)
-
-    def __init__(self, point: G2Point):
-        self.point = point
-
-    def op(self, other: "BNG2") -> "BNG2":
-        return BNG2(self.point + other.point)
-
-    def exp(self, scalar: int) -> "BNG2":
-        return BNG2(self.point * scalar)
-
-    def precompute(self, window: int = 4) -> "BNG2":
-        self.point.precompute(window)
-        return self
-
-    def inverse(self) -> "BNG2":
-        return BNG2(-self.point)
-
-    def is_identity(self) -> bool:
-        return self.point.is_identity()
-
-    def to_bytes(self) -> bytes:
-        return self.point.to_bytes()
-
-    def __eq__(self, other):
-        return isinstance(other, BNG2) and self.point == other.point
-
-    def __hash__(self):
-        return hash(("BNG2", self.point))
-
-    def __repr__(self):
-        return f"BNG2({self.point!r})"
+    __slots__ = ()
 
 
 class BNGT(GroupElement):
@@ -192,12 +171,8 @@ class BN254Group(BilinearGroup):
     def multi_exp(self, bases: Sequence[GroupElement],
                   scalars: Sequence[int]) -> GroupElement:
         bases, scalars = self._checked_multi_exp_args(bases, scalars)
-        first = bases[0]
-        if isinstance(first, BNG1):
-            point_cls, wrapper = G1Point, BNG1
-        elif isinstance(first, BNG2):
-            point_cls, wrapper = G2Point, BNG2
-        else:
+        wrapper = type(bases[0])
+        if wrapper is BNGT:
             # GT product: one shared cyclotomic-squaring chain.
             return BNGT(gt_multi_exp(
                 [base.element for base in bases], scalars))
@@ -210,36 +185,42 @@ class BN254Group(BilinearGroup):
                 term = point * scalar
                 result = term if result is None else result + term
             return wrapper(result)
-        return wrapper(point_cls.multi_mul(points, scalars))
+        return wrapper(type(points[0]).multi_mul(points, scalars))
 
     def multi_exp_windows(self, base_sets: Sequence[Sequence[GroupElement]],
                           scalar_rows: Sequence[Sequence[int]]
                           ) -> List[List[GroupElement]]:
-        """G1 sets go to :func:`~repro.math.msm.multi_scalar_mul_windows`
-        in one call: more rows than bases share one doubling ladder per
-        base and one recoding of the rows for all sets, fewer share one
-        odd-multiples table per base.  The other groups take the per-row
-        default."""
+        """Source-group sets go to
+        :func:`~repro.math.msm.multi_scalar_mul_windows` in one call
+        through their points' class: on G1, more rows than bases share
+        one doubling ladder per base and one recoding of the rows for all
+        sets; fewer (and every G2 shape) share one odd-multiples table
+        per base.  G_T takes the per-row default."""
         base_sets = [list(bases) for bases in base_sets]
-        if not all(isinstance(base, BNG1)
-                   for bases in base_sets for base in bases):
+        wrappers = {type(base) for bases in base_sets for base in bases}
+        if len(wrappers) != 1 or BNGT in wrappers:
             return super().multi_exp_windows(base_sets, scalar_rows)
+        wrapper, = wrappers
+        point_cls = type(base_sets[0][0].point)
         rows = [list(row) for row in scalar_rows]
         for bases in base_sets:
             for row in rows:
                 self._checked_multi_exp_args(bases, row)
-        return [[BNG1(point) for point in products]
-                for products in G1Point.multi_mul_windows(
+        return [[wrapper(point) for point in products]
+                for products in point_cls.multi_mul_windows(
                     [[base.point for base in bases] for bases in base_sets],
                     rows)]
 
     def batch_normalize(self, elements: Sequence[GroupElement]) -> None:
         """Normalize the Jacobian representations of many source-group
         elements with one shared field inversion per group."""
-        G1Point.batch_normalize(
-            [e.point for e in elements if isinstance(e, BNG1)])
-        G2Point.batch_normalize(
-            [e.point for e in elements if isinstance(e, BNG2)])
+        by_class = {}
+        for element in elements:
+            if isinstance(element, BNPoint):
+                by_class.setdefault(type(element.point), []).append(
+                    element.point)
+        for point_cls, points in by_class.items():
+            point_cls.batch_normalize(points)
 
     def random_scalar(self, rng=None) -> int:
         return random_scalar(self.order, rng)

@@ -1,6 +1,6 @@
-"""Fast exponentiation: two multi-scalar-multiplication kernels (lanes
-and ladder), the Pippenger bucket method and fixed-base precomputation
-tables.
+"""Fast exponentiation: five paths for a G1 product — the lanes, the
+Jacobian-rung ladder, the affine-rung ladder, Pippenger and
+:class:`FixedBaseTable` — of which G2 uses all but the two ladders.
 
 All routines take a :class:`~repro.curves.weierstrass.FieldOps` bundle
 and call the int-specialised point formulas it names (``*_fp`` on G1
@@ -10,6 +10,39 @@ prime fields only.  Points are Jacobian ``(X, Y, Z)`` triples exactly as
 in :mod:`repro.curves.weierstrass`; the generic formulas and the naive
 ``jac_scalar_mul`` there remain the correctness reference the property
 tests compare against.
+
+**Which path serves which call.**  The shape of the input alone picks
+the path; nothing is configured.  With t = 2 and n = 5 (the workloads
+of ``perf/workloads.py``), the scheme calls land as follows:
+
+* **Jacobian-rung ladder** (:func:`_ladder_rows`, more rows than live
+  bases, fewer than ``_AFFINE_LADDER_BASES`` bases in the call): a
+  presign at arrival, one message's quorum Share-Sign — 1 set x 2
+  bases x 6 rows (``ServiceHandle.partials_for``) — and a window of 2
+  or 3 unpresigned messages (``sign_http``'s windows of 1-2).
+* **Affine-rung ladder** (the same kernel from ``_AFFINE_LADDER_BASES``
+  bases): a window of 4 or more messages signed at close, so every full
+  ``sign_burst``/``sign_faulty`` window (16 sets x 2 bases x 6 rows).
+* **Lanes** (:func:`_lane_rows`, every other shape): a one-signer
+  top-up (2 rows over 2 bases), one share's ``share_sign``, Combine's
+  Lagrange interpolation (one row over the t + 1 = 3 partials of every
+  set sharing a signer set: 32 sets in a full window), the coined
+  products of ``batch_verify``/``verify_window`` and the robust path
+  (one row of 64-bit coins over at most a window's points), and on G2
+  the DKG's commitment evaluations and verification keys (3 terms).
+* **Pippenger** (:func:`_pippenger`, :func:`multi_scalar_mul` over more
+  than 192 live terms): a BN254 multi-exponentiation that long — the
+  per-share DKG check at t in the hundreds (T4d) and reshare/DKG
+  aggregation over committees that large.  No ``perf`` workload gets
+  there, and the simulator's scenarios run on the toy backend.
+* **Fixed-base tables** (:class:`FixedBaseTable`): a point multiplied
+  ``_AUTO_PRECOMPUTE_USES`` (8) times through ``*`` builds its own
+  (:class:`~repro.curves.point.CurvePoint`), and a remote worker builds
+  them for ``g_z``/``g_r`` up front.  In the DKG, ``g_z`` and ``g_r``
+  cross that count in the first dealings; from there their
+  commitments are table reads, and the two-base share check
+  ``[g_z, g_r]`` takes ``BN254Group.multi_exp``'s all-tables shortcut
+  (one table read per base instead of an MSM).
 
 **The lane kernel.**  :func:`scalar_mul`, :func:`multi_scalar_mul` (below
 the Pippenger crossover) and :func:`multi_scalar_mul_rows` (for most

@@ -14,149 +14,207 @@ from repro.errors import NotOnCurveError, SerializationError
 R = bn254.R
 
 
-class TestG1GroupLaw:
+class _GroupLaw:
+    """The group law of one source group; run once per group by the
+    subclasses below, which bind ``point``."""
+
+    point: type
+
     def test_generator_on_curve(self):
-        assert G1Point.generator().is_on_curve()
+        assert self.point.generator().is_on_curve()
 
     def test_generator_order(self):
-        assert (G1Point.generator() * R).is_identity()
+        assert (self.point.generator() * R).is_identity()
+
+    def test_generator_in_subgroup(self):
+        assert self.point.generator().in_subgroup()
+
+    def test_cofactor_value(self):
+        assert self.point.curve.cofactor == self.cofactor
 
     def test_identity_neutral(self):
-        g = G1Point.generator()
-        assert g + G1Point.identity() == g
-        assert G1Point.identity() + g == g
+        g = self.point.generator()
+        assert g + self.point.identity() == g
+        assert self.point.identity() + g == g
 
     def test_add_negation(self):
-        g = G1Point.generator()
+        g = self.point.generator()
         assert (g + (-g)).is_identity()
 
     def test_sub(self):
-        g = G1Point.generator()
+        g = self.point.generator()
         assert (g * 5 - g * 3) == g * 2
 
     def test_double_matches_add(self):
-        g = G1Point.generator()
+        g = self.point.generator()
         assert g.double() == g + g
 
     def test_scalar_mult_small_cases(self):
-        g = G1Point.generator()
-        acc = G1Point.identity()
+        g = self.point.generator()
+        acc = self.point.identity()
         for k in range(1, 12):
             acc = acc + g
             assert g * k == acc
             assert (g * k).is_on_curve()
 
-    def test_scalar_mult_reduces_mod_order(self):
-        g = G1Point.generator()
-        assert g * (R + 5) == g * 5
-        assert (g * 0).is_identity()
-
-    def test_scalar_mult_distributes(self):
-        g = G1Point.generator()
-        a, b = 123456789, 987654321
-        assert g * a + g * b == g * (a + b)
-
-    def test_off_curve_rejected(self):
-        with pytest.raises(NotOnCurveError):
-            G1Point(1, 3)
-
-    def test_hash_and_eq(self):
-        g = G1Point.generator()
-        assert hash(g * 7) == hash(g * 7)
-        assert g * 7 != g * 8
-
-
-class TestG1Serialization:
-    def test_roundtrip(self):
-        point = G1Point.generator() * 424242
-        assert G1Point.from_bytes(point.to_bytes()) == point
-
-    def test_roundtrip_negation(self):
-        point = -(G1Point.generator() * 99)
-        assert G1Point.from_bytes(point.to_bytes()) == point
-
-    def test_identity_roundtrip(self):
-        identity = G1Point.identity()
-        assert G1Point.from_bytes(identity.to_bytes()).is_identity()
-
-    def test_encoded_size(self):
-        assert len(G1Point.generator().to_bytes()) == 32
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(SerializationError):
-            G1Point.from_bytes(b"\x00" * 31)
-
-    def test_x_out_of_range_rejected(self):
-        data = (bn254.P).to_bytes(32, "big")
-        with pytest.raises(SerializationError):
-            G1Point.from_bytes(data)
-
-    def test_invalid_x_rejected(self):
-        # x = 5 gives a non-square RHS on BN254.
-        candidates = 0
-        for x in range(2, 40):
-            data = x.to_bytes(32, "big")
-            try:
-                G1Point.from_bytes(data)
-            except NotOnCurveError:
-                candidates += 1
-        assert candidates > 0
-
-
-class TestG2GroupLaw:
-    def test_generator_on_curve(self):
-        assert G2Point.generator().is_on_curve()
-
-    def test_generator_order(self):
-        assert (G2Point.generator() * R).is_identity()
-
-    def test_generator_in_subgroup(self):
-        assert G2Point.generator().in_subgroup()
-
-    def test_cofactor_value(self):
-        assert bn254.G2_COFACTOR == 2 * bn254.P - bn254.R
-
-    def test_add_negation(self):
-        g = G2Point.generator()
-        assert (g + (-g)).is_identity()
-
     def test_scalar_mult_consistency(self):
-        g = G2Point.generator()
+        g = self.point.generator()
         assert g * 6 == (g * 2) * 3
         assert g * 6 == g.double() + g.double() + g.double()
 
     def test_scalar_mult_stays_on_curve(self):
-        g = G2Point.generator()
+        g = self.point.generator()
         for k in (2, 3, 5, 1023):
             assert (g * k).is_on_curve()
 
+    def test_scalar_mult_reduces_mod_order(self):
+        g = self.point.generator()
+        assert g * (R + 5) == g * 5
+        assert g * (-1) == -g
+        assert (g * 0).is_identity()
 
-class TestG2Serialization:
+    def test_scalar_mult_distributes(self):
+        g = self.point.generator()
+        a, b = 123456789, 987654321
+        assert g * a + g * b == g * (a + b)
+        big = R - 2
+        assert g * big + g * a == g * (big + a)
+        assert (g * a) * b == g * (a * b)
+
+    def test_off_curve_rejected(self):
+        x, y = self.point.generator().affine()
+        ops = self.point.curve.ops
+        for bad in ((x, ops.add(y, ops.one)),) + self.off_curve:
+            with pytest.raises(NotOnCurveError):
+                self.point(*bad)
+
+    def test_hash_and_eq(self):
+        g = self.point.generator()
+        assert hash(g * 7) == hash(g * 7)
+        assert g * 7 != g * 8
+
+
+class TestG1GroupLaw(_GroupLaw):
+    point = G1Point
+    cofactor = 1
+    off_curve = ((1, 3),)
+
+
+class TestG2GroupLaw(_GroupLaw):
+    point = G2Point
+    cofactor = 2 * bn254.P - bn254.R
+    off_curve = ()
+
+
+def _limbs_encoding(limbs):
+    """An encoding from raw 32-byte limbs, highest first."""
+    return b"".join(limb.to_bytes(32, "big") for limb in limbs)
+
+
+class _Serialization:
+    """The compressed encoding of one source group; every hostile input
+    must raise :class:`SerializationError` (``NotOnCurveError`` is a
+    subclass).  Run once per group by the subclasses below."""
+
+    point: type
+    size: int
+
     def test_roundtrip(self):
-        point = G2Point.generator() * 31337
-        assert G2Point.from_bytes(point.to_bytes()) == point
+        point = self.point.generator() * 424242
+        assert self.point.from_bytes(point.to_bytes()) == point
+
+    def test_roundtrip_negation(self):
+        point = -(self.point.generator() * 99)
+        assert self.point.from_bytes(point.to_bytes()) == point
 
     def test_identity_roundtrip(self):
-        assert G2Point.from_bytes(
-            G2Point.identity().to_bytes()).is_identity()
+        identity = self.point.identity()
+        assert self.point.from_bytes(identity.to_bytes()).is_identity()
 
     def test_encoded_size(self):
-        assert len(G2Point.generator().to_bytes()) == 64
+        assert len(self.point.generator().to_bytes()) == self.size
+        assert len(self.point.identity().to_bytes()) == self.size
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(SerializationError):
-            G2Point.from_bytes(b"\x00" * 63)
+        for length in (0, self.size - 1, self.size + 1):
+            with pytest.raises(SerializationError):
+                self.point.from_bytes(b"\x00" * length)
+
+    def test_x_out_of_range_rejected(self):
+        """A limb of x at p or above — each limb, with the others zero,
+        and with or without the parity bit — is refused."""
+        limbs = self.size // 32
+        for position in range(limbs):
+            for value in (bn254.P, bn254.P + 1, (1 << 254) - 1):
+                raw = [0] * limbs
+                raw[position] = value
+                data = _limbs_encoding(raw)
+                for sign in (0, 0x80):
+                    with pytest.raises(SerializationError):
+                        self.point.from_bytes(
+                            bytes([data[0] | sign]) + data[1:])
+        # A real point's x with p added to one limb would reduce to the
+        # same point: the encoding must be canonical, limb by limb.
+        data = (self.point.generator() * 77).to_bytes()
+        sign = data[0] & 0x80
+        data = bytes([data[0] & 0x7F]) + data[1:]
+        for start in range(0, self.size, 32):
+            limb = int.from_bytes(data[start:start + 32], "big") + bn254.P
+            shifted = (data[:start] + limb.to_bytes(32, "big")
+                       + data[start + 32:])
+            with pytest.raises(SerializationError, match="out of range"):
+                self.point.from_bytes(
+                    bytes([shifted[0] | sign]) + shifted[1:])
+
+    def test_invalid_x_rejected(self):
+        """Small x-coordinates with no curve point (about half of them)
+        are refused, typed."""
+        curve = self.point.curve
+        refused = 0
+        for x in range(2, 40):
+            limbs = [x] + [0] * (self.size // 32 - 1)
+            if curve.sqrt(curve.rhs(curve.from_limbs(limbs))) is None:
+                with pytest.raises(NotOnCurveError):
+                    self.point.from_bytes(x.to_bytes(self.size, "big"))
+                refused += 1
+        assert refused > 0
+
+    def test_flag_byte_abuse_rejected(self):
+        """The identity flag with the sign bit, the identity flag over a
+        nonzero tail, and the identity flag on a finite point's bytes
+        are not encodings."""
+        zeros = bytes(self.size - 1)
+        finite = (self.point.generator() * 5).to_bytes()
+        hostile = [
+            bytes([0xC0]) + zeros,
+            bytes([0x40]) + zeros[:-1] + b"\x01",
+            bytes([0x40]) + b"\x01" + zeros[1:],
+            bytes([finite[0] | 0x40]) + finite[1:],
+            bytes([0xFF]) * self.size,
+        ]
+        for data in hostile:
+            with pytest.raises(SerializationError):
+                self.point.from_bytes(data)
+
+
+class TestG1Serialization(_Serialization):
+    point = G1Point
+    size = 32
+
+
+class TestG2Serialization(_Serialization):
+    point = G2Point
+    size = 64
 
 
 def _twist_point_outside_subgroup(rng):
     """A seeded point of the twist with a component outside G2, and the
     point of cofactor order left when its G2 component is killed."""
-    from repro.curves.g2 import FP2_OPS, _twist_rhs
+    from repro.curves.g2 import CURVE, FP2_OPS
     from repro.curves.weierstrass import jac_scalar_mul
-    from repro.math.tower import f2_sqrt
     while True:
         x = (rng.randrange(bn254.P), rng.randrange(bn254.P))
-        y = f2_sqrt(_twist_rhs(x))
+        y = CURVE.sqrt(CURVE.rhs(x))
         if y is None:
             continue
         point = G2Point(x, y)

@@ -28,7 +28,7 @@ from repro.core.aggregation import AggThresholdParams, LJYAggregateScheme
 from repro.core.keys import ThresholdParams
 from repro.core.scheme import LJYThresholdScheme
 from repro.curves.g1 import FP_OPS, GLV, G1Point
-from repro.curves.g2 import FP2_OPS, G2Point, _twist_rhs
+from repro.curves.g2 import CURVE as G2_CURVE, FP2_OPS, G2Point
 from repro.curves.g2 import GLV as G2_GLV
 from repro.curves.hash_to_curve import derive_generator_g2
 from repro.curves.pairing import (
@@ -231,7 +231,7 @@ def _twist_point(rng):
     probability (the cofactor is ~2^254), which the callers assert."""
     while True:
         x = (rng.randrange(P), rng.randrange(P))
-        y = f2_sqrt(_twist_rhs(x))
+        y = f2_sqrt(G2_CURVE.rhs(x))
         if y is not None:
             return G2Point(x, y)
 
