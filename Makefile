@@ -73,20 +73,24 @@ bench:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-## Simulation determinism gate: run the fixed-seed CI scenario (n=64
-## WAN DKG under loss + a robust-combine run) twice in two separate
-## processes and byte-compare the event-trace digests.  Catches any
-## nondeterminism sneaking into the simulation stack — an unseeded
-## RNG, dict-order dependence, wall-clock reads — the moment it lands.
-## The rendered tables go to benchmarks/results/f7_sim_ci.txt.
+## Simulation determinism gate: run each fixed-seed gated scenario twice
+## in two separate processes, byte-compare the event-trace digests and
+## print both: `ci` (n=64 WAN DKG under loss + a robust-combine run) and
+## `churn` (the only simulator path through the reshare player).
+## Catches any nondeterminism sneaking into the simulation stack — an
+## unseeded RNG, dict-order dependence, wall-clock reads — the moment it
+## lands.  The rendered tables go to benchmarks/results/f7_sim_<name>.txt.
+SIM_GATED = ci churn
+
 sim-smoke:
-	$(PYTHON) tools/sim_run.py --scenario ci --digest-file .sim-digest-a \
-		> /dev/null
-	$(PYTHON) tools/sim_run.py --scenario ci --digest-file .sim-digest-b \
-		> /dev/null
-	cmp .sim-digest-a .sim-digest-b
-	@cat .sim-digest-a
-	@rm -f .sim-digest-a .sim-digest-b
+	@for scenario in $(SIM_GATED); do \
+		$(PYTHON) tools/sim_run.py --scenario $$scenario \
+			--digest-file .sim-digest-a > /dev/null && \
+		$(PYTHON) tools/sim_run.py --scenario $$scenario \
+			--digest-file .sim-digest-b > /dev/null && \
+		cmp .sim-digest-a .sim-digest-b && \
+		cat .sim-digest-a && rm -f .sim-digest-a .sim-digest-b || exit 1; \
+	done
 
 ## Docs sanity: every internal link / anchor / code path reference in
 ## docs/*.md, README.md and benchmarks/README.md resolves.

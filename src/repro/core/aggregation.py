@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.keys import (
-    PartialSignature, PrivateKeyShare, Signature, VerificationKey,
+    PartialSignature, PrivateKeyShare, Signature,
 )
 from repro.core.scheme import LJYThresholdScheme, partials_over
 from repro.errors import CombineError, ParameterError
@@ -195,8 +195,9 @@ class LJYAggregateScheme(LJYThresholdScheme):
 # Distributed key generation (Appendix G Dist-Keygen)
 # ---------------------------------------------------------------------------
 
+from repro.dkg.dealing import DKGResult, result_keys  # noqa: E402
 from repro.dkg.pedersen_dkg import (  # noqa: E402  (extends the DKG layer)
-    DKGResult, PedersenDKGPlayer, run_pedersen_dkg,
+    PedersenDKGPlayer, run_pedersen_dkg,
 )
 
 
@@ -222,12 +223,13 @@ class AggDKGPlayer(PedersenDKGPlayer):
         return (z_i0, r_i0)
 
     def validate_extra(self, dealer: int, commitments, extra) -> bool:
-        if extra is None:
+        p = self.agg_params
+        if not (isinstance(extra, (list, tuple)) and len(extra) == 2
+                and all(self.group.same_group(e, p.g) for e in extra)):
             return False
         z_0, r_0 = extra
-        p = self.agg_params
         return self.group.pairing_product_is_one([
-            (z_0, self.g_z), (r_0, self.g_r),
+            (z_0, self.vss.g_z), (r_0, self.vss.g_r),
             (p.g, commitments[0][0]), (p.h, commitments[1][0]),
         ])
 
@@ -253,19 +255,7 @@ def dkg_result_to_agg_keys(params: AggThresholdParams, result: DKGResult):
                 f"qualified dealer {dealer} has no (Z_0, R_0) broadcast")
         z = extra[0] if z is None else z * extra[0]
         r = extra[1] if r is None else r * extra[1]
-    public_key = AggPublicKey(
-        params=params,
-        g_1=result.public_components[0],
-        g_2=result.public_components[1],
-        z=z, r=r,
-    )
-    share = PrivateKeyShare(
-        index=result.index,
-        a_1=result.share_pairs[0][0], b_1=result.share_pairs[0][1],
-        a_2=result.share_pairs[1][0], b_2=result.share_pairs[1][1],
-    )
-    verification_keys = {
-        j: VerificationKey(index=j, v_1=vks[0], v_2=vks[1])
-        for j, vks in result.verification_keys.items()
-    }
-    return public_key, share, verification_keys
+    g_1, g_2 = result.public_components
+    share, verification_keys = result_keys(result)
+    return (AggPublicKey(params=params, g_1=g_1, g_2=g_2, z=z, r=r), share,
+            verification_keys)

@@ -14,20 +14,22 @@ a second verification equation.  Built on the SDP-based one-time LHSPS:
 
 ``Dist-Keygen`` (also per Appendix F) shares triples with *dual* Pedersen
 commitments ``V_hat_ikl = g_z^{a} g_r^{b}`` and
-``W_hat_ikl = h_z^{a} h_u^{c}``, both checked by every receiver.
+``W_hat_ikl = h_z^{a} h_u^{c}``, both checked by every receiver.  It is
+the dealing core of :mod:`repro.dkg.dealing` with one override: the VSS,
+:class:`DualPedersenTriples`, whose commitments carry two lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.errors import CombineError, ParameterError, ProtocolError
+from repro.dkg.dealing import DealingPlayer, run_dealing
+from repro.errors import CombineError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import lagrange_coefficients
 from repro.math.polynomial import Polynomial
-from repro.net.player import Player
-from repro.net.simulator import Message, SyncNetwork, broadcast, private
+from repro.sharing.pedersen_vss import PedersenVSS
 from repro.sharing.shamir import validate_threshold
 
 #: Number of hashed message components (vectors in G^3).
@@ -251,229 +253,98 @@ class LJYDLINScheme:
 # Dist-Keygen with dual commitments (Appendix F)
 # ---------------------------------------------------------------------------
 
-class DLINDKGPlayer(Player):
-    """Dist-Keygen participant sharing triples with dual commitments."""
+class DualPedersenTriples:
+    """The Appendix F VSS: triples (a, b, c) under the dual commitments
+    ``V_hat_l = g_z^{a_l} g_r^{b_l}`` and ``W_hat_l = h_z^{a_l} h_u^{c_l}``,
+    both checked by every receiver."""
 
-    def __init__(self, index: int, params: DLINParams, rng=None):
-        super().__init__(index)
-        if params.n < 2 * params.t + 1:
-            raise ParameterError("the paper requires n >= 2t + 1")
+    #: Scalars per share and group elements per commitment.
+    arity = 3
+    lanes = 2
+
+    def __init__(self, params: DLINParams):
         self.params = params
         self.group = params.group
-        self.rng = rng
-        # Sharing polynomials: per k, three degree-t polynomials.
-        self.polys: List[Tuple[Polynomial, Polynomial, Polynomial]] = []
-        self.received_commitments: Dict[int, list] = {}
-        self.received_shares: Dict[int, list] = {}
-        self.complaints_against: Dict[int, set] = {}
-        self._result = None
 
-    def _deal(self) -> List[Message]:
-        order = self.group.order
-        t, n = self.params.t, self.params.n
+    def deal(self, t: int, n: int, secret, rng) -> "DualDealing":
         p = self.params
-        commitments = []
-        for _k in range(DIM):
-            a = Polynomial.random(t, order, rng=self.rng)
-            b = Polynomial.random(t, order, rng=self.rng)
-            c = Polynomial.random(t, order, rng=self.rng)
-            self.polys.append((a, b, c))
-            commitments.append([
-                ((p.g_z ** a.coeffs[l]) * (p.g_r ** b.coeffs[l]),
-                 (p.h_z ** a.coeffs[l]) * (p.h_u ** c.coeffs[l]))
-                for l in range(t + 1)
-            ])
-        outbound = [broadcast(self.index, "commitments",
-                              {"commitments": commitments})]
-        for j in range(1, n + 1):
-            if j != self.index:
-                outbound.append(private(
-                    self.index, j, "shares",
-                    [(a(j), b(j), c(j)) for a, b, c in self.polys]))
-        self.received_commitments[self.index] = commitments
-        self.received_shares[self.index] = [
-            (a(self.index), b(self.index), c(self.index))
-            for a, b, c in self.polys]
-        return outbound
+        constants = secret or (None, None, None)
+        polys = tuple(
+            Polynomial.random(t, self.group.order, constant=c, rng=rng)
+            for c in constants)
+        a, b, c = polys
+        return DualDealing(polys, [
+            ((p.g_z ** a.coeffs[l]) * (p.g_r ** b.coeffs[l]),
+             (p.h_z ** a.coeffs[l]) * (p.h_u ** c.coeffs[l]))
+            for l in range(t + 1)])
 
-    def _share_ok(self, dealer: int) -> bool:
-        commitments = self.received_commitments.get(dealer)
-        shares = self.received_shares.get(dealer)
-        if commitments is None or shares is None:
-            return False
+    def verify(self, commitments, index: int, share) -> bool:
+        """Equation (1) on both lanes: (a, b) under the V's, (a, c)
+        under the W's."""
         p = self.params
-        for k in range(DIM):
-            a, b, c = shares[k]
-            expected_v = (p.g_z ** a) * (p.g_r ** b)
-            expected_w = (p.h_z ** a) * (p.h_u ** c)
-            prod_v = prod_w = None
-            power = 1
-            for v_l, w_l in commitments[k]:
-                term_v = v_l ** power
-                term_w = w_l ** power
-                prod_v = term_v if prod_v is None else prod_v * term_v
-                prod_w = term_w if prod_w is None else prod_w * term_w
-                power = power * self.index % self.group.order
-            if expected_v != prod_v or expected_w != prod_w:
-                return False
-        return True
+        a, b, c = share
+        return (PedersenVSS.verify_share(
+                    self.group, p.g_z, p.g_r, [v for v, _ in commitments],
+                    index, (a, b))
+                and PedersenVSS.verify_share(
+                    self.group, p.h_z, p.h_u, [w for _, w in commitments],
+                    index, (a, c)))
 
-    def on_round(self, round_no: int,
-                 inbox: Sequence[Message]) -> List[Message]:
-        if round_no == 0:
-            return self._deal()
-        if round_no == 1:
-            for message in inbox:
-                if message.kind == "commitments":
-                    commitments = message.payload["commitments"]
-                    if (len(commitments) == DIM and all(
-                            len(c) == self.params.t + 1
-                            for c in commitments)):
-                        self.received_commitments[message.sender] = (
-                            commitments)
-                elif (message.kind == "shares"
-                      and message.recipient == self.index):
-                    shares = message.payload
-                    if len(shares) == DIM:
-                        self.received_shares[message.sender] = [
-                            tuple(int(x) for x in triple)
-                            for triple in shares]
-            outbound = []
-            for dealer in range(1, self.params.n + 1):
-                if dealer != self.index and not self._share_ok(dealer):
-                    outbound.append(broadcast(
-                        self.index, "complaint", {"accused": dealer}))
-            return outbound
-        if round_no == 2:
-            for message in inbox:
-                if message.kind == "complaint":
-                    accused = message.payload.get("accused")
-                    if isinstance(accused, int):
-                        self.complaints_against.setdefault(
-                            accused, set()).add(message.sender)
-            complainers = self.complaints_against.get(self.index, set())
-            return [
-                broadcast(self.index, "response", {
-                    "complainer": complainer,
-                    "shares": [
-                        (a(complainer), b(complainer), c(complainer))
-                        for a, b, c in self.polys],
-                })
-                for complainer in sorted(complainers)
-            ]
-        return []
+    def is_commitment(self, value) -> bool:
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(self.group.same_group(e, self.params.g_z)
+                        for e in value))
+
+    @staticmethod
+    def lane(commitment, lane: int) -> GroupElement:
+        return commitment[lane]
+
+    @staticmethod
+    def pack(values) -> tuple:
+        return tuple(values)
+
+
+@dataclass
+class DualDealing:
+    """Dealer-side state for one shared triple."""
+
+    polys: Tuple[Polynomial, Polynomial, Polynomial]
+    commitments: list
+
+    def share_for(self, index: int) -> Tuple[int, int, int]:
+        return tuple(poly(index) for poly in self.polys)
+
+
+class DLINDKGPlayer(DealingPlayer):
+    """Dist-Keygen participant sharing triples with dual commitments: the
+    dealing core over :class:`DualPedersenTriples`, random secrets,
+    weight 1 over Q.  Finalizes to ``(public_key, share, vks, Q)``."""
+
+    def __init__(self, index: int, params: DLINParams, rng=None):
+        indices = range(1, params.n + 1)
+        super().__init__(index, DualPedersenTriples(params), params.t, DIM,
+                         indices, indices, rng=rng)
+        self.params = params
 
     def finalize(self):
-        if self._result is not None:
-            return self._result
-        # Adopt valid responses, decide the qualified set.
-        responses: Dict[int, Dict[int, list]] = {}
-        for round_messages in self.history:
-            for message in round_messages:
-                if message.kind != "response":
-                    continue
-                payload = message.payload
-                responses.setdefault(message.sender, {})[
-                    payload["complainer"]] = [
-                        tuple(int(x) for x in triple)
-                        for triple in payload["shares"]]
-        qualified = []
-        for dealer in range(1, self.params.n + 1):
-            if dealer not in self.received_commitments:
-                continue
-            complainers = self.complaints_against.get(dealer, set())
-            if len(complainers) > self.params.t:
-                continue
-            ok = True
-            for complainer in complainers:
-                published = responses.get(dealer, {}).get(complainer)
-                if published is None or not self._published_ok(
-                        dealer, complainer, published):
-                    ok = False
-                    break
-                if complainer == self.index:
-                    self.received_shares[dealer] = published
-            if ok:
-                qualified.append(dealer)
-        order = self.group.order
-        triples = tuple(
-            (
-                sum(self.received_shares[j][k][0] for j in qualified) % order,
-                sum(self.received_shares[j][k][1] for j in qualified) % order,
-                sum(self.received_shares[j][k][2] for j in qualified) % order,
-            )
-            for k in range(DIM))
-        g_ks = []
-        h_ks = []
-        for k in range(DIM):
-            v = w = None
-            for j in qualified:
-                v_0, w_0 = self.received_commitments[j][k][0]
-                v = v_0 if v is None else v * v_0
-                w = w_0 if w is None else w * w_0
-            g_ks.append(v)
-            h_ks.append(w)
+        result = super().finalize()
         public_key = DLINPublicKey(
-            params=self.params, g_ks=tuple(g_ks), h_ks=tuple(h_ks))
-        share = DLINPrivateKeyShare(index=self.index, triples=triples)
-        verification_keys = {}
-        for j in range(1, self.params.n + 1):
-            u_ks = []
-            z_ks = []
-            for k in range(DIM):
-                prod_v = prod_w = None
-                for dealer in qualified:
-                    power = 1
-                    acc_v = acc_w = None
-                    for v_l, w_l in self.received_commitments[dealer][k]:
-                        term_v = v_l ** power
-                        term_w = w_l ** power
-                        acc_v = term_v if acc_v is None else acc_v * term_v
-                        acc_w = term_w if acc_w is None else acc_w * term_w
-                        power = power * j % order
-                    prod_v = acc_v if prod_v is None else prod_v * acc_v
-                    prod_w = acc_w if prod_w is None else prod_w * acc_w
-                u_ks.append(prod_v)
-                z_ks.append(prod_w)
-            verification_keys[j] = DLINVerificationKey(
-                index=j, u_ks=tuple(u_ks), z_ks=tuple(z_ks))
-        self._result = (public_key, share, verification_keys,
-                        sorted(qualified))
-        return self._result
-
-    def _published_ok(self, dealer: int, complainer: int,
-                      published: list) -> bool:
-        p = self.params
-        commitments = self.received_commitments[dealer]
-        for k in range(DIM):
-            a, b, c = published[k]
-            expected_v = (p.g_z ** a) * (p.g_r ** b)
-            expected_w = (p.h_z ** a) * (p.h_u ** c)
-            prod_v = prod_w = None
-            power = 1
-            for v_l, w_l in commitments[k]:
-                term_v = v_l ** power
-                term_w = w_l ** power
-                prod_v = term_v if prod_v is None else prod_v * term_v
-                prod_w = term_w if prod_w is None else prod_w * term_w
-                power = power * complainer % self.group.order
-            if expected_v != prod_v or expected_w != prod_w:
-                return False
-        return True
+            params=self.params,
+            g_ks=tuple(g for g, _ in result.public_components),
+            h_ks=tuple(h for _, h in result.public_components))
+        share = DLINPrivateKeyShare(
+            index=self.index, triples=tuple(result.share_pairs))
+        verification_keys = {
+            j: DLINVerificationKey(
+                index=j, u_ks=tuple(u for u, _ in vks),
+                z_ks=tuple(z for _, z in vks))
+            for j, vks in result.verification_keys.items()}
+        return public_key, share, verification_keys, result.qualified
 
 
 def run_dlin_dkg(params: DLINParams, adversary=None, rng=None):
     """Run the Appendix F Dist-Keygen; returns (results, network)."""
-    players = {
+    return run_dealing({
         i: DLINDKGPlayer(i, params, rng=rng)
         for i in range(1, params.n + 1)
-    }
-    network = SyncNetwork(players, adversary=adversary)
-    results = network.run(3)
-    honest = list(results.values())
-    if honest:
-        reference_pk = honest[0][0]
-        for result in honest[1:]:
-            if result[0].to_bytes() != reference_pk.to_bytes():
-                raise ProtocolError("honest players disagree on the PK")
-    return results, network
+    }, adversary)

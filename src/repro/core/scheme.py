@@ -1069,18 +1069,20 @@ def random_master_key(group: BilinearGroup,
     return tuple(random_scalar(group.order, rng) for _ in range(4))
 
 
-def reconstruct_master_key(
-        shares: Sequence[PrivateKeyShare], order: int,
-        t: int) -> Tuple[int, int, int, int]:
-    """Recover ``(A_1(0), B_1(0), A_2(0), B_2(0))`` from t+1 shares.
+def interpolate_key(
+        shares: Sequence[PrivateKeyShare], order: int, t: int,
+        x: int = 0) -> Tuple[int, int, int, int]:
+    """``(A_1(x), B_1(x), A_2(x), B_2(x))`` from the first t+1 shares.
 
-    Exists for tests and for the storage experiment; the protocol never
-    reconstructs the master key anywhere.
+    At ``x = i`` this re-derives player i's share (Herzberg-style
+    recovery, :func:`repro.dkg.refresh.recover_share`); at zero it is
+    the master key, which only :func:`reconstruct_master_key` asks for.
     """
     if len(shares) < t + 1:
         raise ParameterError("not enough shares to reconstruct")
     subset = list(shares)[: t + 1]
-    coefficients = lagrange_coefficients([s.index for s in subset], order)
+    coefficients = lagrange_coefficients(
+        [s.index for s in subset], order, x=x)
     totals = [0, 0, 0, 0]
     for share in subset:
         weight = coefficients[share.index]
@@ -1089,3 +1091,14 @@ def reconstruct_master_key(
         totals[2] = (totals[2] + weight * share.a_2) % order
         totals[3] = (totals[3] + weight * share.b_2) % order
     return tuple(totals)
+
+
+def reconstruct_master_key(
+        shares: Sequence[PrivateKeyShare], order: int,
+        t: int) -> Tuple[int, int, int, int]:
+    """Recover ``(A_1(0), B_1(0), A_2(0), B_2(0))`` from t+1 shares.
+
+    Exists for tests and for the storage experiment; the protocol never
+    reconstructs the master key anywhere.
+    """
+    return interpolate_key(shares, order, t)

@@ -22,6 +22,11 @@ Structure (single shared scalar a, masking scalar b):
   attack (an attacker cannot remove its contribution after seeing others').
 
 The public key is ``y = g_z^{sum_{j in Q} a_j0}``.
+
+Rounds 0-2 and the qualified set are
+:class:`~repro.dkg.dealing.DealingPlayer`'s, dealing one random pair;
+:class:`GJKRPlayer` adds only the extraction rounds 3-5 and its own
+output, parsing their payloads with the core's validating parser.
 """
 
 from __future__ import annotations
@@ -29,16 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ParameterError, ProtocolError
+from repro.dkg.dealing import DealingPlayer, PedersenPairs, run_dealing
+from repro.errors import ProtocolError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import interpolate_at
 from repro.net.adversary import Adversary
-from repro.net.player import Player
-from repro.net.simulator import Message, SyncNetwork, broadcast, private
-from repro.sharing.pedersen_vss import PedersenVSS, commitment_eval
-from repro.sharing.shamir import validate_threshold
+from repro.net.simulator import Message, broadcast
+from repro.sharing.pedersen_vss import commitment_eval
 
 NUM_ROUNDS = 6
+ROUND_EXTRACT, ROUND_X_COMPLAIN, ROUND_RECONSTRUCT = 3, 4, 5
 
 
 @dataclass
@@ -50,209 +55,101 @@ class GJKRResult:
     verification_keys: Dict[int, GroupElement]
 
 
-class GJKRPlayer(Player):
+class GJKRPlayer(DealingPlayer):
     """An honest participant of the GJKR new-DKG."""
+
+    num_rounds = NUM_ROUNDS
 
     def __init__(self, index: int, group: BilinearGroup,
                  g_z: GroupElement, g_r: GroupElement, t: int, n: int,
                  rng=None):
-        super().__init__(index)
-        validate_threshold(t, n)
-        if n < 2 * t + 1:
-            raise ParameterError("GJKR requires n >= 2t + 1")
-        self.group = group
-        self.g_z = g_z
-        self.g_r = g_r
-        self.t = t
-        self.n = n
-        self.rng = rng
-        self.dealing: Optional[PedersenVSS] = None
-        self.received_commitments: Dict[int, List[GroupElement]] = {}
-        self.received_shares: Dict[int, Tuple[int, int]] = {}
-        self.complaints_against: Dict[int, set] = {}
-        self.qualified: List[int] = []
+        indices = range(1, n + 1)
+        super().__init__(index, PedersenPairs(group, g_z, g_r), t, 1,
+                         indices, indices, rng=rng)
         self.feldman: Dict[int, List[GroupElement]] = {}
         self.extraction_complaints: Dict[int, Dict[int, Tuple[int, int]]] = {}
         self.reconstruction_shares: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        self._result: Optional[GJKRResult] = None
 
     # -- rounds -----------------------------------------------------------
     def on_round(self, round_no: int,
                  inbox: Sequence[Message]) -> List[Message]:
-        if round_no == 0:
-            return self._deal()
-        if round_no == 1:
-            self._ingest_dealings(inbox)
-            return self._complain()
-        if round_no == 2:
-            self._ingest_complaints(inbox)
-            return self._respond()
-        if round_no == 3:
-            self._finalize_qualified(inbox)
+        if round_no == ROUND_EXTRACT:
+            self._qualify()
             return self._extract()
-        if round_no == 4:
+        if round_no == ROUND_X_COMPLAIN:
             self._ingest_feldman(inbox)
             return self._extraction_complain()
-        if round_no == 5:
+        if round_no == ROUND_RECONSTRUCT:
             self._ingest_extraction_complaints(inbox)
             return self._reconstruct()
-        return []
+        return super().on_round(round_no, inbox)
 
-    def _deal(self) -> List[Message]:
-        self.dealing = PedersenVSS.deal(
-            self.group, self.g_z, self.g_r, self.t, self.n, rng=self.rng)
-        outbound = [broadcast(self.index, "commitments",
-                              {"commitments": [self.dealing.commitments]})]
-        for j in range(1, self.n + 1):
-            if j != self.index:
-                outbound.append(private(
-                    self.index, j, "shares", [self.dealing.share_for(j)]))
-        self.received_commitments[self.index] = self.dealing.commitments
-        self.received_shares[self.index] = self.dealing.share_for(self.index)
-        return outbound
-
-    def _ingest_dealings(self, inbox: Sequence[Message]) -> None:
-        for message in inbox:
-            if message.kind == "commitments":
-                commitments = message.payload["commitments"][0]
-                if len(commitments) == self.t + 1:
-                    self.received_commitments[message.sender] = commitments
-            elif message.kind == "shares" and message.recipient == self.index:
-                pair = message.payload[0]
-                self.received_shares[message.sender] = (
-                    int(pair[0]), int(pair[1]))
-
-    def _complain(self) -> List[Message]:
-        outbound = []
-        for dealer in range(1, self.n + 1):
-            if dealer == self.index:
-                continue
-            if not self._share_ok(dealer):
-                outbound.append(broadcast(
-                    self.index, "complaint", {"accused": dealer}))
-        return outbound
-
-    def _share_ok(self, dealer: int) -> bool:
-        commitments = self.received_commitments.get(dealer)
-        share = self.received_shares.get(dealer)
-        if commitments is None or share is None:
-            return False
-        return PedersenVSS.verify_share(
-            self.group, self.g_z, self.g_r, commitments, self.index, share)
-
-    def _ingest_complaints(self, inbox: Sequence[Message]) -> None:
-        for message in inbox:
-            if message.kind == "complaint":
-                accused = message.payload.get("accused")
-                if isinstance(accused, int):
-                    self.complaints_against.setdefault(accused, set()).add(
-                        message.sender)
-
-    def _respond(self) -> List[Message]:
-        complainers = self.complaints_against.get(self.index, set())
-        return [
-            broadcast(self.index, "response", {
-                "complainer": c,
-                "shares": [self.dealing.share_for(c)],
-            })
-            for c in sorted(complainers)
-        ]
-
-    def _finalize_qualified(self, inbox: Sequence[Message]) -> None:
-        responses: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        for message in inbox:
-            if message.kind != "response":
-                continue
-            payload = message.payload
-            share = payload["shares"][0]
-            responses.setdefault(message.sender, {})[
-                payload["complainer"]] = (int(share[0]), int(share[1]))
-        for dealer in range(1, self.n + 1):
-            commitments = self.received_commitments.get(dealer)
-            if commitments is None:
-                continue
-            complainers = self.complaints_against.get(dealer, set())
-            if len(complainers) > self.t:
-                continue
-            ok = True
-            for complainer in complainers:
-                published = responses.get(dealer, {}).get(complainer)
-                if published is None or not PedersenVSS.verify_share(
-                        self.group, self.g_z, self.g_r, commitments,
-                        complainer, published):
-                    ok = False
-                    break
-                if complainer == self.index:
-                    self.received_shares[dealer] = published
-            if ok:
-                self.qualified.append(dealer)
+    def _share_of(self, dealer: int) -> Tuple[int, int]:
+        return self.received_shares[dealer][0]
 
     def _extract(self) -> List[Message]:
         """Broadcast Feldman commitments g_z^{a_l} (extraction phase)."""
         if self.index not in self.qualified:
             return []
         feldman = [
-            self.g_z ** coeff for coeff in self.dealing.poly_a.coeffs]
+            self.vss.g_z ** coeff for coeff in self.dealings[0].poly_a.coeffs]
         return [broadcast(self.index, "feldman", {"feldman": feldman})]
 
     def _ingest_feldman(self, inbox: Sequence[Message]) -> None:
         for message in inbox:
-            if message.kind == "feldman":
-                feldman = message.payload["feldman"]
-                if len(feldman) == self.t + 1:
+            if message.kind == "feldman" and isinstance(message.payload, dict):
+                feldman = message.payload.get("feldman")
+                if self._is_vector(feldman):
                     self.feldman[message.sender] = feldman
+
+    def _feldman_ok(self, dealer: int, index: int, share) -> bool:
+        feldman = self.feldman.get(dealer)
+        return feldman is not None and (
+            self.vss.g_z ** share[0] == commitment_eval(
+                self.group, feldman, index))
 
     def _extraction_complain(self) -> List[Message]:
         """Publish our share pair against dealers failing the Feldman check."""
-        outbound = []
-        for dealer in self.qualified:
-            if dealer == self.index:
-                continue
-            share = self.received_shares.get(dealer)
-            feldman = self.feldman.get(dealer)
-            bad = (
-                feldman is None
-                or self.g_z ** share[0] != commitment_eval(
-                    self.group, feldman, self.index))
-            if bad:
-                outbound.append(broadcast(
-                    self.index, "x-complaint",
-                    {"accused": dealer, "share": share}))
-        return outbound
+        return [
+            broadcast(self.index, "x-complaint",
+                      {"accused": dealer, "share": self._share_of(dealer)})
+            for dealer in self.qualified
+            if dealer != self.index and not self._feldman_ok(
+                dealer, self.index, self._share_of(dealer))]
+
+    def _published_share(self, message, key: str):
+        """``(payload[key], its share)`` for a qualified dealer with a
+        share that verifies against its Pedersen commitments, else None."""
+        dealer = self._int_field(message.payload, key)
+        if dealer not in self.qualified:
+            return None
+        share = self._parse_scalars(message.payload.get("share"), 2)
+        if share is None or not self.vss.verify(
+                self.received_commitments[dealer][0], message.sender,
+                share):
+            return None
+        return dealer, share
 
     def _ingest_extraction_complaints(self, inbox: Sequence[Message]) -> None:
         for message in inbox:
             if message.kind != "x-complaint":
                 continue
-            accused = message.payload["accused"]
-            share = message.payload["share"]
-            if accused not in self.qualified:
-                continue
-            commitments = self.received_commitments[accused]
             # Only *valid* complaints (share matches the Pedersen
             # commitment but not the Feldman one) trigger reconstruction.
-            share = (int(share[0]), int(share[1]))
-            pedersen_ok = PedersenVSS.verify_share(
-                self.group, self.g_z, self.g_r, commitments,
-                message.sender, share)
-            feldman = self.feldman.get(accused)
-            feldman_ok = feldman is not None and (
-                self.g_z ** share[0] == commitment_eval(
-                    self.group, feldman, message.sender))
-            if pedersen_ok and not feldman_ok:
+            published = self._published_share(message, "accused")
+            if published is None:
+                continue
+            accused, share = published
+            if not self._feldman_ok(accused, message.sender, share):
                 self.extraction_complaints.setdefault(accused, {})[
                     message.sender] = share
 
     def _reconstruct(self) -> List[Message]:
         """Everyone publishes its shares of dealers under reconstruction."""
-        outbound = []
-        for dealer in sorted(self.extraction_complaints):
-            share = self.received_shares.get(dealer)
-            if share is not None:
-                outbound.append(broadcast(
-                    self.index, "reconstruct",
-                    {"dealer": dealer, "share": share}))
-        return outbound
+        return [
+            broadcast(self.index, "reconstruct",
+                      {"dealer": dealer, "share": self._share_of(dealer)})
+            for dealer in sorted(self.extraction_complaints)]
 
     # -- output --------------------------------------------------------------
     def finalize(self) -> GJKRResult:
@@ -263,15 +160,10 @@ class GJKRPlayer(Player):
             for message in round_messages:
                 if message.kind != "reconstruct":
                     continue
-                dealer = message.payload["dealer"]
-                share = message.payload["share"]
-                share = (int(share[0]), int(share[1]))
-                if dealer not in self.extraction_complaints:
-                    continue
-                if PedersenVSS.verify_share(
-                        self.group, self.g_z, self.g_r,
-                        self.received_commitments[dealer],
-                        message.sender, share):
+                published = self._published_share(message, "dealer")
+                if (published is not None
+                        and published[0] in self.extraction_complaints):
+                    dealer, share = published
                     self.reconstruction_shares.setdefault(dealer, {})[
                         message.sender] = share
         public_key = None
@@ -286,16 +178,15 @@ class GJKRPlayer(Player):
                     raise ProtocolError(
                         f"cannot reconstruct dealer {dealer}'s contribution")
                 a_0 = interpolate_at(points, self.group.order, x=0)
-                contribution = self.g_z ** a_0
+                contribution = self.vss.g_z ** a_0
             else:
                 contribution = self.feldman[dealer][0]
             public_key = (contribution if public_key is None
                           else public_key * contribution)
         share = sum(
-            self.received_shares[j][0] for j in self.qualified
-        ) % self.group.order
+            self._share_of(j)[0] for j in self.qualified) % self.group.order
         verification_keys = {}
-        for j in range(1, self.n + 1):
+        for j in self.receivers:
             vk = None
             for dealer in self.qualified:
                 feldman = self.feldman.get(dealer)
@@ -306,7 +197,7 @@ class GJKRPlayer(Player):
             verification_keys[j] = vk
         self._result = GJKRResult(
             index=self.index,
-            qualified=sorted(self.qualified),
+            qualified=list(self.qualified),
             share=share,
             public_key=public_key,
             verification_keys=verification_keys,
@@ -322,6 +213,4 @@ def run_gjkr_dkg(group: BilinearGroup, g_z: GroupElement,
         i: GJKRPlayer(i, group, g_z, g_r, t, n, rng=rng)
         for i in range(1, n + 1)
     }
-    network = SyncNetwork(players, adversary=adversary)
-    results = network.run(NUM_ROUNDS)
-    return results, network
+    return run_dealing(players, adversary)

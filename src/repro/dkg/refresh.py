@@ -8,6 +8,9 @@ share; the shared secret (and hence PK) is unchanged while the sharing
 polynomials are re-randomized, so shares captured by a mobile adversary in
 a previous period become useless.  Verification keys are updated by
 multiplying in the refresh transcript's VK components.
+
+:class:`RefreshPlayer` is a Dist-Keygen player that overrides only the
+secret it deals and the public rule on its constant terms.
 """
 
 from __future__ import annotations
@@ -15,10 +18,22 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.keys import PrivateKeyShare, VerificationKey
-from repro.dkg.pedersen_dkg import run_pedersen_dkg
+from repro.dkg.dealing import result_keys
+from repro.dkg.pedersen_dkg import PedersenDKGPlayer, run_pedersen_dkg
 from repro.errors import ProtocolError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.net.adversary import Adversary
+
+
+class RefreshPlayer(PedersenDKGPlayer):
+    """A Dist-Keygen player sharing (0, 0), publicly checkable as
+    ``W_hat_ik0 == 1`` so all honest players exclude a dealer alike."""
+
+    def secrets(self) -> list:
+        return [(0, 0)] * self.num_secrets
+
+    def constant_ok(self, dealer: int, constants) -> bool:
+        return all(constant.is_identity() for constant in constants)
 
 
 def run_refresh(group: BilinearGroup, g_z: GroupElement, g_r: GroupElement,
@@ -39,31 +54,21 @@ def run_refresh(group: BilinearGroup, g_z: GroupElement, g_r: GroupElement,
     one.
     """
     results, network = run_pedersen_dkg(
-        group, g_z, g_r, t, n, num_pairs=2, adversary=adversary,
-        fixed_secrets=[(0, 0), (0, 0)], require_zero_constant=True, rng=rng,
-        indices=sorted(verification_keys))
-    new_shares: Dict[int, PrivateKeyShare] = {}
-    new_vks: Dict[int, VerificationKey] = {}
-    reference = None
-    for index, result in results.items():
-        if index not in shares:
-            continue
-        delta = PrivateKeyShare(
-            index=index,
-            a_1=result.share_pairs[0][0], b_1=result.share_pairs[0][1],
-            a_2=result.share_pairs[1][0], b_2=result.share_pairs[1][1],
-        )
-        new_shares[index] = (shares[index] + delta).reduce(group.order)
-        reference = result if reference is None else reference
-    if reference is None:
+        group, g_z, g_r, t, n, adversary=adversary, rng=rng,
+        player_cls=RefreshPlayer, indices=sorted(verification_keys))
+    held = [result for index, result in results.items() if index in shares]
+    if not held:
         raise ProtocolError("no honest player completed the refresh")
-    for j, old_vk in verification_keys.items():
-        delta_vks = reference.verification_keys[j]
-        new_vks[j] = VerificationKey(
-            index=j,
-            v_1=old_vk.v_1 * delta_vks[0],
-            v_2=old_vk.v_2 * delta_vks[1],
-        )
+    new_shares = {}
+    for result in held:
+        delta, _ = result_keys(result)
+        new_shares[result.index] = (
+            shares[result.index] + delta).reduce(group.order)
+    _, delta_vks = result_keys(held[0])
+    new_vks = {
+        j: VerificationKey(index=j, v_1=old_vk.v_1 * delta_vks[j].v_1,
+                           v_2=old_vk.v_2 * delta_vks[j].v_2)
+        for j, old_vk in verification_keys.items()}
     return new_shares, new_vks, network
 
 
@@ -79,16 +84,7 @@ def recover_share(scheme, index: int,
     deployment the helpers would use blinded sub-sharings; the interpolation
     arithmetic is identical.)
     """
-    from repro.math.lagrange import lagrange_coefficients
-    order = scheme.group.order
-    helpers = list(helper_shares.values())[: scheme.params.t + 1]
-    coefficients = lagrange_coefficients(
-        [s.index for s in helpers], order, x=index)
-    totals = [0, 0, 0, 0]
-    for share in helpers:
-        weight = coefficients[share.index]
-        totals[0] = (totals[0] + weight * share.a_1) % order
-        totals[1] = (totals[1] + weight * share.b_1) % order
-        totals[2] = (totals[2] + weight * share.a_2) % order
-        totals[3] = (totals[3] + weight * share.b_2) % order
-    return PrivateKeyShare(index, *totals)
+    from repro.core.scheme import interpolate_key
+    return PrivateKeyShare(index, *interpolate_key(
+        list(helper_shares.values()), scheme.group.order, scheme.params.t,
+        x=index))

@@ -33,6 +33,13 @@ deployments need), built from the same Pedersen VSS as Dist-Keygen:
    untouched: ``prod_{i in D} V_hat_{k,i}^{lambda_i} = g_hat_k`` by
    interpolation of the old degree-t polynomials at zero.
 
+The rounds are :class:`~repro.dkg.dealing.DealingPlayer`'s:
+:class:`ResharePlayer` overrides only the secret it deals (its own
+share), the public rule on the constant terms (the dealer's VK), and
+the weighing (Lagrange at zero over D); its dealers are the current
+holders and its receivers the new committee, whose threshold t' bounds
+the complaints a dealer may draw.
+
 Index semantics: an index identifies one participant across the
 transition — a staying member keeps its index, a joiner takes an index
 no current holder uses.  Old and new index sets may overlap freely
@@ -41,46 +48,24 @@ under that rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.keys import PrivateKeyShare, VerificationKey
-from repro.dkg.pedersen_dkg import (
-    NUM_ROUNDS, ROUND_COMPLAIN, ROUND_DEAL, ROUND_RESPOND,
+from repro.dkg.dealing import (
+    DealingPlayer, DKGResult, PedersenPairs, result_keys, run_dealing,
 )
 from repro.errors import ParameterError, ProtocolError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import lagrange_coefficients
 from repro.net.adversary import Adversary
-from repro.net.player import Player
-from repro.net.simulator import Message, SyncNetwork, broadcast, private
-from repro.sharing.pedersen_vss import PedersenVSS, index_powers
 
-#: The scheme shares two (A, B) pairs.
-NUM_PAIRS = 2
-
-
-@dataclass
-class ReshareResult:
-    """One player's view of the reshare outcome."""
-
-    index: int
-    #: Qualified dealers (old-committee indices), agreed by all honest.
-    qualified: List[int]
-    #: The t+1 dealers actually recombined (``sorted(qualified)[:t+1]``).
-    dealer_set: List[int]
-    #: Per component k: this player's new share pair, or ``None`` for a
-    #: departing member (dealer-only role).
-    share_pairs: Optional[List[Tuple[int, int]]]
-    #: Per component k: ``prod_{i in D} V_hat_{k,i}^{lambda_i}`` — must
-    #: equal the existing public key components.
-    public_components: List[GroupElement]
-    #: new-committee j -> per-component verification keys.
-    verification_keys: Dict[int, List[GroupElement]] = field(
-        default_factory=dict)
+#: One player's view of the reshare outcome: ``dealer_set`` holds the
+#: t+1 dealers recombined, ``share_pairs`` is ``None`` for a departing
+#: member, and the public components must equal the existing public key.
+ReshareResult = DKGResult
 
 
-class ResharePlayer(Player):
+class ResharePlayer(DealingPlayer):
     """A participant in the reshare: dealer (current holder), receiver
     (new-committee member), or both (staying member)."""
 
@@ -92,284 +77,36 @@ class ResharePlayer(Player):
                  old_vks: Dict[int, VerificationKey],
                  old_share: Optional[PrivateKeyShare] = None,
                  rng=None):
-        super().__init__(index)
-        self.group = group
-        self.g_z = g_z
-        self.g_r = g_r
+        super().__init__(index, PedersenPairs(group, g_z, g_r), new_t, 2,
+                         dealer_indices, new_indices, rng=rng)
+        if (index in self.dealers) != (old_share is not None):
+            raise ParameterError("a dealer (and only a dealer) holds a share")
         self.old_t = old_t
-        self.new_t = new_t
-        self.dealer_indices = sorted(dealer_indices)
-        self.new_indices = sorted(new_indices)
         self.old_vks = old_vks
         self.old_share = old_share
-        self.rng = rng
-        self.is_dealer = old_share is not None
-        self.is_receiver = index in self.new_indices
-        self.dealings: List[PedersenVSS] = []
-        self.received_commitments: Dict[int, List[List[GroupElement]]] = {}
-        self.received_shares: Dict[int, List[Tuple[int, int]]] = {}
-        self.complaints_against: Dict[int, set] = {}
-        self.disqualified: set = set()
-        self._result: Optional[ReshareResult] = None
-        self._column_cache: Dict[tuple, List[GroupElement]] = {}
 
-    # -- round machine ---------------------------------------------------------
-    def on_round(self, round_no: int,
-                 inbox: Sequence[Message]) -> List[Message]:
-        if round_no == ROUND_DEAL:
-            return self._deal()
-        if round_no == ROUND_COMPLAIN:
-            self._ingest_dealings(inbox)
-            return self._complain()
-        if round_no == ROUND_RESPOND:
-            self._ingest_complaints(inbox)
-            return self._respond()
-        return []
+    def secrets(self) -> list:
+        share = self.old_share
+        return [(share.a_1, share.b_1), (share.a_2, share.b_2)]
 
-    def _deal(self) -> List[Message]:
-        if not self.is_dealer:
-            return []
-        outbound: List[Message] = []
-        secrets = [
-            (self.old_share.a_1, self.old_share.b_1),
-            (self.old_share.a_2, self.old_share.b_2),
-        ]
-        for k in range(NUM_PAIRS):
-            self.dealings.append(PedersenVSS.deal(
-                self.group, self.g_z, self.g_r, self.new_t,
-                len(self.new_indices), secret_pair=secrets[k],
-                rng=self.rng))
-        outbound.append(broadcast(
-            self.index, "commitments",
-            {"commitments": [d.commitments for d in self.dealings]}))
-        for j in self.new_indices:
-            if j == self.index:
-                continue
-            outbound.append(private(
-                self.index, j, "shares",
-                [d.share_for(j) for d in self.dealings]))
-        # Self-delivery for a staying member.
-        self.received_commitments[self.index] = [
-            d.commitments for d in self.dealings]
-        if self.is_receiver:
-            self.received_shares[self.index] = [
-                d.share_for(self.index) for d in self.dealings]
-        return outbound
-
-    def _ingest_dealings(self, inbox: Sequence[Message]) -> None:
-        for message in inbox:
-            if message.kind == "commitments":
-                if message.sender not in self.dealer_indices:
-                    continue
-                commitments = message.payload.get("commitments")
-                if (not isinstance(commitments, list)
-                        or len(commitments) != NUM_PAIRS or any(
-                            len(c) != self.new_t + 1 for c in commitments)):
-                    self.disqualified.add(message.sender)
-                    continue
-                self.received_commitments[message.sender] = commitments
-            elif message.kind == "shares" and message.recipient == self.index:
-                if message.sender not in self.dealer_indices:
-                    continue
-                shares = message.payload
-                if len(shares) == NUM_PAIRS:
-                    self.received_shares[message.sender] = [
-                        (int(a), int(b)) for a, b in shares]
-
-    def _binding_holds(self, dealer: int) -> bool:
-        """The public anchor: the dealing's constant-term commitment must
-        equal the dealer's current verification-key component, proving
-        the subshared secret is the dealer's actual share — and hence
-        that the recombined secret (and PK) is unchanged."""
-        commitments = self.received_commitments.get(dealer)
+    def constant_ok(self, dealer: int, constants) -> bool:
+        """The public anchor: the dealing's constant-term commitments must
+        equal the dealer's current verification key, proving the subshared
+        secret is the dealer's actual share — and hence that the
+        recombined secret (and PK) is unchanged."""
         vk = self.old_vks.get(dealer)
-        if commitments is None or vk is None:
-            return False
-        return (commitments[0][0] == vk.v_1
-                and commitments[1][0] == vk.v_2)
+        return vk is not None and constants == [vk.v_1, vk.v_2]
 
-    def _complain(self) -> List[Message]:
-        if not self.is_receiver:
-            return []
-        outbound: List[Message] = []
-        for dealer in self.dealer_indices:
-            if dealer == self.index:
-                continue
-            if not self._dealing_is_valid(dealer):
-                outbound.append(broadcast(
-                    self.index, "complaint", {"accused": dealer}))
-        return outbound
-
-    def _dealing_is_valid(self, dealer: int) -> bool:
-        commitments = self.received_commitments.get(dealer)
-        shares = self.received_shares.get(dealer)
-        if commitments is None or shares is None:
-            return False
-        if not self._binding_holds(dealer):
-            return False
-        for k in range(NUM_PAIRS):
-            if not PedersenVSS.verify_share(
-                    self.group, self.g_z, self.g_r, commitments[k],
-                    self.index, shares[k]):
-                return False
-        return True
-
-    def _ingest_complaints(self, inbox: Sequence[Message]) -> None:
-        for message in inbox:
-            if message.kind != "complaint":
-                continue
-            if message.sender not in self.new_indices:
-                continue    # only new-committee members hold sub-shares
-            accused = message.payload.get("accused")
-            if isinstance(accused, int):
-                self.complaints_against.setdefault(accused, set()).add(
-                    message.sender)
-
-    def _respond(self) -> List[Message]:
-        complainers = self.complaints_against.get(self.index, set())
-        if not self.is_dealer or not complainers:
-            return []
-        return [
-            broadcast(self.index, "response", {
-                "complainer": complainer,
-                "shares": [d.share_for(complainer) for d in self.dealings],
-            })
-            for complainer in sorted(complainers)
-        ]
-
-    # -- finalization ----------------------------------------------------------
-    def finalize(self) -> ReshareResult:
-        if self._result is not None:
-            return self._result
-        responses = self._collect_responses()
-        qualified = self._qualified_set(responses)
+    def weigh(self, qualified: List[int]):
         if len(qualified) < self.old_t + 1:
             raise ProtocolError(
                 "fewer than t+1 qualified dealers — the reshare cannot "
                 "reconstruct the secret")
         # Any t+1 qualified dealers determine the secret; every honest
         # player must pick the same subset, so take the smallest indices.
-        dealer_set = sorted(qualified)[: self.old_t + 1]
-        for dealer, by_complainer in responses.items():
-            ours = by_complainer.get(self.index)
-            if ours is not None and dealer in qualified:
-                self.received_shares[dealer] = ours
-        order = self.group.order
-        weights = lagrange_coefficients(dealer_set, order, x=0)
-        share_pairs = None
-        if self.is_receiver:
-            share_pairs = []
-            for k in range(NUM_PAIRS):
-                sum_a = sum(
-                    weights[i] * self.received_shares[i][k][0]
-                    for i in dealer_set) % order
-                sum_b = sum(
-                    weights[i] * self.received_shares[i][k][1]
-                    for i in dealer_set) % order
-                share_pairs.append((sum_a, sum_b))
-        public_components = [
-            self.group.multi_exp(
-                [getattr(self.old_vks[i], f"v_{k + 1}") for i in dealer_set],
-                [weights[i] for i in dealer_set])
-            for k in range(NUM_PAIRS)
-        ]
-        verification_keys = {
-            j: [
-                self._vk_component(dealer_set, weights, k, j)
-                for k in range(NUM_PAIRS)
-            ]
-            for j in self.new_indices
-        }
-        self._result = ReshareResult(
-            index=self.index,
-            qualified=sorted(qualified),
-            dealer_set=dealer_set,
-            share_pairs=share_pairs,
-            public_components=public_components,
-            verification_keys=verification_keys,
-        )
-        return self._result
-
-    def _collect_responses(self) -> Dict[int, Dict[int, list]]:
-        responses: Dict[int, Dict[int, list]] = {}
-        for round_messages in self.history:
-            for message in round_messages:
-                if message.kind != "response":
-                    continue
-                payload = message.payload
-                complainer = payload.get("complainer")
-                shares = payload.get("shares")
-                if (not isinstance(complainer, int) or shares is None
-                        or len(shares) != NUM_PAIRS):
-                    continue
-                responses.setdefault(message.sender, {})[complainer] = [
-                    (int(a), int(b)) for a, b in shares]
-        return responses
-
-    def _qualified_set(self, responses) -> List[int]:
-        qualified = []
-        for dealer in self.dealer_indices:
-            if dealer in self.disqualified:
-                continue
-            if dealer not in self.received_commitments:
-                continue
-            if not self._binding_holds(dealer):
-                continue
-            complainers = self.complaints_against.get(dealer, set())
-            # At most t' new-committee members can be corrupt, so an
-            # honest dealer draws at most t' complaints.
-            if len(complainers) > self.new_t:
-                continue
-            ok = True
-            for complainer in complainers:
-                published = responses.get(dealer, {}).get(complainer)
-                if published is None:
-                    ok = False
-                    break
-                for k in range(NUM_PAIRS):
-                    if not PedersenVSS.verify_share(
-                            self.group, self.g_z, self.g_r,
-                            self.received_commitments[dealer][k],
-                            complainer, published[k]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                qualified.append(dealer)
-        return qualified
-
-    def _vk_component(self, dealer_set, weights, k: int,
-                      j: int) -> GroupElement:
-        """``prod_{i in D} prod_l W_hat_ikl^{lambda_i * j^l}`` — the new
-        VK_j component.
-
-        As in Dist-Keygen finalize, the scalar ``lambda_i * j^l``
-        factors, so the double product regroups around the weighted
-        column aggregates ``U_kl = prod_{i in D} W_hat_ikl^{lambda_i}``
-        (independent of j, cached): every new-committee VK_j is then a
-        (t'+1)-term multi-exp instead of a |D|*(t'+1)-term one.
-        """
-        powers = index_powers(self.group.order, j, self.new_t + 1)
-        return self.group.multi_exp(
-            self._weighted_columns(tuple(dealer_set), weights, k), powers)
-
-    def _weighted_columns(self, dealer_set: tuple, weights,
-                          k: int) -> List[GroupElement]:
-        """``[prod_{i in D} W_hat_ikl^{lambda_i} for l in 0..t']``."""
-        cached = self._column_cache.get((dealer_set, k))
-        if cached is not None:
-            return cached
-        scalars = [weights[dealer] for dealer in dealer_set]
-        columns = [
-            self.group.multi_exp(
-                [self.received_commitments[dealer][k][position]
-                 for dealer in dealer_set],
-                scalars)
-            for position in range(self.new_t + 1)
-        ]
-        self._column_cache[(dealer_set, k)] = columns
-        return columns
+        dealer_set = qualified[: self.old_t + 1]
+        return dealer_set, lagrange_coefficients(
+            dealer_set, self.group.order, x=0)
 
 
 def run_reshare(group: BilinearGroup, g_z: GroupElement,
@@ -403,40 +140,25 @@ def run_reshare(group: BilinearGroup, g_z: GroupElement,
             f"no verification key for dealer(s) {missing} — the binding "
             "check needs every dealer's current VK")
     dealer_indices = sorted(shares)
-    players = {}
-    for index in sorted(set(dealer_indices) | set(new_indices)):
-        players[index] = ResharePlayer(
+    players = {
+        index: ResharePlayer(
             index, group, g_z, g_r, old_t, new_t,
             dealer_indices, new_indices, verification_keys,
             old_share=shares.get(index), rng=rng)
-    network = SyncNetwork(players, adversary=adversary)
-    results = network.run(NUM_ROUNDS)
-    honest = [r for r in results.values() if r is not None]
-    if not honest:
-        raise ProtocolError("no honest player completed the reshare")
-    reference = honest[0]
-    for result in honest[1:]:
-        if (result.qualified != reference.qualified
-                or result.dealer_set != reference.dealer_set):
-            raise ProtocolError(
-                "honest players disagree on the qualified dealer set")
-    if public_key is not None:
-        if (reference.public_components[0] != public_key.g_1
-                or reference.public_components[1] != public_key.g_2):
-            raise ProtocolError(
-                "reshare transcript does not recombine to the existing "
-                "public key")
-    new_shares: Dict[int, PrivateKeyShare] = {}
-    for index, result in results.items():
-        if result is None or result.share_pairs is None:
-            continue
-        new_shares[index] = PrivateKeyShare(
-            index=index,
-            a_1=result.share_pairs[0][0], b_1=result.share_pairs[0][1],
-            a_2=result.share_pairs[1][0], b_2=result.share_pairs[1][1],
-        )
-    new_vks = {
-        j: VerificationKey(index=j, v_1=vks[0], v_2=vks[1])
-        for j, vks in reference.verification_keys.items()
+        for index in sorted(set(dealer_indices) | set(new_indices))
     }
-    return new_shares, new_vks, network
+    results, network = run_dealing(players, adversary)
+    if not results:
+        raise ProtocolError("no honest player completed the reshare")
+    reference = next(iter(results.values()))
+    if public_key is not None and reference.public_components != [
+            public_key.g_1, public_key.g_2]:
+        raise ProtocolError(
+            "reshare transcript does not recombine to the existing "
+            "public key")
+    new_shares = {}
+    for index, result in results.items():
+        share, _ = result_keys(result)
+        if share is not None:
+            new_shares[index] = share
+    return new_shares, result_keys(reference)[1], network

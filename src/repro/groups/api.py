@@ -140,6 +140,12 @@ class BilinearGroup(ABC):
         """
         return element
 
+    def same_group(self, element, reference: GroupElement) -> bool:
+        """True when ``element`` lies in ``reference``'s group (G, G_hat
+        or G_T).  Protocol payloads arrive as objects, not bytes: a
+        foreign one is refused here before it reaches group arithmetic."""
+        return type(element) is type(reference)
+
     # -- fast exponentiation --------------------------------------------------
     @staticmethod
     def _checked_multi_exp_args(bases, scalars):

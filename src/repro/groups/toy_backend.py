@@ -131,6 +131,10 @@ class ToyGroup(BilinearGroup):
             total = (total + a.log * b.log) % _ORDER
         return ToyElement(total, "GT")
 
+    def same_group(self, element, reference: ToyElement) -> bool:
+        return (isinstance(element, ToyElement)
+                and element.tag == reference.tag)
+
     def multi_exp(self, bases: Sequence[ToyElement],
                   scalars: Sequence[int]) -> ToyElement:
         # Covers all three groups (G, G_hat and G_T): discrete logs make a

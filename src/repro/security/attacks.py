@@ -27,9 +27,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dkg.gjkr_dkg import GJKRPlayer, run_gjkr_dkg
-from repro.dkg.pedersen_dkg import (
-    NUM_ROUNDS, PedersenDKGPlayer, run_pedersen_dkg,
-)
+from repro.dkg.pedersen_dkg import PedersenDKGPlayer, run_pedersen_dkg
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.net.adversary import Adversary
 from repro.net.simulator import Message

@@ -12,8 +12,8 @@ The kernel also owns the **event trace**: :meth:`EventKernel.trace`
 feeds ``"{now_us} {line}\\n"`` into an incremental SHA-256.  The final
 :meth:`EventKernel.digest` is the scenario's determinism witness — two
 runs of the same scenario with the same seed must produce byte-identical
-digests (``make sim-smoke`` runs the CI scenario twice and compares;
-see ``docs/SIMULATION.md`` for the contract).
+digests (``make sim-smoke`` runs the CI and churn scenarios twice and
+compares; see ``docs/SIMULATION.md`` for the contract).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from repro.serialization import (
 from repro.sims.kernel import SimulationError
 from repro.sims.net import SimMessage, SimNet, SimPeer
 
-#: Round layout shared with :mod:`repro.dkg.pedersen_dkg`.
+#: Round layout shared with :mod:`repro.dkg.dealing`.
 ROUND_DEAL, ROUND_COMPLAIN, ROUND_RESPOND = 0, 1, 2
 
 

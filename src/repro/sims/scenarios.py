@@ -37,10 +37,9 @@ import hashlib
 import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.keys import (
-    PrivateKeyShare, ThresholdParams, VerificationKey,
-)
+from repro.core.keys import ThresholdParams
 from repro.core.scheme import LJYThresholdScheme
+from repro.dkg.dealing import result_keys
 from repro.dkg.pedersen_dkg import PedersenDKGPlayer, dkg_result_to_keys
 from repro.dkg.reshare import ResharePlayer
 from repro.groups import get_group
@@ -406,17 +405,9 @@ def run_churn_scenario(seed: int, n: int = 16, t: int = 3,
         if state["mismatches"]:
             raise SimulationError(
                 "reshare players disagreed on the public components")
-        reference = reshare_peers[new_indices[0]].result
-        new_vks = {
-            j: VerificationKey(index=j, v_1=components[0],
-                               v_2=components[1])
-            for j, components in reference.verification_keys.items()
-        }
+        _, new_vks = result_keys(reshare_peers[new_indices[0]].result)
         for i in new_indices:
-            pairs = reshare_peers[i].result.share_pairs
-            new_share = PrivateKeyShare(
-                index=i, a_1=pairs[0][0], b_1=pairs[0][1],
-                a_2=pairs[1][0], b_2=pairs[1][1])
+            new_share, _ = result_keys(reshare_peers[i].result)
             if i in signers:
                 signers[i].install_share(new_share, epoch=1)
             else:

@@ -7,6 +7,7 @@ from repro.core.scheme import LJYThresholdScheme
 from repro.dkg.pedersen_dkg import (
     PedersenDKGPlayer, dkg_result_to_keys, run_pedersen_dkg,
 )
+from repro.dkg.refresh import RefreshPlayer
 from repro.errors import ParameterError
 from repro.math.lagrange import interpolate_at
 from repro.net.adversary import ScriptedAdversary
@@ -183,8 +184,7 @@ class TestFixedSecrets:
     def test_zero_sharing_yields_identity_pk(self, setup, rng):
         group, g_z, g_r = setup
         results, _ = run_pedersen_dkg(
-            group, g_z, g_r, 2, 5, fixed_secrets=[(0, 0), (0, 0)],
-            require_zero_constant=True, rng=rng)
+            group, g_z, g_r, 2, 5, player_cls=RefreshPlayer, rng=rng)
         for component in results[1].public_components:
             assert component.is_identity()
 
@@ -200,8 +200,7 @@ class TestFixedSecrets:
             return []
 
         results, _ = run_pedersen_dkg(
-            group, g_z, g_r, 2, 5, fixed_secrets=[(0, 0), (0, 0)],
-            require_zero_constant=True,
+            group, g_z, g_r, 2, 5, player_cls=RefreshPlayer,
             adversary=ScriptedAdversary(script), rng=rng)
         for result in results.values():
             assert 2 not in result.qualified

@@ -9,8 +9,8 @@ and optionally appends ``<scenario> <digest>`` lines to a digest file.
 
 Determinism contract (see ``docs/SIMULATION.md``): the tables and
 digests are pure functions of ``(scenario, seed, parameters)``.  The
-``make sim-smoke`` gate runs ``--scenario ci`` twice in separate
-processes and byte-compares the digest files.
+``make sim-smoke`` gate runs ``--scenario ci`` and ``--scenario churn``
+twice each in separate processes and byte-compares the digest files.
 
 Usage::
 
