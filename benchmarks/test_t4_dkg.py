@@ -157,10 +157,11 @@ def test_t4d_share_verify_msm_large_n(bn254_group, save_table):
     """T4d — the per-share DKG check on the real curve at large n.
 
     Each DKG participant verifies every dealer's share against the
-    broadcast commitments: a (t+2)-term multi-scalar multiplication.
-    At n in the hundreds (t ~ n/2) that MSM crosses the Straus ->
-    Pippenger crossover the PR-2 window heuristic re-tuned, so this
-    measurement tracks exactly the op the tuning targeted."""
+    broadcast commitments: a 2-base product against a (t+1)-term
+    multi-scalar multiplication over G_hat.  At n = 64, 128 and 256
+    (t = (n - 1) // 2) that is at most 128 terms, all on the lane
+    kernel (:mod:`repro.math.msm`), the only kernel for a one-row
+    product of any length."""
     import time
 
     from repro.sharing.pedersen_vss import PedersenVSS

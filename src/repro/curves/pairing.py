@@ -355,55 +355,15 @@ def final_exponentiation_naive(f: Fp12Ele) -> Fp12Ele:
 # GT and the public pairing API
 # ---------------------------------------------------------------------------
 
-class GTFixedBaseTable:
-    """Windowed powers of a fixed GT base (``table[i][d] = base^(d*2^{wi})``).
-
-    A multiplication then costs ~ceil(254/window) F_p12 multiplications
-    and **zero** squarings.  The build is ~(2^w - 1) * 254/w products, so
-    it amortizes only for bases exponentiated many times (a pairing value
-    reused across requests); callers opt in via ``GTElement.precompute``.
-    """
-
-    __slots__ = ("window", "tables")
-
-    def __init__(self, value: Fp12Ele, window: int = 4, order: int = _R):
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.tables: List[list] = []
-        base = value
-        for _ in range((order.bit_length() + window - 1) // window):
-            row = [None, base]
-            for _ in range((1 << window) - 2):
-                row.append(f12_mul(row[-1], base))
-            self.tables.append(row)
-            for _ in range(window):
-                base = f12_cyclotomic_sqr(base)
-
-    def pow(self, exponent: int) -> Fp12Ele:
-        result = None
-        mask = (1 << self.window) - 1
-        index = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                entry = self.tables[index][digit]
-                result = entry if result is None else f12_mul(result, entry)
-            exponent >>= self.window
-            index += 1
-        return F12_ONE if result is None else result
-
-
 class GTElement:
     """An element of GT = the order-r subgroup of F_p12*."""
 
-    __slots__ = ("value", "_table")
+    __slots__ = ("value",)
 
     order = _R
 
     def __init__(self, value: Fp12Ele):
         self.value = value
-        self._table = None
 
     @classmethod
     def one(cls) -> "GTElement":
@@ -416,17 +376,9 @@ class GTElement:
         return GTElement(f12_mul(self.value, f12_conj(other.value)))
 
     def __pow__(self, exponent: int) -> "GTElement":
-        # GT elements are cyclotomic, so the compressed-squaring chain
+        # GT elements are cyclotomic, so the w-NAF Granger-Scott ladder
         # with conjugation-as-inversion applies.
-        if self._table is not None:
-            return GTElement(self._table.pow(exponent % _R))
         return GTElement(cyclotomic_exp(self.value, exponent % _R))
-
-    def precompute(self, window: int = 4) -> "GTElement":
-        """Build a fixed-base window table for repeated exponentiation."""
-        if self._table is None or self._table.window != window:
-            self._table = GTFixedBaseTable(self.value, window)
-        return self
 
     def inverse(self) -> "GTElement":
         # GT elements are cyclotomic, so conjugation inverts them.
@@ -446,56 +398,6 @@ class GTElement:
 
     def __repr__(self):
         return "GTElement(1)" if self.is_one() else "GTElement(...)"
-
-
-def gt_multi_exp(elements: Sequence[GTElement],
-                 scalars: Sequence[int]) -> GTElement:
-    """``prod_i elements[i] ** scalars[i]`` — one GT multi-exponentiation.
-
-    Interleaved w-NAF sharing a single Granger-Scott squaring chain
-    across all terms, with negative digits served by conjugation (free
-    inversion in the cyclotomic subgroup).  The naive reference is the
-    per-element ``**`` fold the generic backend ``multi_exp`` performs.
-    """
-    from repro.math.msm import wnaf_digits
-
-    if len(elements) != len(scalars):
-        raise ValueError("elements and scalars must have equal length")
-    live = [
-        (element.value, scalar % _R)
-        for element, scalar in zip(elements, scalars)
-        if scalar % _R != 0 and not f12_is_one(element.value)
-    ]
-    if not live:
-        return GTElement.one()
-    if len(live) == 1:
-        return GTElement(cyclotomic_exp(live[0][0], live[0][1]))
-    tables = []
-    digit_rows = []
-    for value, scalar in live:
-        twice = f12_cyclotomic_sqr(value)
-        table = [value]
-        for _ in range(3):
-            table.append(f12_mul(table[-1], twice))
-        tables.append(table)
-        digit_rows.append(wnaf_digits(scalar, 4))
-    length = max(len(row) for row in digit_rows)
-    result = F12_ONE
-    started = False
-    for bit in range(length - 1, -1, -1):
-        if started:
-            result = f12_cyclotomic_sqr(result)
-        for row, table in zip(digit_rows, tables):
-            if bit >= len(row):
-                continue
-            digit = row[bit]
-            if digit > 0:
-                result = f12_mul(result, table[digit >> 1])
-                started = True
-            elif digit < 0:
-                result = f12_mul(result, f12_conj(table[(-digit) >> 1]))
-                started = True
-    return GTElement(result)
 
 
 #: Either source of a pairing's second argument.

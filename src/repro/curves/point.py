@@ -143,24 +143,22 @@ class CurvePoint:
 
     __rmul__ = __mul__
 
-    def precompute(self, window: int = 4):
+    def precompute(self):
         """Build a fixed-base window table so later multiplications run in
-        ~order.bit_length()/window additions.  Worth it for bases reused
+        ~order.bit_length()/4 additions.  Worth it for bases reused
         across many scalars (``g_z``/``g_r`` in key generation, DKG
         commitment checks); see :mod:`repro.math.msm`."""
-        if self._table is None or self._table.window != window:
+        if self._table is None:
             self._table = msm.FixedBaseTable(
-                self.curve.ops, self._jac, self.order, window)
+                self.curve.ops, self._jac, self.order)
         return self
 
     @classmethod
     def multi_mul(cls, points, scalars):
         """``sum_i scalars[i] * points[i]`` as one multi-scalar
-        multiplication (shared doubling chain)."""
-        curve = cls.curve
-        return cls(_jac=msm.multi_scalar_mul(
-            curve.ops, [point._jac for point in points], scalars,
-            cls.order, curve.endo))
+        multiplication (shared doubling chain): :meth:`multi_mul_rows`
+        with one row."""
+        return cls.multi_mul_rows(points, [scalars])[0]
 
     @classmethod
     def multi_mul_rows(cls, points, scalar_rows) -> list:

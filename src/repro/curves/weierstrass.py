@@ -112,7 +112,7 @@ def jac_add_affine(ops: FieldOps, p1, aff2):
 
     With Z2 = 1 the two U2/S2 scalings for the second operand vanish
     (7M + 4S instead of 11M + 5S), which is why the MSM tables and
-    Pippenger inputs are batch-normalized to affine up front.  Handles
+    ladder rungs are batch-normalized to affine up front.  Handles
     the degenerate cases (identity accumulator, doubling, inverses).
     """
     x2, y2 = aff2
@@ -474,7 +474,7 @@ def jac_batch_normalize(ops: FieldOps, points):
 
     An inversion costs tens of multiplications, so normalizing n points
     costs ~1/n inversions each — this is what lets MSM tables and
-    Pippenger inputs live in affine coordinates cheaply.  Points at
+    ladder rungs live in affine coordinates cheaply.  Points at
     infinity map to None.  Points that are already affine (Z = 1, e.g.
     pre-normalized by a combiner) are passed through, and a batch with
     no other finite point performs no inversion at all.

@@ -42,7 +42,7 @@ class GroupElement(ABC):
     def to_bytes(self) -> bytes:
         """Canonical byte encoding (used for sizes and hashing)."""
 
-    def precompute(self, window: int = 4) -> "GroupElement":
+    def precompute(self) -> "GroupElement":
         """Hint that this element will be exponentiated many times.
 
         Backends with fixed-base window tables build one; others ignore

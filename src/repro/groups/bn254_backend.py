@@ -17,9 +17,7 @@ from repro.curves.g2 import G2Point
 from repro.curves.hash_to_curve import (
     derive_generator_g1, derive_generator_g2, hash_to_g1_vector,
 )
-from repro.curves.pairing import (
-    GTElement, gt_multi_exp, multi_pairing, prepare_g2,
-)
+from repro.curves.pairing import GTElement, multi_pairing, prepare_g2
 from repro.curves.point import CurvePoint
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.rng import random_scalar
@@ -41,8 +39,8 @@ class BNPoint(GroupElement):
     def exp(self, scalar: int) -> "BNPoint":
         return type(self)(self.point * scalar)
 
-    def precompute(self, window: int = 4) -> "BNPoint":
-        self.point.precompute(window)
+    def precompute(self) -> "BNPoint":
+        self.point.precompute()
         return self
 
     def inverse(self) -> "BNPoint":
@@ -89,11 +87,6 @@ class BNGT(GroupElement):
 
     def exp(self, scalar: int) -> "BNGT":
         return BNGT(self.element ** (scalar % bn254.R))
-
-    def precompute(self, window: int = 4) -> "BNGT":
-        """Build a GT fixed-base window table (zero squarings per exp)."""
-        self.element.precompute(window)
-        return self
 
     def inverse(self) -> "BNGT":
         return BNGT(self.element.inverse())
@@ -173,9 +166,7 @@ class BN254Group(BilinearGroup):
         bases, scalars = self._checked_multi_exp_args(bases, scalars)
         wrapper = type(bases[0])
         if wrapper is BNGT:
-            # GT product: one shared cyclotomic-squaring chain.
-            return BNGT(gt_multi_exp(
-                [base.element for base in bases], scalars))
+            return super().multi_exp(bases, scalars)
         points = [base.point for base in bases]
         # Bases carrying fixed-base tables multiply faster through them
         # than through a shared doubling chain.

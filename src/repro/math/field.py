@@ -1,8 +1,9 @@
-"""Generic prime-field arithmetic.
+"""Prime-field helpers: the Legendre symbol and square roots modulo an
+odd prime, over plain ints, and the generic element class :class:`Fp`.
 
-The hot paths of the pairing work directly on Python integers for speed; this
-class exists for the protocol layer (shares, scalars, polynomial algebra),
-where clarity matters more than raw throughput.
+Every layer — the tower, the curves and the protocols — holds field
+elements as Python ints reduced modulo its prime; only its own unit
+tests construct an :class:`Fp`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Fast exponentiation: five paths for a G1 product — the lanes, the
-Jacobian-rung ladder, the affine-rung ladder, Pippenger and
-:class:`FixedBaseTable` — of which G2 uses all but the two ladders.
+"""Fast exponentiation: four paths for a G1 product — the lanes, the
+Jacobian-rung ladder, the affine-rung ladder and :class:`FixedBaseTable`
+— of which G2 uses all but the two ladders.
 
 All routines take a :class:`~repro.curves.weierstrass.FieldOps` bundle
 and call the int-specialised point formulas it names (``*_fp`` on G1
@@ -30,11 +30,12 @@ of ``perf/workloads.py``), the scheme calls land as follows:
   products of ``batch_verify``/``verify_window`` and the robust path
   (one row of 64-bit coins over at most a window's points), and on G2
   the DKG's commitment evaluations and verification keys (3 terms).
-* **Pippenger** (:func:`_pippenger`, :func:`multi_scalar_mul` over more
-  than 192 live terms): a BN254 multi-exponentiation that long — the
-  per-share DKG check at t in the hundreds (T4d) and reshare/DKG
-  aggregation over committees that large.  No ``perf`` workload gets
-  there, and the simulator's scenarios run on the toy backend.
+  So is a product over many bases at any length — the per-share DKG
+  check's (t + 1) terms, or aggregation over a committee in the
+  hundreds.  A bucket-method MSM would beat the lanes only there
+  (measured on a 2-core box with full-size scalars: lanes took 1.0x
+  its time at 193 G1 terms, 1.3x at 512, 1.6x at 1024), and no
+  workload, test table or example builds a product that long.
 * **Fixed-base tables** (:class:`FixedBaseTable`): a point multiplied
   ``_AUTO_PRECOMPUTE_USES`` (8) times through ``*`` builds its own
   (:class:`~repro.curves.point.CurvePoint`), and a remote worker builds
@@ -44,13 +45,13 @@ of ``perf/workloads.py``), the scheme calls land as follows:
   ``[g_z, g_r]`` takes ``BN254Group.multi_exp``'s all-tables shortcut
   (one table read per base instead of an MSM).
 
-**The lane kernel.**  :func:`scalar_mul`, :func:`multi_scalar_mul` (below
-the Pippenger crossover) and :func:`multi_scalar_mul_rows` (for most
-shapes — see the ladder kernel below) are callers of one interleaved-w-NAF
-loop.  Every ``(base, scalar)`` term is recoded into one or two *lanes* —
-a signed sub-scalar driving a table of affine odd multiples — and all
-lanes of a product share one doubling chain, so the cost is ``max lane
-bits`` doublings plus ~``bits / (w + 1)`` mixed additions per lane.
+**The lane kernel.**  :func:`scalar_mul` and :func:`multi_scalar_mul_rows`
+(for most shapes — see the ladder kernel below) are callers of one
+interleaved-w-NAF loop.  Every ``(base, scalar)`` term is recoded into
+one or two *lanes* — a signed sub-scalar driving a table of affine odd
+multiples — and all lanes of a product share one doubling chain, so the
+cost is ``max lane bits`` doublings plus ~``bits / (w + 1)`` mixed
+additions per lane.
 Three things shorten or share the lanes:
 
 * **GLV endomorphism** (Gallant-Lambert-Vanstone, CRYPTO 2001).  Where
@@ -152,22 +153,17 @@ one pass's queue.  Stored ladders would be ~130 rungs x 32 bases plus
 their phi-images per window, ~1.5-2 MB of Python ints — beyond what a
 window may add to a signing process's resident set.
 
-The other algorithms:
+**Fixed-base windows.**  For generators reused across many calls
+(``g_z``/``g_r`` in key generation, DKG commitment checks) a one-off
+table of ``d * 2^{4i} * P`` turns every later multiplication into ~254/4
+additions and **zero** doublings.  The table costs ``15 * 254/4``
+additions to build, so it amortizes after roughly four multiplications;
+callers opt in via :class:`FixedBaseTable` (or
+``GroupElement.precompute()`` one layer up) precisely because the
+build-up is not free.
 
-* **Pippenger (bucket) MSM** — for large k (DKG transcript aggregation at
-  big n) the bucket method costs ~k + 2^c additions per 254/c-bit window,
-  beating the lane kernel once k exceeds a couple of hundred terms.
-* **Fixed-base windows** — for generators reused across many calls
-  (``g_z``/``g_r`` in key generation, DKG commitment checks) a one-off
-  table of ``d * 2^{w i} * P`` turns every later multiplication into
-  ~254/w additions and **zero** doublings.  The table costs
-  ``(2^w - 1) * 254/w`` additions to build, so it amortizes after roughly
-  four multiplications at w = 4; callers opt in via
-  :class:`FixedBaseTable` (or ``GroupElement.precompute()`` one layer up)
-  precisely because the build-up is not free.
-
-**Mixed coordinates**: every table entry, ladder rung and Pippenger input
-is batch-normalized to affine with one shared field inversion
+**Mixed coordinates**: every table entry and ladder rung is
+batch-normalized to affine with one shared field inversion
 (:func:`~repro.curves.weierstrass.jac_batch_normalize`, over plain ints
 on G1 and over the F_p norms of the Z coordinates on G2), so the inner
 loops run mixed Jacobian+affine additions (7M + 4S instead of 11M + 5S —
@@ -675,120 +671,28 @@ def scalar_mul(ops: FieldOps, point, scalar: int, order: int,
     return multi_scalar_mul_rows(ops, [point], [[scalar]], order, endo)[0]
 
 
-def multi_scalar_mul(ops: FieldOps, points: Sequence, scalars: Sequence[int],
-                     order: int, endo: Optional[Endomorphism] = None):
-    """``sum_i scalars[i] * points[i]`` with shared doublings.
-
-    Dispatches to the lane kernel for small batches and to the Pippenger
-    bucket method for large ones.
-    """
-    if len(points) != len(scalars):
-        raise ValueError("points and scalars must have equal length")
-    live = [
-        (point, scalar % order)
-        for point, scalar in zip(points, scalars)
-        if scalar % order != 0 and not ops.is_zero(point[2])
-    ]
-    # Crossover measured on this interpreter with mixed additions: the
-    # shared-inversion affine tables make the lane kernel cheaper than
-    # bucketing until k ~ 200 (Combine and batch Share-Verify all sit
-    # below it; DKG transcript aggregation at n in the hundreds sits
-    # above).
-    if len(live) > 192:
-        return _pippenger(ops, live, order.bit_length())
-    return multi_scalar_mul_rows(ops, points, [scalars], order, endo)[0]
-
-
-def _pippenger_window(count: int) -> int:
-    """Bucket width c minimizing the mixed-coordinate addition cost.
-
-    Per 254/c-bit window the bucket fills are *mixed* additions (~11
-    field multiplications each, inputs are batch-normalized affine) while
-    the running-sum folds and the c doublings stay Jacobian (the fold
-    term is discounted to ~20 per bucket for partially-empty buckets).
-    Calibrated against a measured sweep at real trace sizes — DKG
-    transcript aggregation (``_vk_component``) runs at |Q|(t+1) in the
-    hundreds, where the sweep put the optimum at c = 5-6; the old
-    unit-cost model under-sized the window across that range.
-    """
-    best_c, best_cost = 1, None
-    for c in range(1, 17):
-        windows = 254 // c + 1
-        cost = windows * (count * 11 + (1 << c) * 20 + c * 8)
-        if best_cost is None or cost < best_cost:
-            best_c, best_cost = c, cost
-    return best_c
-
-
-def _pippenger(ops: FieldOps, live, scalar_bits: int):
-    """Bucket MSM: per window, drop points into 2^c - 1 buckets and fold
-    them with the running-sum trick.  Inputs are batch-normalized once so
-    every bucket fill is a mixed addition."""
-    infinity = (ops.one, ops.one, ops.zero)
-    affine = jac_batch_normalize(ops, [point for point, _scalar in live])
-    live = [
-        (aff, scalar)
-        for aff, (_point, scalar) in zip(affine, live)
-        if aff is not None
-    ]
-    if not live:
-        return infinity
-    c = _pippenger_window(len(live))
-    mask = (1 << c) - 1
-    windows = (scalar_bits + c - 1) // c
-    m, double, add = ops.modulus, ops.point_double, ops.point_add
-    mixed_add = ops.point_add_affine
-    result = infinity
-    for w in range(windows - 1, -1, -1):
-        if result is not infinity:
-            for _ in range(c):
-                result = double(result, m)
-        buckets = [None] * (mask + 1)
-        shift = w * c
-        for aff, scalar in live:
-            digit = (scalar >> shift) & mask
-            if digit == 0:
-                continue
-            held = buckets[digit]
-            buckets[digit] = (aff[0], aff[1], ops.one) if held is None \
-                else mixed_add(held, aff, m)
-        running = None
-        window_sum = None
-        for digit in range(mask, 0, -1):
-            held = buckets[digit]
-            if held is not None:
-                running = held if running is None else add(
-                    running, held, m)
-            if running is not None:
-                window_sum = running if window_sum is None else add(
-                    window_sum, running, m)
-        if window_sum is not None:
-            result = window_sum if result is infinity else add(
-                result, window_sum, m)
-    return result
+#: Bits per window of a :class:`FixedBaseTable`.
+_FIXED_WIDTH = 4
 
 
 class FixedBaseTable:
     """Windowed precomputation for a base point reused across many scalars.
 
-    Stores ``table[i][d] = d * 2^{window * i} * P`` for every window ``i``
-    and digit ``d`` in ``[1, 2^window)``; a multiplication then reads one
-    entry per window and performs ~ceil(bits/window) - 1 additions, no
-    doublings.  Entries are batch-normalized to **affine** after the
-    build (one shared inversion), so every lookup addition is mixed.
+    Stores ``table[i][d] = d * 2^{4i} * P`` for every 4-bit window ``i``
+    and digit ``d`` in ``[1, 16)``; a multiplication then reads one entry
+    per window and performs ~ceil(bits/4) - 1 additions, no doublings.
+    Entries are batch-normalized to **affine** after the build (one
+    shared inversion), so every lookup addition is mixed.
     Digit multiples of a sub-order point are never the identity (the
     order is prime), so every entry normalizes.  See the module docstring
     for the amortization math.
     """
 
-    __slots__ = ("ops", "order", "window", "tables", "_infinity")
+    __slots__ = ("ops", "order", "tables", "_infinity")
 
-    def __init__(self, ops: FieldOps, point, order: int, window: int = 4):
-        if window < 1:
-            raise ValueError("window must be positive")
+    def __init__(self, ops: FieldOps, point, order: int):
         self.ops = ops
         self.order = order
-        self.window = window
         self._infinity = (ops.one, ops.one, ops.zero)
         if ops.is_zero(point[2]):
             # Identity base: every multiple is the identity.
@@ -798,16 +702,16 @@ class FixedBaseTable:
         m, double, add = ops.modulus, ops.point_double, ops.point_add
         base = point
         rows: List[list] = []
-        for _ in range((bits + window - 1) // window):
+        for _ in range((bits + _FIXED_WIDTH - 1) // _FIXED_WIDTH):
             row = [base]
-            for _ in range((1 << window) - 2):
+            for _ in range((1 << _FIXED_WIDTH) - 2):
                 row.append(add(row[-1], base, m))
             rows.append(row)
-            for _ in range(window):
+            for _ in range(_FIXED_WIDTH):
                 base = double(base, m)
         flat = jac_batch_normalize(
             ops, [entry for row in rows for entry in row])
-        per_row = (1 << window) - 1
+        per_row = (1 << _FIXED_WIDTH) - 1
         self.tables: List[list] = [
             [None] + flat[start:start + per_row]
             for start in range(0, len(flat), per_row)
@@ -821,7 +725,7 @@ class FixedBaseTable:
         if self.tables is None:
             return result
         m, mixed_add = ops.modulus, ops.point_add_affine
-        mask = (1 << self.window) - 1
+        mask = (1 << _FIXED_WIDTH) - 1
         index = 0
         while scalar:
             digit = scalar & mask
@@ -830,6 +734,6 @@ class FixedBaseTable:
                 result = (entry[0], entry[1], ops.one) \
                     if result is self._infinity \
                     else mixed_add(result, entry, m)
-            scalar >>= self.window
+            scalar >>= _FIXED_WIDTH
             index += 1
         return result

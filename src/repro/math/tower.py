@@ -21,7 +21,7 @@ hard-coded.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 # ---------------------------------------------------------------------------
 # BN254 base field and tower constants
@@ -304,7 +304,7 @@ def _f6_mul_int(a: Fp6Ele, b: Fp6Ele) -> Fp6Ele:
     int-inlined :func:`f12_sqr`: the Miller-loop accumulator squares once
     per loop bit, where the call/tuple overhead of composing
     ``f2_mul``/``f2_mul_xi`` costs as much as the arithmetic itself in
-    CPython (same motivation as :func:`_fp4_sqr`).
+    CPython.
     """
     (a00, a01), (a10, a11), (a20, a21) = a
     (b00, b01), (b10, b11), (b20, b21) = b
@@ -468,10 +468,10 @@ def f12_mul_line(f: Fp12Ele, l1: Fp2Ele, l3: Fp2Ele) -> Fp12Ele:
         (f0 + f1*w)(1 + l*w) = (f0 + v*(f1*l)) + (f0*l + f1)*w:
 
     two sparse F_p6 products, 10 F_p2 multiplications against the 18 of
-    a full :func:`f12_mul`.  Like :func:`_fp4_sqr`, the whole schedule
-    runs on plain ints (this is the per-line hot op of the Miller loop,
-    executed 88 times per pairing) and each output coefficient is
-    reduced exactly once.
+    a full :func:`f12_mul`.  Like :func:`f12_cyclotomic_sqr`, the whole
+    schedule runs on plain ints (this is the per-line hot op of the
+    Miller loop, executed 88 times per pairing) and each output
+    coefficient is reduced exactly once.
     """
     f0, f1 = f
     t0 = _f6_mul_sparse01_int(f0, l1, l3)
@@ -615,47 +615,16 @@ def f12_cyclotomic_pow(a: Fp12Ele, e: int) -> Fp12Ele:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic-subgroup fast arithmetic (Granger-Scott / Karabina)
+# Cyclotomic-subgroup fast arithmetic (Granger-Scott)
 # ---------------------------------------------------------------------------
 #
 # Elements surviving the easy part of the final exponentiation lie in the
 # cyclotomic subgroup G_{Phi_12}(p) of F_p12*, where squaring collapses to
 # arithmetic in the three F_p4 sub-planes spanned by (w^k, w^{k+3}) with
-# (w^3)^2 = xi.  In the w-power basis (a0, ..., a5):
-#
-# * Granger-Scott squaring costs three F_p4 squarings (9 F_p2 squarings)
-#   instead of the ~18 F_p2 multiplications of a generic ``f12_sqr``;
-# * Karabina's compressed squaring drops the (a0, a3) plane entirely —
-#   two F_p4 squarings per step — and recovers it only when a NAF digit
-#   actually needs the full element.  Unitarity (a * conj(a) = 1) makes
-#   (a0, a3) the solution of a 2x2 *linear* system in the retained
-#   coefficients, so a whole exponentiation batch-decompresses with one
-#   shared F_p2 inversion.
-
-
-def _fp4_sqr(a: Fp2Ele, b: Fp2Ele) -> Tuple[Fp2Ele, Fp2Ele]:
-    """Square ``a + b*s`` in F_p4 = F_p2[s]/(s^2 - xi).
-
-    Fully inlined over the base field (six bigint multiplications): this
-    runs 190+ times per final exponentiation, where the call/tuple
-    overhead of composing :func:`f2_sqr`/:func:`f2_mul_xi` costs as much
-    as the arithmetic itself in CPython.
-    """
-    a0, a1 = a
-    b0, b1 = b
-    # t0 = a^2, t1 = b^2 via complex squaring.
-    t00 = (a0 + a1) * (a0 - a1)
-    t01 = 2 * a0 * a1
-    t10 = (b0 + b1) * (b0 - b1)
-    t11 = 2 * b0 * b1
-    # c0 = xi * t1 + t0 with xi = 9 + u.
-    c0 = ((9 * t10 - t11 + t00) % P, (t10 + 9 * t11 + t01) % P)
-    # c1 = (a + b)^2 - t0 - t1.
-    s0 = a0 + b0
-    s1 = a1 + b1
-    c1 = (((s0 + s1) * (s0 - s1) - t00 - t10) % P,
-          (2 * s0 * s1 - t01 - t11) % P)
-    return c0, c1
+# (w^3)^2 = xi.  In the w-power basis (a0, ..., a5), Granger-Scott
+# squaring costs three F_p4 squarings (9 F_p2 squarings) instead of the
+# ~18 F_p2 multiplications of a generic ``f12_sqr``, and inversion is
+# conjugation.
 
 
 def f12_cyclotomic_sqr(a: Fp12Ele) -> Fp12Ele:
@@ -664,10 +633,10 @@ def f12_cyclotomic_sqr(a: Fp12Ele) -> Fp12Ele:
     One F_p4 squaring ``(x + y*s)^2 = (x^2 + xi*y^2) + 2xy*s`` per plane
     (a0, a3), (a1, a4), (a2, a5) of the w-power basis, then ``3t - 2a``
     or ``3t + 2a`` per coefficient (the (a2, a5) plane's cross term picks
-    up one more xi).  Int-inlined like :func:`f12_sqr`: the squarings of
-    :func:`_fp4_sqr` are spelled out over base-field ints, and each of
-    the twelve output coefficients is reduced once — this runs ~190
-    times per final exponentiation.
+    up one more xi).  Int-inlined like :func:`f12_sqr`: the three F_p4
+    squarings are spelled out over base-field ints, and each of the
+    twelve output coefficients is reduced once — this runs ~190 times
+    per final exponentiation.
     """
     # F_p12 (d0, d1) over (1, v, v^2) holds w-powers (a0, a2, a4), (a1, a3, a5).
     (a00, a01), (a20, a21), (a40, a41) = a[0]
@@ -711,102 +680,20 @@ def f12_cyclotomic_sqr(a: Fp12Ele) -> Fp12Ele:
             ((n10, n11), (n30, n31), (n50, n51)))
 
 
-#: Compressed cyclotomic element: the (a1, a2, a4, a5) w-power coefficients.
-CompressedFp12 = Tuple[Fp2Ele, Fp2Ele, Fp2Ele, Fp2Ele]
-
-
-def f12_compress(a: Fp12Ele) -> CompressedFp12:
-    vec = f12_to_wvec(a)
-    return (vec[1], vec[2], vec[4], vec[5])
-
-
-def f12_compressed_sqr(c: CompressedFp12) -> CompressedFp12:
-    """One Karabina squaring step on compressed coordinates (2 F_p4 sqr)."""
-    a1, a2, a4, a5 = c
-    b0, b1 = _fp4_sqr(a1, a4)
-    c0, c1 = _fp4_sqr(a2, a5)
-    xi_c1 = f2_mul_xi(c1)
-    x = f2_add(xi_c1, a1)
-    n1 = f2_add(f2_add(x, x), xi_c1)
-    x = f2_sub(b0, a2)
-    n2 = f2_add(f2_add(x, x), b0)
-    x = f2_sub(c0, a4)
-    n4 = f2_add(f2_add(x, x), c0)
-    x = f2_add(b1, a5)
-    n5 = f2_add(f2_add(x, x), b1)
-    return (n1, n2, n4, n5)
-
-
-def f12_decompress_batch(compressed: Sequence[CompressedFp12]):
-    """Recover full elements from compressed ones with ONE F_p2 inversion.
-
-    Unitarity ``a * conj(a) = 1`` forces, writing the element as
-    ``sum a_k w^k`` and comparing the w^2 and w^4 components,
-
-        2*a2*a0 - 2*xi*a5*a3 = a1^2 - xi*a4^2
-        2*a4*a0 - 2*a1*a3    = xi*a5^2 - a2^2
-
-    — a linear system in the dropped pair (a0, a3) with determinant
-    ``4*(xi*a4*a5 - a1*a2)``.  The determinants are inverted together via
-    Montgomery's trick.  Returns None when any determinant vanishes (e.g.
-    the identity element); callers fall back to the uncompressed ladder.
-    """
-    rhs = []
-    dets = []
-    for a1, a2, a4, a5 in compressed:
-        r1 = f2_sub(f2_sqr(a1), f2_mul_xi(f2_sqr(a4)))
-        r2 = f2_sub(f2_mul_xi(f2_sqr(a5)), f2_sqr(a2))
-        det = f2_sub(f2_mul_xi(f2_mul(a4, a5)), f2_mul(a1, a2))
-        det = f2_add(det, det)
-        if f2_is_zero(det):
-            return None
-        rhs.append((r1, r2))
-        dets.append(det)
-    # Montgomery batch inversion of the determinants.
-    prefix = []
-    acc = F2_ONE
-    for det in dets:
-        acc = f2_mul(acc, det)
-        prefix.append(acc)
-    inv_acc = f2_inv(acc)
-    inverses = [F2_ZERO] * len(dets)
-    for i in range(len(dets) - 1, -1, -1):
-        before = prefix[i - 1] if i else F2_ONE
-        inverses[i] = f2_mul(before, inv_acc)
-        inv_acc = f2_mul(inv_acc, dets[i])
-    out = []
-    for (a1, a2, a4, a5), (r1, r2), inv in zip(compressed, rhs, inverses):
-        a0 = f2_mul(f2_sub(f2_mul_xi(f2_mul(a5, r2)), f2_mul(a1, r1)), inv)
-        a3 = f2_mul(f2_sub(f2_mul(a2, r2), f2_mul(a4, r1)), inv)
-        out.append(wvec_to_f12((a0, a1, a2, a3, a4, a5)))
-    return out
-
-
-def _cyclotomic_exp_gs(a: Fp12Ele, naf: Sequence[int]) -> Fp12Ele:
-    """Uncompressed fallback: Granger-Scott squarings, NAF digits."""
-    result = F12_ONE
-    a_conj = f12_conj(a)
-    for digit in reversed(naf):
-        result = f12_cyclotomic_sqr(result) if result is not F12_ONE \
-            else result
-        if digit == 1:
-            result = f12_mul(result, a)
-        elif digit == -1:
-            result = f12_mul(result, a_conj)
-    return result
-
-
-def _cyclotomic_exp_wnaf(a: Fp12Ele, e: int) -> Fp12Ele:
-    """Dense-exponent ladder: width-4 w-NAF over Granger-Scott squarings.
+def cyclotomic_exp(a: Fp12Ele, e: int) -> Fp12Ele:
+    """Fast exponentiation in the cyclotomic subgroup: width-4 w-NAF over
+    Granger-Scott squarings.
 
     Three multiplications build the odd-power table a, a^3, a^5, a^7
-    (negative digits are conjugations), then ~1 multiplication per 5
-    squarings.  For a full 254-bit exponent this beats the Karabina
-    compressed chain because a *dense* NAF forces a decompression solve
-    for every nonzero digit, which costs more than the squaring savings.
+    (negative digits, and a negative exponent, are conjugations), then
+    ~1 multiplication per 5 squarings.  Agreement baseline:
+    :func:`f12_cyclotomic_pow`.  Undefined outside the cyclotomic
+    subgroup, exactly like the naive ladder.
     """
     from repro.math.msm import wnaf_digits
 
+    if e < 0:
+        return cyclotomic_exp(f12_conj(a), -e)
     twice = f12_cyclotomic_sqr(a)
     table = [a]
     for _ in range(3):
@@ -822,58 +709,3 @@ def _cyclotomic_exp_wnaf(a: Fp12Ele, e: int) -> Fp12Ele:
             entry = f12_conj(table[(-digit) >> 1])
             result = entry if result is None else f12_mul(result, entry)
     return F12_ONE if result is None else result
-
-
-#: A NAF sparser than one nonzero digit per this many bits goes through
-#: the Karabina compressed chain; denser exponents take the w-NAF
-#: Granger-Scott ladder.  The BN final-exponentiation parameter (NAF
-#: weight 24 over 63 bits) and random 254-bit exponents (weight ~85)
-#: both sit on the w-NAF side; the compressed chain wins for the very
-#: sparse exponents of small-exponent batching and subgroup-check
-#: tricks, where almost no digit forces a decompression solve.
-_COMPRESSED_SPARSITY = 8
-
-
-def cyclotomic_exp(a: Fp12Ele, e: int) -> Fp12Ele:
-    """Fast exponentiation in the cyclotomic subgroup.
-
-    Recodes the exponent in NAF and picks the chain by digit density:
-    dense exponents run width-4 w-NAF over Granger-Scott squarings
-    (:func:`_cyclotomic_exp_wnaf`); sparse ones run the squaring chain
-    on *compressed* Karabina coordinates, batch-decompress the few
-    powers the NAF digits actually reference (one shared F_p2 inversion)
-    and multiply them together — negative digits cost a conjugation
-    either way.  Agreement baseline: :func:`f12_cyclotomic_pow`.
-    Undefined outside the cyclotomic subgroup, exactly like the naive
-    ladder.
-    """
-    if e < 0:
-        return cyclotomic_exp(f12_conj(a), -e)
-    if e == 0:
-        return F12_ONE
-    naf = _naf_digits(e)
-    if len(naf) == 1:
-        return a
-    nonzero = sum(1 for digit in naf if digit)
-    if nonzero * _COMPRESSED_SPARSITY > len(naf):
-        return _cyclotomic_exp_wnaf(a, e)
-    chain = f12_compress(a)
-    needed = {}
-    for position in range(1, len(naf)):
-        chain = f12_compressed_sqr(chain)
-        if naf[position]:
-            needed[position] = chain
-    decompressed = f12_decompress_batch(list(needed.values())) \
-        if needed else []
-    if needed and decompressed is None:
-        # Degenerate determinant (identity or an F_p4 sub-line element):
-        # the uncompressed Granger-Scott ladder handles every case.
-        return _cyclotomic_exp_gs(a, naf)
-    powers = dict(zip(needed.keys(), decompressed))
-    result = None
-    if naf[0]:
-        result = a if naf[0] == 1 else f12_conj(a)
-    for position, value in powers.items():
-        term = value if naf[position] == 1 else f12_conj(value)
-        result = term if result is None else f12_mul(result, term)
-    return result

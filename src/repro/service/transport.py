@@ -56,12 +56,12 @@ version, oversized length)   the connection, resubmit elsewhere
 ``E`` frame from the server  :class:`~repro.service.types.RemoteJobError`
                              — resubmitting identical bytes cannot help
 repeated failures on one     circuit breaker: quarantine the endpoint
-endpoint                     for ``breaker_cooldown_s``, then re-probe
+endpoint                     for ``BREAKER_COOLDOWN_S``, then re-probe
                              (half-open); it must serve to close
 HELLO mismatch               sticky quarantine (misprovisioning cannot
                              heal); when *every* endpoint mismatches, a
                              typed HandshakeError after one round-robin
-                             pass — not ``dial_deadline_s`` of retries
+                             pass — not ``DIAL_DEADLINE_S`` of retries
 retry budget exhausted       :class:`~repro.service.types.TransportError`
 ===========================  ============================================
 """
@@ -96,6 +96,23 @@ from repro.service.types import (
 #: is an ``EOFError``; ``ConnectionError`` and timeouts are ``OSError``
 #: subclasses or raised alongside them).
 _CONNECTION_ERRORS = (OSError, EOFError)
+
+#: :class:`RemoteWorkerPool` tuning, read at use.  A job is resubmitted
+#: at most ``MAX_RETRIES`` times after its first attempt.
+MAX_RETRIES = 4
+#: Bound on one TCP connect, and on the HELLO answer after it.
+DIAL_TIMEOUT_S = 5.0
+#: How long a job keeps re-dialing while every endpoint is down, with
+#: exponential backoff from ``BACKOFF_INITIAL_S`` capped at
+#: ``BACKOFF_MAX_S`` between round-robin passes.
+DIAL_DEADLINE_S = 30.0
+BACKOFF_INITIAL_S = 0.05
+BACKOFF_MAX_S = 1.0
+#: Circuit breaker: after ``BREAKER_THRESHOLD`` consecutive failures an
+#: endpoint is quarantined for ``BREAKER_COOLDOWN_S`` instead of being
+#: re-dialed on every round-robin pass.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_S = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -562,22 +579,12 @@ class RemoteWorkerPool:
     """
 
     def __init__(self, handle, addresses: Sequence[str],
-                 max_retries: int = 4, dial_timeout_s: float = 5.0,
-                 dial_deadline_s: float = 30.0,
-                 backoff_initial_s: float = 0.05,
-                 backoff_max_s: float = 1.0,
                  job_timeout_s: float = 60.0,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_s: float = 2.0,
                  psk: Optional[bytes] = None):
         if not addresses:
             raise ValueError("need at least one remote worker address")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         if job_timeout_s <= 0:
             raise ValueError("job_timeout_s must be positive")
-        if breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be at least 1")
         if isinstance(psk, str):
             psk = psk.encode("utf-8")
         # Raises TypeError for a scheme the context cannot carry.
@@ -593,11 +600,6 @@ class RemoteWorkerPool:
         #: counter costs nothing and makes traces unambiguous).  Id 0
         #: is reserved for handshake-phase frames.
         self._request_counter = 0
-        self.max_retries = max_retries
-        self.dial_timeout_s = dial_timeout_s
-        self.dial_deadline_s = dial_deadline_s
-        self.backoff_initial_s = backoff_initial_s
-        self.backoff_max_s = backoff_max_s
         #: Hung-worker bound: a connected worker that has not answered
         #: a job within this window of *sending* it is treated as dead
         #: (discard the connection — a late answer would desync the
@@ -605,11 +607,6 @@ class RemoteWorkerPool:
         #: arrival order, so the window includes waiting behind every
         #: job already queued there.
         self.job_timeout_s = job_timeout_s
-        #: Circuit breaker: after this many consecutive failures an
-        #: endpoint is quarantined for ``breaker_cooldown_s`` instead
-        #: of being re-dialed on every round-robin pass.
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_s = breaker_cooldown_s
         self.stats = WorkerPoolStats(workers=len(self._endpoints))
         self._next = 0
         self._running = False
@@ -841,7 +838,7 @@ class RemoteWorkerPool:
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(endpoint.host, endpoint.port),
-                    self.dial_timeout_s)
+                    DIAL_TIMEOUT_S)
             except _CONNECTION_ERRORS + (asyncio.TimeoutError,):
                 return False
             try:
@@ -849,7 +846,7 @@ class RemoteWorkerPool:
                     self._group_name, self._digest, self._psk))
                 await writer.drain()
                 kind, _, payload = await asyncio.wait_for(
-                    read_frame(reader), self.dial_timeout_s)
+                    read_frame(reader), DIAL_TIMEOUT_S)
                 self._check_hello(endpoint, "the handshake", kind, payload,
                                   self._digest)
             except _CONNECTION_ERRORS + (asyncio.TimeoutError,):
@@ -874,14 +871,14 @@ class RemoteWorkerPool:
 
     def _record_failure(self, endpoint: _Endpoint, loop) -> None:
         """Count one failure against the endpoint's breaker; trip the
-        breaker (quarantine for ``breaker_cooldown_s``) at the
+        breaker (quarantine for ``BREAKER_COOLDOWN_S``) at the
         threshold.  A tripped endpoint re-trips on a single half-open
         failure — a worker must actually serve something to close it."""
         endpoint.failures += 1
-        if endpoint.failures >= self.breaker_threshold:
-            endpoint.open_until = loop.time() + self.breaker_cooldown_s
+        if endpoint.failures >= BREAKER_THRESHOLD:
+            endpoint.open_until = loop.time() + BREAKER_COOLDOWN_S
             # Half-open probes that fail re-trip immediately.
-            endpoint.failures = self.breaker_threshold - 1
+            endpoint.failures = BREAKER_THRESHOLD - 1
             self.stats.breaker_trips += 1
 
     @staticmethod
@@ -898,12 +895,12 @@ class RemoteWorkerPool:
         misprovisioned the pool raises a typed
         :class:`~repro.service.types.HandshakeError` after one full
         round-robin pass — re-dialing a worker provisioned with the
-        wrong service context for ``dial_deadline_s`` cannot fix a
+        wrong service context for ``DIAL_DEADLINE_S`` cannot fix a
         configuration error.
         """
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.dial_deadline_s
-        backoff = self.backoff_initial_s
+        deadline = loop.time() + DIAL_DEADLINE_S
+        backoff = BACKOFF_INITIAL_S
         while True:
             if not self._running:
                 raise TransportError("remote worker pool is not running")
@@ -933,22 +930,22 @@ class RemoteWorkerPool:
             if loop.time() >= deadline:
                 raise TransportError(
                     f"no remote worker reachable within "
-                    f"{self.dial_deadline_s:.1f}s (endpoints: "
+                    f"{DIAL_DEADLINE_S:.1f}s (endpoints: "
                     f"{', '.join(e.address for e in self._endpoints)})")
             await asyncio.sleep(backoff)
-            backoff = min(2 * backoff, self.backoff_max_s)
+            backoff = min(2 * backoff, BACKOFF_MAX_S)
 
     # -- job dispatch -------------------------------------------------------
     async def run_job(self, job):
         """Dispatch one window job to a remote worker and decode its
         outcome, reconnecting and resubmitting on dropped or hung
-        connections (bounded by ``max_retries``)."""
+        connections (bounded by ``MAX_RETRIES``)."""
         if not self._running:
             raise TransportError("remote worker pool is not running")
         blob = self._codec.encode_job(job)
         loop = asyncio.get_running_loop()
         last_error = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             endpoint = await self._acquire()
             try:
                 outcome_blob = await asyncio.wait_for(
@@ -965,7 +962,7 @@ class RemoteWorkerPool:
                 if await self._discard(endpoint):
                     self.stats.timeouts += 1
                     self._record_failure(endpoint, loop)
-                if attempt < self.max_retries:
+                if attempt < MAX_RETRIES:
                     self.stats.resubmissions += 1
                 continue
             except _CONNECTION_ERRORS + (SerializationError,) as exc:
@@ -978,14 +975,14 @@ class RemoteWorkerPool:
                 if await self._discard(endpoint):
                     self.stats.crashes += 1
                     self._record_failure(endpoint, loop)
-                if attempt < self.max_retries:
+                if attempt < MAX_RETRIES:
                     self.stats.resubmissions += 1
                 continue
             self.stats.jobs += 1
             self._record_success(endpoint)
             return self._codec.decode_outcome(outcome_blob)
         raise TransportError(
-            f"job failed after {self.max_retries + 1} attempts on "
+            f"job failed after {MAX_RETRIES + 1} attempts on "
             f"dropped or unresponsive remote-worker connections: "
             f"{last_error}")
 

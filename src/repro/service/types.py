@@ -83,7 +83,7 @@ class HandshakeError(TransportError):
     version, backend or service-context digest.  This is
     misprovisioning, not a transient fault — the pool quarantines the
     endpoint for its lifetime, and raises this (after a single
-    round-robin pass, not ``dial_deadline_s`` of retries) once every
+    round-robin pass, not ``DIAL_DEADLINE_S`` of retries) once every
     configured endpoint has refused."""
 
 

@@ -1,6 +1,6 @@
 """Property tests for the fast-exponentiation subsystem.
 
-Every fast path (the lane MSM kernel, Pippenger, fixed-base tables,
+Every fast path (the lane and ladder MSM kernels, fixed-base tables,
 sparse line multiplication, the BN final-exponentiation chain, prepared
 pairings, backend ``multi_exp``) is compared against its naive reference
 implementation on random inputs and edge cases: identity points, zero
@@ -33,8 +33,7 @@ from repro.curves.g2 import GLV as G2_GLV
 from repro.curves.hash_to_curve import derive_generator_g2
 from repro.curves.pairing import (
     GTElement, PreparedG2, final_exponentiation, final_exponentiation_naive,
-    gt_multi_exp, multi_pairing, multi_pairing_naive, prepare_g2,
-    _miller_loop_naive,
+    multi_pairing, multi_pairing_naive, prepare_g2, _miller_loop_naive,
 )
 from repro.curves.weierstrass import (
     batch_add_affine_fp, jac_add, jac_add_affine, jac_add_affine_fp2,
@@ -146,16 +145,16 @@ class TestMultiScalarMul:
         result = G1Point.multi_mul(points, scalars)
         assert result == self._naive(points, scalars)
 
-    def test_pippenger_matches_naive(self):
+    @pytest.mark.parametrize("ops,point_cls", [
+        (FP_OPS, G1Point), (FP2_OPS, G2Point),
+    ], ids=["G1", "G2"])
+    def test_forty_distinct_points_match_naive(self, ops, point_cls):
         rng = random.Random(40)
-        g = G1Point.generator()
+        g = point_cls.generator()
         points = [g * (i + 2) for i in range(40)]
         scalars = random_scalars(rng, 40)
-        fast = G1Point(_jac=msm._pippenger(
-            FP_OPS,
-            [(p._jac, s % R) for p, s in zip(points, scalars) if s % R],
-            R.bit_length()))
-        assert fast == self._naive(points, scalars)
+        assert point_cls.multi_mul(points, scalars) == _fold(
+            ops, point_cls, points, scalars)
 
     def test_zero_scalars_and_identities_skipped(self):
         g = G1Point.generator()
@@ -173,26 +172,26 @@ class TestMultiScalarMul:
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            msm.multi_scalar_mul(FP_OPS, [G1Point.generator()._jac], [1, 2], R)
+            G1Point.multi_mul([G1Point.generator()], [1, 2])
 
-    def test_colliding_buckets_and_repeated_points(self):
-        # Many copies of the same point with equal scalars force repeated
-        # mixed additions into the same Pippenger bucket, including the
-        # doubling corner case of jac_add_affine.
-        g = G1Point.generator()
+    @pytest.mark.parametrize("ops,point_cls", [
+        (FP_OPS, G1Point), (FP2_OPS, G2Point),
+    ], ids=["G1", "G2"])
+    def test_colliding_and_repeated_bases(self, ops, point_cls):
+        # Many copies of the same point with equal scalars put equal
+        # table entries under the same bits, so the lanes meet the
+        # doubling and inverse corner cases of the mixed addition.
+        g = point_cls.generator()
         points = [g] * 12 + [g * 7] * 12 + [-g] * 6
-        scalars = [5] * 12 + [5] * 12 + [5] * 6
-        fast = G1Point(_jac=msm._pippenger(
-            FP_OPS, [(p._jac, s) for p, s in zip(points, scalars)],
-            R.bit_length()))
-        assert fast == self._naive(points, scalars)
+        scalars = [5] * 30
+        assert point_cls.multi_mul(points, scalars) == _fold(
+            ops, point_cls, points, scalars)
 
-    def test_pippenger_opposite_points_cancel(self):
-        # P and -P in the same bucket must fold to the identity.
-        g = G1Point.generator()
-        live = [(g._jac, 3), ((-g)._jac, 3)]
-        result = G1Point(_jac=msm._pippenger(FP_OPS, live, R.bit_length()))
-        assert result.is_identity()
+    @pytest.mark.parametrize("point_cls", [G1Point, G2Point],
+                             ids=["G1", "G2"])
+    def test_opposite_points_cancel(self, point_cls):
+        g = point_cls.generator()
+        assert point_cls.multi_mul([g, -g], [3, 3]).is_identity()
 
     def test_straus_mixed_matches_naive_with_duplicates(self):
         rng = random.Random(77)
@@ -321,9 +320,9 @@ class TestKernelSweep:
         (FP_OPS, G1Point), (FP2_OPS, G2Point),
     ], ids=["G1", "G2"])
     def test_matches_naive_fold(self, ops, point_cls, count, session_seed):
-        # 192/193 straddle the kernel/Pippenger crossover; there the
-        # scalars are mostly short so the reference ladders stay cheap,
-        # with a few full-size ones so every lane shape is present.
+        # 192/193 terms are long products for the one lane kernel; there
+        # the scalars are mostly short so the reference ladders stay
+        # cheap, with a few full-size ones so every lane shape is present.
         rng = _sweep_rng(session_seed, 4 + count)
         generator = point_cls.generator()
         points = [generator * (rng.getrandbits(24) + 1)
@@ -332,7 +331,7 @@ class TestKernelSweep:
             scalars = [_mixed_scalar(rng, (16, 64, 128, 129, 254, 300))
                        for _ in range(count)]
         else:
-            # Nonzero, so all 193 terms are live and Pippenger runs.
+            # Nonzero, so all 193 terms are live lanes.
             scalars = [_mixed_scalar(rng, (8, 16, 24)) + 1
                        for _ in range(count)]
             scalars[:3] = [rng.randrange(1, R), R - 3,
@@ -980,16 +979,19 @@ class TestMixedAddition:
 
 @pytest.mark.bn254
 class TestFixedBaseTable:
-    @pytest.mark.parametrize("window", [1, 2, 4, 6])
-    def test_matches_naive(self, window):
-        rng = random.Random(window)
+    def test_matches_naive(self):
+        rng = random.Random(4)
         base = G1Point.generator() * 7
-        table = msm.FixedBaseTable(FP_OPS, base._jac, R, window)
+        table = msm.FixedBaseTable(FP_OPS, base._jac, R)
         for scalar in EDGE_SCALARS + random_scalars(rng, 3):
             fast = G1Point(_jac=table.mul(scalar))
             naive = G1Point(
                 _jac=jac_scalar_mul(FP_OPS, base._jac, scalar, R))
             assert fast == naive
+
+    def test_identity_base(self):
+        table = msm.FixedBaseTable(FP_OPS, G1Point.identity()._jac, R)
+        assert G1Point(_jac=table.mul(12345)).is_identity()
 
     def test_precomputed_point_agrees(self):
         rng = random.Random(42)
@@ -1120,7 +1122,7 @@ class TestBackendMultiExp:
 
 @pytest.mark.bn254
 class TestGTFastPaths:
-    """GT multi_exp / fixed-base agreement against the naive ladders."""
+    """GT powers and ``multi_exp`` against the naive ladders."""
 
     @pytest.fixture(scope="class")
     def gt_elements(self, bn254_group):
@@ -1155,27 +1157,18 @@ class TestGTFastPaths:
             [gt_elements[0], identity, gt_elements[1]], [0, 55, R])
         assert result.is_identity()
 
-    def test_gt_multi_exp_negative_digits(self, gt_elements):
-        # Scalars with NAF digits of both signs (conjugation path).
-        a, b = gt_elements[0].element, gt_elements[1].element
-        result = gt_multi_exp([a, b], [R - 3, 7])
+    def test_gt_multi_exp_negative_digits(self, bn254_group, gt_elements):
+        # Scalars with w-NAF digits of both signs (conjugation path).
+        a, b = gt_elements[0], gt_elements[1]
+        result = bn254_group.multi_exp([a, b], [R - 3, 7])
         expected = GTElement(f12_mul(
-            f12_cyclotomic_pow(a.value, R - 3),
-            f12_cyclotomic_pow(b.value, 7)))
-        assert result == expected
+            f12_cyclotomic_pow(a.element.value, R - 3),
+            f12_cyclotomic_pow(b.element.value, 7)))
+        assert result.element == expected
 
-    def test_gt_multi_exp_length_mismatch(self, gt_elements):
+    def test_gt_multi_exp_length_mismatch(self, bn254_group, gt_elements):
         with pytest.raises(ValueError):
-            gt_multi_exp([e.element for e in gt_elements], [1, 2])
-
-    def test_gt_fixed_base_table(self, gt_elements):
-        rng = random.Random(62)
-        plain = gt_elements[2].element
-        primed = GTElement(plain.value).precompute()
-        for exponent in [0, 1, R - 1] + [rng.randrange(R)
-                                         for _ in range(3)]:
-            assert (primed ** exponent) == (GTElement(plain.value)
-                                            ** exponent)
+            bn254_group.multi_exp(gt_elements, [1, 2])
 
     def test_toy_gt_multi_exp(self, toy_group):
         g = toy_group.pair(toy_group.g1_generator(),

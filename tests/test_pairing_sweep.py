@@ -17,19 +17,19 @@ from repro.curves.g1 import FP_OPS, G1Point
 from repro.curves.g2 import G2Point
 from repro.curves.hash_to_curve import hash_to_g1_uncached
 from repro.curves.pairing import (
-    PAIRING_COUNTERS, GTElement, _easy_part, _miller_loop_prepared_multi,
-    final_exponentiation, final_exponentiation_naive, gt_multi_exp,
-    multi_pairing, multi_pairing_naive, pairing, prepare_g2,
+    PAIRING_COUNTERS, _easy_part, _miller_loop_prepared_multi,
+    final_exponentiation, final_exponentiation_naive, multi_pairing,
+    multi_pairing_naive, pairing, prepare_g2,
 )
 from repro.curves.weierstrass import (
     jac_add, jac_add_fp, jac_double, jac_neg, jac_normalize,
 )
+from repro.groups import get_group
 from repro.math.field import sqrt_mod
 from repro.math.rng import hash_to_int
 from repro.math.tower import (
-    BN_X, F12_ONE, P, R, cyclotomic_exp, f12_compress, f12_compressed_sqr,
-    f12_cyclotomic_pow, f12_cyclotomic_sqr, f12_decompress_batch, f12_eq,
-    f12_is_one, f12_sqr,
+    BN_X, F12_ONE, P, R, cyclotomic_exp, f12_cyclotomic_pow,
+    f12_cyclotomic_sqr, f12_eq, f12_is_one, f12_mul, f12_sqr,
 )
 
 pytestmark = pytest.mark.bn254
@@ -131,32 +131,22 @@ class TestFinalExponentiation:
 
 
 class TestCyclotomicSquaring:
-    def test_granger_scott_and_karabina_match_plain(self, session_seed):
+    def test_granger_scott_matches_plain(self, session_seed):
         rng = _rng(session_seed, 8)
         for _ in range(6):
             a = _cyclotomic(rng)
-            square = f12_sqr(a)
-            assert f12_eq(f12_cyclotomic_sqr(a), square)
-            [recovered] = f12_decompress_batch(
-                [f12_compressed_sqr(f12_compress(a))])
-            assert f12_eq(recovered, square)
+            assert f12_eq(f12_cyclotomic_sqr(a), f12_sqr(a))
 
     def test_chains_agree(self, session_seed):
         rng = _rng(session_seed, 9)
         a = _cyclotomic(rng)
         plain = gs = a
-        compressed = f12_compress(a)
         for _ in range(8):
             plain, gs = f12_sqr(plain), f12_cyclotomic_sqr(gs)
-            compressed = f12_compressed_sqr(compressed)
             assert f12_eq(plain, gs)
-        [recovered] = f12_decompress_batch([compressed])
-        assert f12_eq(recovered, plain)
 
     def test_identity(self):
         assert f12_eq(f12_cyclotomic_sqr(F12_ONE), F12_ONE)
-        assert f12_decompress_batch(
-            [f12_compressed_sqr(f12_compress(F12_ONE))]) is None
 
 
 class TestCyclotomicExp:
@@ -171,26 +161,45 @@ class TestCyclotomicExp:
                 assert f12_eq(cyclotomic_exp(base, e),
                               f12_cyclotomic_pow(base, e))
 
+    def test_sparse_exponents(self, session_seed):
+        """Exponents with one or two nonzero digits — 2^k, 2^k +- 1 and
+        random weight-2 — where the w-NAF ladder is almost all
+        squarings, plus BN_X, 0, 1, R - 1 and the identity as base."""
+        rng = _rng(session_seed, 14)
+        exponents = [0, 1, BN_X, R - 1]
+        for k in sorted({1, 2, 3, 4, 5, 63, 64, 127, 253}
+                        | {rng.randrange(6, 254) for _ in range(3)}):
+            exponents += [1 << k, (1 << k) - 1, (1 << k) + 1,
+                          (1 << k) + (1 << rng.randrange(k))]
+        for base in (_cyclotomic(rng), F12_ONE):
+            for e in exponents:
+                assert f12_eq(cyclotomic_exp(base, e),
+                              f12_cyclotomic_pow(base, e)), e
+
 
 class TestGtMultiExp:
     def test_matches_fold(self, session_seed):
+        """``BN254Group.multi_exp`` over G_T against the per-element
+        ``f12_cyclotomic_pow`` fold."""
         rng = _rng(session_seed, 11)
-        g1, g2 = G1Point.generator(), G2Point.generator()
-        gts = [pairing(g1 * rng.randrange(1, R), g2) for _ in range(3)]
+        group = get_group("bn254")
+        g1, g2 = group.g1_generator(), group.g2_generator()
+        gts = [group.pair(g1 ** rng.randrange(1, R), g2) for _ in range(3)]
         s = rng.randrange(1, R)
         cases = [
             (gts, [0, 0, 0]),
             (gts, [s, s, rng.randrange(R)]),
             ([gts[0], gts[0], gts[1]], [s, -s, R + 5]),
-            ([gts[0], GTElement.one(), gts[2]], [-3, s, 2 * R + s]),
+            ([gts[0], group.gt_identity(), gts[2]], [-3, s, 2 * R + s]),
             (gts[:1], [R - 1]),
-            ([], []),
         ]
         for elements, scalars in cases:
-            fold = GTElement.one()
+            fold = F12_ONE
             for element, scalar in zip(elements, scalars):
-                fold = fold * element ** scalar
-            assert gt_multi_exp(elements, scalars) == fold
+                fold = f12_mul(fold, f12_cyclotomic_pow(
+                    element.element.value, scalar % R))
+            assert f12_eq(group.multi_exp(elements, scalars).element.value,
+                          fold)
 
 
 class TestJacAddFp:

@@ -28,6 +28,7 @@ from repro.service import (
     RequestFailedError, ServiceConfig, SigningService, TransportError,
     WorkerServer,
 )
+from repro.service import transport
 from repro.service.transport import (
     execute_job, parse_address, read_frame, start_worker_process,
     write_frame,
@@ -41,6 +42,12 @@ def handle(toy_group):
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def tune(monkeypatch, **constants):
+    """Set :class:`RemoteWorkerPool`'s tuning constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(transport, name, value)
 
 
 def legacy_sign_request_blob(handle, message: bytes) -> bytes:
@@ -324,14 +331,14 @@ class TestWorkerServerProtocol:
         assert kind == FRAME_KIND_ERROR
         assert b"HELLO" in payload
 
-    def test_context_mismatch_refused(self, handle, toy_group):
+    def test_context_mismatch_refused(self, handle, toy_group, monkeypatch):
         other = ServiceHandle.dealer(toy_group, 2, 5,
                                      rng=random.Random(99))
+        tune(monkeypatch, DIAL_DEADLINE_S=2.0)
 
         async def scenario():
             server = await WorkerServer(handle).start()
-            pool = RemoteWorkerPool(other, [server.address],
-                                    dial_deadline_s=2.0)
+            pool = RemoteWorkerPool(other, [server.address])
             pool.start()
             try:
                 with pytest.raises(HandshakeError, match="context"):
@@ -417,12 +424,13 @@ class TestRemoteWorkerPool:
             b"remote partials", list(outcome.partials))
         assert handle.verify(b"remote partials", signature)
 
-    def test_unreachable_endpoints_raise_typed_error(self, handle):
+    def test_unreachable_endpoints_raise_typed_error(self, handle,
+                                                     monkeypatch):
+        tune(monkeypatch, DIAL_DEADLINE_S=0.3, BACKOFF_INITIAL_S=0.01)
+
         async def scenario():
             # Port 1 on loopback: nothing listens there.
-            pool = RemoteWorkerPool(handle, ["127.0.0.1:1"],
-                                    dial_deadline_s=0.3,
-                                    backoff_initial_s=0.01)
+            pool = RemoteWorkerPool(handle, ["127.0.0.1:1"])
             pool.start()
             try:
                 with pytest.raises(TransportError, match="reachable"):
@@ -688,17 +696,20 @@ async def start_stall_server(handle):
 
 
 class TestHungWorkerDetection:
-    def test_stalled_worker_times_out_and_job_is_resubmitted(self, handle):
+    def test_stalled_worker_times_out_and_job_is_resubmitted(self, handle,
+                                                             monkeypatch):
         """The acceptance scenario: a stalled remote worker is detected
         by the per-job read timeout, treated like a dropped connection
         (timeout counted, connection discarded), and its job completes
         on the healthy endpoint."""
+        tune(monkeypatch, BACKOFF_INITIAL_S=0.01)
+
         async def scenario():
             stall, stall_address = await start_stall_server(handle)
             worker = await WorkerServer(handle).start()
             pool = RemoteWorkerPool(
                 handle, [stall_address, worker.address],
-                job_timeout_s=0.3, backoff_initial_s=0.01)
+                job_timeout_s=0.3)
             pool.start()
             try:
                 outcomes = []
@@ -757,17 +768,20 @@ class TestHungWorkerDetection:
 # ---------------------------------------------------------------------------
 
 class TestCircuitBreaker:
-    def test_chronically_hung_endpoint_is_quarantined(self, handle):
+    def test_chronically_hung_endpoint_is_quarantined(self, handle,
+                                                      monkeypatch):
         """With a cooldown longer than the test, one trip takes the
         stalled endpoint out of the rotation: exactly one job pays the
         timeout, the rest go straight to the healthy worker."""
+        tune(monkeypatch, BREAKER_THRESHOLD=1, BREAKER_COOLDOWN_S=60.0,
+             BACKOFF_INITIAL_S=0.01)
+
         async def scenario():
             stall, stall_address = await start_stall_server(handle)
             worker = await WorkerServer(handle).start()
             pool = RemoteWorkerPool(
                 handle, [stall_address, worker.address],
-                job_timeout_s=0.2, breaker_threshold=1,
-                breaker_cooldown_s=60.0, backoff_initial_s=0.01)
+                job_timeout_s=0.2)
             pool.start()
             try:
                 for i in range(5):
@@ -786,15 +800,17 @@ class TestCircuitBreaker:
         assert pool.stats.timeouts == 1     # only the tripping job paid
         assert pool.stats.jobs == 5
 
-    def test_dead_endpoint_trips_breaker_on_dial_failures(self, handle):
+    def test_dead_endpoint_trips_breaker_on_dial_failures(self, handle,
+                                                          monkeypatch):
         """Repeated refused dials count against the breaker too — a
         dead endpoint stops being re-dialed on every round-robin pass."""
+        tune(monkeypatch, BREAKER_THRESHOLD=2, BREAKER_COOLDOWN_S=60.0,
+             BACKOFF_INITIAL_S=0.01)
+
         async def scenario():
             worker = await WorkerServer(handle).start()
             pool = RemoteWorkerPool(
-                handle, ["127.0.0.1:1", worker.address],
-                breaker_threshold=2, breaker_cooldown_s=60.0,
-                backoff_initial_s=0.01)
+                handle, ["127.0.0.1:1", worker.address])
             pool.start()
             try:
                 for i in range(6):
@@ -812,9 +828,12 @@ class TestCircuitBreaker:
         dead = pool._endpoints[0]
         assert dead.open_until > 0.0        # quarantined, not retried
 
-    def test_breaker_reopens_after_cooldown(self, handle):
+    def test_breaker_reopens_after_cooldown(self, handle, monkeypatch):
         """Half-open: after the cooldown the endpoint is probed again
         and a recovered worker rejoins the rotation."""
+        tune(monkeypatch, BREAKER_THRESHOLD=1, BREAKER_COOLDOWN_S=0.05,
+             BACKOFF_INITIAL_S=0.01)
+
         async def scenario():
             worker = await WorkerServer(handle).start()
             # Reserve a port, then release it so the first dials fail.
@@ -825,9 +844,7 @@ class TestCircuitBreaker:
             await placeholder.wait_closed()
             flaky_address = f"127.0.0.1:{port}"
             pool = RemoteWorkerPool(
-                handle, [flaky_address, worker.address],
-                breaker_threshold=1, breaker_cooldown_s=0.05,
-                backoff_initial_s=0.01)
+                handle, [flaky_address, worker.address])
             pool.start()
             try:
                 await pool.run_job(PartialSignJob(
@@ -858,19 +875,20 @@ class TestCircuitBreaker:
 # ---------------------------------------------------------------------------
 
 class TestMisprovisionedEndpoints:
-    def test_all_endpoints_mismatched_fails_fast(self, handle, toy_group):
+    def test_all_endpoints_mismatched_fails_fast(self, handle, toy_group,
+                                                 monkeypatch):
         """Every endpoint refusing the HELLO is a configuration error:
         the pool raises after one round-robin pass instead of burning
-        dial_deadline_s re-dialing hopeless endpoints."""
+        DIAL_DEADLINE_S re-dialing hopeless endpoints."""
         other = ServiceHandle.dealer(toy_group, 2, 5,
                                      rng=random.Random(99))
+        tune(monkeypatch, DIAL_DEADLINE_S=60.0)
 
         async def scenario():
             servers = [await WorkerServer(handle).start()
                        for _ in range(2)]
             pool = RemoteWorkerPool(
-                other, [server.address for server in servers],
-                dial_deadline_s=60.0)
+                other, [server.address for server in servers])
             pool.start()
             loop = asyncio.get_running_loop()
             started = loop.time()
@@ -888,7 +906,7 @@ class TestMisprovisionedEndpoints:
             return elapsed
 
         elapsed = run(scenario())
-        assert elapsed < 5.0                # nowhere near dial_deadline_s
+        assert elapsed < 5.0                # nowhere near DIAL_DEADLINE_S
 
     def test_mismatched_endpoint_is_sticky_quarantined(self, handle,
                                                        toy_group):
@@ -960,10 +978,12 @@ class TestVersionNegotiation:
         assert b"version" in payload and b"upgrade" in payload
         assert trailing == b""          # server hung up after refusing
 
-    def test_v2_pool_refuses_v1_server(self, handle):
+    def test_v2_pool_refuses_v1_server(self, handle, monkeypatch):
         """Dialing a worker from the previous release raises a typed
         HandshakeError (misprovisioning, never retried) instead of
         misparsing the old header."""
+        tune(monkeypatch, DIAL_DEADLINE_S=5.0)
+
         async def serve_v1(reader, writer):
             await reader.read(1024)     # swallow whatever the pool says
             payload = b"\x00" * 32
@@ -975,8 +995,7 @@ class TestVersionNegotiation:
             server = await asyncio.start_server(
                 serve_v1, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
-            pool = RemoteWorkerPool(handle, [f"127.0.0.1:{port}"],
-                                    dial_deadline_s=5.0)
+            pool = RemoteWorkerPool(handle, [f"127.0.0.1:{port}"])
             pool.start()
             try:
                 with pytest.raises(HandshakeError):
@@ -1027,11 +1046,14 @@ class TestPresharedKey:
         (b"alpha", "bravo"),            # both configured, keys differ
     ])
     def test_psk_mismatch_is_typed_misprovisioning(self, handle,
-                                                   server_psk, pool_psk):
+                                                   server_psk, pool_psk,
+                                                   monkeypatch):
+        tune(monkeypatch, DIAL_DEADLINE_S=5.0)
+
         async def scenario():
             server = await WorkerServer(handle, psk=server_psk).start()
             pool = RemoteWorkerPool(handle, [server.address],
-                                    psk=pool_psk, dial_deadline_s=5.0)
+                                    psk=pool_psk)
             pool.start()
             try:
                 with pytest.raises(HandshakeError):
@@ -1048,9 +1070,12 @@ class TestPresharedKey:
         assert refusal is not None
         assert "PSK" in refusal or "pre-shared" in refusal
 
-    def test_pool_rejects_forged_server_authenticator(self, handle):
+    def test_pool_rejects_forged_server_authenticator(self, handle,
+                                                      monkeypatch):
         """The check is mutual: a server that accepts our HELLO but
         answers with a wrong authenticator is refused by the pool."""
+        tune(monkeypatch, DIAL_DEADLINE_S=5.0)
+
         digest = service_context_digest(encode_service_context(handle))
         group_name = handle.scheme.group.name
 
@@ -1068,8 +1093,7 @@ class TestPresharedKey:
                 serve_forged, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             pool = RemoteWorkerPool(handle, [f"127.0.0.1:{port}"],
-                                    psk="the-real-psk",
-                                    dial_deadline_s=5.0)
+                                    psk="the-real-psk")
             pool.start()
             try:
                 with pytest.raises(HandshakeError):
