@@ -67,9 +67,12 @@ bench:
 ## (two tenants with different quotas, over-quota 429s at the edge, an
 ## admin reshare mid-load, a line-by-line Prometheus /metrics gate)
 ## and SIGKILLs the gateway's host process with admitted HTTP requests
-## durable — the restart must settle them exactly once
-## (leaves `.smoke-wal/` — WALs plus `epoch/epoch.log` — behind on
-## failure for forensics).
+## durable — the restart must settle them exactly once.  Every act's
+## WAL is audited by one call to the settlement ledger
+## (`service/wal.py:WalLedger`), the same fold a restart's replay reads:
+## the one source of replay state and of every audit (leaves
+## `.smoke-wal/` — WALs plus `epoch/epoch.log` — behind on failure for
+## forensics).
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 

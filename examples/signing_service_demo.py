@@ -152,14 +152,9 @@ async def demo(args) -> None:
 
         print(f"[3/4] Open-loop verification: Poisson arrivals at "
               f"{args.rate} req/s")
-        signatures = {}
-
-        async def sign_and_stash(ordinal):
-            result = await sign_op(b"verified doc %d" % ordinal)
-            signatures[ordinal] = result
-            return result
-
-        await LoadGenerator(sign_and_stash).run_closed(args.requests, 16)
+        signatures = (await LoadGenerator(
+            lambda i: sign_op(b"verified doc %d" % i)
+        ).run_closed(args.requests, 16)).results
         verifier = LoadGenerator(
             lambda i: verify_op(signatures[i].message,
                                 signatures[i].signature),

@@ -1,138 +1,11 @@
 """Prime-field helpers: the Legendre symbol and square roots modulo an
-odd prime, over plain ints, and the generic element class :class:`Fp`.
+odd prime, over plain ints.
 
 Every layer — the tower, the curves and the protocols — holds field
-elements as Python ints reduced modulo its prime; only its own unit
-tests construct an :class:`Fp`.
+elements as Python ints reduced modulo its prime.
 """
 
 from __future__ import annotations
-
-import secrets
-
-
-class Fp:
-    """An element of the prime field F_p.
-
-    Instances are immutable.  Arithmetic between elements of different
-    fields raises ``ValueError``; integers are coerced into the field of the
-    other operand, which keeps protocol code readable
-    (``share * 2``, ``x - 1`` and so on).
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        if modulus <= 1:
-            raise ValueError("modulus must be a prime > 1")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "value", value % modulus)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Fp elements are immutable")
-
-    # -- helpers ---------------------------------------------------------
-    @classmethod
-    def random(cls, modulus: int, rng=None) -> "Fp":
-        """Sample a uniformly random field element.
-
-        ``rng`` may be a ``random.Random`` (deterministic tests) or ``None``
-        for a cryptographically secure sample.
-        """
-        if rng is None:
-            return cls(secrets.randbelow(modulus), modulus)
-        return cls(rng.randrange(modulus), modulus)
-
-    @classmethod
-    def zero(cls, modulus: int) -> "Fp":
-        return cls(0, modulus)
-
-    @classmethod
-    def one(cls, modulus: int) -> "Fp":
-        return cls(1, modulus)
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.modulus != self.modulus:
-                raise ValueError("field mismatch")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.modulus)
-        return NotImplemented
-
-    # -- arithmetic ------------------------------------------------------
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(other.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(-self.value, self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, exponent: int):
-        return Fp(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return Fp(pow(self.value, -1, self.modulus), self.modulus)
-
-    # -- comparisons / hashing -------------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (
-            isinstance(other, Fp)
-            and self.modulus == other.modulus
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"Fp({self.value})"
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -12,7 +12,7 @@ Two classic load models:
   report counts rather than hides.
 
 Latency is measured per request from submission to completion and
-reported as p50/p99/mean plus throughput over the wall-clock span.
+reported as p50/p99 plus throughput over the wall-clock span.
 
 The generator is execution-tier agnostic: the same workload drives an
 in-process service or the remote-worker tier — the knob is
@@ -55,6 +55,8 @@ class LoadReport:
     invalid: int = 0
     duration_s: float = 0.0
     latencies_ms: List[float] = field(default_factory=list)
+    #: Each completed request's result, by ordinal.
+    results: Dict[int, object] = field(default_factory=dict)
 
     @property
     def throughput_rps(self) -> float:
@@ -67,24 +69,6 @@ class LoadReport:
     @property
     def p99_ms(self) -> float:
         return percentile(self.latencies_ms, 99)
-
-    @property
-    def mean_ms(self) -> float:
-        return (sum(self.latencies_ms) / len(self.latencies_ms)
-                if self.latencies_ms else float("nan"))
-
-    def summary(self) -> dict:
-        return {
-            "sent": self.sent,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "expired": self.expired,
-            "invalid": self.invalid,
-            "throughput_rps": round(self.throughput_rps, 2),
-            "p50_ms": round(self.p50_ms, 3),
-            "p99_ms": round(self.p99_ms, 3),
-        }
 
 
 #: A workload maps the request ordinal to an awaitable service call.
@@ -115,6 +99,7 @@ class LoadGenerator:
             return
         report.completed += 1
         report.latencies_ms.append((loop.time() - started) * 1000.0)
+        report.results[ordinal] = result
         if isinstance(result, VerifyResult) and not result.valid:
             report.invalid += 1
 

@@ -21,11 +21,13 @@ sign and ack can never produce a lost *or* double-served request.
     8       ...   payload  a WireCodec WAL record blob ("W" admit /
                            "w" done — byte layout: docs/WIRE_FORMAT.md)
 
-A SIGKILL mid-append leaves a torn tail: a short header, a short
-payload, or a payload whose CRC does not match.  :meth:`WriteAheadLog.open`
-scans from the start, keeps the longest valid prefix, and truncates the
-rest — a torn record is by definition one whose admit was never
-acknowledged to any caller, so discarding it is correct, not lossy.
+A SIGKILL or power loss mid-append leaves a torn tail: a short header or
+payload, a CRC mismatch, or zeros (length 0; no record is empty).
+:meth:`WriteAheadLog.open` scans from the start, keeps the longest valid
+prefix, and truncates the rest — a torn record is by definition one whose
+admit was never acknowledged to any caller, so discarding it is correct,
+not lossy.  A CRC-valid record that does not decode was written whole:
+the scan refuses it (:class:`SerializationError`, naming its offset).
 
 **Fsync batching.**  Appends go to the OS via a buffered file; nothing
 is forced to disk per request.  The shard worker calls :meth:`sync`
@@ -42,8 +44,8 @@ from __future__ import annotations
 import os
 import pathlib
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Tuple
 
 from repro.serialization import (
     MAX_FRAME_BYTES, WalAdmitRecord, WalDoneRecord, WireCodec, _u32,
@@ -90,11 +92,11 @@ def scan_records(path, codec: WireCodec
                  ) -> Tuple[List[object], int, int]:
     """Scan a WAL file; returns ``(records, good_bytes, torn_bytes)``.
 
-    ``records`` is every decodable record in append order;
-    ``good_bytes`` is the offset of the first byte that fails the
-    storage framing (short header/payload, CRC mismatch, oversized
-    length) or the record codec — everything from there on is the torn
-    tail.  A missing file scans as empty (first boot).
+    ``records`` is every record in append order; ``good_bytes`` is the
+    offset of the first byte that fails the storage framing (short
+    header/payload, empty or oversized length, CRC mismatch) — the torn
+    tail.  A CRC-valid record that does not decode raises
+    :class:`SerializationError`.  A missing file scans as empty.
     """
     path = pathlib.Path(path)
     try:
@@ -107,17 +109,80 @@ def scan_records(path, codec: WireCodec
         length = int.from_bytes(data[offset:offset + 4], "big")
         crc = int.from_bytes(data[offset + 4:offset + 8], "big")
         end = offset + RECORD_HEADER_BYTES + length
-        if length > MAX_RECORD_BYTES or end > len(data):
+        if length == 0 or length > MAX_RECORD_BYTES or end > len(data):
             break
         payload = data[offset + RECORD_HEADER_BYTES:end]
         if zlib.crc32(payload) != crc:
             break
         try:
             records.append(codec.decode_wal_record(payload))
-        except SerializationError:
-            break
+        except SerializationError as exc:
+            raise SerializationError(
+                f"WAL record at offset {offset} of {path} passes its CRC "
+                f"but does not decode: {exc}") from exc
         offset = end
     return records, offset, len(data) - offset
+
+
+@dataclass
+class WalLedger:
+    """One fold over a scanned WAL, read by replay and by every audit:
+    the first admit per id (in admit order) and each id's settlements."""
+
+    admits: Dict[int, WalAdmitRecord] = field(default_factory=dict)
+    settlements: Dict[int, List[WalDoneRecord]] = field(default_factory=dict)
+    duplicate_admits: List[int] = field(default_factory=list)
+    #: Settlements with no earlier admit (tolerated, counted).
+    orphan_dones: int = 0
+    highest_id: int = 0
+    max_epoch: int = 0
+    torn_bytes: int = 0
+
+    @classmethod
+    def read(cls, path, codec: WireCodec) -> "WalLedger":
+        records, _, torn_bytes = scan_records(path, codec)
+        ledger = cls(torn_bytes=torn_bytes)
+        for record in records:
+            request_id = record.request_id
+            ledger.highest_id = max(ledger.highest_id, request_id)
+            if isinstance(record, WalDoneRecord):
+                ledger.settlements.setdefault(request_id, []).append(record)
+                ledger.orphan_dones += request_id not in ledger.admits
+                continue
+            ledger.max_epoch = max(ledger.max_epoch, record.epoch)
+            if request_id in ledger.admits:
+                ledger.duplicate_admits.append(request_id)
+            ledger.admits.setdefault(request_id, record)
+        return ledger
+
+    @property
+    def pending(self) -> Dict[int, bytes]:
+        """Unsettled admits, ``request_id -> message``, in admit order."""
+        return {request_id: admit.message
+                for request_id, admit in self.admits.items()
+                if request_id not in self.settlements}
+
+    def violations(self, verify: Callable[[bytes, object], bool]
+                   ) -> List[str]:
+        """Each breach by request id: a second admit, an admit not settled
+        exactly once, a settlement not verifying under ``verify`` (one key
+        for all epochs) on its admit's message, a drop in admit epoch."""
+        found = [f"request {request_id} admitted twice"
+                 for request_id in self.duplicate_admits]
+        newest = 0
+        for request_id, admit in self.admits.items():
+            if admit.epoch < newest:
+                found.append(f"request {request_id} admitted at epoch "
+                             f"{admit.epoch} after an epoch-{newest} admit")
+            newest = max(newest, admit.epoch)
+            dones = self.settlements.get(request_id, [])
+            if len(dones) != 1:
+                found.append(f"request {request_id} settled {len(dones)} "
+                             "times (exactly-once violated)")
+            found += [f"request {request_id} settled without a verifying "
+                      "signature" for done in dones if done.signature is None
+                      or not verify(admit.message, done.signature)]
+        return found
 
 
 class WriteAheadLog:
@@ -127,48 +192,36 @@ class WriteAheadLog:
     the replay set); the constructor alone does not touch the disk.
     """
 
-    def __init__(self, path, codec: WireCodec):
+    def __init__(self, path, codec: WireCodec, ledger: WalLedger):
         self.path = pathlib.Path(path)
         self.codec = codec
-        self.stats = WalStats()
-        #: Unsettled admits, ``request_id -> message``, in admit order
-        #: (dict preserves insertion order).  Maintained live so tests
-        #: and the smoke audit can watch obligations drain.
-        self.pending: Dict[int, bytes] = {}
+        #: Unsettled admits, maintained live (tests watch them drain).
+        self.pending: Dict[int, bytes] = ledger.pending
+        self.stats = WalStats(recovered=len(self.pending),
+                              orphan_dones=ledger.orphan_dones,
+                              torn_bytes=ledger.torn_bytes)
         #: Highest key-lifecycle epoch any admit in this log carries
         #: (scanned records and live appends alike).  A restart must
         #: refuse to serve with key material older than this — see
         #: ``SigningService.start`` — or a crash mid-transition would
         #: silently resume on pre-transition shares.
-        self.max_epoch_seen = 0
+        self.max_epoch_seen = ledger.max_epoch
         self._file = None
         self._dirty = False
-        self._next_id = 1
+        self._next_id = ledger.highest_id + 1
 
     @classmethod
     def open(cls, path, codec: WireCodec) -> "WriteAheadLog":
         """Open (creating if absent), discard any torn tail, and build
         the replay state from the surviving records."""
-        wal = cls(path, codec)
-        records, good_bytes, torn_bytes = scan_records(wal.path, codec)
-        highest_id = 0
-        for record in records:
-            highest_id = max(highest_id, record.request_id)
-            if isinstance(record, WalAdmitRecord):
-                wal.pending[record.request_id] = record.message
-                wal.max_epoch_seen = max(wal.max_epoch_seen, record.epoch)
-            elif isinstance(record, WalDoneRecord):
-                if wal.pending.pop(record.request_id, None) is None:
-                    wal.stats.orphan_dones += 1
-        wal._next_id = highest_id + 1
-        wal.stats.recovered = len(wal.pending)
-        wal.stats.torn_bytes = torn_bytes
+        ledger = WalLedger.read(path, codec)
+        wal = cls(path, codec, ledger)
         wal.path.parent.mkdir(parents=True, exist_ok=True)
         wal._file = open(wal.path, "a+b")
-        if torn_bytes:
+        if ledger.torn_bytes:
             # The torn tail is a record nobody was ever acknowledged
             # for; drop it so the next append starts on a boundary.
-            wal._file.truncate(good_bytes)
+            wal._file.truncate(wal.path.stat().st_size - ledger.torn_bytes)
         wal._file.seek(0, os.SEEK_END)
         return wal
 

@@ -30,7 +30,7 @@ from repro.service.transport import execute_job
 from repro.service.types import (
     PendingRequest, RequestExpiredError, RequestKind, percentile,
 )
-from repro.service.wal import scan_records
+from repro.service.wal import WalLedger
 from repro.serialization import WireCodec
 
 
@@ -776,10 +776,10 @@ class TestWalEpoch:
 
         run(stale_start())
         assert run(fresh_start()) == 1
-        # The obligation settled under the correct (new) key material.
-        records, _, _ = scan_records(wal_path, codec)
-        kinds = [type(record).__name__ for record in records]
-        assert kinds.count("WalDoneRecord") == 1
+        # The obligation settled once, under the unchanged public key.
+        ledger = WalLedger.read(wal_path, codec)
+        assert list(ledger.settlements) == [1]
+        assert ledger.violations(handle.verify) == []
 
     def test_admits_carry_the_current_epoch(self, handle, tmp_path):
         wal_path = tmp_path / "live.wal"

@@ -919,6 +919,9 @@ class TestLoadGenerator:
         assert report.throughput_rps > 0
         assert report.p50_ms <= report.p99_ms
         assert len(report.latencies_ms) == 24
+        assert sorted(report.results) == list(range(24))
+        assert all(result.message == b"closed %d" % ordinal
+                   for ordinal, result in report.results.items())
 
     def test_open_loop_poisson_counts_shedding(self, handle):
         async def scenario():
@@ -935,6 +938,8 @@ class TestLoadGenerator:
         assert report.sent == 40
         assert report.completed + report.rejected + report.failed == 40
         assert report.completed > 0
+        # Only completed ordinals keep a result.
+        assert len(report.results) == report.completed
 
     def test_invalid_verifies_counted(self, handle):
         signature = handle.sign(b"valid message")

@@ -21,7 +21,7 @@ from repro.serialization import WalAdmitRecord, WalDoneRecord, WireCodec
 from repro.service import (
     RequestExpiredError, ServiceConfig, SigningService, WriteAheadLog,
 )
-from repro.service.wal import frame_record, scan_records
+from repro.service.wal import WalLedger, frame_record, scan_records
 
 
 @pytest.fixture
@@ -105,6 +105,9 @@ class TestLogScan:
         b"\x00\x00",                             # short storage header
         b"\x00\x00\x00\x40\x00\x00\x00\x00ab",   # short payload
         b"\xff\xff\xff\xff\x00\x00\x00\x00",     # oversized length field
+        # crc32(b"") == 0: zeros pass the CRC as empty records
+        pytest.param(b"\x00" * 8, id="zero-header"),
+        pytest.param(b"\x00" * 64, id="zero-filled-tail"),
     ])
     def test_torn_tail_keeps_valid_prefix(self, tmp_path, codec,
                                           torn_tail):
@@ -142,6 +145,38 @@ class TestLogScan:
         assert torn == 0            # the tail was cut, appends align
         assert [record.message for record in records] == \
             [b"kept", b"appended after truncation"]
+
+    def test_open_truncates_zero_filled_tail_and_replays(self, tmp_path,
+                                                         codec):
+        """A crash can persist a file's new size before its data: the
+        zeros read as empty records, which pass the CRC — still torn."""
+        path = tmp_path / "zeros.wal"
+        write_admits(path, codec, [b"one", b"two"])
+        good_bytes = path.stat().st_size
+        with open(path, "ab") as log:
+            log.write(b"\x00" * 64)
+        wal = WriteAheadLog.open(path, codec)
+        assert wal.stats.torn_bytes == 64
+        assert list(wal.pending.values()) == [b"one", b"two"]
+        wal.close()
+        assert path.stat().st_size == good_bytes
+
+    def test_crc_valid_undecodable_record_is_refused_not_cut(
+            self, tmp_path, codec):
+        """A record whose CRC holds was written whole — no tear — so
+        open refuses the log, naming its offset, and cuts nothing."""
+        path = tmp_path / "undecodable.wal"
+        write_admits(path, codec, [b"one"])
+        offset = path.stat().st_size
+        blob = codec.encode_wal_record(
+            WalAdmitRecord(request_id=2, message=b"two"))
+        with open(path, "ab") as log:
+            log.write(frame_record(b"X" + blob[1:]))
+        write_admits(path, codec, [b"three"], start_id=3)
+        data = path.read_bytes()
+        with pytest.raises(SerializationError, match=f"offset {offset} "):
+            WriteAheadLog.open(path, codec)
+        assert path.read_bytes() == data
 
     @pytest.fixture
     def three_records(self, codec, handle):
@@ -250,6 +285,109 @@ class TestLogScan:
         wal.sync()                  # clean log: no second fsync
         assert wal.stats.syncs == 1
         wal.close()
+
+
+# ---------------------------------------------------------------------------
+# The ledger: one fold for replay and every audit
+# ---------------------------------------------------------------------------
+
+def admit(request_id, message, epoch=0):
+    return WalAdmitRecord(request_id=request_id, message=message,
+                          epoch=epoch)
+
+
+#: One crafted log per violation kind: a function of ``done(id,
+#: message, key)`` — a settlement signed by ``key`` (the service's
+#: own by default) — and the violations the ledger must name.
+CRAFTED = {
+    "admitted-twice": (
+        lambda done: [admit(1, b"a"), admit(1, b"a"), done(1, b"a")],
+        ["request 1 admitted twice"]),
+    "never-settled": (
+        lambda done: [admit(1, b"a"), admit(2, b"b"), done(2, b"b")],
+        ["request 1 settled 0 times (exactly-once violated)"]),
+    "settled-twice": (
+        lambda done: [admit(1, b"a"), done(1, b"a"), done(1, b"a")],
+        ["request 1 settled 2 times (exactly-once violated)"]),
+    "no-signature": (
+        lambda done: [admit(1, b"a"),
+                      WalDoneRecord(request_id=1, reason="shed")],
+        ["request 1 settled without a verifying signature"]),
+    "swapped-messages": (
+        lambda done: [admit(1, b"a"), admit(2, b"b"),
+                      done(1, b"b"), done(2, b"a")],
+        ["request 1 settled without a verifying signature",
+         "request 2 settled without a verifying signature"]),
+    "another-public-key": (
+        lambda done: [admit(1, b"a"), done(1, b"a", "other")],
+        ["request 1 settled without a verifying signature"]),
+    "stale-epoch-admit": (
+        lambda done: [admit(1, b"a", epoch=1), admit(2, b"b", epoch=0),
+                      done(1, b"a"), done(2, b"b")],
+        ["request 2 admitted at epoch 0 after an epoch-1 admit"]),
+}
+
+
+class TestWalLedger:
+    def test_fold_is_the_replay_state(self, tmp_path, codec, handle):
+        path = tmp_path / "fold.wal"
+        records = [admit(1, b"a"), WalDoneRecord(request_id=1, reason="r"),
+                   admit(2, b"b", epoch=3), WalDoneRecord(request_id=9),
+                   admit(4, b"d", epoch=1), admit(4, b"d", epoch=5)]
+        path.write_bytes(b"".join(
+            frame_record(codec.encode_wal_record(r)) for r in records))
+        ledger = WalLedger.read(path, codec)
+        assert list(ledger.admits) == [1, 2, 4]
+        assert ledger.duplicate_admits == [4]
+        assert ledger.pending == {2: b"b", 4: b"d"}
+        # The duplicate's higher epoch still counts: it is what
+        # ``SigningService.start`` refuses stale key material against.
+        assert (ledger.orphan_dones, ledger.highest_id,
+                ledger.max_epoch) == (1, 9, 5)
+        wal = WriteAheadLog.open(path, codec)
+        assert (wal.pending, wal.stats.orphan_dones, wal.max_epoch_seen) \
+            == (ledger.pending, 1, 5)
+        assert wal.append_admit(b"e") == 10
+        wal.close()
+
+    @pytest.mark.parametrize("kind", sorted(CRAFTED))
+    def test_crafted_log_names_each_violation(self, tmp_path, codec,
+                                              handle, kind):
+        keys = {"own": handle,
+                "other": ServiceHandle.dealer(handle.scheme.group, 2, 5,
+                                              rng=random.Random(12))}
+
+        def done(request_id, message, key="own"):
+            return WalDoneRecord(request_id=request_id,
+                                 signature=keys[key].sign(message))
+
+        build, expected = CRAFTED[kind]
+        path = tmp_path / f"{kind}.wal"
+        path.write_bytes(b"".join(
+            frame_record(codec.encode_wal_record(r)) for r in build(done)))
+        assert WalLedger.read(path, codec).violations(handle.verify) \
+            == expected
+
+    def test_clean_service_run_across_transitions_reports_none(
+            self, tmp_path, handle):
+        wal_path = tmp_path / "clean.wal"
+
+        async def scenario():
+            config = ServiceConfig(num_shards=2, max_batch=4,
+                                   max_wait_ms=2.0, wal_path=wal_path)
+            async with SigningService(handle, config) as service:
+                await asyncio.gather(
+                    *(service.sign(b"before %d" % i) for i in range(5)))
+                await service.refresh(rng=random.Random(13))
+                await service.reshare(2, (2, 3, 4, 5, 6),
+                                      rng=random.Random(14))
+                await asyncio.gather(
+                    *(service.sign(b"after %d" % i) for i in range(5)))
+
+        run(scenario())
+        ledger = WalLedger.read(wal_path, WireCodec(handle.scheme.group))
+        assert len(ledger.admits) == 10 and ledger.max_epoch == 2
+        assert ledger.violations(handle.verify) == []
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +535,9 @@ class TestServiceRecovery:
         service, recovered = run(scenario())
         assert recovered == 6
         assert service.stats.completed == 6
-        records, _, _ = scan_records(wal_path, codec)
-        dones = {r.request_id: r for r in records
-                 if isinstance(r, WalDoneRecord)}
-        admits = [r for r in records if isinstance(r, WalAdmitRecord)]
-        assert len(admits) == 6 and len(dones) == 6
-        for admit in admits:
-            assert handle.verify(admit.message,
-                                 dones[admit.request_id].signature)
+        ledger = WalLedger.read(wal_path, codec)
+        assert len(ledger.admits) == 6 and not ledger.pending
+        assert ledger.violations(handle.verify) == []
 
     def test_double_replay_is_idempotent(self, handle, tmp_path):
         """A crash between sign and ack replays the request; the replay
@@ -428,8 +561,9 @@ class TestServiceRecovery:
             assert run(recover(path)) == 0      # nothing left to replay
         signatures = []
         for path in (first_wal, second_wal):
-            records, _, _ = scan_records(path, codec)
-            done = next(r for r in records if isinstance(r, WalDoneRecord))
+            ledger = WalLedger.read(path, codec)
+            assert ledger.violations(handle.verify) == []
+            [done] = ledger.settlements[1]
             signatures.append(codec.encode_signature(done.signature))
         assert signatures[0] == signatures[1]
 
@@ -449,10 +583,10 @@ class TestServiceRecovery:
         service = run(scenario())
         assert service.stats.recovered == 1
         assert service.stats.completed == 1
-        records, _, torn = scan_records(wal_path, codec)
-        assert torn == 0
-        done = next(r for r in records if isinstance(r, WalDoneRecord))
-        assert handle.verify(b"whole", done.signature)
+        ledger = WalLedger.read(wal_path, codec)
+        assert ledger.torn_bytes == 0
+        assert [a.message for a in ledger.admits.values()] == [b"whole"]
+        assert ledger.violations(handle.verify) == []
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +640,10 @@ class TestRequestDeadlines:
                     await service.sign(b"expired but settled")
 
         run(scenario())
-        codec = WireCodec(handle.scheme.group)
-        wal = WriteAheadLog.open(wal_path, codec)
-        assert not wal.pending
-        wal.close()
-        records, _, _ = scan_records(wal_path, codec)
-        done = next(r for r in records if isinstance(r, WalDoneRecord))
+        ledger = WalLedger.read(wal_path, WireCodec(handle.scheme.group))
+        assert not ledger.pending
+        [done] = ledger.settlements[1]
         assert done.signature is None
         assert "RequestExpiredError" in done.reason
+        assert ledger.violations(handle.verify) == [
+            "request 1 settled without a verifying signature"]

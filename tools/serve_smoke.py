@@ -57,6 +57,13 @@ window) and asserts the service contract:
   **exactly once** with verifying signatures (artifacts in
   ``.smoke-wal/http/``).
 
+Every act that writes a WAL is audited by one call: the log's
+:class:`~repro.service.wal.WalLedger` — the same fold replay reads —
+must name no violation (an id admitted twice, an admit not settled
+exactly once, a settlement without a signature verifying under the
+original public key, a stale-epoch admit).  Acts 5-7 share one SIGKILL
+victim (this script re-entered with ``--victim ACT DIR``).
+
 Exit-code contract (CI depends on it): **every** failure path exits
 nonzero — contract violations return 1 with a reason per line, and any
 unexpected exception propagates (Python exits 1).  Only a fully clean
@@ -65,7 +72,7 @@ run exits 0.
 Usage::
 
     PYTHONPATH=src python tools/serve_smoke.py [--backend bn254]
-        [--requests 100] [--shards 2]
+        [--requests 100] [--shards 2] [--seed 0]
 """
 
 from __future__ import annotations
@@ -91,8 +98,7 @@ from repro.curves.hash_to_curve import HASH_COUNTERS     # noqa: E402
 from repro.curves.pairing import PAIRING_COUNTERS          # noqa: E402
 from repro.math.msm import MSM_COUNTERS                    # noqa: E402
 from repro.serialization import (                          # noqa: E402
-    WalAdmitRecord, WireCodec, decode_service_context,
-    encode_service_context,
+    WireCodec, decode_service_context, encode_service_context,
 )
 from repro.service import (                                # noqa: E402
     CorruptSignerFault, GatewayClient, HttpGateway, LoadGenerator,
@@ -100,7 +106,7 @@ from repro.service import (                                # noqa: E402
     TenantQuotaError,
 )
 from repro.service.transport import start_worker_process  # noqa: E402
-from repro.service.wal import scan_records                 # noqa: E402
+from repro.service.wal import WalLedger                   # noqa: E402
 
 #: Session seed set by ``--seed`` (same semantics as the pytest flag in
 #: the root ``conftest.py``): ``0`` keeps the historical per-act streams
@@ -136,103 +142,65 @@ EPOCH_PHASE1 = 3
 #: Act 7 batch size: HTTP requests admitted (durable in the WAL) but
 #: unanswered when the gateway's host process is SIGKILLed.
 HTTP_PENDING = 5
+#: Per victim act: its name in failure reasons, and the admits it
+#: leaves durable when the SIGKILL lands.
+VICTIMS = {"wal": ("WAL act", WAL_PENDING),
+           "epoch": ("epoch act", EPOCH_PHASE0 + EPOCH_PHASE1),
+           "http": ("HTTP act", HTTP_PENDING)}
 
 
-async def run_wal_victim(wal_dir: pathlib.Path, backend: str) -> int:
-    """Act 5's SIGKILL victim (spawned by ``--wal-victim``).
+async def run_victim(act: str, directory: pathlib.Path) -> int:
+    """The SIGKILL victim of act 5, 6 or 7 (spawned by ``--victim``).
 
-    Phase 1 signs a batch cleanly (admits *and* settlements reach the
-    log).  Phase 2 admits a second batch into a window that will not
-    close for a minute, forces the admits durable, prints the marker
-    the parent waits for, and parks until the SIGKILL arrives — the
-    admitted-but-unserved state a real service crash leaves behind.
-    """
-    handle = decode_service_context((wal_dir / "ctx.bin").read_bytes())
-    wal_path = wal_dir / "service.wal"
-    config = ServiceConfig(num_shards=1, max_batch=4, max_wait_ms=10.0,
-                           wal_path=wal_path)
-    async with SigningService(handle, config) as service:
-        await asyncio.gather(*(service.sign(b"wal done %d" % i)
-                               for i in range(WAL_PHASE1)))
-    print(f"wal-victim phase1 {WAL_PHASE1}", flush=True)
-
-    stalled = ServiceConfig(num_shards=1, max_batch=64,
-                            max_wait_ms=60_000.0, wal_path=wal_path)
-    service = SigningService(handle, stalled)
-    await service.start()
-    obligations = [asyncio.ensure_future(
-        service.sign(b"wal pending %d" % i)) for i in range(WAL_PENDING)]
-    while service.wal.stats.admits < WAL_PENDING:
-        await asyncio.sleep(0.01)
-    service.wal.sync()
-    print(f"wal-victim durable {WAL_PENDING}", flush=True)
-    await asyncio.sleep(300.0)      # the parent SIGKILLs us here
-    for obligation in obligations:
-        obligation.cancel()
-    return 1                        # unreachable in a passing run
-
-
-async def run_epoch_victim(epoch_dir: pathlib.Path, backend: str) -> int:
-    """Act 6's SIGKILL victim (spawned by ``--epoch-victim``).
-
-    Admits a batch into a window that will not close, performs a *live*
-    share refresh while those admits are in flight, persists the
+    Serves ``directory``'s context on a window that will not close for
+    a minute, runs the act's step, forces the act's admits durable,
+    prints the marker the parent waits for, and parks until the SIGKILL
+    arrives — the admitted-but-unserved state a real crash leaves
+    behind.  The steps: ``wal`` first signs a batch cleanly (admits
+    *and* settlements reach the log); ``epoch`` performs a live share
+    refresh between two batches of admits and persists the
     post-transition context (the artifact a real deployment would hand
-    the restarted service), admits a second batch under the new epoch,
-    forces everything durable and parks for the SIGKILL — leaving a WAL
-    whose obligations straddle the transition.
+    the restarted service); ``http`` fronts the service with a gateway
+    on an ephemeral port whose sign requests the parent sends.
     """
-    handle = decode_service_context((epoch_dir / "ctx.bin").read_bytes())
-    wal_path = epoch_dir / "service.wal"
-    stalled = ServiceConfig(num_shards=1, max_batch=64,
-                            max_wait_ms=60_000.0, wal_path=wal_path)
-    service = SigningService(handle, stalled)
+    handle = decode_service_context((directory / "ctx.bin").read_bytes())
+    wal_path = directory / "service.wal"
+    if act == "wal":
+        clean = ServiceConfig(num_shards=1, max_batch=4, max_wait_ms=10.0,
+                              wal_path=wal_path)
+        async with SigningService(handle, clean) as service:
+            await asyncio.gather(*(service.sign(b"wal done %d" % i)
+                                   for i in range(WAL_PHASE1)))
+    service = SigningService(handle, ServiceConfig(
+        num_shards=1, max_batch=64, max_wait_ms=60_000.0,
+        wal_path=wal_path))
     await service.start()
-    obligations = [asyncio.ensure_future(
-        service.sign(b"epoch pending 0/%d" % i))
-        for i in range(EPOCH_PHASE0)]
-    while service.wal.stats.admits < EPOCH_PHASE0:
-        await asyncio.sleep(0.01)
-    await service.refresh(rng=_rng(12))
-    (epoch_dir / "ctx-epoch1.bin").write_bytes(
-        encode_service_context(service.handle))
-    obligations += [asyncio.ensure_future(
-        service.sign(b"epoch pending 1/%d" % i))
-        for i in range(EPOCH_PHASE1)]
-    while service.wal.stats.admits < EPOCH_PHASE0 + EPOCH_PHASE1:
+    obligations = []
+
+    async def admit(template: bytes, count: int) -> None:
+        obligations.extend(asyncio.ensure_future(service.sign(template % i))
+                           for i in range(count))
+        while service.wal.stats.admits < len(obligations):
+            await asyncio.sleep(0.01)
+
+    if act == "wal":
+        await admit(b"wal pending %d", WAL_PENDING)
+    elif act == "epoch":
+        await admit(b"epoch pending 0/%d", EPOCH_PHASE0)
+        await service.refresh(rng=_rng(12))
+        (directory / "ctx-epoch1.bin").write_bytes(
+            encode_service_context(service.handle))
+        await admit(b"epoch pending 1/%d", EPOCH_PHASE1)
+    else:
+        gateway = HttpGateway(service, tenants=[
+            TenantConfig(name="alpha", api_key="alpha-key")])
+        await gateway.start()
+        print(f"victim port {gateway.port}", flush=True)
+    durable = VICTIMS[act][1]
+    while service.wal.stats.admits < durable:
         await asyncio.sleep(0.01)
     service.wal.sync()
-    print(f"epoch-victim durable {EPOCH_PHASE0 + EPOCH_PHASE1}",
-          flush=True)
-    await asyncio.sleep(300.0)      # the parent SIGKILLs us here
-    for obligation in obligations:
-        obligation.cancel()
-    return 1                        # unreachable in a passing run
-
-
-async def run_http_victim(http_dir: pathlib.Path, backend: str) -> int:
-    """Act 7's SIGKILL victim (spawned by ``--http-victim``).
-
-    Boots the service on a stalled window (it will not close for a
-    minute) behind an HTTP gateway on an ephemeral port, prints the
-    port for the parent, waits until the parent's HTTP sign requests
-    are durable in the WAL, prints the durable marker and parks for
-    the SIGKILL — a real front-door crash with admitted-but-unanswered
-    HTTP requests."""
-    handle = decode_service_context((http_dir / "ctx.bin").read_bytes())
-    stalled = ServiceConfig(num_shards=1, max_batch=64,
-                            max_wait_ms=60_000.0,
-                            wal_path=http_dir / "service.wal")
-    service = SigningService(handle, stalled)
-    await service.start()
-    gateway = HttpGateway(service, tenants=[
-        TenantConfig(name="alpha", api_key="alpha-key")])
-    await gateway.start()
-    print(f"http-victim port {gateway.port}", flush=True)
-    while service.wal.stats.admits < HTTP_PENDING:
-        await asyncio.sleep(0.01)
-    service.wal.sync()
-    print(f"http-victim durable {HTTP_PENDING}", flush=True)
+    print(f"victim durable {durable}", flush=True)
     await asyncio.sleep(300.0)      # the parent SIGKILLs us here
     return 1                        # unreachable in a passing run
 
@@ -303,6 +271,65 @@ def parse_prometheus_text(text: str, check) -> dict:
     return samples
 
 
+async def sigkill_victim(check, act: str, directory: pathlib.Path,
+                         handle, on_port=None) -> int:
+    """Run ``act``'s victim (:func:`run_victim`) on ``handle`` until its
+    admits are durable, then SIGKILL it: no atexit, no drain, no flush,
+    no close.  ``on_port`` is handed the victim gateway's port once it
+    is bound.  Returns the durable admit count the victim reported (0
+    when it never got there — a recorded failure)."""
+    directory.mkdir()
+    (directory / "ctx.bin").write_bytes(encode_service_context(handle))
+    victim = subprocess.Popen(
+        [sys.executable, str(pathlib.Path(__file__).resolve()), "--victim",
+         act, str(directory), "--seed", str(_SEED_BASE)],
+        stdout=subprocess.PIPE, text=True)
+    markers = ["victim port"] * (on_port is not None) + ["victim durable"]
+    loop = asyncio.get_running_loop()
+    try:
+        for marker in markers:
+            line = await loop.run_in_executor(None, await_marker, victim,
+                                              marker)
+            check(line is not None, f"{VICTIMS[act][0]}: the victim never "
+                  f"printed its {marker!r} marker")
+            if line is None:
+                return 0
+            if marker == "victim port":
+                on_port(int(line.split()[-1]))
+        return int(line.split()[-1])
+    finally:
+        victim.kill()
+        victim.wait(timeout=10)
+
+
+def audit(check, label: str, wal_path: pathlib.Path, handle, admits: int):
+    """The ledger's audit of one act's log: ``admits`` admits, each
+    settled exactly once with a signature that verifies under the
+    unchanged public key, none at an epoch older than an earlier one."""
+    ledger = WalLedger.read(wal_path, WireCodec(handle.scheme.group))
+    check(len(ledger.admits) == admits, f"{label}: expected {admits} "
+          f"admits in the log, found {len(ledger.admits)}")
+    for violation in ledger.violations(handle.verify):
+        check(False, f"{label}: {violation}")
+    return ledger
+
+
+async def replay(check, label: str, handle, wal_path: pathlib.Path,
+                 pending: int, shards: int = 2):
+    """Restart a service on a victim's log: it must replay and complete
+    exactly the ``pending`` durable admits.  Returns the log's stats."""
+    config = ServiceConfig(num_shards=shards, max_batch=8,
+                           max_wait_ms=10.0, wal_path=wal_path)
+    async with SigningService(handle, config) as service:
+        wal_stats = service.wal.stats
+    check(service.stats.recovered == pending, f"{label}: replayed "
+          f"{service.stats.recovered} of {pending} durable admits")
+    check(service.stats.completed == pending,
+          f"{label}: only {service.stats.completed}/{pending} replayed "
+          "requests completed")
+    return wal_stats
+
+
 async def run_smoke(backend: str, requests: int, shards: int) -> int:
     group = get_group(backend)
     handle = ServiceHandle.dealer(group, 2, 5, rng=_rng(1))
@@ -316,21 +343,17 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     config = ServiceConfig(num_shards=shards, max_batch=16,
                            max_wait_ms=10.0, queue_depth=4 * requests,
                            rng=_rng(2))
-    signed = {}
     async with SigningService(handle, config) as service:
-
-        async def sign(ordinal):
-            result = await service.sign(b"smoke doc %d" % ordinal)
-            signed[ordinal] = result
-            return result
-
-        report = await LoadGenerator(sign).run_closed(requests, 16)
+        report = await LoadGenerator(
+            lambda i: service.sign(b"smoke doc %d" % i)
+        ).run_closed(requests, 16)
         check(report.rejected == 0,
               f"{report.rejected} valid sign requests rejected")
         check(report.failed == 0,
               f"{report.failed} sign requests failed")
         check(report.completed == requests,
               f"only {report.completed}/{requests} signs completed")
+        signed = report.results
         for ordinal, result in signed.items():
             check(handle.verify(result.message, result.signature),
                   f"service returned an invalid signature for #{ordinal}")
@@ -435,19 +458,14 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
                                    remote_workers=[address])
         try:
             async with SigningService(handle, tcp_config) as service:
-                tcp_signed = {}
-
-                async def tcp_sign(ordinal):
-                    result = await service.sign(b"tcp doc %d" % ordinal)
-                    tcp_signed[ordinal] = result
-                    return result
-
-                tcp_report = await LoadGenerator(tcp_sign).run_closed(
-                    tcp_requests, 8)
+                tcp_report = await LoadGenerator(
+                    lambda i: service.sign(b"tcp doc %d" % i)
+                ).run_closed(tcp_requests, 8)
                 check(tcp_report.rejected == 0 and tcp_report.failed == 0,
                       f"TCP tier shed/failed requests "
                       f"({tcp_report.rejected} rejected, "
                       f"{tcp_report.failed} failed)")
+                tcp_signed = tcp_report.results
                 for ordinal, result in tcp_signed.items():
                     check(handle.verify(result.message, result.signature),
                           f"TCP tier produced an invalid signature for "
@@ -493,16 +511,9 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
                                                      survivor_address])
         try:
             async with SigningService(handle, crash_config) as service:
-                crash_signed = {}
-
-                async def crash_sign(ordinal):
-                    result = await service.sign(
-                        b"tcp crash doc %d" % ordinal)
-                    crash_signed.setdefault(ordinal, []).append(result)
-                    return result
-
-                crash_report = await LoadGenerator(crash_sign).run_closed(
-                    crash_requests, 8)
+                crash_report = await LoadGenerator(
+                    lambda i: service.sign(b"tcp crash doc %d" % i)
+                ).run_closed(crash_requests, 8)
                 check(crash_report.rejected == 0
                       and crash_report.failed == 0
                       and crash_report.completed == crash_requests,
@@ -521,20 +532,16 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
         crash_stats = service.snapshot_stats()
         crash_workers = crash_stats.workers
         check(sentinel.exists(), "TCP crash act: worker never crashed")
-        check(sorted(crash_signed) == list(range(crash_requests)),
-              f"TCP crash act: only {len(crash_signed)}/{crash_requests} "
-              "request ids settled")
-        for ordinal, results in crash_signed.items():
-            check(len(results) == 1,
-                  f"TCP crash act: request #{ordinal} settled "
-                  f"{len(results)} times (exactly-once violated)")
-            for result in results:
-                check(result.message == b"tcp crash doc %d" % ordinal
-                      and handle.verify(result.message,
-                                        result.signature),
-                      f"TCP crash act: request #{ordinal} settled "
-                      "without a verifying signature for its own "
-                      "message")
+        # One result per ordinal: a request id settles at most once at
+        # the client, so exactly-once is every ordinal present.
+        check(sorted(crash_report.results) == list(range(crash_requests)),
+              f"TCP crash act: only {len(crash_report.results)}/"
+              f"{crash_requests} request ids settled")
+        for ordinal, result in crash_report.results.items():
+            check(result.message == b"tcp crash doc %d" % ordinal
+                  and handle.verify(result.message, result.signature),
+                  f"TCP crash act: request #{ordinal} settled without a "
+                  "verifying signature for its own message")
         check(crash_stats.failed == 0,
               "TCP crash act: the service counted failures")
         check(crash_workers is not None and crash_workers.crashes >= 1,
@@ -555,71 +562,23 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     if wal_dir.exists():
         shutil.rmtree(wal_dir)
     wal_dir.mkdir()
-    (wal_dir / "ctx.bin").write_bytes(encode_service_context(handle))
-    wal_path = wal_dir / "service.wal"
-    victim = subprocess.Popen(
-        [sys.executable, str(pathlib.Path(__file__).resolve()),
-         "--wal-victim", str(wal_dir), "--backend", backend],
-        stdout=subprocess.PIPE, text=True)
-    try:
-        phase1_line = await loop.run_in_executor(
-            None, lambda: await_marker(victim, "wal-victim phase1"))
-        durable_line = await loop.run_in_executor(
-            None, lambda: await_marker(victim, "wal-victim durable"))
-        check(phase1_line is not None and durable_line is not None,
-              "WAL act: the victim service never reached its durable "
-              "marker")
-    finally:
-        victim.kill()       # SIGKILL: no atexit, no flush, no close
-        victim.wait(timeout=10)
-    phase1_count = int(phase1_line.split()[-1]) if phase1_line else 0
-    pending_count = int(durable_line.split()[-1]) if durable_line else 0
+    pending_count = await sigkill_victim(check, "wal", wal_dir / "victim",
+                                         handle)
+    wal_path = wal_dir / "victim" / "service.wal"
     # A SIGKILL mid-append leaves a torn record; simulate the worst
     # case on top of whatever the kill itself left behind.
     with open(wal_path, "ab") as log:
         log.write(b"\x00\x00\x01\x00torn mid-append by SIGKILL")
-    recovery_config = ServiceConfig(num_shards=shards, max_batch=8,
-                                    max_wait_ms=10.0, wal_path=wal_path)
-    async with SigningService(handle, recovery_config) as service:
-        wal_recovered = service.stats.recovered
-        wal_torn = service.wal.stats.torn_bytes
+    wal_stats = await replay(check, "WAL act", handle, wal_path,
+                             pending_count, shards)
+    wal_recovered, wal_torn = wal_stats.recovered, wal_stats.torn_bytes
     check(wal_torn > 0, "WAL act: the torn tail was not detected")
-    check(wal_recovered == pending_count,
-          f"WAL act: replayed {wal_recovered} of {pending_count} "
-          "unacknowledged requests")
-    check(service.stats.completed == pending_count,
-          f"WAL act: only {service.stats.completed}/{pending_count} "
-          "replayed requests completed")
-    # Audit the log itself: every admit settled exactly once, every
-    # settlement a signature verifying under the unchanged public key.
-    records, _, torn_after = scan_records(wal_path, WireCodec(group))
-    wal_admits, wal_dones = {}, {}
-    for record in records:
-        if isinstance(record, WalAdmitRecord):
-            check(record.request_id not in wal_admits,
-                  f"WAL act: duplicate admit id {record.request_id}")
-            wal_admits[record.request_id] = record.message
-        else:
-            wal_dones.setdefault(record.request_id, []).append(record)
-    check(torn_after == 0, "WAL act: the torn tail survived recovery")
-    check(len(wal_admits) == phase1_count + pending_count,
-          f"WAL act: expected {phase1_count + pending_count} admits in "
-          f"the log, found {len(wal_admits)}")
-    for request_id, message in wal_admits.items():
-        settlements = wal_dones.get(request_id, [])
-        check(len(settlements) == 1,
-              f"WAL act: request {request_id} settled "
-              f"{len(settlements)} times (exactly-once violated)")
-        if len(settlements) == 1:
-            done = settlements[0]
-            check(done.signature is not None
-                  and handle.verify(message, done.signature),
-                  f"WAL act: request {request_id} has no verifying "
-                  "signature under the unchanged public key")
+    ledger = audit(check, "WAL act", wal_path, handle,
+                   WAL_PHASE1 + pending_count)
+    check(ledger.torn_bytes == 0, "WAL act: the torn tail survived recovery")
     # A second restart against the settled log must replay nothing.
-    async with SigningService(handle, recovery_config) as service:
-        check(service.stats.recovered == 0,
-              "WAL act: a second restart replayed settled requests")
+    await replay(check, "WAL act: a second restart", handle, wal_path, 0,
+                 shards)
 
     # -- act 6: live key lifecycle under churn -------------------------
     # 6a: refresh + reshare + ring growth while open-loop load flows.
@@ -633,15 +592,9 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
                               wal_path=epoch_dir / "service.wal",
                               rng=_rng(7))
     async with SigningService(handle, lc_config) as service:
-        lc_signed = {}
-
-        async def lc_sign(ordinal):
-            result = await service.sign(b"lifecycle doc %d" % ordinal)
-            lc_signed[ordinal] = result
-            return result
-
         load = asyncio.ensure_future(LoadGenerator(
-            lc_sign, rng=_rng(8)).run_open(lc_requests, 400.0))
+            lambda i: service.sign(b"lifecycle doc %d" % i), rng=_rng(8)
+        ).run_open(lc_requests, 400.0))
         pause = await service.refresh(rng=_rng(9))
         lifecycle_lines.append(
             f"refresh  -> epoch {service.handle.epoch} "
@@ -662,21 +615,18 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
         lc_report = await load
         burst_results = await asyncio.gather(*burst)
         lc_stats = service.snapshot_stats()
-    pk_after = service.handle.public_key.to_bytes()
-    check(pk_after == pk_before,
+    check(service.handle.public_key.to_bytes() == pk_before,
           "epoch act: the public key changed across the lifecycle")
     check(lc_report.rejected == 0 and lc_report.failed == 0
           and lc_report.completed == lc_requests,
           f"epoch act: load shed under churn "
           f"({lc_report.completed}/{lc_requests} completed, "
           f"{lc_report.rejected} rejected, {lc_report.failed} failed)")
-    for ordinal, result in lc_signed.items():
+    for result in list(lc_report.results.values()) + burst_results:
         check(handle.verify(result.message, result.signature),
-              f"epoch act: invalid signature for lifecycle doc "
-              f"#{ordinal}")
-    for i, result in enumerate(burst_results):
-        check(handle.verify(b"lifecycle burst %d" % i, result.signature),
-              f"epoch act: invalid signature for migrated burst #{i}")
+              f"epoch act: invalid signature for {result.message!r}")
+    audit(check, "epoch act under churn", epoch_dir / "service.wal", handle,
+          lc_requests + len(burst))
     check(lc_stats.epochs.transitions == 2
           and lc_stats.epochs.resizes == 1,
           f"epoch act: expected 2 transitions + 1 resize, counted "
@@ -689,26 +639,10 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
 
     # 6b: SIGKILL mid-transition; only the new epoch may resume the WAL.
     victim_dir = epoch_dir / "victim"
-    victim_dir.mkdir()
-    (victim_dir / "ctx.bin").write_bytes(encode_service_context(handle))
-    epoch_victim = subprocess.Popen(
-        [sys.executable, str(pathlib.Path(__file__).resolve()),
-         "--epoch-victim", str(victim_dir), "--backend", backend],
-        stdout=subprocess.PIPE, text=True)
-    try:
-        ev_line = await loop.run_in_executor(
-            None, lambda: await_marker(epoch_victim,
-                                       "epoch-victim durable"))
-        check(ev_line is not None,
-              "epoch act: the victim never reached its durable marker")
-    finally:
-        epoch_victim.kill()
-        epoch_victim.wait(timeout=10)
-    ev_pending = int(ev_line.split()[-1]) if ev_line else 0
+    ev_pending = await sigkill_victim(check, "epoch", victim_dir, handle)
     ev_wal = victim_dir / "service.wal"
-    restart_config = ServiceConfig(num_shards=2, max_batch=8,
-                                   max_wait_ms=10.0, wal_path=ev_wal)
-    stale_service = SigningService(handle, restart_config)
+    stale_service = SigningService(handle, ServiceConfig(
+        num_shards=2, wal_path=ev_wal))
     stale_refused = False
     try:
         await stale_service.start()
@@ -728,38 +662,8 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
               and new_handle.public_key.to_bytes() == pk_before,
               "epoch act: the persisted context is not epoch 1 under "
               "the same public key")
-        async with SigningService(new_handle, restart_config) as service:
-            ev_recovered = service.stats.recovered
-        check(ev_recovered == ev_pending,
-              f"epoch act: replayed {ev_recovered} of {ev_pending} "
-              "admits carried across the killed transition")
-        check(service.stats.completed == ev_pending,
-              f"epoch act: only {service.stats.completed}/{ev_pending} "
-              "carried admits completed")
-        ev_records, _, _ = scan_records(ev_wal, WireCodec(group))
-        ev_admits, ev_dones = {}, {}
-        for record in ev_records:
-            if isinstance(record, WalAdmitRecord):
-                ev_admits[record.request_id] = record.message
-            else:
-                ev_dones.setdefault(record.request_id, []).append(record)
-        check(len(ev_admits) == ev_pending,
-              f"epoch act: expected {ev_pending} admits in the victim "
-              f"log, found {len(ev_admits)}")
-        for request_id, message in ev_admits.items():
-            settlements = ev_dones.get(request_id, [])
-            check(len(settlements) == 1,
-                  f"epoch act: request {request_id} settled "
-                  f"{len(settlements)} times (exactly-once violated)")
-            if len(settlements) == 1 and settlements[0].signature \
-                    is not None:
-                check(handle.verify(message, settlements[0].signature),
-                      f"epoch act: request {request_id} settled without "
-                      "a verifying signature")
-            else:
-                check(False,
-                      f"epoch act: request {request_id} settled without "
-                      "a signature")
+        await replay(check, "epoch act", new_handle, ev_wal, ev_pending)
+        audit(check, "epoch act", ev_wal, handle, ev_pending)
         lifecycle_lines.append(
             f"restart  -> epoch-1 context settled all {ev_pending} "
             f"carried admits exactly once")
@@ -793,15 +697,9 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
                           "alpha-key", codec=codec)
     beta = GatewayClient(http_gateway.host, http_gateway.port,
                          "beta-key", codec=codec)
-    http_signed = {}
-
-    async def http_sign(ordinal):
-        result = await alpha.sign(b"http doc %d" % ordinal)
-        http_signed[ordinal] = result
-        return result
-
-    http_load = asyncio.ensure_future(
-        LoadGenerator(http_sign).run_closed(http_requests, 8))
+    http_load = asyncio.ensure_future(LoadGenerator(
+        lambda i: alpha.sign(b"http doc %d" % i)
+    ).run_closed(http_requests, 8))
     await asyncio.sleep(0.01)
     reshared = await alpha.admin_reshare(2, [2, 3, 4, 5, 6])
     http_report = await http_load
@@ -811,7 +709,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
           f"({http_report.completed}/{http_requests} completed, "
           f"{http_report.rejected} rejected, {http_report.failed} "
           f"failed)")
-    for ordinal, result in http_signed.items():
+    for ordinal, result in http_report.results.items():
         check(handle.verify(result.message, result.signature),
               f"HTTP act: invalid signature for http doc #{ordinal}")
     check(reshared["epoch"] == 1
@@ -902,92 +800,30 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     await beta.close()
     await http_gateway.stop()
     await http_service.stop()
-    # Exactly-once audit of the HTTP WAL: every admitted sign settled
-    # once (beta's shed requests never became obligations).
-    http_records, _, _ = scan_records(http_dir / "service.wal",
-                                      WireCodec(group))
-    http_admits, http_dones = {}, {}
-    for record in http_records:
-        if isinstance(record, WalAdmitRecord):
-            http_admits[record.request_id] = record.message
-        else:
-            http_dones.setdefault(record.request_id, []).append(record)
-    check(len(http_admits) == http_requests + beta_ok,
-          f"HTTP act: expected {http_requests + beta_ok} admits in the "
-          f"WAL, found {len(http_admits)}")
-    for request_id in http_admits:
-        check(len(http_dones.get(request_id, [])) == 1,
-              f"HTTP act: request {request_id} settled "
-              f"{len(http_dones.get(request_id, []))} times")
+    # Every admitted sign settled once (beta's shed requests never
+    # became obligations).
+    audit(check, "HTTP act", http_dir / "service.wal", handle,
+          http_requests + beta_ok)
 
     # 7b: SIGKILL the gateway's host process with admitted-but-
     # unanswered HTTP requests; a restart against the same WAL must
     # settle every admitted request exactly once.
-    hv_dir = http_dir / "victim"
-    hv_dir.mkdir()
-    (hv_dir / "ctx.bin").write_bytes(encode_service_context(handle))
-    http_victim = subprocess.Popen(
-        [sys.executable, str(pathlib.Path(__file__).resolve()),
-         "--http-victim", str(hv_dir), "--backend", backend],
-        stdout=subprocess.PIPE, text=True)
     hv_tasks = []
-    try:
-        port_line = await loop.run_in_executor(
-            None, lambda: await_marker(http_victim, "http-victim port"))
-        check(port_line is not None,
-              "HTTP act: the victim gateway never bound its port")
-        if port_line is not None:
-            hv_client = GatewayClient(
-                "127.0.0.1", int(port_line.split()[-1]), "alpha-key")
-            hv_tasks = [asyncio.ensure_future(
-                hv_client.sign(b"http pending %d" % i))
-                for i in range(HTTP_PENDING)]
-        durable_line = await loop.run_in_executor(
-            None, lambda: await_marker(http_victim,
-                                       "http-victim durable"))
-        check(durable_line is not None,
-              "HTTP act: the victim never reached its durable marker")
-    finally:
-        http_victim.kill()  # SIGKILL: no drain, no flush, no close
-        http_victim.wait(timeout=10)
-    hv_outcomes = await asyncio.gather(*hv_tasks,
-                                       return_exceptions=True)
+
+    def send_pending(port: int) -> None:
+        client = GatewayClient("127.0.0.1", port, "alpha-key")
+        hv_tasks.extend(asyncio.ensure_future(
+            client.sign(b"http pending %d" % i)) for i in range(HTTP_PENDING))
+
+    hv_dir = http_dir / "victim"
+    hv_pending = await sigkill_victim(check, "http", hv_dir, handle,
+                                      send_pending)
+    hv_outcomes = await asyncio.gather(*hv_tasks, return_exceptions=True)
     check(all(isinstance(outcome, Exception)
               for outcome in hv_outcomes),
           "HTTP act: a request completed despite the SIGKILL")
-    hv_pending = int(durable_line.split()[-1]) if durable_line else 0
-    hv_wal = hv_dir / "service.wal"
-    hv_config = ServiceConfig(num_shards=2, max_batch=8,
-                              max_wait_ms=10.0, wal_path=hv_wal)
-    async with SigningService(handle, hv_config) as service:
-        hv_recovered = service.stats.recovered
-    check(hv_recovered == hv_pending,
-          f"HTTP act: replayed {hv_recovered} of {hv_pending} admitted "
-          "HTTP requests")
-    check(service.stats.completed == hv_pending,
-          f"HTTP act: only {service.stats.completed}/{hv_pending} "
-          "replayed HTTP requests completed")
-    hv_records, _, _ = scan_records(hv_wal, WireCodec(group))
-    hv_admits, hv_dones = {}, {}
-    for record in hv_records:
-        if isinstance(record, WalAdmitRecord):
-            hv_admits[record.request_id] = record.message
-        else:
-            hv_dones.setdefault(record.request_id, []).append(record)
-    check(len(hv_admits) == hv_pending,
-          f"HTTP act: expected {hv_pending} admits in the victim WAL, "
-          f"found {len(hv_admits)}")
-    for request_id, message in hv_admits.items():
-        settlements = hv_dones.get(request_id, [])
-        check(len(settlements) == 1,
-              f"HTTP act: request {request_id} settled "
-              f"{len(settlements)} times (exactly-once violated)")
-        if len(settlements) == 1:
-            done = settlements[0]
-            check(done.signature is not None
-                  and handle.verify(message, done.signature),
-                  f"HTTP act: request {request_id} settled without a "
-                  "verifying signature")
+    await replay(check, "HTTP act", handle, hv_dir / "service.wal", hv_pending)
+    audit(check, "HTTP act", hv_dir / "service.wal", handle, hv_pending)
 
     if not failures:
         shutil.rmtree(wal_dir)
@@ -1035,29 +871,18 @@ def main(argv=None) -> int:
                         "curve — this is the CI gate)")
     parser.add_argument("--requests", type=int, default=100)
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--wal-victim", type=pathlib.Path, default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--epoch-victim", type=pathlib.Path, default=None,
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--http-victim", type=pathlib.Path, default=None,
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--victim", nargs=2, default=None,
+                        metavar=("ACT", "DIR"), help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=0,
                         help="session seed for the per-act randomness "
                         "(0 keeps the historical default streams)")
     args = parser.parse_args(argv)
     global _SEED_BASE
     _SEED_BASE = args.seed
-    if args.wal_victim is not None:
-        # Internal re-entry: we are act 5's SIGKILL victim.
-        return asyncio.run(run_wal_victim(args.wal_victim, args.backend))
-    if args.epoch_victim is not None:
-        # Internal re-entry: we are act 6's mid-transition SIGKILL victim.
-        return asyncio.run(
-            run_epoch_victim(args.epoch_victim, args.backend))
-    if args.http_victim is not None:
-        # Internal re-entry: we are act 7's gateway SIGKILL victim.
-        return asyncio.run(
-            run_http_victim(args.http_victim, args.backend))
+    if args.victim is not None:
+        # Internal re-entry: we are act 5's, 6's or 7's SIGKILL victim.
+        act, directory = args.victim
+        return asyncio.run(run_victim(act, pathlib.Path(directory)))
     return asyncio.run(
         run_smoke(args.backend, args.requests, args.shards))
 
