@@ -29,7 +29,7 @@ from repro.errors import CombineError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import lagrange_coefficients
 from repro.math.polynomial import Polynomial
-from repro.sharing.pedersen_vss import PedersenVSS
+from repro.sharing.pedersen_vss import failing_shares
 from repro.sharing.shamir import validate_threshold
 
 #: Number of hashed message components (vectors in G^3).
@@ -265,6 +265,10 @@ class DualPedersenTriples:
     def __init__(self, params: DLINParams):
         self.params = params
         self.group = params.group
+        # Every commitment and every check exponentiates the generators:
+        # their fixed-base tables come before the first.
+        for generator in (params.g_z, params.g_r, params.h_z, params.h_u):
+            generator.precompute()
 
     def deal(self, t: int, n: int, secret, rng) -> "DualDealing":
         p = self.params
@@ -278,17 +282,18 @@ class DualPedersenTriples:
              (p.h_z ** a.coeffs[l]) * (p.h_u ** c.coeffs[l]))
             for l in range(t + 1)])
 
-    def verify(self, commitments, index: int, share) -> bool:
-        """Equation (1) on both lanes: (a, b) under the V's, (a, c)
-        under the W's."""
+    def failing(self, items) -> List[int]:
+        """Positions of the ``(commitments, index, share)`` items failing
+        equation (1) on either lane — (a, b) under the V's, (a, c) under
+        the W's — one coined product per lane."""
         p = self.params
-        a, b, c = share
-        return (PedersenVSS.verify_share(
-                    self.group, p.g_z, p.g_r, [v for v, _ in commitments],
-                    index, (a, b))
-                and PedersenVSS.verify_share(
-                    self.group, p.h_z, p.h_u, [w for _, w in commitments],
-                    index, (a, c)))
+        v_lane = [([v for v, _ in commitments], index, (a, b))
+                  for commitments, index, (a, b, _) in items]
+        w_lane = [([w for _, w in commitments], index, (a, c))
+                  for commitments, index, (a, _, c) in items]
+        return sorted(
+            set(failing_shares(self.group, (p.g_z, p.g_r), v_lane))
+            | set(failing_shares(self.group, (p.h_z, p.h_u), w_lane)))
 
     def is_commitment(self, value) -> bool:
         return (isinstance(value, (list, tuple)) and len(value) == 2

@@ -33,7 +33,7 @@ from repro.errors import CombineError, ParameterError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import lagrange_at_zero, lagrange_coefficients
 from repro.math.polynomial import Polynomial
-from repro.math.rng import random_scalar
+from repro.math.rng import batch_coins, random_scalar
 
 _LOG = logging.getLogger(__name__)
 
@@ -63,14 +63,6 @@ def partials_over(group: BilinearGroup,
             PartialSignature(index=share.index, z=z, r=r)
             for share, z, r in zip(shares, points, points)])
     return partials
-
-
-def _coins(count: int, rng) -> List[int]:
-    """Small-exponent batching coins, uniform over [1, 2^64] — 2^64
-    nonzero values, matching the stated soundness bound.  Drawn by the
-    verifier once the items they weigh are fixed, and never reused for
-    another check."""
-    return [random_scalar(1 << 64, rng) + 1 for _ in range(count)]
 
 
 def _descend(value_of, lo: int, hi: int, value: GroupElement,
@@ -350,7 +342,7 @@ class LJYThresholdScheme:
             return self._holds(keys[label], self.hashed(public_key, message),
                                z, r)
         return not items or self._values(
-            public_key, keys, items, _coins(len(items), rng)
+            public_key, keys, items, batch_coins(len(items), rng)
         )(0, len(items)).is_identity()
 
     def _locate(self, public_key: PublicKey, keys, items,
@@ -377,7 +369,7 @@ class LJYThresholdScheme:
             return [] if self._check(public_key, keys, items, rng) else order
         items = [items[position] for position in order]
         value_of = self._values(public_key, keys, items,
-                                _coins(len(items), rng))
+                                batch_coins(len(items), rng))
         value = value_of(0, len(items))
         companion = None
         # Label-major order: equal ends mean one key throughout.
@@ -588,12 +580,12 @@ class LJYThresholdScheme:
         first check, which is doomed if it forges again; an honest
         window pays that one product once.
 
-        Soundness: coins (:func:`_coins`) are drawn inside each check,
-        after the items they weigh are fixed.  Refills enter
-        unverified, but every signature returned has passed a window
-        check since it was last recombined (error at most 2^-64 per
-        check), so a wrong localization costs a round, never an
-        output; a signer's slice is localized within the bound
+        Soundness: coins (:func:`~repro.math.rng.batch_coins`) are
+        drawn inside each check, after the items they weigh are fixed.
+        Refills enter unverified, but every signature returned has
+        passed a window check since it was last recombined (error at
+        most 2^-64 per check), so a wrong localization costs a round,
+        never an output; a signer's slice is localized within the bound
         :func:`_descend` states.  A round clears or drops every
         unchecked partial of its signer, so there is at most one per
         signer with unchecked partials in use (one more per duplicate

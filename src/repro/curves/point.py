@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 from repro.curves import bn254
 from repro.curves.weierstrass import (
     FieldOps, jac_batch_normalize, jac_eq, jac_neg, jac_normalize,
-    jac_scalar_mul,
 )
 from repro.errors import NotOnCurveError, SerializationError
 from repro.math import msm
@@ -80,8 +79,9 @@ class CurvePoint:
     Scalars act modulo r: ``*`` splits them through the GLV endomorphism,
     which is multiplication by its eigenvalue on the order-r subgroup
     only.  :meth:`in_subgroup` and :meth:`clear_cofactor`, which act on
-    arbitrary curve points, therefore run the naive ladder over the
-    curve's full order where the cofactor is not 1.
+    arbitrary curve points, therefore run the lane kernel without the
+    endomorphism and over the curve's full order (cofactor * r), which
+    reduces neither of their scalars.
     """
 
     __slots__ = ("_jac", "_affine", "_table", "_uses")
@@ -230,26 +230,30 @@ class CurvePoint:
 
         ``self * order`` would not do: the group's scalar multiplication
         reduces its scalar modulo r first, so it returns the identity for
-        every curve point.  Where the cofactor is not 1 the ladder here
+        every curve point.  Where the cofactor is not 1 the product here
         runs over the curve's full order and reduces nothing.
         """
         if not self.is_on_curve():
             return False
-        curve = self.curve
-        if curve.cofactor == 1:
+        if self.curve.cofactor == 1:
             return True
-        return curve.ops.is_zero(jac_scalar_mul(
-            curve.ops, self._jac, self.order,
-            curve.cofactor * self.order)[2])
+        return self.curve.ops.is_zero(self._full_order_mul(self.order)[2])
 
     def clear_cofactor(self):
         """Map an arbitrary curve point into the order-r subgroup."""
         curve = self.curve
         if curve.cofactor == 1:
             return self
-        return type(self)(_jac=jac_scalar_mul(
-            curve.ops, self._jac, curve.cofactor,
-            curve.cofactor * self.order))
+        return type(self)(_jac=self._full_order_mul(curve.cofactor))
+
+    def _full_order_mul(self, scalar: int):
+        """``scalar * self`` for any curve point: the lane kernel with no
+        endomorphism, modulo the curve's order ``cofactor * r``.  (Its
+        odd-multiple tables stay finite: the curve order's smallest
+        prime factor, 10069 on the BN254 twist, exceeds every digit.)"""
+        curve = self.curve
+        return msm.scalar_mul(curve.ops, self._jac, scalar,
+                              curve.cofactor * self.order, None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurvePoint) or other.curve is not self.curve:

@@ -21,6 +21,22 @@ receivers' threshold) and that answered every complaint with shares
 that verify.  When everyone behaves, rounds 2 and 3 carry no messages:
 the paper's one-round DKG.
 
+**One check per round.**  A receiver checks every well-formed dealing it
+holds at once, and ``_qualify`` every published response at once: the
+VSS's ``failing`` runs
+:func:`~repro.sharing.pedersen_vss.failing_shares`, one small-exponent
+product per commitment lane,
+
+    g_z^{sum rho_d a_d} g_r^{sum rho_d b_d} == prod_d E_d^{rho_d},
+
+with ``E_d`` dealing d's commitments evaluated at the receiver's index
+and ``rho_d`` fresh 64-bit coins from ``secrets``.  Only a failing
+product is re-checked dealing by dealing (each a batch of one, exact),
+so complaints, Q, shares and keys are those of checking every dealing
+alone except with probability at most 2^-64 per check; the coins never
+touch the seeded ``rng``, so a seeded run's transcript is unchanged.
+Missing and malformed dealings are accused before the product.
+
 :class:`DealingPlayer` runs those rounds once for every protocol.  A
 protocol subclasses it, picks its dealers, receivers and VSS, and
 overrides only what differs:
@@ -58,7 +74,9 @@ from repro.groups.api import BilinearGroup, GroupElement
 from repro.net.adversary import Adversary
 from repro.net.player import Player
 from repro.net.simulator import Message, SyncNetwork, broadcast, private
-from repro.sharing.pedersen_vss import PedersenVSS, index_powers
+from repro.sharing.pedersen_vss import (
+    PedersenVSS, failing_shares, index_powers,
+)
 from repro.sharing.shamir import validate_threshold
 
 #: Round layout.
@@ -100,16 +118,19 @@ class PedersenPairs:
     def __init__(self, group: BilinearGroup, g_z: GroupElement,
                  g_r: GroupElement):
         self.group = group
-        self.g_z = g_z
-        self.g_r = g_r
+        # Every commitment and every check exponentiates both
+        # generators: their fixed-base tables come before the first.
+        self.g_z = g_z.precompute()
+        self.g_r = g_r.precompute()
 
     def deal(self, t: int, n: int, secret, rng) -> PedersenVSS:
         return PedersenVSS.deal(self.group, self.g_z, self.g_r, t, n,
                                 secret_pair=secret, rng=rng)
 
-    def verify(self, commitments, index: int, share) -> bool:
-        return PedersenVSS.verify_share(
-            self.group, self.g_z, self.g_r, commitments, index, share)
+    def failing(self, items) -> List[int]:
+        """Positions of the ``(commitments, index, share)`` items that
+        fail equation (1), all checked in one coined product."""
+        return failing_shares(self.group, (self.g_z, self.g_r), items)
 
     def is_commitment(self, value) -> bool:
         return self.group.same_group(value, self.g_z)
@@ -236,23 +257,34 @@ class DealingPlayer(Player):
             self.received_extras[dealer] = extra
 
     def _complain(self) -> List[Message]:
+        """Accuse every dealer whose dealing is missing or malformed,
+        then every one whose shares fail: all received dealings are
+        checked together, in one coined product per commitment lane."""
         if self.index not in self._receiver_ids:
             return []
+        dealers = [dealer for dealer in self.dealers if dealer != self.index]
+        held = [dealer for dealer in dealers
+                if dealer in self.received_commitments
+                and dealer in self.received_shares]
+        failing = self._failing([
+            (dealer, self.index, self.received_shares[dealer])
+            for dealer in held])
         return [
             broadcast(self.index, "complaint", {"accused": dealer})
-            for dealer in self.dealers
-            if dealer != self.index and not self._dealing_ok(dealer)]
+            for dealer in dealers
+            if dealer in failing or dealer not in held]
 
-    def _dealing_ok(self, dealer: int) -> bool:
-        commitments = self.received_commitments.get(dealer)
-        shares = self.received_shares.get(dealer)
-        return (commitments is not None and shares is not None
-                and self._verifies(commitments, self.index, shares))
-
-    def _verifies(self, commitments, index: int, shares) -> bool:
-        return all(
-            self.vss.verify(commitments[k], index, shares[k])
-            for k in range(self.num_secrets))
+    def _failing(self, claims) -> set:
+        """The dealers among ``claims`` — ``(dealer, receiver, shares)``
+        — with a share that fails against the dealer's commitments:
+        every secret of every claim in ONE batch (``vss.failing``)."""
+        owners, items = [], []
+        for dealer, index, shares in claims:
+            commitments = self.received_commitments[dealer]
+            for k in range(self.num_secrets):
+                owners.append(dealer)
+                items.append((commitments[k], index, shares[k]))
+        return {owners[position] for position in self.vss.failing(items)}
 
     def _ingest_complaints(self, inbox: Sequence[Message]) -> None:
         for message in inbox:
@@ -336,20 +368,27 @@ class DealingPlayer(Player):
         if self.qualified is not None:
             return self.qualified
         responses = self._responses()
-        self.qualified = []
+        answered = []
         for dealer in self.dealers:
-            commitments = self.received_commitments.get(dealer)
             complainers = self.complaints_against.get(dealer, set())
-            if (dealer in self.disqualified or commitments is None
-                    or len(complainers) > self.t):
+            if (dealer not in self.disqualified
+                    and dealer in self.received_commitments
+                    and len(complainers) <= self.t
+                    and complainers <= responses.get(dealer, {}).keys()):
+                answered.append(dealer)
+        # Every published response of every answering dealer, one batch.
+        failing = self._failing([
+            (dealer, complainer, responses[dealer][complainer])
+            for dealer in answered
+            for complainer in sorted(self.complaints_against.get(
+                dealer, ()))])
+        self.qualified = []
+        for dealer in answered:
+            if dealer in failing:
                 continue
-            published = responses.get(dealer, {})
-            if all(c in published
-                   and self._verifies(commitments, c, published[c])
-                   for c in complainers):
-                if self.index in complainers:
-                    self.received_shares[dealer] = published[self.index]
-                self.qualified.append(dealer)
+            if self.index in self.complaints_against.get(dealer, ()):
+                self.received_shares[dealer] = responses[dealer][self.index]
+            self.qualified.append(dealer)
         return self.qualified
 
     def finalize(self):

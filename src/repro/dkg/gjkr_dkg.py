@@ -40,7 +40,7 @@ from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import interpolate_at
 from repro.net.adversary import Adversary
 from repro.net.simulator import Message, broadcast
-from repro.sharing.pedersen_vss import commitment_eval
+from repro.sharing.pedersen_vss import commitment_eval, failing_shares
 
 NUM_ROUNDS = 6
 ROUND_EXTRACT, ROUND_X_COMPLAIN, ROUND_RECONSTRUCT = 3, 4, 5
@@ -102,47 +102,59 @@ class GJKRPlayer(DealingPlayer):
                 if self._is_vector(feldman):
                     self.feldman[message.sender] = feldman
 
-    def _feldman_ok(self, dealer: int, index: int, share) -> bool:
-        feldman = self.feldman.get(dealer)
-        return feldman is not None and (
-            self.vss.g_z ** share[0] == commitment_eval(
-                self.group, feldman, index))
+    def _feldman_failing(self, claims) -> List[int]:
+        """Positions of the ``(dealer, receiver, share pair)`` claims
+        whose a-share fails the Feldman check ``g_z^a = prod_l
+        A_l^{i^l}``, or whose dealer sent no Feldman commitments: the
+        sent ones in one coined product under ``(g_z,)``."""
+        sent = [position for position, (dealer, _, _) in enumerate(claims)
+                if dealer in self.feldman]
+        failing = failing_shares(self.group, (self.vss.g_z,), [
+            (self.feldman[dealer], index, share[:1])
+            for dealer, index, share in [claims[p] for p in sent]])
+        unsent = set(range(len(claims))) - set(sent)
+        return sorted(unsent | {sent[position] for position in failing})
 
     def _extraction_complain(self) -> List[Message]:
         """Publish our share pair against dealers failing the Feldman check."""
+        dealers = [dealer for dealer in self.qualified if dealer != self.index]
         return [
-            broadcast(self.index, "x-complaint",
-                      {"accused": dealer, "share": self._share_of(dealer)})
-            for dealer in self.qualified
-            if dealer != self.index and not self._feldman_ok(
-                dealer, self.index, self._share_of(dealer))]
+            broadcast(self.index, "x-complaint", {
+                "accused": dealers[position],
+                "share": self._share_of(dealers[position])})
+            for position in self._feldman_failing([
+                (dealer, self.index, self._share_of(dealer))
+                for dealer in dealers])]
 
-    def _published_share(self, message, key: str):
-        """``(payload[key], its share)`` for a qualified dealer with a
-        share that verifies against its Pedersen commitments, else None."""
-        dealer = self._int_field(message.payload, key)
-        if dealer not in self.qualified:
-            return None
-        share = self._parse_scalars(message.payload.get("share"), 2)
-        if share is None or not self.vss.verify(
-                self.received_commitments[dealer][0], message.sender,
-                share):
-            return None
-        return dealer, share
+    def _published_shares(self, messages, key: str) -> list:
+        """``(sender, payload[key], its share)`` for every message naming
+        a qualified dealer with a share that verifies against that
+        dealer's Pedersen commitments — all of them one batch."""
+        claims = []
+        for message in messages:
+            dealer = self._int_field(message.payload, key)
+            if dealer not in self.qualified:
+                continue
+            share = self._parse_scalars(message.payload.get("share"), 2)
+            if share is not None:
+                claims.append((message.sender, dealer, share))
+        failing = set(self.vss.failing([
+            (self.received_commitments[dealer][0], sender, share)
+            for sender, dealer, share in claims]))
+        return [claim for position, claim in enumerate(claims)
+                if position not in failing]
 
     def _ingest_extraction_complaints(self, inbox: Sequence[Message]) -> None:
-        for message in inbox:
-            if message.kind != "x-complaint":
-                continue
-            # Only *valid* complaints (share matches the Pedersen
-            # commitment but not the Feldman one) trigger reconstruction.
-            published = self._published_share(message, "accused")
-            if published is None:
-                continue
-            accused, share = published
-            if not self._feldman_ok(accused, message.sender, share):
-                self.extraction_complaints.setdefault(accused, {})[
-                    message.sender] = share
+        # Only *valid* complaints (share matches the Pedersen commitment
+        # but not the Feldman one) trigger reconstruction.
+        claims = [(accused, sender, share)
+                  for sender, accused, share in self._published_shares(
+                      [m for m in inbox if m.kind == "x-complaint"],
+                      "accused")]
+        for position in self._feldman_failing(claims):
+            accused, sender, share = claims[position]
+            self.extraction_complaints.setdefault(accused, {})[
+                sender] = share
 
     def _reconstruct(self) -> List[Message]:
         """Everyone publishes its shares of dealers under reconstruction."""
@@ -156,16 +168,13 @@ class GJKRPlayer(DealingPlayer):
         if self._result is not None:
             return self._result
         # Collect reconstruction shares from the final delivery.
-        for round_messages in self.history:
-            for message in round_messages:
-                if message.kind != "reconstruct":
-                    continue
-                published = self._published_share(message, "dealer")
-                if (published is not None
-                        and published[0] in self.extraction_complaints):
-                    dealer, share = published
-                    self.reconstruction_shares.setdefault(dealer, {})[
-                        message.sender] = share
+        for sender, dealer, share in self._published_shares(
+                [message for round_messages in self.history
+                 for message in round_messages
+                 if message.kind == "reconstruct"], "dealer"):
+            if dealer in self.extraction_complaints:
+                self.reconstruction_shares.setdefault(dealer, {})[
+                    sender] = share
         public_key = None
         for dealer in self.qualified:
             if dealer in self.extraction_complaints:

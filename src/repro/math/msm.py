@@ -29,21 +29,24 @@ of ``perf/workloads.py``), the scheme calls land as follows:
   set sharing a signer set: 32 sets in a full window), the coined
   products of ``batch_verify``/``verify_window`` and the robust path
   (one row of 64-bit coins over at most a window's points), and on G2
-  the DKG's commitment evaluations and verification keys (3 terms).
-  So is a product over many bases at any length — the per-share DKG
-  check's (t + 1) terms, or aggregation over a committee in the
-  hundreds.  A bucket-method MSM would beat the lanes only there
-  (measured on a 2-core box with full-size scalars: lanes took 1.0x
-  its time at 193 G1 terms, 1.3x at 512, 1.6x at 1024), and no
-  workload, test table or example builds a product that long.
+  the DKG's verification keys (3 terms), its share check's evaluation
+  of every received dealing at the receiver's index (one call: 8 sets
+  of 3 commitments under one row of index powers) and that check's
+  coined product over the 8 values.  So is a product over many bases
+  at any length — a (t + 1)-term commitment evaluation at large t, or
+  aggregation over a committee in the hundreds.  A bucket-method MSM
+  would beat the lanes only there (measured on a 2-core box with
+  full-size scalars: lanes took 1.0x its time at 193 G1 terms, 1.3x at
+  512, 1.6x at 1024), and no workload, test table or example builds a
+  product that long.
 * **Fixed-base tables** (:class:`FixedBaseTable`): a point multiplied
   ``_AUTO_PRECOMPUTE_USES`` (8) times through ``*`` builds its own
   (:class:`~repro.curves.point.CurvePoint`), and a remote worker builds
-  them for ``g_z``/``g_r`` up front.  In the DKG, ``g_z`` and ``g_r``
-  cross that count in the first dealings; from there their
-  commitments are table reads, and the two-base share check
-  ``[g_z, g_r]`` takes ``BN254Group.multi_exp``'s all-tables shortcut
-  (one table read per base instead of an MSM).
+  them for ``g_z``/``g_r`` up front.  The DKG's VSS builds them for its
+  generators before the first dealing, so every commitment is a table
+  read, and the share check's two-base side ``[g_z, g_r]`` takes
+  ``BN254Group.multi_exp``'s all-tables shortcut (one table read per
+  base instead of an MSM).
 
 **The lane kernel.**  :func:`scalar_mul` and :func:`multi_scalar_mul_rows`
 (for most shapes — see the ladder kernel below) are callers of one

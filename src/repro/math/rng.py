@@ -27,6 +27,14 @@ def random_nonzero_scalar(modulus: int, rng=None) -> int:
             return value
 
 
+def batch_coins(count: int, rng=None) -> list:
+    """Small-exponent batching coins, uniform over [1, 2^64] — 2^64
+    nonzero values, so a batch holding a false item passes with
+    probability at most 2^-64.  Drawn by the verifier once the items
+    they weigh are fixed, and never reused for another check."""
+    return [random_scalar(1 << 64, rng) + 1 for _ in range(count)]
+
+
 def hash_to_int(domain: str, data: bytes, modulus: int) -> int:
     """Hash ``data`` into [0, modulus) with a domain-separation tag.
 

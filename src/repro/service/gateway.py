@@ -47,6 +47,7 @@ from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.errors import ReproError
 from repro.math.msm import MSM_COUNTERS
+from repro.sharing.pedersen_vss import DKG_COUNTERS
 from repro.net.metrics import (
     Histogram, MetricFamily, render_prometheus,
 )
@@ -600,8 +601,8 @@ class HttpGateway:
         — the numbers in :meth:`SigningService.snapshot_stats` and the
         tenant registry; the gateway adds its own route counters and
         latency histograms, and ``ljy_crypto_ops_total`` mirrors the
-        process-wide ``PAIRING_COUNTERS``, ``MSM_COUNTERS`` and
-        ``HASH_COUNTERS`` dicts.
+        process-wide ``PAIRING_COUNTERS``, ``MSM_COUNTERS``,
+        ``HASH_COUNTERS`` and ``DKG_COUNTERS`` dicts.
         """
         stats = self.service.snapshot_stats()
         families: List[MetricFamily] = []
@@ -785,8 +786,9 @@ class HttpGateway:
 
         crypto_ops = MetricFamily(
             "ljy_crypto_ops_total", "counter",
-            "Pairing, MSM and hash-to-G1 operations run in this process, "
-            "by op (MSM rows by the kernel that served them).")
+            "Pairing, MSM, hash-to-G1 and DKG share-check operations run "
+            "in this process, by op (MSM rows by the kernel that served "
+            "them).")
         for op, value in (
                 ("miller_loops", PAIRING_COUNTERS["miller_loops"]),
                 ("final_exps", PAIRING_COUNTERS["final_exps"]),
@@ -797,7 +799,10 @@ class HttpGateway:
                 ("msm_affine_adds", MSM_COUNTERS["affine_adds"]),
                 ("msm_inversions", MSM_COUNTERS["inversions"]),
                 ("hash_g1_hits", HASH_COUNTERS["g1_hits"]),
-                ("hash_g1_misses", HASH_COUNTERS["g1_misses"])):
+                ("hash_g1_misses", HASH_COUNTERS["g1_misses"]),
+                ("dkg_batched_checks", DKG_COUNTERS["batched_checks"]),
+                ("dkg_single_checks", DKG_COUNTERS["single_checks"]),
+                ("dkg_fallbacks", DKG_COUNTERS["fallbacks"])):
             crypto_ops.add({"op": op}, value)
         families.append(crypto_ops)
         return families

@@ -15,6 +15,7 @@ from typing import List
 
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.polynomial import Polynomial
+from repro.sharing.pedersen_vss import failing_shares
 from repro.sharing.shamir import validate_threshold
 
 
@@ -44,15 +45,11 @@ class FeldmanVSS:
     def verify_share(group: BilinearGroup, generator: GroupElement,
                      commitments: List[GroupElement], index: int,
                      share: int) -> bool:
-        """Check ``g^share == prod_l C_l^{index^l}``."""
-        expected = generator ** share
-        product = None
-        power = 1
-        for commitment in commitments:
-            term = commitment ** power
-            product = term if product is None else product * term
-            power = power * index % group.order
-        return product == expected
+        """Check ``g^share == prod_l C_l^{index^l}``: the Pedersen
+        check of :func:`~repro.sharing.pedersen_vss.failing_shares` under
+        the one generator, on a batch of one."""
+        return not failing_shares(
+            group, (generator,), [(commitments, index, (share,))])
 
     def public_secret_commitment(self) -> GroupElement:
         """``g^secret`` — public in Feldman's VSS (the uniformity leak)."""

@@ -5,8 +5,8 @@ runs on the toy backend with one end-to-end test (marked ``bn254``) on
 the real pairing.  The Prometheus tests parse the exposition output
 line-by-line — including label unescaping — and reconcile every counter
 against ``snapshot_stats()`` exactly (``ljy_crypto_ops_total`` against
-the ``PAIRING_COUNTERS`` / ``MSM_COUNTERS`` / ``HASH_COUNTERS``
-dicts), which is the same
+the ``PAIRING_COUNTERS`` / ``MSM_COUNTERS`` / ``HASH_COUNTERS`` /
+``DKG_COUNTERS`` dicts), which is the same
 gate ``tools/serve_smoke.py`` act 7 enforces.
 """
 
@@ -28,6 +28,7 @@ from repro.service import (
     UnknownTenantError,
 )
 from repro.service.loadgen import GatewayError
+from repro.sharing.pedersen_vss import DKG_COUNTERS
 
 
 def run(coroutine):
@@ -811,7 +812,11 @@ class TestPrometheusExposition:
                         ("msm_affine_adds", MSM_COUNTERS["affine_adds"]),
                         ("msm_inversions", MSM_COUNTERS["inversions"]),
                         ("hash_g1_hits", HASH_COUNTERS["g1_hits"]),
-                        ("hash_g1_misses", HASH_COUNTERS["g1_misses"])):
+                        ("hash_g1_misses", HASH_COUNTERS["g1_misses"]),
+                        ("dkg_batched_checks",
+                         DKG_COUNTERS["batched_checks"]),
+                        ("dkg_single_checks", DKG_COUNTERS["single_checks"]),
+                        ("dkg_fallbacks", DKG_COUNTERS["fallbacks"])):
                     assert sample(families, "ljy_crypto_ops_total",
                                   op=op) == value
                 await alpha.close()

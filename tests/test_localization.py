@@ -41,10 +41,11 @@ import pytest
 from repro.core.aggregation import AggThresholdParams, LJYAggregateScheme
 from repro.core.keys import PartialSignature, Signature, VerificationKey
 from repro.core.scheme import (
-    LJYThresholdScheme, Suspects, ThresholdParams, _coins, _descend,
+    LJYThresholdScheme, Suspects, ThresholdParams, _descend,
     reconstruct_master_key,
 )
 from repro.errors import CombineError
+from repro.math.rng import batch_coins
 
 SIZES = range(1, 34)
 SIGNERS = (1, 2, 3)
@@ -397,7 +398,7 @@ class TestLocalizerCost:
         spent = len(evaluations)
         del evaluations[:]
         value_of = toy.signature_values(
-            messages, signatures, _coins(len(messages), toy.rng))
+            messages, signatures, batch_coins(len(messages), toy.rng))
         count = len(messages)
         assert _plain_bisection(
             value_of, 0, count, value_of(0, count)) == located
@@ -468,7 +469,7 @@ class TestLocalizerCost:
                 del evaluations[:]
                 value_of = toy.partial_values(
                     [items[position] for position in order],
-                    _coins(size, toy.rng))
+                    batch_coins(size, toy.rng))
                 located = _plain_bisection(
                     value_of, 0, size, value_of(0, size))
                 assert sorted(order[offset] for offset in located) == \
@@ -486,7 +487,8 @@ class TestLocalizerCost:
                 if len(forged) <= 1:
                     assert len(spent) == 1 + len(forged)
                 del evaluations[:]
-                value_of = toy.partial_values(items, _coins(size, toy.rng))
+                value_of = toy.partial_values(
+                    items, batch_coins(size, toy.rng))
                 _plain_bisection(value_of, 0, size, value_of(0, size))
                 assert len(spent) <= len(evaluations), (size, name)
 

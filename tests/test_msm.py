@@ -507,6 +507,13 @@ class TestKernelSweep:
         outside = _twist_point(_sweep_rng(session_seed, 64))
         assert outside.is_on_curve() and not outside.in_subgroup()
         assert outside.clear_cofactor().in_subgroup()
+        # The lane kernel over the full curve order lands on the naive
+        # ladder's point: nothing was reduced modulo r.
+        full = G2_CURVE.cofactor * R
+        assert outside.clear_cofactor() == G2Point(_jac=jac_scalar_mul(
+            FP2_OPS, outside._jac, G2_CURVE.cofactor, full))
+        assert not FP2_OPS.is_zero(
+            jac_scalar_mul(FP2_OPS, outside._jac, R, full)[2])
         labels = ["LJY14:g_z", "LJY14:g_r", "LJY14:agg:g_z",
                   "LJY14:agg:g_r", "LJY14:dlin:h_z", "LJY14:dlin:h_u"]
         encoded = b"".join(

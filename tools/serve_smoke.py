@@ -107,6 +107,7 @@ from repro.service import (                                # noqa: E402
 )
 from repro.service.transport import start_worker_process  # noqa: E402
 from repro.service.wal import WalLedger                   # noqa: E402
+from repro.sharing.pedersen_vss import DKG_COUNTERS        # noqa: E402
 
 #: Session seed set by ``--seed`` (same semantics as the pytest flag in
 #: the root ``conftest.py``): ``0`` keeps the historical per-act streams
@@ -675,7 +676,8 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     # admin-triggered reshare lands mid-load; the Prometheus exposition
     # must parse line-by-line and reconcile exactly with
     # snapshot_stats(), the tenant registry and the process-wide
-    # PAIRING_COUNTERS / MSM_COUNTERS / HASH_COUNTERS dicts.
+    # PAIRING_COUNTERS / MSM_COUNTERS / HASH_COUNTERS / DKG_COUNTERS
+    # dicts.
     http_dir = wal_dir / "http"
     http_dir.mkdir()
     http_requests = min(requests, 32)
@@ -774,11 +776,23 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
          HASH_COUNTERS["g1_hits"]),
         ('ljy_crypto_ops_total{op="hash_g1_misses"}',
          HASH_COUNTERS["g1_misses"]),
+        ('ljy_crypto_ops_total{op="dkg_batched_checks"}',
+         DKG_COUNTERS["batched_checks"]),
+        ('ljy_crypto_ops_total{op="dkg_single_checks"}',
+         DKG_COUNTERS["single_checks"]),
+        ('ljy_crypto_ops_total{op="dkg_fallbacks"}',
+         DKG_COUNTERS["fallbacks"]),
     ]
     for sample_name, expected in reconcile:
         check(metrics.get(sample_name) == float(expected),
               f"HTTP act: metrics sample {sample_name} = "
               f"{metrics.get(sample_name)} but stats say {expected}")
+    # Every dealing of this process's lifecycle transitions was honest:
+    # each receiver checked its dealings in one coined product.
+    check(DKG_COUNTERS["batched_checks"] > 0
+          and DKG_COUNTERS["fallbacks"] == 0,
+          f"HTTP act: the DKG share checks were {DKG_COUNTERS}, not "
+          f"batched without a fallback")
     for family, digits in (("requests", 0), ("presigned", 0),
                            ("busy_ms", 3)):
         exposed = sum(
