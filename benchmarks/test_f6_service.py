@@ -28,12 +28,12 @@ SHARD_SWEEP = (1, 2, 4)
 
 
 def _drive(handle, num_shards, max_batch, requests=REQUESTS,
-           workload="sign", seed=0, max_wait_ms=20.0):
+           workload="sign", max_wait_ms=20.0):
     """One closed-loop run; returns (LoadReport, ServiceStats)."""
     config = ServiceConfig(
         num_shards=num_shards, max_batch=max_batch,
         max_wait_ms=max_wait_ms if max_batch > 1 else 0.0,
-        queue_depth=4 * requests, rng=random.Random(seed))
+        queue_depth=4 * requests)
     if workload == "verify":
         messages = [b"f6 verify %d" % i for i in range(requests)]
         signatures = [handle.sign(message) for message in messages]
@@ -66,7 +66,6 @@ def test_f6_service_scaling_table(toy_group, save_table):
             # near-free, so a production-sized straggler budget would
             # reduce every cell to the window timeout.
             report, stats = _drive(handle, num_shards, max_batch,
-                                   seed=max_batch * 10 + num_shards,
                                    max_wait_ms=2.0)
             assert report.completed == REQUESTS
             assert report.rejected == 0
@@ -95,7 +94,7 @@ def test_f6_shards_partition_traffic(toy_group, save_table):
                   ["shards", "per-shard requests"])
     for num_shards in SHARD_SWEEP:
         report, stats = _drive(handle, num_shards, 8, requests=64,
-                               seed=num_shards, max_wait_ms=2.0)
+                               max_wait_ms=2.0)
         assert report.completed == 64
         loads = sorted(
             s.requests for s in stats.shards.values())
@@ -125,7 +124,7 @@ def test_f6_real_curve_window_amortization(bn254_group, save_table):
     per_request = {}
     for max_batch in (1, 16):
         report, _stats = _drive(handle, 1, max_batch, requests=requests,
-                                workload="verify", seed=max_batch)
+                                workload="verify")
         assert report.completed == requests
         assert report.invalid == 0
         per_request[max_batch] = (

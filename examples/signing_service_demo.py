@@ -75,8 +75,7 @@ async def demo(args) -> None:
     config = ServiceConfig(num_shards=args.shards, max_batch=16,
                            max_wait_ms=10.0,
                            remote_workers=remote_workers,
-                           remote_psk=args.psk,
-                           rng=random.Random(2))
+                           remote_psk=args.psk)
     tier = (f"remote TCP workers {', '.join(remote_workers)}"
             if remote_workers else "in-process")
     print(f"[2/4] Closed-loop signing: {args.requests} requests, "
@@ -182,8 +181,7 @@ async def demo(args) -> None:
     print("[4/4] Fault injection: signer 1 forges every partial "
           "signature it produces")
     faulty_config = ServiceConfig(num_shards=1, max_batch=8,
-                                  max_wait_ms=10.0, fault_injector=fault,
-                                  rng=random.Random(4))
+                                  max_wait_ms=10.0, fault_injector=fault)
     async with SigningService(handle, faulty_config) as service:
         generator = LoadGenerator(
             lambda i: service.sign(b"contested doc %d" % i))

@@ -331,7 +331,7 @@ class LJYThresholdScheme:
 
         return value_of
 
-    def _check(self, public_key: PublicKey, keys, items, rng) -> bool:
+    def _check(self, public_key: PublicKey, keys, items) -> bool:
         """One coined product over ``items``, the coins drawn here,
         after the items are fixed: a batch holding any failing equation
         passes with probability at most 2^-64 over them (standard
@@ -342,11 +342,10 @@ class LJYThresholdScheme:
             return self._holds(keys[label], self.hashed(public_key, message),
                                z, r)
         return not items or self._values(
-            public_key, keys, items, batch_coins(len(items), rng)
+            public_key, keys, items, batch_coins(len(items))
         )(0, len(items)).is_identity()
 
-    def _locate(self, public_key: PublicKey, keys, items,
-                rng) -> List[int]:
+    def _locate(self, public_key: PublicKey, keys, items) -> List[int]:
         """Positions (into ``items``) of failing equations, localized
         from coined values (:func:`_descend`); [] when all hold.
 
@@ -366,10 +365,10 @@ class LJYThresholdScheme:
         order = sorted(range(len(items)),
                        key=lambda position: items[position][0])
         if len(order) <= 1:
-            return [] if self._check(public_key, keys, items, rng) else order
+            return [] if self._check(public_key, keys, items) else order
         items = [items[position] for position in order]
         value_of = self._values(public_key, keys, items,
-                                batch_coins(len(items), rng))
+                                batch_coins(len(items)))
         value = value_of(0, len(items))
         companion = None
         # Label-major order: equal ends mean one key throughout.
@@ -410,8 +409,7 @@ class LJYThresholdScheme:
 
     def batch_verify(self, public_key: PublicKey,
                      messages: Sequence[bytes],
-                     signatures: Sequence[Signature],
-                     rng=None) -> bool:
+                     signatures: Sequence[Signature]) -> bool:
         """Verify signatures on many **distinct messages** with one
         coined four-pair product (:meth:`_check`) — the server-side
         amortization: a few 64-bit MSM terms a message instead of a
@@ -419,44 +417,41 @@ class LJYThresholdScheme:
         :meth:`locate_invalid` to name offenders when a batch fails.
         """
         return self._check(
-            public_key, *self._signed(public_key, messages, signatures), rng)
+            public_key, *self._signed(public_key, messages, signatures))
 
     def locate_invalid(self, public_key: PublicKey,
                        messages: Sequence[bytes],
-                       signatures: Sequence[Signature],
-                       rng=None) -> List[int]:
+                       signatures: Sequence[Signature]) -> List[int]:
         """Indices of invalid signatures (:meth:`_locate`): one coined
         product when all are valid, its index-weighted companion more
         to name a lone forgery, quotient bisection to split several.
         """
         return self._locate(
-            public_key, *self._signed(public_key, messages, signatures), rng)
+            public_key, *self._signed(public_key, messages, signatures))
 
     def batch_share_verify_window(
             self, public_key: PublicKey,
             verification_keys: Mapping[int, VerificationKey],
-            items: Sequence[Tuple[bytes, PartialSignature]],
-            rng=None) -> bool:
+            items: Sequence[Tuple[bytes, PartialSignature]]) -> bool:
         """Share-Verify ``(message, partial)`` items across many messages
         and signers with one coined product of ``2 + 2 * signers`` pairs
         (:meth:`_check`).  False when any item's signer has no
         verification key; True for an empty batch.
         """
         keys, checked, _, keyless = self._keyed(verification_keys, items)
-        return not keyless and self._check(public_key, keys, checked, rng)
+        return not keyless and self._check(public_key, keys, checked)
 
     def locate_invalid_partials(
             self, public_key: PublicKey,
             verification_keys: Mapping[int, VerificationKey],
-            items: Sequence[Tuple[bytes, PartialSignature]],
-            rng=None) -> List[int]:
+            items: Sequence[Tuple[bytes, PartialSignature]]) -> List[int]:
         """Positions of invalid ``(message, partial)`` items: those
         :meth:`_locate` names, signer-major, and every item whose signer
         has no verification key, which never enters a product."""
         keys, checked, positions, keyless = self._keyed(
             verification_keys, items)
         return sorted(keyless + [positions[offset] for offset in self._locate(
-            public_key, keys, checked, rng)])
+            public_key, keys, checked)])
 
     # ------------------------------------------------------------------
     # Combining and verification
@@ -465,8 +460,7 @@ class LJYThresholdScheme:
                 verification_keys: Mapping[int, VerificationKey],
                 message: bytes,
                 partials: Iterable[PartialSignature],
-                verify_shares: bool = True,
-                rng=None) -> Signature:
+                verify_shares: bool = True) -> Signature:
         """Combine (Section 2.1): the message's signature whenever t+1
         valid partial signatures are among ``partials``, whatever else
         arrived with them — forged partials, a forged duplicate of an
@@ -491,8 +485,7 @@ class LJYThresholdScheme:
         """
         if verify_shares:
             (signature,), _ = self.combine_window(
-                public_key, verification_keys, [(message, list(partials))],
-                rng=rng)
+                public_key, verification_keys, [(message, list(partials))])
             if signature is None:
                 raise CombineError(
                     f"need {self.params.t + 1} valid partial signatures")
@@ -556,7 +549,7 @@ class LJYThresholdScheme:
                        verification_keys: Mapping[int, VerificationKey],
                        windows: Sequence[
                            Tuple[bytes, Sequence[PartialSignature]]],
-                       rng=None, top_up=None,
+                       top_up=None,
                        suspects: Optional["Suspects"] = None
                        ) -> Tuple[List[Optional[Signature]], List[int]]:
         """Combine one batch window of ``(message, partials)`` requests.
@@ -581,7 +574,8 @@ class LJYThresholdScheme:
         window pays that one product once.
 
         Soundness: coins (:func:`~repro.math.rng.batch_coins`) are
-        drawn inside each check, after the items they weigh are fixed.
+        drawn from ``secrets`` inside each check, after the items they
+        weigh are fixed.
         Refills enter unverified, but every signature returned has
         passed a window check since it was last recombined (error at
         most 2^-64 per check), so a wrong localization costs a round,
@@ -641,7 +635,7 @@ class LJYThresholdScheme:
             named = [held[offset] for offset in self.locate_invalid_partials(
                 public_key, verification_keys,
                 [(messages[position], in_use[position][signer])
-                 for position in held], rng=rng)]
+                 for position in held])]
             for position in named:
                 del in_use[position][signer]
                 flagged.add(position)
@@ -667,7 +661,7 @@ class LJYThresholdScheme:
                         in enumerate(signatures) if signature is not None]
             window = ([messages[position] for position in combined],
                       [signatures[position] for position in combined])
-            if self.batch_verify(public_key, *window, rng=rng):
+            if self.batch_verify(public_key, *window):
                 break
             for signer in sorted(
                     {index for _, index in unchecked},
@@ -677,8 +671,7 @@ class LJYThresholdScheme:
                     break
             else:
                 stale = []
-                for offset in self.locate_invalid(
-                        public_key, *window, rng=rng):
+                for offset in self.locate_invalid(public_key, *window):
                     signatures[combined[offset]] = None
                     flagged.add(combined[offset])
         suspects.settle(len(windows), convictions)
@@ -686,8 +679,7 @@ class LJYThresholdScheme:
 
     def verify_window(self, public_key: PublicKey,
                       messages: Sequence[bytes],
-                      signatures: Sequence[Signature],
-                      rng=None) -> List[bool]:
+                      signatures: Sequence[Signature]) -> List[bool]:
         """Per-request verdicts for one batch window of verify requests.
 
         One coined multi-pairing in the all-valid case; otherwise
@@ -695,8 +687,7 @@ class LJYThresholdScheme:
         one more product for a lone forgery — so a window with few
         forgeries still amortizes.
         """
-        invalid = set(self.locate_invalid(public_key, messages, signatures,
-                                          rng=rng))
+        invalid = set(self.locate_invalid(public_key, messages, signatures))
         return [index not in invalid for index in range(len(messages))]
 
     # ------------------------------------------------------------------
@@ -946,7 +937,6 @@ class ServiceHandle:
     def process_sign_window(self, messages: Sequence[bytes],
                             quorum: Optional[Sequence[int]] = None,
                             fault_injector=None, shard_id: int = 0,
-                            rng=None,
                             presigned: Optional[Mapping[int, list]] = None):
         """Serve one batch window of sign requests end to end.
 
@@ -1002,7 +992,7 @@ class ServiceHandle:
                 fault_injector=fault_injector, shard_id=shard_id)[0]
 
         signatures, flagged = self.scheme.combine_window(
-            self.public_key, self.verification_keys, windows, rng=rng,
+            self.public_key, self.verification_keys, windows,
             top_up=top_up, suspects=self._suspects)
         failures = [
             (position,
@@ -1027,8 +1017,8 @@ class ServiceHandle:
             self.partials_for(message, signers), verify_shares=False)
 
     def sign_window(self, messages: Sequence[bytes],
-                    signers: Optional[Sequence[int]] = None,
-                    rng=None) -> List[Signature]:
+                    signers: Optional[Sequence[int]] = None
+                    ) -> List[Signature]:
         """Sign a whole batch window with one cross-message check.
 
         :meth:`process_sign_window` with no injector: a request whose
@@ -1037,7 +1027,7 @@ class ServiceHandle:
         at the first position that still lacks t+1 valid partial
         signatures.
         """
-        outcome = self.process_sign_window(messages, signers, rng=rng)
+        outcome = self.process_sign_window(messages, signers)
         if outcome.failures:
             raise CombineError(
                 f"need {self.threshold + 1} valid partial signatures for "
@@ -1049,10 +1039,9 @@ class ServiceHandle:
         return self.scheme.verify(self.public_key, message, signature)
 
     def verify_window(self, messages: Sequence[bytes],
-                      signatures: Sequence[Signature],
-                      rng=None) -> List[bool]:
+                      signatures: Sequence[Signature]) -> List[bool]:
         return self.scheme.verify_window(
-            self.public_key, messages, signatures, rng=rng)
+            self.public_key, messages, signatures)
 
 
 def random_master_key(group: BilinearGroup,

@@ -446,20 +446,24 @@ class DealingPlayer(Player):
         """
         key = (chosen, k)
         if key not in self._column_cache:
-            lanes = []
-            for lane in range(self.vss.lanes):
-                rows = [[self.vss.lane(c, lane)
-                         for c in self.received_commitments[dealer][k]]
-                        for dealer in chosen]
-                if weights is None:
-                    lanes.append([reduce(mul, column)
-                                  for column in zip(*rows)])
-                else:
-                    scalars = [weights[dealer] for dealer in chosen]
-                    lanes.append([self.group.multi_exp(list(column), scalars)
-                                  for column in zip(*rows)])
-            self._column_cache[key] = lanes
+            scalars = (None if weights is None
+                       else [weights[dealer] for dealer in chosen])
+            self._column_cache[key] = [
+                self._fold_columns([
+                    [self.vss.lane(c, lane)
+                     for c in self.received_commitments[dealer][k]]
+                    for dealer in chosen], scalars)
+                for lane in range(self.vss.lanes)]
         return self._column_cache[key]
+
+    def _fold_columns(self, rows, scalars=None) -> list:
+        """``[prod_i rows[i][l]^{scalars[i]} for l in 0..t]``: one
+        aggregate per column of the dealers' commitment ``rows`` —
+        plain products when ``scalars`` is None."""
+        if scalars is None:
+            return [reduce(mul, column) for column in zip(*rows)]
+        return [self.group.multi_exp(list(column), scalars)
+                for column in zip(*rows)]
 
 
 def run_dealing(players: Dict[int, DealingPlayer],

@@ -194,16 +194,15 @@ class GJKRPlayer(DealingPlayer):
                           else public_key * contribution)
         share = sum(
             self._share_of(j)[0] for j in self.qualified) % self.group.order
-        verification_keys = {}
-        for j in self.receivers:
-            vk = None
-            for dealer in self.qualified:
-                feldman = self.feldman.get(dealer)
-                if feldman is None:
-                    continue
-                term = commitment_eval(self.group, feldman, j)
-                vk = term if vk is None else vk * term
-            verification_keys[j] = vk
+        # VK_j = prod_{dealer} prod_l A_l^{j^l}, regrouped around the
+        # column aggregates of the dealers that sent Feldman vectors:
+        # one (t+1)-term evaluation per receiver.
+        rows = [self.feldman[dealer] for dealer in self.qualified
+                if dealer in self.feldman]
+        columns = self._fold_columns(rows)
+        verification_keys = {
+            j: commitment_eval(self.group, columns, j) if columns else None
+            for j in self.receivers}
         self._result = GJKRResult(
             index=self.index,
             qualified=list(self.qualified),

@@ -1,9 +1,13 @@
 """Randomness helpers.
 
-Protocols accept an optional ``rng`` (a ``random.Random``) so that tests and
-benchmarks are reproducible; when it is ``None`` the library falls back to
-``secrets`` for cryptographic randomness.  ``hash_to_int`` is the only
-random-oracle-style primitive shared across modules.
+Protocols accept an optional ``rng`` (a ``random.Random``) for what a
+transcript or workload pins — keys, dealings, refresh and reshare — so
+that tests and benchmarks are reproducible; when it is ``None`` the
+library falls back to ``secrets``.  Batching coins are not among them:
+:func:`batch_coins` draws from ``secrets`` alone, on every tier, since
+its soundness bound holds only against coins no signer can predict.
+``hash_to_int`` is the only random-oracle-style primitive shared across
+modules.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ def random_nonzero_scalar(modulus: int, rng=None) -> int:
             return value
 
 
-def batch_coins(count: int, rng=None) -> list:
+def batch_coins(count: int) -> list:
     """Small-exponent batching coins, uniform over [1, 2^64] — 2^64
     nonzero values, so a batch holding a false item passes with
-    probability at most 2^-64.  Drawn by the verifier once the items
-    they weigh are fixed, and never reused for another check."""
-    return [random_scalar(1 << 64, rng) + 1 for _ in range(count)]
+    probability at most 2^-64.  Drawn from ``secrets`` by the verifier
+    once the items they weigh are fixed, and never reused for another
+    check."""
+    return [secrets.randbelow(1 << 64) + 1 for _ in range(count)]
 
 
 def hash_to_int(domain: str, data: bytes, modulus: int) -> int:

@@ -67,11 +67,6 @@ class ServiceConfig:
     #: fault_injector=...)``, ``--crash-sentinel``) — so combining it
     #: with ``remote_workers`` is refused at start-up.
     fault_injector: Optional[Callable] = None
-    #: RNG driving the small-exponent batching coins (tests pin it),
-    #: and nothing else: key refresh and reshare never draw from it.
-    #: Worker processes draw their own coins — an adversary must not be
-    #: able to predict them from a parent-visible seed anyway.
-    rng: Optional[object] = None
     #: Durability: path of the write-ahead log file.  None (the
     #: default) keeps the pre-WAL behavior — admitted requests die with
     #: the process.  Set, every admitted *sign* request is logged
@@ -166,7 +161,7 @@ class SigningService:
         self._pool = ShardPool(
             self.handle, config.num_shards, config.max_batch,
             config.max_wait_ms, config.queue_depth,
-            fault_injector=config.fault_injector, rng=config.rng,
+            fault_injector=config.fault_injector,
             remote_workers=config.remote_workers, wal=self.wal,
             remote_job_timeout_s=config.remote_job_timeout_s,
             remote_psk=config.remote_psk)

@@ -40,13 +40,12 @@ def _ring_position(data: bytes) -> int:
 class HashRing:
     """Consistent-hash ring mapping message digests to shard ids."""
 
-    def __init__(self, shard_ids: Sequence[int],
-                 vnodes: int = VNODES_PER_SHARD):
+    def __init__(self, shard_ids: Sequence[int]):
         if not shard_ids:
             raise ValueError("need at least one shard")
         points = []
         for shard_id in shard_ids:
-            for vnode in range(vnodes):
+            for vnode in range(VNODES_PER_SHARD):
                 points.append((_ring_position(
                     b"shard:%d:vnode:%d" % (shard_id, vnode)), shard_id))
         points.sort()
@@ -67,7 +66,7 @@ class ShardWorker:
 
     def __init__(self, shard_id: int, handle: ServiceHandle,
                  max_batch: int, max_wait_ms: float, queue_depth: int,
-                 fault_injector: Optional[Callable] = None, rng=None,
+                 fault_injector: Optional[Callable] = None,
                  worker_pool: Optional[RemoteWorkerPool] = None,
                  wal: Optional[WriteAheadLog] = None):
         self.shard_id = shard_id
@@ -81,7 +80,6 @@ class ShardWorker:
         self.max_batch = max_batch
         self.stats = ShardStats(shard_id=shard_id)
         self.fault_injector = fault_injector
-        self.rng = rng
         #: When set, windows are encoded into wire jobs and dispatched
         #: to the shared remote workers instead of running on this loop.
         self.worker_pool = worker_pool
@@ -251,13 +249,13 @@ class ShardWorker:
             outcome = self.handle.process_sign_window(
                 [request.message for request in signs], quorum=self.quorum,
                 fault_injector=self.fault_injector,
-                shard_id=self.shard_id, rng=self.rng, presigned=presigned)
+                shard_id=self.shard_id, presigned=presigned)
             self._apply_sign_outcome(signs, outcome, len(window), loop)
         if verifies:
             self.stats.verify_requests += len(verifies)
             verdicts = self.handle.verify_window(
                 [request.message for request in verifies],
-                [request.signature for request in verifies], rng=self.rng)
+                [request.signature for request in verifies])
             self._apply_verify_verdicts(verifies, verdicts,
                                         len(window), loop)
 
@@ -345,7 +343,7 @@ class ShardPool:
 
     def __init__(self, handle: ServiceHandle, num_shards: int,
                  max_batch: int, max_wait_ms: float, queue_depth: int,
-                 fault_injector: Optional[Callable] = None, rng=None,
+                 fault_injector: Optional[Callable] = None,
                  remote_workers: Sequence[str] = (),
                  wal: Optional[WriteAheadLog] = None,
                  remote_job_timeout_s: float = 60.0,
@@ -361,8 +359,7 @@ class ShardPool:
         # ``remote_workers`` moves every window's crypto off this loop
         # onto standalone ``repro.service.remote_worker`` processes
         # (loopback for the cores of this machine, or other machines),
-        # shared by all shards; ``rng`` then only drives the in-process
-        # paths — worker coins are process-local.
+        # shared by all shards.
         self.worker_pool: Optional[RemoteWorkerPool] = (
             RemoteWorkerPool(handle, remote_workers,
                              job_timeout_s=remote_job_timeout_s,
@@ -375,12 +372,11 @@ class ShardPool:
         self.max_wait_ms = max_wait_ms
         self.queue_depth = queue_depth
         self.fault_injector = fault_injector
-        self.rng = rng
         self.wal = wal
         self.workers: Dict[int, ShardWorker] = {
             shard_id: ShardWorker(
                 shard_id, handle, max_batch, max_wait_ms, queue_depth,
-                fault_injector=fault_injector, rng=rng,
+                fault_injector=fault_injector,
                 worker_pool=self.worker_pool, wal=wal)
             for shard_id in range(num_shards)
         }
@@ -468,8 +464,7 @@ class ShardPool:
                 sid: self.workers.get(sid) or ShardWorker(
                     sid, self._handle, self.max_batch, self.max_wait_ms,
                     self.queue_depth, fault_injector=self.fault_injector,
-                    rng=self.rng, worker_pool=self.worker_pool,
-                    wal=self.wal)
+                    worker_pool=self.worker_pool, wal=self.wal)
                 for sid in range(num_shards)
             }
             self.ring = HashRing(sorted(self.workers))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.keys import PartialSignature
+from repro.dkg.dealing import ROUND_COMPLAIN, ROUND_DEAL, ROUND_RESPOND
 from repro.net.player import Player
 from repro.net.simulator import Message
 from repro.serialization import (
@@ -39,9 +40,6 @@ from repro.serialization import (
 )
 from repro.sims.kernel import SimulationError
 from repro.sims.net import SimMessage, SimNet, SimPeer
-
-#: Round layout shared with :mod:`repro.dkg.dealing`.
-ROUND_DEAL, ROUND_COMPLAIN, ROUND_RESPOND = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,7 @@ class CombinerPeer(SimPeer):
 
     def __init__(self, peer_id, net: SimNet, scheme, public_key,
                  verification_keys, signer_ids: Sequence, codec: WireCodec,
-                 rng, window_size: int = 8, window_timeout_us: int = 50_000,
+                 window_size: int = 8, window_timeout_us: int = 50_000,
                  retry_timeout_us: int = 2_000_000, max_retries: int = 5):
         super().__init__(peer_id, net)
         self.scheme = scheme
@@ -279,7 +277,6 @@ class CombinerPeer(SimPeer):
         self.vks_by_epoch = {0: dict(verification_keys)}
         self.signer_ids = list(signer_ids)
         self.codec = codec
-        self.rng = rng
         self.window_size = window_size
         self.window_timeout_us = window_timeout_us
         self.retry_timeout_us = retry_timeout_us
@@ -404,8 +401,7 @@ class CombinerPeer(SimPeer):
                 for rid in request_ids
             ]
             signatures, flagged = self.scheme.combine_window(
-                self.public_key, self.vks_by_epoch[epoch], windows,
-                rng=self.rng)
+                self.public_key, self.vks_by_epoch[epoch], windows)
             self.flagged_positions += len(flagged)
             for rid, signature in zip(request_ids, signatures):
                 request = self.requests[rid]

@@ -176,8 +176,7 @@ def run_dkg_scenario(seed: int, n: int, t: int, profile: str = "wan",
     public_key, vks = state["keys"]
     message = b"sim-dkg:%d:%d" % (seed, n)
     partials, = scheme.share_sign_many(state["shares"], [message])
-    signature = scheme.combine(public_key, vks, message, partials,
-                               rng=_rng(seed, "dkg-combine"))
+    signature = scheme.combine(public_key, vks, message, partials)
     if not scheme.verify(public_key, message, signature):
         raise SimulationError("DKG-derived signature failed to verify")
 
@@ -275,8 +274,7 @@ def run_quorum_scenario(seed: int, n_values: Sequence[int] = (64, 256, 1024),
             SignerPeer(i, net, scheme, shares[i], codec,
                        compute_delay_us=SIGN_COMPUTE_US)
         combiner = CombinerPeer(
-            "combiner", net, scheme, public_key, vks, signer_ids, codec,
-            rng=_rng(seed, "quorum-combine", n))
+            "combiner", net, scheme, public_key, vks, signer_ids, codec)
         _schedule_arrivals(kernel, combiner, seed, f"quorum{n}",
                            requests, mean_interval_us)
         kernel.run()
@@ -323,8 +321,7 @@ def run_robust_scenario(seed: int, n: int = 24, t: int = 5,
             forge=i in forger_ids)
     combiner = CombinerPeer(
         "combiner", net, scheme, public_key, vks, signer_ids, codec,
-        rng=_rng(seed, "robust-combine"), retry_timeout_us=1_500_000,
-        max_retries=8)
+        retry_timeout_us=1_500_000, max_retries=8)
     _schedule_arrivals(kernel, combiner, seed, "robust", requests,
                        mean_interval_us)
     kernel.run()
@@ -382,8 +379,7 @@ def run_churn_scenario(seed: int, n: int = 16, t: int = 3,
     }
     combiner = CombinerPeer(
         "combiner", net, scheme, public_key, vks, signer_ids, codec,
-        rng=_rng(seed, "churn-combine"), window_size=4,
-        retry_timeout_us=1_000_000, max_retries=8)
+        window_size=4, retry_timeout_us=1_000_000, max_retries=8)
     _schedule_arrivals(kernel, combiner, seed, "churn", requests,
                        mean_interval_us)
 

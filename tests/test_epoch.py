@@ -424,8 +424,7 @@ class TestPresignedFence:
 
         async def scenario():
             service = SigningService(handle, ServiceConfig(
-                max_wait_ms=60_000.0, fault_injector=forger,
-                rng=random.Random(3), **config))
+                max_wait_ms=60_000.0, fault_injector=forger, **config))
             async with service:
                 before = service.handle.public_key.to_bytes()
                 tasks = [
@@ -584,8 +583,7 @@ class TestPresignedFence:
         of the window), the pre-signed partials are used as they are
         and combine to the bytes a clean handle signs."""
         forger = _RecordingForger()
-        handle.process_sign_window([b"earlier"], fault_injector=forger,
-                                   rng=random.Random(9))
+        handle.process_sign_window([b"earlier"], fault_injector=forger)
         assert handle.suspects == (1,)
         signed, combined = spies
         del signed[:], combined[:]
@@ -611,7 +609,7 @@ class TestSuspectsFence:
     @staticmethod
     def _convict(handle, signer):
         outcome = handle.process_sign_window(
-            [b"convicting"], quorum=[signer, 3, 5], rng=random.Random(2),
+            [b"convicting"], quorum=[signer, 3, 5],
             fault_injector=CorruptSignerFault(signer_index=signer))
         assert outcome.flagged == (0,) and outcome.failures == ()
         assert handle.suspects == (signer,)
@@ -662,8 +660,7 @@ class TestSuspectsFence:
             fault_injector=CorruptSignerFault(signer_index=3))
         vks = Watched(successor.verification_keys)
         signatures, flagged = successor.scheme.combine_window(
-            successor.public_key, vks, [(message, partials)],
-            rng=random.Random(8), suspects=stale,
+            successor.public_key, vks, [(message, partials)], suspects=stale,
             top_up=lambda message, asked, missing:
                 successor.partials_for(message, [5][:missing]))
         assert flagged == [0] and stale.last == 3

@@ -42,7 +42,7 @@ def handle(toy_group):
 
 def service_config(**overrides):
     defaults = dict(num_shards=2, max_batch=4, max_wait_ms=2.0,
-                    queue_depth=256, rng=random.Random(32))
+                    queue_depth=256)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -501,12 +501,12 @@ class TestGatewayControlPlane:
         run(scenario())
 
     def test_pinned_coin_rng_does_not_seed_the_refresh(self, handle):
-        """``ServiceConfig.rng`` drives the batching coins only: two
-        services pinned to the same seed must not draw the same zero
-        sharing, or a pinned seed would predict every refresh."""
+        """No setting of a service seeds its refresh: two services
+        configured alike must not draw the same zero sharing, or the
+        configuration would predict every refresh."""
         async def refreshed_handle():
-            config = service_config(rng=random.Random(7))
-            async with gateway_running(handle, config=config) as gateway:
+            async with gateway_running(handle,
+                                       config=service_config()) as gateway:
                 admin = client_for(gateway, "alpha-key")
                 assert (await admin.admin_refresh())["epoch"] == 1
                 await admin.close()
@@ -947,8 +947,7 @@ def test_http_gateway_on_bn254(bn254_group):
 
     async def scenario():
         service = SigningService(handle, ServiceConfig(
-            num_shards=1, max_batch=4, max_wait_ms=5.0,
-            rng=random.Random(42)))
+            num_shards=1, max_batch=4, max_wait_ms=5.0))
         await service.start()
         gateway = HttpGateway(service, tenants=[
             TenantConfig(name="alpha", api_key="alpha-key", admin=True),

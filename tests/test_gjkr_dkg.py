@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dkg import gjkr_dkg
 from repro.dkg.gjkr_dkg import GJKRPlayer, run_gjkr_dkg
 from repro.math.lagrange import interpolate_at
 from repro.net.adversary import ScriptedAdversary
@@ -45,6 +46,26 @@ class TestHonestRun:
         group, g_z, g_r = setup
         results, _ = run_gjkr_dkg(group, g_z, g_r, 2, 5, rng=rng)
         assert results[1].qualified == [1, 2, 3, 4, 5]
+
+    def test_finalize_evaluates_once_per_receiver(self, setup, rng,
+                                                  monkeypatch):
+        """Each player derives VK_j from the Feldman column aggregates:
+        n evaluations per player, not one per qualified dealer as well
+        (n * |Q| = 25 each at t = 2, n = 5)."""
+        group, g_z, g_r = setup
+        calls = []
+        real = gjkr_dkg.commitment_eval
+
+        def counting(group, commitments, index):
+            calls.append(index)
+            return real(group, commitments, index)
+
+        monkeypatch.setattr(gjkr_dkg, "commitment_eval", counting)
+        results, _ = run_gjkr_dkg(group, g_z, g_r, 2, 5, rng=rng)
+        assert len(results) == 5
+        assert sorted(calls) == sorted(list(range(1, 6)) * 5)
+        for i, result in results.items():
+            assert results[1].verification_keys[i] == g_z ** result.share
 
 
 class TestExtractionMisbehaviour:

@@ -35,6 +35,7 @@ Appendix G one.
 
 import itertools
 import random
+import secrets
 
 import pytest
 
@@ -45,6 +46,7 @@ from repro.core.scheme import (
     reconstruct_master_key,
 )
 from repro.errors import CombineError
+from repro.math import rng as rng_module
 from repro.math.rng import batch_coins
 
 SIZES = range(1, 34)
@@ -145,21 +147,21 @@ class _Fixture:
                 assert self.scan_signatures(messages, signatures) == \
                     sorted(forged)
                 assert self.scheme.locate_invalid(
-                    self.pk, messages, signatures, rng=self.rng
+                    self.pk, messages, signatures
                 ) == sorted(forged), (size, name)
                 assert self.scheme.verify_window(
-                    self.pk, messages, signatures, rng=self.rng
+                    self.pk, messages, signatures
                 ) == [position not in forged for position in range(size)]
                 assert self.scheme.batch_verify(
-                    self.pk, messages, signatures, rng=self.rng
+                    self.pk, messages, signatures
                 ) is (not forged)
                 items = self.partials(size, forged)
                 assert self.scan_partials(items) == sorted(forged)
                 assert self.scheme.locate_invalid_partials(
-                    self.pk, self.vks, items, rng=self.rng
+                    self.pk, self.vks, items
                 ) == sorted(forged), (size, name)
                 assert self.scheme.batch_share_verify_window(
-                    self.pk, self.vks, items, rng=self.rng
+                    self.pk, self.vks, items
                 ) is (not forged)
 
 
@@ -211,7 +213,7 @@ class TestLocalizerSweepToy:
                 signatures[position] = Signature(
                     z=good.z * shift, r=good.r)
             assert toy.scheme.locate_invalid(
-                toy.pk, messages, signatures, rng=toy.rng
+                toy.pk, messages, signatures
             ) == [first, second]
             # Partials: both forgeries by signer 1, on two messages.
             items = toy.partials(3 * size, set())
@@ -224,9 +226,9 @@ class TestLocalizerSweepToy:
                 items[position] = (message, PartialSignature(
                     index=1, z=good.z * shift, r=good.r))
             assert not toy.scheme.batch_share_verify_window(
-                toy.pk, toy.vks, items, rng=toy.rng)
+                toy.pk, toy.vks, items)
             assert toy.scheme.locate_invalid_partials(
-                toy.pk, toy.vks, items, rng=toy.rng) == [first, second]
+                toy.pk, toy.vks, items) == [first, second]
 
     def test_forgeries_faking_a_lone_offender_under_equal_coins(
             self, toy):
@@ -250,10 +252,10 @@ class TestLocalizerSweepToy:
             assert _descend(value_of, 0, size, value_of(0, size),
                             value_of(0, size, weighted=True)) == [k]
             assert toy.scheme.locate_invalid(
-                toy.pk, messages, signatures, rng=toy.rng
+                toy.pk, messages, signatures
             ) == sorted((i, j))
             assert toy.scheme.verify_window(
-                toy.pk, messages, signatures, rng=toy.rng
+                toy.pk, messages, signatures
             ) == [position not in (i, j) for position in range(size)]
 
     def test_keyless_and_mismatched_items_reported_without_poisoning(
@@ -266,10 +268,10 @@ class TestLocalizerSweepToy:
         items[7] = (message, PartialSignature(
             index=99, z=good.z, r=good.r))
         assert toy.scheme.locate_invalid_partials(
-            toy.pk, toy.vks, items, rng=toy.rng) == [4, 7]
+            toy.pk, toy.vks, items) == [4, 7]
         assert toy.scan_partials(items) == [4, 7]
         assert not toy.scheme.batch_share_verify_window(
-            toy.pk, toy.vks, items, rng=toy.rng)
+            toy.pk, toy.vks, items)
         # Signer 2's key filed under index 3: every item of signer 3
         # is unverifiable, whatever it carries.
         misfiled = dict(toy.vks)
@@ -277,15 +279,15 @@ class TestLocalizerSweepToy:
             index=2, v_1=toy.vks[2].v_1, v_2=toy.vks[2].v_2)
         items = toy.partials(9, set())
         assert toy.scheme.locate_invalid_partials(
-            toy.pk, misfiled, items, rng=toy.rng) == [2, 5, 8]
+            toy.pk, misfiled, items) == [2, 5, 8]
         # Keyless items only: nothing enters a batch.
         rogue = [(message, PartialSignature(
             index=50 + position, z=partial.z, r=partial.r))
             for position, (message, partial) in enumerate(items[:3])]
         assert toy.scheme.locate_invalid_partials(
-            toy.pk, toy.vks, rogue, rng=toy.rng) == [0, 1, 2]
+            toy.pk, toy.vks, rogue) == [0, 1, 2]
         assert toy.scheme.locate_invalid_partials(
-            toy.pk, toy.vks, rogue + items[3:4], rng=toy.rng) == [0, 1, 2]
+            toy.pk, toy.vks, rogue + items[3:4]) == [0, 1, 2]
 
     def test_duplicate_indices_in_one_request(self, toy):
         """Two partials under one index — an honest one and a forged
@@ -302,13 +304,11 @@ class TestLocalizerSweepToy:
                               ([forged, forged] + honest, [0, 1])):
             items = [(message, partial) for partial in partials]
             assert toy.scheme.locate_invalid_partials(
-                toy.pk, toy.vks, items, rng=toy.rng) == bad
+                toy.pk, toy.vks, items) == bad
             for robust in (
-                    toy.scheme.combine(toy.pk, toy.vks, message, partials,
-                                       rng=toy.rng),
+                    toy.scheme.combine(toy.pk, toy.vks, message, partials),
                     toy.scheme.combine_window(
-                        toy.pk, toy.vks, [(message, partials)],
-                        rng=toy.rng)[0][0]):
+                        toy.pk, toy.vks, [(message, partials)])[0][0]):
                 assert robust.to_bytes() == expected.to_bytes()
 
     def test_flagged_set_independent_of_item_order(self, toy):
@@ -319,36 +319,35 @@ class TestLocalizerSweepToy:
             order = list(range(23))
             random.Random(seed).shuffle(order)
             located = toy.scheme.locate_invalid_partials(
-                toy.pk, toy.vks, [items[position] for position in order],
-                rng=random.Random(99))
+                toy.pk, toy.vks, [items[position] for position in order])
             assert {order[offset] for offset in located} == forged
             located = toy.scheme.locate_invalid(
                 toy.pk, [messages[position] for position in order],
-                [signatures[position] for position in order],
-                rng=random.Random(99))
+                [signatures[position] for position in order])
             assert {order[offset] for offset in located} == forged
 
-    def test_coins_fresh_per_localization(self, toy):
-        """Coins come from the caller's rng once per call, one per
-        checked item, after the items are fixed — never a constant,
-        never carried over from the last call."""
-        class Recording(random.Random):
-            def __init__(self):
-                super().__init__(5)
-                self.draws = 0
+    def test_coins_fresh_per_localization(self, toy, monkeypatch):
+        """Coins come from ``secrets`` once per call, one per checked
+        item, after the items are fixed — never a constant, never
+        carried over from the last call."""
+        draws = []
 
-            def randrange(self, *args, **kwargs):
-                self.draws += 1
-                return super().randrange(*args, **kwargs)
+        class Recording:
+            @staticmethod
+            def randbelow(bound):
+                draws.append(bound)
+                return secrets.randbelow(bound)
 
         items = toy.partials(12, {3, 10})
-        rng = Recording()
-        toy.scheme.locate_invalid_partials(toy.pk, toy.vks, items, rng=rng)
-        assert rng.draws == 12
         messages, signatures = toy.signatures(9, {2})
-        rng = Recording()
-        toy.scheme.locate_invalid(toy.pk, messages, signatures, rng=rng)
-        assert rng.draws == 9
+        monkeypatch.setattr(rng_module, "secrets", Recording)
+        for calls in (1, 2):
+            toy.scheme.locate_invalid_partials(toy.pk, toy.vks, items)
+            assert draws == [1 << 64] * 12 * calls
+        del draws[:]
+        for calls in (1, 2):
+            toy.scheme.locate_invalid(toy.pk, messages, signatures)
+            assert draws == [1 << 64] * 9 * calls
 
 
 def _plain_bisection(value_of, lo, hi, value):
@@ -394,11 +393,11 @@ class TestLocalizerCost:
         """``(located, products, reference products)``."""
         del evaluations[:]
         located = toy.scheme.locate_invalid(
-            toy.pk, messages, signatures, rng=toy.rng)
+            toy.pk, messages, signatures)
         spent = len(evaluations)
         del evaluations[:]
         value_of = toy.signature_values(
-            messages, signatures, batch_coins(len(messages), toy.rng))
+            messages, signatures, batch_coins(len(messages)))
         count = len(messages)
         assert _plain_bisection(
             value_of, 0, count, value_of(0, count)) == located
@@ -440,7 +439,7 @@ class TestLocalizerCost:
                 signatures[position] = forged[position]
                 del evaluations[:]
                 assert toy.scheme.locate_invalid(
-                    toy.pk, messages, signatures, rng=toy.rng
+                    toy.pk, messages, signatures
                 ) == [position]
                 assert evaluations == [
                     (0, size), (0, size, ("weighted", True))]
@@ -459,7 +458,7 @@ class TestLocalizerCost:
                 items = toy.partials(size, forged)
                 del evaluations[:]
                 assert toy.scheme.locate_invalid_partials(
-                    toy.pk, toy.vks, items, rng=toy.rng) == sorted(forged)
+                    toy.pk, toy.vks, items) == sorted(forged)
                 spent = list(evaluations)
                 if size == 1:
                     assert spent == []          # a plain share_verify
@@ -469,7 +468,7 @@ class TestLocalizerCost:
                 del evaluations[:]
                 value_of = toy.partial_values(
                     [items[position] for position in order],
-                    batch_coins(size, toy.rng))
+                    batch_coins(size))
                 located = _plain_bisection(
                     value_of, 0, size, value_of(0, size))
                 assert sorted(order[offset] for offset in located) == \
@@ -480,7 +479,7 @@ class TestLocalizerCost:
                 items = toy.partials(size, forged, signers=(2,))
                 del evaluations[:]
                 assert toy.scheme.locate_invalid_partials(
-                    toy.pk, toy.vks, items, rng=toy.rng) == sorted(forged)
+                    toy.pk, toy.vks, items) == sorted(forged)
                 spent = list(evaluations)
                 assert spent[:2] == [(0, size)] + (
                     [(0, size, ("weighted", True))] if forged else [])
@@ -488,7 +487,7 @@ class TestLocalizerCost:
                     assert len(spent) == 1 + len(forged)
                 del evaluations[:]
                 value_of = toy.partial_values(
-                    items, batch_coins(size, toy.rng))
+                    items, batch_coins(size))
                 _plain_bisection(value_of, 0, size, value_of(0, size))
                 assert len(spent) <= len(evaluations), (size, name)
 
@@ -617,7 +616,7 @@ class TestRobustWindowSweep:
             return top_up(message, asked, missing)
 
         signatures, flagged = toy.scheme.combine_window(
-            toy.pk, toy.vks, window.windows, rng=toy.rng,
+            toy.pk, toy.vks, window.windows,
             top_up=top_up and counting, suspects=suspects)
         expected = window.scan(top_up)
         context = (window.recipes, sorted(window.forged))
@@ -663,7 +662,7 @@ class TestRobustWindowSweep:
                     recipes=[recipe])
                 (expected,), _ = window.scan(None)
                 (windowed,), _ = toy.scheme.combine_window(
-                    toy.pk, toy.vks, window.windows, rng=toy.rng)
+                    toy.pk, toy.vks, window.windows)
                 context = (recipe, sorted(window.forged))
                 assert (windowed and windowed.to_bytes()) == expected, \
                     context
@@ -671,10 +670,10 @@ class TestRobustWindowSweep:
                 if expected is None:
                     with pytest.raises(CombineError):
                         toy.scheme.combine(toy.pk, toy.vks, message,
-                                           partials, rng=toy.rng)
+                                           partials)
                     continue
                 assert toy.scheme.combine(
-                    toy.pk, toy.vks, message, partials, rng=toy.rng
+                    toy.pk, toy.vks, message, partials
                 ).to_bytes() == expected, context
 
     def test_honest_windows_flag_nothing_and_convict_nobody(self, toy):
@@ -683,7 +682,7 @@ class TestRobustWindowSweep:
             window = _Window(toy, size, b"honest %d" % size, forged=set(),
                              recipes=["rotated"] * size)
             signatures, flagged = toy.scheme.combine_window(
-                toy.pk, toy.vks, window.windows, rng=toy.rng,
+                toy.pk, toy.vks, window.windows,
                 suspects=remembered)
             assert flagged == [] and remembered.last is None
             assert [signature.to_bytes() for signature in signatures] == [
@@ -700,12 +699,12 @@ class TestRobustWindowSweep:
         verify = toy.scheme.batch_verify
         monkeypatch.setattr(
             toy.scheme, "locate_invalid_partials",
-            lambda pk, vks, items, rng=None: rounds.append(
-                items[0][1].index) or locate(pk, vks, items, rng=rng))
+            lambda pk, vks, items: rounds.append(
+                items[0][1].index) or locate(pk, vks, items))
         monkeypatch.setattr(
             toy.scheme, "batch_verify",
-            lambda pk, messages, signatures, rng=None: rounds.append(
-                "window") or verify(pk, messages, signatures, rng=rng))
+            lambda pk, messages, signatures: rounds.append(
+                "window") or verify(pk, messages, signatures))
 
         def run(forger, suspects, tag):
             window = _Window(
@@ -713,7 +712,7 @@ class TestRobustWindowSweep:
                 recipes=["quorum"] * 4)
             del rounds[:]
             _, flagged = toy.scheme.combine_window(
-                toy.pk, toy.vks, window.windows, rng=toy.rng,
+                toy.pk, toy.vks, window.windows,
                 top_up=window.top_up, suspects=suspects)
             assert flagged == ([2] if forger else [])
             return list(rounds)
@@ -743,13 +742,13 @@ class TestRobustWindowSweep:
         calls = []
         monkeypatch.setattr(
             toy.scheme, "batch_verify",
-            lambda pk, messages, signatures, rng=None: bool(
+            lambda pk, messages, signatures: bool(
                 calls.append(1) or len(calls) > 1
-                or verify(pk, messages, signatures, rng=rng)))
+                or verify(pk, messages, signatures)))
         with pytest.raises(AssertionError):
             self._agree(window, window.top_up, None)
         signatures, _ = toy.scheme.combine_window(
-            toy.pk, toy.vks, window.windows, rng=toy.rng,
+            toy.pk, toy.vks, window.windows,
             top_up=window.top_up)
         assert not toy.scheme.verify(
             toy.pk, window.messages[1], signatures[1])

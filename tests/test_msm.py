@@ -868,7 +868,7 @@ class TestKernelSweep:
         windowed, stepped = Recording(), Recording()
         before = dict(msm.MSM_COUNTERS)
         outcome = fresh().process_sign_window(
-            messages, fault_injector=windowed, rng=random.Random(1))
+            messages, fault_injector=windowed)
         if backend == "bn254":
             # The quorum's 2(t + 1) rows over all six H(M): one call.
             assert msm.MSM_COUNTERS["ladder_calls"] - \
@@ -882,7 +882,7 @@ class TestKernelSweep:
                 [message], quorum, fault_injector=stepped)[0]
             for position, message in enumerate(messages)}
         reference = handle.process_sign_window(
-            messages, fault_injector=stepped, rng=random.Random(1),
+            messages, fault_injector=stepped,
             presigned=presigned)
         assert [s.to_bytes() for s in outcome.signatures] == \
             [s.to_bytes() for s in reference.signatures]

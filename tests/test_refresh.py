@@ -134,7 +134,7 @@ class TestServicePathRecovery:
         for successor in (recovered, recovered.refreshed(
                 rng=random.Random(19))):
             signatures = successor.sign_window(
-                [message], signers=(1, 2, 3), rng=random.Random(18))
+                [message], signers=(1, 2, 3))
             assert successor.verify(message, signatures[0])
             # Byte-identical to the pre-crash service's signature: the
             # recovered share is the original share, and a refresh

@@ -1,6 +1,8 @@
 """Tests for the main Section 3 threshold scheme."""
 
 import itertools
+import random
+import secrets
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -171,18 +173,68 @@ class TestRobustness:
         signature = toy_scheme.combine(pk, vks, b"m", garbage + honest)
         assert toy_scheme.verify(pk, b"m", signature)
 
-    def test_combine_deterministic_across_coins(self, toy_scheme, toy_keys):
-        import random as random_module
+    def test_combine_deterministic_across_coins(self, toy_scheme, toy_keys,
+                                                monkeypatch):
         pk, shares, vks = toy_keys
         g = toy_scheme.group.g1_generator()
         partials = [toy_scheme.share_sign(shares[i], b"m") for i in (1, 4, 5)]
         forged = [PartialSignature(index=2, z=g, r=g)] + partials
         for inputs in (partials, forged):
-            first = toy_scheme.combine(pk, vks, b"m", inputs,
-                                       rng=random_module.Random(1))
-            second = toy_scheme.combine(pk, vks, b"m", inputs,
-                                        rng=random_module.Random(2))
-            assert first.to_bytes() == second.to_bytes()
+            (first, _), (second, _) = _under_coin_streams(
+                monkeypatch,
+                lambda: toy_scheme.combine(pk, vks, b"m", inputs).to_bytes())
+            assert first == second
+
+    def test_windows_deterministic_across_coins(self, toy_scheme, toy_keys,
+                                                monkeypatch):
+        """``combine_window`` and ``verify_window`` return the same
+        signatures, flags and verdicts whatever coins their checks
+        drew."""
+        pk, shares, vks = toy_keys
+        g = toy_scheme.group.g1_generator()
+        messages = [b"coins %d" % i for i in range(6)]
+        windows = []
+        for position, message in enumerate(messages):
+            partials = [toy_scheme.share_sign(shares[i], message)
+                        for i in (1, 2, 3, 4)]
+            if position in (1, 4):
+                partials[0] = PartialSignature(index=1, z=g, r=g)
+            windows.append((message, partials))
+        signatures, _ = toy_scheme.combine_window(pk, vks, windows)
+        signatures[2] = type(signatures[2])(z=g, r=signatures[2].r)
+
+        def combined():
+            produced, flagged = toy_scheme.combine_window(pk, vks, windows)
+            return [s.to_bytes() for s in produced], flagged
+
+        def verdicts():
+            return toy_scheme.verify_window(pk, messages, signatures)
+
+        (signed, drawn), (again, _) = _under_coin_streams(
+            monkeypatch, combined)
+        assert signed == again and signed[1] == [1, 4]
+        assert drawn and set(drawn) == {1 << 64}
+        (judged, drawn), (again, _) = _under_coin_streams(
+            monkeypatch, verdicts)
+        assert judged == again == [True, True, False, True, True, True]
+        assert drawn and set(drawn) == {1 << 64}
+
+
+def _under_coin_streams(monkeypatch, run):
+    """``(run(), coin bounds drawn)`` under each of two seeded
+    ``secrets.randbelow`` streams."""
+    outcomes = []
+    for stream in (1, 2):
+        source, drawn = random.Random(stream), []
+
+        def randbelow(bound, source=source, drawn=drawn):
+            drawn.append(bound)
+            return source.randrange(bound)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(secrets, "randbelow", randbelow)
+            outcomes.append((run(), drawn))
+    return outcomes
 
 
 class TestKeygenShapes:
@@ -229,17 +281,16 @@ class TestCrossMessageBatchShareVerify:
                 (message, toy_scheme.share_sign(shares[signer], message)))
         return pk, vks, items
 
-    def test_honest_window_accepted(self, toy_scheme, toy_keys, rng):
+    def test_honest_window_accepted(self, toy_scheme, toy_keys):
         pk, vks, items = self._window(
             toy_scheme, toy_keys,
             [(m, s) for m in range(4) for s in (1, 2, 3)])
-        assert toy_scheme.batch_share_verify_window(pk, vks, items,
-                                                    rng=rng)
+        assert toy_scheme.batch_share_verify_window(pk, vks, items)
         assert toy_scheme.locate_invalid_partials(
-            pk, vks, items, rng=rng) == []
+            pk, vks, items) == []
 
     def test_forged_share_rejected_and_localized(self, toy_scheme,
-                                                 toy_keys, rng):
+                                                 toy_keys):
         pk, vks, items = self._window(
             toy_scheme, toy_keys,
             [(m, s) for m in range(4) for s in (1, 2, 3)])
@@ -247,13 +298,12 @@ class TestCrossMessageBatchShareVerify:
         message, good = items[7]
         items[7] = (message, PartialSignature(
             index=good.index, z=good.z * g, r=good.r))
-        assert not toy_scheme.batch_share_verify_window(pk, vks, items,
-                                                        rng=rng)
+        assert not toy_scheme.batch_share_verify_window(pk, vks, items)
         assert toy_scheme.locate_invalid_partials(
-            pk, vks, items, rng=rng) == [7]
+            pk, vks, items) == [7]
 
     def test_multiple_forgeries_all_localized(self, toy_scheme,
-                                              toy_keys, rng):
+                                              toy_keys):
         pk, vks, items = self._window(
             toy_scheme, toy_keys,
             [(m, s) for m in range(6) for s in (1, 2, 3)])
@@ -263,21 +313,20 @@ class TestCrossMessageBatchShareVerify:
             items[position] = (message, PartialSignature(
                 index=good.index, z=g, r=g))
         assert toy_scheme.locate_invalid_partials(
-            pk, vks, items, rng=rng) == [2, 9, 16]
+            pk, vks, items) == [2, 9, 16]
 
     def test_unknown_signer_index_fails_closed(self, toy_scheme,
-                                               toy_keys, rng):
+                                               toy_keys):
         pk, vks, items = self._window(toy_scheme, toy_keys,
                                       [(0, 1), (0, 2)])
         message, good = items[1]
         items[1] = (message, PartialSignature(
             index=99, z=good.z, r=good.r))
-        assert not toy_scheme.batch_share_verify_window(pk, vks, items,
-                                                        rng=rng)
+        assert not toy_scheme.batch_share_verify_window(pk, vks, items)
         assert toy_scheme.locate_invalid_partials(
-            pk, vks, items, rng=rng) == [1]
+            pk, vks, items) == [1]
 
-    def test_cross_message_swap_detected(self, toy_scheme, toy_keys, rng):
+    def test_cross_message_swap_detected(self, toy_scheme, toy_keys):
         """A share that is valid for message A must not pass when filed
         under message B in the same window."""
         pk, shares, vks = toy_keys
@@ -285,35 +334,30 @@ class TestCrossMessageBatchShareVerify:
         share_b = toy_scheme.share_sign(shares[2], b"message B")
         swapped = [(b"message B", share_a), (b"message A", share_b)]
         assert not toy_scheme.batch_share_verify_window(
-            pk, vks, swapped, rng=rng)
+            pk, vks, swapped)
         assert toy_scheme.locate_invalid_partials(
-            pk, vks, swapped, rng=rng) == [0, 1]
+            pk, vks, swapped) == [0, 1]
 
-    def test_empty_and_singleton_windows(self, toy_scheme, toy_keys, rng):
+    def test_empty_and_singleton_windows(self, toy_scheme, toy_keys):
         pk, shares, vks = toy_keys
-        assert toy_scheme.batch_share_verify_window(pk, vks, [], rng=rng)
-        assert toy_scheme.locate_invalid_partials(pk, vks, [],
-                                                  rng=rng) == []
+        assert toy_scheme.batch_share_verify_window(pk, vks, [])
+        assert toy_scheme.locate_invalid_partials(pk, vks, []) == []
         good = [(b"solo", toy_scheme.share_sign(shares[1], b"solo"))]
-        assert toy_scheme.batch_share_verify_window(pk, vks, good,
-                                                    rng=rng)
+        assert toy_scheme.batch_share_verify_window(pk, vks, good)
         g = toy_scheme.group.g1_generator()
         bad = [(b"solo", PartialSignature(index=1, z=g, r=g))]
-        assert not toy_scheme.batch_share_verify_window(pk, vks, bad,
-                                                        rng=rng)
-        assert toy_scheme.locate_invalid_partials(pk, vks, bad,
-                                                  rng=rng) == [0]
+        assert not toy_scheme.batch_share_verify_window(pk, vks, bad)
+        assert toy_scheme.locate_invalid_partials(pk, vks, bad) == [0]
 
     def test_duplicate_message_and_signer_pairs_accepted(
-            self, toy_scheme, toy_keys, rng):
+            self, toy_scheme, toy_keys):
         """The same (message, signer) pair may appear twice in one
         worker-side window — two shards racing the same document — and
         both honest copies must pass."""
         pk, shares, vks = toy_keys
         partial = toy_scheme.share_sign(shares[1], b"raced")
         items = [(b"raced", partial), (b"raced", partial)]
-        assert toy_scheme.batch_share_verify_window(pk, vks, items,
-                                                    rng=rng)
+        assert toy_scheme.batch_share_verify_window(pk, vks, items)
 
 
 class TestCrossMessageBatchVerify:
@@ -333,9 +377,9 @@ class TestCrossMessageBatchVerify:
 
     def test_valid_batch_accepted(self, toy_scheme, toy_keys, rng):
         pk, messages, signatures = self._batch(toy_scheme, toy_keys, 64, rng)
-        assert toy_scheme.batch_verify(pk, messages, signatures, rng=rng)
+        assert toy_scheme.batch_verify(pk, messages, signatures)
         assert toy_scheme.locate_invalid(
-            pk, messages, signatures, rng=rng) == []
+            pk, messages, signatures) == []
 
     def test_one_forgery_in_64_rejected_and_localized(
             self, toy_scheme, toy_keys, rng):
@@ -343,9 +387,9 @@ class TestCrossMessageBatchVerify:
         forged_at = 41
         bad = signatures[forged_at]
         signatures[forged_at] = type(bad)(z=bad.z * bad.z, r=bad.r)
-        assert not toy_scheme.batch_verify(pk, messages, signatures, rng=rng)
+        assert not toy_scheme.batch_verify(pk, messages, signatures)
         assert toy_scheme.locate_invalid(
-            pk, messages, signatures, rng=rng) == [forged_at]
+            pk, messages, signatures) == [forged_at]
 
     def test_multiple_forgeries_all_localized(
             self, toy_scheme, toy_keys, rng):
@@ -354,31 +398,31 @@ class TestCrossMessageBatchVerify:
             bad = signatures[index]
             signatures[index] = type(bad)(z=bad.z, r=bad.r * bad.z)
         assert toy_scheme.locate_invalid(
-            pk, messages, signatures, rng=rng) == [0, 13, 31]
+            pk, messages, signatures) == [0, 13, 31]
 
     def test_swapped_signatures_detected(self, toy_scheme, toy_keys, rng):
         # Valid signatures attached to the wrong messages must fail.
         pk, messages, signatures = self._batch(toy_scheme, toy_keys, 8, rng)
         signatures[2], signatures[5] = signatures[5], signatures[2]
-        assert not toy_scheme.batch_verify(pk, messages, signatures, rng=rng)
+        assert not toy_scheme.batch_verify(pk, messages, signatures)
         assert toy_scheme.locate_invalid(
-            pk, messages, signatures, rng=rng) == [2, 5]
+            pk, messages, signatures) == [2, 5]
 
     def test_empty_and_singleton_batches(self, toy_scheme, toy_keys, rng):
         pk, messages, signatures = self._batch(toy_scheme, toy_keys, 1, rng)
-        assert toy_scheme.batch_verify(pk, [], [], rng=rng)
-        assert toy_scheme.locate_invalid(pk, [], [], rng=rng) == []
-        assert toy_scheme.batch_verify(pk, messages, signatures, rng=rng)
+        assert toy_scheme.batch_verify(pk, [], [])
+        assert toy_scheme.locate_invalid(pk, [], []) == []
+        assert toy_scheme.batch_verify(pk, messages, signatures)
         bad = type(signatures[0])(z=signatures[0].r, r=signatures[0].z)
         assert toy_scheme.locate_invalid(
-            pk, messages, [bad], rng=rng) == [0]
+            pk, messages, [bad]) == [0]
 
     def test_length_mismatch_raises(self, toy_scheme, toy_keys, rng):
         pk, messages, signatures = self._batch(toy_scheme, toy_keys, 2, rng)
         with pytest.raises(ParameterError):
-            toy_scheme.batch_verify(pk, messages, signatures[:1], rng=rng)
+            toy_scheme.batch_verify(pk, messages, signatures[:1])
         with pytest.raises(ParameterError):
-            toy_scheme.locate_invalid(pk, messages[:1], signatures, rng=rng)
+            toy_scheme.locate_invalid(pk, messages[:1], signatures)
 
     def test_all_invalid_batch(self, toy_scheme, toy_keys, rng):
         # Worst case for the bisection: every half fails all the way
@@ -388,11 +432,11 @@ class TestCrossMessageBatchVerify:
             type(signature)(z=signature.z * signature.z, r=signature.r)
             for signature in signatures
         ]
-        assert not toy_scheme.batch_verify(pk, messages, forged, rng=rng)
+        assert not toy_scheme.batch_verify(pk, messages, forged)
         assert toy_scheme.locate_invalid(
-            pk, messages, forged, rng=rng) == list(range(8))
+            pk, messages, forged) == list(range(8))
         assert toy_scheme.verify_window(
-            pk, messages, forged, rng=rng) == [False] * 8
+            pk, messages, forged) == [False] * 8
 
     def test_duplicate_messages_in_one_window(
             self, toy_scheme, toy_keys, rng):
@@ -403,17 +447,16 @@ class TestCrossMessageBatchVerify:
         pk, messages, signatures = self._batch(toy_scheme, toy_keys, 4, rng)
         messages = messages + [messages[1], messages[2]]
         signatures = signatures + [signatures[1], signatures[2]]
-        assert toy_scheme.batch_verify(pk, messages, signatures, rng=rng)
+        assert toy_scheme.batch_verify(pk, messages, signatures)
         assert toy_scheme.locate_invalid(
-            pk, messages, signatures, rng=rng) == []
+            pk, messages, signatures) == []
         bad = signatures[4]
         signatures[4] = type(bad)(z=bad.z * bad.z, r=bad.r)
-        assert not toy_scheme.batch_verify(pk, messages, signatures, rng=rng)
+        assert not toy_scheme.batch_verify(pk, messages, signatures)
         assert toy_scheme.locate_invalid(
-            pk, messages, signatures, rng=rng) == [4]
+            pk, messages, signatures) == [4]
         # The untouched duplicate of the same message still verifies.
-        assert toy_scheme.verify_window(pk, messages, signatures,
-                                        rng=rng) == \
+        assert toy_scheme.verify_window(pk, messages, signatures) == \
             [True, True, True, True, False, True]
 
     @pytest.mark.bn254
@@ -426,13 +469,13 @@ class TestCrossMessageBatchVerify:
         for message in messages:
             partials = [scheme.share_sign(shares[i], message) for i in (1, 2)]
             signatures.append(
-                scheme.combine(pk, vks, message, partials, rng=rng))
-        assert scheme.batch_verify(pk, messages, signatures, rng=rng)
+                scheme.combine(pk, vks, message, partials))
+        assert scheme.batch_verify(pk, messages, signatures)
         bad = signatures[5]
         signatures[5] = type(bad)(z=bad.z * bad.z, r=bad.r)
-        assert not scheme.batch_verify(pk, messages, signatures, rng=rng)
+        assert not scheme.batch_verify(pk, messages, signatures)
         assert scheme.locate_invalid(
-            pk, messages, signatures, rng=rng) == [5]
+            pk, messages, signatures) == [5]
 
 
 class TestHashMemoization:
@@ -527,55 +570,53 @@ class TestRobustPathOperationCounts:
         return result, {name: PAIRING_COUNTERS[name] - before[name]
                         for name in before}
 
-    def test_honest_window_is_one_four_pair_product(self, service_handle,
-                                                    rng):
+    def test_honest_window_is_one_four_pair_product(self, service_handle):
         messages = [b"honest %d" % i for i in range(16)]
-        service_handle.process_sign_window(messages[:1], rng=rng)  # warm
+        service_handle.process_sign_window(messages[:1])  # warm
         outcome, spent = self._counted(
-            lambda: service_handle.process_sign_window(messages, rng=rng))
+            lambda: service_handle.process_sign_window(messages))
         assert outcome.flagged == () and outcome.fallback_combines == 0
         assert (spent["miller_loops"], spent["final_exps"]) == (4, 1)
 
     def test_one_forged_signature_in_sixteen_two_products(
-            self, service_handle, rng):
+            self, service_handle):
         """The root and its index-weighted companion, wherever the
         forgery sits; plain quotient bisection pays five (the root
         plus one left half per level: 8, 4, 2, 1 items)."""
         messages = [b"verify %d" % i for i in range(16)]
         honest = list(service_handle.process_sign_window(
-            messages, rng=rng).signatures)
+            messages).signatures)
         for forged in (0, 11, 15):
             signatures = list(honest)
             bad = signatures[forged]
             signatures[forged] = type(bad)(z=bad.z * bad.z, r=bad.r)
             verdicts, spent = self._counted(
                 lambda: service_handle.verify_window(
-                    messages, signatures, rng=rng))
+                    messages, signatures))
             assert verdicts == [position != forged
                                 for position in range(16)]
             assert (spent["miller_loops"], spent["final_exps"]) == (8, 2)
         verdicts, spent = self._counted(
-            lambda: service_handle.verify_window(messages, honest, rng=rng))
+            lambda: service_handle.verify_window(messages, honest))
         assert all(verdicts)
         assert (spent["miller_loops"], spent["final_exps"]) == (4, 1)
 
     def test_sixteen_forged_signatures_cost_what_bisection_did(
-            self, service_handle, rng):
+            self, service_handle):
         """The worst case is plain quotient bisection's: sixteen
         products (there, the root plus one left half per inner node)."""
         messages = [b"verify %d" % i for i in range(16)]
         signatures = [
             type(good)(z=good.z * good.z, r=good.r)
             for good in service_handle.process_sign_window(
-                messages, rng=rng).signatures]
+                messages).signatures]
         verdicts, spent = self._counted(
             lambda: service_handle.verify_window(
-                messages, signatures, rng=rng))
+                messages, signatures))
         assert not any(verdicts)
         assert (spent["miller_loops"], spent["final_exps"]) == (64, 16)
 
-    def test_multi_signer_share_verify_is_one_product(self, bn254_group,
-                                                      rng):
+    def test_multi_signer_share_verify_is_one_product(self, bn254_group):
         """Share-Verify over several signers' partials is one product of
         ``2 + 2 * signers`` pairs, not a four-pair product per signer:
         3 signers x 4 messages cost (8, 1), not (12, 3); one signer's 4
@@ -600,18 +641,18 @@ class TestRobustPathOperationCounts:
                               (4, 1))):
             valid, spent = self._counted(
                 lambda: scheme.batch_share_verify_window(
-                    pk, vks, window, rng=rng))
+                    pk, vks, window))
             assert valid
             assert (spent["miller_loops"], spent["final_exps"]) == cost
         message, good = items[3]
         items[3] = (message, PartialSignature(
             index=good.index, z=good.z * good.z, r=good.r))
         located, spent = self._counted(
-            lambda: scheme.locate_invalid_partials(pk, vks, items, rng=rng))
+            lambda: scheme.locate_invalid_partials(pk, vks, items))
         assert located == [3]
         assert (spent["miller_loops"], spent["final_exps"]) == (26, 5)
 
-    def test_one_off_combine_is_a_window_of_one(self, bn254_group, rng):
+    def test_one_off_combine_is_a_window_of_one(self, bn254_group):
         """Robust ``combine`` is ``combine_window`` over one message:
         one Verify when the first t+1 partials are honest; a forged one
         in use costs its signer's ``share_verify`` and one more Verify
@@ -647,14 +688,14 @@ class TestRobustPathOperationCounts:
                 def combine():
                     return scheme.combine(handle.public_key,
                                           handle.verification_keys, message,
-                                          partials, rng=rng)
+                                          partials)
                 combine()                                   # warm
                 signature, spent = self._counted(combine)
                 assert signature.to_bytes() == expected
                 assert (spent["miller_loops"], spent["final_exps"],
                         spent["preparations"]) == cost
 
-    def test_one_signer_forging_two_of_sixteen(self, service_handle, rng):
+    def test_one_signer_forging_two_of_sixteen(self, service_handle):
         """The benchmark's ``sign_faulty`` window, in (Miller loops,
         final exponentiations).  Cold: window check, signer 1's 16
         partials (root, companion, one split naming a forgery in each
@@ -682,7 +723,7 @@ class TestRobustPathOperationCounts:
                 messages={messages[position] for position in forged})
             outcome, spent = self._counted(
                 lambda: handle.process_sign_window(
-                    messages, fault_injector=fault, rng=rng))
+                    messages, fault_injector=fault))
             assert outcome.flagged == (forged if forger else ())
             assert outcome.fallback_combines == len(outcome.flagged)
             assert all(handle.verify(message, signature)

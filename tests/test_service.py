@@ -55,7 +55,7 @@ class TestServiceHandle:
 
     def test_sign_window_matches_single_signs(self, handle):
         messages = [b"window %d" % i for i in range(6)]
-        signatures = handle.sign_window(messages, rng=random.Random(1))
+        signatures = handle.sign_window(messages)
         for message, signature in zip(messages, signatures):
             assert handle.verify(message, signature)
         assert handle.verify_window(messages, signatures) == [True] * 6
@@ -135,7 +135,7 @@ class TestServiceHandle:
 
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=6,
-                                   max_wait_ms=10_000, rng=random.Random(5))
+                                   max_wait_ms=10_000)
             async with SigningService(agg_handle, config) as service:
                 signed = await asyncio.gather(
                     *(service.sign(message) for message in messages))
@@ -169,8 +169,7 @@ class TestWindowEntryPoints:
             (message, handle.partials_for(message)) for message in messages
         ]
         signatures, flagged = scheme.combine_window(
-            handle.public_key, handle.verification_keys, windows,
-            rng=random.Random(4))
+            handle.public_key, handle.verification_keys, windows)
         assert flagged == []
         for message, signature in zip(messages, signatures):
             assert handle.verify(message, signature)
@@ -187,8 +186,7 @@ class TestWindowEntryPoints:
                     index=bad.index, z=bad.z * bad.z, r=bad.r)
             windows.append((message, partials))
         signatures, flagged = scheme.combine_window(
-            handle.public_key, handle.verification_keys, windows,
-            rng=random.Random(5))
+            handle.public_key, handle.verification_keys, windows)
         assert flagged == [2]
         # The poisoned request recovered through the robust per-share
         # path (4 partials, 3 valid >= t+1), the rest stayed optimistic.
@@ -204,7 +202,7 @@ class TestWindowEntryPoints:
         partials[1] = type(bad)(index=bad.index, z=bad.z * bad.z, r=bad.r)
         signatures, flagged = scheme.combine_window(
             handle.public_key, handle.verification_keys,
-            [(message, partials)], rng=random.Random(6))
+            [(message, partials)])
         assert flagged == [0]
         assert signatures == [None]
 
@@ -219,8 +217,7 @@ class TestWindowEntryPoints:
              handle.partials_for(short_message, signers=(1, 1, 2))),
         ]
         signatures, flagged = scheme.combine_window(
-            handle.public_key, handle.verification_keys, windows,
-            rng=random.Random(21))
+            handle.public_key, handle.verification_keys, windows)
         assert flagged == [1]
         assert signatures[1] is None
         assert handle.verify(good_message, signatures[0])
@@ -230,8 +227,7 @@ class TestWindowEntryPoints:
         signatures = [handle.sign(message) for message in messages]
         bad = signatures[3]
         signatures[3] = type(bad)(z=bad.z * bad.z, r=bad.r)
-        verdicts = handle.verify_window(messages, signatures,
-                                        rng=random.Random(7))
+        verdicts = handle.verify_window(messages, signatures)
         assert verdicts == [True, True, True, False, True, True]
 
 
@@ -266,8 +262,7 @@ class TestTopUp:
         and the request completes from {2, 3, 5}."""
         forgers = _Forgers(1, 4)
         outcome = handle.process_sign_window(
-            [b"two forgers"], fault_injector=forgers,
-            rng=random.Random(31))
+            [b"two forgers"], fault_injector=forgers)
         assert forgers.asked(b"two forgers") == [1, 2, 3, 4, 5]
         assert handle.verify(b"two forgers", outcome.signatures[0])
         assert outcome.flagged == (0,)
@@ -278,7 +273,7 @@ class TestTopUp:
         forgers = _Forgers(5)
         outcome = handle.process_sign_window(
             [b"rotated"], quorum=handle.quorum(rotation=3),
-            fault_injector=forgers, rng=random.Random(32))
+            fault_injector=forgers)
         # Quorum (4, 5, 1): the next signer in ring order is 2.
         assert forgers.asked(b"rotated") == [4, 5, 1, 2]
         assert handle.verify(b"rotated", outcome.signatures[0])
@@ -292,8 +287,7 @@ class TestTopUp:
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=4,
                                    max_wait_ms=50.0,
-                                   fault_injector=forgers,
-                                   rng=random.Random(33))
+                                   fault_injector=forgers)
             async with SigningService(handle, config) as service:
                 return await asyncio.wait_for(asyncio.gather(*(
                     service.sign(b"doomed %d" % i) for i in range(4)),
@@ -323,13 +317,13 @@ class TestTopUp:
         batches = []
         locate = handle.scheme.locate_invalid_partials
 
-        def spy(public_key, verification_keys, items, rng=None):
+        def spy(public_key, verification_keys, items):
             batches.append([partial.index for _, partial in items])
-            return locate(public_key, verification_keys, items, rng=rng)
+            return locate(public_key, verification_keys, items)
 
         monkeypatch.setattr(handle.scheme, "locate_invalid_partials", spy)
         outcome = handle.process_sign_window(
-            messages, fault_injector=forgers, rng=random.Random(34))
+            messages, fault_injector=forgers)
         assert batches == [[1] * 16]
         assert handle.suspects == (1,)
         assert len(forgers.calls) == 48 + 16
@@ -345,7 +339,7 @@ class TestTopUp:
         messages = [b"shape %d" % i for i in range(16)]
         forgers = _Forgers(1, messages={messages[0], messages[8]})
         outcome = handle.process_sign_window(
-            messages, fault_injector=forgers, rng=random.Random(35))
+            messages, fault_injector=forgers)
         assert len(forgers.calls) == 48 + 2
         assert forgers.asked(messages[8]) == [1, 2, 3, 4]
         assert outcome.flagged == (0, 8)
@@ -362,11 +356,11 @@ class TestTopUp:
         messages = [b"logged %d" % i for i in range(4)]
         forgers = _Forgers(2, messages={messages[1], messages[3]})
         with caplog.at_level(logging.INFO, logger="repro.core.scheme"):
-            handle.process_sign_window(messages, rng=random.Random(40))
+            handle.process_sign_window(messages)
             assert caplog.records == []
             for _ in range(2):
                 handle.process_sign_window(
-                    messages, fault_injector=forgers, rng=random.Random(41))
+                    messages, fault_injector=forgers)
             # A one-off robust combine is a window of one, epoch 0.
             handle.scheme.combine(
                 handle.public_key, handle.verification_keys, messages[1],
@@ -399,13 +393,11 @@ class TestTopUp:
                                  handle.verification_keys)
 
         messages = [b"library %d" % i for i in range(3)]
-        signatures = with_wrong_shares(2).sign_window(
-            messages, rng=random.Random(36))
+        signatures = with_wrong_shares(2).sign_window(messages)
         assert [s.to_bytes() for s in signatures] == [
             handle.sign(message).to_bytes() for message in messages]
         with pytest.raises(CombineError):
-            with_wrong_shares(2, 4, 5).sign_window(
-                messages, rng=random.Random(37))
+            with_wrong_shares(2, 4, 5).sign_window(messages)
 
     def test_without_top_up_a_short_position_stays_none(self, handle):
         """The simulator's combiner only has what arrived."""
@@ -414,7 +406,7 @@ class TestTopUp:
             [message], (1, 2, 3), fault_injector=_Forgers(2))
         signatures, flagged = handle.scheme.combine_window(
             handle.public_key, handle.verification_keys,
-            [(message, partials)], rng=random.Random(38))
+            [(message, partials)])
         assert (signatures, flagged) == ([None], [0])
         asked = []
 
@@ -424,7 +416,7 @@ class TestTopUp:
 
         signatures, flagged = handle.scheme.combine_window(
             handle.public_key, handle.verification_keys,
-            [(message, partials)], rng=random.Random(38), top_up=top_up)
+            [(message, partials)], top_up=top_up)
         assert asked == [([1, 2, 3], 1)]
         assert flagged == [0]
         assert handle.verify(message, signatures[0])
@@ -657,7 +649,7 @@ class TestSigningService:
     def test_sign_and_verify_requests(self, handle):
         async def scenario():
             config = ServiceConfig(num_shards=2, max_batch=8,
-                                   max_wait_ms=2.0, rng=random.Random(8))
+                                   max_wait_ms=2.0)
             async with SigningService(handle, config) as service:
                 results = await asyncio.gather(*(
                     service.sign(b"svc %d" % i) for i in range(20)))
@@ -682,7 +674,7 @@ class TestSigningService:
         """A full window of k requests costs one batch check, not k."""
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=16,
-                                   max_wait_ms=50.0, rng=random.Random(9))
+                                   max_wait_ms=50.0)
             async with SigningService(handle, config) as service:
                 results = await asyncio.gather(*(
                     service.sign(b"amortize %d" % i) for i in range(16)))
@@ -714,7 +706,7 @@ class TestSigningService:
                 return partial
 
             config = ServiceConfig(num_shards=1, max_batch=8,
-                                   max_wait_ms=10_000, rng=random.Random(9),
+                                   max_wait_ms=10_000,
                                    fault_injector=witness)
 
             async def one(service, position):
@@ -759,8 +751,7 @@ class TestSigningService:
     def test_load_shedding_typed_and_counted(self, handle):
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=4,
-                                   max_wait_ms=1.0, queue_depth=2,
-                                   rng=random.Random(10))
+                                   max_wait_ms=1.0, queue_depth=2)
             async with SigningService(handle, config) as service:
                 outcomes = await asyncio.gather(
                     *(service.sign(b"shed %d" % i) for i in range(10)),
@@ -793,7 +784,7 @@ class TestSigningService:
     def test_traffic_partitions_across_shards(self, handle):
         async def scenario():
             config = ServiceConfig(num_shards=4, max_batch=4,
-                                   max_wait_ms=1.0, rng=random.Random(12))
+                                   max_wait_ms=1.0)
             async with SigningService(handle, config) as service:
                 await asyncio.gather(*(
                     service.sign(b"partition %d" % i) for i in range(64)))
@@ -813,8 +804,7 @@ class TestSigningService:
 
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=8,
-                                   max_wait_ms=50.0, fault_injector=fault,
-                                   rng=random.Random(13))
+                                   max_wait_ms=50.0, fault_injector=fault)
             async with SigningService(handle, config) as service:
                 results = await asyncio.gather(*(
                     service.sign(b"fault %d" % i) for i in range(8)))
@@ -838,8 +828,7 @@ class TestSigningService:
 
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=8,
-                                   max_wait_ms=50.0, fault_injector=fault,
-                                   rng=random.Random(14))
+                                   max_wait_ms=50.0, fault_injector=fault)
             async with SigningService(handle, config) as service:
                 results = await asyncio.gather(*(
                     service.sign(b"targeted %d" % i) for i in range(8)))
@@ -859,7 +848,7 @@ class TestSigningService:
         # One client timing out must not fail its window neighbors.
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=8,
-                                   max_wait_ms=50.0, rng=random.Random(22))
+                                   max_wait_ms=50.0)
             async with SigningService(handle, config) as service:
                 doomed = asyncio.get_running_loop().create_task(
                     service.sign(b"cancelled req"))
@@ -883,7 +872,7 @@ class TestSigningService:
     def test_invalid_signature_reported_not_failed(self, handle):
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=4,
-                                   max_wait_ms=1.0, rng=random.Random(15))
+                                   max_wait_ms=1.0)
             async with SigningService(handle, config) as service:
                 good = await service.sign(b"good message")
                 bad_signature = type(good.signature)(
@@ -906,7 +895,7 @@ class TestLoadGenerator:
     def test_closed_loop_report(self, handle):
         async def scenario():
             config = ServiceConfig(num_shards=2, max_batch=8,
-                                   max_wait_ms=2.0, rng=random.Random(16))
+                                   max_wait_ms=2.0)
             async with SigningService(handle, config) as service:
                 generator = LoadGenerator(
                     lambda i: service.sign(b"closed %d" % i))
@@ -926,8 +915,7 @@ class TestLoadGenerator:
     def test_open_loop_poisson_counts_shedding(self, handle):
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=2,
-                                   max_wait_ms=0.0, queue_depth=1,
-                                   rng=random.Random(17))
+                                   max_wait_ms=0.0, queue_depth=1)
             async with SigningService(handle, config) as service:
                 generator = LoadGenerator(
                     lambda i: service.sign(b"open %d" % i),
@@ -947,7 +935,7 @@ class TestLoadGenerator:
 
         async def scenario():
             config = ServiceConfig(num_shards=1, max_batch=4,
-                                   max_wait_ms=1.0, rng=random.Random(19))
+                                   max_wait_ms=1.0)
             async with SigningService(handle, config) as service:
                 generator = LoadGenerator(
                     lambda i: service.verify(
@@ -978,8 +966,7 @@ def test_service_end_to_end_on_bn254(bn254_group):
 
     async def scenario():
         config = ServiceConfig(num_shards=1, max_batch=4,
-                               max_wait_ms=100.0, fault_injector=fault,
-                               rng=random.Random(21))
+                               max_wait_ms=100.0, fault_injector=fault)
         async with SigningService(handle, config) as service:
             results = await asyncio.gather(*(
                 service.sign(b"bn254 svc %d" % i) for i in range(4)))

@@ -11,7 +11,9 @@ Three layers, bottom-up:
   ``sim`` marker).
 """
 
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -25,6 +27,17 @@ from repro.sims.scenarios import (
     run_churn_scenario, run_ci_scenario, run_dkg_scenario,
     run_robust_scenario,
 )
+
+TOOLS_DIR = pathlib.Path(__file__).resolve().parent.parent / "tools"
+
+#: What ``make sim-smoke`` prints: each gated scenario's event-trace
+#: digest at ``tools/sim_run.py``'s default seed.  A change that moves
+#: one updates it here and says why.
+PINNED_DIGESTS = {
+    "ci": "a9abd675011651dfd9bfa08e97b02cd8aa95df79dd73e710e52468a0efd6121d",
+    "churn":
+        "adc6e7c7f5c6dafeb74f59b69da1f5462c96b9af63e3c12b1e1b25e58ad85d39",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +317,18 @@ class TestScenarios:
         second = run_ci_scenario(sim_seed)
         assert first["digest"] == second["digest"]
         assert first["dkg"]["qualified"] >= 60
+
+
+@pytest.mark.sim
+def test_sim_smoke_digests_pinned(tmp_path):
+    """The gated scenarios reproduce the pinned digests, at the default
+    seed whatever ``--seed`` says: ``make sim-smoke`` compares two runs
+    of one tree, which a change moving both would pass."""
+    sys.path.insert(0, str(TOOLS_DIR))
+    try:
+        import sim_run
+    finally:
+        sys.path.remove(str(TOOLS_DIR))
+    assert {name: sim_run.run_scenario(
+        name, sim_run.DEFAULT_SEED, tmp_path, {})
+        for name in PINNED_DIGESTS} == PINNED_DIGESTS

@@ -267,8 +267,7 @@ def run_tcp_service_ops() -> "tuple[dict, dict]":
     def drive(remote_workers) -> dict:
         config = ServiceConfig(
             num_shards=TCP_SHARDS, max_batch=BATCH_K, max_wait_ms=25.0,
-            queue_depth=4 * TCP_TOTAL, remote_workers=remote_workers,
-            rng=random.Random(77))
+            queue_depth=4 * TCP_TOTAL, remote_workers=remote_workers)
 
         async def scenario():
             async with SigningService(handle, config) as service:

@@ -342,8 +342,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
 
     # -- act 1: closed-loop signing, amply provisioned queues -----------
     config = ServiceConfig(num_shards=shards, max_batch=16,
-                           max_wait_ms=10.0, queue_depth=4 * requests,
-                           rng=_rng(2))
+                           max_wait_ms=10.0, queue_depth=4 * requests)
     async with SigningService(handle, config) as service:
         report = await LoadGenerator(
             lambda i: service.sign(b"smoke doc %d" % i)
@@ -397,8 +396,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     # -- act 3: a forged partial inside a full window ------------------
     fault = CorruptSignerFault(signer_index=1, shard_id=0)
     faulty = ServiceConfig(num_shards=1, max_batch=8, max_wait_ms=10.0,
-                           queue_depth=64, fault_injector=fault,
-                           rng=_rng(4))
+                           queue_depth=64, fault_injector=fault)
     miller_loops = PAIRING_COUNTERS["miller_loops"]
     convictions = []
     capture = logging.Handler(logging.INFO)
@@ -590,8 +588,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     lc_requests = min(requests, 48)
     lc_config = ServiceConfig(num_shards=4, max_batch=8,
                               max_wait_ms=10.0, queue_depth=4 * requests,
-                              wal_path=epoch_dir / "service.wal",
-                              rng=_rng(7))
+                              wal_path=epoch_dir / "service.wal")
     async with SigningService(handle, lc_config) as service:
         load = asyncio.ensure_future(LoadGenerator(
             lambda i: service.sign(b"lifecycle doc %d" % i), rng=_rng(8)
@@ -684,8 +681,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     http_config = ServiceConfig(num_shards=2, max_batch=8,
                                 max_wait_ms=10.0,
                                 queue_depth=4 * requests,
-                                wal_path=http_dir / "service.wal",
-                                rng=_rng(13))
+                                wal_path=http_dir / "service.wal")
     http_service = SigningService(handle, http_config)
     await http_service.start()
     http_gateway = HttpGateway(http_service, tenants=[
