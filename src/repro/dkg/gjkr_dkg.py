@@ -175,7 +175,11 @@ class GJKRPlayer(DealingPlayer):
             if dealer in self.extraction_complaints:
                 self.reconstruction_shares.setdefault(dealer, {})[
                     sender] = share
+        order = self.group.order
         public_key = None
+        # The a-share points of every reconstructed dealer: its Feldman
+        # vector is missing or wrong, which is why it was reconstructed.
+        recovered: Dict[int, Dict[int, int]] = {}
         for dealer in self.qualified:
             if dealer in self.extraction_complaints:
                 points = {
@@ -186,23 +190,29 @@ class GJKRPlayer(DealingPlayer):
                 if len(points) < self.t + 1:
                     raise ProtocolError(
                         f"cannot reconstruct dealer {dealer}'s contribution")
-                a_0 = interpolate_at(points, self.group.order, x=0)
-                contribution = self.vss.g_z ** a_0
+                recovered[dealer] = points
+                contribution = self.vss.g_z ** interpolate_at(points, order)
             else:
                 contribution = self.feldman[dealer][0]
             public_key = (contribution if public_key is None
                           else public_key * contribution)
-        share = sum(
-            self._share_of(j)[0] for j in self.qualified) % self.group.order
-        # VK_j = prod_{dealer} prod_l A_l^{j^l}, regrouped around the
-        # column aggregates of the dealers that sent Feldman vectors:
-        # one (t+1)-term evaluation per receiver.
-        rows = [self.feldman[dealer] for dealer in self.qualified
-                if dealer in self.feldman]
-        columns = self._fold_columns(rows)
-        verification_keys = {
-            j: commitment_eval(self.group, columns, j) if columns else None
-            for j in self.receivers}
+        share = sum(self._share_of(j)[0] for j in self.qualified) % order
+        # VK_j = g_z^{sum_{dealer} A_dealer(j)}.  The dealers with valid
+        # Feldman vectors enter through their column aggregates: one
+        # (t+1)-term evaluation per receiver.  A reconstructed dealer's
+        # A(j) is interpolated at j from its published points.
+        columns = self._fold_columns([self.feldman[dealer]
+                                      for dealer in self.qualified
+                                      if dealer not in recovered])
+        verification_keys = {}
+        for j in self.receivers:
+            vk = commitment_eval(self.group, columns, j) if columns else None
+            if recovered:
+                term = self.vss.g_z ** (sum(
+                    interpolate_at(points, order, x=j)
+                    for points in recovered.values()) % order)
+                vk = term if vk is None else vk * term
+            verification_keys[j] = vk
         self._result = GJKRResult(
             index=self.index,
             qualified=list(self.qualified),

@@ -9,16 +9,15 @@ Two layers live here:
   library's objects so the experiment tables report measured numbers
   rather than constants copied from the paper.
 
-* **The wire format** (:class:`WireCodec` and the job dataclasses): a
-  round-trippable byte encoding for partial signatures, signatures,
-  verification keys, key shares and the window-sized jobs the
-  worker tier (:mod:`repro.service.transport`) ships across process
-  and machine boundaries.  Group elements already know their
-  canonical encodings (``to_bytes`` / ``g1_from_bytes`` /
-  ``g2_from_bytes``); the codec frames them with fixed-width element
-  fields, 4-byte big-endian integers and length-prefixed byte strings,
-  so ``decode(encode(x))`` reproduces ``x`` and
-  ``encode(decode(blob)) == blob`` on both backends.
+* **The wire format** (:class:`WireCodec`, the job dataclasses and the
+  record declarations): every record that crosses a process boundary —
+  partials, signatures, verification keys, key shares, window jobs and
+  outcomes, the write-ahead log's records, the service context and the
+  HELLO payload — is declared once, as a :class:`Record` listing its
+  fields in wire order, and one writer/reader pair (``_write`` /
+  ``_read``) interprets every declaration.  ``decode(encode(x))``
+  reproduces ``x`` and ``encode(decode(blob)) == blob`` on both
+  backends.
 
 * **The TCP frame layer** (``encode_frame`` / ``decode_frame_header``
   and the HELLO handshake payload): a length-prefixed, versioned
@@ -32,12 +31,15 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from repro.core.keys import PartialSignature, PrivateKeyShare, Signature, \
-    VerificationKey
-from repro.errors import SerializationError
+from repro.core.keys import PartialSignature, PrivateKeyShare, PublicKey, \
+    Signature, ThresholdParams, VerificationKey
+from repro.core.scheme import LJYThresholdScheme, ServiceHandle
+from repro.errors import ParameterError, SerializationError
+from repro.groups import get_group
 from repro.groups.api import BilinearGroup
+from repro.sharing.shamir import validate_threshold
 
 
 @dataclass(frozen=True)
@@ -265,14 +267,25 @@ class WalDoneRecord:
     reason: str = ""
 
 
+class Hello(NamedTuple):
+    """A HELLO frame's payload: backend name, service-context digest
+    and the (possibly empty) PSK authenticator from :func:`hello_mac`."""
+
+    group_name: str
+    digest: bytes
+    mac: bytes = b""
+
+
 class _Reader:
-    """Sequential reader over one wire blob (bounds-checked)."""
+    """Bounds-checked reader over one blob; elements and scalars are
+    read in ``group``."""
 
-    __slots__ = ("data", "offset")
+    __slots__ = ("data", "offset", "group")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, group: Optional[BilinearGroup]):
         self.data = data
         self.offset = 0
+        self.group = group
 
     def take(self, length: int) -> bytes:
         end = self.offset + length
@@ -286,9 +299,6 @@ class _Reader:
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
 
     def packed(self) -> bytes:
         return self.take(self.u32())
@@ -328,338 +338,349 @@ def _utf8(data: bytes) -> str:
             f"invalid UTF-8 in wire string: {exc}") from exc
 
 
-class WireCodec:
-    """Round-trippable codecs for one bilinear-group backend.
+# -- field types --------------------------------------------------------------
 
-    Element fields are fixed-width (``group.g1_bytes`` /
-    ``group.g2_bytes`` — both backends define canonical fixed-size
-    encodings), scalars take the group order's byte length, everything
-    else is framed with 4-byte big-endian integers.
+class FieldType(NamedTuple):
+    """A primitive: ``write(value, group) -> bytes``, ``read(reader)``."""
+
+    write: Callable
+    read: Callable
+
+
+def _read_flag(reader: _Reader) -> bool:
+    # Strict one-byte flags keep the encoding canonical, like the
+    # refusal of unknown kinds and trailing bytes.
+    flag = reader.take(1)
+    if flag not in (b"\x00", b"\x01"):
+        raise SerializationError(f"invalid status byte {flag!r}")
+    return flag == b"\x01"
+
+
+def _read_scalar(reader: _Reader) -> int:
+    # Every encoder reduces mod the order, so a larger value would be a
+    # second encoding of a canonical one.
+    order = reader.group.order
+    value = int.from_bytes(reader.take(scalar_bits(order) // 8), "big")
+    if value >= order:
+        raise SerializationError("scalar field is not below the group order")
+    return value
+
+
+def _read_group(reader: _Reader) -> BilinearGroup:
+    try:
+        reader.group = get_group(_utf8(reader.packed()))
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from exc
+    return reader.group
+
+
+def _sized(*lengths: int) -> FieldType:
+    """Packed bytes whose length is one of ``lengths``."""
+    def check(data: bytes) -> bytes:
+        if len(data) not in lengths:
+            raise SerializationError(
+                f"field of {len(data)} bytes, expected one of {lengths}")
+        return data
+    return FieldType(lambda value, group: _packed(check(value)),
+                     lambda reader: check(reader.packed()))
+
+
+U32 = FieldType(lambda value, group: _u32(value), _Reader.u32)
+U64 = FieldType(lambda value, group: _u64(value),
+                lambda reader: int.from_bytes(reader.take(8), "big"))
+BYTES = FieldType(lambda value, group: _packed(value), _Reader.packed)
+STR = FieldType(lambda value, group: _packed(value.encode("utf-8")),
+                lambda reader: _utf8(reader.packed()))
+BOOL = FieldType(lambda value, group: b"\x01" if value else b"\x00",
+                 _read_flag)
+SCALAR = FieldType(lambda value, group: (value % group.order).to_bytes(
+    scalar_bits(group.order) // 8, "big"), _read_scalar)
+G1 = FieldType(lambda value, group: value.to_bytes(),
+               lambda reader: reader.group.g1_from_bytes(
+                   reader.take(reader.group.g1_bytes)))
+G2 = FieldType(lambda value, group: value.to_bytes(),
+               lambda reader: reader.group.g2_from_bytes(
+                   reader.take(reader.group.g2_bytes)))
+#: The backend, as its UTF-8 name; later elements are read in it.
+GROUP = FieldType(lambda value, group: _packed(value.name.encode("utf-8")),
+                  _read_group)
+
+
+class Either:
+    """A strict flag byte, then the ``(name, type)`` field ``if_1``
+    (flag 0x01) when its value is not None, else ``if_0`` (flag 0x00).
+    Decoding leaves the other name unset."""
+
+    def __init__(self, if_0: tuple, if_1: tuple):
+        self.if_0, self.if_1 = if_0, if_1
+        self.names = (if_0[0], if_1[0])
+
+
+class ListOf:
+    """A u32 count, then that many rows of ``fields``.  Each field name
+    holds a column: a tuple with one value per row (None where an
+    :class:`Either` left it unset)."""
+
+    def __init__(self, *fields):
+        self.fields = fields
+        self.names = tuple(name for field in fields for name in (
+            (field[0],) if type(field) is tuple else field.names))
+
+
+class Record:
+    """The one declaration of a record: its name, kind tag (``b""`` when
+    untagged), the class it decodes to, and its fields in wire order —
+    each a ``(name, type)`` pair (the type a :class:`FieldType` or an
+    untagged nested :class:`Record`), an :class:`Either` or a
+    :class:`ListOf`.  ``to_wire`` maps a value to its field values and
+    ``from_wire`` takes them back as keyword arguments: ``vars`` and the
+    class itself for a dataclass whose attributes are its fields.
     """
 
-    def __init__(self, group: BilinearGroup):
-        self.group = group
-        self.scalar_bytes = scalar_bits(group.order) // 8
+    def __init__(self, name: str, kind: bytes, cls, fields: tuple,
+                 to_wire: Callable = vars,
+                 from_wire: Optional[Callable] = None):
+        self.name, self.kind, self.cls, self.fields = name, kind, cls, fields
+        self.to_wire = to_wire
+        self.from_wire = from_wire or cls
 
-    # -- scalars ------------------------------------------------------------
-    def encode_scalar(self, value: int) -> bytes:
-        return (value % self.group.order).to_bytes(self.scalar_bytes, "big")
+    def encode(self, value, group: Optional[BilinearGroup]) -> bytes:
+        out = [self.kind]
+        _write(self.fields, self.to_wire(value), group, out)
+        return b"".join(out)
 
-    def decode_scalar(self, reader: _Reader) -> int:
-        return int.from_bytes(reader.take(self.scalar_bytes), "big")
-
-    # -- protocol objects ---------------------------------------------------
-    def encode_partial(self, partial: PartialSignature) -> bytes:
-        return _u32(partial.index) + partial.z.to_bytes() + \
-            partial.r.to_bytes()
-
-    def _read_partial(self, reader: _Reader) -> PartialSignature:
-        index = reader.u32()
-        z = self.group.g1_from_bytes(reader.take(self.group.g1_bytes))
-        r = self.group.g1_from_bytes(reader.take(self.group.g1_bytes))
-        return PartialSignature(index=index, z=z, r=r)
-
-    def decode_partial(self, blob: bytes) -> PartialSignature:
-        reader = _Reader(blob)
-        partial = self._read_partial(reader)
+    def decode(self, blob: bytes, group: Optional[BilinearGroup]):
+        reader = _Reader(blob, group)
+        if reader.take(len(self.kind)) != self.kind:
+            raise SerializationError(f"not a {self.name} blob")
+        value = self.from_wire(**_read(self.fields, reader, {}))
         reader.done()
-        return partial
+        return value
 
-    def encode_signature(self, signature: Signature) -> bytes:
-        return signature.z.to_bytes() + signature.r.to_bytes()
 
-    def _read_signature(self, reader: _Reader) -> Signature:
-        z = self.group.g1_from_bytes(reader.take(self.group.g1_bytes))
-        r = self.group.g1_from_bytes(reader.take(self.group.g1_bytes))
-        return Signature(z=z, r=r)
-
-    def decode_signature(self, blob: bytes) -> Signature:
-        reader = _Reader(blob)
-        signature = self._read_signature(reader)
-        reader.done()
-        return signature
-
-    def encode_verification_key(self, vk: VerificationKey) -> bytes:
-        return _u32(vk.index) + vk.v_1.to_bytes() + vk.v_2.to_bytes()
-
-    def _read_verification_key(self, reader: _Reader) -> VerificationKey:
-        index = reader.u32()
-        v_1 = self.group.g2_from_bytes(reader.take(self.group.g2_bytes))
-        v_2 = self.group.g2_from_bytes(reader.take(self.group.g2_bytes))
-        return VerificationKey(index=index, v_1=v_1, v_2=v_2)
-
-    def decode_verification_key(self, blob: bytes) -> VerificationKey:
-        reader = _Reader(blob)
-        vk = self._read_verification_key(reader)
-        reader.done()
-        return vk
-
-    def encode_share(self, share: PrivateKeyShare) -> bytes:
-        return _u32(share.index) + b"".join(
-            self.encode_scalar(value)
-            for value in (share.a_1, share.b_1, share.a_2, share.b_2))
-
-    def _read_share(self, reader: _Reader) -> PrivateKeyShare:
-        index = reader.u32()
-        a_1, b_1, a_2, b_2 = (self.decode_scalar(reader) for _ in range(4))
-        return PrivateKeyShare(index=index, a_1=a_1, b_1=b_1,
-                               a_2=a_2, b_2=b_2)
-
-    def decode_share(self, blob: bytes) -> PrivateKeyShare:
-        reader = _Reader(blob)
-        share = self._read_share(reader)
-        reader.done()
-        return share
-
-    # -- window jobs ----------------------------------------------------------
-    def encode_job(self, job) -> bytes:
-        if isinstance(job, SignWindowJob):
-            return KIND_SIGN_JOB + _u32(job.shard_id) + _u32(job.epoch) + \
-                _u32(len(job.messages)) + \
-                b"".join(_packed(message) for message in job.messages) + \
-                _u32(len(job.quorum)) + \
-                b"".join(_u32(index) for index in job.quorum)
-        if isinstance(job, VerifyWindowJob):
-            if len(job.messages) != len(job.signatures):
-                raise SerializationError(
-                    "verify job needs one signature per message")
-            return KIND_VERIFY_JOB + _u32(job.shard_id) + _u32(job.epoch) + \
-                _u32(len(job.messages)) + \
-                b"".join(
-                    _packed(message) + self.encode_signature(signature)
-                    for message, signature
-                    in zip(job.messages, job.signatures))
-        if isinstance(job, PartialSignJob):
-            return KIND_PARTIAL_JOB + _u32(job.shard_id) + \
-                _u32(job.epoch) + \
-                _packed(job.message) + _u32(len(job.signers)) + \
-                b"".join(_u32(index) for index in job.signers)
-        raise SerializationError(f"unknown job type {type(job).__name__}")
-
-    def decode_job(self, blob: bytes):
-        reader = _Reader(blob)
-        kind = reader.take(1)
-        shard_id = reader.u32()
-        epoch = reader.u32()
-        if kind == KIND_SIGN_JOB:
-            messages = tuple(reader.packed() for _ in range(reader.u32()))
-            quorum = tuple(reader.u32() for _ in range(reader.u32()))
-            job = SignWindowJob(shard_id=shard_id, messages=messages,
-                                quorum=quorum, epoch=epoch)
-        elif kind == KIND_VERIFY_JOB:
-            count = reader.u32()
-            messages, signatures = [], []
-            for _ in range(count):
-                messages.append(reader.packed())
-                signatures.append(self._read_signature(reader))
-            job = VerifyWindowJob(shard_id=shard_id,
-                                  messages=tuple(messages),
-                                  signatures=tuple(signatures),
-                                  epoch=epoch)
-        elif kind == KIND_PARTIAL_JOB:
-            message = reader.packed()
-            signers = tuple(reader.u32() for _ in range(reader.u32()))
-            job = PartialSignJob(shard_id=shard_id, message=message,
-                                 signers=signers, epoch=epoch)
-        else:
-            raise SerializationError(f"unknown job kind {kind!r}")
-        reader.done()
-        return job
-
-    # -- job outcomes ---------------------------------------------------------
-    def encode_outcome(self, outcome) -> bytes:
-        if isinstance(outcome, SignWindowOutcome):
-            failures = dict(outcome.failures)
-            body = [_u32(len(outcome.signatures))]
-            for position, signature in enumerate(outcome.signatures):
-                if signature is None:
-                    if position not in failures:
-                        raise SerializationError(
-                            f"missing signature at position {position} "
-                            "without a failure record")
-                    body.append(b"\x00" + _packed(
-                        failures[position].encode("utf-8")))
-                else:
-                    body.append(b"\x01" + self.encode_signature(signature))
-            body.append(_u32(len(outcome.flagged)))
-            body.extend(_u32(position) for position in outcome.flagged)
-            body.append(_u32(outcome.fallback_combines))
-            return KIND_SIGN_OUTCOME + b"".join(body)
-        if isinstance(outcome, VerifyWindowOutcome):
-            return KIND_VERIFY_OUTCOME + _u32(len(outcome.verdicts)) + \
-                bytes(1 if verdict else 0 for verdict in outcome.verdicts)
-        if isinstance(outcome, PartialSignOutcome):
-            return KIND_PARTIAL_OUTCOME + _u32(len(outcome.partials)) + \
-                b"".join(self.encode_partial(partial)
-                         for partial in outcome.partials)
-        raise SerializationError(
-            f"unknown outcome type {type(outcome).__name__}")
-
-    def decode_outcome(self, blob: bytes):
-        reader = _Reader(blob)
-        kind = reader.take(1)
-        if kind == KIND_SIGN_OUTCOME:
-            count = reader.u32()
-            signatures: List[Optional[Signature]] = []
-            failures = []
-            for position in range(count):
-                status = reader.take(1)
-                if status == b"\x00":
-                    signatures.append(None)
-                    failures.append(
-                        (position, _utf8(reader.packed())))
-                elif status == b"\x01":
-                    signatures.append(self._read_signature(reader))
-                else:
-                    # Strict one-byte flags keep the encoding canonical
-                    # (encode(decode(blob)) == blob), like the rejection
-                    # of unknown kinds and trailing bytes.
-                    raise SerializationError(
-                        f"invalid sign-outcome status byte {status!r}")
-            flagged = tuple(reader.u32() for _ in range(reader.u32()))
-            fallback_combines = reader.u32()
-            outcome = SignWindowOutcome(
-                signatures=tuple(signatures), flagged=flagged,
-                failures=tuple(failures),
-                fallback_combines=fallback_combines)
-        elif kind == KIND_VERIFY_OUTCOME:
-            flags = reader.take(reader.u32())
-            if any(byte > 1 for byte in flags):
-                raise SerializationError(
-                    "invalid verdict byte in verify outcome")
-            outcome = VerifyWindowOutcome(verdicts=tuple(
-                byte == 1 for byte in flags))
-        elif kind == KIND_PARTIAL_OUTCOME:
-            outcome = PartialSignOutcome(partials=tuple(
-                self._read_partial(reader) for _ in range(reader.u32())))
-        else:
-            raise SerializationError(f"unknown outcome kind {kind!r}")
-        reader.done()
-        return outcome
-
-    # -- write-ahead-log records ----------------------------------------------
-    def encode_wal_record(self, record) -> bytes:
-        """One WAL record payload (the on-disk log adds its own
-        length+CRC storage framing on top — see
-        :mod:`repro.service.wal` and ``docs/WIRE_FORMAT.md``)."""
-        if isinstance(record, WalAdmitRecord):
-            return KIND_WAL_ADMIT + _u64(record.request_id) + \
-                _u32(record.epoch) + _packed(record.message)
-        if isinstance(record, WalDoneRecord):
-            if record.signature is not None:
-                return KIND_WAL_DONE + _u64(record.request_id) + b"\x01" + \
-                    self.encode_signature(record.signature)
-            return KIND_WAL_DONE + _u64(record.request_id) + b"\x00" + \
-                _packed(record.reason.encode("utf-8"))
-        raise SerializationError(
-            f"unknown WAL record type {type(record).__name__}")
-
-    def decode_wal_record(self, blob: bytes):
-        reader = _Reader(blob)
-        kind = reader.take(1)
-        if kind == KIND_WAL_ADMIT:
-            record = WalAdmitRecord(request_id=reader.u64(),
-                                    epoch=reader.u32(),
-                                    message=reader.packed())
-        elif kind == KIND_WAL_DONE:
-            request_id = reader.u64()
-            status = reader.take(1)
-            if status == b"\x01":
-                record = WalDoneRecord(request_id=request_id,
-                                       signature=self._read_signature(reader))
-            elif status == b"\x00":
-                record = WalDoneRecord(
-                    request_id=request_id, signature=None,
-                    reason=_utf8(reader.packed()))
+def _write(fields, values: dict, group, out: list) -> None:
+    """Append the encoding of ``values`` under ``fields`` to ``out``."""
+    for field in fields:
+        if type(field) is tuple:
+            name, kind = field
+            if type(kind) is Record:
+                out.append(kind.encode(values[name], group))
             else:
-                # Strict one-byte flags, like the sign-outcome codec:
-                # the encoding stays canonical.
+                out.append(kind.write(values[name], group))
+        elif type(field) is Either:
+            chosen = field.if_1 if values[field.if_1[0]] is not None \
+                else field.if_0
+            if values[chosen[0]] is None:
                 raise SerializationError(
-                    f"invalid WAL done-record status byte {status!r}")
+                    f"either-of field needs {field.if_1[0]} or "
+                    f"{field.if_0[0]}")
+            out.append(b"\x01" if chosen is field.if_1 else b"\x00")
+            _write((chosen,), values, group, out)
         else:
-            raise SerializationError(f"unknown WAL record kind {kind!r}")
-        reader.done()
-        return record
+            columns = [values[name] for name in field.names]
+            count = len(columns[0])
+            if any(len(column) != count for column in columns):
+                raise SerializationError(
+                    f"list columns {field.names} differ in length")
+            out.append(_u32(count))
+            for row in zip(*columns):
+                _write(field.fields, dict(zip(field.names, row)), group, out)
 
 
-def encode_service_context(handle) -> bytes:
-    """Serialize everything a worker process needs to rebuild a
-    :class:`~repro.core.scheme.ServiceHandle`: the key-lifecycle epoch,
-    backend name, threshold parameters (with the derived generators
-    inline, so no derivation assumptions survive the wire), public key,
-    key shares and verification keys.
+def _read(fields, reader: _Reader, values: dict) -> dict:
+    """Read ``fields`` into ``values``; returns ``values``."""
+    for field in fields:
+        if type(field) is tuple:
+            name, kind = field
+            if type(kind) is Record:
+                values[name] = kind.from_wire(**_read(kind.fields, reader, {}))
+            else:
+                values[name] = kind.read(reader)
+        elif type(field) is Either:
+            _read((field.if_1 if _read_flag(reader) else field.if_0,),
+                  reader, values)
+        else:
+            rows = [_read(field.fields, reader, {})
+                    for _ in range(reader.u32())]
+            for name in field.names:
+                values[name] = tuple(row.get(name) for row in rows)
+    return values
 
-    This is the simulation's stand-in for deployment provisioning; a
-    real deployment ships each server only its own share.
 
-    Only a :class:`~repro.core.scheme.LJYThresholdScheme` handle is
-    carried (:class:`TypeError` otherwise): the context has no field for
-    a subclass's hash, so a decoded Appendix G context would sign
-    ``H(M)`` where its handle signs ``H(PK || M)``.
-    """
-    from repro.core.scheme import LJYThresholdScheme
+class _Family:
+    """Records sharing one kind-tag namespace: encoding dispatches on
+    the value's class, decoding on the leading tag byte."""
 
+    def __init__(self, name: str, *records: Record):
+        self.name = name
+        self.by_kind = {record.kind: record for record in records}
+        self.by_class = {record.cls: record for record in records}
+
+    def encode(self, value, group) -> bytes:
+        record = self.by_class.get(type(value))
+        if record is None:
+            raise SerializationError(
+                f"unknown {self.name} type {type(value).__name__}")
+        return record.encode(value, group)
+
+    def decode(self, blob: bytes, group):
+        record = self.by_kind.get(blob[:1])
+        if record is None:
+            raise SerializationError(f"unknown {self.name} kind {blob[:1]!r}")
+        return record.decode(blob, group)
+
+
+# -- the records --------------------------------------------------------------
+
+def _sign_outcome_to_wire(outcome: SignWindowOutcome) -> dict:
+    """Per position: the signature, or else its failure reason."""
+    reasons = dict(outcome.failures)
+    return {**vars(outcome), "failures": tuple(
+        reasons.get(position) for position in range(len(outcome.signatures)))}
+
+
+def _sign_outcome_from_wire(failures, **fields) -> SignWindowOutcome:
+    return SignWindowOutcome(failures=tuple(
+        (position, reason) for position, reason in enumerate(failures)
+        if reason is not None), **fields)
+
+
+def _context_to_wire(handle: ServiceHandle) -> dict:
+    # Only an LJYThresholdScheme handle is carried: the context has no
+    # field for a subclass's hash, so a decoded Appendix G context would
+    # sign H(M) where its handle signs H(PK || M).
     scheme = handle.scheme
     if type(scheme) is not LJYThresholdScheme:
         raise TypeError(
             f"the service context carries LJYThresholdScheme handles "
             f"only, not {type(scheme).__name__}")
-    group = scheme.group
-    params = scheme.params
-    codec = WireCodec(group)
-    body = [
-        KIND_CONTEXT,
-        _u32(handle.epoch),
-        _packed(group.name.encode("utf-8")),
-        _u32(params.t), _u32(params.n),
-        _packed(params.hash_domain.encode("utf-8")),
-        params.g_z.to_bytes(), params.g_r.to_bytes(),
-        handle.public_key.g_1.to_bytes(), handle.public_key.g_2.to_bytes(),
-        _u32(len(handle.shares)),
-    ]
-    body.extend(codec.encode_share(share)
-                for _, share in sorted(handle.shares.items()))
-    body.append(_u32(len(handle.verification_keys)))
-    body.extend(codec.encode_verification_key(vk)
-                for _, vk in sorted(handle.verification_keys.items()))
-    return b"".join(body)
+    # t, n, hash_domain, the group and generators from the parameters,
+    # g_1 and g_2 from the public key (their other attributes go unread).
+    return {**vars(scheme.params), **vars(handle.public_key),
+            "epoch": handle.epoch,
+            "shares": tuple(dict(sorted(handle.shares.items())).values()),
+            "verification_keys": tuple(
+                dict(sorted(handle.verification_keys.items())).values())}
 
 
-def decode_service_context(blob: bytes):
-    """Rebuild a :class:`~repro.core.scheme.ServiceHandle` from
-    :func:`encode_service_context` output (used as the per-process
-    warm-state seed by :mod:`repro.service.remote_worker`)."""
-    from repro.core.keys import PublicKey, ThresholdParams
-    from repro.core.scheme import LJYThresholdScheme, ServiceHandle
-    from repro.groups import get_group
-
-    reader = _Reader(blob)
-    if reader.take(1) != KIND_CONTEXT:
-        raise SerializationError("not a service-context blob")
-    epoch = reader.u32()
-    group = get_group(_utf8(reader.packed()))
-    codec = WireCodec(group)
-    t, n = reader.u32(), reader.u32()
-    hash_domain = _utf8(reader.packed())
-    g_z = group.g2_from_bytes(reader.take(group.g2_bytes))
-    g_r = group.g2_from_bytes(reader.take(group.g2_bytes))
-    g_1 = group.g2_from_bytes(reader.take(group.g2_bytes))
-    g_2 = group.g2_from_bytes(reader.take(group.g2_bytes))
+def _context_from_wire(epoch, group, t, n, hash_domain, g_z, g_r, g_1, g_2,
+                       shares, verification_keys) -> ServiceHandle:
+    try:
+        validate_threshold(t, n)
+    except ParameterError as exc:
+        raise SerializationError(f"service context: {exc}") from exc
+    for label, items in (("share", shares),
+                         ("verification key", verification_keys)):
+        indices = [item.index for item in items]
+        if indices != sorted(set(indices)) or not all(
+                1 <= index <= n for index in indices):
+            raise SerializationError(
+                f"service context {label} indices {indices} are not "
+                f"distinct, ascending and within 1..{n}")
     params = ThresholdParams(group=group, t=t, n=n, g_z=g_z, g_r=g_r,
                              hash_domain=hash_domain)
-    shares = {}
-    for _ in range(reader.u32()):
-        share = codec._read_share(reader)
-        shares[share.index] = share
-    verification_keys = {}
-    for _ in range(reader.u32()):
-        vk = codec._read_verification_key(reader)
-        verification_keys[vk.index] = vk
-    reader.done()
-    scheme = LJYThresholdScheme(params)
-    public_key = PublicKey(params=params, g_1=g_1, g_2=g_2)
-    return ServiceHandle(scheme, public_key, shares, verification_keys,
-                         epoch=epoch)
+    return ServiceHandle(
+        LJYThresholdScheme(params), PublicKey(params=params, g_1=g_1, g_2=g_2),
+        {share.index: share for share in shares},
+        {vk.index: vk for vk in verification_keys}, epoch=epoch)
+
+
+PARTIAL = Record("partial", b"", PartialSignature,
+                 (("index", U32), ("z", G1), ("r", G1)))
+SIGNATURE = Record("signature", b"", Signature, (("z", G1), ("r", G1)))
+VERIFICATION_KEY = Record("verification_key", b"", VerificationKey,
+                          (("index", U32), ("v_1", G2), ("v_2", G2)))
+SHARE = Record("share", b"", PrivateKeyShare,
+               (("index", U32), ("a_1", SCALAR), ("b_1", SCALAR),
+                ("a_2", SCALAR), ("b_2", SCALAR)))
+SIGN_JOB = Record("sign_job", KIND_SIGN_JOB, SignWindowJob, (
+    ("shard_id", U32), ("epoch", U32),
+    ListOf(("messages", BYTES)), ListOf(("quorum", U32))))
+VERIFY_JOB = Record("verify_job", KIND_VERIFY_JOB, VerifyWindowJob, (
+    ("shard_id", U32), ("epoch", U32),
+    ListOf(("messages", BYTES), ("signatures", SIGNATURE))))
+PARTIAL_JOB = Record("partial_job", KIND_PARTIAL_JOB, PartialSignJob, (
+    ("shard_id", U32), ("epoch", U32), ("message", BYTES),
+    ListOf(("signers", U32))))
+SIGN_OUTCOME = Record(
+    "sign_outcome", KIND_SIGN_OUTCOME, SignWindowOutcome, (
+        ListOf(Either(("failures", STR), ("signatures", SIGNATURE))),
+        ListOf(("flagged", U32)), ("fallback_combines", U32)),
+    to_wire=_sign_outcome_to_wire, from_wire=_sign_outcome_from_wire)
+VERIFY_OUTCOME = Record("verify_outcome", KIND_VERIFY_OUTCOME,
+                        VerifyWindowOutcome, (ListOf(("verdicts", BOOL)),))
+PARTIAL_OUTCOME = Record("partial_outcome", KIND_PARTIAL_OUTCOME,
+                         PartialSignOutcome, (ListOf(("partials", PARTIAL)),))
+#: The write-ahead log's records; the on-disk log adds its own
+#: length+CRC storage framing on top (:mod:`repro.service.wal`).
+WAL_ADMIT = Record("wal_admit", KIND_WAL_ADMIT, WalAdmitRecord, (
+    ("request_id", U64), ("epoch", U32), ("message", BYTES)))
+WAL_DONE = Record("wal_done", KIND_WAL_DONE, WalDoneRecord, (
+    ("request_id", U64), Either(("reason", STR), ("signature", SIGNATURE))))
+#: Everything a worker process needs to rebuild a ServiceHandle: the
+#: key-lifecycle epoch, backend, threshold parameters (with the derived
+#: generators inline, so no derivation assumptions survive the wire),
+#: public key, key shares and verification keys, both sorted by index.
+CONTEXT = Record("context", KIND_CONTEXT, ServiceHandle, (
+    ("epoch", U32), ("group", GROUP), ("t", U32), ("n", U32),
+    ("hash_domain", STR), ("g_z", G2), ("g_r", G2), ("g_1", G2), ("g_2", G2),
+    ListOf(("shares", SHARE)), ListOf(("verification_keys", VERIFICATION_KEY))),
+    to_wire=_context_to_wire, from_wire=_context_from_wire)
+HELLO = Record("hello", b"", Hello, (
+    ("group_name", STR), ("digest", _sized(32)), ("mac", _sized(0, 32))),
+    to_wire=Hello._asdict)
+
+#: Every declared record, by name.
+RECORDS: Dict[str, Record] = {record.name: record for record in (
+    PARTIAL, SIGNATURE, VERIFICATION_KEY, SHARE, SIGN_JOB, VERIFY_JOB,
+    PARTIAL_JOB, SIGN_OUTCOME, VERIFY_OUTCOME, PARTIAL_OUTCOME, WAL_ADMIT,
+    WAL_DONE, CONTEXT, HELLO)}
+
+_JOBS = _Family("job", SIGN_JOB, VERIFY_JOB, PARTIAL_JOB)
+_OUTCOMES = _Family("outcome", SIGN_OUTCOME, VERIFY_OUTCOME, PARTIAL_OUTCOME)
+_WAL_RECORDS = _Family("WAL record", WAL_ADMIT, WAL_DONE)
+_CONTEXTS = _Family("service context", CONTEXT)
+
+
+def _codec_pair(declaration):
+    """:class:`WireCodec`'s ``(encode, decode)`` methods for one record
+    or family."""
+    return (lambda self, value: declaration.encode(value, self.group),
+            lambda self, blob: declaration.decode(blob, self.group))
+
+
+class WireCodec:
+    """The declared records' codecs for one bilinear-group backend
+    (element fields are ``group.g1_bytes`` / ``group.g2_bytes`` wide,
+    scalars the group order's byte length)."""
+
+    def __init__(self, group: BilinearGroup):
+        self.group = group
+
+    encode_partial, decode_partial = _codec_pair(PARTIAL)
+    encode_signature, decode_signature = _codec_pair(SIGNATURE)
+    encode_verification_key, decode_verification_key = \
+        _codec_pair(VERIFICATION_KEY)
+    encode_share, decode_share = _codec_pair(SHARE)
+    encode_job, decode_job = _codec_pair(_JOBS)
+    encode_outcome, decode_outcome = _codec_pair(_OUTCOMES)
+    encode_wal_record, decode_wal_record = _codec_pair(_WAL_RECORDS)
+
+
+def encode_service_context(handle: ServiceHandle) -> bytes:
+    """The :data:`CONTEXT` blob of ``handle`` — the simulation's
+    stand-in for provisioning (a real deployment ships each server only
+    its own share).  Raises :class:`TypeError` for a handle whose scheme
+    is not exactly :class:`~repro.core.scheme.LJYThresholdScheme`."""
+    return _CONTEXTS.encode(handle, handle.scheme.group)
+
+
+def decode_service_context(blob: bytes) -> ServiceHandle:
+    """Rebuild the :class:`~repro.core.scheme.ServiceHandle` of an
+    :func:`encode_service_context` blob.  An unknown backend, an invalid
+    ``(t, n)``, or share or VK indices that are repeated, unsorted or
+    outside 1..n are refused with :class:`SerializationError`."""
+    return _CONTEXTS.decode(blob, None)
 
 
 # ---------------------------------------------------------------------------
@@ -691,16 +712,10 @@ def decode_service_context(blob: bytes):
 # a corrupt or hostile peer (never allocate it).  See
 # ``docs/WIRE_FORMAT.md`` for the full spec and the compatibility rule.
 #
-# Version history: v1 had no C frame; v2 added it for live epoch
-# transitions (a dispatcher pushing refreshed key material to running
-# workers) and stamped jobs with the epoch; v3 added the request-id
-# field and the optional PSK MAC in HELLO.  (v3 also briefly carried
-# per-request job kinds ``Q``/``R``/``q``/``r``; they are retired and
-# refused as unknown kinds — the header did not change, so the version
-# did not either.)  Per the compatibility rule there is no negotiation — both
-# ends upgrade together.  The version byte sits at the same offset in
-# every version, so an old peer is always refused with a typed
-# version-mismatch error, never parsed as garbage.
+# Version history (v1 no C frame, v2 epochs, v3 request ids and the
+# PSK MAC) is in the doc.  There is no negotiation: both ends upgrade
+# together, and the version byte sits at the same offset in every
+# version, so an old peer is refused with a typed version mismatch.
 
 FRAME_MAGIC = b"LJYW"
 FRAME_VERSION = 3
@@ -804,29 +819,11 @@ def hello_mac(psk: bytes, digest: bytes) -> bytes:
 
 def encode_hello(group_name: str, digest: bytes,
                  mac: bytes = b"") -> bytes:
-    """The HELLO frame payload: backend name + service-context digest +
-    the (possibly empty) PSK authenticator from :func:`hello_mac`."""
-    if len(digest) != 32:
-        raise SerializationError(
-            f"context digest must be 32 bytes, got {len(digest)}")
-    if len(mac) not in (0, 32):
-        raise SerializationError(
-            f"hello MAC must be empty or 32 bytes, got {len(mac)}")
-    return _packed(group_name.encode("utf-8")) + _packed(digest) + \
-        _packed(mac)
+    """The :data:`HELLO` frame payload: a 32-byte context digest and an
+    empty or 32-byte MAC."""
+    return HELLO.encode(Hello(group_name, digest, mac), None)
 
 
-def decode_hello(payload: bytes) -> Tuple[str, bytes, bytes]:
+def decode_hello(payload: bytes) -> Hello:
     """Parse a HELLO payload; returns ``(group_name, digest, mac)``."""
-    reader = _Reader(payload)
-    group_name = _utf8(reader.packed())
-    digest = reader.packed()
-    mac = reader.packed()
-    reader.done()
-    if len(digest) != 32:
-        raise SerializationError(
-            f"context digest must be 32 bytes, got {len(digest)}")
-    if len(mac) not in (0, 32):
-        raise SerializationError(
-            f"hello MAC must be empty or 32 bytes, got {len(mac)}")
-    return group_name, digest, mac
+    return HELLO.decode(payload, None)

@@ -440,7 +440,7 @@ class WorkerServer:
         """
         try:
             handle = decode_service_context(payload)
-        except Exception as exc:
+        except SerializationError as exc:
             await self._send_error(connection, request_id,
                                    f"bad context push: {exc}")
             return

@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import os
 import pathlib
+import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 from repro.serialization import (
-    MAX_FRAME_BYTES, WalAdmitRecord, WalDoneRecord, WireCodec, _u32,
+    MAX_FRAME_BYTES, WalAdmitRecord, WalDoneRecord, WireCodec,
 )
 from repro.errors import SerializationError
 
@@ -85,7 +86,7 @@ def frame_record(payload: bytes) -> bytes:
         raise SerializationError(
             f"WAL record payload of {len(payload)} bytes exceeds the "
             f"{MAX_RECORD_BYTES}-byte cap")
-    return _u32(len(payload)) + _u32(zlib.crc32(payload)) + payload
+    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
 
 
 def scan_records(path, codec: WireCodec
@@ -106,8 +107,7 @@ def scan_records(path, codec: WireCodec
     records: List[object] = []
     offset = 0
     while offset + RECORD_HEADER_BYTES <= len(data):
-        length = int.from_bytes(data[offset:offset + 4], "big")
-        crc = int.from_bytes(data[offset + 4:offset + 8], "big")
+        length, crc = struct.unpack_from(">II", data, offset)
         end = offset + RECORD_HEADER_BYTES + length
         if length == 0 or length > MAX_RECORD_BYTES or end > len(data):
             break

@@ -15,13 +15,16 @@ properties, each swept over a corpus covering every wire type:
   well-typed value of the expected class.  Never a hang, never a
   foreign exception (``UnicodeDecodeError``, ``ValueError``, ...).
 
+The corpus names the declared record (:data:`repro.serialization.
+RECORDS`) behind every entry, and a record with no entry fails the
+sweep: a newly declared record is fuzzed from the day it lands.
+
 The bit-flip sweep deliberately does **not** assert canonical
 re-encoding of a successfully decoded mutant: the toy backend's group
 decoding is non-validating by design (``g1_from_bytes`` accepts any
-fixed-width field, ``decode_scalar`` does not reduce mod the order),
-so a flipped element byte can decode to a non-canonical value.  The
-``bn254`` variant of the sweep runs the same corpus through the real
-curve, where point decoding *does* validate.
+fixed-width field), so a flipped element byte can decode to a
+non-canonical value.  The ``bn254`` variant of the sweep runs the same
+corpus through the real curve, where point decoding *does* validate.
 """
 
 import random
@@ -33,16 +36,19 @@ from repro.core.scheme import ServiceHandle
 from repro.errors import SerializationError
 from repro.serialization import (
     FRAME_HEADER_BYTES, FRAME_KIND_JOB, FRAME_KINDS, FRAME_MAGIC,
-    FRAME_VERSION, MAX_FRAME_BYTES, PartialSignJob, PartialSignOutcome,
-    SignWindowJob, SignWindowOutcome, VerifyWindowJob, VerifyWindowOutcome,
-    WalAdmitRecord, WalDoneRecord, WireCodec, decode_frame_header,
-    encode_frame,
+    FRAME_VERSION, MAX_FRAME_BYTES, RECORDS, Hello, PartialSignJob,
+    PartialSignOutcome, SignWindowJob, SignWindowOutcome, VerifyWindowJob,
+    VerifyWindowOutcome, WalAdmitRecord, WalDoneRecord, WireCodec,
+    decode_frame_header, decode_hello, decode_service_context,
+    encode_frame, encode_hello, encode_service_context, hello_mac,
+    service_context_digest,
 )
 
 
 def _corpus(handle, codec, rng):
-    """(value, encode, decode) triples covering every wire type, with
-    messages sized to keep the quadratic truncation sweep fast."""
+    """``(record name, value, encode, decode)`` entries covering every
+    declared record, with messages sized to keep the quadratic
+    truncation sweep fast."""
     messages = [b"", rng.randbytes(1), rng.randbytes(33),
                 rng.randbytes(200), b"\xff\x00S V P q w"]
     message = rng.randbytes(48)
@@ -75,17 +81,37 @@ def _corpus(handle, codec, rng):
         WalDoneRecord(request_id=8, signature=None, reason="replayed"),
     ]
 
-    triples = [(partials[0], codec.encode_partial, codec.decode_partial),
-               (signature, codec.encode_signature, codec.decode_signature),
-               (vk, codec.encode_verification_key,
+    digest = service_context_digest(encode_service_context(handle))
+    hellos = [Hello(handle.scheme.group.name, digest),
+              Hello("toy", digest, hello_mac(rng.randbytes(16), digest))]
+
+    def unpacked(encode):
+        return lambda hello: encode(*hello)
+
+    entries = [("partial", partials[0], codec.encode_partial,
+                codec.decode_partial),
+               ("signature", signature, codec.encode_signature,
+                codec.decode_signature),
+               ("verification_key", vk, codec.encode_verification_key,
                 codec.decode_verification_key),
-               (share, codec.encode_share, codec.decode_share)]
-    triples += [(job, codec.encode_job, codec.decode_job) for job in jobs]
-    triples += [(outcome, codec.encode_outcome, codec.decode_outcome)
-                for outcome in outcomes]
-    triples += [(record, codec.encode_wal_record, codec.decode_wal_record)
-                for record in wal_records]
-    return triples
+               ("share", share, codec.encode_share, codec.decode_share),
+               ("context", handle, encode_service_context,
+                decode_service_context)]
+    entries += [(name, job, codec.encode_job, codec.decode_job)
+                for name, job in zip(
+                    ("sign_job", "sign_job", "verify_job", "partial_job"),
+                    jobs)]
+    entries += [(name, outcome, codec.encode_outcome, codec.decode_outcome)
+                for name, outcome in zip(
+                    ("sign_outcome", "verify_outcome", "partial_outcome"),
+                    outcomes)]
+    entries += [(name, record, codec.encode_wal_record,
+                 codec.decode_wal_record)
+                for name, record in zip(
+                    ("wal_admit", "wal_done", "wal_done"), wal_records)]
+    entries += [("hello", hello, unpacked(encode_hello), decode_hello)
+                for hello in hellos]
+    return entries
 
 
 def _wire(group, session_seed):
@@ -111,22 +137,40 @@ def _flip_bit(blob: bytes, bit: int) -> bytes:
     return bytes(mutated)
 
 
+def _assert_every_record_fuzzed(corpus):
+    assert {name for name, *_ in corpus} == set(RECORDS)
+
+
 def _assert_round_trips(corpus, codec):
-    for value, encode, decode in corpus:
+    for _name, value, encode, decode in corpus:
         blob = encode(value)
         decoded = decode(blob)
-        if not isinstance(value, PrivateKeyShare):
-            assert decoded == value
-        else:
+        if isinstance(value, PrivateKeyShare):
             # Shares decode reduced mod the group order.
             assert decoded == value.reduce(codec.group.order)
+        elif not isinstance(value, ServiceHandle):
+            # (A handle has no equality; its re-encoding below compares
+            # every field.)
+            assert decoded == value
         assert encode(decoded) == blob  # canonical on both backends
 
 
-def _assert_truncations_rejected(corpus):
-    for value, encode, decode in corpus:
+#: On BN254 one context decode checks 14 G_hat points for subgroup
+#: membership (~60 ms), so the bn254 sweeps take a seeded sample of
+#: ``_SAMPLE`` positions of that entry (plus, for truncation, every cut
+#: in its first 24 bytes); the toy sweeps, over the same grammar, take
+#: every position.
+_SAMPLED_ON_BN254 = frozenset({"context"})
+_SAMPLE = 48
+
+
+def _assert_truncations_rejected(corpus, rng=None, sampled=frozenset()):
+    for name, value, encode, decode in corpus:
         blob = encode(value)
-        for cut in range(len(blob)):
+        cuts = range(len(blob))
+        if name in sampled:
+            cuts = sorted(set(range(24)) | set(rng.sample(cuts, _SAMPLE)))
+        for cut in cuts:
             with pytest.raises(SerializationError):
                 decode(blob[:cut])
         with pytest.raises(SerializationError):
@@ -149,14 +193,16 @@ def _allowed_types(value):
     return (type(value),)
 
 
-def _assert_bit_flips_typed(corpus, rng):
-    for value, encode, decode in corpus:
+def _assert_bit_flips_typed(corpus, rng, sampled=frozenset()):
+    for name, value, encode, decode in corpus:
         blob = encode(value)
         bits = len(blob) * 8
         # Every bit of the first 24 bytes (kind tags, counts, status
         # flags — the control plane), plus a seeded sample of the rest.
         positions = set(range(min(bits, 24 * 8)))
         positions.update(rng.sample(range(bits), min(bits, 256)))
+        if name in sampled:
+            positions = set(rng.sample(range(bits), _SAMPLE))
         allowed = _allowed_types(value)
         for bit in sorted(positions):
             try:
@@ -173,6 +219,10 @@ def _assert_bit_flips_typed(corpus, rng):
 
 
 class TestWireFuzzToy:
+    def test_every_declared_record_in_corpus(self, toy_wire):
+        corpus, _rng = toy_wire
+        _assert_every_record_fuzzed(corpus)
+
     def test_round_trip_and_size_accounting(self, toy_wire, toy_group):
         corpus, _rng = toy_wire
         _assert_round_trips(corpus, WireCodec(toy_group))
@@ -218,12 +268,12 @@ class TestWireFuzzBn254:
         _assert_round_trips(corpus, WireCodec(bn254_group))
 
     def test_truncation_at_every_boundary(self, bn254_wire):
-        corpus, _rng = bn254_wire
-        _assert_truncations_rejected(corpus)
+        corpus, rng = bn254_wire
+        _assert_truncations_rejected(corpus, rng, _SAMPLED_ON_BN254)
 
     def test_single_bit_flips_are_typed(self, bn254_wire):
         corpus, rng = bn254_wire
-        _assert_bit_flips_typed(corpus, rng)
+        _assert_bit_flips_typed(corpus, rng, _SAMPLED_ON_BN254)
 
 
 # ---------------------------------------------------------------------------

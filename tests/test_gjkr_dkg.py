@@ -68,6 +68,15 @@ class TestHonestRun:
             assert results[1].verification_keys[i] == g_z ** result.share
 
 
+def _assert_verification_keys_match_shares(results, g_z):
+    """Every honest player's VK_i, as every honest player computed it,
+    is g_z^{x_i} for player i's final share x_i — a reconstructed
+    dealer's contribution included."""
+    for holder in results.values():
+        for i, result in results.items():
+            assert holder.verification_keys[i] == g_z ** result.share
+
+
 class TestExtractionMisbehaviour:
     def test_dropout_contribution_reconstructed(self, setup, rng):
         """A dealer silent during extraction stays in Q — the key GJKR
@@ -97,6 +106,7 @@ class TestExtractionMisbehaviour:
         points = {i: results[i].share for i in (2, 3, 4)}
         x = interpolate_at(points, group.order)
         assert g_z ** x == results[2].public_key
+        _assert_verification_keys_match_shares(results, g_z)
 
     def test_feldman_cheater_reconstructed(self, setup, rng):
         """A dealer broadcasting a wrong Feldman vector triggers valid
@@ -128,3 +138,4 @@ class TestExtractionMisbehaviour:
         points = {i: results[i].share for i in (2, 3, 5)}
         x = interpolate_at(points, group.order)
         assert g_z ** x == results[2].public_key
+        _assert_verification_keys_match_shares(results, g_z)

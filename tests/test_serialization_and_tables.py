@@ -2,6 +2,7 @@
 format (round-trippable codecs for partials, signatures, verification
 keys, shares, service contexts and window jobs on both backends)."""
 
+import dataclasses
 import pathlib
 import random
 import re
@@ -204,6 +205,70 @@ class TestWireRoundTrips:
             fallback_combines=1)
         with pytest.raises(SerializationError):
             codec.encode_outcome(incomplete)
+
+
+class TestHostileFields:
+    """Fields that frame correctly but name no canonical value are
+    refused at decode with :class:`SerializationError`: every encoder
+    writes only canonical values, so each refusal keeps
+    ``encode(decode(blob)) == blob`` and keeps one context digest per
+    handle."""
+
+    @pytest.fixture
+    def toy(self, toy_group):
+        handle = ServiceHandle.dealer(toy_group, 2, 5,
+                                      rng=random.Random(99))
+        return handle, WireCodec(toy_group)
+
+    def test_scalar_at_or_above_the_order_refused(self, toy):
+        handle, codec = toy
+        order = codec.group.order
+        width = scalar_bits(order) // 8
+        index = codec.encode_share(handle.shares[1])[:4]
+
+        def share_blob(a_1):
+            return index + a_1.to_bytes(width, "big") + bytes(3 * width)
+        assert codec.decode_share(share_blob(order - 1)).a_1 == order - 1
+        for a_1 in (order, order + 1):
+            with pytest.raises(SerializationError, match="group order"):
+                codec.decode_share(share_blob(a_1))
+
+    def test_context_unknown_backend_refused(self, toy):
+        handle, _ = toy
+        blob = encode_service_context(handle)
+        renamed = blob.replace(b"\x00\x00\x00\x03toy",
+                               b"\x00\x00\x00\x03tox", 1)
+        assert renamed != blob
+        with pytest.raises(SerializationError, match="backend"):
+            decode_service_context(renamed)
+
+    def test_context_invalid_threshold_refused(self, toy):
+        handle, _ = toy
+        blob = bytearray(encode_service_context(handle))
+        t_offset = 1 + 4 + 4 + len(b"toy")  # kind, epoch, backend name
+        assert blob[t_offset:t_offset + 8] == (2).to_bytes(4, "big") \
+            + (5).to_bytes(4, "big")
+        blob[t_offset:t_offset + 4] = (9).to_bytes(4, "big")
+        with pytest.raises(SerializationError, match="n > t"):
+            decode_service_context(bytes(blob))
+
+    @pytest.mark.parametrize("indices", [(1, 7), (0, 1), (1, 1), (2, 1)])
+    def test_context_share_and_vk_indices_refused(self, toy, indices):
+        """Outside 1..n, repeated, or out of order: refused for shares
+        and for verification keys alike."""
+        handle, _ = toy
+        share, vk = handle.shares[1], handle.verification_keys[1]
+        for shares, vks in (
+                ({k: dataclasses.replace(share, index=i)
+                  for k, i in enumerate(indices)},
+                 handle.verification_keys),
+                (handle.shares,
+                 {k: dataclasses.replace(vk, index=i)
+                  for k, i in enumerate(indices)})):
+            blob = encode_service_context(ServiceHandle(
+                handle.scheme, handle.public_key, shares, vks))
+            with pytest.raises(SerializationError, match="indices"):
+                decode_service_context(blob)
 
 
 def test_kind_tags_match_the_wire_format_doc():
