@@ -6,20 +6,26 @@ player sends anything does not count as a *communication round* — this is
 how "Pedersen's DKG takes one round in the optimistic case" is measured.
 
 The Prometheus half (:class:`MetricFamily`, :class:`Histogram`,
-:func:`render_prometheus`) renders any of the repo's stats objects into
-the text exposition format (version 0.0.4) a real scraper ingests —
-``# HELP`` / ``# TYPE`` comments, escaped label values, and the
-``_bucket``/``_sum``/``_count`` triplet for histograms.  It is
-deliberately tiny and dependency-free: the gateway's ``GET /metrics``
-endpoint is the only producer, and ``tools/serve_smoke.py`` parses the
-output line-by-line as the format gate.
+:func:`render_prometheus`) renders the text exposition format (version
+0.0.4) a real scraper ingests — ``# HELP`` / ``# TYPE`` comments,
+escaped label values, and the ``_bucket``/``_sum``/``_count`` triplet
+for histograms.  What is exported is declared once, on the stats field
+that holds it: :func:`metric` puts a family's name, type and HELP text
+into the field's metadata, :func:`walked` marks a field holding nested
+stats records, and :func:`collect` walks those declarations into
+families — so the gateway's ``GET /metrics`` keeps no code per metric.
+:func:`parse_prometheus` reads an exposition back, strictly; the
+gateway tests and ``tools/serve_smoke.py`` gate the format with it.
+It is all deliberately tiny and dependency-free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 
 def estimate_size(payload) -> int:
@@ -65,24 +71,13 @@ class TrafficCounter:
     """Message/byte accounting for a request stream.
 
     The protocol simulator counts per-round traffic via
-    :class:`NetworkMetrics`; long-lived services have no rounds, so they
-    meter each direction (ingress requests, egress results) with one of
-    these.  Sizes come from the same :func:`estimate_size` accounting the
-    simulator uses, so service telemetry and protocol tables report
-    comparable bytes.
+    :class:`NetworkMetrics`; a simulated network has no rounds, so it
+    meters its links with one of these, in the same :func:`estimate_size`
+    bytes the protocol tables report.
     """
 
     messages: int = 0
     bytes_total: int = 0
-
-    def record(self, payload) -> int:
-        size = estimate_size(payload)
-        self.messages += 1
-        self.bytes_total += size
-        return size
-
-    def summary(self) -> Dict[str, int]:
-        return {"messages": self.messages, "bytes": self.bytes_total}
 
 
 @dataclass
@@ -270,3 +265,208 @@ def render_prometheus(families: Iterable[MetricFamily]) -> str:
         if family.samples:
             lines.extend(family.render())
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Declared telemetry: each exported stats field names its own family
+# ---------------------------------------------------------------------------
+
+#: The ``dataclasses.field`` metadata key the declarations live under.
+_DECLARED = "prometheus"
+
+
+@dataclass(frozen=True)
+class Metric:
+    """What one stats field exports: the family's name, Prometheus type
+    and HELP text, the fixed ``labels`` its samples carry, and ``key``
+    — the label names of a dict-valued field's keys (a tuple key fills
+    several labels)."""
+
+    name: str
+    kind: str
+    help: str
+    labels: Tuple[Tuple[str, str], ...] = ()
+    key: Tuple[str, ...] = ()
+
+    def add_to(self, families: Dict[str, MetricFamily],
+               labels: Tuple[Tuple[str, str], ...], value) -> None:
+        """Add ``value``'s samples under ``labels`` (the labels of the
+        records holding it) to this metric's family in ``families``.
+        A keyed value is a dict, rendered in key order, or a sequence
+        of ``(key, value)`` pairs, rendered as given.  A histogram's
+        value is a :class:`Histogram` or a list of observations; a
+        float counter renders to the microsecond of a millisecond."""
+        family = families.setdefault(
+            self.name, MetricFamily(self.name, self.kind, self.help))
+        series = [(labels, value)]
+        if self.key:
+            pairs = sorted(value.items()) if isinstance(value, dict) \
+                else value
+            series = [
+                (labels + tuple(zip(self.key, map(str, (
+                    key if isinstance(key, tuple) else (key,))))), sample)
+                for key, sample in pairs]
+        for series_labels, sample in series:
+            if self.kind == "histogram" and \
+                    not isinstance(sample, Histogram):
+                observations, sample = sample, Histogram()
+                for observation in observations:
+                    sample.observe(observation)
+            elif isinstance(sample, float):
+                sample = round(sample, 3)
+            family.add(dict(series_labels + self.labels), sample)
+
+
+def metric(name: str, help: str, kind: str = "counter", *,
+           key=(), labels: Mapping[str, str] = None, default=0,
+           default_factory=None):
+    """A dataclass field exported as (one series of) the family
+    ``name``.  Several fields may declare one family, each with its
+    own fixed ``labels``; the first declaration's HELP text is the
+    one rendered.  A keyed field (``key="tenant"``) holds a dict and
+    defaults to an empty one; a histogram without a key defaults to an
+    empty list of observations."""
+    spec = Metric(name, kind, help, tuple((labels or {}).items()),
+                  (key,) if isinstance(key, str) else tuple(key))
+    if default_factory is None and (spec.key or kind == "histogram"):
+        default_factory = dict if spec.key else list
+    if default_factory is not None:
+        return field(default_factory=default_factory,
+                     metadata={_DECLARED: spec})
+    return field(default=default, metadata={_DECLARED: spec})
+
+
+def walked(key: str = "", **field_args):
+    """A dataclass field holding a stats record whose own declarations
+    are walked — or, with ``key``, a dict of records, each walked with
+    its dict key as label ``key``.  A ``None`` record exports nothing."""
+    return field(metadata={_DECLARED: key}, **field_args)
+
+
+def declarations(record_type) -> Dict[str, object]:
+    """``{field name: Metric or walked label}`` for every declared
+    field of a stats dataclass (an instance or the class)."""
+    return {spec_field.name: spec_field.metadata[_DECLARED]
+            for spec_field in fields(record_type)
+            if _DECLARED in spec_field.metadata}
+
+
+def collect(record, labels: Tuple[Tuple[str, str], ...] = (),
+            families: Optional[Dict[str, MetricFamily]] = None
+            ) -> Dict[str, MetricFamily]:
+    """Every family ``record``'s declarations export, walked in field
+    order into ``families`` (created when None) and returned.  A
+    family keeps the place of its first sample and gathers every later
+    one, so a dict of records renders family by family, each family
+    record by record in key order."""
+    families = {} if families is None else families
+    for name, spec in declarations(record).items():
+        value = getattr(record, name)
+        if isinstance(spec, Metric):
+            spec.add_to(families, labels, value)
+        elif value is None:
+            continue
+        elif spec:
+            for key in sorted(value):
+                collect(value[key], labels + ((spec, str(key)),), families)
+        else:
+            collect(value, labels, families)
+    return families
+
+
+# ---------------------------------------------------------------------------
+# Parsing an exposition back
+# ---------------------------------------------------------------------------
+
+def _unescape_label(value: str) -> str:
+    out, position = [], 0
+    while position < len(value):
+        if value[position] == "\\" and position + 1 < len(value):
+            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(
+                value[position + 1], value[position + 1]))
+            position += 2
+        else:
+            out.append(value[position])
+            position += 1
+    return "".join(out)
+
+
+def _parse_labels(blob: str) -> Tuple[Tuple[str, str], ...]:
+    """``k="v",...`` -> sorted tuple of ``(key, unescaped value)``."""
+    labels, position = [], 0
+    while position < len(blob):
+        equals = blob.find("=", position)
+        if equals < 0 or blob[equals + 1:equals + 2] != '"':
+            raise ValueError(f"malformed labels {{{blob}}}")
+        end = equals + 2
+        while end < len(blob) and blob[end] != '"':
+            end += 2 if blob[end] == "\\" else 1
+        if end >= len(blob):
+            raise ValueError(f"unterminated label value in {{{blob}}}")
+        labels.append((blob[position:equals],
+                       _unescape_label(blob[equals + 2:end])))
+        position = end + 1
+        if position < len(blob):
+            if blob[position] != ",":
+                raise ValueError(f"malformed labels {{{blob}}}")
+            position += 1
+    return tuple(sorted(labels))
+
+
+def parse_prometheus(text: str) -> Dict[str, dict]:
+    """Parse a text exposition strictly, line by line.
+
+    Returns ``{family: {"help": ..., "type": ..., "samples":
+    {(sample name, sorted label pairs): value}}}``.  Raises
+    :class:`ValueError` on a structural fault: no trailing newline, a
+    blank line, a family given twice, a TYPE not right after its HELP,
+    an unknown type, a family without a TYPE, a sample outside its
+    family's block or before its TYPE, malformed labels, an unparseable value or a sample
+    given twice."""
+    if not text.endswith("\n"):
+        raise ValueError("exposition lacks its trailing newline")
+    families: Dict[str, dict] = {}
+    current = None
+    for line in text.splitlines():
+        if not line:
+            raise ValueError("blank line in exposition")
+        if line.startswith("# HELP "):
+            _, _, name, help_text = (line.split(" ", 3) + [""])[:4]
+            if name in families:
+                raise ValueError(f"family {name} given twice")
+            families[name] = {"help": help_text, "type": None,
+                              "samples": {}}
+            current = name
+        elif line.startswith("# TYPE "):
+            _, _, name, kind = (line.split(" ", 3) + [""])[:4]
+            if name != current or families[name]["type"] is not None:
+                raise ValueError(f"TYPE for {name} does not follow its HELP")
+            if kind not in ("counter", "gauge", "histogram"):
+                raise ValueError(f"unknown type {kind!r} for {name}")
+            families[name]["type"] = kind
+        else:
+            name_part, _, value_part = line.rpartition(" ")
+            name, brace, blob = name_part.partition("{")
+            if brace and not blob.endswith("}"):
+                raise ValueError(f"malformed sample {line!r}")
+            labels = _parse_labels(blob[:-1]) if brace else ()
+            family = name
+            for suffix in ("_bucket", "_sum", "_count"):
+                if name.endswith(suffix) and name[:-len(suffix)] in families:
+                    family = name[:-len(suffix)]
+            if current is None or family != current:
+                raise ValueError(f"sample {name} outside its family block")
+            if families[family]["type"] is None:
+                raise ValueError(f"sample {name} before its family's TYPE")
+            try:
+                value = float(value_part.replace("+Inf", "inf"))
+            except ValueError:
+                raise ValueError(f"unparseable sample {line!r}") from None
+            samples = families[family]["samples"]
+            if (name, labels) in samples:
+                raise ValueError(f"sample {name_part} given twice")
+            samples[(name, labels)] = value
+    for name, family in families.items():
+        if family["type"] is None:
+            raise ValueError(f"family {name} has no TYPE")
+    return families

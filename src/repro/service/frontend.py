@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.keys import Signature
 from repro.core.scheme import ServiceHandle
+from repro.net.metrics import estimate_size
 from repro.serialization import WireCodec
 from repro.service.shards import ShardPool
 from repro.service.types import (
@@ -429,7 +430,8 @@ class SigningService:
         else:
             self.stats.completed += 1
             result = future.result()
-            self.stats.egress.record(result)
+            self.stats.egress_messages += 1
+            self.stats.egress_bytes += estimate_size(result)
             self._settle(request,
                          signature=getattr(result, "signature", None))
 
@@ -472,7 +474,8 @@ class SigningService:
             kind=RequestKind.SIGN, message=message,
             enqueued_at=loop.time(), future=loop.create_future(),
             deadline=self._deadline_from(loop), tenant=tenant)
-        self.stats.ingress.record(message)
+        self.stats.ingress_messages += 1
+        self.stats.ingress_bytes += estimate_size(message)
         self._admit(request, rotation=rotation)
         return await request.future
 
@@ -486,7 +489,8 @@ class SigningService:
             enqueued_at=loop.time(), future=loop.create_future(),
             signature=signature, deadline=self._deadline_from(loop),
             tenant=tenant)
-        self.stats.ingress.record((message, signature))
+        self.stats.ingress_messages += 1
+        self.stats.ingress_bytes += estimate_size((message, signature))
         self._admit(request, rotation=rotation)
         return await request.future
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.curves.hash_to_curve import HASH_COUNTERS
@@ -49,7 +50,7 @@ from repro.errors import ReproError
 from repro.math.msm import MSM_COUNTERS
 from repro.sharing.pedersen_vss import DKG_COUNTERS
 from repro.net.metrics import (
-    Histogram, MetricFamily, render_prometheus,
+    Histogram, Metric, MetricFamily, collect, metric, render_prometheus,
 )
 from repro.serialization import WireCodec
 from repro.service.frontend import SigningService
@@ -151,6 +152,41 @@ def _int_field(payload: dict, field: str) -> int:
     return value
 
 
+@dataclass
+class GatewayStats:
+    """The gateway's own telemetry.  Routes are the table patterns,
+    ``other`` for 404s and unparseable requests."""
+
+    requests_total: Dict[Tuple[str, int], int] = metric(
+        "ljy_gateway_requests_total",
+        "HTTP requests served, by route and status code.",
+        key=("route", "code"))
+    inflight: int = metric("ljy_gateway_inflight",
+                           "HTTP requests currently being served.", "gauge")
+    #: Parse to response written.
+    request_ms: Dict[str, Histogram] = metric(
+        "ljy_gateway_request_ms",
+        "HTTP request latency (parse to response written), by route.",
+        "histogram", key="route")
+
+
+#: ``ljy_crypto_ops_total``: the process-wide crypto counters, each dict
+#: with the ``op`` label of each of its keys (:data:`CRYPTO_COUNTERS`).
+CRYPTO_OPS = Metric(
+    "ljy_crypto_ops_total", "counter",
+    "Pairing, MSM, hash-to-G1 and DKG share-check operations run in this "
+    "process, by op (MSM rows by the kernel that served them).",
+    key=("op",))
+CRYPTO_COUNTERS = (
+    (PAIRING_COUNTERS, {"miller_loops": "miller_loops",
+                        "final_exps": "final_exps",
+                        "preparations": "g2_preparations"}),
+    (MSM_COUNTERS, {key: f"msm_{key}" for key in MSM_COUNTERS}),
+    (HASH_COUNTERS, {key: f"hash_{key}" for key in HASH_COUNTERS}),
+    (DKG_COUNTERS, {key: f"dkg_{key}" for key in DKG_COUNTERS}),
+)
+
+
 class _Connection:
     """Per-connection bookkeeping for the drain protocol."""
 
@@ -183,18 +219,18 @@ class HttpGateway:
         self._connections: Dict[asyncio.Task, _Connection] = {}
         self._draining = False
         self._next_request_id = 0
-        #: (route, status) -> count; the ``ljy_gateway_requests_total``
-        #: family.  Routes are the table patterns, ``other`` for 404s.
-        self.requests_total: Dict[Tuple[str, int], int] = {}
-        #: route -> latency histogram (parse-to-response-written ms).
-        self.request_ms: Dict[str, Histogram] = {}
-        self.inflight = 0
+        self.stats = GatewayStats()
         self._codec: Optional[WireCodec] = None
 
     # -- lifecycle ----------------------------------------------------------
     @property
     def running(self) -> bool:
         return self._server is not None
+
+    @property
+    def requests_total(self) -> Dict[Tuple[str, int], int]:
+        """``(route, status) -> count`` (:class:`GatewayStats`)."""
+        return self.stats.requests_total
 
     async def start(self) -> None:
         if self._server is not None:
@@ -240,11 +276,11 @@ class HttpGateway:
                 if request is None:
                     return
                 conn.busy = True
-                self.inflight += 1
+                self.stats.inflight += 1
                 try:
                     keep_alive = await self._dispatch(request, writer)
                 finally:
-                    self.inflight -= 1
+                    self.stats.inflight -= 1
                     conn.busy = False
                 if not keep_alive:
                     return
@@ -394,9 +430,9 @@ class HttpGateway:
         await self._write_response(
             writer, status, body, content_type, keep_alive,
             [("X-Request-Id", request.request_id), *headers])
-        self.requests_total[(route, status)] = \
-            self.requests_total.get((route, status), 0) + 1
-        self.request_ms.setdefault(route, Histogram()).observe(
+        counts = self.stats.requests_total
+        counts[(route, status)] = counts.get((route, status), 0) + 1
+        self.stats.request_ms.setdefault(route, Histogram()).observe(
             (loop.time() - started) * 1000.0)
         return keep_alive
 
@@ -427,8 +463,8 @@ class HttpGateway:
         await self._write_response(
             writer, status, json.dumps(payload).encode("utf-8"),
             _JSON, keep_alive=False)
-        self.requests_total[("other", status)] = \
-            self.requests_total.get(("other", status), 0) + 1
+        counts = self.stats.requests_total
+        counts[("other", status)] = counts.get(("other", status), 0) + 1
 
     # -- auth ---------------------------------------------------------------
     def _authorize(self, request: _Request,
@@ -595,214 +631,16 @@ class HttpGateway:
         return 200, render_prometheus(self.metric_families())
 
     def metric_families(self) -> List[MetricFamily]:
-        """The full telemetry surface as Prometheus metric families.
-
-        Counters here mirror — exactly, the serve-smoke gate asserts it
-        — the numbers in :meth:`SigningService.snapshot_stats` and the
-        tenant registry; the gateway adds its own route counters and
-        latency histograms, and ``ljy_crypto_ops_total`` mirrors the
-        process-wide ``PAIRING_COUNTERS``, ``MSM_COUNTERS``,
-        ``HASH_COUNTERS`` and ``DKG_COUNTERS`` dicts.
-        """
-        stats = self.service.snapshot_stats()
-        families: List[MetricFamily] = []
-
-        gw_requests = MetricFamily(
-            "ljy_gateway_requests_total", "counter",
-            "HTTP requests served, by route and status code.")
-        for (route, status), count in sorted(self.requests_total.items()):
-            gw_requests.add({"route": route, "code": str(status)}, count)
-        families.append(gw_requests)
-        families.append(MetricFamily(
-            "ljy_gateway_inflight", "gauge",
-            "HTTP requests currently being served.").add({}, self.inflight))
-        gw_latency = MetricFamily(
-            "ljy_gateway_request_ms", "histogram",
-            "HTTP request latency (parse to response written), by route.")
-        for route in sorted(self.request_ms):
-            gw_latency.add({"route": route}, self.request_ms[route])
-        families.append(gw_latency)
-
-        tenant_counters = [
-            ("ljy_tenant_admitted_total",
-             "Requests admitted past the tenant's edge quota.",
-             lambda s: s.stats.admitted),
-            ("ljy_tenant_completed_total",
-             "Requests answered with a result.",
-             lambda s: s.stats.completed),
-            ("ljy_tenant_shed_total",
-             "Requests shed by the service's bounded queues (503).",
-             lambda s: s.stats.shed),
-            ("ljy_tenant_failed_total",
-             "Requests failed or expired inside the service (5xx).",
-             lambda s: s.stats.failed),
-        ]
-        states = self.tenants.states()
-        for name, help_text, getter in tenant_counters:
-            family = MetricFamily(name, "counter", help_text)
-            for tenant in sorted(states):
-                family.add({"tenant": tenant}, getter(states[tenant]))
-            families.append(family)
-        rejected = MetricFamily(
-            "ljy_tenant_rejected_total", "counter",
-            "Requests shed by the tenant's own quota (429), by reason.")
-        inflight = MetricFamily(
-            "ljy_tenant_inflight", "gauge",
-            "Requests the tenant currently holds open.")
-        for tenant in sorted(states):
-            state = states[tenant]
-            rejected.add({"tenant": tenant, "reason": "rate"},
-                         state.stats.rejected_quota)
-            rejected.add({"tenant": tenant, "reason": "in-flight"},
-                         state.stats.rejected_inflight)
-            inflight.add({"tenant": tenant}, state.inflight)
-        families.extend([rejected, inflight])
-
-        service_counters = [
-            ("ljy_service_accepted_total",
-             "Requests admitted into shard queues.", stats.accepted),
-            ("ljy_service_rejected_total",
-             "Requests shed at admission (queue full).", stats.rejected),
-            ("ljy_service_completed_total",
-             "Requests completed with a result.", stats.completed),
-            ("ljy_service_failed_total",
-             "Requests failed past admission.", stats.failed),
-            ("ljy_service_expired_total",
-             "Requests shed because their deadline passed.", stats.expired),
-            ("ljy_service_recovered_total",
-             "WAL admits replayed at start-up.", stats.recovered),
-            ("ljy_service_ingress_messages_total",
-             "Request payloads received.", stats.ingress.messages),
-            ("ljy_service_ingress_bytes_total",
-             "Estimated request payload bytes received.",
-             stats.ingress.bytes_total),
-            ("ljy_service_egress_messages_total",
-             "Results returned.", stats.egress.messages),
-            ("ljy_service_egress_bytes_total",
-             "Estimated result bytes returned.", stats.egress.bytes_total),
-        ]
-        for name, help_text, value in service_counters:
-            families.append(MetricFamily(
-                name, "counter", help_text).add({}, value))
-        tenant_accepted = MetricFamily(
-            "ljy_service_tenant_accepted_total", "counter",
-            "Admissions into shard queues, by tenant label.")
-        for tenant in sorted(stats.tenant_accepted):
-            tenant_accepted.add({"tenant": tenant},
-                                stats.tenant_accepted[tenant])
-        families.append(tenant_accepted)
-
-        shard_counters = [
-            ("ljy_shard_requests_total", "counter",
-             "Requests served, by shard.", lambda s: s.requests),
-            ("ljy_shard_windows_total", "counter",
-             "Batch windows executed, by shard.", lambda s: s.windows),
-            ("ljy_shard_expired_total", "counter",
-             "Requests shed at window formation (deadline), by shard.",
-             lambda s: s.expired),
-            ("ljy_shard_migrated_total", "counter",
-             "Queued requests received by live resize migration.",
-             lambda s: s.migrated),
-            ("ljy_shard_presigned_total", "counter",
-             "Sign requests served from partials made before their "
-             "window closed, by shard.", lambda s: s.presigned),
-            ("ljy_shard_busy_ms_total", "counter",
-             "Wall-clock ms spent pre-signing and executing windows, "
-             "by shard.", lambda s: round(s.busy_ms, 3)),
-        ]
-        for name, kind, help_text, getter in shard_counters:
-            family = MetricFamily(name, kind, help_text)
-            for shard_id in sorted(stats.shards):
-                family.add({"shard": str(shard_id)},
-                           getter(stats.shards[shard_id]))
-            families.append(family)
-        shard_tenants = MetricFamily(
-            "ljy_shard_tenant_requests_total", "counter",
-            "Requests served per shard per tenant (the quorum-pinning "
-            "audit trail).")
-        for shard_id in sorted(stats.shards):
-            shard = stats.shards[shard_id]
-            for tenant in sorted(shard.tenant_requests):
-                shard_tenants.add(
-                    {"shard": str(shard_id), "tenant": tenant},
-                    shard.tenant_requests[tenant])
-        families.append(shard_tenants)
-
-        if stats.workers is not None:
-            worker_counters = [
-                ("ljy_worker_jobs_total", "Window jobs completed.",
-                 stats.workers.jobs),
-                ("ljy_worker_crashes_total", "Worker deaths observed.",
-                 stats.workers.crashes),
-                ("ljy_worker_resubmissions_total",
-                 "Jobs resubmitted after a crash or dropped connection.",
-                 stats.workers.resubmissions),
-                ("ljy_worker_reconnects_total",
-                 "Successful re-dials after a lost connection.",
-                 stats.workers.reconnects),
-                ("ljy_worker_timeouts_total",
-                 "Jobs abandoned on a hung worker.", stats.workers.timeouts),
-                ("ljy_worker_breaker_trips_total",
-                 "Endpoint quarantines (circuit breaker).",
-                 stats.workers.breaker_trips),
-                ("ljy_worker_rewarms_total",
-                 "Live worker context re-warms on epoch swaps.",
-                 stats.workers.rewarms),
-            ]
-            for name, help_text, value in worker_counters:
-                families.append(MetricFamily(
-                    name, "counter", help_text).add({}, value))
-
-        epochs = stats.epochs
-        families.append(MetricFamily(
-            "ljy_epoch", "gauge",
-            "Current key-lifecycle generation.").add({}, epochs.epoch))
-        transitions = MetricFamily(
-            "ljy_epoch_transitions_total", "counter",
-            "Completed lifecycle transitions, by kind.")
-        for kind, value in (("refresh", epochs.refreshes),
-                            ("reshare", epochs.reshares),
-                            ("recovery", epochs.recoveries),
-                            ("resize", epochs.resizes)):
-            transitions.add({"kind": kind}, value)
-        families.append(transitions)
-        families.append(MetricFamily(
-            "ljy_epoch_requests_carried_total", "counter",
-            "Requests carried across epoch swaps in shard queues.")
-            .add({}, epochs.requests_carried))
-        pause = Histogram()
-        for pause_ms in epochs.pauses_ms:
-            pause.observe(pause_ms)
-        families.append(MetricFamily(
-            "ljy_epoch_pause_ms", "histogram",
-            "Barrier pause per lifecycle transition.").add({}, pause))
-        derive = Histogram()
-        for derive_ms in epochs.derive_ms:
-            derive.observe(derive_ms)
-        families.append(MetricFamily(
-            "ljy_epoch_derive_ms", "histogram",
-            "Time deriving the new key material on the loop before "
-            "the barrier, per derived transition.").add({}, derive))
-
-        crypto_ops = MetricFamily(
-            "ljy_crypto_ops_total", "counter",
-            "Pairing, MSM, hash-to-G1 and DKG share-check operations run "
-            "in this process, by op (MSM rows by the kernel that served "
-            "them).")
-        for op, value in (
-                ("miller_loops", PAIRING_COUNTERS["miller_loops"]),
-                ("final_exps", PAIRING_COUNTERS["final_exps"]),
-                ("g2_preparations", PAIRING_COUNTERS["preparations"]),
-                ("msm_ladder_rows", MSM_COUNTERS["ladder_rows"]),
-                ("msm_lane_rows", MSM_COUNTERS["lane_rows"]),
-                ("msm_ladder_calls", MSM_COUNTERS["ladder_calls"]),
-                ("msm_affine_adds", MSM_COUNTERS["affine_adds"]),
-                ("msm_inversions", MSM_COUNTERS["inversions"]),
-                ("hash_g1_hits", HASH_COUNTERS["g1_hits"]),
-                ("hash_g1_misses", HASH_COUNTERS["g1_misses"]),
-                ("dkg_batched_checks", DKG_COUNTERS["batched_checks"]),
-                ("dkg_single_checks", DKG_COUNTERS["single_checks"]),
-                ("dkg_fallbacks", DKG_COUNTERS["fallbacks"])):
-            crypto_ops.add({"op": op}, value)
-        families.append(crypto_ops)
-        return families
+        """The full telemetry surface as Prometheus metric families:
+        the declarations of this gateway's :class:`GatewayStats`, of
+        every tenant's stats and of the service's
+        :meth:`~SigningService.snapshot_stats`, then
+        :data:`CRYPTO_OPS`."""
+        families = collect(self.stats)
+        for name, state in sorted(self.tenants.states().items()):
+            collect(state.stats, (("tenant", name),), families)
+        collect(self.service.snapshot_stats(), (), families)
+        CRYPTO_OPS.add_to(families, (), [
+            (op, counters[key]) for counters, ops in CRYPTO_COUNTERS
+            for key, op in ops.items()])
+        return list(families.values())

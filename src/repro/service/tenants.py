@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+from repro.net.metrics import metric
 from repro.service.types import ServiceOverloadedError
 
 
@@ -113,25 +114,34 @@ class TenantConfig:
     admin: bool = False
 
 
+#: One family, two declarations: each quota's rejections, by reason.
+_REJECTED = "ljy_tenant_rejected_total"
+
+
 @dataclass
 class TenantStats:
-    """Edge-side accounting for one tenant (the service-side view lives
-    in ``ServiceStats.tenant_accepted`` / ``ShardStats.tenant_requests``
-    — the reconciliation the ``/metrics`` test asserts)."""
+    """Edge-side accounting for one tenant; its samples carry the
+    ``tenant`` label.  The service-side view is
+    ``ServiceStats.tenant_accepted`` / ``ShardStats.tenant_requests``."""
 
-    #: HTTP requests admitted into the signing service.
-    admitted: int = 0
-    #: Requests that completed with a result (sign or verify).
-    completed: int = 0
-    #: Requests shed by the tenant's own token bucket (HTTP 429).
-    rejected_quota: int = 0
-    #: Requests shed by the tenant's in-flight cap (HTTP 429).
-    rejected_inflight: int = 0
-    #: Requests admitted past the edge but shed by the service's
-    #: bounded queues (HTTP 503).
-    shed: int = 0
-    #: Requests that failed or expired inside the service (5xx).
-    failed: int = 0
+    admitted: int = metric("ljy_tenant_admitted_total",
+                           "Requests admitted past the tenant's edge quota.")
+    completed: int = metric("ljy_tenant_completed_total",
+                            "Requests answered with a result.")
+    shed: int = metric("ljy_tenant_shed_total",
+                       "Requests shed by the service's bounded queues (503).")
+    failed: int = metric(
+        "ljy_tenant_failed_total",
+        "Requests failed or expired inside the service (5xx).")
+    rejected_quota: int = metric(
+        _REJECTED, "Requests shed by the tenant's own quota (429), by "
+        "reason.", labels={"reason": "rate"})
+    rejected_inflight: int = metric(_REJECTED, "",
+                                    labels={"reason": "in-flight"})
+    #: Released by :meth:`TenantState.release`; a cap, not a counter.
+    inflight: int = metric("ljy_tenant_inflight",
+                           "Requests the tenant currently holds open.",
+                           "gauge")
 
 
 class TenantState:
@@ -141,7 +151,6 @@ class TenantState:
         self.config = config
         self.bucket = (TokenBucket(config.rate_rps, config.burst)
                        if config.rate_rps is not None else None)
-        self.inflight = 0
         self.stats = TenantStats()
 
     def admit(self, now: float) -> None:
@@ -151,7 +160,7 @@ class TenantState:
         counter that may drift)."""
         config = self.config
         if config.max_inflight is not None and \
-                self.inflight >= config.max_inflight:
+                self.stats.inflight >= config.max_inflight:
             self.stats.rejected_inflight += 1
             raise TenantQuotaError(config.name, "in-flight", 1.0)
         if self.bucket is not None:
@@ -160,11 +169,11 @@ class TenantState:
                 self.stats.rejected_quota += 1
                 raise TenantQuotaError(
                     config.name, "rate", retry_after)
-        self.inflight += 1
+        self.stats.inflight += 1
         self.stats.admitted += 1
 
     def release(self) -> None:
-        self.inflight = max(0, self.inflight - 1)
+        self.stats.inflight = max(0, self.stats.inflight - 1)
 
 
 class TenantRegistry:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.keys import Signature
 from repro.errors import ReproError
-from repro.net.metrics import TrafficCounter
+from repro.net.metrics import metric, walked
 
 
 class ServiceError(ReproError):
@@ -127,35 +127,43 @@ class VerifyResult:
 
 @dataclass
 class ShardStats:
-    """Per-shard scheduling and amortization accounting."""
+    """Per-shard scheduling and amortization accounting.  Its samples
+    carry the ``shard`` label of :attr:`ServiceStats.shards`."""
 
     shard_id: int
-    requests: int = 0
+    requests: int = metric("ljy_shard_requests_total",
+                           "Requests served, by shard.")
+    windows: int = metric("ljy_shard_windows_total",
+                          "Batch windows executed, by shard.")
+    expired: int = metric(
+        "ljy_shard_expired_total",
+        "Requests shed at window formation (deadline), by shard.")
+    #: Counted at the destination shard of a ``resize``.
+    migrated: int = metric(
+        "ljy_shard_migrated_total",
+        "Queued requests received by live resize migration.")
+    presigned: int = metric(
+        "ljy_shard_presigned_total",
+        "Sign requests served from partials made before their window "
+        "closed, by shard.")
+    busy_ms: float = metric(
+        "ljy_shard_busy_ms_total",
+        "Wall-clock ms spent pre-signing and executing windows, by "
+        "shard.", default=0.0)
+    #: Requests carrying no tenant label (library callers, WAL replay)
+    #: are not counted here.
+    tenant_requests: Dict[str, int] = metric(
+        "ljy_shard_tenant_requests_total",
+        "Requests served per shard per tenant (the quorum-pinning audit "
+        "trail).", key="tenant")
     sign_requests: int = 0
     verify_requests: int = 0
-    windows: int = 0
     full_windows: int = 0
     max_batch_seen: int = 0
     #: Sum of window sizes; ``requests_per_window`` derives the mean.
     batched_requests: int = 0
     faults_localized: int = 0
     fallback_combines: int = 0
-    #: Requests shed at window formation because their deadline passed
-    #: while they sat in the queue (:class:`RequestExpiredError`).
-    expired: int = 0
-    #: Queued requests that arrived on this shard by live migration —
-    #: re-routed off a departing shard during a ``resize`` instead of
-    #: being stranded there (counted at the destination).
-    migrated: int = 0
-    #: Requests this shard served per tenant (requests carrying no
-    #: tenant label — library callers, WAL replay — are not counted
-    #: here; the aggregate counters above cover them).
-    tenant_requests: Dict[str, int] = field(default_factory=dict)
-    #: Sign requests served from partials made before their window
-    #: closed (Share-Sign while the window formed).
-    presigned: int = 0
-    #: Wall-clock ms spent on windows, pre-signing included.
-    busy_ms: float = 0.0
 
     @property
     def requests_per_window(self) -> float:
@@ -169,25 +177,30 @@ class WorkerPoolStats:
 
     #: Configured worker endpoints.
     workers: int = 0
-    #: Window jobs that completed on a worker.
-    jobs: int = 0
-    #: Worker deaths observed: a connection dropped mid-job.
-    crashes: int = 0
-    #: Jobs resubmitted (to the re-dialed or another endpoint) after a
-    #: crash, connection drop or timeout.
-    resubmissions: int = 0
-    #: Successful re-dials after a connection was lost.
-    reconnects: int = 0
-    #: Jobs abandoned because a *connected* worker did not answer
-    #: within the per-job timeout — the hung-worker detector; each one
-    #: also discards the connection and resubmits.
-    timeouts: int = 0
-    #: Circuit-breaker openings: an endpoint quarantined after repeated
-    #: dial/job failures instead of staying in the round-robin.
-    breaker_trips: int = 0
-    #: Live context re-warms: workers handed new-epoch key material in
-    #: place (a ``C`` context-push frame) instead of being torn down.
-    rewarms: int = 0
+    jobs: int = metric("ljy_worker_jobs_total", "Window jobs completed.")
+    #: A connection dropped mid-job.
+    crashes: int = metric("ljy_worker_crashes_total",
+                          "Worker deaths observed.")
+    #: To the re-dialed or another endpoint, after a crash, connection
+    #: drop or timeout.
+    resubmissions: int = metric(
+        "ljy_worker_resubmissions_total",
+        "Jobs resubmitted after a crash or dropped connection.")
+    reconnects: int = metric(
+        "ljy_worker_reconnects_total",
+        "Successful re-dials after a lost connection.")
+    #: A *connected* worker that did not answer within the per-job
+    #: timeout; each one also discards the connection and resubmits.
+    timeouts: int = metric("ljy_worker_timeouts_total",
+                           "Jobs abandoned on a hung worker.")
+    #: An endpoint quarantined after repeated dial/job failures instead
+    #: of staying in the round-robin.
+    breaker_trips: int = metric("ljy_worker_breaker_trips_total",
+                                "Endpoint quarantines (circuit breaker).")
+    #: Workers handed new-epoch key material in place (a ``C``
+    #: context-push frame) instead of being torn down.
+    rewarms: int = metric("ljy_worker_rewarms_total",
+                          "Live worker context re-warms on epoch swaps.")
     #: High-water mark of concurrently in-flight requests on one
     #: connection — evidence that several shards' window jobs really do
     #: share a connection instead of serializing.
@@ -216,25 +229,34 @@ class EpochStats:
     the event loop for its own, recorded, time.
     """
 
-    #: Current key-lifecycle generation.
-    epoch: int = 0
+    epoch: int = metric("ljy_epoch", "Current key-lifecycle generation.",
+                        "gauge")
     #: Completed transitions, by kind.
     transitions: int = 0
-    refreshes: int = 0
-    reshares: int = 0
-    recoveries: int = 0
+    refreshes: int = metric(
+        "ljy_epoch_transitions_total",
+        "Completed lifecycle transitions, by kind.",
+        labels={"kind": "refresh"})
+    reshares: int = metric("ljy_epoch_transitions_total", "",
+                           labels={"kind": "reshare"})
+    recoveries: int = metric("ljy_epoch_transitions_total", "",
+                             labels={"kind": "recovery"})
     #: Shard-pool resizes (ring changes are lifecycle events too: they
     #: take the same all-shards barrier as a key swap).
-    resizes: int = 0
-    #: Requests that were sitting in shard queues at swap time and were
-    #: served under the new epoch's key material.
-    requests_carried: int = 0
-    #: Wall-clock ms each barrier held the shards paused.
-    pauses_ms: list = field(default_factory=list)
-    #: Wall-clock ms each refresh / reshare / retire / recover spent
-    #: deriving its new handle on the loop before the barrier (none for
-    #: a caller-supplied ``begin_epoch`` handle or a resize).
-    derive_ms: list = field(default_factory=list)
+    resizes: int = metric("ljy_epoch_transitions_total", "",
+                          labels={"kind": "resize"})
+    #: Served under the new epoch's key material.
+    requests_carried: int = metric(
+        "ljy_epoch_requests_carried_total",
+        "Requests carried across epoch swaps in shard queues.")
+    pauses_ms: list = metric("ljy_epoch_pause_ms",
+                             "Barrier pause per lifecycle transition.",
+                             "histogram")
+    #: None for a caller-supplied ``begin_epoch`` handle or a resize.
+    derive_ms: list = metric(
+        "ljy_epoch_derive_ms",
+        "Time deriving the new key material on the loop before the "
+        "barrier, per derived transition.", "histogram")
 
     @property
     def pause_p99_ms(self) -> float:
@@ -249,60 +271,39 @@ class EpochStats:
 class ServiceStats:
     """Aggregated service telemetry (admission + shards + traffic)."""
 
-    accepted: int = 0
-    rejected: int = 0
-    completed: int = 0
-    failed: int = 0
-    #: Requests shed past admission because their deadline expired.
-    expired: int = 0
-    #: Unacknowledged WAL entries replayed at start-up.
-    recovered: int = 0
-    #: Admissions per tenant label (the service-side half of the
-    #: multi-tenant accounting; the edge-side half — quota rejections
-    #: the service never sees — lives in
-    #: :class:`~repro.service.tenants.TenantStats`).
-    tenant_accepted: Dict[str, int] = field(default_factory=dict)
-    ingress: TrafficCounter = field(default_factory=TrafficCounter)
-    egress: TrafficCounter = field(default_factory=TrafficCounter)
-    shards: Dict[int, ShardStats] = field(default_factory=dict)
+    accepted: int = metric("ljy_service_accepted_total",
+                           "Requests admitted into shard queues.")
+    rejected: int = metric("ljy_service_rejected_total",
+                           "Requests shed at admission (queue full).")
+    completed: int = metric("ljy_service_completed_total",
+                            "Requests completed with a result.")
+    failed: int = metric("ljy_service_failed_total",
+                         "Requests failed past admission.")
+    expired: int = metric("ljy_service_expired_total",
+                          "Requests shed because their deadline passed.")
+    recovered: int = metric("ljy_service_recovered_total",
+                            "WAL admits replayed at start-up.")
+    #: Payload sizes by :func:`~repro.net.metrics.estimate_size`.
+    ingress_messages: int = metric("ljy_service_ingress_messages_total",
+                                   "Request payloads received.")
+    ingress_bytes: int = metric(
+        "ljy_service_ingress_bytes_total",
+        "Estimated request payload bytes received.")
+    egress_messages: int = metric("ljy_service_egress_messages_total",
+                                  "Results returned.")
+    egress_bytes: int = metric("ljy_service_egress_bytes_total",
+                               "Estimated result bytes returned.")
+    #: The service-side half of the multi-tenant accounting; the
+    #: edge-side half — quota rejections the service never sees — is
+    #: :class:`~repro.service.tenants.TenantStats`.
+    tenant_accepted: Dict[str, int] = metric(
+        "ljy_service_tenant_accepted_total",
+        "Admissions into shard queues, by tenant label.", key="tenant")
+    shards: Dict[int, ShardStats] = walked("shard", default_factory=dict)
     #: Present when the service runs the worker tier
     #: (``remote_workers``); None in-process.
-    workers: Optional[WorkerPoolStats] = None
-    #: Key-lifecycle accounting (epoch transitions, barrier pauses).
-    epochs: EpochStats = field(default_factory=EpochStats)
-
-    def summary(self) -> Dict[str, object]:
-        summary = {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "expired": self.expired,
-            "recovered": self.recovered,
-            "ingress": self.ingress.summary(),
-            "egress": self.egress.summary(),
-            "windows": sum(s.windows for s in self.shards.values()),
-            "faults_localized": sum(
-                s.faults_localized for s in self.shards.values()),
-            "mean_batch": (
-                sum(s.batched_requests for s in self.shards.values())
-                / max(1, sum(s.windows for s in self.shards.values()))),
-        }
-        if self.workers is not None:
-            summary["worker_jobs"] = self.workers.jobs
-            summary["worker_crashes"] = self.workers.crashes
-            summary["worker_reconnects"] = self.workers.reconnects
-            summary["worker_timeouts"] = self.workers.timeouts
-            summary["worker_breaker_trips"] = self.workers.breaker_trips
-        if self.tenant_accepted:
-            summary["tenants"] = dict(self.tenant_accepted)
-        if self.epochs.transitions or self.epochs.resizes:
-            summary["epoch"] = self.epochs.epoch
-            summary["epoch_transitions"] = self.epochs.transitions
-            summary["epoch_pause_p99_ms"] = round(
-                self.epochs.pause_p99_ms, 3)
-            summary["requests_carried"] = self.epochs.requests_carried
-        return summary
+    workers: Optional[WorkerPoolStats] = walked(default=None)
+    epochs: EpochStats = walked(default_factory=EpochStats)
 
 
 @dataclass

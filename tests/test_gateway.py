@@ -21,6 +21,7 @@ from repro.core.scheme import ServiceHandle
 from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.math.msm import MSM_COUNTERS
+from repro.net.metrics import parse_prometheus
 from repro.serialization import WireCodec
 from repro.service import (
     GatewayClient, HttpGateway, ServiceConfig, SigningService,
@@ -211,7 +212,7 @@ class TestGatewayDataPlane:
                 assert info.value.retry_after_s >= 1.0
                 state = gateway.tenants.resolve("beta-key")
                 assert state.stats.rejected_quota == 1
-                assert state.inflight == 0
+                assert state.stats.inflight == 0
                 await client.close()
         run(scenario())
 
@@ -644,83 +645,6 @@ class TestScheduledRefresh:
 # Prometheus exposition
 # ---------------------------------------------------------------------------
 
-def unescape_label(value: str) -> str:
-    out, i = [], 0
-    while i < len(value):
-        if value[i] == "\\" and i + 1 < len(value):
-            out.append({"n": "\n", "\\": "\\", '"': '"'}[value[i + 1]])
-            i += 2
-        else:
-            out.append(value[i])
-            i += 1
-    return "".join(out)
-
-
-def parse_labels(blob: str) -> tuple:
-    """``k="v",...`` -> sorted tuple of (key, unescaped value)."""
-    labels, i = [], 0
-    while i < len(blob):
-        eq = blob.index("=", i)
-        key = blob[i:eq]
-        assert blob[eq + 1] == '"'
-        j = eq + 2
-        while blob[j] != '"':
-            j += 2 if blob[j] == "\\" else 1
-        labels.append((key, unescape_label(blob[eq + 2:j])))
-        i = j + 1
-        if i < len(blob):
-            assert blob[i] == ","
-            i += 1
-    return tuple(sorted(labels))
-
-
-def parse_prometheus(text: str) -> dict:
-    """Strict line-by-line parse: every sample belongs to a family whose
-    HELP and TYPE lines preceded it.  Returns
-    ``{family: {"type": ..., "samples": {(name, labels): value}}}``."""
-    assert text.endswith("\n")
-    families = {}
-    current = None
-    for line in text.splitlines():
-        assert line, "blank line in exposition"
-        if line.startswith("# HELP "):
-            _, _, name, help_text = line.split(" ", 3)
-            assert name not in families, f"duplicate family {name}"
-            families[name] = {"help": help_text, "type": None,
-                              "samples": {}}
-            current = name
-        elif line.startswith("# TYPE "):
-            _, _, name, kind = line.split(" ", 3)
-            assert name == current, "TYPE does not follow its HELP"
-            assert kind in ("counter", "gauge", "histogram")
-            families[name]["type"] = kind
-        else:
-            name_part, _, value_part = line.rpartition(" ")
-            if "{" in name_part:
-                name = name_part[:name_part.index("{")]
-                assert name_part.endswith("}")
-                labels = parse_labels(
-                    name_part[name_part.index("{") + 1:-1])
-            else:
-                name, labels = name_part, ()
-            family = name
-            for suffix in ("_bucket", "_sum", "_count"):
-                if name.endswith(suffix) and \
-                        name[:-len(suffix)] in families:
-                    family = name[:-len(suffix)]
-            assert family == current, \
-                f"sample {name} outside its family block"
-            value = (float("inf") if value_part == "+Inf"
-                     else float(value_part))
-            key = (name, labels)
-            assert key not in families[family]["samples"], \
-                f"duplicate sample {key}"
-            families[family]["samples"][key] = value
-    for name, family in families.items():
-        assert family["type"] is not None, f"{name} has no TYPE"
-    return families
-
-
 def sample(families: dict, name: str, **labels) -> float:
     key = (name, tuple(sorted(labels.items())))
     prefix = name
@@ -730,7 +654,42 @@ def sample(families: dict, name: str, **labels) -> float:
     return families[prefix]["samples"][key]
 
 
+GOOD_EXPOSITION = (
+    '# HELP a_total An escaped \\\\ help.\n# TYPE a_total counter\n'
+    'a_total{k="v\\"1"} 2\n'
+    '# HELP h Latency.\n# TYPE h histogram\n'
+    'h_bucket{le="+Inf"} 1\nh_sum 0.5\nh_count 1\n')
+
+
 class TestPrometheusExposition:
+    def test_parser_reads_a_well_formed_exposition(self):
+        families = parse_prometheus(GOOD_EXPOSITION)
+        assert sample(families, "a_total", k='v"1') == 2
+        assert sample(families, "h_bucket", le="+Inf") == 1
+        assert families["h"]["type"] == "histogram"
+
+    FAULTS = [
+        (GOOD_EXPOSITION.rstrip("\n"), "trailing newline"),
+        (GOOD_EXPOSITION.replace("} 2\n", "} 2\n\n"), "blank line"),
+        (GOOD_EXPOSITION + "# HELP h Again.\n# TYPE h gauge\n",
+         "given twice"),
+        (GOOD_EXPOSITION.replace("# TYPE h histogram", "# TYPE a_total "
+                                 "counter"), "does not follow"),
+        (GOOD_EXPOSITION.replace("histogram", "summary"), "unknown type"),
+        (GOOD_EXPOSITION.replace("# TYPE h histogram\n", ""), "before"),
+        (GOOD_EXPOSITION + "h_count 2\n", "given twice"),
+        (GOOD_EXPOSITION.replace("} 2", "} two"), "unparseable"),
+        (GOOD_EXPOSITION.replace('k="v', 'k=v'), "malformed labels"),
+        (GOOD_EXPOSITION + "a_total 1\n", "outside"),
+        ("# HELP lone No type.\n", "has no TYPE"),
+    ]
+
+    @pytest.mark.parametrize("text, fault", FAULTS,
+                             ids=[fault for _, fault in FAULTS])
+    def test_parser_refuses_structural_faults(self, text, fault):
+        with pytest.raises(ValueError, match=fault):
+            parse_prometheus(text)
+
     def test_counters_reconcile_with_snapshot_stats(self, handle):
         async def scenario():
             async with gateway_running(handle) as gateway:
@@ -758,7 +717,7 @@ class TestPrometheusExposition:
                     stats.rejected == 0
                 assert sample(families,
                               "ljy_service_ingress_messages_total") == \
-                    stats.ingress.messages
+                    stats.ingress_messages
                 assert sample(families, "ljy_epoch") == \
                     stats.epochs.epoch == 0
 

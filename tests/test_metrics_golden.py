@@ -19,7 +19,7 @@ from repro.core.scheme import ServiceHandle
 from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.math.msm import MSM_COUNTERS
-from repro.net.metrics import Histogram, TrafficCounter, render_prometheus
+from repro.net.metrics import Histogram, render_prometheus
 from repro.service import HttpGateway, SigningService, TenantConfig
 from repro.service.types import EpochStats, ShardStats, WorkerPoolStats
 from repro.sharing.pedersen_vss import DKG_COUNTERS
@@ -65,8 +65,8 @@ def golden_exposition(monkeypatch, toy_group) -> str:
     filled(
         service.stats, accepted=120, rejected=5, completed=110, failed=3,
         expired=4, recovered=2,
-        ingress=TrafficCounter(messages=125, bytes_total=9876),
-        egress=TrafficCounter(messages=110, bytes_total=5432),
+        ingress_messages=125, ingress_bytes=9876, egress_messages=110,
+        egress_bytes=5432,
         tenant_accepted={"alpha": 80, "beta": 40},
         shards={0: shard(0, 1), 1: shard(1, 2)},
         workers=filled(
@@ -82,18 +82,15 @@ def golden_exposition(monkeypatch, toy_group) -> str:
         TenantConfig(name="beta", api_key="beta-key", rate_rps=1.0),
         TenantConfig(name="alpha", api_key="alpha-key", admin=True),
     ])
-    gateway.requests_total.update({
+    filled(gateway.stats, requests_total={
         ("/v1/sign", 200): 110, ("/v1/sign", 429): 15,
-        ("/metrics", 200): 3, ("other", 404): 1})
-    gateway.request_ms.update({
+        ("/metrics", 200): 3, ("other", 404): 1}, inflight=1, request_ms={
         "/v1/sign": histogram(3.5, 12.0, 260.0), "/metrics": histogram(0.7)})
-    gateway.inflight = 1
     for name, state in gateway.tenants.states().items():
         scale = 1 if name == "alpha" else 2
         filled(state.stats, admitted=40 * scale, completed=35 * scale,
                rejected_quota=6 * scale, rejected_inflight=scale,
-               shed=3 * scale, failed=2 * scale)
-        state.inflight = scale
+               shed=3 * scale, failed=2 * scale, inflight=scale)
     for counters in (PAIRING_COUNTERS, MSM_COUNTERS, HASH_COUNTERS,
                      DKG_COUNTERS):
         for position, key in enumerate(counters):

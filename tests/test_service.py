@@ -667,8 +667,8 @@ class TestSigningService:
         assert stats.rejected == 0
         # Batching happened: strictly fewer windows than requests.
         assert 0 < sum(s.windows for s in stats.shards.values()) < 40
-        assert stats.ingress.messages == 40
-        assert stats.egress.bytes_total > 0
+        assert stats.ingress_messages == 40
+        assert stats.egress_bytes > 0
 
     def test_batch_window_amortization_counts(self, handle):
         """A full window of k requests costs one batch check, not k."""

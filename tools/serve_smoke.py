@@ -50,8 +50,9 @@ window) and asserts the service contract:
   tenants with different quotas drive the gateway while an admin key
   reshares the committee mid-load — over-quota requests are answered
   ``429`` at the edge (they never cost a queue slot), the Prometheus
-  ``GET /metrics`` exposition parses line-by-line and reconciles
-  exactly with ``snapshot_stats()`` and the tenant registry, and
+  ``GET /metrics`` exposition parses line-by-line and matches every
+  sample the stats declarations produce from ``snapshot_stats()``, the
+  tenant registry and the crypto counters, and
   SIGKILLing the gateway's host process with admitted-but-unanswered
   HTTP requests durable in the WAL leaves a log a restart settles
   **exactly once** with verifying signatures (artifacts in
@@ -94,9 +95,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import ServiceHandle, get_group                 # noqa: E402
-from repro.curves.hash_to_curve import HASH_COUNTERS     # noqa: E402
 from repro.curves.pairing import PAIRING_COUNTERS          # noqa: E402
-from repro.math.msm import MSM_COUNTERS                    # noqa: E402
+from repro.net.metrics import (                            # noqa: E402
+    declarations, parse_prometheus, render_prometheus,
+)
 from repro.serialization import (                          # noqa: E402
     WireCodec, decode_service_context, encode_service_context,
 )
@@ -105,6 +107,7 @@ from repro.service import (                                # noqa: E402
     ServiceConfig, ServiceError, SigningService, TenantConfig,
     TenantQuotaError,
 )
+from repro.service.gateway import GatewayStats            # noqa: E402
 from repro.service.transport import start_worker_process  # noqa: E402
 from repro.service.wal import WalLedger                   # noqa: E402
 from repro.sharing.pedersen_vss import DKG_COUNTERS        # noqa: E402
@@ -226,50 +229,6 @@ def await_marker(process: subprocess.Popen, marker: str,
                 return None
             if line.startswith(marker):
                 return line.strip()
-
-
-def parse_prometheus_text(text: str, check) -> dict:
-    """Line-by-line Prometheus text-format gate for ``GET /metrics``.
-
-    Validates the exposition structure (every sample preceded by its
-    family's HELP and TYPE lines, known types, no duplicates, parseable
-    values, trailing newline) and returns ``{sample-name-with-labels:
-    value}`` for the counter reconciliation checks."""
-    samples = {}
-    current = None
-    seen = set()
-    check(text.endswith("\n"), "metrics: missing trailing newline")
-    for line in text.splitlines():
-        check(bool(line), "metrics: blank line in exposition")
-        if line.startswith("# HELP "):
-            name = line.split(" ", 3)[2]
-            check(name not in seen, f"metrics: duplicate family {name}")
-            seen.add(name)
-            current = name
-        elif line.startswith("# TYPE "):
-            parts = line.split(" ", 3)
-            check(parts[2] == current,
-                  f"metrics: TYPE for {parts[2]} does not follow its HELP")
-            check(parts[3] in ("counter", "gauge", "histogram"),
-                  f"metrics: unknown type {parts[3]!r}")
-        else:
-            name_part, _, value_part = line.rpartition(" ")
-            base = name_part.split("{", 1)[0]
-            stripped = base
-            for suffix in ("_bucket", "_sum", "_count"):
-                if base.endswith(suffix):
-                    stripped = base[:-len(suffix)]
-            check(current in (base, stripped),
-                  f"metrics: sample {base} outside its family block")
-            try:
-                float(value_part.replace("+Inf", "inf"))
-            except ValueError:
-                check(False, f"metrics: unparseable sample {line!r}")
-                continue
-            check(name_part not in samples,
-                  f"metrics: duplicate sample {name_part}")
-            samples[name_part] = float(value_part.replace("+Inf", "inf"))
-    return samples
 
 
 async def sigkill_victim(check, act: str, directory: pathlib.Path,
@@ -671,10 +630,10 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     # -- act 7: the HTTP front door ------------------------------------
     # 7a: two tenants with different quotas drive the gateway; an
     # admin-triggered reshare lands mid-load; the Prometheus exposition
-    # must parse line-by-line and reconcile exactly with
-    # snapshot_stats(), the tenant registry and the process-wide
-    # PAIRING_COUNTERS / MSM_COUNTERS / HASH_COUNTERS / DKG_COUNTERS
-    # dicts.
+    # must parse line-by-line, match sample for sample every family the
+    # declarations produce from the state it was rendered from, and
+    # agree with itself across families (edge against service, shards
+    # against service, transition kinds against barrier pauses).
     http_dir = wal_dir / "http"
     http_dir.mkdir()
     http_requests = min(requests, 32)
@@ -726,86 +685,59 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
     check(beta_ok == 2 and beta_429 == 4,
           f"HTTP act: beta quota expected 2 admitted + 4 over-quota, "
           f"got {beta_ok} + {beta_429}")
-    metrics_text = await alpha.metrics()
-    metrics = parse_prometheus_text(metrics_text, check)
-    http_stats = http_service.snapshot_stats()
-    tenant_states = http_gateway.tenants.states()
-    reconcile = [
-        ("ljy_service_accepted_total", http_stats.accepted),
-        ("ljy_service_completed_total", http_stats.completed),
-        ("ljy_service_rejected_total", http_stats.rejected),
-        ("ljy_service_failed_total", http_stats.failed),
-        ("ljy_epoch", http_stats.epochs.epoch),
-        ('ljy_epoch_transitions_total{kind="reshare"}',
-         http_stats.epochs.reshares),
-        ("ljy_epoch_derive_ms_count", len(http_stats.epochs.derive_ms)),
-        ('ljy_tenant_admitted_total{tenant="alpha"}',
-         tenant_states["alpha"].stats.admitted),
-        ('ljy_tenant_completed_total{tenant="alpha"}',
-         tenant_states["alpha"].stats.completed),
-        ('ljy_tenant_admitted_total{tenant="beta"}',
-         tenant_states["beta"].stats.admitted),
-        ('ljy_tenant_rejected_total{tenant="beta",reason="rate"}',
-         tenant_states["beta"].stats.rejected_quota),
-        ('ljy_service_tenant_accepted_total{tenant="alpha"}',
-         http_stats.tenant_accepted.get("alpha", 0)),
-        ('ljy_service_tenant_accepted_total{tenant="beta"}',
-         http_stats.tenant_accepted.get("beta", 0)),
-        # Process-wide crypto counters: read from their dicts.
-        ('ljy_crypto_ops_total{op="miller_loops"}',
-         PAIRING_COUNTERS["miller_loops"]),
-        ('ljy_crypto_ops_total{op="final_exps"}',
-         PAIRING_COUNTERS["final_exps"]),
-        ('ljy_crypto_ops_total{op="g2_preparations"}',
-         PAIRING_COUNTERS["preparations"]),
-        ('ljy_crypto_ops_total{op="msm_ladder_rows"}',
-         MSM_COUNTERS["ladder_rows"]),
-        ('ljy_crypto_ops_total{op="msm_lane_rows"}',
-         MSM_COUNTERS["lane_rows"]),
-        ('ljy_crypto_ops_total{op="msm_ladder_calls"}',
-         MSM_COUNTERS["ladder_calls"]),
-        ('ljy_crypto_ops_total{op="msm_affine_adds"}',
-         MSM_COUNTERS["affine_adds"]),
-        ('ljy_crypto_ops_total{op="msm_inversions"}',
-         MSM_COUNTERS["inversions"]),
-        ('ljy_crypto_ops_total{op="hash_g1_hits"}',
-         HASH_COUNTERS["g1_hits"]),
-        ('ljy_crypto_ops_total{op="hash_g1_misses"}',
-         HASH_COUNTERS["g1_misses"]),
-        ('ljy_crypto_ops_total{op="dkg_batched_checks"}',
-         DKG_COUNTERS["batched_checks"]),
-        ('ljy_crypto_ops_total{op="dkg_single_checks"}',
-         DKG_COUNTERS["single_checks"]),
-        ('ljy_crypto_ops_total{op="dkg_fallbacks"}',
-         DKG_COUNTERS["fallbacks"]),
-    ]
-    for sample_name, expected in reconcile:
-        check(metrics.get(sample_name) == float(expected),
-              f"HTTP act: metrics sample {sample_name} = "
-              f"{metrics.get(sample_name)} but stats say {expected}")
+    try:
+        scraped = parse_prometheus(await alpha.metrics())
+    except ValueError as exc:
+        check(False, f"HTTP act: /metrics is malformed: {exc}")
+        scraped = {}
+    # Every family the declarations produce from the state the scrape
+    # rendered must match it sample for sample — all but the gateway's
+    # own route families, which the scrape itself has since moved.
+    declared = parse_prometheus(render_prometheus(
+        http_gateway.metric_families()))
+    own = {spec.name for spec in declarations(GatewayStats).values()}
+    check(set(scraped) - own == set(declared) - own,
+          f"HTTP act: /metrics families {sorted(set(scraped) - own)} "
+          f"but the declarations produce {sorted(set(declared) - own)}")
+    reconciled = 0
+    for name in sorted(set(declared) - own):
+        check(scraped.get(name) == declared[name],
+              f"HTTP act: /metrics family {name} does not match the "
+              f"stats it was rendered from")
+        reconciled += len(declared[name]["samples"])
+
+    def series(name: str) -> dict:
+        """``{label values: value}`` of one scraped sample name."""
+        family = scraped.get(name.removesuffix("_count"), {"samples": {}})
+        return {tuple(value for _, value in labels): sample
+                for (sample_name, labels), sample
+                in family["samples"].items() if sample_name == name}
+
+    check(sum(series("ljy_epoch_transitions_total").values())
+          == sum(series("ljy_epoch_pause_ms_count").values()) == 1,
+          "HTTP act: the transition kinds do not sum to the barrier "
+          "pauses")
+    check(series("ljy_tenant_admitted_total")
+          == series("ljy_service_tenant_accepted_total"),
+          "HTTP act: the edge admitted other tenant counts than the "
+          "service accepted")
+    check(sum(series("ljy_shard_requests_total").values())
+          == sum(series("ljy_service_completed_total").values()),
+          "HTTP act: the shards served other than the service completed")
     # Every dealing of this process's lifecycle transitions was honest:
     # each receiver checked its dealings in one coined product.
     check(DKG_COUNTERS["batched_checks"] > 0
           and DKG_COUNTERS["fallbacks"] == 0,
           f"HTTP act: the DKG share checks were {DKG_COUNTERS}, not "
           f"batched without a fallback")
-    for family, digits in (("requests", 0), ("presigned", 0),
-                           ("busy_ms", 3)):
-        exposed = sum(
-            value for name, value in metrics.items()
-            if name.startswith("ljy_shard_%s_total{" % family))
-        expected = sum(round(getattr(s, family), digits)
-                       for s in http_stats.shards.values())
-        check(abs(exposed - expected) < 1e-6,
-              f"HTTP act: per-shard {family} counters sum to {exposed} "
-              f"but the shard stats say {expected}")
     # beta's two admitted requests arrived alone: each was Share-Signed
     # while its window waited, and that time is busy time.
-    check(sum(s.presigned for s in http_stats.shards.values()) >= beta_ok,
+    check(sum(series("ljy_shard_presigned_total").values()) >= beta_ok,
           "HTTP act: lone requests were not signed at arrival")
-    check(tenant_states["beta"].stats.rejected_quota == 4
-          and http_stats.tenant_accepted.get("beta", 0) == 2,
-          "HTTP act: beta's 429s leaked past the edge into the service")
+    check(series("ljy_tenant_rejected_total").get(("rate", "beta")) == 4
+          and series("ljy_service_tenant_accepted_total").get(("beta",))
+          == 2, "HTTP act: beta's 429s leaked past the edge into the "
+          "service")
     await alpha.close()
     await beta.close()
     await http_gateway.stop()
@@ -861,7 +793,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
           f"{ev_pending} admits across a mid-transition SIGKILL; HTTP "
           f"front door served {http_requests + beta_ok} requests over "
           f"the wire ({beta_429} over-quota 429s at the edge, "
-          f"{len(metrics)} metric samples reconciled) and settled "
+          f"{reconciled} metric samples reconciled) and settled "
           f"{hv_pending} admitted HTTP requests exactly once after a "
           f"gateway SIGKILL")
     if failures:
