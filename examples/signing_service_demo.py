@@ -132,7 +132,7 @@ async def demo(args) -> None:
               f"requests (mean batch {batched / max(1, windows):.1f}) — "
               f"each window paid one batch check")
         if args.refresh_every:
-            print(f"      {stats.epochs.transitions} live refresh(es), "
+            print(f"      {stats.epochs.transitions['refresh']} live refresh(es), "
                   f"pause p99 {stats.epochs.pause_p99_ms:.2f} ms — "
                   f"public key unchanged")
         if args.reshare:

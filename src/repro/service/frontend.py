@@ -11,8 +11,10 @@ buffers unboundedly and never blocks the caller on a full queue
 than silently growing latency).
 
 Every epoch transition, resize included, is one JSON line at INFO on
-this module's logger (``event``, ``epoch``, ``kind``, ``pause_ms``,
-``derive_ms`` — null for a caller-supplied handle — and ``carried``).
+this module's logger (``event``, ``epoch``, ``kind`` — one of
+:data:`~repro.service.types.TRANSITION_KINDS` — ``pause_ms``,
+``derive_ms`` — null for a caller-supplied handle — and ``carried``),
+and one count of its kind in ``ljy_epoch_transitions_total``.
 """
 
 from __future__ import annotations
@@ -304,18 +306,20 @@ class SigningService:
         finally:
             self._pool.resume_all(paused)
         pause_ms = (loop.time() - started) * 1000.0
+        self._record_transition(kind, pause_ms, derive_ms, carried)
+        return pause_ms
+
+    def _record_transition(self, kind: str, pause_ms: float,
+                           derive_ms: Optional[float], carried: int) -> None:
+        """Account one transition or resize in ``EpochStats`` and log
+        it: one pause, one count of its kind, one line."""
         epochs = self.stats.epochs
-        epochs.epoch = new_handle.epoch
-        epochs.transitions += 1
+        epochs.epoch = self.handle.epoch
+        epochs.transitions[kind] += 1
         epochs.requests_carried += carried
         epochs.pauses_ms.append(pause_ms)
         if derive_ms is not None:
             epochs.derive_ms.append(derive_ms)
-        self._log_transition(kind, pause_ms, derive_ms, carried)
-        return pause_ms
-
-    def _log_transition(self, kind: str, pause_ms: float,
-                        derive_ms: Optional[float], carried: int) -> None:
         _LOG.info("%s", json.dumps({
             "event": "epoch_transition", "epoch": self.handle.epoch,
             "kind": kind, "pause_ms": round(pause_ms, 3),
@@ -329,20 +333,16 @@ class SigningService:
         is derived *under* the transition lock, so a refresh queued
         behind another transition re-derives from the then-current
         epoch instead of being refused."""
-        pause_ms = await self._derived_epoch("refresh", lambda: (
+        return await self._derived_epoch("refresh", lambda: (
             self.handle.refreshed(rng=rng, adversary=adversary)))
-        self.stats.epochs.refreshes += 1
-        return pause_ms
 
     async def reshare(self, new_t: int, new_indices,
                       rng=None, adversary=None) -> float:
         """Reshare to a new ``(new_t, new_indices)`` committee (signer
         join/leave) as a live epoch transition."""
-        pause_ms = await self._derived_epoch("reshare", lambda: (
+        return await self._derived_epoch("reshare", lambda: (
             self.handle.reshared(
                 new_t, new_indices, rng=rng, adversary=adversary)))
-        self.stats.epochs.reshares += 1
-        return pause_ms
 
     async def retire_signer(self, index: int) -> float:
         """Drop a crashed/compromised signer's share from the live
@@ -354,10 +354,8 @@ class SigningService:
     async def recover_signer(self, index: int) -> float:
         """Re-derive a retired signer's share from t+1 helpers and fold
         the player back into the live quorum rotation."""
-        pause_ms = await self._derived_epoch(
+        return await self._derived_epoch(
             "recover", lambda: self.handle.with_recovered(index))
-        self.stats.epochs.recoveries += 1
-        return pause_ms
 
     async def resize(self, num_shards: int) -> int:
         """Live shard-ring resize; returns the number of queued
@@ -370,12 +368,8 @@ class SigningService:
         async with self._serialized_transitions():
             migrated = await self._pool.resize(num_shards)
         self.config.num_shards = num_shards
-        pause_ms = (loop.time() - started) * 1000.0
-        epochs = self.stats.epochs
-        epochs.resizes += 1
-        epochs.requests_carried += migrated
-        epochs.pauses_ms.append(pause_ms)
-        self._log_transition("resize", pause_ms, None, migrated)
+        self._record_transition(
+            "resize", (loop.time() - started) * 1000.0, None, migrated)
         return migrated
 
     # -- admission ----------------------------------------------------------

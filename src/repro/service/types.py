@@ -207,6 +207,15 @@ class WorkerPoolStats:
     max_inflight: int = 0
 
 
+#: The kinds of key-lifecycle transition: a caller-supplied
+#: ``begin_epoch`` handle, the four derived ones, and a shard-ring
+#: resize (it takes the same all-shards barrier).  The
+#: ``epoch_transition`` log line and ``ljy_epoch_transitions_total``
+#: both use exactly these words.
+TRANSITION_KINDS = ("swap", "refresh", "reshare", "retire", "recover",
+                    "resize")
+
+
 def percentile(samples, q: float) -> float:
     """The q-th percentile (0 < q <= 100) by the nearest-rank method."""
     if not samples:
@@ -231,20 +240,13 @@ class EpochStats:
 
     epoch: int = metric("ljy_epoch", "Current key-lifecycle generation.",
                         "gauge")
-    #: Completed transitions, by kind.
-    transitions: int = 0
-    refreshes: int = metric(
+    #: Every transition counts once under its kind, so the kinds sum
+    #: to the pauses recorded.
+    transitions: Dict[str, int] = metric(
         "ljy_epoch_transitions_total",
-        "Completed lifecycle transitions, by kind.",
-        labels={"kind": "refresh"})
-    reshares: int = metric("ljy_epoch_transitions_total", "",
-                           labels={"kind": "reshare"})
-    recoveries: int = metric("ljy_epoch_transitions_total", "",
-                             labels={"kind": "recovery"})
-    #: Shard-pool resizes (ring changes are lifecycle events too: they
-    #: take the same all-shards barrier as a key swap).
-    resizes: int = metric("ljy_epoch_transitions_total", "",
-                          labels={"kind": "resize"})
+        "Completed lifecycle transitions, resizes included, by kind.",
+        key="kind", default_factory=lambda: dict.fromkeys(
+            TRANSITION_KINDS, 0))
     #: Served under the new epoch's key material.
     requests_carried: int = metric(
         "ljy_epoch_requests_carried_total",

@@ -495,9 +495,9 @@ class TestGatewayControlPlane:
                     "POST", "/v1/sign", {"message": b"after".hex()})
                 assert result["epoch"] == 2
                 stats = gateway.service.snapshot_stats()
-                assert stats.epochs.refreshes == 1
-                assert stats.epochs.reshares == 1
-                assert stats.epochs.resizes == 1
+                transitions = stats.epochs.transitions
+                assert transitions["refresh"] == transitions["reshare"] \
+                    == transitions["resize"] == 1
                 await admin.close()
         run(scenario())
 
@@ -616,7 +616,7 @@ class TestScheduledRefresh:
             await asyncio.gather(*(client_loop() for _ in range(4)))
             stats = service.snapshot_stats()
             await service.stop()
-            assert stats.epochs.refreshes >= 2
+            assert stats.epochs.transitions["refresh"] >= 2
             assert service.handle.epoch >= 2
             # The lifecycle contract: transitions shed nothing.
             assert stats.rejected == 0
@@ -828,6 +828,37 @@ class TestPrometheusExposition:
                     '{tenant="we\\"ird\\\\te\\nnant"} 1']
                 await client.close()
         run(scenario())
+
+    def test_every_transition_kind_is_counted_once(self, handle, caplog):
+        """A swap, a retire, a refresh and a resize: four barrier
+        pauses, four ``epoch_transition`` log lines, and four kind
+        samples — in the log's own words."""
+        async def scenario():
+            async with gateway_running(handle) as gateway:
+                service = gateway.service
+                await service.begin_epoch(
+                    service.handle.refreshed(rng=random.Random(8)))
+                await service.retire_signer(3)
+                await service.refresh()
+                await service.resize(3)
+                client = client_for(gateway, "alpha-key")
+                families = parse_prometheus(await client.metrics())
+                await client.close()
+                return families
+
+        with caplog.at_level("INFO", logger="repro.service.frontend"):
+            families = run(scenario())
+        logged = [json.loads(record.getMessage())["kind"]
+                  for record in caplog.records
+                  if "epoch_transition" in record.getMessage()]
+        assert logged == ["swap", "retire", "refresh", "resize"]
+        kinds = {dict(labels)["kind"]: value for (_, labels), value
+                 in families["ljy_epoch_transitions_total"]["samples"]
+                 .items()}
+        assert sum(kinds.values()) == \
+            sample(families, "ljy_epoch_pause_ms_count") == 4
+        assert {kind for kind, value in kinds.items() if value} == \
+            set(logged)
 
     def test_epoch_and_worker_families_appear(self, handle):
         async def scenario():

@@ -25,7 +25,7 @@ from repro.service.types import EpochStats, ShardStats, WorkerPoolStats
 from repro.sharing.pedersen_vss import DKG_COUNTERS
 
 GOLDEN_SHA256 = (
-    "6d439737d512b09622a3917339d7cda0d48acc6ab31fb550ebe0c473da962ed5")
+    "dfb2f6c5533737346fcc219e3c2a349778d5e6d77bf374493aa53660be828830")
 
 
 def filled(record, **values):
@@ -74,8 +74,8 @@ def golden_exposition(monkeypatch, toy_group) -> str:
             resubmissions=2, reconnects=1, timeouts=1, breaker_trips=1,
             rewarms=3, max_inflight=4),
         epochs=filled(
-            EpochStats(), epoch=5, transitions=4, refreshes=2, reshares=1,
-            recoveries=1, resizes=1, requests_carried=6,
+            EpochStats(), epoch=5, requests_carried=6, transitions=dict(
+                swap=0, refresh=2, reshare=1, retire=0, recover=1, resize=1),
             pauses_ms=[0.4, 3.2, 27.5, 480.0, 12000.0],
             derive_ms=[35.25, 260.0, 1800.5, 4.0]))
     gateway = HttpGateway(service, tenants=[
