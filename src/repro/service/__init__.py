@@ -30,7 +30,7 @@ Thetacrypt mold:
   (``/admin/refresh`` / ``/admin/reshare`` / ``/admin/resize``) and a
   Prometheus ``GET /metrics`` endpoint.  API keys resolve to tenants
   (:mod:`~repro.service.tenants`) with token-bucket rate quotas,
-  in-flight caps and per-tenant quorum pinning; typed shedding maps to
+  and in-flight caps; typed shedding maps to
   HTTP 429/503/504 with ``Retry-After``.
 * :mod:`~repro.service.transport` — the worker tier: shard workers
   encode their windows into the wire format of

@@ -373,16 +373,10 @@ class SigningService:
         return migrated
 
     # -- admission ----------------------------------------------------------
-    def _admit(self, request: PendingRequest,
-               rotation: Optional[int] = None) -> None:
+    def _admit(self, request: PendingRequest) -> None:
         if not self.running:
             raise ServiceClosedError("service is not running")
-        # Routing policy: consistent hash by default; a pinned quorum
-        # rotation (the per-tenant policy) routes to the shard whose
-        # rotated signer quorum has that offset.
-        worker = (self._pool.worker_for(request.message)
-                  if rotation is None
-                  else self._pool.worker_at(rotation))
+        worker = self._pool.worker_for(request.message)
         try:
             worker.queue.put_nowait(request)
         except asyncio.QueueFull:
@@ -447,15 +441,10 @@ class SigningService:
 
     # -- the request API ----------------------------------------------------
     async def sign(self, message: bytes, *,
-                   tenant: Optional[str] = None,
-                   rotation: Optional[int] = None) -> SignResult:
+                   tenant: Optional[str] = None) -> SignResult:
         """Request a full threshold signature on ``message``.
 
-        ``tenant`` labels the request for multi-tenant accounting;
-        ``rotation`` pins it to the shard whose rotated quorum has that
-        offset instead of routing by consistent hash (the per-tenant
-        quorum policy — see
-        :class:`~repro.service.tenants.TenantConfig`).
+        ``tenant`` labels the request for multi-tenant accounting.
 
         Raises :class:`ServiceOverloadedError` (shed at admission),
         :class:`ServiceClosedError`, :class:`RequestFailedError`
@@ -470,12 +459,11 @@ class SigningService:
             deadline=self._deadline_from(loop), tenant=tenant)
         self.stats.ingress_messages += 1
         self.stats.ingress_bytes += estimate_size(message)
-        self._admit(request, rotation=rotation)
+        self._admit(request)
         return await request.future
 
     async def verify(self, message: bytes, signature: Signature, *,
-                     tenant: Optional[str] = None,
-                     rotation: Optional[int] = None) -> VerifyResult:
+                     tenant: Optional[str] = None) -> VerifyResult:
         """Request verification of ``(message, signature)``."""
         loop = asyncio.get_running_loop()
         request = PendingRequest(
@@ -485,7 +473,7 @@ class SigningService:
             tenant=tenant)
         self.stats.ingress_messages += 1
         self.stats.ingress_bytes += estimate_size((message, signature))
-        self._admit(request, rotation=rotation)
+        self._admit(request)
         return await request.future
 
     # -- telemetry ----------------------------------------------------------

@@ -485,8 +485,7 @@ class HttpGateway:
         message = _hex_field(request.json(), "message")
         return await self._submit(
             request, state, self.service.sign(
-                message, tenant=state.config.name,
-                rotation=state.config.quorum_rotation),
+                message, tenant=state.config.name),
             self._sign_payload)
 
     async def _handle_verify(self, request: _Request):
@@ -503,8 +502,7 @@ class HttpGateway:
                              f"signature does not decode: {exc}") from None
         return await self._submit(
             request, state, self.service.verify(
-                message, signature, tenant=state.config.name,
-                rotation=state.config.quorum_rotation),
+                message, signature, tenant=state.config.name),
             self._verify_payload)
 
     async def _submit(self, request: _Request, state: TenantState,

@@ -224,11 +224,6 @@ class ShardWorker:
         self.stats.max_batch_seen = max(self.stats.max_batch_seen, size)
         if size >= self.max_batch:
             self.stats.full_windows += 1
-        for request in window:
-            if request.tenant is not None:
-                tenants = self.stats.tenant_requests
-                tenants[request.tenant] = \
-                    tenants.get(request.tenant, 0) + 1
 
     @staticmethod
     def _split(window: List[PendingRequest]):
@@ -384,17 +379,6 @@ class ShardPool:
 
     def worker_for(self, message: bytes) -> ShardWorker:
         return self.workers[self.ring.shard_for(message)]
-
-    def worker_at(self, rotation: int) -> ShardWorker:
-        """The shard whose rotated signer quorum has offset
-        ``rotation`` — the per-tenant quorum-pinning policy
-        (:class:`~repro.service.tenants.TenantConfig.quorum_rotation`):
-        every shard's quorum is ``handle.quorum(rotation=shard_id)``,
-        so pinning a rotation pins the signer subset.  Wraps modulo the
-        current shard count, so the policy survives live resizes
-        (though the *pinned* quorum may change when the ring does)."""
-        shard_ids = sorted(self.workers)
-        return self.workers[shard_ids[rotation % len(shard_ids)]]
 
     # -- key-lifecycle barrier ----------------------------------------------
     async def pause_all(self) -> List[ShardWorker]:

@@ -1,11 +1,10 @@
-"""Multi-tenancy: API keys, per-tenant quotas and quorum policy.
+"""Multi-tenancy: API keys and per-tenant quotas.
 
 The gateway multiplexes many applications onto one signing core — the
 Thetacrypt deployment shape.  Each application is a *tenant*: an API key
 resolving to a :class:`TenantConfig` that bounds what the tenant may
 take from the shared service (token-bucket request rate, max in-flight
-requests) and pins its quorum policy (which rotated signer quorum
-produces its windows).  Quota enforcement happens at the *edge*, before
+requests).  Quota enforcement happens at the *edge*, before
 admission: an over-quota request costs one token-bucket check, never a
 queue slot or a crypto cycle, and is answered with a typed
 :class:`TenantQuotaError` that the HTTP layer maps to ``429`` with a
@@ -94,13 +93,6 @@ class TenantConfig:
     * ``max_inflight`` — concurrent requests the tenant may hold open
       (``None`` = unbounded); the cheap defense against a single tenant
       saturating every shard queue.
-    * ``quorum_rotation`` — per-tenant quorum policy mapped onto the
-      :class:`~repro.service.shards.ShardPool`: ``None`` routes by
-      consistent hash (the default load-spreading policy); an integer
-      pins the tenant's windows to the shard whose rotated t+1 quorum
-      has that offset, so every signature the tenant receives is
-      produced by one fixed signer subset (a compliance-style policy —
-      "tenant X's signatures come from quorum k").
     * ``admin`` — whether the key may drive the key-lifecycle routes
       (``/admin/refresh`` / ``/admin/reshare`` / ``/admin/resize``).
     """
@@ -110,7 +102,6 @@ class TenantConfig:
     rate_rps: Optional[float] = None
     burst: float = 1.0
     max_inflight: Optional[int] = None
-    quorum_rotation: Optional[int] = None
     admin: bool = False
 
 
@@ -122,7 +113,7 @@ _REJECTED = "ljy_tenant_rejected_total"
 class TenantStats:
     """Edge-side accounting for one tenant; its samples carry the
     ``tenant`` label.  The service-side view is
-    ``ServiceStats.tenant_accepted`` / ``ShardStats.tenant_requests``."""
+    ``ServiceStats.tenant_accepted``."""
 
     admitted: int = metric("ljy_tenant_admitted_total",
                            "Requests admitted past the tenant's edge quota.")

@@ -150,12 +150,6 @@ class ShardStats:
         "ljy_shard_busy_ms_total",
         "Wall-clock ms spent pre-signing and executing windows, by "
         "shard.", default=0.0)
-    #: Requests carrying no tenant label (library callers, WAL replay)
-    #: are not counted here.
-    tenant_requests: Dict[str, int] = metric(
-        "ljy_shard_tenant_requests_total",
-        "Requests served per shard per tenant (the quorum-pinning audit "
-        "trail).", key="tenant")
     sign_requests: int = 0
     verify_requests: int = 0
     full_windows: int = 0

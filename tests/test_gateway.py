@@ -429,42 +429,6 @@ class TestGatewayDataPlane:
 
 
 # ---------------------------------------------------------------------------
-# Quorum pinning (the per-tenant quorum policy)
-# ---------------------------------------------------------------------------
-
-class TestQuorumPinning:
-    def test_pinned_tenant_lands_on_one_shard(self, handle):
-        tenants = [
-            TenantConfig(name="pinned", api_key="pin-key",
-                         quorum_rotation=1),
-            TenantConfig(name="spread", api_key="spread-key"),
-        ]
-
-        async def scenario():
-            async with gateway_running(handle, tenants) as gateway:
-                pinned = client_for(gateway, "pin-key")
-                spread = client_for(gateway, "spread-key")
-                for i in range(12):
-                    await pinned.sign(b"pinned %d" % i)
-                    await spread.sign(b"spread %d" % i)
-                stats = gateway.service.snapshot_stats()
-                pinned_on = {sid for sid, s in stats.shards.items()
-                             if s.tenant_requests.get("pinned")}
-                spread_on = {sid for sid, s in stats.shards.items()
-                             if s.tenant_requests.get("spread")}
-                # rotation=1 with shard ids {0, 1} pins to shard 1;
-                # consistent hashing spreads 12 messages over both.
-                assert pinned_on == {1}
-                assert stats.shards[1].tenant_requests["pinned"] == 12
-                assert spread_on == {0, 1}
-                assert stats.tenant_accepted == {"pinned": 12,
-                                                 "spread": 12}
-                await pinned.close()
-                await spread.close()
-        run(scenario())
-
-
-# ---------------------------------------------------------------------------
 # Control plane over HTTP
 # ---------------------------------------------------------------------------
 

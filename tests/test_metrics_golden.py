@@ -25,7 +25,7 @@ from repro.service.types import EpochStats, ShardStats, WorkerPoolStats
 from repro.sharing.pedersen_vss import DKG_COUNTERS
 
 GOLDEN_SHA256 = (
-    "dfb2f6c5533737346fcc219e3c2a349778d5e6d77bf374493aa53660be828830")
+    "0aaaf600747e65cdc2d2fbd90dddf133ede4d027d59751697af9a90c545bb3ab")
 
 
 def filled(record, **values):
@@ -48,8 +48,7 @@ def shard(shard_id: int, scale: int) -> ShardStats:
         windows=7 * scale, full_windows=3 * scale, max_batch_seen=16,
         faults_localized=2 * scale, fallback_combines=scale,
         expired=3 * scale, migrated=4 * scale, presigned=9 * scale,
-        busy_ms=812.3456789 * scale,
-        tenant_requests={"alpha": 40 * scale, "beta": 21 * scale})
+        busy_ms=812.3456789 * scale)
 
 
 def histogram(*observations) -> Histogram:
