@@ -78,7 +78,7 @@ class ShardWorker:
             self.queue, max_batch, max_wait_ms,
             prepare=self._presign if worker_pool is None else None)
         self.max_batch = max_batch
-        self.stats = ShardStats(shard_id=shard_id)
+        self.stats = ShardStats()
         self.fault_injector = fault_injector
         #: When set, windows are encoded into wire jobs and dispatched
         #: to the shared remote workers instead of running on this loop.
@@ -218,11 +218,8 @@ class ShardWorker:
 
     def _record_window(self, window: List[PendingRequest]) -> None:
         self.stats.windows += 1
-        size = len(window)
-        self.stats.batched_requests += size
-        self.stats.requests += size
-        self.stats.max_batch_seen = max(self.stats.max_batch_seen, size)
-        if size >= self.max_batch:
+        self.stats.batched_requests += len(window)
+        if len(window) >= self.max_batch:
             self.stats.full_windows += 1
 
     @staticmethod
@@ -235,7 +232,6 @@ class ShardWorker:
         """In-process mode: run the window's crypto on this event loop."""
         signs, verifies = self._split(window)
         if signs:
-            self.stats.sign_requests += len(signs)
             presigned = {
                 position: request.presigned[2]
                 for position, request in enumerate(signs)
@@ -247,7 +243,6 @@ class ShardWorker:
                 shard_id=self.shard_id, presigned=presigned)
             self._apply_sign_outcome(signs, outcome, len(window), loop)
         if verifies:
-            self.stats.verify_requests += len(verifies)
             verdicts = self.handle.verify_window(
                 [request.message for request in verifies],
                 [request.signature for request in verifies])
@@ -264,13 +259,11 @@ class ShardWorker:
         signs, verifies = self._split(window)
         halves = []
         if signs:
-            self.stats.sign_requests += len(signs)
             halves.append((signs, SignWindowJob(
                 shard_id=self.shard_id, epoch=self.handle.epoch,
                 messages=tuple(request.message for request in signs),
                 quorum=tuple(self.quorum))))
         if verifies:
-            self.stats.verify_requests += len(verifies)
             halves.append((verifies, VerifyWindowJob(
                 shard_id=self.shard_id, epoch=self.handle.epoch,
                 messages=tuple(request.message for request in verifies),

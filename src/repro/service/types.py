@@ -130,11 +130,14 @@ class ShardStats:
     """Per-shard scheduling and amortization accounting.  Its samples
     carry the ``shard`` label of :attr:`ServiceStats.shards`."""
 
-    shard_id: int
-    requests: int = metric("ljy_shard_requests_total",
-                           "Requests served, by shard.")
+    #: The sum of window sizes.
+    batched_requests: int = metric("ljy_shard_requests_total",
+                                   "Requests served, by shard.")
     windows: int = metric("ljy_shard_windows_total",
                           "Batch windows executed, by shard.")
+    full_windows: int = metric(
+        "ljy_shard_full_windows_total",
+        "Batch windows closed full (max_batch requests), by shard.")
     expired: int = metric(
         "ljy_shard_expired_total",
         "Requests shed at window formation (deadline), by shard.")
@@ -150,18 +153,15 @@ class ShardStats:
         "ljy_shard_busy_ms_total",
         "Wall-clock ms spent pre-signing and executing windows, by "
         "shard.", default=0.0)
-    sign_requests: int = 0
-    verify_requests: int = 0
-    full_windows: int = 0
-    max_batch_seen: int = 0
-    #: Sum of window sizes; ``requests_per_window`` derives the mean.
-    batched_requests: int = 0
-    faults_localized: int = 0
-    fallback_combines: int = 0
-
-    @property
-    def requests_per_window(self) -> float:
-        return self.batched_requests / self.windows if self.windows else 0.0
+    #: ``SignWindowOutcome.faults_localized`` plus invalid verdicts.
+    faults_localized: int = metric(
+        "ljy_shard_faults_localized_total",
+        "Sign requests the window check flagged and signatures found "
+        "invalid, by shard.")
+    fallback_combines: int = metric(
+        "ljy_shard_fallback_combines_total",
+        "Sign requests combined with partials from beyond their quorum, "
+        "by shard.")
 
 
 @dataclass
@@ -169,8 +169,8 @@ class WorkerPoolStats:
     """Worker-tier accounting
     (:class:`~repro.service.transport.RemoteWorkerPool`)."""
 
-    #: Configured worker endpoints.
-    workers: int = 0
+    workers: int = metric("ljy_worker_endpoints",
+                          "Configured worker endpoints.", "gauge")
     jobs: int = metric("ljy_worker_jobs_total", "Window jobs completed.")
     #: A connection dropped mid-job.
     crashes: int = metric("ljy_worker_crashes_total",
@@ -195,10 +195,12 @@ class WorkerPoolStats:
     #: context-push frame) instead of being torn down.
     rewarms: int = metric("ljy_worker_rewarms_total",
                           "Live worker context re-warms on epoch swaps.")
-    #: High-water mark of concurrently in-flight requests on one
-    #: connection — evidence that several shards' window jobs really do
-    #: share a connection instead of serializing.
-    max_inflight: int = 0
+    #: Evidence that several shards' window jobs really do share a
+    #: connection instead of serializing.
+    max_inflight: int = metric(
+        "ljy_worker_max_inflight",
+        "High-water mark of requests in flight on one worker connection.",
+        "gauge")
 
 
 #: The kinds of key-lifecycle transition: a caller-supplied
@@ -257,10 +259,6 @@ class EpochStats:
     @property
     def pause_p99_ms(self) -> float:
         return percentile(self.pauses_ms, 99.0) if self.pauses_ms else 0.0
-
-    @property
-    def pause_max_ms(self) -> float:
-        return max(self.pauses_ms) if self.pauses_ms else 0.0
 
 
 @dataclass

@@ -706,7 +706,7 @@ class TestPrometheusExposition:
                            shard=str(sid))
                     for sid in stats.shards)
                 assert per_shard == sum(
-                    s.requests for s in stats.shards.values()) == 10
+                    s.batched_requests for s in stats.shards.values()) == 10
                 # Sequential clients: every request arrived alone and was
                 # Share-Signed while its window waited out the timer.
                 for sid, shard in stats.shards.items():
@@ -885,8 +885,8 @@ def test_two_closed_loop_clients_keep_windows_of_two(handle):
             return gateway.service.snapshot_stats().shards[0]
 
     stats = run(scenario())
-    assert stats.requests == 2 * rounds
-    assert stats.requests_per_window == 2.0
+    assert stats.batched_requests == 2 * rounds
+    assert stats.batched_requests / stats.windows == 2.0
     assert stats.presigned > 0
 
 

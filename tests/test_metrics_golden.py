@@ -19,13 +19,17 @@ from repro.core.scheme import ServiceHandle
 from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.math.msm import MSM_COUNTERS
-from repro.net.metrics import Histogram, render_prometheus
+from repro.net.metrics import Histogram, declarations, render_prometheus
 from repro.service import HttpGateway, SigningService, TenantConfig
-from repro.service.types import EpochStats, ShardStats, WorkerPoolStats
+from repro.service.gateway import GatewayStats
+from repro.service.tenants import TenantStats
+from repro.service.types import (
+    EpochStats, ServiceStats, ShardStats, WorkerPoolStats,
+)
 from repro.sharing.pedersen_vss import DKG_COUNTERS
 
 GOLDEN_SHA256 = (
-    "0aaaf600747e65cdc2d2fbd90dddf133ede4d027d59751697af9a90c545bb3ab")
+    "a8274de1793b9662cb9b1a6cfa1bded87cb4b622773186bc03c2a154d460f291")
 
 
 def filled(record, **values):
@@ -33,22 +37,19 @@ def filled(record, **values):
     each non-zero, so a field the exposition reads cannot sit at its
     default here."""
     names = {field.name for field in dataclasses.fields(record)}
-    assert set(values) == names - {"shard_id"}, set(values) ^ names
+    assert set(values) == names, set(values) ^ names
     for name, value in values.items():
         assert value, name
         setattr(record, name, value)
     return record
 
 
-def shard(shard_id: int, scale: int) -> ShardStats:
+def shard(scale: int) -> ShardStats:
     return filled(
-        ShardStats(shard_id=shard_id),
-        requests=61 * scale, batched_requests=61 * scale,
-        sign_requests=45 * scale, verify_requests=16 * scale,
-        windows=7 * scale, full_windows=3 * scale, max_batch_seen=16,
-        faults_localized=2 * scale, fallback_combines=scale,
-        expired=3 * scale, migrated=4 * scale, presigned=9 * scale,
-        busy_ms=812.3456789 * scale)
+        ShardStats(), batched_requests=61 * scale, windows=7 * scale,
+        full_windows=3 * scale, faults_localized=2 * scale,
+        fallback_combines=scale, expired=3 * scale, migrated=4 * scale,
+        presigned=9 * scale, busy_ms=812.3456789 * scale)
 
 
 def histogram(*observations) -> Histogram:
@@ -67,7 +68,7 @@ def golden_exposition(monkeypatch, toy_group) -> str:
         ingress_messages=125, ingress_bytes=9876, egress_messages=110,
         egress_bytes=5432,
         tenant_accepted={"alpha": 80, "beta": 40},
-        shards={0: shard(0, 1), 1: shard(1, 2)},
+        shards={0: shard(1), 1: shard(2)},
         workers=filled(
             WorkerPoolStats(), workers=2, jobs=30, crashes=1,
             resubmissions=2, reconnects=1, timeouts=1, breaker_trips=1,
@@ -102,3 +103,16 @@ def test_metrics_exposition_matches_golden_digest(monkeypatch, toy_group):
     text = golden_exposition(monkeypatch, toy_group)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         GOLDEN_SHA256, text
+
+
+STATS_RECORDS = (GatewayStats, TenantStats, ServiceStats, ShardStats,
+                 WorkerPoolStats, EpochStats)
+
+
+def test_every_stats_field_is_declared():
+    """No hidden counters: each field of a stats record is exported
+    (or walked into a nested record), so ``/metrics`` shows all of it."""
+    for record_type in STATS_RECORDS:
+        assert set(declarations(record_type)) == {
+            field.name for field in dataclasses.fields(record_type)}, \
+            record_type.__name__

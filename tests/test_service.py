@@ -685,7 +685,7 @@ class TestSigningService:
         shard = stats.shards[0]
         assert shard.windows == 1
         assert shard.full_windows == 1
-        assert shard.requests_per_window == 16
+        assert shard.batched_requests / shard.windows == 16
         assert all(result.batch_size == 16 for result in results)
 
     def test_presigned_and_window_signed_bytes_are_identical(self, handle):
@@ -792,9 +792,10 @@ class TestSigningService:
 
         service = run(scenario())
         stats = service.snapshot_stats()
-        busy_shards = [s for s in stats.shards.values() if s.requests]
+        busy_shards = [s for s in stats.shards.values()
+                       if s.batched_requests]
         assert len(busy_shards) >= 3
-        assert sum(s.requests for s in stats.shards.values()) == 64
+        assert sum(s.batched_requests for s in stats.shards.values()) == 64
 
     def test_forged_partial_localized_window_completes(self, handle):
         """The acceptance scenario: a shard injecting one forged partial
