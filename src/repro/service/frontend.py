@@ -83,15 +83,6 @@ class ServiceConfig:
     #: :class:`~repro.service.types.RequestExpiredError` instead of
     #: signed late.  None disables deadlines.
     request_deadline_s: Optional[float] = None
-    #: Hung-worker bound for the TCP tier: a connected remote worker
-    #: that does not answer a window job within this many seconds is
-    #: treated like a dropped connection (discard, resubmit elsewhere).
-    #: The clock starts when the job is sent, and a worker executes
-    #: jobs in arrival order, so the bound also covers waiting behind
-    #: up to 2 * ``num_shards`` - 1 other window jobs (every shard's
-    #: sign and verify halves) queued on the same worker — size it for
-    #: that many windows, not one.
-    remote_job_timeout_s: float = 60.0
     #: Pre-shared key for the TCP tier's HELLO authenticator
     #: (``HMAC-SHA256(psk, context digest)``, both directions).  Both
     #: ends must configure the same key — or neither; a mismatch is
@@ -166,7 +157,6 @@ class SigningService:
             config.max_wait_ms, config.queue_depth,
             fault_injector=config.fault_injector,
             remote_workers=config.remote_workers, wal=self.wal,
-            remote_job_timeout_s=config.remote_job_timeout_s,
             remote_psk=config.remote_psk)
         self._pool.start()
         self._transition_lock = asyncio.Lock()

@@ -334,7 +334,6 @@ class ShardPool:
                  fault_injector: Optional[Callable] = None,
                  remote_workers: Sequence[str] = (),
                  wal: Optional[WriteAheadLog] = None,
-                 remote_job_timeout_s: float = 60.0,
                  remote_psk: Optional[object] = None):
         if num_shards < 1:
             raise ValueError("need at least one shard")
@@ -349,9 +348,7 @@ class ShardPool:
         # (loopback for the cores of this machine, or other machines),
         # shared by all shards.
         self.worker_pool: Optional[RemoteWorkerPool] = (
-            RemoteWorkerPool(handle, remote_workers,
-                             job_timeout_s=remote_job_timeout_s,
-                             psk=remote_psk)
+            RemoteWorkerPool(handle, remote_workers, psk=remote_psk)
             if remote_workers else None)
         # Kept for live resize: added shards are built from the same
         # recipe (and the *current* handle, which swap_handle tracks).

@@ -49,7 +49,7 @@ observation                  reaction
 dial refused / timed out     try the next endpoint; backoff when all down
 connection drops mid-job     count a crash, re-dial, resubmit the job
 no answer within             count a timeout, discard the connection
-``job_timeout_s`` (a hung,   (a late answer would desync the stream),
+``JOB_TIMEOUT_S`` (a hung,   (a late answer would desync the stream),
 still-connected worker)      resubmit — hung is treated like dropped
 garbage frame (bad magic,    the stream cannot be re-synchronized: close
 version, oversized length)   the connection, resubmit elsewhere
@@ -113,6 +113,14 @@ BACKOFF_MAX_S = 1.0
 #: re-dialed on every round-robin pass.
 BREAKER_THRESHOLD = 3
 BREAKER_COOLDOWN_S = 2.0
+#: Hung-worker bound: a connected worker that has not answered a job (or
+#: a context push) this long after it was *sent* is treated as dead —
+#: the connection is discarded (a late answer would desync the stream)
+#: and the job resubmitted elsewhere.  A worker runs jobs in arrival
+#: order, so the bound also covers waiting behind up to 2 * num_shards
+#: - 1 other window jobs (every shard's sign and verify halves) queued
+#: on the same worker: it is sized for that many windows, not one.
+JOB_TIMEOUT_S = 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +587,9 @@ class RemoteWorkerPool:
     """
 
     def __init__(self, handle, addresses: Sequence[str],
-                 job_timeout_s: float = 60.0,
                  psk: Optional[bytes] = None):
         if not addresses:
             raise ValueError("need at least one remote worker address")
-        if job_timeout_s <= 0:
-            raise ValueError("job_timeout_s must be positive")
         if isinstance(psk, str):
             psk = psk.encode("utf-8")
         # Raises TypeError for a scheme the context cannot carry.
@@ -600,13 +605,6 @@ class RemoteWorkerPool:
         #: counter costs nothing and makes traces unambiguous).  Id 0
         #: is reserved for handshake-phase frames.
         self._request_counter = 0
-        #: Hung-worker bound: a connected worker that has not answered
-        #: a job within this window of *sending* it is treated as dead
-        #: (discard the connection — a late answer would desync the
-        #: stream — and resubmit elsewhere).  The worker runs jobs in
-        #: arrival order, so the window includes waiting behind every
-        #: job already queued there.
-        self.job_timeout_s = job_timeout_s
         self.stats = WorkerPoolStats(workers=len(self._endpoints))
         self._next = 0
         self._running = False
@@ -678,7 +676,7 @@ class RemoteWorkerPool:
             return False
         kind, payload = await asyncio.wait_for(
             self._roundtrip(endpoint, FRAME_KIND_CONTEXT, context),
-            self.job_timeout_s)
+            JOB_TIMEOUT_S)
         self._check_hello(endpoint, "the context push", kind, payload,
                           digest)
         return True
@@ -766,7 +764,7 @@ class RemoteWorkerPool:
         owns the teardown: every in-flight future fails at once with
         ``ConnectionResetError`` and each owning call resubmits its own
         job — so a killed worker fails everything in flight in one
-        instant instead of one ``job_timeout_s`` at a time.  Dying
+        instant instead of one ``JOB_TIMEOUT_S`` at a time.  Dying
         mid-job counts as one crash; a drop while idle is just churn.
         """
         reader, writer = endpoint.reader, endpoint.writer
@@ -949,7 +947,7 @@ class RemoteWorkerPool:
             endpoint = await self._acquire()
             try:
                 outcome_blob = await asyncio.wait_for(
-                    self._request(endpoint, blob), self.job_timeout_s)
+                    self._request(endpoint, blob), JOB_TIMEOUT_S)
             except asyncio.TimeoutError:
                 # Hung worker: connected but silent past the job
                 # timeout.  Its event loop is stuck, so every job on
@@ -958,7 +956,7 @@ class RemoteWorkerPool:
                 # of the rotation).
                 last_error = TransportError(
                     f"remote worker {endpoint.address} did not "
-                    f"answer a job within {self.job_timeout_s:.1f}s")
+                    f"answer a job within {JOB_TIMEOUT_S:.1f}s")
                 if await self._discard(endpoint):
                     self.stats.timeouts += 1
                     self._record_failure(endpoint, loop)

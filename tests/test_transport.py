@@ -702,14 +702,12 @@ class TestHungWorkerDetection:
         by the per-job read timeout, treated like a dropped connection
         (timeout counted, connection discarded), and its job completes
         on the healthy endpoint."""
-        tune(monkeypatch, BACKOFF_INITIAL_S=0.01)
+        tune(monkeypatch, BACKOFF_INITIAL_S=0.01, JOB_TIMEOUT_S=0.3)
 
         async def scenario():
             stall, stall_address = await start_stall_server(handle)
             worker = await WorkerServer(handle).start()
-            pool = RemoteWorkerPool(
-                handle, [stall_address, worker.address],
-                job_timeout_s=0.3)
+            pool = RemoteWorkerPool(handle, [stall_address, worker.address])
             pool.start()
             try:
                 outcomes = []
@@ -735,19 +733,20 @@ class TestHungWorkerDetection:
         assert pool.stats.resubmissions >= 1
         assert pool.stats.jobs == 4
 
-    def test_service_config_carries_the_job_timeout(self, handle):
-        """remote_job_timeout_s reaches the pool, and a service backed
-        by a stalled + a healthy worker completes every request."""
+    def test_service_over_a_hung_worker_completes_every_request(
+            self, handle, monkeypatch):
+        """A service backed by a stalled + a healthy worker times the
+        stalled one out and completes every request."""
+        tune(monkeypatch, JOB_TIMEOUT_S=0.3)
+
         async def scenario():
             stall, stall_address = await start_stall_server(handle)
             worker = await WorkerServer(handle).start()
             config = ServiceConfig(
                 num_shards=1, max_batch=4, max_wait_ms=10.0,
-                remote_workers=[stall_address, worker.address],
-                remote_job_timeout_s=0.3)
+                remote_workers=[stall_address, worker.address])
             try:
                 async with SigningService(handle, config) as service:
-                    assert service._pool.worker_pool.job_timeout_s == 0.3
                     results = await asyncio.gather(*(
                         service.sign(b"svc hung %d" % i) for i in range(6)))
             finally:
@@ -774,14 +773,12 @@ class TestCircuitBreaker:
         stalled endpoint out of the rotation: exactly one job pays the
         timeout, the rest go straight to the healthy worker."""
         tune(monkeypatch, BREAKER_THRESHOLD=1, BREAKER_COOLDOWN_S=60.0,
-             BACKOFF_INITIAL_S=0.01)
+             BACKOFF_INITIAL_S=0.01, JOB_TIMEOUT_S=0.2)
 
         async def scenario():
             stall, stall_address = await start_stall_server(handle)
             worker = await WorkerServer(handle).start()
-            pool = RemoteWorkerPool(
-                handle, [stall_address, worker.address],
-                job_timeout_s=0.2)
+            pool = RemoteWorkerPool(handle, [stall_address, worker.address])
             pool.start()
             try:
                 for i in range(5):
