@@ -65,7 +65,9 @@ bench:
 ## shares must be refused, the persisted post-transition context must
 ## settle every admit.  The HTTP act drives the gateway over the wire
 ## (two tenants with different quotas, over-quota 429s at the edge, an
-## admin reshare mid-load, a line-by-line Prometheus /metrics gate)
+## admin reshare mid-load, a /metrics gate: the scrape parses
+## strictly and matches, sample for sample, every family the stats
+## declarations produce from the state it was rendered from)
 ## and SIGKILLs the gateway's host process with admitted HTTP requests
 ## durable — the restart must settle them exactly once.  Every act's
 ## WAL is audited by one call to the settlement ledger

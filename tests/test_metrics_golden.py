@@ -8,20 +8,25 @@ process-wide crypto counters are patched to fixed values, and the
 SHA-256 of the rendered exposition is compared against the digest
 recorded here.  A family renamed, relabelled, reordered or re-helped,
 or a sample added or dropped, fails here even when every
-reconciliation still holds.
+reconciliation still holds.  Beside it: every stats field is
+declared, and ``docs/HTTP_API.md`` tabulates every declared family.
 """
 
 import dataclasses
 import hashlib
+import pathlib
 import random
+import re
 
 from repro.core.scheme import ServiceHandle
 from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.math.msm import MSM_COUNTERS
-from repro.net.metrics import Histogram, declarations, render_prometheus
+from repro.net.metrics import (
+    Histogram, Metric, declarations, render_prometheus,
+)
 from repro.service import HttpGateway, SigningService, TenantConfig
-from repro.service.gateway import GatewayStats
+from repro.service.gateway import CRYPTO_OPS, GatewayStats
 from repro.service.tenants import TenantStats
 from repro.service.types import (
     EpochStats, ServiceStats, ShardStats, WorkerPoolStats,
@@ -116,3 +121,23 @@ def test_every_stats_field_is_declared():
         assert set(declarations(record_type)) == {
             field.name for field in dataclasses.fields(record_type)}, \
             record_type.__name__
+
+
+def declared_families() -> dict:
+    """``{family name: type}`` over every declaration that can reach
+    ``/metrics``."""
+    families = {CRYPTO_OPS.name: CRYPTO_OPS.kind}
+    for record_type in STATS_RECORDS:
+        for spec in declarations(record_type).values():
+            if isinstance(spec, Metric):
+                families.setdefault(spec.name, spec.kind)
+    return families
+
+
+def test_every_family_is_documented():
+    """docs/HTTP_API.md tabulates each family (name, type, labels,
+    HELP) in one row, and names no family that is not declared."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "docs"
+            / "HTTP_API.md").read_text()
+    rows = dict(re.findall(r"^\| `(ljy_\w+)` \| (\w+) \|", text, re.M))
+    assert rows == declared_families()
