@@ -97,7 +97,7 @@ def test_f6_shards_partition_traffic(toy_group, save_table):
                                max_wait_ms=2.0)
         assert report.completed == 64
         loads = sorted(
-            s.requests for s in stats.shards.values())
+            s.batched_requests for s in stats.shards.values())
         table.add_row(**{"shards": num_shards,
                          "per-shard requests": str(loads)})
         assert sum(loads) == 64

@@ -22,6 +22,7 @@ It is all deliberately tiny and dependency-free.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import (
     Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
@@ -378,39 +379,19 @@ def collect(record, labels: Tuple[Tuple[str, str], ...] = (),
 # Parsing an exposition back
 # ---------------------------------------------------------------------------
 
-def _unescape_label(value: str) -> str:
-    out, position = [], 0
-    while position < len(value):
-        if value[position] == "\\" and position + 1 < len(value):
-            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(
-                value[position + 1], value[position + 1]))
-            position += 2
-        else:
-            out.append(value[position])
-            position += 1
-    return "".join(out)
+#: One ``key="value"`` label pair, the value with its escapes.
+_LABEL = r'(\w+)="((?:[^"\\]|\\.)*)"'
+_LABELS = re.compile(rf"(?:{_LABEL},)*{_LABEL}")
 
 
 def _parse_labels(blob: str) -> Tuple[Tuple[str, str], ...]:
     """``k="v",...`` -> sorted tuple of ``(key, unescaped value)``."""
-    labels, position = [], 0
-    while position < len(blob):
-        equals = blob.find("=", position)
-        if equals < 0 or blob[equals + 1:equals + 2] != '"':
-            raise ValueError(f"malformed labels {{{blob}}}")
-        end = equals + 2
-        while end < len(blob) and blob[end] != '"':
-            end += 2 if blob[end] == "\\" else 1
-        if end >= len(blob):
-            raise ValueError(f"unterminated label value in {{{blob}}}")
-        labels.append((blob[position:equals],
-                       _unescape_label(blob[equals + 2:end])))
-        position = end + 1
-        if position < len(blob):
-            if blob[position] != ",":
-                raise ValueError(f"malformed labels {{{blob}}}")
-            position += 1
-    return tuple(sorted(labels))
+    if not _LABELS.fullmatch(blob):
+        raise ValueError(f"malformed labels {{{blob}}}")
+    return tuple(sorted(
+        (key, re.sub(r"\\(.)", lambda escape: "\n" if escape[1] == "n"
+                     else escape[1], value))
+        for key, value in re.findall(_LABEL, blob)))
 
 
 def parse_prometheus(text: str) -> Dict[str, dict]:
@@ -421,8 +402,8 @@ def parse_prometheus(text: str) -> Dict[str, dict]:
     :class:`ValueError` on a structural fault: no trailing newline, a
     blank line, a family given twice, a TYPE not right after its HELP,
     an unknown type, a family without a TYPE, a sample outside its
-    family's block or before its TYPE, malformed labels, an unparseable value or a sample
-    given twice."""
+    family's block or before its TYPE, malformed labels, an unparseable
+    value or a sample given twice."""
     if not text.endswith("\n"):
         raise ValueError("exposition lacks its trailing newline")
     families: Dict[str, dict] = {}

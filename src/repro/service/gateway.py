@@ -163,7 +163,6 @@ class GatewayStats:
         key=("route", "code"))
     inflight: int = metric("ljy_gateway_inflight",
                            "HTTP requests currently being served.", "gauge")
-    #: Parse to response written.
     request_ms: Dict[str, Histogram] = metric(
         "ljy_gateway_request_ms",
         "HTTP request latency (parse to response written), by route.",
