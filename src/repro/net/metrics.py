@@ -319,7 +319,7 @@ class Metric:
 
 
 def metric(name: str, help: str, kind: str = "counter", *,
-           key=(), labels: Mapping[str, str] = None, default=0,
+           key=(), labels: Optional[Mapping[str, str]] = None, default=0,
            default_factory=None):
     """A dataclass field exported as (one series of) the family
     ``name``.  Several fields may declare one family, each with its
