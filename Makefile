@@ -10,7 +10,7 @@ TEST_DEPS = -e . pytest hypothesis
 LINT_DEPS = ruff
 
 .PHONY: test test-fast lint install-test install-lint bench \
-	serve-smoke sim-smoke docs-check smoke
+	serve-smoke sim-smoke docs-check smoke call-record
 
 ## Full tier-1 suite (both backends, including the `sim`-marked
 ## large-n discrete-event scenarios — minutes at n=1024).
@@ -53,19 +53,23 @@ bench:
 
 ## Boot the async signing service, push 100+ requests through the load
 ## generator in seven acts (in-process shards and the loopback-TCP
-## remote-worker tier — including a mid-window worker kill with two
+## remote-worker tier — a PSK handshake and a refresh pushed to the
+## worker, and a mid-window worker kill with two
 ## shards' jobs in flight, which must fail every request id over to a
 ## second endpoint and settle each exactly once) and fail on any
 ## rejected-valid request.  The durability act
 ## SIGKILLs the service itself mid-window and requires a restart
 ## against the same write-ahead log to complete every admitted request
-## exactly once.  The key-lifecycle act refreshes, reshares and grows
-## the shard ring under open-loop load (public key never changes,
+## exactly once.  The key-lifecycle act refreshes, reshares, retires
+## and recovers a signer and grows the shard ring under open-loop load
+## (public key never changes,
 ## nothing rejected), then SIGKILLs a victim mid-transition: stale
 ## shares must be refused, the persisted post-transition context must
 ## settle every admit.  The HTTP act drives the gateway over the wire
 ## (two tenants with different quotas, over-quota 429s at the edge, an
-## admin reshare mid-load, a /metrics gate: the scrape parses
+## admin reshare mid-load, /v1/verify on a valid and a forged pair,
+## /admin/refresh and /admin/resize once each, a /metrics gate: the
+## scrape parses
 ## strictly and matches, sample for sample, every family the stats
 ## declarations produce from the state it was rendered from)
 ## and SIGKILLs the gateway's host process with admitted HTTP requests
@@ -101,6 +105,16 @@ sim-smoke:
 ## docs/*.md, README.md and benchmarks/README.md resolves.
 docs-check:
 	$(PYTHON) tools/check_docs.py
+
+## The call record: run every example, sim_run ci/churn,
+## bench_snapshot --rounds 1, each perf workload in measure and trace
+## mode, serve-smoke on bn254 and toy and the benchmark suite (F7
+## excluded) under a call hook, then list every src/ function no run
+## entered and every constructor argument no run set to a non-default
+## value.  Minutes, not seconds; writes nothing into the tree and fails
+## if any run fails.  Not part of `smoke`.
+call-record:
+	$(PYTHON) tools/call_record.py
 
 ## CI smoke target: tier-1 tests, the signing-service contract check,
 ## the simulation determinism gate and the docs sanity check.

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.groups.api import BilinearGroup, GroupElement
-from repro.lhsps.onetime import DPSecretKey
 
 #: Bound on the per-params hash-to-curve memo (messages are arbitrary
 #: caller input, so the cache must not grow without limit).
@@ -105,10 +104,6 @@ class PrivateKeyShare:
     b_1: int
     a_2: int
     b_2: int
-
-    def as_lhsps_key(self) -> DPSecretKey:
-        """View the share as a one-time LHSPS key for dimension-2 vectors."""
-        return DPSecretKey(((self.a_1, self.b_1), (self.a_2, self.b_2)))
 
     def storage_bytes(self, scalar_bytes: int = 32) -> int:
         """Bytes a server must persist — constant in n."""

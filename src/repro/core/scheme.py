@@ -33,7 +33,7 @@ from repro.errors import CombineError, ParameterError
 from repro.groups.api import BilinearGroup, GroupElement
 from repro.math.lagrange import lagrange_at_zero, lagrange_coefficients
 from repro.math.polynomial import Polynomial
-from repro.math.rng import batch_coins, random_scalar
+from repro.math.rng import batch_coins
 
 _LOG = logging.getLogger(__name__)
 
@@ -1042,12 +1042,6 @@ class ServiceHandle:
                       signatures: Sequence[Signature]) -> List[bool]:
         return self.scheme.verify_window(
             self.public_key, messages, signatures)
-
-
-def random_master_key(group: BilinearGroup,
-                      rng=None) -> Tuple[int, int, int, int]:
-    """A uniformly random master key (for centralized/benchmark use)."""
-    return tuple(random_scalar(group.order, rng) for _ in range(4))
 
 
 def interpolate_key(

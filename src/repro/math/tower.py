@@ -250,10 +250,6 @@ def f6_eq(a: Fp6Ele, b: Fp6Ele) -> bool:
 # F_p12 arithmetic (coefficients of 1, w over F_p6; w^2 = v)
 # ---------------------------------------------------------------------------
 
-def f12_add(a: Fp12Ele, b: Fp12Ele) -> Fp12Ele:
-    return (f6_add(a[0], b[0]), f6_add(a[1], b[1]))
-
-
 def f12_mul(a: Fp12Ele, b: Fp12Ele) -> Fp12Ele:
     """Karatsuba multiplication (3 F_p6 multiplications), int-inlined.
 

@@ -53,9 +53,7 @@ Thetacrypt mold:
   localization of the forged partials, top-up from the next signers)
   without poisoning neighbors in the same window; a worker process
   dying mid-window (:class:`~repro.service.faults.WorkerCrashFault`)
-  exercises the pool's crash recovery; random live lifecycle churn
-  (:class:`~repro.service.faults.ChurnFault`) exercises the epoch
-  barrier under load.
+  exercises the pool's crash recovery.
 * **Key lifecycle** — live epoch transitions with zero lifecycle
   rejections: ``SigningService.begin_epoch`` drains in-flight windows
   behind per-shard barriers, swaps shares/quorums/worker contexts
@@ -72,9 +70,7 @@ parallelism are real; only the client/server network is simulated away.
 """
 
 from repro.service.accumulator import BatchAccumulator
-from repro.service.faults import (
-    ChurnFault, CorruptSignerFault, WorkerCrashFault,
-)
+from repro.service.faults import CorruptSignerFault, WorkerCrashFault
 from repro.service.frontend import ServiceConfig, SigningService
 from repro.service.gateway import HttpGateway
 from repro.service.loadgen import GatewayClient, LoadGenerator, LoadReport
@@ -93,7 +89,7 @@ from repro.service.types import (
 from repro.service.wal import WalStats, WriteAheadLog
 
 __all__ = [
-    "BatchAccumulator", "ChurnFault", "CorruptSignerFault", "EpochStats",
+    "BatchAccumulator", "CorruptSignerFault", "EpochStats",
     "GatewayClient", "HandshakeError", "HashRing", "HttpGateway",
     "LoadGenerator", "LoadReport", "RemoteJobError", "RemoteWorkerPool",
     "RequestExpiredError", "RequestFailedError", "ServiceClosedError",

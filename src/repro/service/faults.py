@@ -42,16 +42,12 @@ class WorkerCrashFault:
     the retried job sees it and proceeds honestly.
     """
 
-    def __init__(self, sentinel_path, signer_index: Optional[int] = None):
+    def __init__(self, sentinel_path):
         self.sentinel_path = str(sentinel_path)
-        self.signer_index = signer_index
 
     def __call__(self, shard_id: int, signer_index: int, message: bytes,
                  partial: PartialSignature) -> PartialSignature:
         import os
-        if self.signer_index is not None and \
-                signer_index != self.signer_index:
-            return partial
         if not os.path.exists(self.sentinel_path):
             with open(self.sentinel_path, "w") as sentinel:
                 sentinel.write("crashed\n")
@@ -89,50 +85,3 @@ class CorruptSignerFault:
         return PartialSignature(
             index=partial.index, z=partial.z * partial.z, r=partial.r)
 
-
-class ChurnFault:
-    """Random key-lifecycle churn against a *live* service.
-
-    Not a partial-signature injector: this drives the other axis of
-    robustness — epoch transitions and ring resizes fired at arbitrary
-    moments while traffic flows.  Each :meth:`step` picks one of:
-
-    * **refresh** — proactive share refresh (new epoch, same committee);
-    * **reshare** — rotate one signer out and a fresh index in (the
-      committee drifts over time, threshold unchanged);
-    * **resize** — re-ring to a random shard count within
-      ``[min_shards, max_shards]``.
-
-    Every action is recorded in :attr:`actions` so tests and the smoke
-    harness can assert the mix actually exercised all three.
-    """
-
-    def __init__(self, rng, min_shards: int = 1, max_shards: int = 8):
-        if min_shards < 1 or max_shards < min_shards:
-            raise ValueError("need 1 <= min_shards <= max_shards")
-        self.rng = rng
-        self.min_shards = min_shards
-        self.max_shards = max_shards
-        #: ``(action, detail)`` pairs, in firing order.
-        self.actions = []
-
-    async def step(self, service) -> str:
-        """Fire one random lifecycle action against ``service``;
-        returns the action name."""
-        action = self.rng.choice(["refresh", "reshare", "resize"])
-        if action == "refresh":
-            await service.refresh(rng=self.rng)
-            self.actions.append(("refresh", service.handle.epoch))
-        elif action == "reshare":
-            params = service.handle.scheme.params
-            current = sorted(service.handle.shares)
-            leaver = self.rng.choice(current)
-            joiner = max(max(current), params.n) + 1
-            new_indices = sorted(set(current) - {leaver} | {joiner})
-            await service.reshare(params.t, new_indices, rng=self.rng)
-            self.actions.append(("reshare", (leaver, joiner)))
-        else:
-            num_shards = self.rng.randint(self.min_shards, self.max_shards)
-            migrated = await service.resize(num_shards)
-            self.actions.append(("resize", (num_shards, migrated)))
-        return action

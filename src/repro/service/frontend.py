@@ -90,10 +90,10 @@ class ServiceConfig:
     remote_psk: Optional[object] = None
     #: Scheduled proactive share refresh: every this-many seconds the
     #: running service performs a live refresh through the
-    #: ``begin_epoch`` barrier (what :class:`ChurnFault` does randomly,
-    #: as deployment policy — the proactive-security model assumes a
-    #: bounded exposure window per share, and this knob *is* that
-    #: bound).  None (the default) never refreshes on a timer.  The
+    #: ``begin_epoch`` barrier, as deployment policy (the
+    #: proactive-security model assumes a bounded exposure window per
+    #: share, and this knob *is* that bound).  None (the default) never
+    #: refreshes on a timer.  The
     #: DKG math runs outside the barrier and transitions serialize
     #: with any concurrent admin-driven lifecycle call, so load sees
     #: only the bounded pause, never a rejection.
@@ -287,16 +287,18 @@ class SigningService:
         loop = asyncio.get_running_loop()
         started = loop.time()
         paused = await self._pool.pause_all()
+        carried = self._pool.queued()
+        self.handle = new_handle
         try:
-            carried = self._pool.queued()
-            self.handle = new_handle
             self._pool.swap_handle(new_handle)
             if self._pool.worker_pool is not None:
                 await self._pool.worker_pool.update_handle(new_handle)
         finally:
             self._pool.resume_all(paused)
-        pause_ms = (loop.time() - started) * 1000.0
-        self._record_transition(kind, pause_ms, derive_ms, carried)
+            # The epoch has moved even when the worker push failed:
+            # account the transition before the error propagates.
+            pause_ms = (loop.time() - started) * 1000.0
+            self._record_transition(kind, pause_ms, derive_ms, carried)
         return pause_ms
 
     def _record_transition(self, kind: str, pause_ms: float,

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 from repro.math.msm import MSM_COUNTERS
 from repro.sharing.pedersen_vss import DKG_COUNTERS
 from repro.net.metrics import (
@@ -222,10 +222,6 @@ class HttpGateway:
         self._codec: Optional[WireCodec] = None
 
     # -- lifecycle ----------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return self._server is not None
-
     @property
     def requests_total(self) -> Dict[Tuple[str, int], int]:
         """``(route, status) -> count`` (:class:`GatewayStats`)."""
@@ -610,10 +606,15 @@ class HttpGateway:
             return await operation
         except ServiceClosedError as exc:
             raise _HttpError(503, "closed", str(exc)) from None
-        except (ReproError, ValueError) as exc:
+        except (ParameterError, ValueError) as exc:
             # Bad lifecycle parameters (threshold out of range, unknown
             # signer indices, shards < 1) are caller errors.
             raise _HttpError(400, "bad-lifecycle",
+                             f"{type(exc).__name__}: {exc}") from None
+        except ReproError as exc:
+            # The server's own faults: no worker took the epoch push,
+            # no honest player completed the protocol.
+            raise _HttpError(500, "lifecycle-failed",
                              f"{type(exc).__name__}: {exc}") from None
 
     # -- observability ------------------------------------------------------

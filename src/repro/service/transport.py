@@ -610,10 +610,6 @@ class RemoteWorkerPool:
         self._running = False
 
     # -- lifecycle ----------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self) -> None:
         """Mark the pool live.  Dialing is lazy: a worker that is still
         booting (or being restarted) must not fail service start-up —

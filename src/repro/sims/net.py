@@ -51,14 +51,10 @@ class SimPeer:
     def receive(self, message: SimMessage) -> None:
         raise NotImplementedError
 
-    # Convenience wrappers that stamp this peer as the sender.
+    # Convenience wrapper that stamps this peer as the sender.
     def send(self, recipient, kind: str, payload,
              size_bytes: Optional[int] = None) -> None:
         self.net.send(self, recipient, kind, payload, size_bytes)
-
-    def broadcast(self, kind: str, payload,
-                  size_bytes: Optional[int] = None) -> None:
-        self.net.broadcast(self, kind, payload, size_bytes)
 
 
 class SimNet:

@@ -41,6 +41,10 @@ from repro.serialization import (
 from repro.sims.kernel import SimulationError
 from repro.sims.net import SimMessage, SimNet, SimPeer
 
+#: A combiner window that is not full closes this long after its first
+#: request became ready.
+WINDOW_TIMEOUT_US = 50_000
+
 
 @dataclass(frozen=True)
 class RoundSchedule:
@@ -268,7 +272,7 @@ class CombinerPeer(SimPeer):
 
     def __init__(self, peer_id, net: SimNet, scheme, public_key,
                  verification_keys, signer_ids: Sequence, codec: WireCodec,
-                 window_size: int = 8, window_timeout_us: int = 50_000,
+                 window_size: int = 8,
                  retry_timeout_us: int = 2_000_000, max_retries: int = 5):
         super().__init__(peer_id, net)
         self.scheme = scheme
@@ -278,7 +282,6 @@ class CombinerPeer(SimPeer):
         self.signer_ids = list(signer_ids)
         self.codec = codec
         self.window_size = window_size
-        self.window_timeout_us = window_timeout_us
         self.retry_timeout_us = retry_timeout_us
         #: Give up after this many retransmits so a request that can
         #: never complete (too many forgers) does not keep the kernel's
@@ -368,8 +371,7 @@ class CombinerPeer(SimPeer):
             self._flush()
         elif self.ready and not self._timer_armed:
             self._timer_armed = True
-            self.net.kernel.schedule(self.window_timeout_us,
-                                     self._timer_fire)
+            self.net.kernel.schedule(WINDOW_TIMEOUT_US, self._timer_fire)
 
     def _timer_fire(self) -> None:
         self._timer_armed = False

@@ -2,7 +2,7 @@
 (refresh / reshare / retire+recover) through ``begin_epoch``'s
 all-shards barrier, live ring resizes with queued-request migration,
 worker-tier re-warming (the TCP ``C`` context-push frame), the WAL
-epoch guard, and random churn under load.
+epoch guard, and seeded random churn under load.
 
 The invariants every test leans on: a transition never changes the
 public key, LJY signatures are deterministic (so a request served
@@ -20,7 +20,7 @@ import pytest
 from repro.core.scheme import LJYThresholdScheme, ServiceHandle
 from repro.serialization import PartialSignJob, SignWindowJob
 from repro.service import (
-    ChurnFault, CorruptSignerFault, EpochStats, HandshakeError, RemoteWorkerPool,
+    CorruptSignerFault, EpochStats, HandshakeError, RemoteWorkerPool,
     ServiceConfig, ServiceError, ShardPool, SigningService,
     StaleEpochError, TransportError, WorkerServer, WriteAheadLog,
 )
@@ -740,6 +740,22 @@ class TestWorkerRewarm:
                 await server.aclose()
         assert run(scenario()) is not None
 
+    def test_failed_push_still_records_the_transition(self, handle):
+        """No worker takes the push, so the refresh raises — but the
+        handle and every shard already moved to epoch 1, so the pause,
+        the kind count and ``EpochStats.epoch`` must say so too."""
+        async def scenario():
+            service = SigningService(handle, ServiceConfig(
+                num_shards=2, remote_workers=["127.0.0.1:1"]))
+            async with service:
+                with pytest.raises(TransportError):
+                    await service.refresh(rng=random.Random(63))
+                return service.handle.epoch, service.snapshot_stats()
+        epoch, stats = run(scenario())
+        assert epoch == stats.epochs.epoch == 1
+        assert stats.epochs.transitions["refresh"] == 1
+        assert len(stats.epochs.pauses_ms) == 1
+
 
 # ---------------------------------------------------------------------------
 # WAL: epochs are durable, stale-epoch restarts are refused
@@ -798,11 +814,28 @@ class TestWalEpoch:
 
 class TestChurn:
     def test_churn_under_load_completes_everything(self, handle):
+        """Six seeded transitions, each fired while a round of signs is
+        in flight: a refresh, a reshare rotating one signer out and a
+        fresh index in, or a resize to 1-5 shards."""
+        async def refresh(service, rng):
+            await service.refresh(rng=rng)
+
+        async def reshare(service, rng):
+            current = sorted(service.handle.shares)
+            leaver = rng.choice(current)
+            await service.reshare(
+                service.handle.threshold,
+                sorted(set(current) - {leaver} | {max(current) + 1}),
+                rng=rng)
+
+        async def resize(service, rng):
+            await service.resize(rng.randint(1, 5))
+
         async def scenario():
             rng = random.Random(91)
-            churn = ChurnFault(rng, min_shards=1, max_shards=5)
             service = SigningService(handle, ServiceConfig(
                 num_shards=3, max_batch=4, max_wait_ms=1.0))
+            fired = []
             async with service:
                 before = service.handle.public_key.to_bytes()
                 results = []
@@ -812,24 +845,21 @@ class TestChurn:
                             b"churn %d/%d" % (round_no, i)))
                         for i in range(8)
                     ]
-                    await churn.step(service)
+                    action = rng.choice([refresh, reshare, resize])
+                    await action(service, rng)
+                    fired.append(action.__name__)
                     results.extend(await asyncio.gather(*tasks))
                 after = service.handle.public_key.to_bytes()
-                return before, after, results, churn, service.stats
-        before, after, results, churn, stats = run(scenario())
+                return before, after, results, fired, service.stats
+        before, after, results, fired, stats = run(scenario())
         assert after == before
         for result in results:
             assert handle.verify(result.message, result.signature)
         assert stats.rejected == 0 and stats.failed == 0
-        assert len(churn.actions) == 6
+        assert {kind: count for kind, count in stats.epochs.transitions.items()
+                if count} == {kind: fired.count(kind) for kind in fired}
         # Six seeded steps cover more than one action kind.
-        assert len({action for action, _ in churn.actions}) >= 2
-
-    def test_churn_validates_bounds(self):
-        with pytest.raises(ValueError):
-            ChurnFault(random.Random(1), min_shards=0)
-        with pytest.raises(ValueError):
-            ChurnFault(random.Random(1), min_shards=4, max_shards=2)
+        assert len(set(fired)) >= 2
 
 
 # ---------------------------------------------------------------------------

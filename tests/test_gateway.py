@@ -24,9 +24,9 @@ from repro.math.msm import MSM_COUNTERS
 from repro.net.metrics import parse_prometheus
 from repro.serialization import WireCodec
 from repro.service import (
-    GatewayClient, HttpGateway, ServiceConfig, SigningService,
-    TenantConfig, TenantQuotaError, TenantRegistry, TokenBucket,
-    UnknownTenantError,
+    GatewayClient, HttpGateway, RequestFailedError, ServiceConfig,
+    SigningService, TenantConfig, TenantQuotaError, TenantRegistry,
+    TokenBucket, UnknownTenantError,
 )
 from repro.service.loadgen import GatewayError
 from repro.sharing.pedersen_vss import DKG_COUNTERS
@@ -498,6 +498,23 @@ class TestGatewayControlPlane:
                 assert info.value.status == 400
                 await admin.close()
         run(scenario())
+
+
+    def test_server_fault_is_5xx_not_400(self, handle):
+        """A refresh whose worker push reaches no worker is the
+        server's fault, not a bad parameter."""
+        config = service_config(remote_workers=["127.0.0.1:1"])
+
+        async def scenario():
+            async with gateway_running(handle, config=config) as gateway:
+                admin = client_for(gateway, "alpha-key")
+                # 500 is the one status the client maps to
+                # RequestFailedError; a 400 would be a GatewayError.
+                with pytest.raises(RequestFailedError) as info:
+                    await admin.admin_refresh()
+                await admin.close()
+                return str(info.value)
+        assert "TransportError" in run(scenario())
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ class TestSimNet:
     def test_broadcast_reaches_everyone_but_the_sender(self):
         kernel, net = _lan_net()
         peers = [_Recorder(i, net) for i in range(4)]
-        peers[0].broadcast("hello", b"x")
+        net.broadcast(peers[0], "hello", b"x")
         kernel.run()
         assert not peers[0].got
         assert all(p.got == [(0, "hello", b"x")] for p in peers[1:])

@@ -18,7 +18,10 @@ window) and asserts the service contract:
 * the worker tier (``remote_workers=[...]``) serves the same contract
   over the wire format and loopback sockets: signatures produced in a
   standalone remote worker process verify in the parent, nothing is
-  rejected or failed, and with two shards
+  rejected or failed, a pre-shared key on both ends authenticates the
+  handshake, a live refresh pushes the new epoch's context to the
+  worker (one rewarm) which then serves the verifies, and with two
+  shards
   over two workers, killing one worker mid-window (it ``os._exit``\\ s
   on its first partial) fails over to the survivor: every request id
   in flight on the dead connection is resubmitted, each request
@@ -36,8 +39,9 @@ window) and asserts the service contract:
   root so CI can upload it as an artifact when this act fails; a clean
   run removes it;
 * the key lifecycle is live: under open-loop load the service refreshes
-  its shares, reshares one signer out and a new one in, and grows the
-  shard ring 4 -> 6 with queued requests migrated — every admitted
+  its shares, reshares one signer out and a new one in, retires signer
+  3 and recovers its share, and grows the shard ring 4 -> 6 with queued
+  requests migrated — every admitted
   request completes with a verifying signature, the public key bytes
   never change, and nothing is rejected because of a transition (the
   transition log lands in ``.smoke-wal/epoch/`` for CI artifacts); a
@@ -48,7 +52,9 @@ window) and asserts the service contract:
   context must settle every admit exactly once;
 * the HTTP front door serves the same contract over the wire: two
   tenants with different quotas drive the gateway while an admin key
-  reshares the committee mid-load — over-quota requests are answered
+  reshares the committee mid-load, then ``/v1/verify`` judges a valid
+  and a forged pair and ``/admin/refresh`` and ``/admin/resize`` run
+  once each — over-quota requests are answered
   ``429`` at the edge (they never cost a queue slot), the Prometheus
   ``GET /metrics`` exposition parses line-by-line and matches every
   sample the stats declarations produce from ``snapshot_stats()``, the
@@ -135,6 +141,8 @@ def _rng(stream: int) -> random.Random:
 #: finds signer 1 convicted and skips the doomed window check.  The
 #: two-phase path paid 88; per-share checks over the full ring 424.
 FORGED_WINDOW_MILLER_LOOPS = 40
+#: Act 4a's pre-shared key, configured on the worker and the service.
+SMOKE_PSK = "serve-smoke psk"
 #: Act 5 batch sizes: requests settled before the kill / left durable
 #: but unprocessed when the SIGKILL lands.
 WAL_PHASE1 = 4
@@ -407,13 +415,17 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
         context_path = pathlib.Path(tcp_dir) / "ctx.bin"
         context_path.write_bytes(encode_service_context(handle))
 
-        # 4a: a clean window routed through one remote worker process.
+        # 4a: a clean window routed through one remote worker process,
+        # both ends holding the same pre-shared key; a live refresh
+        # between the sign and verify phases pushes the new epoch's
+        # context to the worker, which serves the verifies under it.
         process, address = await loop.run_in_executor(
-            None, lambda: start_worker_process(context_path))
+            None, lambda: start_worker_process(context_path, psk=SMOKE_PSK))
         tcp_config = ServiceConfig(num_shards=1, max_batch=8,
                                    max_wait_ms=10.0,
                                    queue_depth=4 * requests,
-                                   remote_workers=[address])
+                                   remote_workers=[address],
+                                   remote_psk=SMOKE_PSK)
         try:
             async with SigningService(handle, tcp_config) as service:
                 tcp_report = await LoadGenerator(
@@ -428,6 +440,12 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
                     check(handle.verify(result.message, result.signature),
                           f"TCP tier produced an invalid signature for "
                           f"#{ordinal}")
+                await service.refresh(rng=_rng(13))
+                check(service.handle.epoch == handle.epoch + 1
+                      and service.handle.public_key.to_bytes()
+                      == handle.public_key.to_bytes(),
+                      "TCP tier: the refresh did not advance the epoch "
+                      "under the same public key")
                 tcp_verify = await LoadGenerator(
                     lambda i: service.verify(tcp_signed[i].message,
                                              tcp_signed[i].signature)
@@ -445,6 +463,9 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
         check(tcp_stats.workers is not None
               and tcp_stats.workers.crashes == 0,
               "TCP tier dropped connections during the clean act")
+        check(tcp_stats.workers is not None
+              and tcp_stats.workers.rewarms == 1,
+              "TCP tier: the worker did not take the epoch push")
 
         # 4b: two shards over a crasher and a survivor; the crasher
         # os._exits on the first partial it signs while the sentinel
@@ -561,6 +582,19 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
         lifecycle_lines.append(
             f"reshare  -> epoch {service.handle.epoch} committee "
             f"{sorted(service.handle.shares)} (pause {pause:.3f}ms)")
+        pause = await service.retire_signer(3)
+        retired = sorted(service.handle.shares)
+        lifecycle_lines.append(
+            f"retire 3 -> epoch {service.handle.epoch} signers {retired} "
+            f"(pause {pause:.3f}ms)")
+        pause = await service.recover_signer(3)
+        lifecycle_lines.append(
+            f"recover 3 -> epoch {service.handle.epoch} signers "
+            f"{sorted(service.handle.shares)} (pause {pause:.3f}ms)")
+        check(3 not in retired
+              and sorted(service.handle.shares) == [2, 3, 4, 5, 6],
+              f"epoch act: retiring and recovering signer 3 left "
+              f"{retired} then {sorted(service.handle.shares)}")
         # A burst admitted one loop turn before the resize is still
         # queued when the barrier drains the ring — the migration path.
         burst = [asyncio.ensure_future(
@@ -586,9 +620,11 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
           lc_requests + len(burst))
     lc_kinds = {kind: count for kind, count
                 in lc_stats.epochs.transitions.items() if count}
-    check(lc_kinds == {"refresh": 1, "reshare": 1, "resize": 1},
-          f"epoch act: expected a refresh, a reshare and a resize, "
-          f"counted {lc_kinds}")
+    check(lc_kinds == {"refresh": 1, "reshare": 1, "retire": 1,
+                       "recover": 1, "resize": 1}
+          and sum(lc_kinds.values()) == len(lc_stats.epochs.pauses_ms),
+          f"epoch act: expected one refresh, reshare, retire, recover "
+          f"and resize, each with one pause, counted {lc_kinds}")
     check(migrated > 0,
           "epoch act: the resize migrated no queued requests")
     lifecycle_lines.append(
@@ -674,6 +710,21 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
           and http_service.handle.public_key.to_bytes() == pk_before,
           "HTTP act: the over-the-wire reshare did not advance the "
           "epoch under the same public key")
+    # The rest of the wire surface, once each: a verify of a valid and
+    # of a forged pair, and the other two admin routes.
+    sample = http_report.results[0].signature
+    forgery = type(sample)(z=sample.z * sample.z, r=sample.r)
+    message = http_report.results[0].message
+    verdicts = [(await alpha.verify(message, signature)).valid
+                for signature in (sample, forgery)]
+    check(verdicts == [True, False],
+          f"HTTP act: /v1/verify answered {verdicts} for a valid and a "
+          f"forged pair")
+    refreshed = await alpha.admin_refresh()
+    resized = await alpha.admin_resize(3)
+    check(refreshed["epoch"] == 2 and resized["shards"] == 3,
+          f"HTTP act: /admin/refresh and /admin/resize answered "
+          f"{refreshed} and {resized}")
     # beta: burst of 2 admitted, then deterministic 429s (the refill
     # rate of 0.1 rps cannot return a token within this act).
     beta_ok, beta_429 = 0, 0
@@ -715,7 +766,7 @@ async def run_smoke(backend: str, requests: int, shards: int) -> int:
                 in family["samples"].items() if sample_name == name}
 
     check(sum(series("ljy_epoch_transitions_total").values())
-          == sum(series("ljy_epoch_pause_ms_count").values()) == 1,
+          == sum(series("ljy_epoch_pause_ms_count").values()) == 3,
           "HTTP act: the transition kinds do not sum to the barrier "
           "pauses")
     check(series("ljy_tenant_admitted_total")
