@@ -143,8 +143,10 @@ class LoadGenerator:
 
 
 class GatewayError(Exception):
-    """An HTTP error from the gateway with no richer typed mapping
-    (400/401/403/404/405/413 — caller bugs, not load outcomes)."""
+    """An HTTP error from the gateway with no richer typed mapping:
+    400/401/403/404/405/413 (caller bugs, not load outcomes), 501, and
+    any 500 other than a failed request (``lifecycle-failed`` from
+    ``/admin/*``)."""
 
     def __init__(self, status: int, error: str, detail: str = ""):
         super().__init__(f"HTTP {status} {error}: {detail}")
@@ -160,8 +162,9 @@ class GatewayClient:
     ``sign``/``verify`` raise the *same* typed errors as the in-process
     service API — ``429`` becomes :class:`TenantQuotaError`, ``503``
     :class:`ServiceOverloadedError`, ``504`` :class:`RequestExpiredError`
-    and ``500`` :class:`RequestFailedError` — so load reports count HTTP
-    shedding exactly as they count in-process shedding.  Connections are
+    and a ``500`` with error ``failed`` :class:`RequestFailedError` — so
+    load reports count HTTP shedding exactly as they count in-process
+    shedding; every other status is a :class:`GatewayError`.  Connections are
     pooled per client; a pooled connection the server closed between
     requests (drain, idle timeout) is retried once on a fresh socket —
     only when EOF arrives before any response byte, so a request is
@@ -311,6 +314,6 @@ class GatewayClient:
             return ServiceOverloadedError(-1, 0)
         if status == 504:
             return RequestExpiredError(-1, 0.0)
-        if status == 500:
+        if status == 500 and error == "failed":
             return RequestFailedError(detail)
         return GatewayError(status, error, detail)

@@ -5,10 +5,11 @@ encoded service context once (``--context ctx.bin``), warms the hot
 caches (``PreparedG2`` line coefficients for every fixed pairing
 argument, fixed-base window tables for the derived generators —
 :func:`~repro.service.transport.warm_handle`), then
-serves ``combine_window`` / ``verify_window`` / ``PartialSignJob``
-requests over the framed TCP protocol of
-:mod:`repro.service.transport` until killed.  Point a service at it
-with ``ServiceConfig(remote_workers=["host:port", ...])``.
+serves ``S``/``V``/``P`` window jobs (sign, verify and partial-sign
+windows) over the framed TCP protocol of
+:mod:`repro.service.transport` until killed, answering each
+connection's frames in arrival order.  Point a service at it with
+``ServiceConfig(remote_workers=["host:port", ...])``.
 
 Serve a context on an ephemeral port (printed on the ready line)::
 

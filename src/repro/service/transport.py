@@ -15,18 +15,19 @@ machine.  This module is both ends of that:
   with a decoded job (the one job -> ``ServiceHandle`` dispatch, epoch
   fenced).
 * :class:`WorkerServer` — the accept loop a standalone worker process
-  (:mod:`repro.service.remote_worker`) runs: handshake, then a
-  pipelined read loop per connection (frames matched to answers by the
-  header's request id, so many jobs ride one connection).
+  (:mod:`repro.service.remote_worker`) runs: handshake, then one frame
+  at a time per connection — each is acted on and answered, under its
+  request id, before the next is read, so answers come back in
+  arrival order.
 * :class:`RemoteWorkerPool` — the dispatcher side behind the shard
   workers (``ServiceConfig(remote_workers=["host:port", ...])``):
   round-robin over configured endpoints, lazy dialing, every shard's
   window jobs concurrently in flight on one connection (a
-  per-connection reader task resolves them by request id, in whatever
-  order the worker answers), and crash recovery — a dropped connection
-  fails every in-flight request id at once, each owning call
-  re-dials/resubmits exactly its own job, so a killed worker costs
-  latency, never a lost or double-served request.
+  per-connection reader task matches answers to them by request id),
+  and crash recovery — a dropped connection fails every in-flight
+  request id at once, each owning call re-dials/resubmits exactly its
+  own job, so a killed worker costs latency, never a lost or
+  double-served request.
 
 **Handshake.**  A connection is useless unless both ends hold the same
 service context (scheme, curve, threshold parameters, keys), so the
@@ -76,7 +77,7 @@ import select
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SerializationError
 from repro.serialization import (
@@ -240,48 +241,24 @@ def execute_job(handle, job, fault_injector=None):
     raise TypeError(f"unknown job type {type(job).__name__}")
 
 
-class _ServedConnection:
-    """One accepted dispatcher connection: its writer, the write lock
-    that keeps the two tasks answering on it (the executor, and the
-    reader refusing a duplicate id or acknowledging a context push)
-    from interleaving frames, and the set of request ids currently in
-    flight on it (the duplicate-id guard)."""
-
-    __slots__ = ("writer", "write_lock", "pending")
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.pending: Set[int] = set()
-
-    @property
-    def open(self) -> bool:
-        return not self.writer.is_closing()
-
-
 class WorkerServer:
     """Serve window jobs over TCP for one service context.
 
     One instance per worker process; any number of dispatcher
-    connections, each handled by its own coroutine.  Per connection the
-    protocol is pipelined: a reader coroutine keeps draining frames
-    (socket buffers stay open while crypto runs) and every answer
-    carries the request id of the job that caused it, so a dispatcher
-    may hold many in-flight jobs and receive completions out of order.
-    A job frame reusing an id that is still in flight on the same
-    connection is refused with an error frame — silently serving it
-    would let one answer settle two different requests.
-
-    Jobs execute inline, in arrival order, on the loop — a worker
-    process exists to burn its core on pairings.
+    connections, each served by one coroutine.  After the handshake it
+    reads one frame and acts on it before it reads the next: a job is
+    decoded, run inline on the loop (a worker process exists to burn
+    its core on pairings) and answered; a context push is validated,
+    applied and acknowledged.  So a connection's frames are answered in
+    arrival order, one at a time, each under the request id of the
+    frame that caused it.
     """
 
     def __init__(self, handle, host: str = "127.0.0.1", port: int = 0,
                  fault_injector=None, psk: Optional[bytes] = None):
         # Raises TypeError for a scheme the context cannot carry —
         # fail at construction, not on the first job.
-        self._context = encode_service_context(handle)
-        self._digest = service_context_digest(self._context)
+        self._digest = service_context_digest(encode_service_context(handle))
         self._handle = handle
         self._codec = WireCodec(handle.scheme.group)
         self._group_name = handle.scheme.group.name
@@ -312,90 +289,36 @@ class WorkerServer:
             await self._server.wait_closed()
             self._server = None
 
-    # -- frame output (any task answering on a connection) ------------------
-    async def _send(self, connection: _ServedConnection, kind: bytes,
+    @staticmethod
+    async def _send(writer: asyncio.StreamWriter, kind: bytes,
                     payload: bytes, request_id: int = 0) -> None:
-        """Write one frame under the connection's write lock.  Send
-        failures are swallowed: a connection dying with answers in
-        flight is the dispatcher's crash-recovery problem (it resubmits
-        elsewhere), not a reason to kill the task that was answering."""
-        async with connection.write_lock:
-            if not connection.open:
-                return
-            try:
-                write_frame(connection.writer, kind, payload, request_id)
-                await connection.writer.drain()
-            except _CONNECTION_ERRORS:
-                pass
-
-    async def _send_error(self, connection: _ServedConnection,
-                          request_id: int, reason: str) -> None:
-        await self._send(connection, FRAME_KIND_ERROR,
-                         reason.encode("utf-8"), request_id)
+        """Write one frame.  Send failures are swallowed: a connection
+        dying with an answer unsent is the dispatcher's crash-recovery
+        problem (it resubmits elsewhere)."""
+        if writer.is_closing():
+            return
+        try:
+            write_frame(writer, kind, payload, request_id)
+            await writer.drain()
+        except _CONNECTION_ERRORS:
+            pass
 
     # -- per-connection protocol -------------------------------------------
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        connection = _ServedConnection(writer)
-        executor_task = None
         try:
-            if not await self._handshake(reader, connection):
-                return
-            # Inline-job mailbox: the reader keeps draining the socket
-            # (that is what makes the connection pipelined) while this
-            # task runs the crypto in arrival order.
-            inline_jobs: "asyncio.Queue[Tuple[int, bytes]]" = \
-                asyncio.Queue()
-            executor_task = asyncio.get_running_loop().create_task(
-                self._execute_loop(connection, inline_jobs))
-            while True:
-                try:
-                    kind, request_id, payload = await read_frame(reader)
-                except _CONNECTION_ERRORS:
-                    return                      # dispatcher went away
-                except SerializationError as exc:
-                    # Garbage header: framing is lost, close after a
-                    # best-effort explanation.
-                    await self._refuse(connection, str(exc))
-                    return
-                if kind == FRAME_KIND_CONTEXT:
-                    # Live re-provisioning: a key-lifecycle transition
-                    # pushes the new epoch's context in place instead
-                    # of tearing the worker down.  Pushes arrive inside
-                    # the dispatcher's epoch barrier (no jobs in
-                    # flight), so applying it here cannot interleave
-                    # with a window mid-crypto.  A refused push answers
-                    # with an E frame and keeps serving the *old*
-                    # epoch.
-                    await self._apply_context_push(
-                        connection, request_id, payload)
-                    continue
-                if kind != FRAME_KIND_JOB:
-                    await self._refuse(
-                        connection,
-                        f"expected a job frame, got {kind!r}")
-                    return
-                if request_id in connection.pending:
-                    # Answering two jobs under one id would make one
-                    # outcome settle both; refuse the duplicate and
-                    # keep the stream (the header parsed fine, framing
-                    # is intact).
-                    await self._send_error(
-                        connection, request_id,
-                        f"duplicate request id {request_id} is already "
-                        f"in flight on this connection")
-                    continue
-                connection.pending.add(request_id)
-                inline_jobs.put_nowait((request_id, payload))
+            refusal = await self._handshake(reader)
+            if refusal is None:
+                await self._send(writer, FRAME_KIND_HELLO, _hello_payload(
+                    self._group_name, self._digest, self._psk))
+                refusal = await self._serve_frames(reader, writer)
+            # A refusal closes the connection after a best-effort
+            # explanation under id 0.
+            await self._send(writer, FRAME_KIND_ERROR,
+                             refusal.encode("utf-8"))
         except _CONNECTION_ERRORS:
-            pass
+            pass                                # dispatcher went away
         finally:
-            if executor_task is not None:
-                executor_task.cancel()
-                try:
-                    await executor_task
-                except asyncio.CancelledError:
-                    pass
             writer.close()
             try:
                 await writer.wait_closed()
@@ -404,54 +327,59 @@ class WorkerServer:
                 # the close handshake; the socket is closed either way.
                 pass
 
-    async def _execute_loop(self, connection: _ServedConnection,
-                            inline_jobs: "asyncio.Queue") -> None:
-        """Decode and answer this connection's jobs in arrival order."""
+    async def _serve_frames(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> str:
+        """Answer job and context-push frames in arrival order until a
+        frame breaks the protocol; returns why."""
         while True:
-            request_id, payload = await inline_jobs.get()
             try:
-                outcome_blob = self._codec.encode_outcome(execute_job(
-                    self._handle, self._codec.decode_job(payload),
-                    fault_injector=self.fault_injector))
-            except Exception as exc:
-                # The frame arrived intact, so the stream is still in
-                # sync: report the failure — an undecodable payload
-                # (e.g. a retired job kind) or a job-level refusal —
-                # and keep serving this connection (the dispatcher
-                # raises RemoteJobError instead of resubmitting).
-                await self._send_error(
-                    connection, request_id,
-                    f"{type(exc).__name__}: {exc}")
-                connection.pending.discard(request_id)
-                continue
-            await self._send(connection, FRAME_KIND_OUTCOME, outcome_blob,
-                             request_id)
-            connection.pending.discard(request_id)
-            self.jobs_served += 1
-            # One cooperative yield per job so the reader task drains
-            # newly-arrived frames between crypto calls.
-            await asyncio.sleep(0)
+                kind, request_id, payload = await read_frame(reader)
+            except SerializationError as exc:
+                return str(exc)     # garbage header: framing is lost
+            if kind == FRAME_KIND_JOB:
+                answer = self._run_job(payload)
+            elif kind == FRAME_KIND_CONTEXT:
+                answer = self._apply_context_push(payload)
+            else:
+                return f"expected a job frame, got {kind!r}"
+            await self._send(writer, *answer, request_id)
 
-    async def _apply_context_push(self, connection: _ServedConnection,
-                                  request_id: int,
-                                  payload: bytes) -> None:
-        """Validate and install a pushed new-epoch service context.
+    def _run_job(self, payload: bytes) -> Tuple[bytes, bytes]:
+        """Decode and run one job; returns its answer frame."""
+        try:
+            outcome_blob = self._codec.encode_outcome(execute_job(
+                self._handle, self._codec.decode_job(payload),
+                fault_injector=self.fault_injector))
+        except Exception as exc:
+            # The frame arrived intact, so the stream is still in sync:
+            # report the failure — an undecodable payload (e.g. a
+            # retired job kind) or a job-level refusal — and keep
+            # serving (the dispatcher raises RemoteJobError instead of
+            # resubmitting).
+            return (FRAME_KIND_ERROR,
+                    f"{type(exc).__name__}: {exc}".encode("utf-8"))
+        self.jobs_served += 1
+        return FRAME_KIND_OUTCOME, outcome_blob
 
+    def _apply_context_push(self, payload: bytes) -> Tuple[bytes, bytes]:
+        """Validate and install a pushed new-epoch service context;
+        returns the answer frame.
+
+        Live re-provisioning: a key-lifecycle transition pushes the new
+        epoch's context in place instead of tearing the worker down.
         Three invariants gate the swap — each one distinguishes a
         legitimate lifecycle transition from misprovisioning (or a
         replayed stale push after a crash): the backend must match, the
         public key bytes must be *identical* (refresh/reshare never
         change the master key), and the epoch must be strictly newer.
         On success the caches are re-warmed and the new HELLO (with the
-        new context digest, echoing the push's request id) is the
-        acknowledgement.
+        new context digest) is the acknowledgement; a refused push is
+        answered with an E frame and the *old* epoch keeps serving.
         """
         try:
             handle = decode_service_context(payload)
         except SerializationError as exc:
-            await self._send_error(connection, request_id,
-                                   f"bad context push: {exc}")
-            return
+            return FRAME_KIND_ERROR, f"bad context push: {exc}".encode("utf-8")
         problem = None
         if handle.scheme.group.name != self._group_name:
             problem = (f"context push is for backend "
@@ -465,58 +393,38 @@ class WorkerServer:
             problem = (f"stale context push: epoch {handle.epoch} is "
                        f"not newer than epoch {self._handle.epoch}")
         if problem is not None:
-            await self._send_error(connection, request_id, problem)
-            return
+            return FRAME_KIND_ERROR, problem.encode("utf-8")
         warm_handle(handle)
         self._handle = handle
-        self._context = payload
         self._digest = service_context_digest(payload)
-        await self._send(connection, FRAME_KIND_HELLO, _hello_payload(
-            self._group_name, self._digest, self._psk), request_id)
+        return FRAME_KIND_HELLO, _hello_payload(
+            self._group_name, self._digest, self._psk)
 
-    async def _handshake(self, reader: asyncio.StreamReader,
-                         connection: _ServedConnection) -> bool:
+    async def _handshake(self, reader: asyncio.StreamReader
+                         ) -> Optional[str]:
         """First frame must be a HELLO matching our context digest (and
-        PSK authenticator, when a pre-shared key is configured)."""
+        PSK authenticator, when a pre-shared key is configured); returns
+        the refusal, or None."""
         try:
             kind, _, payload = await read_frame(reader)
-        except _CONNECTION_ERRORS:
-            return False
         except SerializationError as exc:
-            await self._refuse(connection, str(exc))
-            return False
+            return str(exc)
         if kind != FRAME_KIND_HELLO:
-            await self._refuse(
-                connection,
-                f"expected HELLO as the first frame, got {kind!r}")
-            return False
+            return f"expected HELLO as the first frame, got {kind!r}"
         try:
             group_name, digest, mac = decode_hello(payload)
         except SerializationError as exc:
-            await self._refuse(connection, f"bad HELLO payload: {exc}")
-            return False
+            return f"bad HELLO payload: {exc}"
         if group_name != self._group_name or digest != self._digest:
-            await self._refuse(
-                connection,
-                f"service-context mismatch: this worker serves backend "
-                f"{self._group_name!r} with context digest "
-                f"{self._digest.hex()[:16]}..., dispatcher offered "
-                f"{group_name!r}/{digest.hex()[:16]}...")
-            return False
+            return (f"service-context mismatch: this worker serves backend "
+                    f"{self._group_name!r} with context digest "
+                    f"{self._digest.hex()[:16]}..., dispatcher offered "
+                    f"{group_name!r}/{digest.hex()[:16]}...")
         if not _psk_agrees(self._psk, mac, digest):
-            await self._refuse(
-                connection,
-                "pre-shared-key mismatch: the dispatcher's HELLO "
-                "authenticator does not match this worker's PSK "
-                "configuration")
-            return False
-        await self._send(connection, FRAME_KIND_HELLO, _hello_payload(
-            self._group_name, self._digest, self._psk))
-        return True
-
-    async def _refuse(self, connection: _ServedConnection,
-                      reason: str) -> None:
-        await self._send_error(connection, 0, reason)
+            return ("pre-shared-key mismatch: the dispatcher's HELLO "
+                    "authenticator does not match this worker's PSK "
+                    "configuration")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -527,24 +435,22 @@ class _Endpoint:
     """One configured remote worker address plus its live connection,
     in-flight requests and circuit-breaker state."""
 
-    __slots__ = ("host", "port", "reader", "writer", "send_lock",
-                 "pending", "reader_task", "dial_lock", "dialed_once",
-                 "failures", "open_until", "misprovisioned")
+    __slots__ = ("host", "port", "reader", "writer", "pending",
+                 "reader_task", "dial_lock", "dialed_once", "failures",
+                 "open_until", "misprovisioned")
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
-        #: Serializes frame *writes* only — reads are the reader task's
-        #: job, and completions are matched by request id, so several
-        #: shards' jobs ride the connection concurrently (the callers
-        #: bound how many: one sign and one verify window per shard).
-        self.send_lock = asyncio.Lock()
         #: In-flight request ids -> the futures their answers resolve.
+        #: Several shards' jobs ride the connection concurrently (the
+        #: callers bound how many: one sign and one verify window per
+        #: shard).
         self.pending: Dict[int, asyncio.Future] = {}
         #: Per-connection reader: drains answer frames and resolves
-        #: ``pending`` futures by id, in whatever order they arrive.
+        #: ``pending`` futures by id.
         self.reader_task: Optional[asyncio.Task] = None
         #: One dial at a time, so concurrent shards cannot open
         #: duplicate connections to the same worker.
@@ -593,8 +499,7 @@ class RemoteWorkerPool:
         if isinstance(psk, str):
             psk = psk.encode("utf-8")
         # Raises TypeError for a scheme the context cannot carry.
-        self._context = encode_service_context(handle)
-        self._digest = service_context_digest(self._context)
+        self._digest = service_context_digest(encode_service_context(handle))
         self._group_name = handle.scheme.group.name
         self._psk = psk or None
         self._codec = WireCodec(handle.scheme.group)
@@ -662,7 +567,6 @@ class RemoteWorkerPool:
                 f"no remote worker accepted the epoch-{handle.epoch} "
                 f"context push (endpoints: "
                 f"{', '.join(e.address for e in self._endpoints)})")
-        self._context = context
         self._digest = digest
         self.stats.rewarms += 1
 
@@ -752,9 +656,8 @@ class RemoteWorkerPool:
 
     async def _reader_loop(self, endpoint: _Endpoint) -> None:
         """Drain answer frames from one connection for as long as it
-        lives, resolving in-flight futures by request id — out-of-order
-        completion is the point: a slow window job no longer blocks the
-        answers queued behind it.
+        lives, resolving in-flight futures by request id (the worker
+        answers in arrival order, but nothing here relies on that).
 
         When the socket dies (drop, EOF, garbage frame) *this* task
         owns the teardown: every in-flight future fails at once with
@@ -793,8 +696,10 @@ class RemoteWorkerPool:
     async def _roundtrip(self, endpoint: _Endpoint, kind: bytes,
                          blob: bytes) -> Tuple[bytes, bytes]:
         """Ship one frame and await its answer ``(kind, payload)``,
-        matched by request id.  Concurrent callers interleave freely;
-        only the write itself is serialized."""
+        matched by request id.  Concurrent callers interleave freely:
+        each frame is one synchronous ``write``, so frames never
+        interleave on the stream (and ``drain`` takes any number of
+        concurrent waiters)."""
         self._request_counter += 1
         request_id = self._request_counter
         future = asyncio.get_running_loop().create_future()
@@ -803,16 +708,15 @@ class RemoteWorkerPool:
         if inflight > self.stats.max_inflight:
             self.stats.max_inflight = inflight
         try:
-            async with endpoint.send_lock:
-                if not endpoint.connected:
-                    # The connection died while we queued on the lock;
-                    # the caller discards (a no-op for non-first
-                    # observers) and resubmits.
-                    raise ConnectionResetError(
-                        f"connection to {endpoint.address} lost before "
-                        "dispatch")
-                write_frame(endpoint.writer, kind, blob, request_id)
-                await endpoint.writer.drain()
+            if not endpoint.connected:
+                # The connection died since the caller acquired it; the
+                # caller discards (a no-op for non-first observers) and
+                # resubmits.
+                raise ConnectionResetError(
+                    f"connection to {endpoint.address} lost before "
+                    "dispatch")
+            write_frame(endpoint.writer, kind, blob, request_id)
+            await endpoint.writer.drain()
             return await future
         finally:
             endpoint.pending.pop(request_id, None)
@@ -1034,14 +938,13 @@ def start_worker_process(context_path, host: str = "127.0.0.1",
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            process.kill()
-            raise TransportError(
-                f"remote worker did not become ready within "
-                f"{timeout_s:.0f}s")
+            failure = (f"remote worker did not become ready within "
+                       f"{timeout_s:.0f}s")
+            break
         if process.poll() is not None:
-            raise TransportError(
-                f"remote worker exited with code {process.returncode} "
-                "before becoming ready")
+            failure = (f"remote worker exited with code "
+                       f"{process.returncode} before becoming ready")
+            break
         readable, _, _ = select.select([process.stdout], [], [],
                                        min(remaining, 0.25))
         if readable:
@@ -1049,3 +952,9 @@ def start_worker_process(context_path, host: str = "127.0.0.1",
             if READY_MARKER in line:
                 address = line.split(READY_MARKER, 1)[1].strip()
                 return process, address
+    # Reap the child (a no-op kill when it already exited) and close
+    # its pipe, so a failed start leaves no zombie and no open fd.
+    process.kill()
+    process.wait()
+    process.stdout.close()
+    raise TransportError(failure)

@@ -3,8 +3,10 @@
 These are the building blocks of the paper's distributed key generation:
 
 * :mod:`repro.sharing.shamir` — plain (t, n) Shamir sharing over Z_p.
-* :mod:`repro.sharing.feldman` — Feldman's VSS (commitments ``g^{a_l}``),
-  used by the GJKR baseline and by the bias-attack discussion.
+* :mod:`repro.sharing.feldman` — Feldman's VSS (commitments ``g^{a_l}``):
+  a reference dealer whose share check is the one the GJKR baseline
+  runs on its Feldman columns through
+  :func:`~repro.sharing.pedersen_vss.failing_shares`, on a batch of one.
 * :mod:`repro.sharing.pedersen_vss` — Pedersen's two-generator VSS with
   commitments ``g_z^{a_l} g_r^{b_l}``; the broadcast values ``W_hat_ikl``
   of the paper's Dist-Keygen are exactly these commitments.

@@ -4,8 +4,13 @@ The dealer publishes commitments ``C_l = g^{a_l}`` to the coefficients of
 the sharing polynomial; receiver i checks ``g^{A(i)} = prod_l C_l^{i^l}``.
 Feldman's VSS leaks ``g^{secret}`` (the commitment to the constant term),
 which is exactly why Pedersen's DKG built on it produces a public key an
-attacker can bias — the paper's Section 1 discussion.  We use it for the
-GJKR baseline DKG and the bias experiments.
+attacker can bias — the paper's Section 1 discussion.
+
+:class:`FeldmanVSS` is a reference dealer, exercised by
+``tests/test_sharing.py``; nothing else in the package uses it.  Its
+:meth:`~FeldmanVSS.verify_share` is the check the GJKR baseline runs on
+its Feldman columns (``dkg/gjkr_dkg.py:_feldman_failing``, through
+:func:`~repro.sharing.pedersen_vss.failing_shares`), on a batch of one.
 """
 
 from __future__ import annotations

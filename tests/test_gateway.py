@@ -24,7 +24,7 @@ from repro.math.msm import MSM_COUNTERS
 from repro.net.metrics import parse_prometheus
 from repro.serialization import WireCodec
 from repro.service import (
-    GatewayClient, HttpGateway, RequestFailedError, ServiceConfig,
+    GatewayClient, HttpGateway, ServiceConfig,
     SigningService, TenantConfig, TenantQuotaError, TenantRegistry,
     TokenBucket, UnknownTenantError,
 )
@@ -508,13 +508,15 @@ class TestGatewayControlPlane:
         async def scenario():
             async with gateway_running(handle, config=config) as gateway:
                 admin = client_for(gateway, "alpha-key")
-                # 500 is the one status the client maps to
-                # RequestFailedError; a 400 would be a GatewayError.
-                with pytest.raises(RequestFailedError) as info:
+                # A lifecycle fault is not a failed signing request:
+                # only a 500 "failed" maps to RequestFailedError.
+                with pytest.raises(GatewayError) as info:
                     await admin.admin_refresh()
                 await admin.close()
-                return str(info.value)
-        assert "TransportError" in run(scenario())
+                return info.value
+        error = run(scenario())
+        assert (error.status, error.error) == (500, "lifecycle-failed")
+        assert "TransportError" in error.detail
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ import pytest
 from repro.core.scheme import ServiceHandle
 from repro.errors import SerializationError
 from repro.serialization import (
-    FRAME_HEADER_BYTES, FRAME_KIND_ERROR, FRAME_KIND_HELLO, FRAME_KIND_JOB,
-    FRAME_KIND_OUTCOME, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_BYTES,
+    FRAME_HEADER_BYTES, FRAME_KIND_CONTEXT, FRAME_KIND_ERROR,
+    FRAME_KIND_HELLO, FRAME_KIND_JOB, FRAME_KIND_OUTCOME, FRAME_MAGIC,
+    FRAME_VERSION, MAX_FRAME_BYTES,
     PartialSignJob, SignWindowJob, WireCodec,
     decode_frame_header, decode_hello, encode_frame, encode_hello,
     encode_service_context, hello_mac, service_context_digest,
@@ -662,6 +663,32 @@ class TestRemoteWorkerCli:
 
         assert main(["--context", str(tmp_path / "absent.bin")]) == 2
 
+    @pytest.mark.parametrize("failure", ["exited", "timed-out"])
+    def test_failed_start_reaps_the_child(self, tmp_path, monkeypatch,
+                                          failure):
+        """A worker that exits before its ready line, or misses the
+        ready deadline, is reaped and its stdout pipe closed before the
+        TransportError."""
+        spawned = []
+        real_popen = transport.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(real_popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(transport.subprocess, "Popen", recording_popen)
+        # A missing context file exits with code 2; a zero deadline
+        # expires before the child can print anything.
+        timeout_s = 60.0 if failure == "exited" else 0.0
+        with pytest.raises(TransportError,
+                           match="exited with code 2" if failure == "exited"
+                           else "did not become ready"):
+            start_worker_process(tmp_path / "absent.bin",
+                                 timeout_s=timeout_s)
+        [child] = spawned
+        assert child.returncode is not None
+        assert child.stdout.closed
+
 
 # ---------------------------------------------------------------------------
 # Hung-worker detection (stalled, not crashed)
@@ -1113,6 +1140,25 @@ class TestPresharedKey:
 # Request-id framing: several jobs in flight on one connection
 # ---------------------------------------------------------------------------
 
+async def handshaken(server, handle):
+    """Open a raw connection to ``server`` and complete the HELLO."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    write_frame(writer, FRAME_KIND_HELLO, encode_hello(
+        handle.scheme.group.name,
+        service_context_digest(encode_service_context(handle))))
+    await writer.drain()
+    kind, _, _ = await read_frame(reader)
+    assert kind == FRAME_KIND_HELLO
+    return reader, writer
+
+
+async def serve_one(reader, writer, job: bytes):
+    """Send one job frame under id 1 and read its answer."""
+    write_frame(writer, FRAME_KIND_JOB, job, request_id=1)
+    await writer.drain()
+    return await read_frame(reader)
+
+
 class TestRequestIdFraming:
     def test_out_of_order_completion_resolves_by_request_id(self, handle):
         """A worker may answer the second in-flight job first; the pool
@@ -1169,51 +1215,107 @@ class TestRequestIdFraming:
             assert handle.verify(message, signature)
         assert pool.stats.max_inflight == 2
 
-    def test_duplicate_request_id_refused_without_closing(self, handle):
-        """Two jobs under one id would let one outcome settle both
-        futures; the server refuses the duplicate with an E frame and
-        keeps both the stream and the original job alive."""
+    def test_duplicate_request_id_answered_in_order(self, handle):
+        """The worker runs one frame at a time, so no two jobs are ever
+        in flight on it: two jobs under one id get two outcomes, in
+        arrival order, and the stream stays open."""
         codec = WireCodec(handle.scheme.group)
-        request = codec.encode_job(SignWindowJob(
-            shard_id=0, messages=(b"dup",), quorum=tuple(handle.quorum())))
-        hello = encode_hello(
-            handle.scheme.group.name,
-            service_context_digest(encode_service_context(handle)))
+        jobs = [codec.encode_job(SignWindowJob(
+            shard_id=0, messages=(message,), quorum=tuple(handle.quorum())))
+            for message in (b"dup one", b"dup two")]
 
         async def scenario():
-            # Both frames are on the socket before this task yields,
-            # so the server's reader sees the duplicate while the first
-            # job still waits for the executor.
             server = await WorkerServer(handle).start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port)
-                write_frame(writer, FRAME_KIND_HELLO, hello)
+                reader, writer = await handshaken(server, handle)
+                writer.write(b"".join(encode_frame(FRAME_KIND_JOB, job, 9)
+                                      for job in jobs))
                 await writer.drain()
-                kind, _, _ = await read_frame(reader)
-                assert kind == FRAME_KIND_HELLO
-                write_frame(writer, FRAME_KIND_JOB, request, request_id=9)
-                write_frame(writer, FRAME_KIND_JOB, request, request_id=9)
-                await writer.drain()
-                first = await read_frame(reader)
-                second = await read_frame(reader)
+                answers = [await read_frame(reader) for _ in jobs]
+                answers.append(await serve_one(reader, writer, jobs[0]))
                 writer.close()
                 await writer.wait_closed()
             finally:
                 await server.aclose()
-            return first, second
+            return answers
 
-        first, second = run(scenario())
-        kind, request_id, payload = first
-        assert kind == FRAME_KIND_ERROR
-        assert request_id == 9
-        assert b"duplicate" in payload
-        kind, request_id, payload = second
-        assert kind == FRAME_KIND_OUTCOME
-        assert request_id == 9
+        answers = run(scenario())
+        for (kind, request_id, payload), expected in zip(
+                answers, ((9, b"dup one"), (9, b"dup two"), (1, b"dup one"))):
+            assert (kind, request_id) == (FRAME_KIND_OUTCOME, expected[0])
+            outcome = codec.decode_outcome(payload)
+            assert outcome.failures == ()
+            assert handle.verify(expected[1], outcome.signatures[0])
+
+    def test_context_push_waits_for_the_job_ahead_of_it(self, handle):
+        """A job and then a context push in one write: the job runs
+        under the epoch it was stamped with, then the push is applied —
+        the push never overtakes a job sent before it."""
+        codec = WireCodec(handle.scheme.group)
+        job = codec.encode_job(SignWindowJob(
+            shard_id=0, epoch=0, messages=(b"before the push",),
+            quorum=tuple(handle.quorum())))
+        fresh = encode_service_context(handle.refreshed(
+            rng=random.Random(81)))
+
+        async def scenario():
+            server = await WorkerServer(handle).start()
+            try:
+                reader, writer = await handshaken(server, handle)
+                writer.write(encode_frame(FRAME_KIND_JOB, job, 7)
+                             + encode_frame(FRAME_KIND_CONTEXT, fresh, 8))
+                await writer.drain()
+                answers = [await read_frame(reader) for _ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.aclose()
+            return answers, server
+
+        (job_answer, push_answer), server = run(scenario())
+        kind, request_id, payload = job_answer
+        assert (kind, request_id) == (FRAME_KIND_OUTCOME, 7)
         outcome = codec.decode_outcome(payload)
-        assert outcome.failures == ()
-        assert handle.verify(b"dup", outcome.signatures[0])
+        assert handle.verify(b"before the push", outcome.signatures[0])
+        kind, request_id, payload = push_answer
+        assert (kind, request_id) == (FRAME_KIND_HELLO, 8)
+        assert decode_hello(payload)[1] == service_context_digest(fresh)
+        assert server._handle.epoch == 1
+
+    def test_foreign_push_refused_and_old_epoch_keeps_serving(
+            self, handle, toy_group):
+        """A push under another public key gets an E frame under its id;
+        the worker keeps its epoch-0 keys and serves the next job."""
+        codec = WireCodec(handle.scheme.group)
+        job = codec.encode_job(SignWindowJob(
+            shard_id=0, epoch=0, messages=(b"old epoch",),
+            quorum=tuple(handle.quorum())))
+        foreign = ServiceHandle.dealer(toy_group, 2, 5,
+                                       rng=random.Random(99)).refreshed(
+                                           rng=random.Random(82))
+
+        async def scenario():
+            server = await WorkerServer(handle).start()
+            try:
+                reader, writer = await handshaken(server, handle)
+                write_frame(writer, FRAME_KIND_CONTEXT,
+                            encode_service_context(foreign), request_id=5)
+                await writer.drain()
+                refusal = await read_frame(reader)
+                served = await serve_one(reader, writer, job)
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.aclose()
+            return refusal, served
+
+        (kind, request_id, payload), served = run(scenario())
+        assert (kind, request_id) == (FRAME_KIND_ERROR, 5)
+        assert b"public key" in payload
+        kind, request_id, payload = served
+        assert (kind, request_id) == (FRAME_KIND_OUTCOME, 1)
+        outcome = codec.decode_outcome(payload)
+        assert handle.verify(b"old epoch", outcome.signatures[0])
 
     def test_retired_request_kind_is_a_remote_job_error(self, handle,
                                                         monkeypatch):
