@@ -9,7 +9,7 @@ export PYTHONPATH := src
 TEST_DEPS = -e . pytest hypothesis
 LINT_DEPS = ruff
 
-.PHONY: test test-fast lint install-test install-lint bench \
+.PHONY: test test-fast test-leaks lint install-test install-lint bench \
 	serve-smoke sim-smoke docs-check smoke call-record
 
 ## Full tier-1 suite (both backends, including the `sim`-marked
@@ -21,6 +21,15 @@ test:
 ## seconds, not minutes).
 test-fast:
 	$(PYTHON) -m pytest -x -q -p no:benchmark -m "not bn254 and not sim"
+
+## Resource-leak gate (~11 s): the transport tests under the
+## development mode, with every ResourceWarning and every exception
+## raised where nothing can catch it (a finalizer's) made an error, so
+## a pipe, socket or transport left open fails the run.
+test-leaks:
+	$(PYTHON) -X dev -m pytest tests/test_transport.py -q -p no:benchmark \
+		-W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning
 
 ## Lint gate (the third fast CI gate).  Byte-compiles every Python tree
 ## (src, tools, tests, perf, benchmarks, examples) unconditionally — a

@@ -39,9 +39,9 @@ _TWIST = G2Point.curve
 #: request re-hash the same hot messages, so the memo lives here.
 #: Bounded because messages are arbitrary caller input — and sized with
 #: the auto-precompute behaviour in mind: a cached point exponentiated
-#: more than ``_AUTO_PRECOMPUTE_USES`` times grows a ~150 KB fixed-base
-#: table that stays pinned with the cache entry, so the worst case is
-#: limit * ~150 KB of resident tables, not just bare points.
+#: more than ``_AUTO_PRECOMPUTE_USES`` times grows a ~90 KiB fixed-base
+#: comb that stays pinned with the cache entry, so the worst case is
+#: limit * ~90 KiB of resident combs, not just bare points.
 _HASH_G1_CACHE: "OrderedDict[tuple, G1Point]" = OrderedDict()
 _HASH_G1_CACHE_LIMIT = 256
 

@@ -38,8 +38,9 @@ _INFINITY_BYTE = 0x40
 #: Encoded bytes per F_p limb of the x-coordinate.
 _LIMB_BYTES = 32
 
-#: Scalar multiplications on one point instance before a fixed-base table
-#: is built automatically (the table costs ~6 multiplications to build).
+#: Scalar multiplications on one point instance before a fixed-base comb
+#: is built automatically (the comb costs about three multiplications to
+#: build and repays that within about five; see :mod:`repro.math.msm`).
 _AUTO_PRECOMPUTE_USES = 8
 
 
@@ -144,13 +145,13 @@ class CurvePoint:
     __rmul__ = __mul__
 
     def precompute(self):
-        """Build a fixed-base window table so later multiplications run in
-        ~order.bit_length()/4 additions.  Worth it for bases reused
+        """Build a fixed-base comb so later multiplications run in 15
+        doublings and at most 32 additions.  Worth it for bases reused
         across many scalars (``g_z``/``g_r`` in key generation, DKG
         commitment checks); see :mod:`repro.math.msm`."""
         if self._table is None:
             self._table = msm.FixedBaseTable(
-                self.curve.ops, self._jac, self.order)
+                self.curve.ops, self._jac, self.order, self.curve.endo)
         return self
 
     @classmethod

@@ -45,7 +45,7 @@ class GroupElement(ABC):
     def precompute(self) -> "GroupElement":
         """Hint that this element will be exponentiated many times.
 
-        Backends with fixed-base window tables build one; others ignore
+        Backends with fixed-base combs build one; others ignore
         the hint.  Returns self for chaining.
         """
         return self

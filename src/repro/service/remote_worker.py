@@ -3,7 +3,7 @@
 One process per core (on loopback) or per machine.  It decodes an
 encoded service context once (``--context ctx.bin``), warms the hot
 caches (``PreparedG2`` line coefficients for every fixed pairing
-argument, fixed-base window tables for the derived generators —
+argument, fixed-base combs for the derived generators —
 :func:`~repro.service.transport.warm_handle`), then
 serves ``S``/``V``/``P`` window jobs (sign, verify and partial-sign
 windows) over the framed TCP protocol of

@@ -194,7 +194,7 @@ def _psk_agrees(psk: Optional[bytes], mac: bytes, digest: bytes) -> bool:
 def warm_handle(handle) -> None:
     """Warm every cache a window job's hot path touches repeatedly:
     pairing preparation (Miller-loop line coefficients) for all fixed
-    G_hat arguments and fixed-base window tables for the derived
+    G_hat arguments and fixed-base combs for the derived
     generators.  ``ThresholdParams`` already prepares ``g_z``/``g_r`` on
     construction; the public key and verification keys are prepared
     explicitly because every window check pairs against them.
@@ -268,6 +268,9 @@ class WorkerServer:
         self.fault_injector = fault_injector
         self.jobs_served = 0
         self._server: Optional[asyncio.base_events.Server] = None
+        # Accepted connections still being served: the serving task and
+        # its writer, so aclose can close and await them.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     @property
     def address(self) -> str:
@@ -284,8 +287,16 @@ class WorkerServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
+        """Stop accepting, then close every accepted connection and
+        await its serving task: ``Server.close`` leaves accepted
+        connections open, so without this their tasks and sockets would
+        outlive the server.  A client reads EOF once this returns."""
         if self._server is not None:
             self._server.close()
+            connections = dict(self._connections)
+            for writer in connections.values():
+                writer.close()
+            await asyncio.gather(*connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
@@ -306,6 +317,8 @@ class WorkerServer:
     # -- per-connection protocol -------------------------------------------
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             refusal = await self._handshake(reader)
             if refusal is None:
@@ -326,6 +339,7 @@ class WorkerServer:
                 # Loop teardown can cancel this task while it drains
                 # the close handshake; the socket is closed either way.
                 pass
+            del self._connections[task]
 
     async def _serve_frames(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> str:
@@ -910,7 +924,8 @@ def start_worker_process(context_path, host: str = "127.0.0.1",
                          psk: Optional[str] = None
                          ) -> "Tuple[subprocess.Popen, str]":
     """Spawn ``python -m repro.service.remote_worker`` on this machine
-    and block until its ready line; returns ``(process, "host:port")``.
+    and block until its ready line; returns ``(process, "host:port")``
+    with the process's stdout pipe already closed.
 
     The deployment story is one worker per machine under a supervisor;
     this helper is the loopback stand-in the tests, ``serve-smoke`` and
@@ -950,6 +965,9 @@ def start_worker_process(context_path, host: str = "127.0.0.1",
         if readable:
             line = process.stdout.readline()
             if READY_MARKER in line:
+                # The ready line is the worker's last stdout write: the
+                # caller gets the process with its pipe closed.
+                process.stdout.close()
                 address = line.split(READY_MARKER, 1)[1].strip()
                 return process, address
     # Reap the child (a no-op kill when it already exited) and close

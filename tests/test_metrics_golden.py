@@ -9,7 +9,10 @@ SHA-256 of the rendered exposition is compared against the digest
 recorded here.  A family renamed, relabelled, reordered or re-helped,
 or a sample added or dropped, fails here even when every
 reconciliation still holds.  Beside it: every stats field is
-declared, and ``docs/HTTP_API.md`` tabulates every declared family.
+declared, ``docs/HTTP_API.md`` tabulates every declared family, and a
+seeded sweep of truncations and bit flips of the same exposition finds
+``parse_prometheus`` refusing with ``ValueError`` or parsing, nothing
+else (rerun a failure with ``--seed N``).
 """
 
 import dataclasses
@@ -23,7 +26,7 @@ from repro.curves.hash_to_curve import HASH_COUNTERS
 from repro.curves.pairing import PAIRING_COUNTERS
 from repro.math.msm import MSM_COUNTERS
 from repro.net.metrics import (
-    Histogram, Metric, declarations, render_prometheus,
+    Histogram, Metric, declarations, parse_prometheus, render_prometheus,
 )
 from repro.service import HttpGateway, SigningService, TenantConfig
 from repro.service.gateway import CRYPTO_OPS, GatewayStats
@@ -112,6 +115,41 @@ def test_metrics_exposition_matches_golden_digest(monkeypatch, toy_group):
 
 STATS_RECORDS = (GatewayStats, TenantStats, ServiceStats, ShardStats,
                  WorkerPoolStats, EpochStats)
+
+
+#: Single-bit flips of the exposition parsed per sweep, a seeded sample
+#: of its ~92 000 bits (each parse reads the whole text).
+_FLIPS = 1024
+
+
+def _parses(text: str) -> bool:
+    """True if ``parse_prometheus`` accepts ``text``, False if it
+    refuses it with ``ValueError``; any other exception propagates."""
+    try:
+        parse_prometheus(text)
+    except ValueError:
+        return False
+    return True
+
+
+def test_parser_refuses_mutants_with_value_error(monkeypatch, toy_group,
+                                                 session_seed):
+    """In the style of ``tests/test_fuzz_wire.py``: every truncation of
+    the golden exposition and a seeded sample of its single-bit flips
+    either parse or raise ``ValueError`` — never another exception."""
+    text = golden_exposition(monkeypatch, toy_group)
+    assert text.isascii() and _parses(text)
+    parsed = [cut for cut in range(len(text)) if _parses(text[:cut])]
+    # Only a cut after a whole line can parse (the trailing newline),
+    # and the cut after each whole family does.
+    assert all(text[cut - 1] == "\n" for cut in parsed)
+    assert len(parsed) >= len(parse_prometheus(text)) - 1
+    rng = random.Random(0x3E7 if session_seed is None else session_seed)
+    blob = text.encode("ascii")
+    for bit in rng.sample(range(len(blob) * 8), _FLIPS):
+        mutated = bytearray(blob)
+        mutated[bit // 8] ^= 1 << (bit % 8)
+        _parses(mutated.decode("latin-1"))
 
 
 def test_every_stats_field_is_declared():

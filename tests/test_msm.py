@@ -444,7 +444,7 @@ class TestKernelSweep:
     def test_g2_edge_scalars_through_every_path(self, session_seed):
         rng = _sweep_rng(session_seed, 61)
         base = G2Point.generator() * rng.randrange(2, R)
-        table = msm.FixedBaseTable(FP2_OPS, base._jac, R)
+        table = msm.FixedBaseTable(FP2_OPS, base._jac, R, G2_GLV)
         other = G2Point.generator() * rng.randrange(2, R)
         k_other = rng.randrange(R)
         other_term = _naive_g2(other, k_other)
@@ -459,6 +459,75 @@ class TestKernelSweep:
                 [base, other], [scalar, k_other]) == \
                 expected + other_term, scalar
             assert G2Point(_jac=table.mul(scalar)) == expected, scalar
+
+    # -- the fixed-base comb ------------------------------------------------
+    @pytest.mark.parametrize("ops,point_cls,endo", [
+        (FP_OPS, G1Point, GLV), (FP2_OPS, G2Point, G2_GLV),
+    ], ids=["G1", "G2"])
+    def test_comb_matches_naive(self, ops, point_cls, endo, session_seed):
+        rng = _sweep_rng(session_seed, 62 + ops.degree)
+        base = point_cls.generator() * rng.randrange(2, R)
+        table = msm.FixedBaseTable(ops, base._jac, R, endo)
+        scalars = self.EDGES + _basis_edges() + [(1 << 128) - 1] + [
+            rng.randrange(R) for _ in range(4)]
+        # The sweep reaches an undecomposed lane as long as the comb
+        # spans, both signs of a GLV half and a zero half.
+        lanes = [k for scalar in scalars
+                 for k, _ in msm._split(scalar % R, R, endo)]
+        assert max(abs(k) for k in lanes).bit_length() == 128
+        assert min(lanes) < 0 < max(lanes) and 0 in lanes
+        for scalar in scalars:
+            assert point_cls(_jac=table.mul(scalar)) == point_cls(
+                _jac=jac_scalar_mul(ops, base._jac, scalar, R)), scalar
+        identity = msm.FixedBaseTable(
+            ops, point_cls.identity()._jac, R, endo)
+        for scalar in (0, 1, R - 1, rng.randrange(R)):
+            assert point_cls(_jac=identity.mul(scalar)).is_identity()
+
+    def test_comb_costs(self):
+        # The build and a multiplication run the point formulas the
+        # comb's docstring counts, on either group.
+        for ops, point_cls, endo in ((FP_OPS, G1Point, GLV),
+                                     (FP2_OPS, G2Point, G2_GLV)):
+            calls = {"double": 0, "add": 0}
+
+            def double(point, m, _double=ops.point_double):
+                calls["double"] += 1
+                return _double(point, m)
+
+            def add(point, affine, m, _add=ops.point_add_affine):
+                calls["add"] += 1
+                return _add(point, affine, m)
+
+            counting = ops._replace(point_double=double,
+                                    point_add_affine=add)
+            base = point_cls.generator() * 7
+            table = msm.FixedBaseTable(counting, base._jac, R, endo)
+            assert calls == {"double": 112, "add": 247}
+            for scalar in (R - 1, R // 3, (1 << 128) - 1, 5):
+                calls.update(double=0, add=0)
+                table.mul(scalar)
+                assert calls["double"] == 15
+                assert calls["add"] <= 32
+
+    def test_comb_through_the_all_tables_multi_exp(self, session_seed):
+        # BN254Group.multi_exp sums one comb read per base when every
+        # base carries a table.
+        rng = _sweep_rng(session_seed, 65)
+        group = get_group("bn254")
+        edges = self.EDGES + _basis_edges()
+        for generator, identity, ops, point_cls in (
+                (group.g1_generator, group.g1_identity, FP_OPS, G1Point),
+                (group.g2_generator, group.g2_identity, FP2_OPS, G2Point)):
+            bases = [(generator() ** rng.randrange(2, R)).precompute()
+                     for _ in range(2)] + [identity().precompute()]
+            assert all(base.point._table is not None for base in bases)
+            for _ in range(2):
+                scalars = [rng.choice(edges), rng.randrange(R),
+                           rng.randrange(R)]
+                assert group.multi_exp(bases, scalars).point == _fold(
+                    ops, point_cls, [base.point for base in bases],
+                    scalars), scalars
 
     def test_g2_int_formulas_match_generic(self, session_seed):
         # Same formulas, same reduced output: compared exactly, on G2
@@ -989,7 +1058,7 @@ class TestFixedBaseTable:
     def test_matches_naive(self):
         rng = random.Random(4)
         base = G1Point.generator() * 7
-        table = msm.FixedBaseTable(FP_OPS, base._jac, R)
+        table = msm.FixedBaseTable(FP_OPS, base._jac, R, GLV)
         for scalar in EDGE_SCALARS + random_scalars(rng, 3):
             fast = G1Point(_jac=table.mul(scalar))
             naive = G1Point(
@@ -997,7 +1066,8 @@ class TestFixedBaseTable:
             assert fast == naive
 
     def test_identity_base(self):
-        table = msm.FixedBaseTable(FP_OPS, G1Point.identity()._jac, R)
+        table = msm.FixedBaseTable(
+            FP_OPS, G1Point.identity()._jac, R, GLV)
         assert G1Point(_jac=table.mul(12345)).is_identity()
 
     def test_precomputed_point_agrees(self):

@@ -352,6 +352,25 @@ class TestWorkerServerProtocol:
 
         run(scenario())
 
+    def test_aclose_closes_accepted_connections(self, handle):
+        """A connection the server accepted is closed by ``aclose``, not
+        left to outlive it: the client reads EOF once it returns, and no
+        serving task is left behind."""
+        async def scenario():
+            server = await WorkerServer(handle).start()
+            reader, writer = await handshaken(server, handle)
+            await server.aclose()
+            try:
+                trailing = await asyncio.wait_for(reader.read(), 10.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return server, trailing
+
+        server, trailing = run(scenario())
+        assert trailing == b""
+        assert not server._connections
+
 
 # ---------------------------------------------------------------------------
 # The remote worker pool end to end (in-process server, real sockets)
@@ -578,6 +597,9 @@ class TestRemoteWorkerCrashRecovery:
             crasher.wait(timeout=10)
             survivor.terminate()
             survivor.wait(timeout=10)
+        # The ready line was each worker's last stdout write, and the
+        # helper closed the pipe after it.
+        assert crasher.stdout.closed and survivor.stdout.closed
         assert sentinel.exists()
         assert len(results) == 8
         for result in results:
@@ -1009,11 +1031,14 @@ class TestVersionNegotiation:
         tune(monkeypatch, DIAL_DEADLINE_S=5.0)
 
         async def serve_v1(reader, writer):
-            await reader.read(1024)     # swallow whatever the pool says
-            payload = b"\x00" * 32
-            writer.write(FRAME_MAGIC + bytes([1]) + FRAME_KIND_HELLO +
-                         len(payload).to_bytes(4, "big") + payload)
-            await writer.drain()
+            try:
+                await reader.read(1024)     # swallow what the pool says
+                payload = b"\x00" * 32
+                writer.write(FRAME_MAGIC + bytes([1]) + FRAME_KIND_HELLO +
+                             len(payload).to_bytes(4, "big") + payload)
+                await writer.drain()
+            finally:
+                writer.close()
 
         async def scenario():
             server = await asyncio.start_server(
@@ -1104,13 +1129,16 @@ class TestPresharedKey:
         group_name = handle.scheme.group.name
 
         async def serve_forged(reader, writer):
-            kind, _, _ = await read_frame(reader)
-            assert kind == FRAME_KIND_HELLO
-            write_frame(writer, FRAME_KIND_HELLO, encode_hello(
-                group_name, digest, mac=hello_mac(b"not-the-psk",
-                                                  digest)))
-            await writer.drain()
-            await reader.read(65536)
+            try:
+                kind, _, _ = await read_frame(reader)
+                assert kind == FRAME_KIND_HELLO
+                write_frame(writer, FRAME_KIND_HELLO, encode_hello(
+                    group_name, digest, mac=hello_mac(b"not-the-psk",
+                                                      digest)))
+                await writer.drain()
+                await reader.read(65536)
+            finally:
+                writer.close()
 
         async def scenario():
             server = await asyncio.start_server(
@@ -1170,22 +1198,26 @@ class TestRequestIdFraming:
             service_context_digest(encode_service_context(handle)))
 
         async def serve_reversed(reader, writer):
-            kind, _, _ = await read_frame(reader)
-            assert kind == FRAME_KIND_HELLO
-            write_frame(writer, FRAME_KIND_HELLO, hello)
-            await writer.drain()
-            jobs = []
-            for _ in range(2):
-                kind, request_id, payload = await read_frame(reader)
-                assert kind == FRAME_KIND_JOB
-                jobs.append((request_id, codec.decode_job(payload)))
-            assert len({request_id for request_id, _ in jobs}) == 2
-            for request_id, job in reversed(jobs):
-                write_frame(writer, FRAME_KIND_OUTCOME,
-                            codec.encode_outcome(execute_job(handle, job)),
-                            request_id=request_id)
-            await writer.drain()
-            await reader.read(65536)
+            try:
+                kind, _, _ = await read_frame(reader)
+                assert kind == FRAME_KIND_HELLO
+                write_frame(writer, FRAME_KIND_HELLO, hello)
+                await writer.drain()
+                jobs = []
+                for _ in range(2):
+                    kind, request_id, payload = await read_frame(reader)
+                    assert kind == FRAME_KIND_JOB
+                    jobs.append((request_id, codec.decode_job(payload)))
+                assert len({request_id for request_id, _ in jobs}) == 2
+                for request_id, job in reversed(jobs):
+                    write_frame(
+                        writer, FRAME_KIND_OUTCOME,
+                        codec.encode_outcome(execute_job(handle, job)),
+                        request_id=request_id)
+                await writer.drain()
+                await reader.read(65536)
+            finally:
+                writer.close()
 
         async def scenario():
             server = await asyncio.start_server(
