@@ -290,6 +290,13 @@ class LJYThresholdScheme:
         item costs a few small-exponent MSM terms.  One key's items
         (signatures, or one signer's partials) are four pairs whatever
         the slice.
+
+        Every product of one localization — the root, its companion and
+        each bisection slice — runs over these same points, so their
+        MSM tables are built once, on first use, into one ``scope``
+        (:meth:`~repro.groups.api.BilinearGroup.multi_exp`) that lives
+        exactly as long as the returned closure; the next call builds
+        its own, whatever points it is handed.
         """
         p = self.params
         group = self.group
@@ -300,6 +307,7 @@ class LJYThresholdScheme:
         for _, message, _, _ in items:
             if message not in hashes:
                 hashes[message] = self.hashed(public_key, message)
+        scope: dict = {}
 
         def value_of(lo: int, hi: int,
                      weighted: bool = False) -> GroupElement:
@@ -319,14 +327,16 @@ class LJYThresholdScheme:
                 h_2s.append(h_2)
                 exps.append(exponent)
             pairs = [
-                (group.multi_exp(z_points[lo:hi], exponents), p.g_z),
-                (group.multi_exp(r_points[lo:hi], exponents), p.g_r),
+                (group.multi_exp(z_points[lo:hi], exponents, scope=scope),
+                 p.g_z),
+                (group.multi_exp(r_points[lo:hi], exponents, scope=scope),
+                 p.g_r),
             ]
             for label in sorted(buckets):
                 h_1s, h_2s, exps = buckets[label]
                 k_1, k_2 = keys[label]
-                pairs.append((group.multi_exp(h_1s, exps), k_1))
-                pairs.append((group.multi_exp(h_2s, exps), k_2))
+                pairs.append((group.multi_exp(h_1s, exps, scope=scope), k_1))
+                pairs.append((group.multi_exp(h_2s, exps, scope=scope), k_2))
             return group.pairing_product(pairs)
 
         return value_of

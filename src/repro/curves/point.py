@@ -155,11 +155,13 @@ class CurvePoint:
         return self
 
     @classmethod
-    def multi_mul(cls, points, scalars):
+    def multi_mul(cls, points, scalars, scope=None):
         """``sum_i scalars[i] * points[i]`` as one multi-scalar
-        multiplication (shared doubling chain): :meth:`multi_mul_rows`
-        with one row."""
-        return cls.multi_mul_rows(points, [scalars])[0]
+        multiplication (shared doubling chain): :meth:`multi_mul_windows`
+        with one point set and one row.  ``scope``: a caller's dict of
+        lane tables, filled and reused across calls (see
+        :func:`~repro.math.msm.multi_scalar_mul_windows`)."""
+        return cls.multi_mul_windows([points], [scalars], scope)[0][0]
 
     @classmethod
     def multi_mul_rows(cls, points, scalar_rows) -> list:
@@ -169,7 +171,8 @@ class CurvePoint:
         return cls.multi_mul_windows([points], scalar_rows)[0]
 
     @classmethod
-    def multi_mul_windows(cls, point_sets, scalar_rows) -> list:
+    def multi_mul_windows(cls, point_sets, scalar_rows,
+                          scope=None) -> list:
         """:meth:`multi_mul_rows` for every point set, the rows recoded
         once and each base doubled once (see
         :func:`~repro.math.msm.multi_scalar_mul_windows`)."""
@@ -178,7 +181,7 @@ class CurvePoint:
                 for products in msm.multi_scalar_mul_windows(
                     curve.ops, [[point._jac for point in points]
                                 for points in point_sets],
-                    scalar_rows, cls.order, curve.endo)]
+                    scalar_rows, cls.order, curve.endo, scope)]
 
     @classmethod
     def batch_normalize(cls, points) -> None:

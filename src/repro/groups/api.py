@@ -14,7 +14,7 @@ evaluate the product with one shared final exponentiation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class GroupElement(ABC):
@@ -159,13 +159,19 @@ class BilinearGroup(ABC):
         return bases, scalars
 
     def multi_exp(self, bases: Sequence[GroupElement],
-                  scalars: Sequence[int]) -> GroupElement:
+                  scalars: Sequence[int],
+                  scope: Optional[dict] = None) -> GroupElement:
         """``prod_i bases[i] ** scalars[i]`` — one multi-exponentiation.
 
         All bases must come from the same group — G, G_hat **or G_T**
         (target-group products appear in GS-proof and LHSPS folding).
         The default folds naively; backends override with multi-scalar
         multiplication sharing one doubling/squaring chain per group.
+
+        ``scope`` is an empty dict the caller makes for a run of products
+        over overlapping bases and drops when the run ends: a backend
+        that builds per-base tables files them there and reuses them in
+        every later call given the same dict.  The default ignores it.
         """
         bases, scalars = self._checked_multi_exp_args(bases, scalars)
         result = None

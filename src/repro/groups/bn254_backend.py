@@ -9,7 +9,7 @@ F_p12 target-group element.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.curves import bn254
 from repro.curves.g1 import G1Point
@@ -162,7 +162,11 @@ class BN254Group(BilinearGroup):
         return element
 
     def multi_exp(self, bases: Sequence[GroupElement],
-                  scalars: Sequence[int]) -> GroupElement:
+                  scalars: Sequence[int],
+                  scope: Optional[dict] = None) -> GroupElement:
+        """Source-group products run the lane kernel, whose odd-multiples
+        tables go into ``scope`` when one is given and are taken from it
+        in later calls; G_T takes the default fold."""
         bases, scalars = self._checked_multi_exp_args(bases, scalars)
         wrapper = type(bases[0])
         if wrapper is BNGT:
@@ -176,7 +180,7 @@ class BN254Group(BilinearGroup):
                 term = point * scalar
                 result = term if result is None else result + term
             return wrapper(result)
-        return wrapper(type(points[0]).multi_mul(points, scalars))
+        return wrapper(type(points[0]).multi_mul(points, scalars, scope))
 
     def multi_exp_windows(self, base_sets: Sequence[Sequence[GroupElement]],
                           scalar_rows: Sequence[Sequence[int]]

@@ -23,7 +23,7 @@ which Appendix D.2 of the paper requires and which no BN curve offers.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.curves import bn254
 from repro.groups.api import BilinearGroup, GroupElement
@@ -136,10 +136,12 @@ class ToyGroup(BilinearGroup):
                 and element.tag == reference.tag)
 
     def multi_exp(self, bases: Sequence[ToyElement],
-                  scalars: Sequence[int]) -> ToyElement:
+                  scalars: Sequence[int],
+                  scope: Optional[dict] = None) -> ToyElement:
         # Covers all three groups (G, G_hat and G_T): discrete logs make a
         # multi-exponentiation a dot product, so the toy backend exposes
-        # the same GT multi_exp interface as BN254 for free.
+        # the same GT multi_exp interface as BN254 for free; there are
+        # no tables, so ``scope`` is ignored.
         bases, scalars = self._checked_multi_exp_args(bases, scalars)
         tag = bases[0].tag
         total = 0

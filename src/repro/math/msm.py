@@ -55,7 +55,7 @@ one or two *lanes* — a signed sub-scalar driving a table of affine odd
 multiples — and all lanes of a product share one doubling chain, so the
 cost is ``max lane bits`` doublings plus ~``bits / (w + 1)`` mixed
 additions per lane.
-Three things shorten or share the lanes:
+Four things shorten or share the lanes:
 
 * **GLV endomorphism** (Gallant-Lambert-Vanstone, CRYPTO 2001).  Where
   the group has ``phi(x, y) = (beta * x, y) = lambda * (x, y)`` (see
@@ -74,12 +74,32 @@ Three things shorten or share the lanes:
   get the same effect from the comparison.
 * **Shared tables.**  Rows over the *same* bases share one w = 4
   odd-multiples table per base, and every base set of a call shares one
-  batch normalization — one inversion for all of them.  The rows are
-  recoded once per call, and a base's table only runs up to the largest
-  digit its lanes use: Combine's Lagrange row over the quorum {1, 2, 3}
-  is (3, -3, 1), which needs P and 3P, not four entries; full-size
-  lanes and the 64-bit coins use all four.  A table lives for one call;
-  nothing is cached.
+  build.  On G1 the build runs in batched affine rounds
+  (:func:`_affine_odd_multiples`): one doubling round makes every
+  base's ``2P``, then ``P + 2P``, ``3P + 2P`` and ``5P + 2P`` are one
+  round each over all bases of the call, each round one inversion
+  (:func:`~repro.curves.weierstrass.batch_add_affine_fp`), about six
+  multiplications an entry.  G2 has no batched F_p2 addition, so its
+  entries are made in Jacobian coordinates and normalized together —
+  one inversion for all.  Both give the same affine points.  Measured
+  in CPU time on a 2-core box, 64 G1 bases at full width: 2.4 ms
+  through Jacobian odd multiples and a normalization, 1.0 ms in affine
+  rounds.  The rows are recoded once per call, and a base's table only
+  runs up to the largest digit its lanes use: Combine's Lagrange row
+  over the quorum {1, 2, 3} is (3, -3, 1), which needs P and 3P, not
+  four entries; full-size lanes and the 64-bit coins use all four.
+* **Tables kept for a scope.**  A table lives for one call, unless the
+  caller hands in a *scope*: a dict it owns, from Jacobian base to
+  table.  The lane kernel then builds at full width only the tables
+  the scope lacks, files them there, and takes the others from it.
+  One localization is the one user (``LJYThresholdScheme._values``):
+  its root product, the index-weighted companion and every bisection
+  slice run over the same z, r and hashed points, so each base's table
+  is built once per localization instead of once per product.  The
+  scope dies with the localization; nothing is stored on a point, in a
+  module or across calls — a verifier decodes fresh points for every
+  request, so a longer-lived cache would only pay off for a caller
+  that resends the same objects.
 
 **Short scalars skip the split.**  A scalar of at most 128 bits — the
 64-bit small-exponent coins of ``batch_verify`` and
@@ -175,14 +195,16 @@ multiplications on G1 and four on G2; callers opt in via
 :class:`FixedBaseTable` (or ``GroupElement.precompute()`` one layer up)
 precisely because the build is not free.
 
-**Mixed coordinates**: every table entry and ladder rung is
-batch-normalized to affine with one shared field inversion
-(:func:`~repro.curves.weierstrass.jac_batch_normalize`, over plain ints
-on G1 and over the F_p norms of the Z coordinates on G2), so the inner
-loops run mixed Jacobian+affine additions (7M + 4S instead of 11M + 5S —
-~25% off each addition) and affine negation is free (negate y).  The
-pure-Jacobian formulas remain the agreement reference via the naive
-``jac_scalar_mul`` fold the property tests compare against.
+**Mixed coordinates**: every table entry and ladder rung is affine —
+made in batched affine rounds, or batch-normalized with one shared
+field inversion (:func:`~repro.curves.weierstrass.jac_batch_normalize`,
+over plain ints on G1 and over the F_p norms of the Z coordinates on
+G2) — so the inner loops run mixed Jacobian+affine additions (7M + 4S
+instead of 11M + 5S — ~25% off each addition) and affine negation is
+free (negate y).  The pure-Jacobian formulas remain the agreement
+reference via the naive ``jac_scalar_mul`` fold the property tests
+compare against, and :func:`_odd_multiples` the reference for the
+affine table build.
 """
 
 from __future__ import annotations
@@ -284,26 +306,61 @@ def _split(scalar: int, order: int, endo: Optional[Endomorphism]):
     return ((k_1, 0), (k_2, 1))
 
 
-def _lane_tables(ops: FieldOps, base_sets: Sequence[Sequence],
-                 counts: Sequence[int]) -> List[list]:
-    """``(positive, negative)`` affine odd-multiple tables, ``counts[j]``
-    entries for base ``j`` of every set, all sets sharing ONE inversion.
-    Odd multiples below the (prime) group order are never the identity,
-    so every normalized entry exists."""
-    flat = []
-    for bases in base_sets:
+def _affine_odd_multiples(points: Sequence[Tuple[int, int]],
+                          counts: Sequence[int], m: int) -> List[list]:
+    """``[P, 3P, ..., (2 * count - 1)P]`` in affine coordinates over a
+    prime field, for every affine ``P`` with its ``count``: one doubling
+    round makes every ``2P``, then each round adds ``2P`` to the last
+    entry of every table still short — one
+    :func:`~repro.curves.weierstrass.batch_add_affine_fp` pass, so one
+    inversion, per round.  No sum meets its own negation or the
+    identity: ``(2k - 1)P + 2P`` with ``x`` equal would make ``(2k +
+    1)P`` or ``(2k - 3)P`` the identity, impossible below the (prime)
+    group order."""
+    tables = [[point] for point in points]
+    growing = [index for index, count in enumerate(counts) if count > 1]
+    twice_x = [points[index][0] for index in growing]
+    twice_y = [points[index][1] for index in growing]
+    batch_add_affine_fp(twice_x, twice_y, len(growing), [], [], [], [], m)
+    while growing:
+        xs = [tables[index][-1][0] for index in growing]
+        ys = [tables[index][-1][1] for index in growing]
+        batch_add_affine_fp([], [], 0, xs, ys, twice_x, twice_y, m)
+        short = []
+        for position, (index, x, y) in enumerate(zip(growing, xs, ys)):
+            tables[index].append((x, y))
+            if len(tables[index]) < counts[index]:
+                short.append(position)
+        growing = [growing[position] for position in short]
+        twice_x = [twice_x[position] for position in short]
+        twice_y = [twice_y[position] for position in short]
+    return tables
+
+
+def _lane_tables(ops: FieldOps, bases: Sequence,
+                 counts: Sequence[int]) -> List[tuple]:
+    """``(positive, negative)`` affine odd-multiple tables, ``counts[i]``
+    entries for ``bases[i]`` (non-identity Jacobian points).
+
+    Over a prime field (G1) the bases are normalized with one inversion
+    and the multiples made in batched affine rounds
+    (:func:`_affine_odd_multiples`: four inversions for full tables).
+    Over F_p2 (G2), which has no batched affine addition, they are made
+    in Jacobian coordinates (:func:`_odd_multiples`) and normalized
+    together, ONE inversion for all.  Both give the same affine points;
+    odd multiples below the (prime) group order are never the identity,
+    so every entry exists."""
+    if ops.degree == 1:
+        positives = _affine_odd_multiples(
+            jac_batch_normalize(ops, bases), counts, ops.modulus)
+    else:
+        flat = []
         for base, count in zip(bases, counts):
             flat.extend(_odd_multiples(ops, base, count))
-    normalized = iter(jac_batch_normalize(ops, flat))
-    tables = []
-    for _ in base_sets:
-        set_tables = []
-        for count in counts:
-            positive = list(islice(normalized, count))
-            set_tables.append(
-                (positive, [(x, ops.neg(y)) for x, y in positive]))
-        tables.append(set_tables)
-    return tables
+        normalized = iter(jac_batch_normalize(ops, flat))
+        positives = [list(islice(normalized, count)) for count in counts]
+    return [(positive, [(x, ops.neg(y)) for x, y in positive])
+            for positive in positives]
 
 
 def _phi_tables(ops: FieldOps, endo: Endomorphism, table):
@@ -404,7 +461,8 @@ def multi_scalar_mul_rows(ops: FieldOps, points: Sequence,
 def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
                              scalar_rows: Sequence[Sequence[int]],
                              order: int,
-                             endo: Optional[Endomorphism] = None
+                             endo: Optional[Endomorphism] = None,
+                             scope: Optional[dict] = None
                              ) -> List[list]:
     """``[[sum_j row[j] * points[j] for row in scalar_rows] for points
     in point_sets]`` — the same rows over many base sets (Share-Sign of
@@ -418,8 +476,10 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
     bases, nothing live — goes to the lane kernel (:func:`_lane_rows`),
     also in one call per live pattern: the rows are recoded once, each
     base gets an odd-multiples table as long as their digits need, every
-    set's tables share one batch inversion, and each row runs through
-    :func:`_run_lanes`.  Either way nothing outlives the call.
+    set's tables share one build, and each row runs through
+    :func:`_run_lanes`.  Either way nothing outlives the call, except
+    lane tables filed in a caller's ``scope`` (see :func:`_lane_rows`),
+    which the caller drops; the ladder kernel ignores it.
     """
     rows = []
     for row in scalar_rows:
@@ -450,7 +510,7 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
                 ops, [[point_sets[position][index] for index in live]
                       for position in positions],
                 [[row[index] for index in live] for row in rows],
-                order, endo)
+                order, endo, scope)
         for position, products in zip(positions, sums):
             results[position] = products
     return results
@@ -458,10 +518,14 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
 
 def _lane_rows(ops: FieldOps, base_sets: Sequence[Sequence],
                rows: Sequence[list], order: int,
-               endo: Optional[Endomorphism]) -> List[list]:
+               endo: Optional[Endomorphism],
+               scope: Optional[dict] = None) -> List[list]:
     """The lane kernel over many base sets' live bases: every row is
     split and recoded once, and each base's table holds odd multiples
-    only up to the largest digit its lanes use."""
+    only up to the largest digit its lanes use.  Given a ``scope`` (a
+    dict from Jacobian base to table, owned by the caller), tables are
+    built at full width only for the bases it lacks, filed there, and
+    taken from it for the rest."""
     full = 1 << (_LANE_WIDTH - 2)
     counts = [1] * len(rows[0] if rows else ())
     recoded = []
@@ -476,8 +540,19 @@ def _lane_rows(ops: FieldOps, base_sets: Sequence[Sequence],
                             [abs(digit) for _, digit in terms]) // 2)
                     lanes.append((slot, variant, k < 0, terms))
         recoded.append(lanes)
+    flat = [base for bases in base_sets for base in bases]
+    if scope is None:
+        built = _lane_tables(ops, flat, counts * len(base_sets))
+    else:
+        missing = list(dict.fromkeys(
+            base for base in flat if base not in scope))
+        scope.update(zip(missing, _lane_tables(
+            ops, missing, [full] * len(missing))))
+        built = [scope[base] for base in flat]
     results = []
-    for tables in _lane_tables(ops, base_sets, counts):
+    width = len(counts)
+    for index in range(len(base_sets)):
+        tables = built[index * width:(index + 1) * width]
         images = [None] * len(tables)
         products = []
         for lanes in recoded:

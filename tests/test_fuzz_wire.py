@@ -1,4 +1,5 @@
-"""Property-based fuzz tests for the wire codec and the v3 frame layer.
+"""Property-based fuzz tests for the wire codec, the v3 frame layer and
+the HTTP edge.
 
 No hypothesis dependency — the sweeps are deterministic, driven by the
 session-seeded ``random.Random`` (rerun a failure with ``--seed N``;
@@ -25,15 +26,27 @@ decoding is non-validating by design (``g1_from_bytes`` accepts any
 fixed-width field), so a flipped element byte can decode to a
 non-canonical value.  The ``bn254`` variant of the sweep runs the same
 corpus through the real curve, where point decoding *does* validate.
+
+``TestHttpEdgeFuzz`` takes the same two mutations to the gateway's
+HTTP parser: every truncation and a seeded sample of bit flips of real
+requests (sign, verify, each admin route, a keep-alive pair), each
+sent on a fresh connection to a live gateway on the toy backend.
 """
 
+import asyncio
+import json
 import random
+import re
+from typing import Optional
 
 import pytest
 
 from repro.core.keys import PrivateKeyShare
 from repro.core.scheme import ServiceHandle
 from repro.errors import SerializationError
+from repro.service import (
+    HttpGateway, ServiceConfig, SigningService, TenantConfig,
+)
 from repro.serialization import (
     FRAME_HEADER_BYTES, FRAME_KIND_JOB, FRAME_KINDS, FRAME_MAGIC,
     FRAME_VERSION, MAX_FRAME_BYTES, RECORDS, Hello, PartialSignJob,
@@ -340,3 +353,172 @@ class TestFrameFuzz:
         frame[4] = FRAME_VERSION - 1
         with pytest.raises(SerializationError, match="frame version"):
             decode_frame_header(bytes(frame[:FRAME_HEADER_BYTES]))
+
+
+# ---------------------------------------------------------------------------
+# The HTTP edge: real requests, truncated and bit-flipped
+# ---------------------------------------------------------------------------
+
+#: How long one mutant may take to be answered or closed.
+_HTTP_DEADLINE_S = 5.0
+_ADMIN_KEY = "alpha-key"
+
+
+def _http_request(path: str, payload: Optional[dict],
+                  keep_alive: bool = False) -> bytes:
+    body = b"" if payload is None else json.dumps(payload).encode()
+    head = [f"POST {path} HTTP/1.1", "Host: fuzz",
+            f"X-Api-Key: {_ADMIN_KEY}", "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}"]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _http_corpus(handle, rng):
+    """``(name, requests, signed messages)`` entries: sign, verify, each
+    admin route, and a keep-alive pair of signs on one connection.  The
+    messages are what each request would admit, one per request
+    (``None`` for an admin route)."""
+    codec = WireCodec(handle.scheme.group)
+    message, first, second = (rng.randbytes(12) for _ in range(3))
+    signature = codec.encode_signature(handle.sign(message))
+    return [
+        ("sign", [_http_request("/v1/sign", {"message": message.hex()})],
+         [message]),
+        ("verify", [_http_request("/v1/verify", {
+            "message": message.hex(), "signature": signature.hex()})],
+         [message]),
+        ("refresh", [_http_request("/admin/refresh", None)], [None]),
+        ("reshare", [_http_request("/admin/reshare", {
+            "threshold": 2, "indices": [1, 2, 3, 4, 5]})], [None]),
+        ("resize", [_http_request("/admin/resize", {"shards": 2})], [None]),
+        ("keep_alive_pair",
+         [_http_request("/v1/sign", {"message": first.hex()},
+                        keep_alive=True),
+          _http_request("/v1/sign", {"message": second.hex()})],
+         [first, second]),
+    ]
+
+
+def _http_flips(request: bytes, rng, per_part: int = 16):
+    """A seeded sample of bit positions in each of the request line,
+    the headers (through the blank line) and the body."""
+    line_end = request.index(b"\r\n") + 2
+    head_end = request.index(b"\r\n\r\n") + 4
+    bits = []
+    for lo, hi in ((0, line_end), (line_end, head_end),
+                   (head_end, len(request))):
+        span = range(lo * 8, hi * 8)
+        bits += rng.sample(span, min(len(span), per_part))
+    return sorted(bits)
+
+
+async def _http_exchange(gateway, blob: bytes):
+    """Send ``blob``, end the stream, read to EOF: the response's status
+    codes in order (``[]`` for a bare close)."""
+    reader, writer = await asyncio.open_connection(
+        gateway.host, gateway.port)
+    try:
+        writer.write(blob)
+        await writer.drain()
+        writer.write_eof()
+        response = await asyncio.wait_for(reader.read(), _HTTP_DEADLINE_S)
+    except ConnectionResetError:
+        response = b""
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except ConnectionError:
+            pass
+    codes = []
+    while response:
+        head, _, rest = response.partition(b"\r\n\r\n")
+        code = int(head.split(b" ", 2)[1])
+        length = re.search(rb"\r\nContent-Length: (\d+)", head)
+        response = rest[int(length.group(1)) if length else 0:]
+        if code != 100:
+            codes.append(code)
+    return codes
+
+
+class TestHttpEdgeFuzz:
+    """Every truncation and a seeded sample of bit flips of real
+    requests, each on a fresh connection to a live gateway (toy
+    backend) with a spy on ``SigningService._admit``:
+
+    * each mutant is answered with 2xx/4xx codes or closed within
+      :data:`_HTTP_DEADLINE_S` — never a 5xx, never a hang;
+    * a truncated request never reaches ``_admit``: what is admitted is
+      exactly the messages of the whole requests before the cut;
+    * a flipped request reaches ``_admit`` only with a message spelled
+      whole, as a JSON hex string, in the mutant's own bytes.  A flip
+      inside the hex message, in the HTTP version (which the gateway
+      does not read) or in a header it ignores leaves a well-formed
+      request, and serving that one is right; what no flip may do is
+      get a message admitted that the bytes do not carry.
+    """
+
+    def test_truncations_and_bit_flips(self, toy_group, session_seed,
+                                       monkeypatch):
+        seed = 0x477 if session_seed is None else session_seed
+        rng = random.Random(f"fuzz-http:{seed}")
+        handle = ServiceHandle.dealer(toy_group, 2, 5, rng=rng)
+        corpus = _http_corpus(handle, rng)
+        admitted = []
+        admit = SigningService._admit
+
+        def spy(service, request):
+            admitted.append(request.message)
+            return admit(service, request)
+
+        monkeypatch.setattr(SigningService, "_admit", spy)
+
+        async def sweep():
+            service = SigningService(handle, ServiceConfig(
+                num_shards=2, max_batch=4, max_wait_ms=1.0,
+                queue_depth=256))
+            await service.start()
+            gateway = HttpGateway(service, tenants=[TenantConfig(
+                name="alpha", api_key=_ADMIN_KEY, admin=True)])
+            await gateway.start()
+            try:
+                for name, requests, messages in corpus:
+                    await self._sweep_entry(gateway, admitted, rng, name,
+                                            requests, messages)
+            finally:
+                await gateway.stop()
+                await service.stop()
+
+        asyncio.run(sweep())
+
+    @staticmethod
+    async def _sweep_entry(gateway, admitted, rng, name, requests,
+                           messages):
+        blob = b"".join(requests)
+        del admitted[:]
+        assert await _http_exchange(gateway, blob) == [200] * len(requests)
+        assert admitted == [m for m in messages if m is not None], name
+        ends = [sum(map(len, requests[:count + 1]))
+                for count in range(len(requests))]
+        for cut in range(len(blob)):
+            del admitted[:]
+            codes = await _http_exchange(gateway, blob[:cut])
+            whole = sum(end <= cut for end in ends)
+            assert codes == [200] * whole, (name, cut, codes)
+            assert admitted == [m for m in messages[:whole]
+                                if m is not None], (name, cut)
+        offset = 0
+        for request in requests:
+            for bit in _http_flips(request, rng):
+                mutant = _flip_bit(blob, offset * 8 + bit)
+                del admitted[:]
+                codes = await _http_exchange(gateway, mutant)
+                context = (name, offset * 8 + bit, codes)
+                assert all(200 <= code < 300 or 400 <= code < 500
+                           for code in codes), context
+                assert len(admitted) <= len(requests), context
+                for message in admitted:
+                    assert b'"%s"' % message.hex().encode() in \
+                        mutant.lower(), context
+            offset += len(request)

@@ -31,6 +31,11 @@ same flagged positions, whatever the ``Suspects`` it is handed
 remember — and robust ``combine``, a window of one message, to the
 same scan on every recipe, under the Section 3 scheme and under the
 Appendix G one.
+
+``TestDuplicateIndexSweep`` gives every request of a window a forged
+duplicate of an honest index on each side of its twin and a keyless
+index, and ``TestTableBuildsPerLocalization`` (bn254) counts MSM table
+builds: one per base per localization.
 """
 
 import itertools
@@ -364,23 +369,32 @@ def _plain_bisection(value_of, lo, hi, value):
 
 
 @pytest.fixture
-def evaluations(toy, monkeypatch):
-    """Every ``value_of`` call made through ``toy.scheme``, as its
-    argument tuple — one entry per pairing product."""
-    calls = []
+def evaluations_on(monkeypatch):
+    """``evaluations_on(scheme)``: a list of every ``value_of`` call
+    made through ``scheme`` from then on, as its argument tuple — one
+    entry per pairing product."""
+    def install(scheme):
+        calls = []
 
-    def counting(build):
-        def counted_build(*args):
-            value_of = build(*args)
+        def counting(build):
+            def counted_build(*args):
+                value_of = build(*args)
 
-            def counted(*slice_args, **weighting):
-                calls.append(slice_args + tuple(weighting.items()))
-                return value_of(*slice_args, **weighting)
-            return counted
-        return counted_build
+                def counted(*slice_args, **weighting):
+                    calls.append(slice_args + tuple(weighting.items()))
+                    return value_of(*slice_args, **weighting)
+                return counted
+            return counted_build
 
-    monkeypatch.setattr(toy.scheme, "_values", counting(toy.scheme._values))
-    return calls
+        monkeypatch.setattr(scheme, "_values", counting(scheme._values))
+        return calls
+    return install
+
+
+@pytest.fixture
+def evaluations(toy, evaluations_on):
+    """Every ``value_of`` call made through ``toy.scheme``."""
+    return evaluations_on(toy.scheme)
 
 
 class TestLocalizerCost:
@@ -754,6 +768,113 @@ class TestRobustWindowSweep:
             toy.pk, window.messages[1], signatures[1])
 
 
+class _DuplicateWindow:
+    """One seeded ``combine_window`` window in which every request
+    carries t+1 or more honest partials of distinct signers, a forged
+    duplicate of one of them placed *before* its honest twin, a forged
+    duplicate of another placed *after* its twin, and a partial under
+    an index with no verification key (a copy of an honest partial's
+    group elements) — all in random positions."""
+
+    RING = (1, 2, 3, 4, 5)
+    ROGUE = 9
+
+    def __init__(self, fixture, size, tag):
+        rng, t = fixture.rng, fixture.scheme.params.t
+        self.messages = [b"duplicate %s %d" % (tag, position)
+                         for position in range(size)]
+        self.windows, self.flagged, self.bad = [], [], {}
+        for position, message in enumerate(self.messages):
+            signers = rng.sample(self.RING, rng.choice((t + 1, t + 2)))
+            partials = [fixture.share_sign(signer, message)
+                        for signer in signers]
+            early, late = rng.sample(signers, 2)
+            forged_early = self.forge(fixture, partials[signers.index(early)])
+            forged_late = self.forge(fixture, partials[signers.index(late)])
+            partials.insert(rng.randint(0, signers.index(early)),
+                            forged_early)
+            at = next(index for index, partial in enumerate(partials)
+                      if partial.index == late and partial is not forged_late)
+            partials.insert(rng.randint(at + 1, len(partials)), forged_late)
+            twin = partials[rng.randrange(len(partials))]
+            rogue = PartialSignature(index=self.ROGUE, z=twin.z, r=twin.r)
+            partials.insert(rng.randint(0, len(partials)), rogue)
+            self.windows.append((message, partials))
+            bad = (forged_early, forged_late, rogue)
+            for partial in bad:
+                self.bad.setdefault(partial.index, set()).add(position)
+            # combine_window starts from the first t+1 distinct indices
+            # as they arrived; the position is flagged iff one is bad.
+            first = {}
+            for partial in partials:
+                if len(first) > t:
+                    break
+                first.setdefault(partial.index, partial)
+            if any(partial is candidate for partial in first.values()
+                   for candidate in bad):
+                self.flagged.append(position)
+
+    @staticmethod
+    def forge(fixture, partial):
+        shift = fixture.g ** fixture.rng.randrange(1, 1 << 32)
+        return PartialSignature(index=partial.index, z=partial.z * shift,
+                                r=partial.r)
+
+
+class _Convictions(Suspects):
+    """Suspects that also keep every conviction filed."""
+
+    def __init__(self):
+        super().__init__()
+        self.filed = []
+
+    def settle(self, window, convictions):
+        self.filed.extend(convictions)
+        super().settle(window, convictions)
+
+
+def _assert_duplicates_resolved(fixture, window, suspects):
+    before = len(suspects.filed)
+    signatures, flagged = fixture.scheme.combine_window(
+        fixture.pk, fixture.vks, window.windows, suspects=suspects)
+    assert [signature.to_bytes() for signature in signatures] == [
+        fixture.master_signature(message).to_bytes()
+        for message in window.messages]
+    assert flagged == window.flagged
+    for signer, positions, _first in suspects.filed[before:]:
+        assert set(positions) <= window.bad.get(signer, set()), signer
+
+
+class TestDuplicateIndexSweep:
+    """``combine_window`` over windows whose every request mixes an
+    honest partial with a forged duplicate of its index, in both
+    orders, and a keyless index: the master-key signature everywhere,
+    exactly the positions whose first t+1 partials held a bad one
+    flagged, and no conviction of a signer at a position where it
+    carried nothing forged (a keyless partial is a forgery under the
+    index it claims)."""
+
+    def test_seeded_windows_on_the_toy_backend(self, toy):
+        suspects = _Convictions()
+        flagged = positions = 0
+        for size in range(1, 7):
+            for round_ in range(8):
+                window = _DuplicateWindow(toy, size, b"%d.%d" % (size, round_))
+                _assert_duplicates_resolved(toy, window, suspects)
+                flagged += len(window.flagged)
+                positions += size
+        # Both outcomes occur: a bad partial among the first t+1, and
+        # every bad one behind them.
+        assert 0 < flagged < positions and suspects.filed
+
+    @pytest.mark.bn254
+    def test_one_window_on_the_real_curve(self, bn254_group, session_seed):
+        fixture = _Fixture(bn254_group, random.Random(
+            0xD0B1E if session_seed is None else session_seed))
+        window = _DuplicateWindow(fixture, 4, b"bn254")
+        _assert_duplicates_resolved(fixture, window, _Convictions())
+
+
 @pytest.mark.bn254
 class TestLocalizerSweepBn254:
     def test_matches_the_scan_on_the_real_curve(self, bn254_group,
@@ -761,3 +882,52 @@ class TestLocalizerSweepBn254:
         fixture = _Fixture(bn254_group, random.Random(
             0x10CA7E if session_seed is None else session_seed))
         fixture.sweep((1, 2, 5, 8))
+
+
+@pytest.mark.bn254
+class TestTableBuildsPerLocalization:
+    """One localization builds each base's MSM table once: the root,
+    its companion and every bisection slice of one ``_values`` call
+    share one scope (counted by wrapping the one table builder, not by
+    an ``MSM_COUNTERS`` key, which ``/metrics`` would export), and the
+    next call builds its own from scratch."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.math import msm
+        built = []
+        build = msm._lane_tables
+
+        def counted(ops, bases, counts):
+            built.extend(bases)
+            return build(ops, bases, counts)
+
+        monkeypatch.setattr(msm, "_lane_tables", counted)
+        return built
+
+    def test_each_base_built_once_per_localization(
+            self, bn254_group, session_seed, builds, evaluations_on):
+        fixture = _Fixture(bn254_group, random.Random(
+            0x7AB1E if session_seed is None else session_seed))
+        evaluations = evaluations_on(fixture.scheme)
+        size = 8
+        one = fixture.rng.randrange(size)
+        for forged, products in (({one}, 2), ({0, size - 1}, None)):
+            messages, signatures = fixture.signatures(size, forged)
+            counts = []
+            for _ in range(2):                  # the same objects again
+                del builds[:], evaluations[:]
+                assert fixture.scheme.locate_invalid(
+                    fixture.pk, messages, signatures) == sorted(forged)
+                bases = {point.point._jac for signature in signatures
+                         for point in (signature.z, signature.r)}
+                bases.update(point.point._jac for message in messages
+                             for point in fixture.scheme.hashed(
+                                 fixture.pk, message))
+                assert sorted(builds) == sorted(bases), forged
+                counts.append(len(builds))
+                if products is not None:        # the root and companion
+                    assert len(evaluations) == products
+                else:                           # bisection went deeper
+                    assert len(evaluations) > 2
+            assert counts == [4 * size] * 2

@@ -8,7 +8,9 @@ scalars, and scalars at or beyond the group order.
 
 ``TestKernelSweep`` is the seeded differential sweep for the MSM kernels
 over both groups (the lane kernel's GLV split on G1 and on the twist,
-signed scalars and shared tables; the ladder kernel, per base set and in
+signed scalars and shared tables, G1's batched affine table build
+against the Jacobian one, and tables kept in a caller's scope; the
+ladder kernel, per base set and in
 its window form over many sets, with its flat bucket engine's fused
 pass and degenerate cells; G2's int F_p2 formulas, on subgroup and
 non-subgroup twist points) and the Share-Sign and Combine entry points
@@ -824,6 +826,78 @@ class TestKernelSweep:
                             FP_OPS, G1Point, points, row), (count, row)
                 if bases[1] is not b:
                     assert window[0][0].is_identity() == (bases[1] == -a)
+
+    # -- lane tables: the batched affine build, one build per scope ---------
+    def test_affine_table_build_matches_jacobian(self, session_seed,
+                                                 monkeypatch):
+        """On G1 the lane tables are made in batched affine rounds; they
+        must be the Jacobian odd multiples (:func:`_odd_multiples`, the
+        reference) normalized, entry for entry, for affine and Z != 1
+        inputs, duplicate bases, a base beside its negation, and every
+        table length 1-4 in one call."""
+        rng = _sweep_rng(session_seed, 80)
+        generator = G1Point.generator()
+        points = [generator * rng.randrange(1, R) for _ in range(6)]
+        G1Point.batch_normalize(points)
+        bases = [point._jac for point in points]
+        bases += [bases[0], jac_neg(FP_OPS, bases[1])]      # twin, negation
+        for point in points[:3]:                            # Z != 1
+            lam = rng.randrange(2, P)
+            x, y, z = point._jac
+            bases.append((x * lam * lam % P, y * pow(lam, 3, P) % P,
+                          z * lam % P))
+        counts = [rng.randint(1, 4) for _ in bases]
+        counts[:4] = [1, 2, 3, 4]
+        expected = [jac_batch_normalize(
+            FP_OPS, msm._odd_multiples(FP_OPS, base, count))
+            for base, count in zip(bases, counts)]
+
+        def refuse(*_args):
+            raise AssertionError("G1 tables took the Jacobian build")
+
+        monkeypatch.setattr(msm, "_odd_multiples", refuse)
+        tables = msm._lane_tables(FP_OPS, bases, counts)
+        assert [positive for positive, _ in tables] == expected
+        for positive, negative in tables:
+            assert negative == [(x, -y % P) for x, y in positive]
+        assert msm._lane_tables(FP_OPS, [], []) == []
+
+    @pytest.mark.parametrize("backend,which", [
+        ("bn254", "g1"), ("bn254", "g2"), ("toy", "g1"),
+    ], ids=["G1", "G2", "toy"])
+    def test_scope_slices_match_fresh_multi_exp(self, backend, which,
+                                                session_seed):
+        """A localization's products through ONE scope — random slices
+        under 64-bit coins and under the index-weighted ~70-bit ones,
+        an identity base among them — equal fresh ``multi_exp`` calls;
+        the scope holds one full table per live base, and the toy
+        backend leaves it empty."""
+        rng = _sweep_rng(session_seed, 81)
+        group = get_group(backend)
+        generator = getattr(group, f"{which}_generator")()
+        size = 12 if which == "g1" else 6
+        bases = [generator ** rng.randrange(1, R) for _ in range(size)]
+        bases[rng.randrange(size)] = getattr(group, f"{which}_identity")()
+        group.batch_normalize(bases)
+        coins = [rng.getrandbits(64) for _ in bases]
+        scope = {}
+        slices = [(0, size)] + [tuple(sorted(rng.sample(range(size + 1), 2)))
+                                for _ in range(4)]
+        for lo, hi in slices:
+            for weighted in (False, True):
+                exponents = coins[lo:hi]
+                if weighted:
+                    exponents = [coin * weight for weight, coin
+                                 in enumerate(exponents, lo + 1)]
+                assert group.multi_exp(
+                    bases[lo:hi], exponents, scope=scope
+                ) == group.multi_exp(bases[lo:hi], exponents)
+        if backend == "toy":
+            assert scope == {}
+            return
+        live = {base.point._jac for base in bases if base}
+        assert set(scope) == live
+        assert all(len(positive) == 4 for positive, _ in scope.values())
 
     def test_window_interpolation_matches_per_position(self, session_seed):
         """``combine_window``'s interpolation — one MSM call per signer
