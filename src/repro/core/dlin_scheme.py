@@ -181,8 +181,8 @@ class LJYDLINScheme:
                    message: bytes) -> DLINPartialSignature:
         """``z_i = prod_k H_k^{-A_k(i)}``, ``r_i`` and ``u_i`` likewise
         with ``B_k``/``C_k``: three exponent rows over one hash vector."""
-        z, r, u = self.group.multi_exp_rows(
-            self.params.hash_message(message),
+        (z, r, u), = self.group.multi_exp_windows(
+            [self.params.hash_message(message)],
             [[-scalar for scalar in column]
              for column in zip(*share.triples)])
         return DLINPartialSignature(index=share.index, z=z, r=r, u=u)

@@ -13,15 +13,10 @@ Naming follows the paper:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.groups.api import BilinearGroup, GroupElement
-
-#: Bound on the per-params hash-to-curve memo (messages are arbitrary
-#: caller input, so the cache must not grow without limit).
-_HASH_CACHE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -40,10 +35,6 @@ class ThresholdParams:
     hash_domain: str = "LJY14:H"
 
     def __post_init__(self):
-        # The dataclass is frozen (parameters are immutable protocol
-        # state); the memo and the pairing preparation below are caches,
-        # not state, so they bypass the frozen guard.
-        object.__setattr__(self, "_hash_cache", OrderedDict())
         # Every verification equation pairs against g_z and g_r, so their
         # Miller-loop line coefficients are precomputed once here.
         self.group.prepare_pair(self.g_z)
@@ -66,21 +57,12 @@ class ThresholdParams:
     def hash_message(self, message: bytes) -> Tuple[GroupElement, ...]:
         """The random oracle H : {0,1}* -> G x G.
 
-        Memoized (bounded LRU): robust Combine calls Share-Verify for
-        every partial signature of the same message, and re-running
-        try-and-increment hashing each time dominated its seed cost.
+        Robust Combine hashes the same message once per partial it
+        checks; on BN254 the one hash-to-curve memo
+        (:mod:`repro.curves.hash_to_curve`) answers the repeats.
         """
-        cache = self._hash_cache
-        hit = cache.get(message)
-        if hit is not None:
-            cache.move_to_end(message)
-            return hit
-        pair = tuple(self.group.hash_to_g1_vector(message, 2,
+        return tuple(self.group.hash_to_g1_vector(message, 2,
                                                   self.hash_domain))
-        cache[message] = pair
-        if len(cache) > _HASH_CACHE_LIMIT:
-            cache.popitem(last=False)
-        return pair
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
 from repro.curves import bn254
 from repro.curves.g1 import G1Point
@@ -33,15 +33,13 @@ _P = bn254.P
 #: record.
 _TWIST = G2Point.curve
 
-#: Module-scope memo for try-and-increment hashing, keyed by
-#: ``(domain, message)``.  Per-instance caches (``ThresholdParams``) die
-#: with their instance; services and tests that rebuild parameters per
-#: request re-hash the same hot messages, so the memo lives here.
-#: Bounded because messages are arbitrary caller input — and sized with
-#: the auto-precompute behaviour in mind: a cached point exponentiated
-#: more than ``_AUTO_PRECOMPUTE_USES`` times grows a ~90 KiB fixed-base
-#: comb that stays pinned with the cache entry, so the worst case is
-#: limit * ~90 KiB of resident combs, not just bare points.
+#: The one memo of H(M): every scheme's random oracle
+#: (``ThresholdParams.hash_message`` and its DLIN, Appendix D and
+#: Appendix G counterparts, BLS) hashes through here, keyed by
+#: ``(domain, message)``, so a robust Combine's repeated Share-Verify of
+#: one message and a window's re-check of it are hits.  Bounded because
+#: messages are arbitrary caller input; an entry is a bare point, since
+#: ``*`` never grows a comb on a point nobody asked to precompute.
 _HASH_G1_CACHE: "OrderedDict[tuple, G1Point]" = OrderedDict()
 _HASH_G1_CACHE_LIMIT = 256
 

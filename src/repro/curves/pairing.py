@@ -44,7 +44,6 @@ GT elements are wrapped in :class:`GTElement` so the protocol layer can use
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.curves import bn254
@@ -175,35 +174,16 @@ class PreparedG2:
         return cls(lines)
 
 
-#: Module-scope preparation cache keyed by the affine coordinates, so that
-#: *different instances* of the same G2 point (deserialized verification
-#: keys, freshly rebuilt ``ThresholdParams``) share one line-coefficient
-#: computation.  Bounded: keys are attacker-influenced in services.
-_PREP_CACHE: "OrderedDict[tuple, PreparedG2]" = OrderedDict()
-_PREP_CACHE_LIMIT = 512
-
-
 def prepare_g2(q: Union[G2Point, PreparedG2]) -> PreparedG2:
-    """Prepare a G2 point for repeated pairing.
-
-    Memoized twice: per point instance (free lookups on the hot path) and
-    in a bounded module-scope cache keyed by the affine coordinates, so
-    services that deserialize the same public/verification keys on every
-    request never rebuild the Miller-loop line coefficients.
-    """
+    """Prepare a G2 point for repeated pairing, memoized on the point
+    instance.  A fixed pairing argument is prepared once where it is
+    made (``BilinearGroup.prepare_pair``); a decoded copy of it is a new
+    instance and prepares its own lines."""
     if isinstance(q, PreparedG2):
         return q
     prep = getattr(q, "_prep", None)   # unset until first prepared
     if prep is None:
-        key = q.affine()
-        prep = _PREP_CACHE.get(key)
-        if prep is not None:
-            _PREP_CACHE.move_to_end(key)
-        else:
-            prep = PreparedG2.from_point(q)
-            _PREP_CACHE[key] = prep
-            if len(_PREP_CACHE) > _PREP_CACHE_LIMIT:
-                _PREP_CACHE.popitem(last=False)
+        prep = PreparedG2.from_point(q)
         q._prep = prep
     return prep
 

@@ -5,12 +5,13 @@ The paper states every algorithm over one asymmetric bilinear group
 coordinate field, their curve constant, their cofactor and their
 encoding, and a :class:`Curve` record holds exactly those differences.
 :class:`CurvePoint` implements everything else once over the record: the
-group law, ``*`` with auto-precompute, the multi-scalar multiplications
-of :mod:`repro.math.msm`, batch normalization, the subgroup check and the
-compressed encoding.  :mod:`repro.curves.g1` and :mod:`repro.curves.g2`
-build the two records and bind them in the subclasses ``G1Point`` and
-``G2Point``.  The class cannot live in :mod:`repro.curves.weierstrass`,
-which :mod:`repro.math.msm` imports.
+group law, ``*`` (through a fixed-base comb once :meth:`precompute` built
+one), the multi-scalar multiplications of :mod:`repro.math.msm`, batch
+normalization, the subgroup check and the compressed encoding.
+:mod:`repro.curves.g1` and :mod:`repro.curves.g2` build the two records
+and bind them in the subclasses ``G1Point`` and ``G2Point``.  The class
+cannot live in :mod:`repro.curves.weierstrass`, which
+:mod:`repro.math.msm` imports.
 
 **Encoding.**  A finite point is its x-coordinate's F_p limbs, highest
 first, 32 bytes each — ``x`` on G1 (32 bytes), ``x1 || x0`` on G2 (64
@@ -37,12 +38,6 @@ _INFINITY_BYTE = 0x40
 
 #: Encoded bytes per F_p limb of the x-coordinate.
 _LIMB_BYTES = 32
-
-#: Scalar multiplications on one point instance before a fixed-base comb
-#: is built automatically (the comb costs about three multiplications to
-#: build and repays that within about five; see :mod:`repro.math.msm`).
-_AUTO_PRECOMPUTE_USES = 8
-
 
 class Curve(NamedTuple):
     """One source group: the curve ``y^2 = x^3 + b`` over the field of
@@ -85,14 +80,13 @@ class CurvePoint:
     reduces neither of their scalars.
     """
 
-    __slots__ = ("_jac", "_affine", "_table", "_uses")
+    __slots__ = ("_jac", "_affine", "_table")
 
     curve: Curve
     order = bn254.R
 
     def __init__(self, x=None, y=None, _jac=None):
         self._table = None
-        self._uses = 0
         curve = self.curve
         ops = curve.ops
         if _jac is not None:
@@ -134,10 +128,6 @@ class CurvePoint:
         cls = type(self)
         if self._table is not None:
             return cls(_jac=self._table.mul(scalar))
-        if not self.is_identity():
-            self._uses += 1
-            if self._uses >= _AUTO_PRECOMPUTE_USES:
-                return cls(_jac=self.precompute()._table.mul(scalar))
         curve = self.curve
         return cls(_jac=msm.scalar_mul(
             curve.ops, self._jac, scalar, self.order, curve.endo))
@@ -146,7 +136,9 @@ class CurvePoint:
 
     def precompute(self):
         """Build a fixed-base comb so later multiplications run in 15
-        doublings and at most 32 additions.  Worth it for bases reused
+        doublings and at most 32 additions.  ``*`` reads a comb only
+        when this built one: the build costs about three multiplications
+        and is repaid after about five, so it pays for bases reused
         across many scalars (``g_z``/``g_r`` in key generation, DKG
         commitment checks); see :mod:`repro.math.msm`."""
         if self._table is None:
@@ -164,17 +156,11 @@ class CurvePoint:
         return cls.multi_mul_windows([points], [scalars], scope)[0][0]
 
     @classmethod
-    def multi_mul_rows(cls, points, scalar_rows) -> list:
-        """``[sum_j row[j] * points[j] for row in scalar_rows]`` — every
-        row against one shared precomputation of ``points``: a window of
-        one point set (:meth:`multi_mul_windows`)."""
-        return cls.multi_mul_windows([points], scalar_rows)[0]
-
-    @classmethod
     def multi_mul_windows(cls, point_sets, scalar_rows,
                           scope=None) -> list:
-        """:meth:`multi_mul_rows` for every point set, the rows recoded
-        once and each base doubled once (see
+        """``[[sum_j row[j] * points[j] for row in scalar_rows] for
+        points in point_sets]``, the rows recoded once and each base
+        doubled once (see
         :func:`~repro.math.msm.multi_scalar_mul_windows`)."""
         curve = cls.curve
         return [[cls(_jac=jac) for jac in products]

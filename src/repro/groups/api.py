@@ -45,8 +45,10 @@ class GroupElement(ABC):
     def precompute(self) -> "GroupElement":
         """Hint that this element will be exponentiated many times.
 
-        Backends with fixed-base combs build one; others ignore
-        the hint.  Returns self for chaining.
+        Backends with fixed-base combs build one here, and only here:
+        ``**`` reads a comb only once this built it, so a base reused
+        across many scalars is marked by its owner.  Others ignore the
+        hint.  Returns self for chaining.
         """
         return self
 
@@ -179,14 +181,6 @@ class BilinearGroup(ABC):
             term = base ** (scalar % self.order)
             result = term if result is None else result * term
         return result
-
-    def multi_exp_rows(self, bases: Sequence[GroupElement],
-                       scalar_rows: Sequence[Sequence[int]]
-                       ) -> List[GroupElement]:
-        """``[multi_exp(bases, row) for row in scalar_rows]`` — many
-        multi-exponentiations over the *same* bases: a window of one
-        base set (:meth:`multi_exp_windows`)."""
-        return self.multi_exp_windows([bases], scalar_rows)[0]
 
     def multi_exp_windows(self, base_sets: Sequence[Sequence[GroupElement]],
                           scalar_rows: Sequence[Sequence[int]]

@@ -39,22 +39,22 @@ of ``perf/workloads.py``), the scheme calls land as follows:
   full-size scalars: lanes took 1.0x its time at 193 G1 terms, 1.3x at
   512, 1.6x at 1024), and no workload, test table or example builds a
   product that long.
-* **Fixed-base combs** (:class:`FixedBaseTable`): a point multiplied
-  ``_AUTO_PRECOMPUTE_USES`` (8) times through ``*`` builds its own
-  (:class:`~repro.curves.point.CurvePoint`), and a remote worker builds
-  them for ``g_z``/``g_r`` up front, as does DLIN for its generators.
+* **Fixed-base combs** (:class:`FixedBaseTable`): only where an owner
+  asks for one with ``precompute()`` — ``*`` never builds one by
+  itself.  A remote worker builds them for ``g_z``/``g_r`` up front, as
+  does DLIN for its generators.
   Every dealing protocol's VSS builds them for ``g_z``/``g_r`` before the
   first dealing, so every commitment is two comb reads, and the share
   check's two-base side ``[g_z, g_r]`` takes ``BN254Group.multi_exp``'s
   all-tables shortcut (one comb read per base instead of an MSM).
 
-**The lane kernel.**  :func:`scalar_mul` and :func:`multi_scalar_mul_rows`
-(for most shapes — see the ladder kernel below) are callers of one
-interleaved-w-NAF loop.  Every ``(base, scalar)`` term is recoded into
-one or two *lanes* — a signed sub-scalar driving a table of affine odd
-multiples — and all lanes of a product share one doubling chain, so the
-cost is ``max lane bits`` doublings plus ~``bits / (w + 1)`` mixed
-additions per lane.
+**The lane kernel.**  :func:`scalar_mul` and
+:func:`multi_scalar_mul_windows` (for most shapes — see the ladder
+kernel below) are callers of one interleaved-w-NAF loop.  Every
+``(base, scalar)`` term is recoded into one or two *lanes* — a signed
+sub-scalar driving a table of affine odd multiples — and all lanes of
+a product share one doubling chain, so the cost is ``max lane bits``
+doublings plus ~``bits / (w + 1)`` mixed additions per lane.
 Four things shorten or share the lanes:
 
 * **GLV endomorphism** (Gallant-Lambert-Vanstone, CRYPTO 2001).  Where
@@ -448,16 +448,6 @@ _IN_FLIGHT = object()
 _AFFINE_LADDER_BASES = 8
 
 
-def multi_scalar_mul_rows(ops: FieldOps, points: Sequence,
-                          scalar_rows: Sequence[Sequence[int]], order: int,
-                          endo: Optional[Endomorphism] = None) -> list:
-    """``[sum_j row[j] * points[j] for row in scalar_rows]`` — many
-    products over the *same* bases: :func:`multi_scalar_mul_windows`
-    over a window of one base set."""
-    return multi_scalar_mul_windows(
-        ops, [points], scalar_rows, order, endo)[0]
-
-
 def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
                              scalar_rows: Sequence[Sequence[int]],
                              order: int,
@@ -756,7 +746,8 @@ def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
 def scalar_mul(ops: FieldOps, point, scalar: int, order: int,
                endo: Optional[Endomorphism] = None):
     """Single-scalar multiplication; drop-in for ``jac_scalar_mul``."""
-    return multi_scalar_mul_rows(ops, [point], [[scalar]], order, endo)[0]
+    return multi_scalar_mul_windows(
+        ops, [[point]], [[scalar]], order, endo)[0][0]
 
 
 #: The comb of a :class:`FixedBaseTable`: teeth per entry, and the bit

@@ -188,10 +188,7 @@ class ShardWorker:
                         else:
                             await self._process_window_remote(window, loop)
                     except Exception as exc:  # defensive: fail requests,
-                        for request in window:  # not the shard
-                            if not request.future.done():
-                                request.future.set_exception(
-                                    RequestFailedError(str(exc)))
+                        self._fail(window, exc)  # not the shard
                     self.stats.busy_ms += (loop.time() - started) * 1000.0
             finally:
                 self.lifecycle.release()
@@ -229,7 +226,10 @@ class ShardWorker:
         return signs, verifies
 
     def _process_window(self, window: List[PendingRequest], loop) -> None:
-        """In-process mode: run the window's crypto on this event loop."""
+        """In-process mode: run the window's crypto on this event loop.
+        The sign and verify halves of a mixed window each run under
+        their own guard, as the remote tier's two jobs do: one half
+        raising fails its own requests only, never the shard."""
         signs, verifies = self._split(window)
         if signs:
             presigned = {
@@ -237,17 +237,23 @@ class ShardWorker:
                 for position, request in enumerate(signs)
                 if self._fence_holds(request)}
             self.stats.presigned += len(presigned)
-            outcome = self.handle.process_sign_window(
-                [request.message for request in signs], quorum=self.quorum,
-                fault_injector=self.fault_injector,
-                shard_id=self.shard_id, presigned=presigned)
-            self._apply_sign_outcome(signs, outcome, len(window), loop)
+            try:
+                outcome = self.handle.process_sign_window(
+                    [request.message for request in signs],
+                    quorum=self.quorum, fault_injector=self.fault_injector,
+                    shard_id=self.shard_id, presigned=presigned)
+                self._apply_sign_outcome(signs, outcome, len(window), loop)
+            except Exception as exc:
+                self._fail(signs, exc)
         if verifies:
-            verdicts = self.handle.verify_window(
-                [request.message for request in verifies],
-                [request.signature for request in verifies])
-            self._apply_verify_verdicts(verifies, verdicts,
-                                        len(window), loop)
+            try:
+                verdicts = self.handle.verify_window(
+                    [request.message for request in verifies],
+                    [request.signature for request in verifies])
+                self._apply_verify_verdicts(verifies, verdicts,
+                                            len(window), loop)
+            except Exception as exc:
+                self._fail(verifies, exc)
 
     async def _process_window_remote(self, window: List[PendingRequest],
                                      loop) -> None:
@@ -274,14 +280,19 @@ class ShardWorker:
             return_exceptions=True)
         for (requests, job), outcome in zip(halves, outcomes):
             if isinstance(outcome, BaseException):
-                for request in requests:
-                    self._resolve(request, RequestFailedError(str(outcome)))
+                self._fail(requests, outcome)
             elif isinstance(job, SignWindowJob):
                 self._apply_sign_outcome(requests, outcome,
                                          len(window), loop)
             else:
                 self._apply_verify_verdicts(requests, outcome.verdicts,
                                             len(window), loop)
+
+    @classmethod
+    def _fail(cls, requests: List[PendingRequest],
+              exc: BaseException) -> None:
+        for request in requests:
+            cls._resolve(request, RequestFailedError(str(exc)))
 
     @staticmethod
     def _resolve(request: PendingRequest, result) -> None:

@@ -177,8 +177,7 @@ class RoundDrivenPeer(SimPeer):
             return
         # A message for a round whose inbox already closed is late: it
         # missed its round, exactly as on a real deadline-driven WAN.
-        if round_no < self.next_round - 1 or (
-                round_no == ROUND_DEAL and self.next_round > ROUND_COMPLAIN):
+        if round_no < self.next_round - 1:
             self.net.kernel.trace(
                 f"late {self.peer_id}<-{message.sender} r{round_no}")
             return

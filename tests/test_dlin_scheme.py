@@ -22,7 +22,7 @@ def dlin_setup():
 @pytest.mark.parametrize(
     "backend", ["toy", pytest.param("bn254", marks=pytest.mark.bn254)])
 def test_share_sign_equals_naive_fold(backend, rng):
-    """Share-Sign goes through ``multi_exp_rows``; its output must stay
+    """Share-Sign goes through ``multi_exp_windows``; its output must stay
     the per-base ``**``/``*`` fold of Appendix F, element for element."""
     from repro.groups import get_group
     scheme = LJYDLINScheme(

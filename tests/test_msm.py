@@ -415,9 +415,9 @@ class TestKernelSweep:
                       and row_count > live else "lane_rows")
             before = msm.MSM_COUNTERS[kernel]
             results = [
-                point_cls(_jac=jac) for jac in msm.multi_scalar_mul_rows(
-                    ops, [p._jac for p in points], rows, R,
-                    GLV if point_cls is G1Point else G2_GLV)]
+                point_cls(_jac=jac) for jac in msm.multi_scalar_mul_windows(
+                    ops, [[p._jac for p in points]], rows, R,
+                    GLV if point_cls is G1Point else G2_GLV)[0]]
             assert msm.MSM_COUNTERS[kernel] - before == row_count, spec
             for row, result in zip(rows, results):
                 assert result == _fold(ops, point_cls, points, row), spec
@@ -606,16 +606,16 @@ class TestKernelSweep:
 
         monkeypatch.setattr(msm, "glv_decompose", refuse)
         assert G1Point.multi_mul(points, coins) == expected
-        assert G1Point.multi_mul_rows(points, [coins])[0] == expected
+        assert G1Point.multi_mul_windows([points], [coins])[0][0] == expected
         with pytest.raises(AssertionError):
             G1Point.multi_mul(points, [1 << 129] * 4)
 
     def test_rows_reject_ragged_input(self):
         g = G1Point.generator()
         with pytest.raises(ValueError):
-            G1Point.multi_mul_rows([g, g], [[1, 2], [3]])
+            G1Point.multi_mul_windows([[g, g]], [[1, 2], [3]])
 
-    # -- the seam: rows == per-row multi_exp; many == per-share ---------------
+    # -- the seam: one-set windows == per-row multi_exp; many == per-share ---
     @pytest.mark.parametrize("backend", ["toy", "bn254"])
     @pytest.mark.parametrize("row_count", [0, 1, 3, 4, 6, 9, 10])
     def test_multi_exp_rows_matches_multi_exp(self, backend, row_count,
@@ -630,8 +630,8 @@ class TestKernelSweep:
             rows = [[_mixed_scalar(rng, (1, 64, 128, 254, 300))
                      * rng.choice((1, -1)) for _ in bases]
                     for _ in range(row_count)]
-            assert group.multi_exp_rows(bases, rows) == [
-                group.multi_exp(bases, row) for row in rows]
+            assert group.multi_exp_windows([bases], rows) == [[
+                group.multi_exp(bases, row) for row in rows]]
 
     @pytest.mark.parametrize("backend", ["toy", "bn254"])
     def test_multi_exp_rows_other_groups(self, backend, session_seed):
@@ -640,10 +640,10 @@ class TestKernelSweep:
         bases = [group.g2_generator() ** rng.getrandbits(16)
                  for _ in range(2)]
         rows = [[rng.randrange(R), R - 3], [5, 0]]
-        assert group.multi_exp_rows(bases, rows) == [
-            group.multi_exp(bases, row) for row in rows]
+        assert group.multi_exp_windows([bases], rows) == [[
+            group.multi_exp(bases, row) for row in rows]]
         with pytest.raises(ValueError):
-            group.multi_exp_rows(bases, [[1]])
+            group.multi_exp_windows([bases], [[1]])
 
     @pytest.mark.parametrize("backend", ["toy", "bn254"])
     def test_share_sign_many_is_share_sign_per_share(self, backend,
@@ -708,7 +708,7 @@ class TestKernelSweep:
                 count * row_count
             assert msm.MSM_COUNTERS["ladder_calls"] - \
                 before["ladder_calls"] == (row_count > 2)
-            assert window == [G1Point.multi_mul_rows(points, rows)
+            assert window == [G1Point.multi_mul_windows([points], rows)[0]
                               for points in sets]
             # The naive fold on the first, a middle and the last set.
             for position in sorted({0, count // 2, count - 1}):
@@ -786,7 +786,7 @@ class TestKernelSweep:
         passes = msm.MSM_COUNTERS["inversions"] - before["inversions"]
         assert 0 < passes < msm.MSM_COUNTERS["affine_adds"] - \
             before["affine_adds"]
-        assert window == [G1Point.multi_mul_rows(points, rows)
+        assert window == [G1Point.multi_mul_windows([points], rows)[0]
                           for points in sets]
         for products in window:                 # the fold ends affine
             assert all(product._jac[2] == 1 for product in products)
@@ -1151,17 +1151,18 @@ class TestFixedBaseTable:
         for scalar in [0, 1, R - 1] + random_scalars(rng, 3):
             assert plain * scalar == primed * scalar
 
-    def test_auto_precompute_is_transparent(self):
-        scalars = list(range(1, 15))
+    def test_no_comb_without_precompute(self):
+        # ``*`` reads a comb only where ``precompute()`` built one: any
+        # number of multiplications of one instance leaves it bare.
+        scalars = list(range(1, 21))
         fresh = G1Point.generator() + G1Point.generator()
         reference = [
             G1Point(_jac=jac_scalar_mul(FP_OPS, fresh._jac, s, R))
             for s in scalars
         ]
-        # Repeated use of one instance flips it to the table path mid-way.
         reused = G1Point.generator() + G1Point.generator()
         results = [reused * s for s in scalars]
-        assert reused._table is not None
+        assert reused._table is None
         assert results == reference
 
 
@@ -1330,15 +1331,18 @@ class TestGTFastPaths:
 
 @pytest.mark.bn254
 class TestPreparationCaches:
-    def test_prep_shared_across_instances(self):
-        # Two deserialized copies of one point share one PreparedG2 via
-        # the module-scope cache.
+    def test_decoded_copies_pair_identically(self):
+        # The lines are memoized on the instance: two decoded copies of
+        # one point prepare their own, and pair the same.
         q = G2Point.generator() * 4321
         data = q.to_bytes()
         first = G2Point.from_bytes(data)
         second = G2Point.from_bytes(data)
         assert first is not second
-        assert prepare_g2(first) is prepare_g2(second)
+        assert prepare_g2(first) is prepare_g2(first)
+        assert prepare_g2(first).lines == prepare_g2(second).lines
+        p = G1Point.generator() * 99
+        assert multi_pairing([(p, first)]) == multi_pairing([(p, second)])
 
     def test_derived_generators_memoized(self):
         from repro.curves.hash_to_curve import (

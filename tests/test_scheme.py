@@ -478,44 +478,40 @@ class TestCrossMessageBatchVerify:
             pk, messages, signatures) == [5]
 
 
+@pytest.mark.bn254
 class TestHashMemoization:
-    class _CountingGroup:
-        """Wrap a backend and count hash_to_g1_vector invocations."""
+    """H(M) has one memo, the module-scope one of
+    :mod:`repro.curves.hash_to_curve`, and ``HASH_COUNTERS`` counts it:
+    two G1 points per message."""
 
-        def __init__(self, inner):
-            self._inner = inner
-            self.calls = 0
-
-        def hash_to_g1_vector(self, data, dimension, domain="H"):
-            self.calls += 1
-            return self._inner.hash_to_g1_vector(data, dimension, domain)
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-    def _params(self, toy_group):
-        counting = self._CountingGroup(toy_group)
-        return ThresholdParams.generate(counting, t=1, n=3), counting
-
-    def test_repeat_messages_hit_cache(self, toy_group):
-        params, counting = self._params(toy_group)
-        first = params.hash_message(b"msg")
-        again = params.hash_message(b"msg")
-        assert counting.calls == 1
+    def test_repeat_messages_hit_cache(self, bn254_group):
+        from repro.curves.hash_to_curve import HASH_COUNTERS
+        params = ThresholdParams.generate(bn254_group, t=1, n=3)
+        before = dict(HASH_COUNTERS)
+        first = params.hash_message(b"memo: repeated")
+        again = params.hash_message(b"memo: repeated")
         assert first == again
-        params.hash_message(b"other")
-        assert counting.calls == 2
+        assert HASH_COUNTERS["g1_misses"] - before["g1_misses"] == 2
+        assert HASH_COUNTERS["g1_hits"] - before["g1_hits"] == 2
+        # Parameters rebuilt over the same domain read the same memo.
+        rebuilt = ThresholdParams.generate(bn254_group, t=1, n=3)
+        assert rebuilt.hash_message(b"memo: repeated") == first
+        assert HASH_COUNTERS["g1_misses"] - before["g1_misses"] == 2
+        params.hash_message(b"memo: other")
+        assert HASH_COUNTERS["g1_misses"] - before["g1_misses"] == 4
 
-    def test_cache_is_bounded(self, toy_group):
-        from repro.core.keys import _HASH_CACHE_LIMIT
-        params, counting = self._params(toy_group)
-        for i in range(_HASH_CACHE_LIMIT + 50):
-            params.hash_message(b"m%d" % i)
-        assert len(params._hash_cache) <= _HASH_CACHE_LIMIT
-        # The oldest entry was evicted and re-hashing it costs a call.
-        calls = counting.calls
-        params.hash_message(b"m0")
-        assert counting.calls == calls + 1
+    def test_cache_is_bounded(self, bn254_group):
+        from repro.curves.hash_to_curve import (
+            _HASH_G1_CACHE, _HASH_G1_CACHE_LIMIT, HASH_COUNTERS,
+        )
+        params = ThresholdParams.generate(bn254_group, t=1, n=3)
+        for i in range(_HASH_G1_CACHE_LIMIT):
+            params.hash_message(b"memo: bounded %d" % i)
+        assert len(_HASH_G1_CACHE) <= _HASH_G1_CACHE_LIMIT
+        # The oldest message was evicted, and re-hashing it misses.
+        misses = HASH_COUNTERS["g1_misses"]
+        params.hash_message(b"memo: bounded 0")
+        assert HASH_COUNTERS["g1_misses"] == misses + 2
 
 
 @pytest.mark.bn254

@@ -887,6 +887,32 @@ class TestSigningService:
         ok, bad = run(scenario())
         assert ok.valid and not bad.valid
 
+    def test_failed_sign_half_does_not_fail_the_verify_half(self, handle):
+        """The in-process twin of the remote tier's test: a mixed
+        window's sign half raising fails the sign requests only, and the
+        verify request in the same window is still answered."""
+        from repro.service import RequestFailedError
+
+        def offline(shard_id, signer_index, message, partial):
+            raise RuntimeError("signer offline")
+
+        signature = handle.sign(b"already signed")
+
+        async def scenario():
+            config = ServiceConfig(num_shards=1, max_batch=2,
+                                   max_wait_ms=200.0,
+                                   fault_injector=offline)
+            async with SigningService(handle, config) as service:
+                return await asyncio.gather(
+                    service.sign(b"doomed"),
+                    service.verify(b"already signed", signature),
+                    return_exceptions=True)
+
+        signed, verified = run(scenario())
+        assert isinstance(signed, RequestFailedError)
+        assert "signer offline" in str(signed)
+        assert verified.valid and verified.batch_size == 2
+
 
 # ---------------------------------------------------------------------------
 # Load generator
