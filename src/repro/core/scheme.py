@@ -291,12 +291,19 @@ class LJYThresholdScheme:
         (signatures, or one signer's partials) are four pairs whatever
         the slice.
 
-        Every product of one localization — the root, its companion and
-        each bisection slice — runs over these same points, so their
-        MSM tables are built once, on first use, into one ``scope``
-        (:meth:`~repro.groups.api.BilinearGroup.multi_exp`) that lives
-        exactly as long as the returned closure; the next call builds
-        its own, whatever points it is handed.
+        A product's MSMs are one
+        :meth:`~repro.groups.api.BilinearGroup.multi_exp_windows` call
+        per distinct exponent row: under one key, the four sets (z, r,
+        H_1, H_2) share the slice's coins, so the whole product is ONE
+        lane-kernel call, whose bits' entries over all four sets are
+        summed in shared affine passes (:mod:`repro.math.msm`); under
+        several keys, z and r share one call and each key's hashed
+        pair another.  Every product of one localization — the root,
+        its companion and each bisection slice — runs over these same
+        points, so their MSM tables are built once, on first use, into
+        one ``scope`` that lives exactly as long as the returned
+        closure; the next call builds its own, whatever points it is
+        handed.
         """
         p = self.params
         group = self.group
@@ -326,18 +333,19 @@ class LJYThresholdScheme:
                 h_1s.append(h_1)
                 h_2s.append(h_2)
                 exps.append(exponent)
-            pairs = [
-                (group.multi_exp(z_points[lo:hi], exponents, scope=scope),
-                 p.g_z),
-                (group.multi_exp(r_points[lo:hi], exponents, scope=scope),
-                 p.g_r),
-            ]
+            calls = [(exponents, [z_points[lo:hi], r_points[lo:hi]])]
+            g_hats = [p.g_z, p.g_r]
             for label in sorted(buckets):
                 h_1s, h_2s, exps = buckets[label]
-                k_1, k_2 = keys[label]
-                pairs.append((group.multi_exp(h_1s, exps, scope=scope), k_1))
-                pairs.append((group.multi_exp(h_2s, exps, scope=scope), k_2))
-            return group.pairing_product(pairs)
+                if len(buckets) == 1:       # one key: the slice's own row
+                    calls[0][1].extend((h_1s, h_2s))
+                else:
+                    calls.append((exps, [h_1s, h_2s]))
+                g_hats.extend(keys[label])
+            aggregates = [products[0] for row, sets in calls
+                          for products in group.multi_exp_windows(
+                              sets, [row], scope)]
+            return group.pairing_product(zip(aggregates, g_hats))
 
         return value_of
 

@@ -183,19 +183,25 @@ class BilinearGroup(ABC):
         return result
 
     def multi_exp_windows(self, base_sets: Sequence[Sequence[GroupElement]],
-                          scalar_rows: Sequence[Sequence[int]]
+                          scalar_rows: Sequence[Sequence[int]],
+                          scope: Optional[dict] = None
                           ) -> List[List[GroupElement]]:
-        """``[[multi_exp(bases, row) for row in scalar_rows] for bases in
-        base_sets]`` — the same exponent rows over many base sets.
+        """``[[multi_exp(bases, row, scope) for row in scalar_rows] for
+        bases in base_sets]`` — the same exponent rows over many base
+        sets.
 
-        Share-Sign is the shape: ``z_i`` and ``r_i``, for every signer
+        Share-Sign is one shape: ``z_i`` and ``r_i``, for every signer
         of a quorum, are all products over the hashed pair
         ``(H_1, H_2)``, and a window signs many messages under one
-        quorum.  The default loops :meth:`multi_exp`; backends whose
-        multi-exponentiation precomputes per base or per row do that
-        work once for all rows, or once for all sets.
+        quorum.  A coined product is the other: its four MSMs (over the
+        z, r, H_1 and H_2 points) share one row of coins, so they are
+        four sets under one row, with a localization's ``scope`` (see
+        :meth:`multi_exp`).  The default loops :meth:`multi_exp`;
+        backends whose multi-exponentiation precomputes per base or per
+        row do that work once for all rows, or once for all sets.
         """
-        return [[self.multi_exp(list(bases), row) for row in scalar_rows]
+        return [[self.multi_exp(list(bases), row, scope)
+                 for row in scalar_rows]
                 for bases in base_sets]
 
     def batch_normalize(self, elements: Sequence[GroupElement]) -> None:

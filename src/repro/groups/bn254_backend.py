@@ -183,18 +183,22 @@ class BN254Group(BilinearGroup):
         return wrapper(type(points[0]).multi_mul(points, scalars, scope))
 
     def multi_exp_windows(self, base_sets: Sequence[Sequence[GroupElement]],
-                          scalar_rows: Sequence[Sequence[int]]
+                          scalar_rows: Sequence[Sequence[int]],
+                          scope: Optional[dict] = None
                           ) -> List[List[GroupElement]]:
         """Source-group sets go to
         :func:`~repro.math.msm.multi_scalar_mul_windows` in one call
         through their points' class: on G1, more rows than bases share
         one doubling ladder per base and one recoding of the rows for all
         sets; fewer (and every G2 shape) share one odd-multiples table
-        per base.  G_T takes the per-row default."""
+        per base, kept in ``scope`` when one is given, and on G1 each
+        bit's entries over all sets and rows are summed in shared affine
+        passes.  A coined product's four MSMs are one such call: one
+        row of coins over four sets.  G_T takes the per-row default."""
         base_sets = [list(bases) for bases in base_sets]
         wrappers = {type(base) for bases in base_sets for base in bases}
         if len(wrappers) != 1 or BNGT in wrappers:
-            return super().multi_exp_windows(base_sets, scalar_rows)
+            return super().multi_exp_windows(base_sets, scalar_rows, scope)
         wrapper, = wrappers
         point_cls = type(base_sets[0][0].point)
         rows = [list(row) for row in scalar_rows]
@@ -204,7 +208,7 @@ class BN254Group(BilinearGroup):
         return [[wrapper(point) for point in products]
                 for products in point_cls.multi_mul_windows(
                     [[base.point for base in bases] for bases in base_sets],
-                    rows)]
+                    rows, scope)]
 
     def batch_normalize(self, elements: Sequence[GroupElement]) -> None:
         """Normalize the Jacobian representations of many source-group

@@ -28,7 +28,9 @@ of ``perf/workloads.py``), the scheme calls land as follows:
   Lagrange interpolation (one row over the t + 1 = 3 partials of every
   set sharing a signer set: 32 sets in a full window), the coined
   products of ``batch_verify``/``verify_window`` and the robust path
-  (one row of 64-bit coins over at most a window's points), and on G2
+  (ONE call per product under one key: the z, r, H_1 and H_2 points as
+  four sets under one row of 64-bit coins; under several keys one call
+  for z and r and one per key for its hashed pair), and on G2
   the DKG's verification keys (3 terms), its share check's evaluation
   of every received dealing at the receiver's index (one call: 8 sets
   of 3 commitments under one row of index powers) and that check's
@@ -54,8 +56,9 @@ kernel below) are callers of one interleaved-w-NAF loop.  Every
 ``(base, scalar)`` term is recoded into one or two *lanes* — a signed
 sub-scalar driving a table of affine odd multiples — and all lanes of
 a product share one doubling chain, so the cost is ``max lane bits``
-doublings plus ~``bits / (w + 1)`` mixed additions per lane.
-Four things shorten or share the lanes:
+doublings plus ~``bits / (w + 1)`` mixed additions per lane — or, on
+G1, at most one mixed addition per bit (see *Bits summed in affine
+passes* below).  Four things shorten or share the lanes:
 
 * **GLV endomorphism** (Gallant-Lambert-Vanstone, CRYPTO 2001).  Where
   the group has ``phi(x, y) = (beta * x, y) = lambda * (x, y)`` (see
@@ -101,6 +104,34 @@ Four things shorten or share the lanes:
   request, so a longer-lived cache would only pay off for a caller
   that resends the same objects.
 
+**Bits summed in affine passes.**  On G1, before any doubling,
+:func:`_sum_bits` collapses every bit of every (set, row) schedule of
+the call to at most one point: each bit holding two or more table
+entries is one cell of the flat bucket engine (below), so the entries
+of all bits, sets and rows are summed together in shared
+:func:`~repro.curves.weierstrass.batch_add_affine_fp` passes, one
+inversion each, at ~6.5 multiplications an addition instead of the ~11
+of a mixed Jacobian one.  The ladder kernel's cell rules hold: ``P +
+(-P)`` is dropped exactly before any pass, ``P + P`` takes the tangent,
+and the identity never enters a pass.  A pass runs only with at least
+``_LANE_PASS_PAIRS`` pairs (below that its inversion costs more than
+the pairs save); what it leaves stays in the schedule.
+:func:`_run_lanes` then runs the same doubling chain with at most one
+mixed addition per bit.  A coined product of 16 items (four sets of 16
+under one row of 64-bit coins) runs 3 passes and ~600 affine additions,
+and its doubling chains meet ~260 mixed additions instead of ~850.
+Measured in one process on a 2-core box, CPU time, 40 interleaved reps
+against the parent's four unsummed calls per product (= 1.00, median
+ratio of pairs): the four MSMs alone, tables warm, 0.81x (best 0.75x);
+``batch_verify`` of 16 0.95x; ``locate_invalid`` with one forgery of 16
+(root and companion) 0.93x; ``locate_invalid_partials`` over one
+signer's 16 0.93x; a 2-signature check 0.97x.  Combine's interpolation
+of a window of 16, where every entry sits at bit 0 and a set's cell
+holds three, read 1.03x (quartiles 0.99-1.06x; 1.01x for its kernel
+call alone): summing there saves no more than the passes cost.  G2
+keeps the sequential mixed additions: there is no batched F_p2 affine
+addition.
+
 **Short scalars skip the split.**  A scalar of at most 128 bits — the
 64-bit small-exponent coins of ``batch_verify`` and
 ``batch_share_verify_window`` — is already as short as a GLV half, so
@@ -144,7 +175,8 @@ Jacobian calls = 1.00), the affine ladder took 1.41x at 1 set,
 below 8 bases — a presigned request, a top-up, one share's Share-Sign
 — the rungs stay Jacobian, normalized with one inversion.
 
-**The flat bucket engine.**  Both kinds of rungs feed one engine whose
+**The flat bucket engine** (:func:`_bucket_engine`, which also sums
+the lane kernel's bits).  Both kinds of rungs feed one engine whose
 state is a handful of flat parallel int lists: the rungs' coordinates,
 one cell per (set, row, bucket), and the queue of the next pass.  A
 cell holds at most one point.  A point filed into an occupied cell
@@ -410,7 +442,8 @@ def _schedule_lane(schedule: List[list], negated: bool, terms, table):
 
 def _run_lanes(ops: FieldOps, schedule: List[list]):
     """The one inner loop: walk the schedule from the top bit with one
-    shared doubling per bit and a mixed addition per filed entry.  The
+    shared doubling per bit and a mixed addition per filed entry (on G1
+    at most one a bit once :func:`_sum_bits` has run).  The
     mixed addition handles the degenerate meetings (identity
     accumulator, P + P, P - P)."""
     m, double = ops.modulus, ops.point_double
@@ -426,10 +459,11 @@ def _run_lanes(ops: FieldOps, schedule: List[list]):
 #: Work served by each kernel of :func:`multi_scalar_mul_windows` in this
 #: process: rows per kernel (``ladder_rows`` / ``lane_rows``, every base
 #: set's rows counted), ladder-kernel calls (``ladder_calls``), and the
-#: ladder kernel's fused affine passes (``inversions``, one field
-#: inversion each) and the additions and doublings they ran
-#: (``affine_adds``: rungs, bucket pairs and fold) — the MSM counterpart
-#: of ``PAIRING_COUNTERS``; read deltas, never reset.
+#: passes of the bucket engine both kernels share (``inversions``, one
+#: field inversion each) and the additions and doublings they ran
+#: (``affine_adds``: the ladder's rungs, bucket pairs and fold; the lane
+#: kernel's summed bits) — the MSM counterpart of ``PAIRING_COUNTERS``;
+#: read deltas, never reset.  Lane-table builds are not counted.
 MSM_COUNTERS = {"ladder_rows": 0, "lane_rows": 0, "ladder_calls": 0,
                 "affine_adds": 0, "inversions": 0}
 
@@ -438,14 +472,134 @@ MSM_COUNTERS = {"ladder_rows": 0, "lane_rows": 0, "ladder_calls": 0,
 _LANE_WIDTH = 4
 _LADDER_WIDTH = 5
 
-#: Marks a ladder-kernel cell whose point is in this round's pass.
+#: Marks a bucket-engine cell whose point is in this round's pass.
 _IN_FLIGHT = object()
+
+#: Pairs from which a lane-summing pass repays its inversion.  Measured
+#: in one process on a 2-core box, a pass over k two-entry cells against
+#: the same cells left to 2k mixed additions: 1.24x at 4 pairs, 1.03x at
+#: 8-10, 0.95x at 12, 0.87x at 20-24 — one inversion (~36 us) costs
+#: three mixed additions (~12 us), and a pair summed in a pass, with its
+#: filing, saves only about a quarter of the one it replaces.
+_LANE_PASS_PAIRS = 12
 
 #: Live bases, over all base sets of one ladder call, from which the
 #: rungs are doubled in affine coordinates (one inversion per rung)
 #: instead of in Jacobian ones normalized together at the end.  See the
 #: module docstring for the measurement behind it.
 _AFFINE_LADDER_BASES = 8
+
+
+def _bucket_engine(m: int, size: int, rx: List[int], ry: List[int]):
+    """The flat bucket engine both G1 kernels reduce with: ``size``
+    cells in flat parallel lists ``bx``/``by`` (``None`` for empty),
+    each holding at most one affine point, and the queue of the next
+    pass.  Returns ``(bx, by, put, run_round, left)``.
+
+    * ``put(cell, x, y)`` files one point.  An empty cell holds it; an
+      occupied one queues the pair for the next pass and is marked in
+      flight, unless the two are ``P`` and ``-P``, which empty the cell
+      instead, decided exactly, so no identity ever enters a pass; a
+      point filed into an in-flight cell waits.
+    * ``run_round(doubled, least=1)`` pairs each cell's waiting points
+      among themselves, then runs ONE
+      :func:`~repro.curves.weierstrass.batch_add_affine_fp` over the
+      first ``doubled`` rungs of ``rx``/``ry`` and every queued pair —
+      one inversion — and files each sum back into its cell, or among
+      its cell's waiting points.  With no rung to double and fewer
+      than ``least`` pairs it runs nothing and returns False.
+    * ``left()`` yields ``(cell, x, y)`` for every point still queued
+      or waiting, for a caller that stops short of the last pass.
+    """
+    bx: list = [None] * size
+    by = [0] * size
+    qx: List[int] = []
+    qy: List[int] = []
+    qx2: List[int] = []
+    qy2: List[int] = []
+    qcell: List[int] = []
+    waiting: Dict[int, list] = {}
+
+    def put(cell: int, x: int, y: int) -> None:
+        held = bx[cell]
+        if held is None:
+            bx[cell] = x
+            by[cell] = y
+        elif held is _IN_FLIGHT:
+            waiting.setdefault(cell, []).append((x, y))
+        elif held != x or by[cell] == y:
+            qx.append(held)
+            qy.append(by[cell])
+            qx2.append(x)
+            qy2.append(y)
+            qcell.append(cell)
+            bx[cell] = _IN_FLIGHT
+        else:
+            bx[cell] = None
+
+    def run_round(doubled: int, least: int = 1) -> bool:
+        for cell, points in list(waiting.items()):
+            del waiting[cell]
+            while points and bx[cell] is not _IN_FLIGHT:
+                put(cell, *points.pop())
+            while len(points) > 1:
+                x, y = points.pop()
+                x2, y2 = points.pop()
+                if x != x2 or y == y2:
+                    qx.append(x)
+                    qy.append(y)
+                    qx2.append(x2)
+                    qy2.append(y2)
+                    qcell.append(~cell)
+            if points:
+                waiting[cell] = points
+        if not doubled and len(qcell) < least:
+            return False
+        MSM_COUNTERS["affine_adds"] += doubled + len(qcell)
+        MSM_COUNTERS["inversions"] += 1
+        batch_add_affine_fp(rx, ry, doubled, qx, qy, qx2, qy2, m)
+        for cell, x, y in zip(qcell, qx, qy):
+            if cell < 0:
+                waiting.setdefault(~cell, []).append((x, y))
+            else:
+                bx[cell] = x
+                by[cell] = y
+        for column in (qx, qy, qx2, qy2, qcell):
+            column.clear()
+        return True
+
+    def left():
+        for cell, x, y, x2, y2 in zip(qcell, qx, qy, qx2, qy2):
+            cell = cell if cell >= 0 else ~cell
+            yield cell, x, y
+            yield cell, x2, y2
+        for cell, points in waiting.items():
+            for x, y in points:
+                yield cell, x, y
+
+    return bx, by, put, run_round, left
+
+
+def _sum_bits(m: int, schedules: List[List[list]]) -> None:
+    """Collapse, in place, every bit's entries of every lane schedule of
+    a call (over a prime field) to at most one affine point: each bit
+    with two or more entries is one cell of one :func:`_bucket_engine`,
+    so all of them share each pass and its inversion.  A pass runs only
+    with at least ``_LANE_PASS_PAIRS`` pairs; what the last pass leaves
+    is added by :func:`_run_lanes` as before, one mixed addition per
+    point."""
+    crowded = [entries for schedule in schedules for entries in schedule
+               if len(entries) > 1]
+    bx, by, put, run_round, left = _bucket_engine(m, len(crowded), [], [])
+    for cell, entries in enumerate(crowded):
+        for x, y in entries:
+            put(cell, x, y)
+    while run_round(0, _LANE_PASS_PAIRS):
+        pass
+    for entries, x, y in zip(crowded, bx, by):
+        entries[:] = () if x is None or x is _IN_FLIGHT else ((x, y),)
+    for cell, x, y in left():
+        crowded[cell].append((x, y))
 
 
 def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
@@ -466,8 +620,11 @@ def multi_scalar_mul_windows(ops: FieldOps, point_sets: Sequence[Sequence],
     bases, nothing live — goes to the lane kernel (:func:`_lane_rows`),
     also in one call per live pattern: the rows are recoded once, each
     base gets an odd-multiples table as long as their digits need, every
-    set's tables share one build, and each row runs through
-    :func:`_run_lanes`.  Either way nothing outlives the call, except
+    set's tables share one build, on G1 every bit of every set's rows is
+    summed to one point in shared affine passes (:func:`_sum_bits`), and
+    each row runs through :func:`_run_lanes`.  A coined product is one
+    such call: four sets under one row of coins.  Either way nothing
+    outlives the call, except
     lane tables filed in a caller's ``scope`` (see :func:`_lane_rows`),
     which the caller drops; the ladder kernel ignores it.
     """
@@ -515,7 +672,9 @@ def _lane_rows(ops: FieldOps, base_sets: Sequence[Sequence],
     only up to the largest digit its lanes use.  Given a ``scope`` (a
     dict from Jacobian base to table, owned by the caller), tables are
     built at full width only for the bases it lacks, filed there, and
-    taken from it for the rest."""
+    taken from it for the rest.  On G1 the schedules of every set and
+    row are summed bit by bit in shared passes (:func:`_sum_bits`)
+    before their doubling chains run."""
     full = 1 << (_LANE_WIDTH - 2)
     counts = [1] * len(rows[0] if rows else ())
     recoded = []
@@ -536,15 +695,15 @@ def _lane_rows(ops: FieldOps, base_sets: Sequence[Sequence],
     else:
         missing = list(dict.fromkeys(
             base for base in flat if base not in scope))
-        scope.update(zip(missing, _lane_tables(
-            ops, missing, [full] * len(missing))))
+        if missing:
+            scope.update(zip(missing, _lane_tables(
+                ops, missing, [full] * len(missing))))
         built = [scope[base] for base in flat]
-    results = []
+    schedules: List[List[list]] = []
     width = len(counts)
     for index in range(len(base_sets)):
         tables = built[index * width:(index + 1) * width]
         images = [None] * len(tables)
-        products = []
         for lanes in recoded:
             schedule: List[list] = []
             for slot, variant, negated, terms in lanes:
@@ -554,9 +713,11 @@ def _lane_rows(ops: FieldOps, base_sets: Sequence[Sequence],
                         images[slot] = _phi_tables(ops, endo, table)
                     table = images[slot]
                 _schedule_lane(schedule, negated, terms, table)
-            products.append(_run_lanes(ops, schedule))
-        results.append(products)
-    return results
+            schedules.append(schedule)
+    if ops.degree == 1:
+        _sum_bits(ops.modulus, schedules)
+    products = iter([_run_lanes(ops, schedule) for schedule in schedules])
+    return [list(islice(products, len(rows))) for _ in base_sets]
 
 
 def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
@@ -577,13 +738,8 @@ def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
       Jacobian coordinates, normalized with one inversion and filed all
       at once; from there on each rung is doubled in affine coordinates
       in the pass after its bit is filed, and dropped.
-    * **Buckets.**  Coordinates live in flat parallel lists, one cell
-      per (set, row, bucket), and a cell holds at most one point.  A
-      point filed into an occupied cell queues the pair for the next
-      pass and marks the cell in flight (``P + (-P)`` empties it
-      instead, decided exactly here); a point filed into an in-flight
-      cell waits, and the waiting points of a cell are paired among
-      themselves before the next pass.  Each round is ONE
+    * **Buckets.**  One :func:`_bucket_engine` cell per (set, row,
+      bucket), holding at most one point; each round is ONE
       :func:`~repro.curves.weierstrass.batch_add_affine_fp` pass over
       the climbing rungs and the queued pairs.
     * **Fold.**  Each row is ``sum_u (2u + 1) * S_u``: with running sums
@@ -621,66 +777,9 @@ def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
     beta = endo.beta if endo is not None else 0
 
     cells = len(rows) * width
-    bx: list = [None] * (sets * cells)
-    by = [0] * (sets * cells)
-    qx: List[int] = []
-    qy: List[int] = []
-    qx2: List[int] = []
-    qy2: List[int] = []
-    qcell: List[int] = []
-    waiting: Dict[int, list] = {}
     rx: List[int] = []
     ry: List[int] = []
-
-    def put(cell: int, x: int, y: int) -> None:
-        """One point into one cell (see the Buckets bullet)."""
-        held = bx[cell]
-        if held is None:
-            bx[cell] = x
-            by[cell] = y
-        elif held is _IN_FLIGHT:
-            waiting.setdefault(cell, []).append((x, y))
-        elif held != x or by[cell] == y:
-            qx.append(held)
-            qy.append(by[cell])
-            qx2.append(x)
-            qy2.append(y)
-            qcell.append(cell)
-            bx[cell] = _IN_FLIGHT
-        else:
-            bx[cell] = None
-
-    def run_round(doubled: int) -> None:
-        """Pair up the waiting points, then one fused pass; each sum goes
-        back into its cell, or joins its cell's waiting points."""
-        for cell, points in list(waiting.items()):
-            del waiting[cell]
-            while points and bx[cell] is not _IN_FLIGHT:
-                put(cell, *points.pop())
-            while len(points) > 1:
-                x, y = points.pop()
-                x2, y2 = points.pop()
-                if x != x2 or y == y2:
-                    qx.append(x)
-                    qy.append(y)
-                    qx2.append(x2)
-                    qy2.append(y2)
-                    qcell.append(~cell)
-            if points:
-                waiting[cell] = points
-        if not (doubled or qcell):
-            return
-        MSM_COUNTERS["affine_adds"] += doubled + len(qcell)
-        MSM_COUNTERS["inversions"] += 1
-        batch_add_affine_fp(rx, ry, doubled, qx, qy, qx2, qy2, m)
-        for cell, x, y in zip(qcell, qx, qy):
-            if cell < 0:
-                waiting.setdefault(~cell, []).append((x, y))
-            else:
-                bx[cell] = x
-                by[cell] = y
-        for column in (qx, qy, qx2, qy2, qcell):
-            column.clear()
+    bx, by, put, run_round, _ = _bucket_engine(m, sets * cells, rx, ry)
 
     if sets * len(slots) < _AFFINE_LADDER_BASES:
         ladders = []
@@ -699,8 +798,7 @@ def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
                 offset = set_index * cells
                 for variant, rung, cell, negative in entries:
                     x, y = variants[variant][rung + set_index][bit]
-                    waiting.setdefault(cell + offset, []).append(
-                        (x, m - y) if negative else (x, y))
+                    put(cell + offset, x, m - y if negative else y)
     else:
         for x, y in jac_batch_normalize(ops, bases):
             rx.append(x)
@@ -718,8 +816,8 @@ def _ladder_rows(ops: FieldOps, base_sets: Sequence[Sequence],
                     put(cell + offset, variants[variant][rung],
                         m - ry[rung] if negative else ry[rung])
             run_round(sets * sum(top > bit for top in tops))
-    while qcell or waiting:
-        run_round(0)
+    while run_round(0):
+        pass
 
     top = width - 1
     for u in range(width - 2, -1, -1):

@@ -35,7 +35,8 @@ Appendix G one.
 ``TestDuplicateIndexSweep`` gives every request of a window a forged
 duplicate of an honest index on each side of its twin and a keyless
 index, and ``TestTableBuildsPerLocalization`` (bn254) counts MSM table
-builds: one per base per localization.
+builds: one per base per localization.  ``TestOneKernelCallPerProduct``
+(bn254) counts MSM kernel calls: one per coined product under one key.
 """
 
 import itertools
@@ -931,3 +932,37 @@ class TestTableBuildsPerLocalization:
                 else:                           # bisection went deeper
                     assert len(evaluations) > 2
             assert counts == [4 * size] * 2
+
+
+@pytest.mark.bn254
+class TestOneKernelCallPerProduct:
+    """A coined product under one key is ONE lane-kernel call: its four
+    MSMs (over z, r, H_1 and H_2) share one row of coins, so
+    ``_values`` hands them to ``multi_exp_windows`` as four sets
+    (counted by wrapping ``msm.multi_scalar_mul_windows``)."""
+
+    def test_batch_verify_and_one_forgery(self, bn254_group, session_seed,
+                                          monkeypatch, evaluations_on):
+        from repro.math import msm
+        fixture = _Fixture(bn254_group, random.Random(
+            0x1CA11 if session_seed is None else session_seed))
+        evaluations = evaluations_on(fixture.scheme)
+        size = 16
+        one = fixture.rng.randrange(size)
+        messages, honest = fixture.signatures(size, set())
+        _, forged = fixture.signatures(size, {one})
+        calls = []
+        kernel = msm.multi_scalar_mul_windows
+
+        def counted(ops, point_sets, *args):
+            calls.append(len(point_sets))
+            return kernel(ops, point_sets, *args)
+
+        monkeypatch.setattr(msm, "multi_scalar_mul_windows", counted)
+        assert fixture.scheme.batch_verify(fixture.pk, messages, honest)
+        assert calls == [4]
+        del calls[:], evaluations[:]
+        assert fixture.scheme.locate_invalid(
+            fixture.pk, messages, forged) == [one]
+        assert len(evaluations) == 2            # the root and companion
+        assert calls == [4, 4]

@@ -9,7 +9,10 @@ scalars, and scalars at or beyond the group order.
 ``TestKernelSweep`` is the seeded differential sweep for the MSM kernels
 over both groups (the lane kernel's GLV split on G1 and on the twist,
 signed scalars and shared tables, G1's batched affine table build
-against the Jacobian one, and tables kept in a caller's scope; the
+against the Jacobian one, tables kept in a caller's scope, and G1's
+bits summed in shared affine passes — repeated and cancelling bases,
+a Lagrange row at one bit, many sets and rows, the passes counted —
+beside G2's unsummed path; the
 ladder kernel, per base set and in
 its window form over many sets, with its flat bucket engine's fused
 pass and degenerate cells; G2's int F_p2 formulas, on subgroup and
@@ -898,6 +901,147 @@ class TestKernelSweep:
         live = {base.point._jac for base in bases if base}
         assert set(scope) == live
         assert all(len(positive) == 4 for positive, _ in scope.values())
+
+    # -- summed lanes: each bit's entries in shared affine passes ---------
+    @staticmethod
+    def _counted_passes(monkeypatch):
+        """Wrap the batched affine addition the lane kernel sums with;
+        the returned list grows by one per pass."""
+        passes = []
+        batch = msm.batch_add_affine_fp
+
+        def counted(*args):
+            passes.append(len(args[3]))
+            return batch(*args)
+
+        monkeypatch.setattr(msm, "batch_add_affine_fp", counted)
+        return passes
+
+    def test_summed_lanes_match_naive(self, session_seed):
+        """One coined call over four 16-base sets — a base repeated, a
+        base beside its negation under the same coin (which must cancel
+        exactly), 64-bit and index-weighted coins, two rows — against
+        the naive fold, with the bits summed in a few shared passes."""
+        rng = _sweep_rng(session_seed, 90)
+        generator = G1Point.generator()
+        sets = [[generator * rng.randrange(1, R) for _ in range(16)]
+                for _ in range(4)]
+        point = sets[0][0]
+        sets[0][1] = -point                       # P and -P, equal coins
+        sets[0][5] = sets[0][9] = point           # P three times in a set
+        sets[3] = list(sets[1])                   # a set twice
+        coins = [rng.getrandbits(64) for _ in range(16)]
+        coins[1] = coins[0]
+        weighted = [coin * weight for weight, coin in enumerate(coins, 1)]
+        rows = [coins, weighted]
+        before = dict(msm.MSM_COUNTERS)
+        window = G1Point.multi_mul_windows(sets, rows)
+        assert msm.MSM_COUNTERS["lane_rows"] - before["lane_rows"] == 8
+        assert msm.MSM_COUNTERS["inversions"] - before["inversions"] >= 2
+        for points, products in zip(sets, window):
+            for row, product in zip(rows, products):
+                assert product == _fold(FP_OPS, G1Point, points, row)
+        # The cancelling pair contributes nothing, bit for bit.
+        assert G1Point.multi_mul_windows(
+            [sets[0][2:]] * 3, [coins[2:]])[0][0] == window[0][0]
+
+    def test_summed_lagrange_row_at_one_bit(self, session_seed):
+        """Combine's Lagrange row over the quorum {1, 2, 3}, ``(3, -3,
+        1)``, puts every entry at bit 0: 32 sets in one call sum them in
+        two passes, ``3P - 3P`` cancelling exactly where a set repeats a
+        base — against one set at a time (too few pairs for a pass) and
+        the naive fold."""
+        rng = _sweep_rng(session_seed, 91)
+        generator = G1Point.generator()
+        sets = [[generator * rng.randrange(1, R) for _ in range(3)]
+                for _ in range(32)]
+        for index in range(0, 32, 4):
+            sets[index][1] = sets[index][0]
+        row = [3, R - 3, 1]
+        before = msm.MSM_COUNTERS["inversions"]
+        window = G1Point.multi_mul_windows(sets, [row])
+        assert msm.MSM_COUNTERS["inversions"] - before == 2
+        for index, (points, products) in enumerate(zip(sets, window)):
+            assert products == G1Point.multi_mul_windows([points], [row])[0]
+            if index % 4 == 0:
+                assert products[0] == points[2]
+        for index in (1, 17):
+            assert window[index][0] == _fold(FP_OPS, G1Point, sets[index],
+                                             row)
+
+    def test_summed_lanes_over_sets_and_rows(self, session_seed):
+        """Several sets and rows in one lane call — 64-bit coins, full
+        scalars, signed short ones and a zero row over five 4-base sets,
+        one repeating a base — against the per-set calls and the naive
+        fold."""
+        rng = _sweep_rng(session_seed, 92)
+        generator = G1Point.generator()
+        sets = [[generator * rng.randrange(1, R) for _ in range(4)]
+                for _ in range(5)]
+        sets[2][3] = sets[2][0]
+        rows = [[rng.getrandbits(64) for _ in range(4)],
+                [rng.randrange(R) for _ in range(4)],
+                [-3, 1, R - 1, rng.getrandbits(16)],
+                [0, 0, 0, 0]]
+        window = G1Point.multi_mul_windows(sets, rows)
+        for points, products in zip(sets, window):
+            assert products == G1Point.multi_mul_windows(
+                [points], rows)[0]
+        for index in (0, 2):
+            for row, product in zip(rows, window[index]):
+                assert product == _fold(FP_OPS, G1Point, sets[index], row)
+        assert window[0][3].is_identity()
+
+    def test_summing_passes_pay_for_themselves(self, session_seed,
+                                               monkeypatch):
+        """With the tables warm in a scope, a 16-term coined call over
+        four sets runs a few passes, each counted in ``MSM_COUNTERS``
+        and none under ``_LANE_PASS_PAIRS`` pairs; a sparse 2-term call
+        runs one only if its two lanes meet at that many bits (about
+        three expected), so in practice none."""
+        rng = _sweep_rng(session_seed, 93)
+        group = get_group("bn254")
+        generator = group.g1_generator()
+        sets = [[generator ** rng.randrange(1, R) for _ in range(16)]
+                for _ in range(4)]
+        coins = [rng.getrandbits(64) for _ in range(16)]
+        scope = {}
+        expected = group.multi_exp_windows(sets, [coins], scope)
+        passes = self._counted_passes(monkeypatch)
+        before = dict(msm.MSM_COUNTERS)
+        assert group.multi_exp_windows(sets, [coins], scope) == expected
+        assert 2 <= len(passes) <= 6
+        assert min(passes) >= msm._LANE_PASS_PAIRS
+        assert msm.MSM_COUNTERS["inversions"] - before["inversions"] == \
+            len(passes)
+        assert msm.MSM_COUNTERS["affine_adds"] - before["affine_adds"] == \
+            sum(passes)
+        pair = coins[:2]
+        meetings = len(set.intersection(*(
+            {bit for bit, _ in msm._wnaf_terms(coin, msm._LANE_WIDTH)}
+            for coin in pair)))
+        expected = [[group.multi_exp(sets[0][:2], pair)]]
+        del passes[:]
+        assert group.multi_exp_windows(
+            [sets[0][:2]], [pair], scope) == expected
+        assert len(passes) == (meetings >= msm._LANE_PASS_PAIRS)
+
+    def test_g2_lanes_keep_the_sequential_path(self, session_seed,
+                                               monkeypatch):
+        """G2 has no batched F_p2 affine addition: its coined products,
+        a base beside its negation among them, run no pass."""
+        rng = _sweep_rng(session_seed, 94)
+        generator = G2Point.generator()
+        sets = [[generator * rng.randrange(1, R) for _ in range(4)]
+                for _ in range(3)]
+        sets[0][1] = -sets[0][0]
+        coins = [rng.getrandbits(64) for _ in range(4)]
+        coins[1] = coins[0]
+        passes = self._counted_passes(monkeypatch)
+        window = G2Point.multi_mul_windows(sets, [coins])
+        assert passes == []
+        for points, products in zip(sets, window):
+            assert products == [_fold(FP2_OPS, G2Point, points, coins)]
 
     def test_window_interpolation_matches_per_position(self, session_seed):
         """``combine_window``'s interpolation — one MSM call per signer
