@@ -12,14 +12,16 @@ acts:
    verify traffic amortizes even harder (a window of k signatures costs
    one multi-pairing).
 3. **Fault injection** — one signer starts forging its partial
-   signatures.  The window check fails; one more product, the
-   window's index-weighted companion, names a lone poisoned request
-   outright, and several are split apart by bisection (each level
-   evaluates one half and derives the other) until each stands alone;
-   their partials are checked in one batch that is bisected to the
-   forged ones, each request keeps its verified
-   partials and tops up with exactly the missing ones from the next
-   signer, and recombines — every request still completes with a valid
+   signatures.  The window check fails, and signer by signer — the
+   last convict first — one signer's partials across the window are
+   checked as one product.  For the forger's, one more product, the
+   index-weighted companion, names a lone forged partial outright;
+   one in each half is named from the left half's value and that same
+   companion; more are split apart by bisection (each level evaluates
+   one half and derives the other) until each stands alone.  Each
+   request drops its forged partial, tops up with exactly the missing
+   ones from the next signer, and recombines, and the window is
+   checked again — every request still completes with a valid
    signature.
 
 ``--refresh-every N`` exercises the live key lifecycle: a proactive

@@ -90,16 +90,30 @@ def _descend(value_of, lo: int, hi: int, value: GroupElement,
     by repeated G_T multiplication and names a lone offender with no
     further pairing.  A miss means at least two offend: a two-item
     node reports both, a wider one evaluates its left half as above
-    and hands each half an exact pair — the whole pair when the other
-    half is clean, else ``(left, left's companion)`` and the two
-    quotients, the left companion being ``left^(lo + 1)`` for a single
-    item and one weighted product otherwise.  A false hit at k needs
+    and narrows onto a half while the other is clean.  Where both
+    halves offend (a *split node*) the values in hand already decide
+    whether each holds exactly one: with ``right = value / left``,
+    offenders u in ``[lo, mid)`` and v in ``[mid, hi)`` alone give
+    ``companion == left^(u + 1) * right^(v + 1)``, so the node files
+    ``right^(v + 1) -> v`` for every v and walks ``companion /
+    left^(u + 1)`` over u, one G_T multiplication a step, looking each
+    up — ``hi - lo`` multiplications, no pairing, and a hit is the
+    whole answer.  A miss (a half holds two or more) hands each half
+    an exact pair: ``(left, left's companion)`` and the two quotients,
+    the left companion being ``left^(lo + 1)`` for a single item and
+    one weighted product otherwise.  A false hit at k needs
     ``sum_{i forged} c_i e_i (i - k) = 0 (mod r)`` with some forged
     i != k — probability at most 2^-64 over that item's coin, the
     weights being nonzero and distinct mod r — so a scan errs with
     probability at most (hi - lo) * 2^-64 and, the scans at one depth
     covering disjoint slices, the companion adds at most
-    k * (ceil(log2 k) + 1) * 2^-64 to the bound above.
+    k * (ceil(log2 k) + 1) * 2^-64 to the bound above.  A false pair
+    (u, v) needs ``sum_{i forged} c_i e_i (i - u | i - v) = 0 (mod
+    r)`` — weight ``i - u`` on the left, ``i - v`` on the right — with
+    a forged i outside {u, v}, whose weight is nonzero and below r:
+    at most 2^-64 a candidate, (mid - lo) * (hi - mid) * 2^-64 a
+    split node, and, the split nodes at one depth covering disjoint
+    slices, at most k^2 * 2^-64 more over a localization.
     """
     if value.is_identity():
         return []
@@ -124,10 +138,22 @@ def _descend(value_of, lo: int, hi: int, value: GroupElement,
         elif left == value:
             hi = mid
         else:
+            # One offender per half: companion = left^(u+1) right^(v+1).
+            right = value / left
+            power, rights = right ** (mid + 1), {}
+            for position in range(mid, hi):
+                rights[power] = position
+                power = power * right
+            step = left.inverse()
+            rest = companion * step ** (lo + 1)
+            for position in range(lo, mid):
+                if rest in rights:
+                    return [position, rights[rest]]
+                rest = rest * step
             left_companion = (left ** (lo + 1) if mid - lo == 1
                               else value_of(lo, mid, weighted=True))
             return (_descend(value_of, lo, mid, left, left_companion)
-                    + _descend(value_of, mid, hi, value / left,
+                    + _descend(value_of, mid, hi, right,
                                companion / left_companion))
     return list(range(lo, hi))
 
@@ -581,7 +607,11 @@ class LJYThresholdScheme:
         is the robust path's ground truth.  While it fails, the next
         signer with unchecked partials in use — ``suspects.last``
         first, then by index — has them localized across the window
-        (:meth:`locate_invalid_partials`: four pairs a product); what
+        (:meth:`locate_invalid_partials`: four pairs a product; a clean
+        signer costs one, a lone forgery two — the root and its
+        companion — and one forgery in each half of the slice three,
+        the left half's value being all :func:`_descend`'s pair step
+        needs beside them); what
         that names is dropped and refilled, from the request's spare
         partials, then from ``top_up(message, asked_indices,
         missing)`` — up to ``missing`` partials of signers not in

@@ -16,12 +16,15 @@ bisection differently — none, one, an adjacent pair, one per half,
 every other item, all of them.  Then the inputs built to fool batching
 rather than bisection: two forgeries that cancel under *equal* coins,
 two that fake a lone offender at an honest position under equal coins,
-items without a verification key, a key filed under the wrong index,
+three that fake one offender in each half under equal coins, items
+without a verification key, a key filed under the wrong index,
 duplicate indices, and the same items in another order.
 
 ``TestLocalizerCost`` counts pairing products (evaluations of the
 ``value_of`` closure) against a plain quotient bisection kept here as
 the reference: the companion must never make a localization dearer.
+Two forgeries, every pair in every size, cost exactly the root, its
+companion and one left half a level down to where the pair splits.
 
 ``TestRobustWindowSweep`` holds ``combine_window``'s robust path —
 signer by signer under a window check, last convict first — to a
@@ -264,6 +267,35 @@ class TestLocalizerSweepToy:
                 toy.pk, messages, signatures
             ) == [position not in (i, j) for position in range(size)]
 
+    def test_forgeries_faking_one_per_half_under_equal_coins(self, toy):
+        """``z * g^d`` at u, left of the root's split, and ``z * g^e``
+        at v - 1 and v + 1, right of it: under *equal* coins the right
+        half's value and its share of the companion are exactly those
+        of a lone forgery at the honest v, so the root's pair step
+        names (u, v) — only per-item coins keep v out of the report and
+        send the node on to the left companion."""
+        order = toy.scheme.group.order
+        for size in (5, 7, 16, 33):
+            mid = size // 2
+            u = toy.rng.randrange(mid)
+            v = toy.rng.randrange(mid + 1, size - 1)
+            forged = (u, v - 1, v + 1)
+            d, e = (toy.rng.randrange(1, 1 << 64) for _ in range(2))
+            messages, signatures = toy.signatures(size, set())
+            for position, shift in zip(forged, (d, e, e)):
+                good = signatures[position]
+                signatures[position] = Signature(
+                    z=good.z * toy.g ** (shift % order), r=good.r)
+            value_of = toy.signature_values(messages, signatures, [1] * size)
+            assert _descend(value_of, 0, size, value_of(0, size),
+                            value_of(0, size, weighted=True)) == [u, v]
+            assert toy.scheme.locate_invalid(
+                toy.pk, messages, signatures
+            ) == list(forged)
+            assert toy.scheme.verify_window(
+                toy.pk, messages, signatures
+            ) == [position not in forged for position in range(size)]
+
     def test_keyless_and_mismatched_items_reported_without_poisoning(
             self, toy):
         """A signer with no verification key, and a key filed under an
@@ -458,6 +490,34 @@ class TestLocalizerCost:
                 ) == [position]
                 assert evaluations == [
                     (0, size), (0, size, ("weighted", True))]
+
+    def test_two_forgeries_end_where_the_pair_splits(
+            self, toy, evaluations):
+        """Every pair of positions in every size: the root, its
+        companion, then one unweighted left half a level while the
+        pair shares a half, and nothing once it splits — the pair step
+        names one forgery in each half from the companion in hand, so
+        the only weighted product is the root's."""
+        for size in SIZES[1:]:
+            messages, honest = toy.signatures(size, set())
+            _, forged = toy.signatures(size, set(range(size)))
+            for pair in itertools.combinations(range(size), 2):
+                signatures = list(honest)
+                for position in pair:
+                    signatures[position] = forged[position]
+                expected = [(0, size), (0, size, ("weighted", True))]
+                lo, hi = 0, size
+                while hi - lo > 2:
+                    mid = (lo + hi) // 2
+                    expected.append((lo, mid))
+                    if pair[0] < mid <= pair[1]:
+                        break
+                    lo, hi = (lo, mid) if pair[1] < mid else (mid, hi)
+                del evaluations[:]
+                assert toy.scheme.locate_invalid(
+                    toy.pk, messages, signatures
+                ) == list(pair)
+                assert evaluations == expected, (size, pair)
 
     def test_share_level_descends_without_a_companion(
             self, toy, evaluations):
@@ -883,6 +943,28 @@ class TestLocalizerSweepBn254:
         fixture = _Fixture(bn254_group, random.Random(
             0x10CA7E if session_seed is None else session_seed))
         fixture.sweep((1, 2, 5, 8))
+
+    def test_one_forgery_per_half_of_sixteen(self, bn254_group,
+                                             session_seed, evaluations_on):
+        """One seeded forgery in each half of a 16-signature window —
+        and of one signer's 16 partials, what ``combine_window`` asks
+        about: three products, the root, its companion and the left
+        half, from which the pair step names both."""
+        fixture = _Fixture(bn254_group, random.Random(
+            0x2F0E5 if session_seed is None else session_seed))
+        evaluations = evaluations_on(fixture.scheme)
+        size = 16
+        forged = {fixture.rng.randrange(8), fixture.rng.randrange(8, size)}
+        expected = [(0, size), (0, size, ("weighted", True)), (0, 8)]
+        messages, signatures = fixture.signatures(size, forged)
+        assert fixture.scheme.locate_invalid(
+            fixture.pk, messages, signatures) == sorted(forged)
+        assert evaluations == expected
+        del evaluations[:]
+        items = fixture.partials(size, forged, signers=(2,))
+        assert fixture.scheme.locate_invalid_partials(
+            fixture.pk, fixture.vks, items) == sorted(forged)
+        assert evaluations == expected
 
 
 @pytest.mark.bn254

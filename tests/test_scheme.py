@@ -694,11 +694,13 @@ class TestRobustPathOperationCounts:
     def test_one_signer_forging_two_of_sixteen(self, service_handle):
         """The benchmark's ``sign_faulty`` window, in (Miller loops,
         final exponentiations).  Cold: window check, signer 1's 16
-        partials (root, companion, one split naming a forgery in each
-        half: 4 products), re-check over the 2 top-ups — (24, 6).  With
+        partials (root, companion and the left half, which names a
+        forgery in each half from the companion already paid for: 3
+        products), re-check over the 2 top-ups — (20, 5); the left
+        half's own companion, a fourth product, is never needed.  With
         signer 1 the last convict its round runs first and the doomed
-        check is never made: (20, 5).  Signer 3 forging is reached
-        after signers 1 and 2 the first time, (32, 8), and first from
+        check is never made: (16, 4).  Signer 3 forging is reached
+        after signers 1 and 2 the first time, (28, 7), and first from
         then on.  The honest window after a conviction pays the
         convict's clean round once, (8, 2), the next one nothing,
         (4, 1) — the two-phase path paid (42, 9) every window.  The
@@ -729,15 +731,16 @@ class TestRobustPathOperationCounts:
                     spent["preparations"])
 
         handle = fresh()
-        assert window(handle, b"cold", 1)[:2] == (24, 6)
-        assert window(handle, b"convict", 1) == (20, 5, 0)
+        assert window(handle, b"cold", 1)[:2] == (20, 5)
+        assert window(handle, b"convict", 1) == (16, 4, 0)
         # An adjacent pair is the localizer's worst two-forgery shape:
-        # no scan hits until the pair stands alone, one split more.
+        # it never splits, so no pair step names it; the node narrows
+        # onto it one left half a level until the pair stands alone.
         assert window(handle, b"adjacent", 1, forged=(8, 9)) == (24, 6, 0)
         assert window(handle, b"honest") == (8, 2, 0)
         assert window(handle, b"honest again") == (4, 1, 0)
         assert handle.suspects == (1,)
         handle = fresh()
         # Signers 2 and 3 are reached for the first time: two keys each.
-        assert window(handle, b"third", 3) == (32, 8, 4)
-        assert window(handle, b"third again", 3) == (20, 5, 0)
+        assert window(handle, b"third", 3) == (28, 7, 4)
+        assert window(handle, b"third again", 3) == (16, 4, 0)

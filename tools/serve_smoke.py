@@ -134,7 +134,8 @@ def _rng(stream: int) -> random.Random:
 #: one forged partial of signer 1, costs on BN254 — the window check 4,
 #: signer 1's round over its 8 partials 32 (8 four-pair products: root,
 #: companion, and a left value + left companion at the node of 8 and
-#: both nodes of 4; a pair no scan explains is reported as it stands —
+#: both nodes of 4, where every half holds two or more and the pair
+#: step finds nothing; a pair no scan explains is reported as it stands —
 #: the shape the companion cannot shorten, and exactly what plain
 #: bisection paid), the re-check over the 8 top-ups 4.  Smaller windows
 #: cost less (12, 16, 24 at 1, 2, 4), and every window after the first
